@@ -1,8 +1,9 @@
 """Spectral moments and radius bounds for symmetric random matrices whose
 entry variances form a rank-one profile Var a_ij = sigma_i * sigma_j.
 
-The package computes the limiting even spectral moments from tree-profile
-combinatorics, finite-n lower/upper bounds on the expected moments and the
+The package computes the limiting even spectral moments as coefficients of the
+plane-tree generating series (checked against the paper's sum over tree degree
+profiles), finite-n lower/upper bounds on the expected moments and the
 expected spectral radius, a Hankel-pencil semidefinite lower bound on the
 asymptotic spectral radius, and validates all of it against Monte Carlo
 simulation and two brute-force enumeration oracles.

@@ -1,6 +1,7 @@
 """Command-line surface: moment tables, simulations, radius bounds, validation.
 
-Exit codes: 0 success, 2 usage or parse errors, 3 numeric or runtime errors.
+Exit codes: 0 success, 1 when a ``validate`` check fails, 2 usage or parse
+errors, 3 numeric or runtime errors.
 All outputs are UTF-8; floats serialize with 17 significant digits.  The
 RANK1_SPECTRA_THREADS environment variable caps Monte Carlo parallelism
 (0 = one worker per CPU; unset = serial).

@@ -177,10 +177,12 @@ def tree_count(profile: DegreeProfile, mode: str = "closed_form") -> int:
     """Number of rooted ordered trees on s+1 vertices with the given profile.
 
     ``closed_form`` evaluates 2 * s! / prod(r_j!), i.e. the multinomial
-    binom(s+1; r_1..r_s) scaled by 2/(s+1).  The scale factor is fixed by
-    requiring exact agreement with ``enumeration`` (brute-force counting of
-    preorder codes) on every profile with s <= 11; the two modes are asserted
-    equal there by the validation suite.
+    binom(s+1; r_1..r_s) scaled by 2/(s+1).  This is a theorem: with
+    N = s+1 vertices of degrees d_i there are (N-2)! / prod (d_i-1)!
+    labelled trees, prod (d_i-1)! planar embeddings of each and 2s root
+    corners; dividing by the N! labellings leaves 2 * s! / prod r_j!.
+    ``enumeration`` counts preorder codes by brute force; the validation
+    suite asserts the two modes equal on every profile with s <= 11.
     """
     s = profile.s
     if mode == "closed_form":

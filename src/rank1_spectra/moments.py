@@ -1,12 +1,13 @@
 """Limiting even spectral moments and finite-n bounds on the expected moments.
 
-The limiting even moment of order 2s is a sum over tree degree profiles,
-weighted by exact tree counts and powers of the limiting averages Lambda_k.
-For finite n the same profile sum over partial averages S_{n,k}/n, minus an
-explicit repeated-index correction, lower-bounds the expected moment; an
-upper bound multiplies the limit by 1 + theta*s with a fully explicit theta.
-All combinatorial prefactors are exact big integers; floats enter only at the
-final multiplication with Lambda/S powers.
+The limiting even moment of order 2s, the paper's sum over tree degree
+profiles of tree counts times powers of the limiting averages Lambda_k, is one
+coefficient of the plane-tree generating series (Lagrange inversion): with
+phi(w) = sum_j A_{j+1} w^j, m_{2s} = 2/(s+1) * [w^{s-1}] phi(w)^{s+1}, a
+truncated polynomial power, exact for rational averages.  For finite n the
+same series at the partial averages S_{n,k}/n, minus an explicit
+repeated-index correction, lower-bounds the expected moment; an upper bound
+multiplies the limit by 1 + theta*s with a fully explicit theta.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
-from .combinatorics import enumerate_degree_profiles, tree_count
+from .sigma_model import sigma_stats
 
 __all__ = [
     "MomentRow",
@@ -36,31 +35,25 @@ MAX_ORDER = 64  # maximum s in m_{2s}
 Number = Union[int, float, Fraction]
 
 
-def _profile_sum(averages: Sequence[Number], s: int) -> Number:
-    """sum over R_s of tree_count(profile) * prod averages[j]^r_j.
+def _tree_series(averages: Sequence[Number], s: int) -> Number:
+    """sum over R_s of tree_count(profile) * prod averages[j-1]^r_j, as a series.
 
-    Exact (Fraction) when every entry is an int or Fraction; float otherwise,
-    accumulated profile by profile with compensated summation.
+    A profile's 2 * s! / prod r_j! trees are 2/(s+1) times the multinomial
+    coefficient of its term prod A_j^{r_j} w^{s-1} in phi(w)^{s+1}.  Ints and
+    Fractions stay exact, anything else is a float; all terms are positive.
     """
-    exact = all(isinstance(a, (int, Fraction)) for a in averages[:s])
-    profiles = enumerate_degree_profiles(s)
-    if exact:
-        total = Fraction(0)
-        for profile in profiles:
-            term = Fraction(tree_count(profile))
-            for j, rj in enumerate(profile.r, start=1):
-                if rj:
-                    term *= Fraction(averages[j - 1]) ** rj
-            total += term
-        return total
-    terms = []
-    for profile in profiles:
-        term = float(tree_count(profile))
-        for j, rj in enumerate(profile.r, start=1):
-            if rj:
-                term *= float(averages[j - 1]) ** rj
-        terms.append(term)
-    return math.fsum(terms)
+    phi = [a if isinstance(a, (int, Fraction)) else float(a) for a in averages[:s]]
+    power = [1] + [0] * (s - 1)
+    for _ in range(s + 1):
+        power = [sum(power[i] * phi[k - i] for i in range(k + 1)) for k in range(s)]
+    return power[s - 1] * Fraction(2, s + 1)
+
+
+def _check_order(s: int) -> None:
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    if s > MAX_ORDER:
+        raise ValueError(f"s={s} exceeds supported range {MAX_ORDER}")
 
 
 def limiting_even_moment(lambdas: Sequence[Number], s: int) -> Number:
@@ -69,15 +62,12 @@ def limiting_even_moment(lambdas: Sequence[Number], s: int) -> Number:
     Exact rational arithmetic when the Lambda values are ints/Fractions
     (useful for the constant-profile specialization); float otherwise.
     """
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    if s > MAX_ORDER:
-        raise ValueError(f"s={s} exceeds supported range {MAX_ORDER}")
+    _check_order(s)
     if len(lambdas) < s:
         raise ValueError(f"need Lambda_1..Lambda_{s}, got {len(lambdas)} entries")
     if any((not _is_positive(a)) for a in lambdas[:s]):
         raise ValueError("Lambda entries must be positive and finite")
-    return _profile_sum(lambdas, s)
+    return _tree_series(lambdas, s)
 
 
 def _is_positive(a: Number) -> bool:
@@ -89,27 +79,21 @@ def _is_positive(a: Number) -> bool:
 def moment_lower_bound(values: Sequence[float], s: int) -> float:
     """Finite-n lower bound on the expected spectral moment of order 2s.
 
-    Evaluates the profile sum at the partial averages S_{n,j}/n (identical to
+    Evaluates the tree series at the partial averages S_{n,j}/n (identical to
     (1/n^{s+1}) * prod S^{r_j} since the profile entries sum to s+1), minus
     the repeated-index correction
         eps = (sigma_max^{2s} / n^{s+1}) * sum_{j=1..s} binom(n,j) j^{s+1-j}.
     The result may be <= 0 for small n; callers flag that as vacuous rather
-    than clamping.
+    than clamping.  Bad sigma raises SigmaDomainError, overflow OverflowError.
     """
-    v = np.asarray(values, dtype=np.float64)
-    n = v.size
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    _check_order(s)
+    stats = sigma_stats(values, s)
+    n = stats.n
     if n <= s:
         raise ValueError(f"need n > s, got n={n}, s={s}")
-    p = v.copy()
-    averages = []
-    for _ in range(s):
-        averages.append(float(np.sum(p, dtype=np.longdouble)) / n)
-        p *= v
-    main = _profile_sum(averages, s)
+    main = _tree_series(stats.partial_sums / n, s)
     correction = int(sum(math.comb(n, j) * j ** (s + 1 - j) for j in range(1, s + 1)))
-    eps = float(v.max()) ** (2 * s) * float(Fraction(correction, n ** (s + 1)))
+    eps = stats.sigma_max ** (2 * s) * float(Fraction(correction, n ** (s + 1)))
     return main - eps
 
 

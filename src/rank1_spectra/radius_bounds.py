@@ -176,23 +176,9 @@ def _chol_succeeds(M: "mp.matrix") -> bool:
 
 def _generalized_max_eig(H1: "mp.matrix", H0reg: "mp.matrix") -> mpf:
     """Largest eigenvalue of the pencil (H1, H0reg) via L^{-1} H1 L^{-T}."""
-    L = mp.cholesky(H0reg)
-    size = H0reg.rows
-    X = mp.matrix(size)
-    for col in range(size):
-        for r in range(size):
-            acc = H1[r, col]
-            for k in range(r):
-                acc -= L[r, k] * X[k, col]
-            X[r, col] = acc / L[r, r]
-    B = mp.matrix(size)
-    for row in range(size):
-        for r in range(size):
-            acc = X[row, r]
-            for k in range(r):
-                acc -= L[r, k] * B[row, k]
-            B[row, r] = acc / L[r, r]
-    for i in range(size):
+    Li = mp.inverse(mp.cholesky(H0reg))
+    B = Li * H1 * Li.T
+    for i in range(B.rows):
         for j in range(i):
             v = (B[i, j] + B[j, i]) / 2
             B[i, j] = v

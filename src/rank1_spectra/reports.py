@@ -1,4 +1,4 @@
-"""Builders gluing the sigma/combinatorics/moments/radius layers into reports."""
+"""Builders gluing the sigma/moments/radius layers into reports."""
 
 from __future__ import annotations
 

@@ -366,12 +366,7 @@ def sigma_stats(values: Sequence[float], k_max: int) -> SigmaStats:
     if v.ndim != 1 or v.size == 0:
         raise ValueError("values must be a non-empty 1-d vector")
     _check_positive(v, first_index=1)
-    sums = np.empty(k_max)
-    p = v.copy()
-    for k in range(k_max):
-        sums[k] = float(np.sum(p, dtype=np.longdouble))
-        if k + 1 < k_max:
-            p *= v
+    sums = np.array(_power_sums(v, k_max))
     if not np.all(np.isfinite(sums)):
         k_bad = int(np.argmax(~np.isfinite(sums))) + 1
         raise OverflowError(f"partial sum S_{{n,{k_bad}}} overflowed")
@@ -383,20 +378,27 @@ def sigma_stats(values: Sequence[float], k_max: int) -> SigmaStats:
     )
 
 
+def _power_sums(v: np.ndarray, k_max: int) -> list:
+    """sum_i v_i^k for k = 1..k_max, each accumulated in extended precision."""
+    sums = []
+    p = v.copy()
+    for k in range(k_max):
+        sums.append(float(np.sum(p, dtype=np.longdouble)))
+        if k + 1 < k_max:
+            p *= v
+    return sums
+
+
 def _ladder_averages(spec: SigmaSpec, k_max: int, n: int) -> np.ndarray:
     """(1/n) S_{n,k} for k = 1..k_max, evaluated in chunks."""
-    totals = [[] for _ in range(k_max)]
+    chunks = []
     for start in range(1, n + 1, _CHUNK):
         stop = min(start + _CHUNK - 1, n)
         idx = np.arange(start, stop + 1, dtype=np.float64)
         vals = spec.evaluate(idx, n)
         _check_positive(vals, first_index=start)
-        p = vals.copy()
-        for k in range(k_max):
-            totals[k].append(float(np.sum(p, dtype=np.longdouble)))
-            if k + 1 < k_max:
-                p *= vals
-    return np.array([math.fsum(t) / n for t in totals])
+        chunks.append(_power_sums(vals, k_max))
+    return np.array([math.fsum(t) / n for t in zip(*chunks)])
 
 
 def limiting_averages(spec: SigmaSpec, k_max: int, tol: float) -> LimitingAverages:

@@ -50,9 +50,12 @@ def check_catalan_partition(deep: bool) -> Check:
 def check_tree_count_modes(deep: bool) -> Check:
     """Closed form must equal enumeration on every profile.
 
-    The closed form is c(s) * multinomial(s+1; r) with the fitted
-    normalization c(s) = 2/(s+1); a bare factor of 2 is inconsistent with
-    enumeration (s=2: it would give 6 where the true count is 2).
+    The closed form 2 * s! / prod r_j! = (2/(s+1)) * multinomial(s+1; r) is
+    a theorem: degrees d_1..d_N (N = s+1) fit (N-2)!/prod (d_i-1)! labelled
+    trees, each with prod (d_i-1)! planar embeddings and 2s root corners;
+    dividing by the N! labellings leaves 2 * s! / prod r_j!.  A bare factor
+    of 2 on the multinomial is inconsistent with enumeration (s=2: it would
+    give 6 where the true count is 2).
     """
     s_top = 11 if deep else 8
     for s in range(1, s_top + 1):
@@ -71,7 +74,7 @@ def check_tree_count_modes(deep: bool) -> Check:
                 return (
                     "tree_count",
                     False,
-                    f"normalization drift at s={s}: {closed} != (2/(s+1))*multinomial",
+                    f"closed form drifted at s={s}: {closed} != (2/(s+1))*multinomial",
                 )
             if s >= 2 and naive == closed:
                 return (
@@ -83,8 +86,27 @@ def check_tree_count_modes(deep: bool) -> Check:
         "tree_count",
         True,
         f"closed_form == enumeration on all profiles, s=1..{s_top}; "
-        "fitted normalization c(s) = 2/(s+1)",
+        "count 2*s!/prod r_j! from labelled trees, embeddings and root corners",
     )
+
+
+def _profile_sum(averages, s: int):
+    """The paper's formula: sum over R_s of tree_count * prod averages[j-1]^r_j."""
+    return sum(
+        tree_count(p) * math.prod(a ** r for a, r in zip(averages, p.r))
+        for p in enumerate_degree_profiles(s)
+    )
+
+
+def check_series_vs_profile_sum(deep: bool) -> Check:
+    """The production tree series equals the profile sum exactly on
+    non-constant rational averages."""
+    s_top = 11 if deep else 8
+    averages = [Fraction(j + 1, 2 * j + 1) for j in range(1, s_top + 1)]
+    bad = [s for s in range(1, s_top + 1)
+           if limiting_even_moment(averages, s) != _profile_sum(averages, s)]
+    detail = f"differs at s={bad}" if bad else f"exact on rational averages, s=1..{s_top}"
+    return ("series_vs_profile_sum", not bad, detail)
 
 
 def check_profile_realization(deep: bool) -> Check:
@@ -234,6 +256,7 @@ def run_all(deep: bool = False) -> List[Check]:
     checks.append(check_catalan_partition(deep))
     checks.append(check_tree_count_modes(deep))
     checks.append(check_profile_realization(deep))
+    checks.append(check_series_vs_profile_sum(deep))
     checks.append(check_walk_oracle(deep))
     checks.append(check_moment_scaling())
     checks.append(check_sdp_dual_method(deep))

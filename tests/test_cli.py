@@ -1,0 +1,91 @@
+import csv
+import json
+
+import pytest
+
+from rank1_spectra import cli
+from rank1_spectra.moments import limiting_even_moment
+from rank1_spectra.sigma_model import sigma_stats
+
+SIGMA = [0.7, 1.3, 0.9, 2.0, 1.1, 0.6]
+
+
+def limits(max_order):
+    n = len(SIGMA)
+    averages = sigma_stats(SIGMA, max_order // 2).partial_sums / n
+    return [float(limiting_even_moment(averages, s)) for s in range(1, max_order // 2 + 1)]
+
+
+@pytest.fixture
+def sigma_file(tmp_path):
+    path = tmp_path / "sigma.txt"
+    path.write_text("\n".join(repr(v) for v in SIGMA) + "\n", encoding="utf-8")
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_moments_limits_round_trip(tmp_path, sigma_file, fmt):
+    out = tmp_path / f"moments.{fmt}"
+    argv = ["moments", "--sigma", sigma_file, "--n", str(len(SIGMA)), "--max-order", "8",
+            "--out", str(out), "--format", fmt]
+    assert cli.main(argv) == 0
+    text = out.read_text(encoding="utf-8")
+    if fmt == "json":
+        rows = json.loads(text)["moments"]
+        got = [row["limit"] for row in rows]
+        assert [row["order"] for row in rows] == [2, 4, 6, 8]
+    else:
+        got = [float(row["limit"]) for row in csv.DictReader(text.splitlines())]
+    assert got == limits(8)
+
+
+def test_radius_sbar_3(tmp_path):
+    out = tmp_path / "radius.json"
+    assert cli.main(["radius", "--sigma", "const:1", "--sbar", "3", "--out", str(out)]) == 0
+    sdp = json.loads(out.read_text(encoding="utf-8"))["radius"]["sdp"]
+    assert sdp["s_bar"] == 3
+    assert 0.0 < sdp["beta"] <= 4.0
+    assert sdp["method_agreement"] <= 10 * sdp["tol"]
+
+
+def test_simulate_histogram_counts_every_eigenvalue(tmp_path):
+    out = tmp_path / "sim"
+    argv = ["simulate", "--sigma", "const:1", "--n", "20", "--trials", "2", "--out", str(out)]
+    assert cli.main(argv) == 0
+    with open(out / "esd.csv", encoding="utf-8") as fh:
+        assert sum(int(row["count"]) for row in csv.DictReader(fh)) == 20 * 2
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["n"] == 20 and report["trials"] == 2
+
+
+@pytest.mark.parametrize(
+    "sigma, code",
+    [("expr:exp(", cli.USAGE_EXIT), ("const:-1", cli.NUMERIC_EXIT),
+     ("file:no/such/sigma.txt", cli.NUMERIC_EXIT)],
+)
+def test_bad_sigma_exit_codes(tmp_path, sigma, code):
+    argv = ["moments", "--sigma", sigma, "--n", "8", "--max-order", "4",
+            "--out", str(tmp_path / "m.json")]
+    assert cli.main(argv) == code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["moments", "--sigma", "const:1", "--max-order", "3", "--out", "m.json"],
+     ["simulate", "--sigma", "const:1", "--n", "4", "--trials", "0", "--out", "sim"],
+     ["radius", "--sigma", "const:1", "--orders", "2", "--out", "r.json"],
+     ["nosuchcommand"]],
+)
+def test_usage_errors_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.USAGE_EXIT
+
+
+def test_validate_exits_1_on_a_failing_check(monkeypatch, capsys):
+    checks = [("ok", True, "fine"), ("bad", False, "broke")]
+    monkeypatch.setattr(cli, "run_all", lambda deep: checks)
+    assert cli.main(["validate"]) == 1
+    captured = capsys.readouterr()
+    assert "bad: FAIL (broke)" in captured.out
+    assert "1 of 2 checks failed" in captured.err

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rank1_spectra.combinatorics import catalan, degree_profile_of, enumerate_plane_trees
 from rank1_spectra.ensemble import EnsembleConfig, monte_carlo
 from rank1_spectra.moments import (
     limiting_even_moment,
@@ -12,7 +13,8 @@ from rank1_spectra.moments import (
     odd_moment_bound,
     theta_factor,
 )
-from rank1_spectra.sigma_model import parse_sigma_spec, sigma_values
+from rank1_spectra.sigma_model import SigmaDomainError, parse_sigma_spec, sigma_values
+from rank1_spectra.validation import _profile_sum, check_series_vs_profile_sum
 
 EXP_SPEC = "expr:exp(-4*i/n)"
 CATALANS = [1, 2, 5, 14, 42, 132, 429, 1430]
@@ -24,11 +26,33 @@ def lam(k: int) -> float:
 
 class TestLimitingMoments:
     def test_constant_profile_gives_catalan_exactly(self):
-        ones = [Fraction(1)] * 8
-        for s in range(1, 9):
+        ones = [Fraction(1)] * 64
+        for s in list(range(1, 9)) + [64]:
             value = limiting_even_moment(ones[:s], s)
             assert isinstance(value, Fraction)
-            assert value == CATALANS[s - 1]
+            assert value == catalan(s)
+
+    def test_series_equals_profile_sum_exactly(self):
+        averages = [Fraction(2 * j + 1, j * j + 3) for j in range(1, 13)]
+        for s in range(1, 13):
+            assert limiting_even_moment(averages, s) == _profile_sum(averages, s)
+        assert check_series_vs_profile_sum(deep=False)[1]
+
+    def test_series_equals_sum_over_plane_trees(self):
+        # every rooted ordered tree on s+1 vertices, weighted prod Lambda_deg
+        lams = [Fraction(3, j + 2) for j in range(1, 10)]
+        for s in range(1, 10):
+            brute = sum(
+                math.prod(a ** r for a, r in zip(lams, degree_profile_of(t).r))
+                for t in enumerate_plane_trees(s + 1)
+            )
+            assert limiting_even_moment(lams, s) == brute
+
+    def test_float_series_matches_profile_sum(self):
+        lams = [lam(k) for k in range(1, 31)]
+        for s in range(1, 31):
+            oracle = _profile_sum(lams, s)
+            assert abs(limiting_even_moment(lams, s) - oracle) <= 1e-14 * oracle
 
     def test_second_moment_is_lambda1_squared(self):
         assert limiting_even_moment([0.3], 1) == pytest.approx(0.09, rel=1e-15)
@@ -101,6 +125,15 @@ class TestLowerBound:
     def test_rejects_n_le_s(self):
         with pytest.raises(ValueError):
             moment_lower_bound(np.ones(2), 2)
+
+    @pytest.mark.parametrize("values", [[1.0, -1.0, 2.0, 0.5], [1.0, math.nan, 2.0, 0.5]])
+    def test_rejects_bad_sigma(self, values):
+        with pytest.raises(SigmaDomainError):
+            moment_lower_bound(values, 1)
+
+    def test_rejects_order_above_max(self):
+        with pytest.raises(ValueError, match="exceeds supported range"):
+            moment_lower_bound(np.ones(100), 65)
 
     def test_scaling_covariance(self):
         rng = np.random.default_rng(11)
