@@ -2,9 +2,7 @@
 
 Exit codes: 0 success, 1 when a ``validate`` check fails, 2 usage or parse
 errors, 3 numeric or runtime errors.
-All outputs are UTF-8; floats serialize with 17 significant digits.  The
-RANK1_SPECTRA_THREADS environment variable caps Monte Carlo parallelism
-(0 = one worker per CPU; unset = serial).
+All outputs are UTF-8; floats serialize with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -135,11 +133,7 @@ def cmd_simulate(args: argparse.Namespace, argv: list) -> int:
         n=args.n, sigma=spec, distribution=args.dist, K=args.K, seed=args.seed
     )
     mc = monte_carlo(
-        config,
-        trials=args.trials,
-        k_max=args.max_order,
-        collect_eigenvalues=True,
-        threads=None,
+        config, trials=args.trials, k_max=args.max_order, collect_eigenvalues=True
     )
     hist = _histogram(mc.pooled_eigenvalues, args.bins, None)
     manifest = run_manifest("simulate", argv, args.sigma, args.seed)

@@ -10,19 +10,19 @@ sigma_i*sigma_j and |a_ij| <= K surely.  Three entry laws are provided:
   the pre-truncation variance chosen so the conditioned variance is exactly
   sigma_i*sigma_j (requires K^2 > 3 sigma_i sigma_j).
 
-Per-trial generators are derived from the base seed by one splitmix64 round
-over seed XOR trial_index, so trials are order-independent and a campaign is
-reproducible bit for bit.
+Everything that depends only on the configuration (sigma, the bound K, the
+upper-triangle mask and the law's per-entry coefficients) is computed once
+per campaign and cached; a trial only draws.  Per-trial generators are derived
+from the base seed by one splitmix64 round over seed XOR trial_index, so
+trials are order-independent and a campaign is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -41,7 +41,6 @@ __all__ = [
     "esd_histogram",
     "spectral_sample",
     "monte_carlo",
-    "resolve_thread_count",
 ]
 
 DISTRIBUTIONS = ("rademacher", "uniform", "truncated_gaussian")
@@ -79,6 +78,8 @@ class EnsembleConfig:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError("seed must fit in 64 bits")
+        if self.K is not None and not (math.isfinite(self.K) and self.K > 0):
+            raise ValueError(f"K must be finite and > 0, got {self.K}")
 
 
 @dataclass(frozen=True)
@@ -102,11 +103,6 @@ class Histogram:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-
-@lru_cache(maxsize=8)
-def _triu(n: int):
-    return np.triu_indices(n)
 
 
 def _resolve_bound(distribution: str, sigma_max: float, K: Optional[float]) -> float:
@@ -134,10 +130,11 @@ def _truncnorm_halfwidth(rho: np.ndarray) -> np.ndarray:
     """Solve Var[N(0,1) | |z| <= c] / c^2 = rho for c (vectorized bisection).
 
     The left side decreases from 1/3 (c -> 0) to 0 (c -> inf), so a solution
-    exists exactly when rho < 1/3.
+    exists exactly when rho < 1/3, and it lies below 1/sqrt(rho) because the
+    conditioned variance is below 1.
     """
     lo = np.full_like(rho, 1e-8)
-    hi = np.full_like(rho, 80.0)
+    hi = np.maximum(80.0, 1.0 / np.sqrt(rho))
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         phi = np.exp(-0.5 * mid * mid) / math.sqrt(2.0 * math.pi)
@@ -149,11 +146,14 @@ def _truncnorm_halfwidth(rho: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def sample_matrix(config: EnsembleConfig, trial_index: int = 0) -> np.ndarray:
-    """One symmetric realization A = [a_ij / sqrt(n)].
+@lru_cache(maxsize=1)
+def _plan(config: EnsembleConfig):
+    """The per-campaign data of ``config``: the upper-triangle mask and the
+    law's per-entry coefficients, in the mask's row-major order, read-only.
 
-    The diagonal and upper triangle are drawn as a single flat row-major
-    block, so a (seed, trial_index) pair fixes the matrix exactly.
+    Coefficients: sqrt(sigma_i sigma_j) for rademacher, sqrt(3 sigma_i sigma_j)
+    for uniform, and (tail, 1 - 2*tail, K/c) for the truncated gaussian, where
+    c is the half-width and tail = P(Z < -c).
     """
     n = config.n
     sigma = sigma_values(config.sigma, n)
@@ -161,25 +161,43 @@ def sample_matrix(config: EnsembleConfig, trial_index: int = 0) -> np.ndarray:
     K = _resolve_bound(config.distribution, smax, config.K)
     _check_bound(config.distribution, smax, K)
 
-    rng = np.random.Generator(np.random.PCG64(derive_trial_seed(config.seed, trial_index)))
-    iu, ju = _triu(n)
-    prod = sigma[iu] * sigma[ju]
-    m = prod.shape[0]
-
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    prod = np.outer(sigma, sigma)[mask]
     if config.distribution == "rademacher":
-        signs = rng.integers(0, 2, size=m).astype(np.float64) * 2.0 - 1.0
-        a = signs * np.sqrt(prod)
+        coeffs = (np.sqrt(prod),)
     elif config.distribution == "uniform":
-        a = np.sqrt(3.0 * prod) * rng.uniform(-1.0, 1.0, size=m)
+        coeffs = (np.sqrt(3.0 * prod),)
     else:
         c = _truncnorm_halfwidth(prod / (K * K))
         tail = ndtr(-c)
-        u = rng.random(m)
-        z = ndtri(tail + u * (1.0 - 2.0 * tail))
-        a = (K / c) * z
+        coeffs = (tail, 1.0 - 2.0 * tail, K / c)
+    for array in (mask, *coeffs):
+        array.flags.writeable = False
+    return mask, coeffs
+
+
+def sample_matrix(config: EnsembleConfig, trial_index: int = 0) -> np.ndarray:
+    """One symmetric realization A = [a_ij / sqrt(n)].
+
+    The diagonal and upper triangle are drawn as a single flat row-major
+    block, so a (seed, trial_index) pair fixes the matrix exactly.
+    """
+    n = config.n
+    mask, coeffs = _plan(config)
+    rng = np.random.Generator(np.random.PCG64(derive_trial_seed(config.seed, trial_index)))
+    m = coeffs[0].size
+
+    if config.distribution == "rademacher":
+        signs = rng.integers(0, 2, size=m).astype(np.float64) * 2.0 - 1.0
+        a = signs * coeffs[0]
+    elif config.distribution == "uniform":
+        a = coeffs[0] * rng.uniform(-1.0, 1.0, size=m)
+    else:
+        tail, span, scale = coeffs
+        a = scale * ndtri(tail + rng.random(m) * span)
 
     A = np.zeros((n, n))
-    A[iu, ju] = a
+    A[mask] = a
     A = A + A.T - np.diag(np.diag(A))
     A /= math.sqrt(n)
     return A
@@ -260,8 +278,7 @@ class MonteCarloResult:
 
     ``moment_means[k-1]`` estimates E{(1/n) trace(A^k)}; ``moment_stderrs``
     is None for a single trial.  ``per_trial_moments`` has shape
-    (trials, k_max) and is ordered by trial index regardless of how trials
-    were scheduled.
+    (trials, k_max) and is ordered by trial index.
     """
 
     config: EnsembleConfig
@@ -279,32 +296,18 @@ class MonteCarloResult:
     pooled_eigenvalues: Optional[np.ndarray] = None
 
 
-def resolve_thread_count(threads: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else RANK1_SPECTRA_THREADS, else 1.
-    A value of 0 means one worker per CPU."""
-    if threads is None:
-        env = os.environ.get("RANK1_SPECTRA_THREADS")
-        threads = int(env) if env else 1
-    if threads == 0:
-        return os.cpu_count() or 1
-    if threads < 0:
-        raise ValueError(f"thread count must be >= 0, got {threads}")
-    return threads
-
-
 def monte_carlo(
     config: EnsembleConfig,
     trials: int,
     k_max: int,
     collect_eigenvalues: bool = False,
-    threads: Optional[int] = None,
 ) -> MonteCarloResult:
-    """Run a reproducible campaign of independent trials.
+    """Run a reproducible campaign of independent trials, one after another.
 
-    Results are identical whether trials run serially or on a thread pool:
-    every trial owns a generator seeded from (seed, trial_index) and the
-    aggregation is indexed by trial. Standard errors need trials >= 2 and are
-    None otherwise.
+    The per-campaign plan (the mask and the law's coefficients, from sigma and
+    K) is built by the first trial and reused by the rest; every trial owns a
+    generator seeded from (seed, trial_index), so a campaign is reproducible
+    bit for bit. Standard errors need trials >= 2 and are None otherwise.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -315,20 +318,12 @@ def monte_carlo(
     radii = np.empty(trials)
     pooled = [None] * trials if collect_eigenvalues else None
 
-    def run(t: int) -> None:
+    for t in range(trials):
         s = spectral_sample(config, t)
         per_trial[t] = empirical_moments(s, k_max)
         radii[t] = s.radius
         if pooled is not None:
             pooled[t] = s.eigenvalues
-
-    workers = resolve_thread_count(threads)
-    if workers > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(trials)))
-    else:
-        for t in range(trials):
-            run(t)
 
     means = per_trial.mean(axis=0)
     if trials >= 2:

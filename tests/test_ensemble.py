@@ -1,9 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from rank1_spectra import ensemble
 from rank1_spectra.ensemble import (
+    DISTRIBUTIONS,
     EnsembleConfig,
     derive_trial_seed,
     eigenvalues,
@@ -24,6 +27,27 @@ def explicit_spec(values):
 
 def ones_spec():
     return parse_sigma_spec("const:1")
+
+
+GOLDEN_SIGMA = (1.0, 0.5, 0.8, 0.25)
+GOLDEN_RADEMACHER = [
+    "-0x1.0000000000000p-1", "0x1.6a09e667f3bcdp-2", "-0x1.c9f25c5bfedd9p-2",
+    "0x1.0000000000000p-2", "-0x1.0000000000000p-2", "-0x1.43d136248490fp-2",
+    "-0x1.6a09e667f3bcdp-3", "-0x1.999999999999ap-2", "-0x1.c9f25c5bfedd9p-3",
+    "-0x1.0000000000000p-3",
+]
+GOLDEN_UNIFORM = [
+    "0x1.c9e3b4e26d56dp-4", "0x1.03f229ca433f0p-1", "-0x1.6af08b1eaafecp-5",
+    "-0x1.c4708e732c0d7p-5", "-0x1.676309ba49d51p-2", "-0x1.aad21479a7564p-2",
+    "-0x1.47197c395cd76p-3", "0x1.8b1359f154a9dp-2", "0x1.69d1e96a2d8bdp-5",
+    "0x1.abb0f5e2d49cbp-5",
+]
+GOLDEN_TRUNCATED_GAUSSIAN = [
+    "0x1.50d75f6c57b63p-4", "0x1.efcec40856f91p-2", "-0x1.07f8f9c798c27p-5",
+    "-0x1.48cafa040c16ep-5", "-0x1.4fe642a4fb05cp-2", "-0x1.7d4cc363c35dcp-2",
+    "-0x1.00a8fda6b5e0ep-3", "0x1.3a7d413306d1dp-2", "0x1.06b6124b9c3bep-5",
+    "0x1.3a589503697ccp-5",
+]
 
 
 class TestSeedDerivation:
@@ -67,20 +91,20 @@ class TestSampling:
         assert abs(np.mean(vals ** 2) - 0.125) < 3 * se
 
     def test_truncated_gaussian_bounded_and_variance(self):
-        sigma = (0.8, 0.6, 0.9)
-        K = 3.0 * 0.9
-        cfg = EnsembleConfig(
-            n=3, sigma=explicit_spec(sigma), distribution="truncated_gaussian", K=K, seed=23
-        )
-        entries = []
-        for t in range(1500):
-            A = sample_matrix(cfg, t) * math.sqrt(3)
-            entries.append(A[0, 1])
-        vals = np.array(entries)
-        assert np.max(np.abs(vals)) <= K + 1e-9
-        target = sigma[0] * sigma[1]
-        se = np.std(vals ** 2, ddof=1) / math.sqrt(vals.size)
-        assert abs(np.mean(vals ** 2) - target) < 4 * se
+        cases = [
+            ((0.8, 0.6, 0.9), 3.0 * 0.9),
+            # rho = 0.001/9 < 1/6400: the half-width lies beyond c = 80
+            ((1.0, 0.001, 0.9), 3.0),
+        ]
+        for sigma, K in cases:
+            cfg = EnsembleConfig(
+                n=3, sigma=explicit_spec(sigma), distribution="truncated_gaussian", K=K, seed=23
+            )
+            vals = np.array([sample_matrix(cfg, t)[0, 1] * math.sqrt(3) for t in range(1500)])
+            assert np.max(np.abs(vals)) <= K + 1e-9
+            target = sigma[0] * sigma[1]
+            se = np.std(vals ** 2, ddof=1) / math.sqrt(vals.size)
+            assert abs(np.mean(vals ** 2) - target) < 4 * se
 
     def test_bound_feasibility_errors(self):
         with pytest.raises(ValueError):
@@ -95,6 +119,26 @@ class TestSampling:
                     n=2, sigma=ones_spec(), distribution="truncated_gaussian", K=1.7, seed=0
                 )
             )
+        for distribution in DISTRIBUTIONS:
+            for K in (math.nan, math.inf, 0.0):
+                with pytest.raises(ValueError, match="finite and > 0"):
+                    EnsembleConfig(n=2, sigma=ones_spec(), distribution=distribution, K=K, seed=0)
+
+    @pytest.mark.parametrize(
+        "distribution, K, expected",
+        [
+            ("rademacher", None, GOLDEN_RADEMACHER),
+            ("uniform", None, GOLDEN_UNIFORM),
+            ("truncated_gaussian", 3.0, GOLDEN_TRUNCATED_GAUSSIAN),
+        ],
+    )
+    def test_golden_draws(self, distribution, K, expected):
+        """Pins the draws across versions: every sigma_i*sigma_j >= K^2/6400."""
+        cfg = EnsembleConfig(
+            n=4, sigma=explicit_spec(GOLDEN_SIGMA), distribution=distribution, K=K, seed=2024
+        )
+        A = sample_matrix(cfg, 3)
+        assert [float(x).hex() for x in A[np.triu_indices(4)]] == expected
 
     def test_unknown_distribution_rejected(self):
         with pytest.raises(ValueError):
@@ -186,21 +230,26 @@ class TestMonteCarlo:
         np.testing.assert_array_equal(a.per_trial_moments, b.per_trial_moments)
         np.testing.assert_array_equal(a.radii, b.radii)
 
-    def test_thread_pool_matches_serial(self):
-        cfg = EnsembleConfig(n=30, sigma=parse_sigma_spec(EXP_SPEC), seed=11)
-        serial = monte_carlo(cfg, trials=10, k_max=4, threads=1)
-        pooled = monte_carlo(cfg, trials=10, k_max=4, threads=4)
-        np.testing.assert_array_equal(serial.per_trial_moments, pooled.per_trial_moments)
+    def test_campaign_data_is_computed_once(self, monkeypatch):
+        calls = Counter()
 
-    def test_env_var_controls_threads(self, monkeypatch):
-        from rank1_spectra.ensemble import resolve_thread_count
+        def count(name):
+            fn = getattr(ensemble, name)
 
-        monkeypatch.delenv("RANK1_SPECTRA_THREADS", raising=False)
-        assert resolve_thread_count() == 1
-        monkeypatch.setenv("RANK1_SPECTRA_THREADS", "3")
-        assert resolve_thread_count() == 3
-        monkeypatch.setenv("RANK1_SPECTRA_THREADS", "0")
-        assert resolve_thread_count() >= 1
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(ensemble, name, wrapper)
+
+        ensemble._plan.cache_clear()
+        count("sigma_values")
+        count("_truncnorm_halfwidth")
+        cfg = EnsembleConfig(
+            n=12, sigma=parse_sigma_spec(EXP_SPEC), distribution="truncated_gaussian", seed=13
+        )
+        monte_carlo(cfg, trials=5, k_max=2)
+        assert calls == {"sigma_values": 1, "_truncnorm_halfwidth": 1}
 
     def test_single_trial_has_no_stderr(self):
         cfg = EnsembleConfig(n=10, sigma=ones_spec(), seed=3)
