@@ -131,8 +131,15 @@ def _truncnorm_halfwidth(rho: np.ndarray) -> np.ndarray:
 
     The left side decreases from 1/3 (c -> 0) to 0 (c -> inf), so a solution
     exists exactly when rho < 1/3, and it lies below 1/sqrt(rho) because the
-    conditioned variance is below 1.
+    conditioned variance is below 1.  Below the smallest normal float, where
+    the bisection's c^2 would overflow, that variance is 1 to machine
+    precision and c = 1/sqrt(rho) in closed form (infinite at rho = 0).
     """
+    c = np.empty_like(rho)
+    tiny = rho < np.finfo(np.float64).tiny
+    with np.errstate(divide="ignore"):
+        c[tiny] = 1.0 / np.sqrt(rho[tiny])
+    rho = rho[~tiny]
     lo = np.full_like(rho, 1e-8)
     hi = np.maximum(80.0, 1.0 / np.sqrt(rho))
     for _ in range(64):
@@ -143,7 +150,8 @@ def _truncnorm_halfwidth(rho: np.ndarray) -> np.ndarray:
         too_big = val > rho
         lo = np.where(too_big, mid, lo)
         hi = np.where(too_big, hi, mid)
-    return 0.5 * (lo + hi)
+    c[~tiny] = 0.5 * (lo + hi)
+    return c
 
 
 @lru_cache(maxsize=1)

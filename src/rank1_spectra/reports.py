@@ -37,7 +37,8 @@ def lambda_vector(
 ) -> Tuple[np.ndarray, str]:
     """Lambda_1..Lambda_k and a note naming their source.
 
-    Constant and expression specs use the doubling ladder; explicit sequences
+    Constant specs are exact; expression specs use the extrapolated doubling
+    ladder, and the note names its rungs and final n.  Explicit sequences
     have no limit, so the finite-n averages S_{n,k}/n stand in (with n
     defaulting to the full sequence length) and the note says so.
     """
@@ -46,9 +47,12 @@ def lambda_vector(
         stats = sigma_stats(sigma_values(spec, n_eff), k_max)
         return stats.partial_sums / n_eff, f"finite-n averages S_{{n,k}}/n at n={n_eff}"
     la = limiting_averages(spec, k_max, tol)
+    if spec.kind == "constant":
+        return la.values, "exact (constant sigma)"
+    note = f"doubling ladder, Richardson-extrapolated: {la.rungs} rungs, final n={la.final_n}"
     if not bool(np.all(la.converged)):
-        return la.values, f"doubling ladder (NOT converged at tol={tol:g})"
-    return la.values, "doubling ladder"
+        note += f" (NOT converged at tol={tol:g})"
+    return la.values, note
 
 
 def moment_table(

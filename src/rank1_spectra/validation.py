@@ -25,7 +25,7 @@ from .combinatorics import (
 from .ensemble import EnsembleConfig, empirical_moments, monte_carlo, spectral_sample
 from .moments import limiting_even_moment, moment_lower_bound
 from .radius_bounds import build_pencil, sdp_lower_bound
-from .sigma_model import parse_sigma_spec, sigma_values
+from .sigma_model import limiting_averages, parse_sigma_spec, sigma_values
 from .walk_oracle import EntryMomentModel, exact_expected_moment
 
 Check = Tuple[str, bool, str]
@@ -163,6 +163,17 @@ def _explicit_spec(values):
     return SigmaSpec("explicit", tuple(values), "explicit:inline")
 
 
+def check_lambda_extrapolation() -> Check:
+    """The extrapolated ladder's Lambda_1..Lambda_29 for the exp profile match
+    the closed form (1 - e^{-4k})/(4k) to 1e-12 relative at tol 1e-8."""
+    la = limiting_averages(parse_sigma_spec(EXP_SPEC), 29, 1e-8)
+    exact = np.array([(1 - math.exp(-4 * k)) / (4 * k) for k in range(1, 30)])
+    worst = float(np.max(np.abs(la.values / exact - 1)))
+    passed = bool(la.converged.all()) and worst <= 1e-12
+    detail = f"k=1..29: worst relative error {worst:.1e}, {la.rungs} rungs, final n={la.final_n}"
+    return ("lambda_extrapolation", passed, detail)
+
+
 def check_moment_scaling() -> Check:
     """sigma -> c*sigma multiplies m_{2s} by c^{2s} and the lower-bound
     profile sum by c^{2s} (relative 1e-12)."""
@@ -258,6 +269,7 @@ def run_all(deep: bool = False) -> List[Check]:
     checks.append(check_profile_realization(deep))
     checks.append(check_series_vs_profile_sum(deep))
     checks.append(check_walk_oracle(deep))
+    checks.append(check_lambda_extrapolation())
     checks.append(check_moment_scaling())
     checks.append(check_sdp_dual_method(deep))
     checks.append(check_simulation_consistency())

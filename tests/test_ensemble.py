@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -105,6 +106,23 @@ class TestSampling:
             target = sigma[0] * sigma[1]
             se = np.std(vals ** 2, ddof=1) / math.sqrt(vals.size)
             assert abs(np.mean(vals ** 2) - target) < 4 * se
+
+    def test_truncated_gaussian_underflowing_variance(self):
+        # sigma_2 * sigma_3 = 1e-340 underflows to 0; that entry must be 0,
+        # the others keep their variance, and no floating-point warning fires
+        cfg = EnsembleConfig(
+            n=3, sigma=explicit_spec((1.0, 1e-170, 1e-170)),
+            distribution="truncated_gaussian", seed=5,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = ensemble._truncnorm_halfwidth(np.array([0.0, 5e-324, 1e-310]))
+            A = sample_matrix(cfg, 0)
+        assert c[0] == math.inf
+        np.testing.assert_allclose(c[1:] * np.sqrt([5e-324, 1e-310]), 1.0, rtol=1e-12)
+        assert A[1, 2] == A[2, 1] == 0.0
+        assert A[1, 1] == A[2, 2] == 0.0
+        assert A[0, 0] != 0.0 and 0.0 < abs(A[0, 1]) <= 3.0 / math.sqrt(3)
 
     def test_bound_feasibility_errors(self):
         with pytest.raises(ValueError):

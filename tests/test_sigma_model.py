@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from rank1_spectra import sigma_model
+from rank1_spectra.reports import lambda_vector
 from rank1_spectra.sigma_model import (
+    LADDER_MAX_DOUBLINGS,
+    LADDER_START,
     NoLimitError,
     SigmaDomainError,
     SpecSyntaxError,
@@ -14,6 +18,7 @@ from rank1_spectra.sigma_model import (
     sigma_stats,
     sigma_values,
 )
+from rank1_spectra.validation import check_lambda_extrapolation
 
 EXP_SPEC = "expr:exp(-4*i/n)"
 
@@ -215,6 +220,66 @@ class TestLimitingAverages:
         # then only at the tolerance scale
         loose = limiting_averages(parse_sigma_spec("expr:2*exp(-4*i/n)"), 1, 1e-7)
         assert loose.values[0] == pytest.approx(2.0 * base.values[0], abs=5e-7)
+
+
+class TestExtrapolatedLadder:
+    def test_exp_family_all_averages(self):
+        la = limiting_averages(parse_sigma_spec(EXP_SPEC), 29, 1e-8)
+        assert la.converged.all()
+        assert la.final_n <= 160_000
+        want = [closed_form_lambda(k) for k in range(1, 30)]
+        np.testing.assert_allclose(la.values, want, rtol=1e-12, atol=0)
+
+    def test_polynomial_profile(self):
+        # integral of (1 + x)^k over [0, 1]
+        la = limiting_averages(parse_sigma_spec("expr:1+i/n"), 8, 1e-8)
+        assert la.converged.all()
+        want = [(2.0 ** (k + 1) - 1) / (k + 1) for k in range(1, 9)]
+        np.testing.assert_allclose(la.values, want, rtol=1e-13, atol=0)
+
+    def test_index_only_profile(self):
+        # (1/n) sum (1 + 1/i) = 1 + (log n + gamma)/n + ...: no power of 1/n
+        # removes the log n / n term, yet the ladder settles honestly
+        tol = 1e-6
+        la = limiting_averages(parse_sigma_spec("expr:1+1/i"), 1, tol)
+        assert la.converged.all()
+        assert abs(la.values[0] - 1.0) <= 10 * tol
+
+    def test_odd_powers_are_extrapolated(self):
+        # sum_{i<=n} 1/(i(i+1)(i+2)) = 1/4 - 1/(2(n+1)(n+2)), so the rung error
+        # c/(4n) - c/(2n(n+1)(n+2)) carries 1/n^3, 1/n^5, ... terms that only
+        # an extrapolation over every integer power (not just the even
+        # Euler-Maclaurin powers) removes: those alone leave about 7e-10 here
+        la = limiting_averages(parse_sigma_spec("expr:1+1e8/(i*(i+1)*(i+2))"), 1, 1e-8)
+        assert la.converged.all()
+        assert abs(la.values[0] - 1.0) <= 1e-11
+
+    def test_unbounded_profile_stops_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(sigma_model, "LADDER_MAX_DOUBLINGS", 3)
+        la = limiting_averages(parse_sigma_spec("expr:1+log(i)"), 2, 1e-8)
+        assert not la.converged.any()
+        assert la.rungs == 3
+        assert la.final_n == LADDER_START * 8
+
+    def test_ladder_work_is_bounded(self):
+        # the rungs' point counts sum to less than twice the final n
+        assert LADDER_START * 2 ** (LADDER_MAX_DOUBLINGS + 1) <= 1e8
+
+    def test_note_names_the_work(self, monkeypatch):
+        spec = parse_sigma_spec(EXP_SPEC)
+        la = limiting_averages(spec, 3, 1e-8)
+        _, note = lambda_vector(spec, 3, 1e-8)
+        assert note == (f"doubling ladder, Richardson-extrapolated: {la.rungs} rungs, "
+                        f"final n={la.final_n}")
+        assert lambda_vector(parse_sigma_spec("const:2"), 3, 1e-8)[1] == "exact (constant sigma)"
+        monkeypatch.setattr(sigma_model, "LADDER_MAX_DOUBLINGS", 2)
+        _, note = lambda_vector(parse_sigma_spec("expr:1+log(i)"), 1, 1e-8)
+        assert note == ("doubling ladder, Richardson-extrapolated: 2 rungs, final n=40000 "
+                        "(NOT converged at tol=1e-08)")
+
+    def test_validate_check_passes(self):
+        name, passed, detail = check_lambda_extrapolation()
+        assert name == "lambda_extrapolation" and passed, detail
 
 
 def test_growth_diagnostic_reports_trends():
