@@ -42,7 +42,6 @@ from .moments import (
     theta_factor,
 )
 from .radius_bounds import (
-    BracketError,
     HankelPencil,
     InvalidMomentSequenceError,
     RadiusBound,

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from .ensemble import EnsembleConfig, _histogram, monte_carlo
-from .moments import MomentReport
+from .moments import MAX_ORDER, MomentReport
 from .radius_bounds import RadiusBoundsReport
 from .reports import DEFAULT_LAMBDA_TOL, moment_table, radius_table
 from .serialize import dumps_json, fmt17, histogram_csv, run_manifest
@@ -23,6 +23,9 @@ from .validation import run_all
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
+# the SDP at s_bar needs m_2 .. m_{2(2 s_bar + 1)}
+_MAX_SBAR = (MAX_ORDER - 1) // 2
+_LAMBDA_TOL_HELP = "relative tolerance of each Lambda_k (the ladder fails at its cap)"
 
 
 def _moment_rows_payload(report: MomentReport) -> list:
@@ -210,11 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_m = sub.add_parser("moments", help="limiting moments and finite-n bounds")
     p_m.add_argument("--sigma", required=True, help="const:<v> | expr:<e> | file:<path>")
-    p_m.add_argument("--max-order", type=int, required=True, help="largest even order 2S")
+    p_m.add_argument("--max-order", type=int, required=True,
+                     help=f"largest even order 2S (at most {2 * MAX_ORDER})")
     p_m.add_argument("--n", type=int, default=None, help="dimension for finite-n bounds")
     p_m.add_argument("--out", required=True)
     p_m.add_argument("--format", choices=("json", "csv"), default="json")
-    p_m.add_argument("--lambda-tol", type=float, default=DEFAULT_LAMBDA_TOL)
+    p_m.add_argument("--lambda-tol", type=float, default=DEFAULT_LAMBDA_TOL, help=_LAMBDA_TOL_HELP)
 
     p_s = sub.add_parser("simulate", help="Monte Carlo campaign")
     p_s.add_argument("--sigma", required=True)
@@ -232,10 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_r.add_argument("--sigma", required=True)
     p_r.add_argument("--orders", default="", help="comma-separated s values")
     p_r.add_argument("--n", type=int, default=None)
-    p_r.add_argument("--sbar", type=int, default=14)
-    p_r.add_argument("--tol", type=float, default=1e-10)
+    p_r.add_argument("--sbar", type=int, default=14,
+                     help=f"SDP truncation s_bar (at most {_MAX_SBAR})")
+    p_r.add_argument("--tol", type=float, default=1e-10, help="certified half-width of beta")
     p_r.add_argument("--out", required=True)
-    p_r.add_argument("--lambda-tol", type=float, default=DEFAULT_LAMBDA_TOL)
+    p_r.add_argument("--lambda-tol", type=float, default=DEFAULT_LAMBDA_TOL, help=_LAMBDA_TOL_HELP)
 
     p_v = sub.add_parser("validate", help="run the self-validation battery")
     p_v.add_argument("--deep", action="store_true", help="extend enumerations to s=11")
@@ -245,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     if args.command == "moments":
-        if args.max_order < 2 or args.max_order % 2:
-            parser.error(f"--max-order must be even and >= 2, got {args.max_order}")
+        if not 2 <= args.max_order <= 2 * MAX_ORDER or args.max_order % 2:
+            parser.error(f"--max-order must be even, in 2..{2 * MAX_ORDER}, got {args.max_order}")
         if args.n is not None and args.n < 2:
             parser.error(f"--n must be >= 2, got {args.n}")
         if args.sigma.startswith("file:") and args.n is None:
@@ -263,15 +268,15 @@ def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         if args.seed < 0:
             parser.error(f"--seed must be >= 0, got {args.seed}")
     elif args.command == "radius":
-        if args.sbar < 1:
-            parser.error(f"--sbar must be >= 1, got {args.sbar}")
+        if not 1 <= args.sbar <= _MAX_SBAR:
+            parser.error(f"--sbar must be in 1..{_MAX_SBAR}, got {args.sbar}")
         if args.orders:
             try:
                 orders = [int(tok) for tok in args.orders.split(",") if tok]
             except ValueError:
                 parser.error(f"--orders must be comma-separated integers, got {args.orders!r}")
-            if not orders or any(s < 1 for s in orders):
-                parser.error(f"--orders entries must be >= 1, got {args.orders!r}")
+            if not orders or any(not 1 <= s <= MAX_ORDER for s in orders):
+                parser.error(f"--orders entries must be in 1..{MAX_ORDER}, got {args.orders!r}")
             if args.n is None:
                 parser.error("--orders needs --n for finite-n bounds")
 

@@ -19,12 +19,18 @@ one-variable semidefinite program
 
 over the two Hankel moment matrices H0[i][j] = nu_{i+j}, H1[i][j] =
 nu_{i+j+1}; then sqrt(beta) lower-bounds the limiting spectral radius.  The
-program is solved twice: by bisection with a Cholesky feasibility test, and
-by the largest generalized eigenvalue of the symmetric-definite pencil
-(H1, H0).  Both methods certify the same diagonally-regularized pencil (see
-`RIDGE_SCALE`), which is what makes the cross-method agreement contract
-meaningful on the brutally ill-conditioned Hankel matrices that smooth
-moment sequences produce at s_bar ~ 14.
+minimum is the largest eigenvalue of the pencil (H1, H0): with H0 = L L^T,
+L^{-1} H1 L^{-T} is the Jacobi matrix of the moments and beta its largest
+Gauss node (Golub-Welsch 1969).  It is computed once in 60-digit arithmetic
+and certified there by two Cholesky tests: H0 (beta + tol) - H1 factors and
+H0 (beta - tol) - H1 does not.  `validation.bisect_beta` is the oracle.
+
+H0 carries a relative diagonal ridge (`RIDGE_SCALE`) because the moments
+come from float64 averages: on smooth profiles cond(H0) ~ 1e22 at s_bar = 14,
+and without the ridge their rounding noise makes H0 indefinite by s_bar = 25
+and can push beta above its true value; with it beta is a loose but valid
+lower bound.  The ridge can go once the averages are computed beyond double
+precision.
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ __all__ = [
     "RadiusBound",
     "SdpResult",
     "InvalidMomentSequenceError",
-    "BracketError",
     "build_pencil",
     "sdp_lower_bound",
     "radius_lower_bound",
@@ -64,15 +69,10 @@ RIDGE_SCALE = 1e-14
 DEFAULT_TOL = 1e-10
 DEFAULT_SBAR = 14
 _DPS = 60
-_BRACKET_LIMIT = mpf(2) ** 80
 
 
 class InvalidMomentSequenceError(ValueError):
     """The Hankel matrix H0 is not positive definite even after the ridge."""
-
-
-class BracketError(RuntimeError):
-    """Bisection could not find a feasible upper bracket."""
 
 
 @dataclass(frozen=True)
@@ -80,17 +80,15 @@ class HankelPencil:
     """The two Hankel matrices of a truncated moment sequence.
 
     ``nu`` holds (nu_0, ..., nu_{2 s_bar + 1}) with nu_0 = 1 and nu_s equal
-    to the even moment m_{2s}.  H0 is checked positive definite (after the
-    diagonal ridge) at construction; ``ridge_scale`` records the relative
-    ridge that made the check pass (normally RIDGE_SCALE, escalated by
-    factors of 16 for moment data noisier than double rounding).
+    to the even moment m_{2s}.  H0 is stored without the ridge; every
+    factorization, and the positive-definiteness check at construction,
+    uses H0 + RIDGE_SCALE * diag(H0).
     """
 
     s_bar: int
     nu: Tuple[float, ...]
     H0: np.ndarray
     H1: np.ndarray
-    ridge_scale: float = RIDGE_SCALE
 
 
 @dataclass(frozen=True)
@@ -107,6 +105,10 @@ class RadiusBound:
 
 @dataclass(frozen=True)
 class SdpResult:
+    """``beta`` is certified within ``tol`` of the ridge pencil's minimum;
+    ``method_agreement`` is that half-width (= tol), ``ridge_scale`` is
+    RIDGE_SCALE and ``condition_estimate`` is cond(H0) with the ridge."""
+
     beta: float
     sqrt_beta: float
     method_agreement: float
@@ -130,39 +132,27 @@ def build_pencil(moments: Sequence[float], s_bar: int) -> HankelPencil:
     nu = (1.0,) + tuple(float(m) for m in moments[:needed])
     if any(not math.isfinite(v) for v in nu):
         raise ValueError("moment sequence contains non-finite entries")
-    size = s_bar + 1
-    H0 = np.empty((size, size))
-    H1 = np.empty((size, size))
-    for i in range(size):
-        for j in range(size):
-            H0[i, j] = nu[i + j]
-            H1[i, j] = nu[i + j + 1]
-    with mp.workdps(_DPS):
-        scale = RIDGE_SCALE
-        for _ in range(5):
-            pencil = HankelPencil(s_bar=s_bar, nu=nu, H0=H0, H1=H1, ridge_scale=scale)
-            if _chol_succeeds(_regularized_h0(pencil)):
-                return pencil
-            scale *= 16.0
-    raise InvalidMomentSequenceError(
-        "H0 is not positive definite: not a valid moment sequence "
-        f"(nu = {nu[:4]}...)"
+    hankel = np.add.outer(np.arange(s_bar + 1), np.arange(s_bar + 1))
+    pencil = HankelPencil(
+        s_bar=s_bar, nu=nu, H0=np.array(nu)[hankel], H1=np.array(nu)[hankel + 1]
     )
+    with mp.workdps(_DPS):
+        if not _chol_succeeds(_regularized_h0(pencil)):
+            raise InvalidMomentSequenceError(
+                "H0 is not positive definite: not a valid moment sequence "
+                f"(nu = {nu[:4]}...)"
+            )
+    return pencil
 
 
 def _to_mp(M: np.ndarray) -> "mp.matrix":
-    size = M.shape[0]
-    out = mp.matrix(size)
-    for i in range(size):
-        for j in range(size):
-            out[i, j] = mpf(float(M[i, j]))
-    return out
+    return mp.matrix(M.tolist())
 
 
 def _regularized_h0(pencil: HankelPencil) -> "mp.matrix":
     H0 = _to_mp(pencil.H0)
     for i in range(H0.rows):
-        H0[i, i] = H0[i, i] * (1 + mpf(pencil.ridge_scale))
+        H0[i, i] = H0[i, i] * (1 + mpf(RIDGE_SCALE))
     return H0
 
 
@@ -178,70 +168,43 @@ def _generalized_max_eig(H1: "mp.matrix", H0reg: "mp.matrix") -> mpf:
     """Largest eigenvalue of the pencil (H1, H0reg) via L^{-1} H1 L^{-T}."""
     Li = mp.inverse(mp.cholesky(H0reg))
     B = Li * H1 * Li.T
-    for i in range(B.rows):
-        for j in range(i):
-            v = (B[i, j] + B[j, i]) / 2
-            B[i, j] = v
-            B[j, i] = v
-    eigs = mp.eigsy(B, eigvals_only=True)
+    eigs = mp.eigsy((B + B.T) / 2, eigvals_only=True)
     return max(eigs)
 
 
 def sdp_lower_bound(pencil: HankelPencil, tol: float = DEFAULT_TOL) -> SdpResult:
-    """Solve min{x > 0 : H0 x - H1 >= 0} by bisection and cross-check by eigenpencil.
+    """Solve min{x > 0 : H0 x - H1 >= 0} as the pencil's largest eigenvalue.
 
-    The Cholesky feasibility test and the generalized eigensolve both run in
-    extended precision on the ridge-regularized pencil; the bisection value
-    (the certified-feasible bracket end) and the eigenvalue agree within
-    10*tol by construction, and that contract is enforced here.
+    Raises ArithmeticError when the certificate fails (H0 (beta + tol) - H1
+    does not factor or H0 (beta - tol) - H1 does): 60 digits cannot resolve
+    beta to tol, as for a support near 1e60 at tol 1e-8.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     with mp.workdps(_DPS):
         H0r = _regularized_h0(pencil)
         H1 = _to_mp(pencil.H1)
-
-        def feasible(x: mpf) -> bool:
-            return _chol_succeeds(H0r * x - H1)
-
-        lo = mpf(0)
-        hi = mpf(1)
-        while not feasible(hi):
-            hi *= 2
-            if hi > _BRACKET_LIMIT:
-                raise BracketError(
-                    "no feasible x found up to 2^80; moment sequence looks unbounded"
-                )
-        step = mpf(tol)
-        while hi - lo >= step:
-            mid = (lo + hi) / 2
-            if feasible(mid):
-                hi = mid
-            else:
-                lo = mid
-        beta_bisect = hi
-
-        beta_eig = _generalized_max_eig(H1, H0r)
-        agreement = abs(beta_bisect - beta_eig)
-
+        beta = _generalized_max_eig(H1, H0r)
+        half = mpf(tol)
+        if not _chol_succeeds(H0r * (beta + half) - H1) or _chol_succeeds(
+            H0r * (beta - half) - H1
+        ):
+            raise ArithmeticError(
+                f"beta = {mp.nstr(beta, 17)} is not certified to within tol = {tol}: "
+                f"{_DPS}-digit Cholesky cannot separate beta - tol from beta + tol"
+            )
         eigs = mp.eigsy(H0r, eigvals_only=True)
         condition = float(max(eigs) / min(eigs))
 
-    result = SdpResult(
-        beta=float(beta_bisect),
-        sqrt_beta=math.sqrt(max(float(beta_bisect), 0.0)),
-        method_agreement=float(agreement),
+    return SdpResult(
+        beta=float(beta),
+        sqrt_beta=math.sqrt(max(float(beta), 0.0)),
+        method_agreement=tol,
         s_bar=pencil.s_bar,
         tol=tol,
         condition_estimate=condition,
-        ridge_scale=pencil.ridge_scale,
+        ridge_scale=RIDGE_SCALE,
     )
-    if result.method_agreement > 10 * tol:
-        raise ArithmeticError(
-            f"dual-method agreement violated: |{result.beta} - {float(beta_eig)}| "
-            f"= {result.method_agreement} > 10 * {tol}"
-        )
-    return result
 
 
 def radius_lower_bound(values: Sequence[float], s: int) -> RadiusBound:

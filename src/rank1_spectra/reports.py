@@ -25,7 +25,7 @@ from .radius_bounds import (
     radius_upper_bound,
     sdp_lower_bound,
 )
-from .sigma_model import SigmaSpec, limiting_averages, sigma_stats, sigma_values
+from .sigma_model import NoLimitError, SigmaSpec, limiting_averages, sigma_stats, sigma_values
 
 __all__ = ["lambda_vector", "moment_table", "radius_table", "DEFAULT_LAMBDA_TOL"]
 
@@ -38,9 +38,10 @@ def lambda_vector(
     """Lambda_1..Lambda_k and a note naming their source.
 
     Constant specs are exact; expression specs use the extrapolated doubling
-    ladder, and the note names its rungs and final n.  Explicit sequences
-    have no limit, so the finite-n averages S_{n,k}/n stand in (with n
-    defaulting to the full sequence length) and the note says so.
+    ladder, the note names its rungs and final n, and a ladder capped before
+    converging raises NoLimitError.  Explicit sequences have no limit, so the
+    finite-n averages S_{n,k}/n stand in (with n defaulting to the full
+    sequence length) and the note says so.
     """
     if spec.kind == "explicit":
         n_eff = n if n is not None else len(spec.payload)
@@ -49,9 +50,12 @@ def lambda_vector(
     la = limiting_averages(spec, k_max, tol)
     if spec.kind == "constant":
         return la.values, "exact (constant sigma)"
+    if not la.converged.all():
+        raise NoLimitError(
+            f"the Lambda ladder did not converge to relative tol={tol:g} in {la.rungs} rungs "
+            f"(final n={la.final_n}): the profile may have no limit; try a larger --lambda-tol"
+        )
     note = f"doubling ladder, Richardson-extrapolated: {la.rungs} rungs, final n={la.final_n}"
-    if not bool(np.all(la.converged)):
-        note += f" (NOT converged at tol={tol:g})"
     return la.values, note
 
 

@@ -266,7 +266,7 @@ class LimitingAverages:
     doublings done and ``final_n`` is the largest n summed (both 0 for a
     constant spec, which is exact).  ``converged[k-1]`` is False when the
     ladder hit its cap before two successive extrapolated estimates for
-    Lambda_k moved by less than the tolerance; ``values`` then still carries
+    Lambda_k agreed to the relative tolerance; ``values`` then still carries
     the last estimate.
     """
 
@@ -421,8 +421,9 @@ def limiting_averages(spec: SigmaSpec, k_max: int, tol: float) -> LimitingAverag
     time.  Every integer power is removed, not only the even ones of the
     Euler-Maclaurin expansion for specs in i/n: a spec in i alone can carry
     odd powers (1 + 1/(i(i+1)(i+2)) has 1/n^3).  The ladder stops once the
-    newest diagonal entry T_r moved by less than ``tol`` from the previous
-    one R_{r-1} for every k, and returns T_r.  After LADDER_MAX_DOUBLINGS
+    newest diagonal entry T_r and the previous one R_{r-1} satisfy
+    |T_r - R_{r-1}| < tol * |T_r| for every k (relative, so averages far
+    from 1 settle too), and returns T_r.  After LADDER_MAX_DOUBLINGS
     doublings it stops anyway, and the flags of the unsettled entries are
     False.  Explicit sequences carry no limit: use S_{n,k}/n from
     `sigma_stats` instead.
@@ -448,7 +449,7 @@ def limiting_averages(spec: SigmaSpec, k_max: int, tol: float) -> LimitingAverag
         new = [_ladder_averages(spec, k_max, n)]
         for p, old in enumerate(row, start=1):
             new.append(new[-1] + (new[-1] - old) / (2 ** p - 1))
-        converged = np.abs(new[-1] - row[-1]) < tol
+        converged = np.abs(new[-1] - row[-1]) < tol * np.abs(new[-1])
         row = new
         if converged.all():
             break

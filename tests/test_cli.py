@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from rank1_spectra import cli
+from rank1_spectra import cli, sigma_model
 from rank1_spectra.moments import limiting_even_moment
 from rank1_spectra.sigma_model import sigma_stats
 
@@ -80,6 +80,33 @@ def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == cli.USAGE_EXIT
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["radius", "--sigma", "const:1", "--sbar", "32", "--out", "r.json"],
+      "--sbar must be in 1..31"),
+     (["moments", "--sigma", "const:1", "--max-order", "130", "--out", "m.json"],
+      "--max-order must be even, in 2..128"),
+     (["radius", "--sigma", "const:1", "--n", "100", "--orders", "3,65", "--out", "r.json"],
+      "--orders entries must be in 1..64")],
+)
+def test_out_of_range_orders_name_the_flag(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.USAGE_EXIT
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["radius", "moments"])
+def test_unconverged_ladder_exits_3_without_output(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(sigma_model, "LADDER_MAX_DOUBLINGS", 2)
+    out = tmp_path / "out.json"
+    argv = [command, "--sigma", "expr:1+log(i)", "--out", str(out)]
+    argv += ["--sbar", "1"] if command == "radius" else ["--max-order", "2"]
+    assert cli.main(argv) == cli.NUMERIC_EXIT
+    assert "--lambda-tol" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_exits_1_on_a_failing_check(monkeypatch, capsys):

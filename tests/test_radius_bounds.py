@@ -6,7 +6,6 @@ import pytest
 from rank1_spectra.combinatorics import catalan
 from rank1_spectra.moments import limiting_even_moment, moment_lower_bound
 from rank1_spectra.radius_bounds import (
-    BracketError,
     InvalidMomentSequenceError,
     build_pencil,
     moment_sandwich,
@@ -15,6 +14,7 @@ from rank1_spectra.radius_bounds import (
     sdp_lower_bound,
 )
 from rank1_spectra.sigma_model import parse_sigma_spec, sigma_values
+from rank1_spectra.validation import bisect_beta
 
 EXP_SPEC = "expr:exp(-4*i/n)"
 
@@ -110,8 +110,9 @@ class TestSdp:
             atoms = rng.uniform(0.1, 2.5, size=s_bar + 2)
             weights = rng.dirichlet(np.ones(s_bar + 2))
             nu = [float(np.sum(weights * atoms ** t)) for t in range(1, 2 * s_bar + 2)]
-            res = sdp_lower_bound(build_pencil(nu, s_bar), tol)
-            assert res.method_agreement <= 10 * tol
+            pencil = build_pencil(nu, s_bar)
+            res = sdp_lower_bound(pencil, tol)
+            assert abs(res.beta - bisect_beta(pencil, tol)) <= 10 * tol
             assert res.beta <= atoms.max() ** 1 + 1e-6
 
     def test_factorial_moments_still_solvable(self):
@@ -120,10 +121,15 @@ class TestSdp:
         res = sdp_lower_bound(build_pencil(nu, 2), 1e-8)
         assert math.isfinite(res.beta) and res.beta > 1.0
 
-    def test_bracket_failure_on_astronomical_support(self):
-        # a point mass beyond the 2^80 bracket cap is reported, not looped on
-        pencil = build_pencil([1e30, 1e60, 1e90], 1)
-        with pytest.raises(BracketError):
+    def test_astronomical_point_mass_is_certified(self):
+        # no bracket to search: the eigenvalue is found at any scale
+        res = sdp_lower_bound(build_pencil([1e30, 1e60, 1e90], 1), 1e-8)
+        assert res.beta == pytest.approx(1e30, rel=1e-12)
+
+    def test_unresolvable_tolerance_fails_the_certificate(self):
+        # 60 digits cannot separate beta -/+ 1e-8 at beta ~ 1e60
+        pencil = build_pencil([1e60, 1e120, 1e180], 1)
+        with pytest.raises(ArithmeticError, match="not certified"):
             sdp_lower_bound(pencil, 1e-8)
 
 

@@ -211,15 +211,12 @@ class TestLimitingAverages:
             )
 
     def test_scaling_covariance_expression(self):
-        # with c = 2 and the tolerance scaled alongside, the ladder stops at
-        # the same rung and every float op scales exactly
+        # the tolerance is relative, so with c = 2 the ladder stops at the
+        # same rung at the same tolerance and every float op scales exactly
         base = limiting_averages(parse_sigma_spec(EXP_SPEC), 1, 1e-7)
-        scaled = limiting_averages(parse_sigma_spec("expr:2*exp(-4*i/n)"), 1, 2e-7)
+        scaled = limiting_averages(parse_sigma_spec("expr:2*exp(-4*i/n)"), 1, 1e-7)
+        assert scaled.rungs == base.rungs
         assert scaled.values[0] == pytest.approx(2.0 * base.values[0], rel=1e-12)
-        # at a shared tolerance the stopping rungs may differ; agreement is
-        # then only at the tolerance scale
-        loose = limiting_averages(parse_sigma_spec("expr:2*exp(-4*i/n)"), 1, 1e-7)
-        assert loose.values[0] == pytest.approx(2.0 * base.values[0], abs=5e-7)
 
 
 class TestExtrapolatedLadder:
@@ -228,6 +225,15 @@ class TestExtrapolatedLadder:
         assert la.converged.all()
         assert la.final_n <= 160_000
         want = [closed_form_lambda(k) for k in range(1, 30)]
+        np.testing.assert_allclose(la.values, want, rtol=1e-12, atol=0)
+
+    def test_large_averages_settle(self):
+        # Lambda_29 is about 6e11: an absolute tol of 1e-8 is below its float
+        # spacing, the relative one is not
+        la = limiting_averages(parse_sigma_spec("expr:3*exp(-4*i/n)"), 29, 1e-8)
+        assert la.converged.all()
+        assert la.final_n <= 160_000
+        want = [3.0 ** k * closed_form_lambda(k) for k in range(1, 30)]
         np.testing.assert_allclose(la.values, want, rtol=1e-12, atol=0)
 
     def test_polynomial_profile(self):
@@ -265,17 +271,18 @@ class TestExtrapolatedLadder:
         # the rungs' point counts sum to less than twice the final n
         assert LADDER_START * 2 ** (LADDER_MAX_DOUBLINGS + 1) <= 1e8
 
-    def test_note_names_the_work(self, monkeypatch):
+    def test_note_names_the_work(self):
         spec = parse_sigma_spec(EXP_SPEC)
         la = limiting_averages(spec, 3, 1e-8)
         _, note = lambda_vector(spec, 3, 1e-8)
         assert note == (f"doubling ladder, Richardson-extrapolated: {la.rungs} rungs, "
                         f"final n={la.final_n}")
         assert lambda_vector(parse_sigma_spec("const:2"), 3, 1e-8)[1] == "exact (constant sigma)"
+
+    def test_unconverged_ladder_is_an_error(self, monkeypatch):
         monkeypatch.setattr(sigma_model, "LADDER_MAX_DOUBLINGS", 2)
-        _, note = lambda_vector(parse_sigma_spec("expr:1+log(i)"), 1, 1e-8)
-        assert note == ("doubling ladder, Richardson-extrapolated: 2 rungs, final n=40000 "
-                        "(NOT converged at tol=1e-08)")
+        with pytest.raises(NoLimitError, match=r"tol=1e-08 in 2 rungs \(final n=40000\)"):
+            lambda_vector(parse_sigma_spec("expr:1+log(i)"), 1, 1e-8)
 
     def test_validate_check_passes(self):
         name, passed, detail = check_lambda_extrapolation()
