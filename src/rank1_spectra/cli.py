@@ -249,6 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    for name in ("tol", "lambda_tol"):
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            parser.error(f"--{name.replace('_', '-')} must be finite and > 0, got {value}")
     if args.command == "moments":
         if not 2 <= args.max_order <= 2 * MAX_ORDER or args.max_order % 2:
             parser.error(f"--max-order must be even, in 2..{2 * MAX_ORDER}, got {args.max_order}")

@@ -8,7 +8,8 @@ sigma_i*sigma_j and |a_ij| <= K surely.  Three entry laws are provided:
 * ``uniform``     — a = sqrt(3 sigma_i sigma_j) * U[-1, 1].
 * ``truncated_gaussian`` — a centered gaussian conditioned to [-K, K], with
   the pre-truncation variance chosen so the conditioned variance is exactly
-  sigma_i*sigma_j (requires K^2 > 3 sigma_i sigma_j).
+  sigma_i*sigma_j (requires K^2 > 3 sigma_i sigma_j).  Only this law needs
+  scipy (``ndtr``/``ndtri``), and only its sites import it.
 
 Everything that depends only on the configuration (sigma, the bound K, the
 upper-triangle mask and the law's per-entry coefficients) is computed once
@@ -25,7 +26,6 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .sigma_model import SigmaSpec, sigma_values
 
@@ -135,6 +135,10 @@ def _truncnorm_halfwidth(rho: np.ndarray) -> np.ndarray:
     the bisection's c^2 would overflow, that variance is 1 to machine
     precision and c = 1/sqrt(rho) in closed form (infinite at rho = 0).
     """
+    # scipy.special costs about 0.3 s of start-up that only this law needs,
+    # so the truncated-gaussian sites import it where they use it.
+    from scipy.special import ndtr
+
     c = np.empty_like(rho)
     tiny = rho < np.finfo(np.float64).tiny
     with np.errstate(divide="ignore"):
@@ -176,6 +180,8 @@ def _plan(config: EnsembleConfig):
     elif config.distribution == "uniform":
         coeffs = (np.sqrt(3.0 * prod),)
     else:
+        from scipy.special import ndtr
+
         c = _truncnorm_halfwidth(prod / (K * K))
         tail = ndtr(-c)
         coeffs = (tail, 1.0 - 2.0 * tail, K / c)
@@ -201,6 +207,8 @@ def sample_matrix(config: EnsembleConfig, trial_index: int = 0) -> np.ndarray:
     elif config.distribution == "uniform":
         a = coeffs[0] * rng.uniform(-1.0, 1.0, size=m)
     else:
+        from scipy.special import ndtri
+
         tail, span, scale = coeffs
         a = scale * ndtri(tail + rng.random(m) * span)
 

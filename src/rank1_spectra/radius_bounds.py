@@ -179,8 +179,8 @@ def sdp_lower_bound(pencil: HankelPencil, tol: float = DEFAULT_TOL) -> SdpResult
     does not factor or H0 (beta - tol) - H1 does): 60 digits cannot resolve
     beta to tol, as for a support near 1e60 at tol 1e-8.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     with mp.workdps(_DPS):
         H0r = _regularized_h0(pencil)
         H1 = _to_mp(pencil.H1)

@@ -40,7 +40,7 @@ __all__ = [
 # (final n <= 4.1e7, at most 8.2e7 points evaluated in all).
 LADDER_START = 10_000
 LADDER_MAX_DOUBLINGS = 12
-_CHUNK = 1 << 22
+_CHUNK = 1 << 20  # points per evaluated chunk of a rung; bounds the ladder's memory
 
 
 class SpecSyntaxError(ValueError):
@@ -430,8 +430,8 @@ def limiting_averages(spec: SigmaSpec, k_max: int, tol: float) -> LimitingAverag
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if spec.kind == "explicit":
         raise NoLimitError(
             "explicit sigma sequences have no limiting averages; "

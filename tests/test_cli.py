@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +100,54 @@ def test_out_of_range_orders_name_the_flag(capsys, argv, message):
         cli.main(argv)
     assert exc.value.code == cli.USAGE_EXIT
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("radius", "--tol"), ("radius", "--lambda-tol"), ("moments", "--lambda-tol")],
+)
+def test_tolerance_must_be_finite_and_positive(capsys, command, flag, value):
+    argv = [command, "--sigma", "const:1", "--out", "out.json", f"{flag}={value}"]
+    argv += ["--sbar", "1"] if command == "radius" else ["--max-order", "2"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.USAGE_EXIT
+    assert f"{flag} must be finite and > 0" in capsys.readouterr().err
+
+
+# Runs in a fresh interpreter: the test session has scipy loaded already.
+_START_UP_SCRIPT = """
+import json, sys
+from rank1_spectra import cli
+
+sigma_file, out = sys.argv[1:]
+codes = [
+    cli.main(["moments", "--sigma", sigma_file, "--n", "6", "--max-order", "8",
+              "--out", out + "/m.json"]),
+    cli.main(["radius", "--sigma", "expr:exp(-4*i/n)", "--sbar", "3", "--out", out + "/r.json"]),
+]
+for dist in ("rademacher", "uniform"):
+    codes.append(cli.main(["simulate", "--sigma", "const:1", "--n", "20", "--trials", "2",
+                           "--dist", dist, "--out", out + "/" + dist]))
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+codes.append(cli.main(["simulate", "--sigma", "const:1", "--n", "20", "--trials", "2",
+                       "--dist", "truncated_gaussian", "--out", out + "/tgauss"]))
+print(json.dumps({"codes": codes, "scipy": scipy, "then": "scipy.special" in sys.modules}))
+"""
+
+
+def test_only_truncated_gaussian_draws_load_scipy(tmp_path, sigma_file):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _START_UP_SCRIPT, sigma_file, str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["scipy"] == []
+    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["then"]  # the check above can see scipy when it is loaded
 
 
 @pytest.mark.parametrize("command", ["radius", "moments"])

@@ -58,6 +58,12 @@ class TestBuildPencil:
 
 
 class TestSdp:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_tol_that_is_not_finite_and_positive(self, tol):
+        pencil = build_pencil([0.7 ** s for s in range(1, 4)], 1)
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            sdp_lower_bound(pencil, tol)
+
     def test_point_mass_recovers_atom(self):
         lam0 = 0.7
         pencil = build_pencil([lam0 ** s for s in range(1, 4)], 1)

@@ -202,6 +202,16 @@ class TestLimitingAverages:
         assert all(la.values[k] <= la.values[0] for k in range(6))
         assert all(np.diff(la.values) < 0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_tol_that_is_not_finite_and_positive(self, monkeypatch, tol):
+        # raised before any rung is evaluated
+        def no_rung(*args):
+            raise AssertionError("ladder ran")
+
+        monkeypatch.setattr(sigma_model, "_ladder_averages", no_rung)
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            limiting_averages(parse_sigma_spec(EXP_SPEC), 2, tol)
+
     def test_scaling_covariance_constant_exact(self):
         base = limiting_averages(parse_sigma_spec("const:0.7"), 4, 1e-12)
         scaled = limiting_averages(parse_sigma_spec("const:1.4"), 4, 1e-12)
@@ -266,6 +276,13 @@ class TestExtrapolatedLadder:
         assert not la.converged.any()
         assert la.rungs == 3
         assert la.final_n == LADDER_START * 8
+
+    def test_rung_of_several_chunks_matches_one_chunk(self, monkeypatch):
+        spec = parse_sigma_spec(EXP_SPEC)
+        one = sigma_model._ladder_averages(spec, 12, LADDER_START)
+        monkeypatch.setattr(sigma_model, "_CHUNK", 3000)  # 4 chunks, the last partial
+        several = sigma_model._ladder_averages(spec, 12, LADDER_START)
+        np.testing.assert_allclose(several, one, rtol=1e-15, atol=0)
 
     def test_ladder_work_is_bounded(self):
         # the rungs' point counts sum to less than twice the final n
