@@ -8,8 +8,9 @@ sigma_i*sigma_j and |a_ij| <= K surely.  Three entry laws are provided:
 * ``uniform``     — a = sqrt(3 sigma_i sigma_j) * U[-1, 1].
 * ``truncated_gaussian`` — a centered gaussian conditioned to [-K, K], with
   the pre-truncation variance chosen so the conditioned variance is exactly
-  sigma_i*sigma_j (requires K^2 > 3 sigma_i sigma_j).  Only this law needs
-  scipy (``ndtr``/``ndtri``), and only its sites import it.
+  sigma_i*sigma_j (requires K^2 > 3 sigma_i sigma_j).  The half-width comes
+  from a safeguarded Newton solve that needs only ``math.erf``, and the draws
+  from exact rejection (Robert 1995), so no law needs scipy.
 
 Everything that depends only on the configuration (sigma, the bound K, the
 upper-triangle mask and the law's per-entry coefficients) is computed once
@@ -126,36 +127,123 @@ def _check_bound(distribution: str, sigma_max: float, K: float) -> None:
         )
 
 
+# Entries per block of the half-width solve, so its temporaries stay small.
+_BLOCK = 1 << 16
+# A Newton gap this small relative to 1/rho is rounding error.
+_ROUNDING = 4 * np.finfo(np.float64).eps
+# Terms of the series for S below c = 2; the first one left out is below
+# 1e-18 S there.
+_SERIES_TERMS = 25
+# Past this half-width erf(c/sqrt(2)) rounds to 1 in float64.
+_ERF_SATURATES = 9.0
+_erf = np.frompyfunc(math.erf, 1, 1)
+# Half-width at which the two rejection proposals accept equally often.
+_WIDE = math.sqrt(0.5 * math.pi)
+
+
 def _truncnorm_halfwidth(rho: np.ndarray) -> np.ndarray:
-    """Solve Var[N(0,1) | |z| <= c] / c^2 = rho for c (vectorized bisection).
+    """Solve Var[N(0,1) | |z| <= c] / c^2 = rho for c, elementwise.
 
-    The left side decreases from 1/3 (c -> 0) to 0 (c -> inf), so a solution
-    exists exactly when rho < 1/3, and it lies below 1/sqrt(rho) because the
-    conditioned variance is below 1.  Below the smallest normal float, where
-    the bisection's c^2 would overflow, that variance is 1 to machine
-    precision and c = 1/sqrt(rho) in closed form (infinite at rho = 0).
+    The conditioned variance V(c) = 1 - 2c phi(c)/erf(c/sqrt(2)) over c^2
+    decreases from 1/3 (c -> 0) to 0 (c -> inf), so a solution exists exactly
+    when rho < 1/3, and it lies below 1/sqrt(rho) because V < 1.  Newton's
+    method runs in u = c^2 on u/V(sqrt(u)) - 1/rho, which is close to linear
+    in u at both ends (3 + 2u/5 as u -> 0, u as u -> inf).  It starts at
+    u = 1/rho and keeps the bracket [lo, hi] that the signs seen so far
+    prove; a step that leaves it is replaced by the bracket's midpoint.  An
+    entry stops when its step or bracket is within 2e-15 u, or its gap is
+    rounding error, and after 64 rounds in any case; 6 rounds suffice for
+    every rho tried.  Below the smallest normal float, where 1/rho would
+    overflow, V is 1 to machine precision and c = 1/sqrt(rho) in closed form
+    (infinite at rho = 0).  Blocks of ``_BLOCK`` entries keep the temporaries
+    small.
     """
-    # scipy.special costs about 0.3 s of start-up that only this law needs,
-    # so the truncated-gaussian sites import it where they use it.
-    from scipy.special import ndtr
-
     c = np.empty_like(rho)
-    tiny = rho < np.finfo(np.float64).tiny
-    with np.errstate(divide="ignore"):
-        c[tiny] = 1.0 / np.sqrt(rho[tiny])
-    rho = rho[~tiny]
-    lo = np.full_like(rho, 1e-8)
-    hi = np.maximum(80.0, 1.0 / np.sqrt(rho))
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        phi = np.exp(-0.5 * mid * mid) / math.sqrt(2.0 * math.pi)
-        mass = 2.0 * ndtr(mid) - 1.0
-        val = (1.0 - 2.0 * mid * phi / mass) / (mid * mid)
-        too_big = val > rho
-        lo = np.where(too_big, mid, lo)
-        hi = np.where(too_big, hi, mid)
-    c[~tiny] = 0.5 * (lo + hi)
+    for start in range(0, rho.size, _BLOCK):
+        c[start:start + _BLOCK] = _halfwidth_block(rho[start:start + _BLOCK])
     return c
+
+
+def _halfwidth_block(rho: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        c = 1.0 / np.sqrt(rho)
+    idx = np.flatnonzero(rho >= np.finfo(np.float64).tiny)
+    r = rho[idx]
+    u = 1.0 / r
+    lo, hi = np.zeros_like(u), u
+    for _ in range(64):
+        if not idx.size:
+            break
+        x = np.sqrt(u)
+        v, dv = _conditioned_variance(x)
+        gap = u / v - 1.0 / r
+        below = gap < 0  # V(x)/x^2 > rho: the root lies above u
+        lo = np.where(below, u, lo)
+        hi = np.where(below, hi, u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = u - gap * v / (1.0 - x * dv / (2.0 * v))
+        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        c[idx] = np.sqrt(new)
+        todo = (
+            (np.abs(new - u) > 2e-15 * new)
+            & (hi - lo > 2e-15 * new)
+            & (np.abs(gap) > _ROUNDING / r)
+        )
+        idx, r, u, lo, hi = idx[todo], r[todo], new[todo], lo[todo], hi[todo]
+    return c
+
+
+def _conditioned_variance(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """V(x) = Var[Z | |Z| <= x] for Z ~ N(0,1), and dV/dx, elementwise.
+
+    With S(x) = erf(x/sqrt(2)) / (2 phi(x)) = x + x^3/3 + x^5/(3*5) + ...,
+    V = 1 - x/S and V' = (x^2 - V)/S.  Below x = 2 the series tail S - x
+    gives V = (S - x)/S without the cancellation of 1 - x/S; above, 1/S is
+    computed from ``math.erf``, taken as 1 past x = 9.
+    """
+    inv_s = np.empty_like(x)
+    v = np.empty_like(x)
+    small = x < 2.0
+    xs = x[small]
+    u = xs * xs
+    series = np.ones_like(u)
+    for j in range(_SERIES_TERMS, 1, -1):
+        series = 1.0 + series * u / (2 * j + 1)
+    tail = xs * u * series / 3.0
+    inv_s[small] = 1.0 / (xs + tail)
+    v[small] = tail * inv_s[small]
+    xb = x[~small]
+    mass = np.ones_like(xb)
+    inner = xb < _ERF_SATURATES
+    mass[inner] = _erf(xb[inner] / math.sqrt(2.0)).astype(np.float64)
+    inv_s[~small] = 2.0 * np.exp(-0.5 * xb * xb) / math.sqrt(2.0 * math.pi) / mass
+    v[~small] = 1.0 - xb * inv_s[~small]
+    return v, (x * x - v) * inv_s
+
+
+def _truncated_normal(rng: np.random.Generator, c: np.ndarray) -> np.ndarray:
+    """Z ~ N(0,1) conditioned on |Z| <= c, elementwise, by exact rejection.
+
+    For c >= sqrt(pi/2) a standard normal is accepted when |z| <= c; below,
+    a uniform z on [-c, c] is accepted with probability exp(-z^2/2).  Either
+    way at least 79% of proposals are accepted, and each round redraws only
+    the rejected entries.
+    """
+    z = np.empty_like(c)
+    wide = c >= _WIDE
+    todo = np.flatnonzero(wide)
+    while todo.size:
+        x = rng.standard_normal(todo.size)
+        ok = np.abs(x) <= c[todo]
+        z[todo[ok]] = x[ok]
+        todo = todo[~ok]
+    todo = np.flatnonzero(~wide)
+    while todo.size:
+        x = c[todo] * rng.uniform(-1.0, 1.0, todo.size)
+        ok = rng.random(todo.size) < np.exp(-0.5 * x * x)
+        z[todo[ok]] = x[ok]
+        todo = todo[~ok]
+    return z
 
 
 @lru_cache(maxsize=1)
@@ -164,8 +252,9 @@ def _plan(config: EnsembleConfig):
     law's per-entry coefficients, in the mask's row-major order, read-only.
 
     Coefficients: sqrt(sigma_i sigma_j) for rademacher, sqrt(3 sigma_i sigma_j)
-    for uniform, and (tail, 1 - 2*tail, K/c) for the truncated gaussian, where
-    c is the half-width and tail = P(Z < -c).
+    for uniform, and (c, K/c) for the truncated gaussian, where c is the
+    half-width from ``_truncnorm_halfwidth``: the entry is (K/c) Z with Z a
+    standard normal conditioned on |Z| <= c.
     """
     n = config.n
     sigma = sigma_values(config.sigma, n)
@@ -180,11 +269,8 @@ def _plan(config: EnsembleConfig):
     elif config.distribution == "uniform":
         coeffs = (np.sqrt(3.0 * prod),)
     else:
-        from scipy.special import ndtr
-
         c = _truncnorm_halfwidth(prod / (K * K))
-        tail = ndtr(-c)
-        coeffs = (tail, 1.0 - 2.0 * tail, K / c)
+        coeffs = (c, K / c)
     for array in (mask, *coeffs):
         array.flags.writeable = False
     return mask, coeffs
@@ -207,15 +293,12 @@ def sample_matrix(config: EnsembleConfig, trial_index: int = 0) -> np.ndarray:
     elif config.distribution == "uniform":
         a = coeffs[0] * rng.uniform(-1.0, 1.0, size=m)
     else:
-        from scipy.special import ndtri
-
-        tail, span, scale = coeffs
-        a = scale * ndtri(tail + rng.random(m) * span)
+        c, scale = coeffs
+        a = scale * _truncated_normal(rng, c)
 
     A = np.zeros((n, n))
-    A[mask] = a
-    A = A + A.T - np.diag(np.diag(A))
-    A /= math.sqrt(n)
+    A[mask] = a / math.sqrt(n)
+    A += np.triu(A, 1).T
     return A
 
 

@@ -117,37 +117,40 @@ def test_tolerance_must_be_finite_and_positive(capsys, command, flag, value):
 
 
 # Runs in a fresh interpreter: the test session has scipy loaded already.
-_START_UP_SCRIPT = """
+_NO_SCIPY_SCRIPT = """
 import json, sys
 from rank1_spectra import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 sigma_file, out = sys.argv[1:]
 codes = [
     cli.main(["moments", "--sigma", sigma_file, "--n", "6", "--max-order", "8",
               "--out", out + "/m.json"]),
     cli.main(["radius", "--sigma", "expr:exp(-4*i/n)", "--sbar", "3", "--out", out + "/r.json"]),
+    cli.main(["validate"]),
 ]
-for dist in ("rademacher", "uniform"):
+for dist in ("rademacher", "uniform", "truncated_gaussian"):
     codes.append(cli.main(["simulate", "--sigma", "const:1", "--n", "20", "--trials", "2",
                            "--dist", dist, "--out", out + "/" + dist]))
-scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-codes.append(cli.main(["simulate", "--sigma", "const:1", "--n", "20", "--trials", "2",
-                       "--dist", "truncated_gaussian", "--out", out + "/tgauss"]))
-print(json.dumps({"codes": codes, "scipy": scipy, "then": "scipy.special" in sys.modules}))
+loaded = scipy_modules()
+import scipy.special
+print(json.dumps({"codes": codes, "scipy": loaded, "control": scipy_modules()}))
 """
 
 
-def test_only_truncated_gaussian_draws_load_scipy(tmp_path, sigma_file):
+def test_no_command_loads_scipy(tmp_path, sigma_file):
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", _START_UP_SCRIPT, sigma_file, str(tmp_path)],
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, sigma_file, str(tmp_path)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 6
     assert result["scipy"] == []
-    assert result["codes"] == [0, 0, 0, 0, 0]
-    assert result["then"]  # the check above can see scipy when it is loaded
+    assert "scipy.special" in result["control"]  # the check above sees scipy when it is loaded
 
 
 @pytest.mark.parametrize("command", ["radius", "moments"])

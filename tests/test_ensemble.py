@@ -2,6 +2,7 @@ import math
 import warnings
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -30,6 +31,14 @@ def ones_spec():
     return parse_sigma_spec("const:1")
 
 
+def truncated_moments(c):
+    """E Z^2 and E Z^4 for Z ~ N(0,1) conditioned on |Z| <= c, via math.erf."""
+    phi = math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
+    tail = 2.0 * c * phi / math.erf(c / math.sqrt(2.0))
+    second = 1.0 - tail
+    return second, 3.0 * second - c * c * tail
+
+
 GOLDEN_SIGMA = (1.0, 0.5, 0.8, 0.25)
 GOLDEN_RADEMACHER = [
     "-0x1.0000000000000p-1", "0x1.6a09e667f3bcdp-2", "-0x1.c9f25c5bfedd9p-2",
@@ -44,10 +53,10 @@ GOLDEN_UNIFORM = [
     "0x1.abb0f5e2d49cbp-5",
 ]
 GOLDEN_TRUNCATED_GAUSSIAN = [
-    "0x1.50d75f6c57b63p-4", "0x1.efcec40856f91p-2", "-0x1.07f8f9c798c27p-5",
-    "-0x1.48cafa040c16ep-5", "-0x1.4fe642a4fb05cp-2", "-0x1.7d4cc363c35dcp-2",
-    "-0x1.00a8fda6b5e0ep-3", "0x1.3a7d413306d1dp-2", "0x1.06b6124b9c3bep-5",
-    "0x1.3a589503697ccp-5",
+    "0x1.c71af689827a2p-2", "-0x1.91d32ddd9164bp-3", "0x1.6e4de89262b77p-1",
+    "-0x1.3048f193dc8ccp-2", "-0x1.f89f82ae765d9p-3", "0x1.381ecb7bb651ep-1",
+    "0x1.f03a7b416b9d8p-5", "-0x1.9fb3b2356e604p-3", "-0x1.a618f82c399f5p-2",
+    "0x1.98e15cbf6cb18p-2",
 ]
 
 
@@ -124,6 +133,27 @@ class TestSampling:
         assert A[1, 1] == A[2, 2] == 0.0
         assert A[0, 0] != 0.0 and 0.0 < abs(A[0, 1]) <= 3.0 / math.sqrt(3)
 
+    @pytest.mark.parametrize("K, narrow", [(1.75 * 0.8, True), (None, False)])
+    def test_truncated_gaussian_proposals(self, K, narrow):
+        # sigma = 0.8 everywhere, so all 2 x 20100 entries share one law
+        n, sigma = 200, 0.8
+        cfg = EnsembleConfig(
+            n=n, sigma=parse_sigma_spec(f"const:{sigma}"), distribution="truncated_gaussian",
+            K=K, seed=1409,
+        )
+        bound = 3.0 * sigma if K is None else K
+        c = float(ensemble._truncnorm_halfwidth(np.array([sigma * sigma / bound ** 2]))[0])
+        assert (c < math.sqrt(math.pi / 2)) == narrow
+        a = np.concatenate(
+            [sample_matrix(cfg, t)[np.triu_indices(n)] * math.sqrt(n) for t in range(2)]
+        )
+        assert np.max(np.abs(a)) <= bound * (1 + 1e-12)
+        fourth = truncated_moments(c)[1]
+        for power, target in ((2, sigma * sigma), (4, (bound / c) ** 4 * fourth)):
+            x = a ** power
+            se = np.std(x, ddof=1) / math.sqrt(x.size)
+            assert abs(np.mean(x) - target) < 4 * se
+
     def test_bound_feasibility_errors(self):
         with pytest.raises(ValueError):
             sample_matrix(EnsembleConfig(n=2, sigma=ones_spec(), K=0.5, seed=0))
@@ -171,6 +201,51 @@ class TestSampling:
         ra = spectral_sample(base, 4).radius
         rb = spectral_sample(scaled, 4).radius
         assert rb == pytest.approx(2.0 * ra, rel=1e-12)
+
+
+class TestHalfwidth:
+    @pytest.mark.parametrize(
+        "rho",
+        [np.geomspace(1e-300, 0.3333, 2000), np.linspace(1e-4, 1.0 / 3.0, 2002)[1:-1]],
+        ids=["geometric", "uniform"],
+    )
+    def test_residual(self, rho):
+        c = ensemble._truncnorm_halfwidth(rho)
+        residual = [abs(truncated_moments(x)[0] / (x * x) - r) / r for r, x in zip(rho, c)]
+        assert max(residual) <= 1e-11
+
+    def test_newton_takes_few_rounds(self, monkeypatch):
+        # rho up to within 1e-9 of 1/3, where the half-width tends to 0
+        near_third = 1.0 / 3.0 - np.geomspace(1e-9, 0.01, 500)
+        rho = np.concatenate([np.geomspace(1e-300, 0.33, 500), near_third])
+        rounds = []
+        variance = ensemble._conditioned_variance
+
+        def counted(x):
+            rounds.append(x.size)
+            return variance(x)
+
+        monkeypatch.setattr(ensemble, "_conditioned_variance", counted)
+        ensemble._truncnorm_halfwidth(rho)
+        assert len(rounds) <= 8
+
+    def test_conditioned_variance_matches_mpmath(self):
+        # both branches: the series below c = 2, erf up to 9 and 1 beyond
+        x = np.concatenate([np.geomspace(1e-6, 1.99, 60), np.linspace(2.0, 30.0, 60)])
+        v, dv = ensemble._conditioned_variance(x)
+        with mpmath.workdps(50):
+            for xi, vi, dvi in zip(x, v, dv):
+                c = mpmath.mpf(xi)
+                g = 2 * c * mpmath.npdf(c) / mpmath.erf(c / mpmath.sqrt(2))
+                assert vi == pytest.approx(float(1 - g), rel=1e-14)
+                assert dvi == pytest.approx(float(g / c * (c * c - 1 + g)), rel=1e-12, abs=1e-300)
+
+    def test_several_blocks_match_one_block(self, monkeypatch):
+        rho = np.concatenate([np.linspace(1e-4, 0.333, 40), [0.0, 5e-324, 1e-310]])
+        one = ensemble._truncnorm_halfwidth(rho)
+        monkeypatch.setattr(ensemble, "_BLOCK", 7)  # 7 blocks, the last partial
+        several = ensemble._truncnorm_halfwidth(rho)
+        np.testing.assert_array_equal(several, one)
 
 
 class TestEigenvalues:
