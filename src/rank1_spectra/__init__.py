@@ -7,67 +7,95 @@ profiles), finite-n lower/upper bounds on the expected moments and the
 expected spectral radius, a Hankel-pencil semidefinite lower bound on the
 asymptotic spectral radius, and validates all of it against Monte Carlo
 simulation and two brute-force enumeration oracles.
+
+Names load on first use: ``import rank1_spectra`` imports no submodule, and
+reading a public name imports the one submodule that defines it (PEP 562), so
+a caller pays only for the layers it touches; mpmath, for one, loads with
+``radius_bounds``.
 """
 
-from .combinatorics import (
-    DegreeProfile,
-    PlaneTree,
-    catalan,
-    degree_profile_of,
-    enumerate_degree_profiles,
-    enumerate_plane_trees,
-    multinomial,
-    tree_count,
-)
-from .ensemble import (
-    EnsembleConfig,
-    Histogram,
-    MonteCarloResult,
-    SpectralSample,
-    derive_trial_seed,
-    eigenvalues,
-    empirical_moments,
-    esd_histogram,
-    monte_carlo,
-    sample_matrix,
-    spectral_sample,
-)
-from .moments import (
-    MomentReport,
-    MomentRow,
-    limiting_even_moment,
-    moment_lower_bound,
-    moment_upper_bound,
-    odd_moment_bound,
-    theta_factor,
-)
-from .radius_bounds import (
-    HankelPencil,
-    InvalidMomentSequenceError,
-    RadiusBound,
-    RadiusBoundsReport,
-    RadiusOrderRow,
-    SdpResult,
-    build_pencil,
-    moment_sandwich,
-    radius_lower_bound,
-    radius_upper_bound,
-    sdp_lower_bound,
-)
-from .reports import lambda_vector, moment_table, radius_table
-from .sigma_model import (
-    LimitingAverages,
-    NoLimitError,
-    SigmaDomainError,
-    SigmaSpec,
-    SigmaStats,
-    SpecSyntaxError,
-    growth_diagnostic,
-    limiting_averages,
-    parse_sigma_spec,
-    sigma_stats,
-    sigma_values,
-)
-from .walk_oracle import EntryMomentModel, dominant_term, exact_expected_moment
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+
+_MODULE_EXPORTS = {
+    "combinatorics": (
+        "DegreeProfile",
+        "PlaneTree",
+        "catalan",
+        "degree_profile_of",
+        "enumerate_degree_profiles",
+        "enumerate_plane_trees",
+        "multinomial",
+        "tree_count",
+    ),
+    "ensemble": (
+        "EnsembleConfig",
+        "Histogram",
+        "MonteCarloResult",
+        "SpectralSample",
+        "derive_trial_seed",
+        "eigenvalues",
+        "empirical_moments",
+        "esd_histogram",
+        "monte_carlo",
+        "sample_matrix",
+        "spectral_sample",
+    ),
+    "moments": (
+        "MomentReport",
+        "MomentRow",
+        "limiting_even_moment",
+        "moment_lower_bound",
+        "moment_upper_bound",
+        "odd_moment_bound",
+        "theta_factor",
+    ),
+    "radius_bounds": (
+        "HankelPencil",
+        "InvalidMomentSequenceError",
+        "RadiusBound",
+        "RadiusBoundsReport",
+        "RadiusOrderRow",
+        "SdpResult",
+        "build_pencil",
+        "moment_sandwich",
+        "radius_lower_bound",
+        "radius_upper_bound",
+        "sdp_lower_bound",
+    ),
+    "reports": ("lambda_vector", "moment_table", "radius_table"),
+    "sigma_model": (
+        "LimitingAverages",
+        "NoLimitError",
+        "SigmaDomainError",
+        "SigmaSpec",
+        "SigmaStats",
+        "SpecSyntaxError",
+        "growth_diagnostic",
+        "limiting_averages",
+        "parse_sigma_spec",
+        "sigma_stats",
+        "sigma_values",
+    ),
+    "walk_oracle": ("EntryMomentModel", "dominant_term", "exact_expected_moment"),
+}
+
+_EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_MODULE_EXPORTS])
+
+
+def __getattr__(name: str):
+    if name in _MODULE_EXPORTS:
+        return _import_module(f".{name}", __name__)
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -1,5 +1,9 @@
 """Command-line surface: moment tables, simulations, radius bounds, validation.
 
+Each command loads only its own layers: the handlers import them when they
+run, so ``moments`` never loads mpmath or the Monte Carlo layer, and only
+``validate`` loads the enumeration oracles.
+
 Exit codes: 0 success, 1 when a ``validate`` check fails, 2 usage or parse
 errors, 3 numeric or runtime errors.
 All outputs are UTF-8; floats serialize with 17 significant digits.
@@ -11,15 +15,15 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .ensemble import EnsembleConfig, _histogram, monte_carlo
 from .moments import MAX_ORDER, MomentReport
-from .radius_bounds import RadiusBoundsReport
-from .reports import DEFAULT_LAMBDA_TOL, moment_table, radius_table
+from .reports import DEFAULT_LAMBDA_TOL
 from .serialize import dumps_json, fmt17, histogram_csv, run_manifest
 from .sigma_model import NoLimitError, SigmaDomainError, SpecSyntaxError, parse_sigma_spec
-from .validation import run_all
+
+if TYPE_CHECKING:
+    from .radius_bounds import RadiusBoundsReport
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -113,6 +117,8 @@ def _radius_payload(report: RadiusBoundsReport) -> dict:
 
 
 def cmd_moments(args: argparse.Namespace, argv: list) -> int:
+    from .reports import moment_table
+
     spec = parse_sigma_spec(args.sigma)
     s_max = args.max_order // 2
     report = moment_table(spec, s_max, n=args.n, lambda_tol=args.lambda_tol)
@@ -131,6 +137,8 @@ def cmd_moments(args: argparse.Namespace, argv: list) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace, argv: list) -> int:
+    from .ensemble import EnsembleConfig, _histogram, monte_carlo
+
     spec = parse_sigma_spec(args.sigma)
     config = EnsembleConfig(
         n=args.n, sigma=spec, distribution=args.dist, K=args.K, seed=args.seed
@@ -174,6 +182,8 @@ def cmd_simulate(args: argparse.Namespace, argv: list) -> int:
 
 
 def cmd_radius(args: argparse.Namespace, argv: list) -> int:
+    from .reports import radius_table
+
     spec = parse_sigma_spec(args.sigma)
     orders = [int(tok) for tok in args.orders.split(",") if tok] if args.orders else []
     report = radius_table(
@@ -191,7 +201,9 @@ def cmd_radius(args: argparse.Namespace, argv: list) -> int:
 
 
 def cmd_validate(args: argparse.Namespace, argv: list) -> int:
-    checks = run_all(deep=args.deep)
+    from . import validation
+
+    checks = validation.run_all(deep=args.deep)
     failed = 0
     for name, passed, detail in checks:
         status = "PASS" if passed else "FAIL"

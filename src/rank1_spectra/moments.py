@@ -4,7 +4,8 @@ The limiting even moment of order 2s, the paper's sum over tree degree
 profiles of tree counts times powers of the limiting averages Lambda_k, is one
 coefficient of the plane-tree generating series (Lagrange inversion): with
 phi(w) = sum_j A_{j+1} w^j, m_{2s} = 2/(s+1) * [w^{s-1}] phi(w)^{s+1}, a
-truncated polynomial power, exact for rational averages.  For finite n the
+truncated polynomial power, exact for rational averages.  One pass over the
+powers phi^2..phi^{S+1} gives every order up to 2S.  For finite n the
 same series at the partial averages S_{n,k}/n, minus an explicit
 repeated-index correction, lower-bounds the expected moment; an upper bound
 multiplies the limit by 1 + theta*s with a fully explicit theta.
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .sigma_model import sigma_stats
+from .sigma_model import SigmaStats, sigma_stats
 
 __all__ = [
     "MomentRow",
@@ -35,18 +36,23 @@ MAX_ORDER = 64  # maximum s in m_{2s}
 Number = Union[int, float, Fraction]
 
 
-def _tree_series(averages: Sequence[Number], s: int) -> Number:
-    """sum over R_s of tree_count(profile) * prod averages[j-1]^r_j, as a series.
+def _tree_series(averages: Sequence[Number], s_max: int) -> list:
+    """[m_2, m_4, .., m_{2 s_max}]: sums over R_s of tree_count(profile) * prod averages[j-1]^r_j.
 
     A profile's 2 * s! / prod r_j! trees are 2/(s+1) times the multinomial
-    coefficient of its term prod A_j^{r_j} w^{s-1} in phi(w)^{s+1}.  Ints and
-    Fractions stay exact, anything else is a float; all terms are positive.
+    coefficient of its term prod A_j^{r_j} w^{s-1} in phi(w)^{s+1}.  Each
+    power phi^j is built once, truncated after w^{s_max-1}; its low
+    coefficients are the same sums, in the same order, as a truncation
+    after w^{s-1}.  Ints and Fractions stay exact, anything else is a float;
+    all terms are positive.
     """
-    phi = [a if isinstance(a, (int, Fraction)) else float(a) for a in averages[:s]]
-    power = [1] + [0] * (s - 1)
-    for _ in range(s + 1):
-        power = [sum(power[i] * phi[k - i] for i in range(k + 1)) for k in range(s)]
-    return power[s - 1] * Fraction(2, s + 1)
+    phi = [a if isinstance(a, (int, Fraction)) else float(a) for a in averages[:s_max]]
+    power = list(phi)
+    series = []
+    for s in range(1, s_max + 1):
+        power = [sum(power[i] * phi[k - i] for i in range(k + 1)) for k in range(s_max)]
+        series.append(power[s - 1] * Fraction(2, s + 1))
+    return series
 
 
 def _check_order(s: int) -> None:
@@ -56,24 +62,43 @@ def _check_order(s: int) -> None:
         raise ValueError(f"s={s} exceeds supported range {MAX_ORDER}")
 
 
+def _limits(lambdas: Sequence[Number], s_max: int) -> list:
+    """[m_2, .., m_{2 s_max}] from Lambda_1..Lambda_{s_max}, after checking them."""
+    _check_order(s_max)
+    if len(lambdas) < s_max:
+        raise ValueError(f"need Lambda_1..Lambda_{s_max}, got {len(lambdas)} entries")
+    if any((not _is_positive(a)) for a in lambdas[:s_max]):
+        raise ValueError("Lambda entries must be positive and finite")
+    return _tree_series(lambdas, s_max)
+
+
 def limiting_even_moment(lambdas: Sequence[Number], s: int) -> Number:
     """Moment m_{2s} of the limiting spectral distribution from Lambda_1..Lambda_s.
 
     Exact rational arithmetic when the Lambda values are ints/Fractions
     (useful for the constant-profile specialization); float otherwise.
     """
-    _check_order(s)
-    if len(lambdas) < s:
-        raise ValueError(f"need Lambda_1..Lambda_{s}, got {len(lambdas)} entries")
-    if any((not _is_positive(a)) for a in lambdas[:s]):
-        raise ValueError("Lambda entries must be positive and finite")
-    return _tree_series(lambdas, s)
+    return _limits(lambdas, s)[-1]
 
 
 def _is_positive(a: Number) -> bool:
     if isinstance(a, Fraction):
         return a > 0
     return math.isfinite(float(a)) and float(a) > 0
+
+
+def _lower_bounds(stats: SigmaStats, s_max: int) -> list:
+    """moment_lower_bound for s = 1..s_max from one sigma_stats with k_max >= s_max."""
+    n = stats.n
+    if n <= s_max:
+        raise ValueError(f"need n > s, got n={n}, s={s_max}")
+    mains = _tree_series(stats.partial_sums[:s_max] / n, s_max)
+    bounds = []
+    for s, main in enumerate(mains, start=1):
+        correction = int(sum(math.comb(n, j) * j ** (s + 1 - j) for j in range(1, s + 1)))
+        eps = stats.sigma_max ** (2 * s) * float(Fraction(correction, n ** (s + 1)))
+        bounds.append(main - eps)
+    return bounds
 
 
 def moment_lower_bound(values: Sequence[float], s: int) -> float:
@@ -87,14 +112,7 @@ def moment_lower_bound(values: Sequence[float], s: int) -> float:
     than clamping.  Bad sigma raises SigmaDomainError, overflow OverflowError.
     """
     _check_order(s)
-    stats = sigma_stats(values, s)
-    n = stats.n
-    if n <= s:
-        raise ValueError(f"need n > s, got n={n}, s={s}")
-    main = _tree_series(stats.partial_sums / n, s)
-    correction = int(sum(math.comb(n, j) * j ** (s + 1 - j) for j in range(1, s + 1)))
-    eps = stats.sigma_max ** (2 * s) * float(Fraction(correction, n ** (s + 1)))
-    return main - eps
+    return _lower_bounds(sigma_stats(values, s), s)[-1]
 
 
 def theta_factor(n: int, s: int, K: float, sigma_max: float, sigma_min: float) -> float:

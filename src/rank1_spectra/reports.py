@@ -1,31 +1,27 @@
-"""Builders gluing the sigma/moments/radius layers into reports."""
+"""Builders gluing the sigma/moments/radius layers into reports.
+
+``radius_table`` imports ``radius_bounds`` (and so mpmath) when called, so
+building a moment table never loads the SDP layer.
+"""
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .moments import (
-    MomentReport,
-    MomentRow,
-    limiting_even_moment,
-    moment_lower_bound,
-    moment_upper_bound,
+from .moments import MomentReport, MomentRow, _limits, _lower_bounds, moment_upper_bound
+from .sigma_model import (
+    NoLimitError,
+    SigmaSpec,
+    SigmaStats,
+    limiting_averages,
+    sigma_stats,
+    sigma_values,
 )
-from .radius_bounds import (
-    DEFAULT_SBAR,
-    DEFAULT_TOL,
-    RadiusBoundsReport,
-    RadiusOrderRow,
-    build_pencil,
-    moment_sandwich,
-    radius_lower_bound,
-    radius_upper_bound,
-    sdp_lower_bound,
-)
-from .sigma_model import NoLimitError, SigmaSpec, limiting_averages, sigma_stats, sigma_values
+
+if TYPE_CHECKING:
+    from .radius_bounds import RadiusBoundsReport
 
 __all__ = ["lambda_vector", "moment_table", "radius_table", "DEFAULT_LAMBDA_TOL"]
 
@@ -33,7 +29,11 @@ DEFAULT_LAMBDA_TOL = 1e-8
 
 
 def lambda_vector(
-    spec: SigmaSpec, k_max: int, tol: float = DEFAULT_LAMBDA_TOL, n: Optional[int] = None
+    spec: SigmaSpec,
+    k_max: int,
+    tol: float = DEFAULT_LAMBDA_TOL,
+    n: Optional[int] = None,
+    stats: Optional[SigmaStats] = None,
 ) -> Tuple[np.ndarray, str]:
     """Lambda_1..Lambda_k and a note naming their source.
 
@@ -41,12 +41,15 @@ def lambda_vector(
     ladder, the note names its rungs and final n, and a ladder capped before
     converging raises NoLimitError.  Explicit sequences have no limit, so the
     finite-n averages S_{n,k}/n stand in (with n defaulting to the full
-    sequence length) and the note says so.
+    sequence length) and the note says so; ``stats``, the caller's
+    sigma_stats of those n values with k_max or more sums, spares evaluating
+    them again.
     """
     if spec.kind == "explicit":
         n_eff = n if n is not None else len(spec.payload)
-        stats = sigma_stats(sigma_values(spec, n_eff), k_max)
-        return stats.partial_sums / n_eff, f"finite-n averages S_{{n,k}}/n at n={n_eff}"
+        if stats is None:
+            stats = sigma_stats(sigma_values(spec, n_eff), k_max)
+        return stats.partial_sums[:k_max] / n_eff, f"finite-n averages S_{{n,k}}/n at n={n_eff}"
     la = limiting_averages(spec, k_max, tol)
     if spec.kind == "constant":
         return la.values, "exact (constant sigma)"
@@ -72,25 +75,29 @@ def moment_table(
 
     With ``n`` given the finite-n lower/upper bounds are included; the upper
     bound takes K = sigma_max unless overridden.  ``empirical`` maps order ->
-    (mean, stderr) pairs to attach Monte Carlo columns.
+    (mean, stderr) pairs to attach Monte Carlo columns.  Sigma is evaluated
+    once, and the limits and the lower bounds' main terms each come from one
+    pass of the tree series.
     """
-    lambdas, source = lambda_vector(spec, s_max, lambda_tol, n)
-    notes = [f"limiting averages: {source}"]
-    values = None
-    smax = smin = None
+    stats = None
     if n is not None:
-        values = sigma_values(spec, n)
-        smax = float(values.max())
-        smin = float(values.min())
+        # the lower bounds need S_{n,k} for k < n; an explicit sequence's
+        # averages need them up to s_max
+        k_stats = s_max if spec.kind == "explicit" else max(1, min(s_max, n - 1))
+        stats = sigma_stats(sigma_values(spec, n), k_stats)
         if K is None:
-            K = smax
+            K = stats.sigma_max
+    lambdas, source = lambda_vector(spec, s_max, lambda_tol, n, stats)
+    notes = [f"limiting averages: {source}"]
+    limits = _limits(lambdas, s_max)
+    lowers = _lower_bounds(stats, min(s_max, n - 1)) if stats is not None else []
     rows = []
     for s in range(1, s_max + 1):
-        limit = float(limiting_even_moment(lambdas[:s], s))
+        limit = float(limits[s - 1])
         lower = upper = None
-        if values is not None and n > s:
-            lower = moment_lower_bound(values, s)
-            upper = moment_upper_bound(n, s, K, smax, smin, limit)
+        if s <= len(lowers):
+            lower = lowers[s - 1]
+            upper = moment_upper_bound(n, s, K, stats.sigma_max, stats.sigma_min, limit)
         emp = empirical.get(2 * s) if empirical else None
         rows.append(
             MomentRow(
@@ -118,17 +125,30 @@ def radius_table(
     spec: SigmaSpec,
     orders: Sequence[int] = (),
     n: Optional[int] = None,
-    s_bar: Optional[int] = DEFAULT_SBAR,
+    s_bar: Optional[int] = 14,
     K: Optional[float] = None,
     lambda_tol: float = DEFAULT_LAMBDA_TOL,
-    sdp_tol: float = DEFAULT_TOL,
+    sdp_tol: float = 1e-10,
     empirical: Optional[dict] = None,
 ) -> RadiusBoundsReport:
     """Radius-bound report: finite-n sandwich rows plus the SDP lower bound.
 
     ``orders`` requires ``n``.  The largest Lambda index needed is
-    max(2*s_bar + 1, max(orders)).
+    max(2*s_bar + 1, max(orders)), and every limit comes from one pass of the
+    tree series.  The defaults of ``s_bar`` and ``sdp_tol`` are
+    radius_bounds.DEFAULT_SBAR and DEFAULT_TOL, written out because
+    radius_bounds is imported only here, at call time.
     """
+    from .radius_bounds import (
+        RadiusBoundsReport,
+        RadiusOrderRow,
+        build_pencil,
+        moment_sandwich,
+        radius_lower_bound,
+        radius_upper_bound,
+        sdp_lower_bound,
+    )
+
     orders = tuple(int(s) for s in orders)
     if orders and n is None:
         raise ValueError("finite-n radius bounds need n")
@@ -137,6 +157,7 @@ def radius_table(
         k_need = max(k_need, max(orders))
     lambdas, source = lambda_vector(spec, k_need, lambda_tol, n)
     notes = [f"limiting averages: {source}"]
+    limits = [float(m) for m in _limits(lambdas, k_need)]
 
     rows = []
     if orders:
@@ -148,8 +169,7 @@ def radius_table(
             if n <= s:
                 raise ValueError(f"order s={s} needs n > s, got n={n}")
             lower = radius_lower_bound(values, s)
-            limit = float(limiting_even_moment(lambdas[:s], s))
-            upper = radius_upper_bound(n, s, K_eff, smax, smin, limit)
+            upper = radius_upper_bound(n, s, K_eff, smax, smin, limits[s - 1])
             companion = None
             if not lower.vacuous:
                 companion = moment_sandwich(n, s, lower.value ** (2 * s))[1]
@@ -167,7 +187,7 @@ def radius_table(
     sdp = None
     asymptotic_root = None
     if s_bar:
-        ms = [float(limiting_even_moment(lambdas[:s], s)) for s in range(1, 2 * s_bar + 2)]
+        ms = limits[: 2 * s_bar + 1]
         pencil = build_pencil(ms, s_bar)
         sdp = sdp_lower_bound(pencil, sdp_tol)
         top = 2 * s_bar + 1

@@ -1,12 +1,15 @@
 import csv
+import importlib
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import rank1_spectra
 from rank1_spectra import cli, sigma_model
 from rank1_spectra.moments import limiting_even_moment
 from rank1_spectra.sigma_model import sigma_stats
@@ -116,41 +119,119 @@ def test_tolerance_must_be_finite_and_positive(capsys, command, flag, value):
     assert f"{flag} must be finite and > 0" in capsys.readouterr().err
 
 
-# Runs in a fresh interpreter: the test session has scipy loaded already.
-_NO_SCIPY_SCRIPT = """
+# Runs in a fresh interpreter: the test session has every layer (and scipy)
+# loaded already.  argv[1] is a JSON list of CLI argument vectors; after each
+# call the script records which of the watched modules are loaded.
+_IMPORT_SCRIPT = """
 import json, sys
+import rank1_spectra
+
+WATCHED = ("scipy", "mpmath", "rank1_spectra.ensemble", "rank1_spectra.validation",
+           "rank1_spectra.walk_oracle", "rank1_spectra.combinatorics")
+
+def loaded():
+    return sorted(w for w in WATCHED if any(m == w or m.startswith(w + ".") for m in sys.modules))
+
+report = {
+    "public": sorted(name for name in dir(rank1_spectra) if not name.startswith("_")),
+    "submodules": sorted(m for m in sys.modules if m.startswith("rank1_spectra.")),
+}
 from rank1_spectra import cli
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-sigma_file, out = sys.argv[1:]
-codes = [
-    cli.main(["moments", "--sigma", sigma_file, "--n", "6", "--max-order", "8",
-              "--out", out + "/m.json"]),
-    cli.main(["radius", "--sigma", "expr:exp(-4*i/n)", "--sbar", "3", "--out", out + "/r.json"]),
-    cli.main(["validate"]),
-]
-for dist in ("rademacher", "uniform", "truncated_gaussian"):
-    codes.append(cli.main(["simulate", "--sigma", "const:1", "--n", "20", "--trials", "2",
-                           "--dist", dist, "--out", out + "/" + dist]))
-loaded = scipy_modules()
+report["runs"] = [[cli.main(argv), loaded()] for argv in json.loads(sys.argv[1])]
 import scipy.special
-print(json.dumps({"codes": codes, "scipy": loaded, "control": scipy_modules()}))
+report["control"] = loaded()
+print(json.dumps(report))
 """
 
+# The public names of ``import rank1_spectra`` before names loaded lazily.
+PUBLIC_NAMES = [
+    "DegreeProfile", "EnsembleConfig", "EntryMomentModel", "HankelPencil", "Histogram",
+    "InvalidMomentSequenceError", "LimitingAverages", "MomentReport", "MomentRow",
+    "MonteCarloResult", "NoLimitError", "PlaneTree", "RadiusBound", "RadiusBoundsReport",
+    "RadiusOrderRow", "SdpResult", "SigmaDomainError", "SigmaSpec", "SigmaStats",
+    "SpecSyntaxError", "SpectralSample", "build_pencil", "catalan", "combinatorics",
+    "degree_profile_of", "derive_trial_seed", "dominant_term", "eigenvalues",
+    "empirical_moments", "ensemble", "enumerate_degree_profiles", "enumerate_plane_trees",
+    "esd_histogram", "exact_expected_moment", "growth_diagnostic", "lambda_vector",
+    "limiting_averages", "limiting_even_moment", "moment_lower_bound", "moment_sandwich",
+    "moment_table", "moment_upper_bound", "moments", "monte_carlo", "multinomial",
+    "odd_moment_bound", "parse_sigma_spec", "radius_bounds", "radius_lower_bound",
+    "radius_table", "radius_upper_bound", "reports", "sample_matrix", "sdp_lower_bound",
+    "sigma_model", "sigma_stats", "sigma_values", "spectral_sample", "theta_factor",
+    "tree_count", "walk_oracle",
+]
 
-def test_no_command_loads_scipy(tmp_path, sigma_file):
+
+@pytest.fixture(scope="module")
+def import_runs(tmp_path_factory):
+    """Two fresh interpreters: moments and simulate, then radius and validate."""
+    out = tmp_path_factory.mktemp("imports")
+    sigma = out / "sigma.txt"
+    sigma.write_text("\n".join(repr(v) for v in SIGMA) + "\n", encoding="utf-8")
+    quiet = [
+        ["moments", "--sigma", f"file:{sigma}", "--n", "6", "--max-order", "8",
+         "--out", str(out / "m_file.json")],
+        ["moments", "--sigma", "expr:exp(-4*i/n)", "--max-order", "8",
+         "--out", str(out / "m_expr.json")],
+    ] + [
+        ["simulate", "--sigma", "const:1", "--n", "20", "--trials", "2", "--dist", dist,
+         "--out", str(out / dist)]
+        for dist in ("rademacher", "uniform", "truncated_gaussian")
+    ]
+    heavy = [
+        ["radius", "--sigma", "expr:exp(-4*i/n)", "--sbar", "3", "--out", str(out / "r.json")],
+        ["validate"],
+    ]
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_SCRIPT, sigma_file, str(tmp_path)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0] * 6
-    assert result["scipy"] == []
-    assert "scipy.special" in result["control"]  # the check above sees scipy when it is loaded
+    reports = []
+    for argvs in (quiet, heavy):
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_SCRIPT, json.dumps(argvs)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append(json.loads(proc.stdout.splitlines()[-1]))
+    return reports
+
+
+def test_no_command_loads_scipy(import_runs):
+    for report in import_runs:
+        assert [code for code, _ in report["runs"]] == [0] * len(report["runs"])
+        assert all("scipy" not in mods for _, mods in report["runs"])
+        assert "scipy" in report["control"]  # the check above sees scipy when it is loaded
+
+
+def test_each_command_loads_only_its_own_layers(import_runs):
+    quiet, heavy = import_runs
+    oracles = {"rank1_spectra.validation", "rank1_spectra.walk_oracle",
+               "rank1_spectra.combinatorics"}
+    # moments (file and expr sigma), then the three simulate laws
+    for index, (_, mods) in enumerate(quiet["runs"]):
+        assert "mpmath" not in mods
+        assert not oracles & set(mods)
+        assert ("rank1_spectra.ensemble" in mods) == (index >= 2)
+    (_, after_radius), (_, after_validate) = heavy["runs"]
+    assert "mpmath" in after_radius  # the detector sees a module that is loaded
+    assert "rank1_spectra.ensemble" not in after_radius
+    assert not oracles & set(after_radius)
+    assert oracles <= set(after_validate)
+
+
+def test_package_names_load_on_first_use(import_runs):
+    for report in import_runs:
+        assert report["public"] == PUBLIC_NAMES
+        assert report["submodules"] == []
+    assert rank1_spectra.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        value = getattr(rank1_spectra, name)
+        if isinstance(value, types.ModuleType):
+            assert value is importlib.import_module(f"rank1_spectra.{name}")
+        else:
+            assert value.__module__.startswith("rank1_spectra.")
+            assert getattr(importlib.import_module(value.__module__), name) is value
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rank1_spectra.no_such_name
+    assert not hasattr(rank1_spectra, "cli_main")
 
 
 @pytest.mark.parametrize("command", ["radius", "moments"])
@@ -166,7 +247,7 @@ def test_unconverged_ladder_exits_3_without_output(tmp_path, monkeypatch, capsys
 
 def test_validate_exits_1_on_a_failing_check(monkeypatch, capsys):
     checks = [("ok", True, "fine"), ("bad", False, "broke")]
-    monkeypatch.setattr(cli, "run_all", lambda deep: checks)
+    monkeypatch.setattr("rank1_spectra.validation.run_all", lambda deep: checks)
     assert cli.main(["validate"]) == 1
     captured = capsys.readouterr()
     assert "bad: FAIL (broke)" in captured.out

@@ -260,6 +260,16 @@ class TestEigenvalues:
         with pytest.raises(ValueError):
             eigenvalues(M)
 
+    @pytest.mark.parametrize("gap, accepted", [(1e-13, True), (1e-11, False)])
+    def test_asymmetry_threshold(self, gap, accepted):
+        M = np.array([[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 1.0]])
+        M[2, 0] += gap
+        if accepted:
+            np.testing.assert_allclose(eigenvalues(M), np.linalg.eigvalsh(M))
+        else:
+            with pytest.raises(ValueError, match=r"matrix is not symmetric \(max asymmetry 1\.000e-11\)"):
+                eigenvalues(M)
+
     def test_trace_and_frobenius_identities(self):
         cfg = EnsembleConfig(n=50, sigma=parse_sigma_spec(EXP_SPEC), seed=321)
         A = sample_matrix(cfg)

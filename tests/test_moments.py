@@ -6,7 +6,9 @@ import pytest
 
 from rank1_spectra.combinatorics import catalan, degree_profile_of, enumerate_plane_trees
 from rank1_spectra.ensemble import EnsembleConfig, monte_carlo
+from rank1_spectra import moments, reports, sigma_model
 from rank1_spectra.moments import (
+    _tree_series,
     limiting_even_moment,
     moment_lower_bound,
     moment_upper_bound,
@@ -219,3 +221,72 @@ def test_report_builder_attaches_bounds_and_flags():
     assert row.lower_vacuous == (row.lower <= 0)
     with pytest.raises(KeyError):
         report.row(12)
+
+
+def per_order_series(averages, s):
+    """The tree series of one order on its own: phi^{s+1} truncated after w^{s-1}."""
+    phi = [a if isinstance(a, (int, Fraction)) else float(a) for a in averages[:s]]
+    power = [1] + [0] * (s - 1)
+    for _ in range(s + 1):
+        power = [sum(power[i] * phi[k - i] for i in range(k + 1)) for k in range(s)]
+    return power[s - 1] * Fraction(2, s + 1)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize(
+        "averages",
+        [
+            [Fraction(2 * j + 1, j * j + 3) for j in range(1, 25)],
+            list(range(1, 65)),
+            [lam(k) for k in range(1, 65)],
+            list(np.random.default_rng(1409).uniform(0.1, 3.0, 64)),
+            list(sigma_model.sigma_stats(np.linspace(0.5, 2.0, 4000), 64).partial_sums / 4000),
+        ],
+        ids=["fraction", "int", "exp", "uniform", "partial-averages"],
+    )
+    def test_all_orders_equal_each_order_alone(self, averages):
+        s_max = len(averages)
+        series = _tree_series(averages, s_max)
+        reference = [per_order_series(averages, s) for s in range(1, s_max + 1)]
+        assert [type(m) for m in series] == [type(m) for m in reference]
+        assert series == reference  # exact for ints and Fractions, bit for bit for floats
+
+    @pytest.fixture
+    def sigma_file(self, tmp_path):
+        values = np.random.default_rng(301).uniform(0.5, 2.0, 40)
+        path = tmp_path / "sigma.txt"
+        path.write_text("".join(repr(float(v)) + "\n" for v in values), encoding="utf-8")
+        return parse_sigma_spec(f"file:{path}")
+
+    def test_moment_table_evaluates_sigma_once(self, monkeypatch, sigma_file):
+        calls = {"sigma_values": 0, "sigma_stats": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            fn = getattr(sigma_model, name)
+            for module in (sigma_model, moments, reports):
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counting(name, fn))
+        reports.moment_table(sigma_file, 34, n=40)
+        assert calls == {"sigma_values": 1, "sigma_stats": 1}
+
+    @pytest.mark.parametrize("kind, n", [("file", 40), ("file", 12), ("expr", 12)])
+    def test_moment_table_rows_equal_each_order_alone(self, sigma_file, kind, n):
+        s_max = 34
+        spec = sigma_file if kind == "file" else parse_sigma_spec(EXP_SPEC)
+        report = reports.moment_table(spec, s_max, n=n)
+        lambdas, _ = reports.lambda_vector(spec, s_max, n=n)
+        values = sigma_values(spec, n)
+        assert len(report.rows) == s_max
+        for s, row in enumerate(report.rows, start=1):
+            assert row.limit == float(limiting_even_moment(lambdas, s))
+            if s < n:
+                assert row.lower == moment_lower_bound(values, s)
+                assert row.upper is not None
+            else:
+                assert row.lower is None and row.upper is None

@@ -228,3 +228,14 @@ def test_report_builder_smoke():
             120 ** (1 / 6) * row.lower.value, rel=1e-12
         )
     assert report.asymptotic_root is not None
+
+
+def test_report_builder_defaults_are_the_sdp_defaults():
+    import inspect
+
+    from rank1_spectra.radius_bounds import DEFAULT_SBAR, DEFAULT_TOL
+    from rank1_spectra.reports import radius_table
+
+    params = inspect.signature(radius_table).parameters
+    assert params["s_bar"].default == DEFAULT_SBAR
+    assert params["sdp_tol"].default == DEFAULT_TOL
