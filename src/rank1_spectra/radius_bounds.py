@@ -21,9 +21,20 @@ over the two Hankel moment matrices H0[i][j] = nu_{i+j}, H1[i][j] =
 nu_{i+j+1}; then sqrt(beta) lower-bounds the limiting spectral radius.  The
 minimum is the largest eigenvalue of the pencil (H1, H0): with H0 = L L^T,
 L^{-1} H1 L^{-T} is the Jacobi matrix of the moments and beta its largest
-Gauss node (Golub-Welsch 1969).  It is computed once in 60-digit arithmetic
-and certified there by two Cholesky tests: H0 (beta + tol) - H1 factors and
-H0 (beta - tol) - H1 does not.  `validation.bisect_beta` is the oracle.
+Gauss node (Golub-Welsch 1969).  One 60-digit Cholesky factor gives L^{-1}
+and that matrix; float64 `eigh` of it seeds the top eigenvector, one
+60-digit residual step refines it, and beta is its 60-digit Rayleigh
+quotient.  beta is certified in the same arithmetic by two Cholesky tests:
+H0 (beta + tol) - H1 factors and H0 (beta - tol) - H1 does not.
+`validation.bisect_beta` is the oracle.  cond(H0) is lambda_max(H0) times
+lambda_max(L^{-T} L^{-1}), each a refined float64 eigenvector's Rayleigh
+quotient.
+
+All 60-digit work runs on the sequence nu_s 2^{-ks} with k = round(log2
+nu_1).  A power-of-two scaling is exact, so it changes no digit of beta
+(scaled back by 2^k) but keeps Cholesky's absolute pivot test (s < eps)
+from rejecting valid moment sequences of small sigma, whose H0 pivots
+fall below 1e-60 unscaled.  cond(H0) is reported for the unscaled matrix.
 
 H0 carries a relative diagonal ridge (`RIDGE_SCALE`) because the moments
 come from float64 averages: on smooth profiles cond(H0) ~ 1e22 at s_bar = 14,
@@ -137,7 +148,7 @@ def build_pencil(moments: Sequence[float], s_bar: int) -> HankelPencil:
         s_bar=s_bar, nu=nu, H0=np.array(nu)[hankel], H1=np.array(nu)[hankel + 1]
     )
     with mp.workdps(_DPS):
-        if not _chol_succeeds(_regularized_h0(pencil)):
+        if _cholesky(_scaled_pencil(pencil)[1]) is None:
             raise InvalidMomentSequenceError(
                 "H0 is not positive definite: not a valid moment sequence "
                 f"(nu = {nu[:4]}...)"
@@ -145,35 +156,118 @@ def build_pencil(moments: Sequence[float], s_bar: int) -> HankelPencil:
     return pencil
 
 
-def _to_mp(M: np.ndarray) -> "mp.matrix":
-    return mp.matrix(M.tolist())
+def _scaled_pencil(pencil: HankelPencil) -> Tuple[int, list, list]:
+    """(k, H0r, H1) for the sequence nu_s 2^{-ks}, k = round(log2 nu_1), as
+    rows of 60-digit numbers; H0r carries the ridge.  Call inside
+    ``mp.workdps(_DPS)``.
+
+    Scaling by a power of two is exact, so every sum below scales exactly
+    and only Cholesky's absolute pivot test (``s < eps``) sees k: with
+    nu_1 ~ 1 it no longer rejects valid small-sigma sequences.  The pencil's
+    eigenvalues scale by 2^{-k}.
+    """
+    nu1 = abs(pencil.nu[1])
+    k = round(math.log2(nu1)) if nu1 > 0 else 0
+    nu = [mp.ldexp(mpf(v), -k * s) for s, v in enumerate(pencil.nu)]
+    ridge = 1 + mpf(RIDGE_SCALE)
+    m = pencil.s_bar + 1
+    H0r = [[nu[i + j] * ridge if i == j else nu[i + j] for j in range(m)] for i in range(m)]
+    H1 = [[nu[i + j + 1] for j in range(m)] for i in range(m)]
+    return k, H0r, H1
 
 
-def _regularized_h0(pencil: HankelPencil) -> "mp.matrix":
-    H0 = _to_mp(pencil.H0)
-    for i in range(H0.rows):
-        H0[i, i] = H0[i, i] * (1 + mpf(RIDGE_SCALE))
-    return H0
+def _cholesky(A: list) -> Optional[list]:
+    """``mp.cholesky`` on a list of rows: the lower factor as rows L[i] of
+    length i + 1, or None where mp.cholesky raises "not positive-definite".
+
+    The same sums run in the same order, with the same pivot test and the
+    same second write of L[j][j] (mp.cholesky stores sqrt(s), then
+    overwrites it with (A[j][j] - L_j . L_j) / sqrt(s) and divides the
+    column by that), so both accept the same matrices and give the same
+    factor.
+    """
+    n = len(A)
+    eps = +mp.eps
+    L = [[] for _ in range(n)]
+    for j in range(n):
+        row = L[j]
+        s = A[j][j] - mp.fsum(row, absolute=True, squared=True)
+        if s < eps:
+            return None
+        pivot = (A[j][j] - mp.fdot(row, row)) / mp.sqrt(s)
+        for i in range(j + 1, n):
+            L[i].append((A[i][j] - mp.fdot(L[i], row)) / pivot)
+        row.append(pivot)
+    return L
 
 
-def _chol_succeeds(M: "mp.matrix") -> bool:
-    try:
-        mp.cholesky(M)
-        return True
-    except ValueError:
-        return False
+def _shifted(H0r: list, H1: list, x) -> list:
+    """H0r x - H1, entry by entry as mp.matrix computes it."""
+    return [[a * x - b for a, b in zip(r0, r1)] for r0, r1 in zip(H0r, H1)]
 
 
-def _generalized_max_eig(H1: "mp.matrix", H0reg: "mp.matrix") -> mpf:
-    """Largest eigenvalue of the pencil (H1, H0reg) via L^{-1} H1 L^{-T}."""
-    Li = mp.inverse(mp.cholesky(H0reg))
-    B = Li * H1 * Li.T
-    eigs = mp.eigsy((B + B.T) / 2, eigvals_only=True)
-    return max(eigs)
+def _lower_inverse(L: list) -> list:
+    """L^{-1} by forward substitution, as rows W[i] of length i + 1."""
+    W = []
+    for i, Li in enumerate(L):
+        d = Li[i]
+        W.append(
+            [-mp.fdot(Li[j:i], [W[t][j] for t in range(j, i)]) / d for j in range(i)]
+            + [1 / d]
+        )
+    return W
+
+
+def _floats(rows: list) -> np.ndarray:
+    """Float64 copy of a square matrix given by its rows (lower-triangular
+    rows are padded with zeros)."""
+    out = np.zeros((len(rows), len(rows)))
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = [float(v) for v in row]
+    return out
+
+
+def _times(M: list):
+    """x -> M x for a square matrix given by its rows."""
+    return lambda x: [mp.fdot(row, x) for row in M]
+
+
+def _top_eigenvalue(apply, lam: np.ndarray, V: np.ndarray) -> mpf:
+    """Largest eigenvalue of a symmetric 60-digit operator ``apply`` (x ->
+    M x on lists) from a float64 eigendecomposition of M (``lam`` ascending,
+    eigenvectors in V's columns).
+
+    The float top eigenvector x is off by e ~ eps/gap (eps the float64
+    rounding, gap the relative distance to the next eigenvalue) and its
+    Rayleigh quotient theta by e^2.  One residual step through the other
+    float eigenpairs, x += sum_k V_k (V_k . r) / (theta - lam_k) with
+    r = M x - theta x, leaves an error near e^2 and a quotient error near
+    e^4, far below float64 rounding.  Every Rayleigh quotient is a lower
+    bound on the top eigenvalue, so the larger of the two is kept, and a
+    step that is not finite changes nothing.
+    """
+
+    def rayleigh(x):
+        y = apply(x)
+        return mp.fdot(x, y) / mp.fdot(x, x), y
+
+    x = [mpf(float(c)) for c in V[:, -1]]
+    theta, y = rayleigh(x)
+    r = np.array([float(yi - theta * xi) for xi, yi in zip(x, y)])
+    with np.errstate(all="ignore"):
+        coef = (V[:, :-1].T @ r) / (float(theta) - lam[:-1])
+        step = V[:, :-1] @ coef
+    refined, _ = rayleigh([xi + float(d) for xi, d in zip(x, step)])
+    return refined if refined > theta else theta
 
 
 def sdp_lower_bound(pencil: HankelPencil, tol: float = DEFAULT_TOL) -> SdpResult:
     """Solve min{x > 0 : H0 x - H1 >= 0} as the pencil's largest eigenvalue.
+
+    One Cholesky factor H0r = L L^T of the rescaled pencil gives W = L^{-1}
+    and the Jacobi matrix B = W H1 W^T, all in 60 digits; beta is B's top
+    eigenvalue (`_top_eigenvalue`), and cond(H0r) of the unscaled pencil is
+    lambda_max(H0r) * lambda_max(W^T W), each found the same way.
 
     Raises ArithmeticError when the certificate fails (H0 (beta + tol) - H1
     does not factor or H0 (beta - tol) - H1 does): 60 digits cannot resolve
@@ -182,19 +276,38 @@ def sdp_lower_bound(pencil: HankelPencil, tol: float = DEFAULT_TOL) -> SdpResult
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     with mp.workdps(_DPS):
-        H0r = _regularized_h0(pencil)
-        H1 = _to_mp(pencil.H1)
-        beta = _generalized_max_eig(H1, H0r)
-        half = mpf(tol)
-        if not _chol_succeeds(H0r * (beta + half) - H1) or _chol_succeeds(
-            H0r * (beta - half) - H1
-        ):
+        k, H0r, H1 = _scaled_pencil(pencil)
+        W = _lower_inverse(_cholesky(H0r))
+        m = len(W)
+        # B = W H1 W^T: fdot's zip stops at the shorter row, which is W's
+        # triangle; B is symmetric, so only its lower triangle is summed
+        C = [[mp.fdot(Wi, H1[c]) for c in range(m)] for Wi in W]
+        B = [[mp.fdot(W[j], C[i]) for j in range(i + 1)] for i in range(m)]
+        B = [[B[i][j] if j <= i else B[j][i] for j in range(m)] for i in range(m)]
+        scaled = _top_eigenvalue(_times(B), *np.linalg.eigh(_floats(B)))
+        half = mp.ldexp(mpf(tol), -k)
+        if _cholesky(_shifted(H0r, H1, scaled + half)) is None or _cholesky(
+            _shifted(H0r, H1, scaled - half)
+        ) is not None:
             raise ArithmeticError(
-                f"beta = {mp.nstr(beta, 17)} is not certified to within tol = {tol}: "
-                f"{_DPS}-digit Cholesky cannot separate beta - tol from beta + tol"
+                f"beta = {mp.nstr(mp.ldexp(scaled, k), 17)} is not certified to within "
+                f"tol = {tol}: {_DPS}-digit Cholesky cannot separate beta - tol from beta + tol"
             )
-        eigs = mp.eigsy(H0r, eigvals_only=True)
-        condition = float(max(eigs) / min(eigs))
+        beta = mp.ldexp(scaled, k)
+        # cond of the unscaled H0r = D^{-1} H0r D^{-1}, D = diag(2^{-ki}),
+        # whose inverse factor is W D
+        H0u = [[mp.ldexp(v, k * (i + j)) for j, v in enumerate(row)] for i, row in enumerate(H0r)]
+        Wu = [[mp.ldexp(v, -k * j) for j, v in enumerate(row)] for row in W]
+
+        def gram(x):  # W^T W x
+            z = [mp.fdot(row, x) for row in Wu]
+            return [mp.fdot([Wu[i][j] for i in range(j, m)], z[j:]) for j in range(m)]
+
+        _, sv, Vt = np.linalg.svd(_floats(Wu))
+        with np.errstate(over="ignore"):
+            lam_gram = sv[::-1] ** 2
+        lam_max = _top_eigenvalue(_times(H0u), *np.linalg.eigh(_floats(H0u)))
+        condition = float(lam_max * _top_eigenvalue(gram, lam_gram, Vt[::-1].T))
 
     return SdpResult(
         beta=float(beta),
@@ -213,7 +326,11 @@ def radius_lower_bound(values: Sequence[float], s: int) -> RadiusBound:
     Vacuous (NaN value) when the bounded moment quantity is non-positive,
     which genuinely happens at small n.
     """
-    m_low = moment_lower_bound(values, s)
+    return _root_bound(moment_lower_bound(values, s), s)
+
+
+def _root_bound(m_low: float, s: int) -> RadiusBound:
+    """m_low^{1/2s}, vacuous (NaN value) when m_low <= 0."""
     if m_low <= 0:
         return RadiusBound(value=math.nan, vacuous=True)
     return RadiusBound(value=m_low ** (1.0 / (2 * s)), vacuous=False)

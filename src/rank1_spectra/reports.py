@@ -10,7 +10,8 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .moments import MomentReport, MomentRow, _limits, _lower_bounds, moment_upper_bound
+from .moments import (MomentReport, MomentRow, _check_order, _limits, _lower_bounds,
+                      moment_upper_bound)
 from .sigma_model import (
     NoLimitError,
     SigmaSpec,
@@ -135,16 +136,17 @@ def radius_table(
 
     ``orders`` requires ``n``.  The largest Lambda index needed is
     max(2*s_bar + 1, max(orders)), and every limit comes from one pass of the
-    tree series.  The defaults of ``s_bar`` and ``sdp_tol`` are
+    tree series; sigma is evaluated once, and every row's lower bound comes
+    from one more pass.  The defaults of ``s_bar`` and ``sdp_tol`` are
     radius_bounds.DEFAULT_SBAR and DEFAULT_TOL, written out because
     radius_bounds is imported only here, at call time.
     """
     from .radius_bounds import (
         RadiusBoundsReport,
         RadiusOrderRow,
+        _root_bound,
         build_pencil,
         moment_sandwich,
-        radius_lower_bound,
         radius_upper_bound,
         sdp_lower_bound,
     )
@@ -155,20 +157,26 @@ def radius_table(
     k_need = 2 * s_bar + 1 if s_bar else 1
     if orders:
         k_need = max(k_need, max(orders))
-    lambdas, source = lambda_vector(spec, k_need, lambda_tol, n)
+    stats = None
+    if orders:
+        for s in sorted(orders):
+            _check_order(s)
+            if n <= s:
+                raise ValueError(f"order s={s} needs n > s, got n={n}")
+        # an explicit sequence's averages need S_{n,k} up to k_need
+        k_stats = k_need if spec.kind == "explicit" else max(orders)
+        stats = sigma_stats(sigma_values(spec, n), k_stats)
+    lambdas, source = lambda_vector(spec, k_need, lambda_tol, n, stats)
     notes = [f"limiting averages: {source}"]
     limits = [float(m) for m in _limits(lambdas, k_need)]
 
     rows = []
     if orders:
-        values = sigma_values(spec, n)
-        smax = float(values.max())
-        smin = float(values.min())
+        lowers = _lower_bounds(stats, max(orders))
+        smax, smin = stats.sigma_max, stats.sigma_min
         K_eff = smax if K is None else K
         for s in sorted(orders):
-            if n <= s:
-                raise ValueError(f"order s={s} needs n > s, got n={n}")
-            lower = radius_lower_bound(values, s)
+            lower = _root_bound(lowers[s - 1], s)
             upper = radius_upper_bound(n, s, K_eff, smax, smin, limits[s - 1])
             companion = None
             if not lower.vacuous:

@@ -25,7 +25,7 @@ from .combinatorics import (
 )
 from .ensemble import EnsembleConfig, empirical_moments, monte_carlo, spectral_sample
 from .moments import limiting_even_moment, moment_lower_bound
-from .radius_bounds import (_DPS, HankelPencil, _chol_succeeds, _regularized_h0, _to_mp,
+from .radius_bounds import (_DPS, HankelPencil, _cholesky, _scaled_pencil, _shifted,
                             build_pencil, sdp_lower_bound)
 from .sigma_model import limiting_averages, parse_sigma_spec, sigma_values
 from .walk_oracle import EntryMomentModel, exact_expected_moment
@@ -199,20 +199,22 @@ def check_moment_scaling() -> Check:
 def bisect_beta(pencil: HankelPencil, tol: float) -> float:
     """Oracle for the SDP: min{x : H0 x - H1 >= 0} on the ridge pencil by
     bisection on the Cholesky feasibility test, to an upper bracket end
-    within tol of the minimum (about 35 factorizations at tol 1e-10)."""
+    within tol of the minimum (about 35 factorizations at tol 1e-10).  It
+    bisects the same power-of-two rescaled pencil as the production solve,
+    to tol 2^{-k}, and scales the bracket end back by 2^k."""
     with mp.workdps(_DPS):
-        H0r = _regularized_h0(pencil)
-        H1 = _to_mp(pencil.H1)
+        k, H0r, H1 = _scaled_pencil(pencil)
+        tol_scaled = mp.ldexp(mpf(tol), -k)
         lo, hi = mpf(0), mpf(1)
-        while not _chol_succeeds(H0r * hi - H1):
+        while _cholesky(_shifted(H0r, H1, hi)) is None:
             lo, hi = hi, 2 * hi
-        while hi - lo >= tol:
+        while hi - lo >= tol_scaled:
             mid = (lo + hi) / 2
-            if _chol_succeeds(H0r * mid - H1):
+            if _cholesky(_shifted(H0r, H1, mid)) is not None:
                 hi = mid
             else:
                 lo = mid
-        return float(hi)
+        return float(mp.ldexp(hi, k))
 
 
 def check_sdp_dual_method(deep: bool) -> Check:

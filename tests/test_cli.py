@@ -1,6 +1,7 @@
 import csv
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -53,6 +54,21 @@ def test_radius_sbar_3(tmp_path):
     assert sdp["s_bar"] == 3
     assert 0.0 < sdp["beta"] <= 4.0
     assert sdp["method_agreement"] <= 10 * sdp["tol"]
+
+
+@pytest.mark.parametrize(
+    "sigma", ["expr:1e-2*exp(-4*i/n)", "expr:0.0078125*exp(-4*i/n)", "const:0.0078125",
+              "const:1000"],
+)
+def test_radius_at_any_sigma_scale(tmp_path, sigma):
+    # small sigma used to fail Cholesky's absolute pivot test ("not a valid
+    # moment sequence"), const:1000 mp.inverse ("numerically singular")
+    out = tmp_path / "radius.json"
+    assert cli.main(["radius", "--sigma", sigma, "--out", str(out)]) == 0
+    sdp = json.loads(out.read_text(encoding="utf-8"))["radius"]["sdp"]
+    scale = float(sigma.split(":")[1].split("*")[0])
+    assert 0.0 < sdp["beta"] <= 4.0 * scale ** 2
+    assert math.isfinite(sdp["condition_estimate"])
 
 
 def test_simulate_histogram_counts_every_eigenvalue(tmp_path):

@@ -2,11 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from rank1_spectra.combinatorics import catalan
 from rank1_spectra.moments import limiting_even_moment, moment_lower_bound
 from rank1_spectra.radius_bounds import (
+    _DPS,
+    RIDGE_SCALE,
     InvalidMomentSequenceError,
+    _cholesky,
+    _floats,
+    _scaled_pencil,
+    _shifted,
+    _times,
+    _top_eigenvalue,
     build_pencil,
     moment_sandwich,
     radius_lower_bound,
@@ -239,3 +248,240 @@ def test_report_builder_defaults_are_the_sdp_defaults():
     params = inspect.signature(radius_table).parameters
     assert params["s_bar"].default == DEFAULT_SBAR
     assert params["sdp_tol"].default == DEFAULT_TOL
+
+
+# --- the 60-digit list arithmetic against mpmath's matrix path --------------
+
+def _mp_ridge_pencil(pencil):
+    """H0 with the ridge and H1 as mp matrices, unscaled."""
+    H0r = mp.matrix(pencil.H0.tolist())
+    for i in range(H0r.rows):
+        H0r[i, i] = H0r[i, i] * (1 + mpf(RIDGE_SCALE))
+    return H0r, mp.matrix(pencil.H1.tolist())
+
+
+def _mp_factors(M):
+    try:
+        mp.cholesky(M)
+        return True
+    except ValueError:
+        return False
+
+
+def _matrix_oracle(pencil, tol):
+    """The mp.matrix solve: beta = max eigsy(L^{-1} H1 L^{-T}) with L from
+    mp.cholesky and L^{-1} from mp.inverse, the two-Cholesky certificate,
+    and cond(H0r) from a full eigsy.  Raises where that path fails."""
+    with mp.workdps(_DPS):
+        H0r, H1 = _mp_ridge_pencil(pencil)
+        Li = mp.inverse(mp.cholesky(H0r))
+        B = Li * H1 * Li.T
+        beta = max(mp.eigsy((B + B.T) / 2, eigvals_only=True))
+        half = mpf(tol)
+        if not _mp_factors(H0r * (beta + half) - H1) or _mp_factors(H0r * (beta - half) - H1):
+            raise ArithmeticError("not certified")
+        eigs = mp.eigsy(H0r, eigvals_only=True)
+        return float(beta), float(max(eigs) / min(eigs))
+
+
+def _exact_cond(pencil, dps=250):
+    """cond(H0r) from an eigsy carried far beyond the matrix's condition."""
+    with mp.workdps(dps):
+        eigs = mp.eigsy(_mp_ridge_pencil(pencil)[0], eigvals_only=True)
+        return float(max(eigs) / min(eigs))
+
+
+def _battery():
+    """80 pencils: the exp profile at eight s_bar, Catalan at 14, and 71
+    random atomic measures with atoms at scales 1 to 1e30."""
+    cases = [(f"exp-{s_bar}", exp_family_moments(2 * s_bar + 1), s_bar, 1e-10)
+             for s_bar in (1, 3, 6, 10, 14, 20, 25, 31)]
+    cases.append(("catalan-14", catalan_moments(29), 14, 1e-10))
+    rng = np.random.default_rng(2024)
+    for case in range(71):
+        scale = 10.0 ** [0, 3, 10, 22, 30][case % 5]
+        s_bar = int(rng.integers(1, 7 if scale < 1e22 else 5))
+        atoms = rng.uniform(0.1, 2.5, size=s_bar + 2) * scale
+        weights = rng.dirichlet(np.ones(s_bar + 2))
+        nu = [float(np.sum(weights * atoms ** t)) for t in range(1, 2 * s_bar + 2)]
+        cases.append((f"atoms-{case}", nu, s_bar, 1e-8))
+    return cases
+
+
+def test_beta_and_cond_match_the_matrix_oracle_bit_for_bit():
+    """Wherever the mp.matrix path certifies, beta is the same float, and so
+    is cond(H0r) unless that path's 60-digit eigsy misses lambda_min (cond
+    up to 1e134 here); there the list path must match a 250-digit eigsy."""
+    compared = rescued = 0
+    for label, nu, s_bar, tol in _battery():
+        pencil = build_pencil(nu, s_bar)
+        with mp.workdps(_DPS):
+            oracle_builds = _mp_factors(_mp_ridge_pencil(pencil)[0])
+        try:
+            want = _matrix_oracle(pencil, tol) if oracle_builds else None
+        except (ArithmeticError, ValueError):
+            want = None
+        res = sdp_lower_bound(pencil, tol)  # never fails where the oracle succeeds
+        if want is None:
+            rescued += 1
+            continue
+        compared += 1
+        assert res.beta == want[0], label
+        if res.condition_estimate != want[1]:
+            assert res.condition_estimate == _exact_cond(pencil), label
+    assert compared >= 60 and compared + rescued == 80
+
+
+def test_cond_beyond_sixty_digits_is_exact():
+    # cond(H0r) ~ 1e145: a 60-digit eigsy misses lambda_min entirely, while
+    # W = L^{-1} of the rescaled pencil carries it to the last bit
+    atoms = (0.5e22, 1e22)
+    nu = [0.5 * (atoms[0] ** t + atoms[1] ** t) for t in range(1, 8)]
+    pencil = build_pencil(nu, 3)
+    res = sdp_lower_bound(pencil, 1e-8)
+    assert res.condition_estimate == _exact_cond(pencil)
+    assert res.condition_estimate > 1e140
+
+
+def _spd_and_indefinite_matrices():
+    rng = np.random.default_rng(99)
+    mats = []
+    for n in (1, 2, 5, 9):
+        G = rng.normal(size=(n, n))
+        mats.append(("spd", G @ G.T + 1e-3 * np.eye(n)))
+        mats.append(("indefinite", G + G.T))
+    mats.append(("hilbert-12", np.array([[1.0 / (i + j + 1) for j in range(12)]
+                                         for i in range(12)])))
+    mats.append(("semidefinite", np.ones((4, 4))))
+    mats.append(("tiny-pivot", np.diag([1.0, 1e-70, 1.0])))
+    return mats
+
+
+def _check_same_cholesky(rows):
+    """The list Cholesky accepts exactly what mp.cholesky accepts and, when
+    it does, returns the same factor entry for entry."""
+    got = _cholesky(rows)
+    try:
+        want = mp.cholesky(mp.matrix(rows))
+    except ValueError:
+        assert got is None
+        return False
+    assert got is not None
+    for i, row in enumerate(got):
+        assert row == [want[i, j] for j in range(i + 1)]
+    return True
+
+
+def test_list_cholesky_is_mp_cholesky_on_spd_and_indefinite_matrices():
+    seen = set()
+    with mp.workdps(_DPS):
+        for kind, M in _spd_and_indefinite_matrices():
+            ok = _check_same_cholesky([[mpf(v) for v in row] for row in M.tolist()])
+            seen.add((kind, ok))
+    assert ("spd", True) in seen and ("indefinite", False) in seen
+    assert ("tiny-pivot", False) in seen and ("semidefinite", False) in seen
+
+
+@pytest.mark.parametrize("s_bar", [3, 14])
+def test_list_cholesky_is_mp_cholesky_on_the_shifted_pencil(s_bar):
+    pencil = build_pencil(exp_family_moments(2 * s_bar + 1), s_bar)
+    tol = 1e-10
+    beta = sdp_lower_bound(pencil, tol).beta
+    with mp.workdps(_DPS):
+        H0r, H1 = _mp_ridge_pencil(pencil)
+        k, H0s, H1s = _scaled_pencil(pencil)
+        for x in (mpf(beta) + tol, mpf(beta) - tol, mpf(beta) + 1e-3, mpf(beta) - 1e-3):
+            unscaled = H0r * x - H1
+            rows = [[unscaled[i, j] for j in range(unscaled.cols)] for i in range(unscaled.rows)]
+            assert _shifted([[H0r[i, j] for j in range(H0r.cols)] for i in range(H0r.rows)],
+                            [[H1[i, j] for j in range(H1.cols)] for i in range(H1.rows)],
+                            x) == rows
+            assert _check_same_cholesky(rows) == (x > beta)
+            assert _check_same_cholesky(_shifted(H0s, H1s, mp.ldexp(x, -k))) == (x > beta)
+
+
+@pytest.mark.parametrize("s_bar", [6, 14])
+def test_refined_eigenvalue_has_sixty_digits(s_bar):
+    # the float eigenvector's own Rayleigh quotient is off by ~1e-32; one
+    # residual step brings it to the 60-digit eigsy value
+    pencil = build_pencil(exp_family_moments(2 * s_bar + 1), s_bar)
+    with mp.workdps(_DPS):
+        _, H0r, _ = _scaled_pencil(pencil)
+        want = max(mp.eigsy(mp.matrix(H0r), eigvals_only=True))
+        got = _top_eigenvalue(_times(H0r), *np.linalg.eigh(_floats(H0r)))
+        assert abs(got / want - 1) < mpf(10) ** -50
+
+
+# --- the power-of-two rescaling ---------------------------------------------
+
+def test_small_sigma_beta_is_the_scaled_beta_bit_for_bit():
+    from rank1_spectra.reports import radius_table
+
+    beta = {}
+    for scale in ("", "0.0078125*"):
+        spec = parse_sigma_spec(f"expr:{scale}exp(-4*i/n)")
+        beta[scale] = radius_table(spec, lambda_tol=1e-7).sdp.beta
+    # sigma -> 2^-7 sigma scales nu_s by 2^-14s and beta by 2^-14
+    assert beta["0.0078125*"] == beta[""] / 16384
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -40, 1e-3, 1.0, 3e5])
+def test_rescaled_pencil_is_exact(scale):
+    atoms = scale * np.array([0.5, 1.0, 1.7, 2.2])
+    nu = [float(np.sum(atoms ** t)) / 4 for t in range(1, 8)]
+    pencil = build_pencil(nu, 3)
+    with mp.workdps(_DPS):
+        H0r, H1 = _mp_ridge_pencil(pencil)
+        k, H0s, H1s = _scaled_pencil(pencil)
+        assert k == round(math.log2(nu[0]))
+        for i in range(4):
+            for j in range(4):
+                assert mp.ldexp(H0s[i][j], k * (i + j)) == H0r[i, j]
+                assert mp.ldexp(H1s[i][j], k * (i + j + 1)) == H1[i, j]
+
+
+def test_two_astronomical_atoms_are_certified():
+    # the mp.matrix path raised ArithmeticError here ("numerically singular")
+    atoms = (0.5e22, 1e22)
+    nu = [0.5 * (atoms[0] ** t + atoms[1] ** t) for t in range(1, 8)]
+    pencil = build_pencil(nu, 3)
+    with pytest.raises(ArithmeticError):
+        _matrix_oracle(pencil, 1e-8)
+    res = sdp_lower_bound(pencil, 1e-8)
+    assert res.beta == pytest.approx(1e22, rel=1e-12)
+    assert abs(res.beta - bisect_beta(pencil, 1e-8)) <= 10 * 1e-8 * 1e22
+
+
+# --- radius_table with --orders ---------------------------------------------
+
+def test_radius_table_orders_evaluate_sigma_once(tmp_path, monkeypatch):
+    from rank1_spectra import moments, reports, sigma_model
+
+    values = np.random.default_rng(5).uniform(0.5, 2.0, size=4000)
+    path = tmp_path / "sigma.txt"
+    path.write_text("\n".join(repr(float(v)) for v in values) + "\n", encoding="utf-8")
+    spec = parse_sigma_spec(f"file:{path}")
+    orders = (2, 5, 9, 20, 40, 64)
+
+    calls = []
+
+    def counting(values, k_max):
+        calls.append(k_max)
+        return sigma_model.sigma_stats(values, k_max)
+
+    for module in (reports, moments):
+        monkeypatch.setattr(module, "sigma_stats", counting)
+    report = reports.radius_table(spec, orders=orders, n=4000, s_bar=3)
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    # each row is what the per-order bounds give
+    n, smax, smin = 4000, float(values.max()), float(values.min())
+    lams = list(sigma_model.sigma_stats(values, 64).partial_sums / n)
+    for row, s in zip(report.rows, orders):
+        lower = radius_lower_bound(values, s)
+        limit = float(limiting_even_moment(lams[:s], s))
+        assert row.s == s
+        assert row.lower == lower
+        assert row.upper == radius_upper_bound(n, s, smax, smax, smin, limit)
+        assert row.upper_companion == moment_sandwich(n, s, lower.value ** (2 * s))[1]
