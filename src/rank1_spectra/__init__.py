@@ -11,7 +11,7 @@ simulation and two brute-force enumeration oracles.
 Names load on first use: ``import rank1_spectra`` imports no submodule, and
 reading a public name imports the one submodule that defines it (PEP 562), so
 a caller pays only for the layers it touches; mpmath, for one, loads with
-``radius_bounds``.
+``radius_bounds`` or for limiting averages.
 """
 
 from importlib import import_module as _import_module
@@ -72,7 +72,6 @@ _MODULE_EXPORTS = {
         "SigmaSpec",
         "SigmaStats",
         "SpecSyntaxError",
-        "growth_diagnostic",
         "limiting_averages",
         "parse_sigma_spec",
         "sigma_stats",

@@ -1,8 +1,9 @@
 """Command-line surface: moment tables, simulations, radius bounds, validation.
 
 Each command loads only its own layers: the handlers import them when they
-run, so ``moments`` never loads mpmath or the Monte Carlo layer, and only
-``validate`` loads the enumeration oracles.
+run, so ``moments`` never loads the Monte Carlo layer and loads mpmath only
+for limiting averages (not for a ``file:`` sigma), and only ``validate``
+loads the enumeration oracles.
 
 Exit codes: 0 success, 1 when a ``validate`` check fails, 2 usage or parse
 errors, 3 numeric or runtime errors.
@@ -29,7 +30,7 @@ USAGE_EXIT = 2
 NUMERIC_EXIT = 3
 # the SDP at s_bar needs m_2 .. m_{2(2 s_bar + 1)}
 _MAX_SBAR = (MAX_ORDER - 1) // 2
-_LAMBDA_TOL_HELP = "relative tolerance of each Lambda_k (the ladder fails at its cap)"
+_LAMBDA_TOL_HELP = "relative tolerance of the test that each Lambda_k has a limit"
 
 
 def _moment_rows_payload(report: MomentReport) -> list:

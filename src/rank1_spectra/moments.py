@@ -36,6 +36,10 @@ MAX_ORDER = 64  # maximum s in m_{2s}
 Number = Union[int, float, Fraction]
 
 
+def _dot(x: Sequence, y: Sequence):
+    return sum(a * b for a, b in zip(x, y))
+
+
 def _tree_series(averages: Sequence[Number], s_max: int) -> list:
     """[m_2, m_4, .., m_{2 s_max}]: sums over R_s of tree_count(profile) * prod averages[j-1]^r_j.
 
@@ -43,14 +47,19 @@ def _tree_series(averages: Sequence[Number], s_max: int) -> list:
     coefficient of its term prod A_j^{r_j} w^{s-1} in phi(w)^{s+1}.  Each
     power phi^j is built once, truncated after w^{s_max-1}; its low
     coefficients are the same sums, in the same order, as a truncation
-    after w^{s-1}.  Ints and Fractions stay exact, anything else is a float;
-    all terms are positive.
+    after w^{s-1}.  Ints and Fractions stay exact, mpmath numbers stay mpf
+    (each coefficient one correctly rounded ``mpmath.fdot``), anything else
+    is a float; all terms are positive.
     """
-    phi = [a if isinstance(a, (int, Fraction)) else float(a) for a in averages[:s_max]]
+    phi = [a if isinstance(a, (int, Fraction)) or hasattr(a, "_mpf_") else float(a)
+           for a in averages[:s_max]]
+    dot = _dot
+    if phi and hasattr(phi[0], "_mpf_"):
+        from mpmath import fdot as dot
     power = list(phi)
     series = []
     for s in range(1, s_max + 1):
-        power = [sum(power[i] * phi[k - i] for i in range(k + 1)) for k in range(s_max)]
+        power = [dot(power[:k + 1], phi[k::-1]) for k in range(s_max)]
         series.append(power[s - 1] * Fraction(2, s + 1))
     return series
 
@@ -76,7 +85,8 @@ def limiting_even_moment(lambdas: Sequence[Number], s: int) -> Number:
     """Moment m_{2s} of the limiting spectral distribution from Lambda_1..Lambda_s.
 
     Exact rational arithmetic when the Lambda values are ints/Fractions
-    (useful for the constant-profile specialization); float otherwise.
+    (useful for the constant-profile specialization), mpf arithmetic at the
+    current mp precision for mpf values, float otherwise.
     """
     return _limits(lambdas, s)[-1]
 

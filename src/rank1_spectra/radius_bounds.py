@@ -19,29 +19,21 @@ one-variable semidefinite program
 
 over the two Hankel moment matrices H0[i][j] = nu_{i+j}, H1[i][j] =
 nu_{i+j+1}; then sqrt(beta) lower-bounds the limiting spectral radius.  The
-minimum is the largest eigenvalue of the pencil (H1, H0): with H0 = L L^T,
-L^{-1} H1 L^{-T} is the Jacobi matrix of the moments and beta its largest
-Gauss node (Golub-Welsch 1969).  One 60-digit Cholesky factor gives L^{-1}
-and that matrix; float64 `eigh` of it seeds the top eigenvector, one
-60-digit residual step refines it, and beta is its 60-digit Rayleigh
-quotient.  beta is certified in the same arithmetic by two Cholesky tests:
-H0 (beta + tol) - H1 factors and H0 (beta - tol) - H1 does not.
-`validation.bisect_beta` is the oracle.  cond(H0) is lambda_max(H0) times
-lambda_max(L^{-T} L^{-1}), each a refined float64 eigenvector's Rayleigh
-quotient.
+minimum is the largest eigenvalue of the pencil (H1, H0), which is the top
+eigenvalue of the moments' Jacobi matrix J (Golub-Welsch 1969).  Gautschi's
+Chebyshev algorithm turns nu_0..nu_{2 s_bar + 1} into J's recurrence
+coefficients (a_k, b_k) in O(s_bar^2) operations.  J - xI is congruent to
+H1 - x H0, so the Sturm count of J at x, the number of negative pivots of
+J - xI, counts the pencil's eigenvalues below x: bisection on it finds beta,
+and the counts at beta - tol and beta + tol certify it.
+`validation.bisect_beta` is the oracle.
 
-All 60-digit work runs on the sequence nu_s 2^{-ks} with k = round(log2
-nu_1).  A power-of-two scaling is exact, so it changes no digit of beta
-(scaled back by 2^k) but keeps Cholesky's absolute pivot test (s < eps)
-from rejecting valid moment sequences of small sigma, whose H0 pivots
-fall below 1e-60 unscaled.  cond(H0) is reported for the unscaled matrix.
-
-H0 carries a relative diagonal ridge (`RIDGE_SCALE`) because the moments
-come from float64 averages: on smooth profiles cond(H0) ~ 1e22 at s_bar = 14,
-and without the ridge their rounding noise makes H0 indefinite by s_bar = 25
-and can push beta above its true value; with it beta is a loose but valid
-lower bound.  The ridge can go once the averages are computed beyond double
-precision.
+cond(H0) grows about 10^1.8 per order, so the recurrence runs at
+max(60, 2 s_bar + 10) digits on moments that carry 2 s_bar + 10 or more
+(`reports.radius_table` computes them so).  Nothing regularises the
+moments: a b_k that vanishes to their own precision means the measure has
+finite support, and a clearly negative one means they are no moment
+sequence.
 """
 
 from __future__ import annotations
@@ -65,41 +57,47 @@ __all__ = [
     "radius_lower_bound",
     "radius_upper_bound",
     "moment_sandwich",
-    "RIDGE_SCALE",
     "DEFAULT_TOL",
     "DEFAULT_SBAR",
 ]
 
-# Relative ridge added to the diagonal of the Hankel moment matrix before any
-# factorization: H0 -> H0 + RIDGE_SCALE * diag(H0).  Scaling the ridge by the
-# matrix's own diagonal (rather than a global norm) keeps the regularized
-# pencil exactly equivariant under nu_s -> c^{2s} nu_s and keeps beta
-# monotone in s_bar, since leading principal submatrices inherit the same
-# regularization.
-RIDGE_SCALE = 1e-14
 DEFAULT_TOL = 1e-10
 DEFAULT_SBAR = 14
-_DPS = 60
+# sigma_{k,k} within this many rounding units of the magnitude that cancels in
+# it is zero to the moments' precision
+_NOISE = 16
+
+
+def _digits(s_bar: int) -> int:
+    """Working precision of the recurrence and the Sturm counts at truncation s_bar."""
+    return max(60, 2 * s_bar + 10)
 
 
 class InvalidMomentSequenceError(ValueError):
-    """The Hankel matrix H0 is not positive definite even after the ridge."""
+    """The moments are not those of a positive measure: some b_k < 0."""
 
 
 @dataclass(frozen=True)
 class HankelPencil:
-    """The two Hankel matrices of a truncated moment sequence.
+    """The two Hankel matrices of a truncated moment sequence and its Jacobi recurrence.
 
-    ``nu`` holds (nu_0, ..., nu_{2 s_bar + 1}) with nu_0 = 1 and nu_s equal
-    to the even moment m_{2s}.  H0 is stored without the ridge; every
-    factorization, and the positive-definiteness check at construction,
-    uses H0 + RIDGE_SCALE * diag(H0).
+    ``nu`` holds (nu_0, ..., nu_{2 s_bar + 1}) as mpf numbers, with nu_0 = 1
+    and nu_s equal to the even moment m_{2s}; H0 and H1 are float64 copies
+    of the Hankel matrices.  ``a`` and ``b`` are the coefficients of the
+    monic orthogonal polynomials p_{k+1} = (x - a_k) p_k - b_k p_{k-1}
+    (b[0] = 0); they stop short of s_bar + 1 entries when the measure has
+    finite support.  ``condition`` is the largest factor by which the
+    recurrence amplified the moments' relative error: about 10^d where it
+    lost d digits.
     """
 
     s_bar: int
-    nu: Tuple[float, ...]
+    nu: Tuple[mpf, ...]
     H0: np.ndarray
     H1: np.ndarray
+    a: Tuple[mpf, ...]
+    b: Tuple[mpf, ...]
+    condition: float
 
 
 @dataclass(frozen=True)
@@ -116,9 +114,10 @@ class RadiusBound:
 
 @dataclass(frozen=True)
 class SdpResult:
-    """``beta`` is certified within ``tol`` of the ridge pencil's minimum;
-    ``method_agreement`` is that half-width (= tol), ``ridge_scale`` is
-    RIDGE_SCALE and ``condition_estimate`` is cond(H0) with the ridge."""
+    """``beta`` is certified within ``tol`` of the pencil's minimum, and
+    ``method_agreement`` is that half-width (= tol).  ``condition_estimate``
+    is the pencil's ``condition`` and ``ridge_scale`` is 0: no
+    regularisation is added."""
 
     beta: float
     sqrt_beta: float
@@ -129,194 +128,118 @@ class SdpResult:
     ridge_scale: float
 
 
-def build_pencil(moments: Sequence[float], s_bar: int) -> HankelPencil:
-    """Assemble the pencil from even moments m_2, m_4, ..., m_{2(2 s_bar + 1)}.
+def build_pencil(moments: Sequence, s_bar: int) -> HankelPencil:
+    """Assemble the pencil and its Jacobi recurrence from m_2, m_4, ..., m_{2(2 s_bar + 1)}.
 
-    ``moments[t-1]`` must hold m_{2t}.  Raises InvalidMomentSequenceError if
-    the ridge-regularized H0 fails Cholesky (e.g. nu_2 < nu_1^2).
+    ``moments[t-1]`` must hold m_{2t}: floats, which carry 53 bits, or mpf
+    numbers, taken to carry the current mp precision.  Raises
+    InvalidMomentSequenceError where the recurrence finds some b_k < 0
+    (e.g. nu_2 < nu_1^2).
     """
     if s_bar < 1:
         raise ValueError(f"s_bar must be >= 1, got {s_bar}")
     needed = 2 * s_bar + 1
     if len(moments) < needed:
         raise ValueError(f"need m_2..m_{2 * needed}, got {len(moments)} moments")
-    nu = (1.0,) + tuple(float(m) for m in moments[:needed])
-    if any(not math.isfinite(v) for v in nu):
-        raise ValueError("moment sequence contains non-finite entries")
+    eps = mpf(2) ** -53 if any(isinstance(m, float) for m in moments[:needed]) else +mp.eps
+    with mp.workdps(_digits(s_bar)):
+        nu = (mpf(1),) + tuple(mp.mpmathify(m) for m in moments[:needed])
+        if not all(mp.isfinite(v) for v in nu):
+            raise ValueError("moment sequence contains non-finite entries")
+        a, b, condition = _chebyshev(nu, eps)
+    floats = np.array([float(v) for v in nu])
     hankel = np.add.outer(np.arange(s_bar + 1), np.arange(s_bar + 1))
-    pencil = HankelPencil(
-        s_bar=s_bar, nu=nu, H0=np.array(nu)[hankel], H1=np.array(nu)[hankel + 1]
-    )
-    with mp.workdps(_DPS):
-        if _cholesky(_scaled_pencil(pencil)[1]) is None:
+    return HankelPencil(s_bar, nu, floats[hankel], floats[hankel + 1], a, b, condition)
+
+
+def _chebyshev(nu: tuple, eps: mpf) -> Tuple[tuple, tuple, float]:
+    """(a, b, condition) from nu_0..nu_{2m-1} by Gautschi's Chebyshev algorithm.
+
+    Row k holds sigma_{k,l} = int p_k x^l dmu, l = k..2m-k-1:
+        sigma_{k,l} = sigma_{k-1,l+1} - a_{k-1} sigma_{k-1,l} - b_{k-1} sigma_{k-2,l},
+        a_k = sigma_{k,k+1} / sigma_{k,k} - sigma_{k-1,k} / sigma_{k-1,k-1},
+        b_k = sigma_{k,k} / sigma_{k-1,k-1}.
+    The same recurrence with every term taken positive bounds what cancels
+    in sigma_{k,k}; a relative input error eps moves sigma_{k,k} by about eps
+    times that bound.  A sigma_{k,k} within _NOISE such errors of zero ends
+    the recurrence (p_k vanishes on the support), a negative one beyond them
+    raises, and ``condition`` is the largest bound / sigma_{k,k}.
+    """
+    m = len(nu) // 2
+    zeros = [0] * len(nu)
+    prev, row, prev_mag, row_mag = zeros, list(nu), zeros, [abs(v) for v in nu]
+    a, b, condition = [nu[1] / nu[0]], [mpf(0)], mpf(1)
+    for k in range(1, m):
+        new, mag = list(zeros), list(zeros)
+        for l in range(k, 2 * m - k):
+            new[l] = row[l + 1] - a[-1] * row[l] - b[-1] * prev[l]
+            mag[l] = row_mag[l + 1] + abs(a[-1]) * row_mag[l] + b[-1] * prev_mag[l]
+        if abs(new[k]) <= _NOISE * eps * mag[k]:
+            break
+        if new[k] < 0:
             raise InvalidMomentSequenceError(
-                "H0 is not positive definite: not a valid moment sequence "
-                f"(nu = {nu[:4]}...)"
+                f"not a valid moment sequence: the Jacobi recurrence has b_{k} = "
+                f"{mp.nstr(new[k] / row[k - 1], 3)} < 0"
             )
-    return pencil
+        a.append(new[k + 1] / new[k] - row[k] / row[k - 1])
+        b.append(new[k] / row[k - 1])
+        condition = max(condition, mag[k] / new[k])
+        prev, row, prev_mag, row_mag = row, new, row_mag, mag
+    return tuple(a), tuple(b), float(condition)
 
 
-def _scaled_pencil(pencil: HankelPencil) -> Tuple[int, list, list]:
-    """(k, H0r, H1) for the sequence nu_s 2^{-ks}, k = round(log2 nu_1), as
-    rows of 60-digit numbers; H0r carries the ridge.  Call inside
-    ``mp.workdps(_DPS)``.
-
-    Scaling by a power of two is exact, so every sum below scales exactly
-    and only Cholesky's absolute pivot test (``s < eps``) sees k: with
-    nu_1 ~ 1 it no longer rejects valid small-sigma sequences.  The pencil's
-    eigenvalues scale by 2^{-k}.
-    """
-    nu1 = abs(pencil.nu[1])
-    k = round(math.log2(nu1)) if nu1 > 0 else 0
-    nu = [mp.ldexp(mpf(v), -k * s) for s, v in enumerate(pencil.nu)]
-    ridge = 1 + mpf(RIDGE_SCALE)
-    m = pencil.s_bar + 1
-    H0r = [[nu[i + j] * ridge if i == j else nu[i + j] for j in range(m)] for i in range(m)]
-    H1 = [[nu[i + j + 1] for j in range(m)] for i in range(m)]
-    return k, H0r, H1
-
-
-def _cholesky(A: list) -> Optional[list]:
-    """``mp.cholesky`` on a list of rows: the lower factor as rows L[i] of
-    length i + 1, or None where mp.cholesky raises "not positive-definite".
-
-    The same sums run in the same order, with the same pivot test and the
-    same second write of L[j][j] (mp.cholesky stores sqrt(s), then
-    overwrites it with (A[j][j] - L_j . L_j) / sqrt(s) and divides the
-    column by that), so both accept the same matrices and give the same
-    factor.
-    """
-    n = len(A)
-    eps = +mp.eps
-    L = [[] for _ in range(n)]
-    for j in range(n):
-        row = L[j]
-        s = A[j][j] - mp.fsum(row, absolute=True, squared=True)
-        if s < eps:
-            return None
-        pivot = (A[j][j] - mp.fdot(row, row)) / mp.sqrt(s)
-        for i in range(j + 1, n):
-            L[i].append((A[i][j] - mp.fdot(L[i], row)) / pivot)
-        row.append(pivot)
-    return L
-
-
-def _shifted(H0r: list, H1: list, x) -> list:
-    """H0r x - H1, entry by entry as mp.matrix computes it."""
-    return [[a * x - b for a, b in zip(r0, r1)] for r0, r1 in zip(H0r, H1)]
-
-
-def _lower_inverse(L: list) -> list:
-    """L^{-1} by forward substitution, as rows W[i] of length i + 1."""
-    W = []
-    for i, Li in enumerate(L):
-        d = Li[i]
-        W.append(
-            [-mp.fdot(Li[j:i], [W[t][j] for t in range(j, i)]) / d for j in range(i)]
-            + [1 / d]
-        )
-    return W
-
-
-def _floats(rows: list) -> np.ndarray:
-    """Float64 copy of a square matrix given by its rows (lower-triangular
-    rows are padded with zeros)."""
-    out = np.zeros((len(rows), len(rows)))
-    for i, row in enumerate(rows):
-        out[i, : len(row)] = [float(v) for v in row]
-    return out
-
-
-def _times(M: list):
-    """x -> M x for a square matrix given by its rows."""
-    return lambda x: [mp.fdot(row, x) for row in M]
-
-
-def _top_eigenvalue(apply, lam: np.ndarray, V: np.ndarray) -> mpf:
-    """Largest eigenvalue of a symmetric 60-digit operator ``apply`` (x ->
-    M x on lists) from a float64 eigendecomposition of M (``lam`` ascending,
-    eigenvectors in V's columns).
-
-    The float top eigenvector x is off by e ~ eps/gap (eps the float64
-    rounding, gap the relative distance to the next eigenvalue) and its
-    Rayleigh quotient theta by e^2.  One residual step through the other
-    float eigenpairs, x += sum_k V_k (V_k . r) / (theta - lam_k) with
-    r = M x - theta x, leaves an error near e^2 and a quotient error near
-    e^4, far below float64 rounding.  Every Rayleigh quotient is a lower
-    bound on the top eigenvalue, so the larger of the two is kept, and a
-    step that is not finite changes nothing.
-    """
-
-    def rayleigh(x):
-        y = apply(x)
-        return mp.fdot(x, y) / mp.fdot(x, x), y
-
-    x = [mpf(float(c)) for c in V[:, -1]]
-    theta, y = rayleigh(x)
-    r = np.array([float(yi - theta * xi) for xi, yi in zip(x, y)])
-    with np.errstate(all="ignore"):
-        coef = (V[:, :-1].T @ r) / (float(theta) - lam[:-1])
-        step = V[:, :-1] @ coef
-    refined, _ = rayleigh([xi + float(d) for xi, d in zip(x, step)])
-    return refined if refined > theta else theta
+def _count_below(a: tuple, b: tuple, x) -> int:
+    """Eigenvalues of the Jacobi matrix below x: the negative pivots of
+    J - xI (Sturm).  A pivot that is exactly 0 moves just above 0."""
+    count, q = 0, mpf(1)
+    for ak, bk in zip(a, b):
+        q = ak - x - bk / q
+        q = q or mp.eps * (abs(ak) + abs(x))
+        count += q < 0
+    return count
 
 
 def sdp_lower_bound(pencil: HankelPencil, tol: float = DEFAULT_TOL) -> SdpResult:
-    """Solve min{x > 0 : H0 x - H1 >= 0} as the pencil's largest eigenvalue.
+    """Solve min{x > 0 : H0 x - H1 >= 0} as the top eigenvalue of the pencil's
+    Jacobi matrix, by bisection on its Sturm count.
 
-    One Cholesky factor H0r = L L^T of the rescaled pencil gives W = L^{-1}
-    and the Jacobi matrix B = W H1 W^T, all in 60 digits; beta is B's top
-    eigenvalue (`_top_eigenvalue`), and cond(H0r) of the unscaled pencil is
-    lambda_max(H0r) * lambda_max(W^T W), each found the same way.
-
-    Raises ArithmeticError when the certificate fails (H0 (beta + tol) - H1
-    does not factor or H0 (beta - tol) - H1 does): 60 digits cannot resolve
-    beta to tol, as for a support near 1e60 at tol 1e-8.
+    The bracket starts at [max a_k, Gershgorin's bound] and halves until it
+    is narrower than tol and than 2^-64 of its upper end, past float64's 53
+    bits; beta is its midpoint.  Raises ArithmeticError when the certificate
+    fails (not every eigenvalue lies below beta + tol, or none at or above
+    beta - tol): the working digits cannot resolve beta to tol, as for a
+    support near 1e60 at tol 1e-8.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    with mp.workdps(_DPS):
-        k, H0r, H1 = _scaled_pencil(pencil)
-        W = _lower_inverse(_cholesky(H0r))
-        m = len(W)
-        # B = W H1 W^T: fdot's zip stops at the shorter row, which is W's
-        # triangle; B is symmetric, so only its lower triangle is summed
-        C = [[mp.fdot(Wi, H1[c]) for c in range(m)] for Wi in W]
-        B = [[mp.fdot(W[j], C[i]) for j in range(i + 1)] for i in range(m)]
-        B = [[B[i][j] if j <= i else B[j][i] for j in range(m)] for i in range(m)]
-        scaled = _top_eigenvalue(_times(B), *np.linalg.eigh(_floats(B)))
-        half = mp.ldexp(mpf(tol), -k)
-        if _cholesky(_shifted(H0r, H1, scaled + half)) is None or _cholesky(
-            _shifted(H0r, H1, scaled - half)
-        ) is not None:
+    a, b, m = pencil.a, pencil.b, len(pencil.a)
+    digits = _digits(pencil.s_bar)
+    with mp.workdps(digits):
+        root = [mp.sqrt(v) for v in b[1:]] + [0]
+        lo = max(a)
+        hi = max(ak + rk + rl for ak, rk, rl in zip(a, [0] + root, root))
+        while hi - lo > min(tol, abs(hi) * mpf(2) ** -64):
+            mid = (lo + hi) / 2
+            if mid in (lo, hi):
+                break
+            if _count_below(a, b, mid) == m:
+                hi = mid
+            else:
+                lo = mid
+        beta = (lo + hi) / 2
+        if _count_below(a, b, beta + tol) != m or _count_below(a, b, beta - tol) == m:
             raise ArithmeticError(
-                f"beta = {mp.nstr(mp.ldexp(scaled, k), 17)} is not certified to within "
-                f"tol = {tol}: {_DPS}-digit Cholesky cannot separate beta - tol from beta + tol"
+                f"beta = {mp.nstr(beta, 17)} is not certified to within tol = {tol}: "
+                f"{digits}-digit Sturm counts cannot separate beta - tol from beta + tol"
             )
-        beta = mp.ldexp(scaled, k)
-        # cond of the unscaled H0r = D^{-1} H0r D^{-1}, D = diag(2^{-ki}),
-        # whose inverse factor is W D
-        H0u = [[mp.ldexp(v, k * (i + j)) for j, v in enumerate(row)] for i, row in enumerate(H0r)]
-        Wu = [[mp.ldexp(v, -k * j) for j, v in enumerate(row)] for row in W]
-
-        def gram(x):  # W^T W x
-            z = [mp.fdot(row, x) for row in Wu]
-            return [mp.fdot([Wu[i][j] for i in range(j, m)], z[j:]) for j in range(m)]
-
-        _, sv, Vt = np.linalg.svd(_floats(Wu))
-        with np.errstate(over="ignore"):
-            lam_gram = sv[::-1] ** 2
-        lam_max = _top_eigenvalue(_times(H0u), *np.linalg.eigh(_floats(H0u)))
-        condition = float(lam_max * _top_eigenvalue(gram, lam_gram, Vt[::-1].T))
-
     return SdpResult(
         beta=float(beta),
         sqrt_beta=math.sqrt(max(float(beta), 0.0)),
         method_agreement=tol,
         s_bar=pencil.s_bar,
         tol=tol,
-        condition_estimate=condition,
-        ridge_scale=RIDGE_SCALE,
+        condition_estimate=pencil.condition,
+        ridge_scale=0.0,
     )
 
 

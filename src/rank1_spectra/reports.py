@@ -1,7 +1,8 @@
 """Builders gluing the sigma/moments/radius layers into reports.
 
 ``radius_table`` imports ``radius_bounds`` (and so mpmath) when called, so
-building a moment table never loads the SDP layer.
+building a moment table never loads the SDP layer; it loads mpmath only for
+limiting averages.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import numpy as np
 from .moments import (MomentReport, MomentRow, _check_order, _limits, _lower_bounds,
                       moment_upper_bound)
 from .sigma_model import (
+    _LIMIT_LEVEL,
+    DEFAULT_DIGITS,
     NoLimitError,
     SigmaSpec,
     SigmaStats,
@@ -35,32 +38,35 @@ def lambda_vector(
     tol: float = DEFAULT_LAMBDA_TOL,
     n: Optional[int] = None,
     stats: Optional[SigmaStats] = None,
-) -> Tuple[np.ndarray, str]:
+    digits: int = DEFAULT_DIGITS,
+) -> Tuple[Sequence, str]:
     """Lambda_1..Lambda_k and a note naming their source.
 
-    Constant specs are exact; expression specs use the extrapolated doubling
-    ladder, the note names its rungs and final n, and a ladder capped before
-    converging raises NoLimitError.  Explicit sequences have no limit, so the
-    finite-n averages S_{n,k}/n stand in (with n defaulting to the full
-    sequence length) and the note says so; ``stats``, the caller's
-    sigma_stats of those n values with k_max or more sums, spares evaluating
-    them again.
+    Constant and expression specs give mpf numbers to about ``digits``
+    digits (`limiting_averages`); the note of an expression names the
+    quadrature's levels, nodes and digits, and one that fails the limit
+    test or does not settle raises NoLimitError.  Explicit sequences have no
+    limit, so the float finite-n averages S_{n,k}/n stand in (with n
+    defaulting to the full sequence length) and the note says so; ``stats``,
+    the caller's sigma_stats of those n values with k_max or more sums,
+    spares evaluating them again.
     """
     if spec.kind == "explicit":
         n_eff = n if n is not None else len(spec.payload)
         if stats is None:
             stats = sigma_stats(sigma_values(spec, n_eff), k_max)
         return stats.partial_sums[:k_max] / n_eff, f"finite-n averages S_{{n,k}}/n at n={n_eff}"
-    la = limiting_averages(spec, k_max, tol)
+    la = limiting_averages(spec, k_max, tol, digits)
     if spec.kind == "constant":
         return la.values, "exact (constant sigma)"
+    work = f"{la.levels} levels, {la.nodes} nodes, {la.digits} digits"
     if not la.converged.all():
-        raise NoLimitError(
-            f"the Lambda ladder did not converge to relative tol={tol:g} in {la.rungs} rungs "
-            f"(final n={la.final_n}): the profile may have no limit; try a larger --lambda-tol"
-        )
-    note = f"doubling ladder, Richardson-extrapolated: {la.rungs} rungs, final n={la.final_n}"
-    return la.values, note
+        k = int(np.argmin(la.converged)) + 1
+        cause = ("the profile may have no limit; try a larger --lambda-tol"
+                 if la.levels == _LIMIT_LEVEL else
+                 f"its quadrature did not settle to {la.digits} digits")
+        raise NoLimitError(f"Lambda_{k} did not converge to relative tol={tol:g} ({work}): {cause}")
+    return la.values, f"tanh-sinh quadrature of the pointwise limit: {work}"
 
 
 def moment_table(
@@ -77,8 +83,8 @@ def moment_table(
     With ``n`` given the finite-n lower/upper bounds are included; the upper
     bound takes K = sigma_max unless overridden.  ``empirical`` maps order ->
     (mean, stderr) pairs to attach Monte Carlo columns.  Sigma is evaluated
-    once, and the limits and the lower bounds' main terms each come from one
-    pass of the tree series.
+    once, and the limits (in float64) and the lower bounds' main terms each
+    come from one pass of the tree series.
     """
     stats = None
     if n is not None:
@@ -90,7 +96,7 @@ def moment_table(
             K = stats.sigma_max
     lambdas, source = lambda_vector(spec, s_max, lambda_tol, n, stats)
     notes = [f"limiting averages: {source}"]
-    limits = _limits(lambdas, s_max)
+    limits = _limits([float(a) for a in lambdas], s_max)
     lowers = _lower_bounds(stats, min(s_max, n - 1)) if stats is not None else []
     rows = []
     for s in range(1, s_max + 1):
@@ -136,11 +142,14 @@ def radius_table(
 
     ``orders`` requires ``n``.  The largest Lambda index needed is
     max(2*s_bar + 1, max(orders)), and every limit comes from one pass of the
-    tree series; sigma is evaluated once, and every row's lower bound comes
-    from one more pass.  The defaults of ``s_bar`` and ``sdp_tol`` are
-    radius_bounds.DEFAULT_SBAR and DEFAULT_TOL, written out because
-    radius_bounds is imported only here, at call time.
+    tree series, run in mpf at the 2*s_bar + 10 digits (at least
+    DEFAULT_DIGITS) that the SDP needs; sigma is evaluated once, and every
+    row's lower bound comes from one more pass.  The defaults of ``s_bar``
+    and ``sdp_tol`` are radius_bounds.DEFAULT_SBAR and DEFAULT_TOL, written
+    out because radius_bounds is imported only here, at call time.
     """
+    from mpmath import mp, mpf
+
     from .radius_bounds import (
         RadiusBoundsReport,
         RadiusOrderRow,
@@ -166,9 +175,13 @@ def radius_table(
         # an explicit sequence's averages need S_{n,k} up to k_need
         k_stats = k_need if spec.kind == "explicit" else max(orders)
         stats = sigma_stats(sigma_values(spec, n), k_stats)
-    lambdas, source = lambda_vector(spec, k_need, lambda_tol, n, stats)
+    digits = max(DEFAULT_DIGITS, 2 * (s_bar or 0) + 10)
+    with mp.workdps(digits):
+        lambdas, source = lambda_vector(spec, k_need, lambda_tol, n, stats, digits)
+        series = _limits([mpf(a) for a in lambdas], k_need)
+        pencil = build_pencil(series[: 2 * s_bar + 1], s_bar) if s_bar else None
     notes = [f"limiting averages: {source}"]
-    limits = [float(m) for m in _limits(lambdas, k_need)]
+    limits = [float(m) for m in series]
 
     rows = []
     if orders:
@@ -195,11 +208,9 @@ def radius_table(
     sdp = None
     asymptotic_root = None
     if s_bar:
-        ms = limits[: 2 * s_bar + 1]
-        pencil = build_pencil(ms, s_bar)
         sdp = sdp_lower_bound(pencil, sdp_tol)
         top = 2 * s_bar + 1
-        asymptotic_root = ms[-1] ** (1.0 / (2 * top))
+        asymptotic_root = limits[top - 1] ** (1.0 / (2 * top))
 
     return RadiusBoundsReport(
         rows=tuple(rows),

@@ -7,16 +7,20 @@ everything downstream: the partial sums S_{n,k} = sum_i sigma_i^k, the
 extremes sigma_max / sigma_min, and the limiting averages
 Lambda_k = lim_n (1/n) S_{n,k}.
 
-The limiting averages come from a doubling ladder n = 10^4, 2*10^4, ... of
-Riemann sums (1/n) S_{n,k}, Richardson-extrapolated in powers of 1/n
-(Richardson's deferred approach to the limit; Romberg 1955): a handful of
-rungs reach the accuracy that the plain sums, whose error falls only like
-1/n, would need millions of points for.  The work per call is capped.
+The limiting averages of an expression are integrals of its pointwise limit:
+with i = xN at a huge N, Lambda_k = int_{1/N}^1 f(xN, N)^k dx, evaluated in
+mpmath by tanh-sinh quadrature (Takahasi-Mori 1974) to a requested number of
+digits.  One node set serves every k: f is evaluated once per node and the
+powers come from running products.  The same sums at 10^10 N on a coarse
+level test that the limit exists; a profile without one, such as
+1 + log(i), fails that test before the step is refined.  mpmath is imported
+only when limiting averages are requested.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -33,14 +37,13 @@ __all__ = [
     "sigma_values",
     "sigma_stats",
     "limiting_averages",
-    "growth_diagnostic",
 ]
 
-# Doubling ladder for Lambda_k: start here, stop after this many doublings
-# (final n <= 4.1e7, at most 8.2e7 points evaluated in all).
-LADDER_START = 10_000
-LADDER_MAX_DOUBLINGS = 12
-_CHUNK = 1 << 20  # points per evaluated chunk of a rung; bounds the ladder's memory
+DEFAULT_DIGITS = 30  # working precision of Lambda_k unless the caller asks for more
+# tanh-sinh levels (step 2^-level): the limit test runs on the nodes of
+# _LIMIT_LEVEL, and the step stops halving at _MAX_LEVEL
+_LIMIT_LEVEL = 2
+_MAX_LEVEL = 8
 
 
 class SpecSyntaxError(ValueError):
@@ -60,7 +63,8 @@ class SigmaDomainError(ValueError):
 
 
 class NoLimitError(ValueError):
-    """Raised when limiting averages are requested for an explicit (finite) sequence."""
+    """Raised when limiting averages are requested for an explicit (finite)
+    sequence, or for a profile whose averages do not settle."""
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +79,7 @@ class NoLimitError(ValueError):
 # ---------------------------------------------------------------------------
 
 Node = tuple
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class _ExprParser:
@@ -197,7 +202,10 @@ class _ExprParser:
         raise self.fail(f"unknown identifier {word!r}")
 
 
-def _eval_node(node: Node, i: np.ndarray, n: float):
+def _eval_node(node: Node, i, n, ns=np):
+    """Evaluate a parsed expression at index i and dimension n.  ``ns``
+    supplies exp, log and power: numpy for arrays of indices, mpmath's ``mp``
+    for one mpf point."""
     op = node[0]
     if op == "num":
         return node[1]
@@ -206,24 +214,14 @@ def _eval_node(node: Node, i: np.ndarray, n: float):
     if op == "n":
         return n
     if op == "neg":
-        return -_eval_node(node[1], i, n)
-    if op == "exp":
-        return np.exp(_eval_node(node[1], i, n))
-    if op == "log":
-        return np.log(_eval_node(node[1], i, n))
-    a = _eval_node(node[1], i, n)
-    b = _eval_node(node[2], i, n)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
+        return -_eval_node(node[1], i, n, ns)
+    if op in ("exp", "log"):
+        return getattr(ns, op)(_eval_node(node[1], i, n, ns))
+    a = _eval_node(node[1], i, n, ns)
+    b = _eval_node(node[2], i, n, ns)
     if op == "^":
-        return np.power(a, b)
-    raise AssertionError(f"bad node {node!r}")
+        return ns.power(a, b)
+    return _BINARY[op](a, b)
 
 
 @dataclass(frozen=True)
@@ -260,36 +258,37 @@ class SigmaSpec:
 
 @dataclass(frozen=True)
 class LimitingAverages:
-    """Result of the extrapolated doubling-ladder estimate of Lambda_1..Lambda_k.
+    """Lambda_1..Lambda_k as mpf numbers good to about ``digits`` digits.
 
-    ``values`` is the newest fully extrapolated estimate; ``rungs`` counts the
-    doublings done and ``final_n`` is the largest n summed (both 0 for a
-    constant spec, which is exact).  ``converged[k-1]`` is False when the
-    ladder hit its cap before two successive extrapolated estimates for
-    Lambda_k agreed to the relative tolerance; ``values`` then still carries
-    the last estimate.
+    ``levels`` counts the quadrature's step halvings and ``nodes`` the
+    points at which sigma was evaluated (both 0 for a constant spec, whose
+    powers are exact).  ``converged[k-1]`` is False when Lambda_k failed the
+    limit test or the quadrature had not settled by its last level;
+    ``values`` then still carries the last estimate.
     """
 
-    values: np.ndarray
+    values: tuple
     converged: np.ndarray
-    final_n: int
-    rungs: int
+    levels: int
+    nodes: int
+    digits: int
+
+    # the benchmark's tracer reads the work under these names
+    rungs = property(lambda self: self.levels)
+    final_n = property(lambda self: self.nodes)
 
 
 @dataclass(frozen=True)
 class SigmaStats:
     """Partial sums and extremes of a finite sigma vector.
 
-    ``partial_sums[k-1]`` is S_{n,k} for k = 1..k_max.  ``limiting_averages``
-    is attached when the caller also ran the ladder (None otherwise: a bare
-    value vector does not determine the limit).
+    ``partial_sums[k-1]`` is S_{n,k} for k = 1..k_max.
     """
 
     n: int
     partial_sums: np.ndarray
     sigma_max: float
     sigma_min: float
-    limiting_averages: Optional[LimitingAverages] = None
 
 
 def parse_sigma_spec(text: str) -> SigmaSpec:
@@ -399,34 +398,20 @@ def _power_sums(v: np.ndarray, k_max: int) -> list:
     return sums
 
 
-def _ladder_averages(spec: SigmaSpec, k_max: int, n: int) -> np.ndarray:
-    """(1/n) S_{n,k} for k = 1..k_max, evaluated in chunks."""
-    chunks = []
-    for start in range(1, n + 1, _CHUNK):
-        stop = min(start + _CHUNK - 1, n)
-        idx = np.arange(start, stop + 1, dtype=np.float64)
-        vals = spec.evaluate(idx, n)
-        _check_positive(vals, first_index=start)
-        chunks.append(_power_sums(vals, k_max))
-    return np.array([math.fsum(t) / n for t in zip(*chunks)])
+def limiting_averages(
+    spec: SigmaSpec, k_max: int, tol: float, digits: int = DEFAULT_DIGITS
+) -> LimitingAverages:
+    """Lambda_k = lim (1/n) S_{n,k} for k = 1..k_max, to about ``digits`` digits.
 
-
-def limiting_averages(spec: SigmaSpec, k_max: int, tol: float) -> LimitingAverages:
-    """Estimate Lambda_k = lim (1/n) S_{n,k} on an extrapolated doubling ladder.
-
-    The ladder starts at n = 10^4 and doubles n.  Rung r adds the Riemann
-    sums T_0 = (1/n) S_{n,k} and extends the Richardson row over the previous
-    rung's row R: T_p = T_{p-1} + (T_{p-1} - R_{p-1}) / (2^p - 1) for
-    p = 1..r, removing the error terms in 1/n, 1/n^2, ... one power at a
-    time.  Every integer power is removed, not only the even ones of the
-    Euler-Maclaurin expansion for specs in i/n: a spec in i alone can carry
-    odd powers (1 + 1/(i(i+1)(i+2)) has 1/n^3).  The ladder stops once the
-    newest diagonal entry T_r and the previous one R_{r-1} satisfy
-    |T_r - R_{r-1}| < tol * |T_r| for every k (relative, so averages far
-    from 1 settle too), and returns T_r.  After LADDER_MAX_DOUBLINGS
-    doublings it stops anyway, and the flags of the unsettled entries are
-    False.  Explicit sequences carry no limit: use S_{n,k}/n from
-    `sigma_stats` instead.
+    A constant c gives c^k.  An expression f gives int_{1/N}^1 f(xN, N)^k dx
+    at N = 10^(digits + 5), by tanh-sinh quadrature on the nodes
+    x = 1/N + (1 - 1/N) / (1 + exp(-pi sinh t)), t = j 2^-level, out to
+    10^-10 / N from the ends; each level adds the midpoints of the last.  At
+    _LIMIT_LEVEL the same sums at 10^10 N must agree to the relative ``tol``
+    (the limit test; a failure returns at once).  Then the step halves until
+    two levels agree to half the digits, whose square bounds the error, or
+    _MAX_LEVEL is reached.  Explicit sequences carry no limit: use S_{n,k}/n
+    from `sigma_stats` instead.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -437,58 +422,97 @@ def limiting_averages(spec: SigmaSpec, k_max: int, tol: float) -> LimitingAverag
             "explicit sigma sequences have no limiting averages; "
             "use sigma_stats(values, k_max).partial_sums / n for the finite-n version"
         )
-    if spec.kind == "constant":
-        c = float(spec.payload)
-        values = np.array([c ** k for k in range(1, k_max + 1)])
-        return LimitingAverages(values, np.ones(k_max, dtype=bool), final_n=0, rungs=0)
+    from mpmath import mp, mpf
 
-    n = LADDER_START
-    row = [_ladder_averages(spec, k_max, n)]
-    for rung in range(1, LADDER_MAX_DOUBLINGS + 1):
-        n *= 2
-        new = [_ladder_averages(spec, k_max, n)]
-        for p, old in enumerate(row, start=1):
-            new.append(new[-1] + (new[-1] - old) / (2 ** p - 1))
-        converged = np.abs(new[-1] - row[-1]) < tol * np.abs(new[-1])
-        row = new
-        if converged.all():
-            break
-    return LimitingAverages(row[-1], converged, final_n=n, rungs=rung)
+    with mp.workdps(digits):
+        if spec.kind == "constant":
+            c = mpf(spec.payload)
+            values = tuple(c ** k for k in range(1, k_max + 1))
+            return LimitingAverages(values, np.ones(k_max, dtype=bool), 0, 0, digits)
+        N = mpf(10) ** (digits + 5)
+        t_max = mp.asinh(mp.log(N * 10 ** 10) / mp.pi)
+        sums, far_sums, nodes = [0] * k_max, [0] * k_max, 0
+        for level in range(_MAX_LEVEL + 1):
+            h = mpf(2) ** -level
+            grid = [_abscissa(j * h) for j in range(-int(t_max / h), int(t_max / h) + 1)
+                    if level == 0 or j % 2]
+            sums = [s + d for s, d in zip(sums, _node_sums(spec.payload, k_max, N, grid))]
+            nodes += len(grid)
+            estimate = [s * h for s in sums]
+            if level <= _LIMIT_LEVEL:
+                far = _node_sums(spec.payload, k_max, N * 10 ** 10, grid)
+                far_sums = [s + d for s, d in zip(far_sums, far)]
+                nodes += len(grid)
+            if level == _LIMIT_LEVEL:
+                converged = np.array([abs(e - f * h) <= tol * abs(e)
+                                      for e, f in zip(estimate, far_sums)])
+                if not converged.all():
+                    break
+            elif level > _LIMIT_LEVEL:
+                settled = np.array([abs(e - p) <= abs(e) * mpf(10) ** -(digits // 2 + 2)
+                                    for e, p in zip(estimate, previous)])
+                if settled.all():
+                    break
+            previous = estimate
+        else:
+            converged &= settled
+    return LimitingAverages(tuple(estimate), converged, level, nodes, digits)
 
 
-def growth_diagnostic(spec: SigmaSpec, n_grid: Optional[Sequence[int]] = None) -> dict:
-    """Trend report for the growth hypotheses sigma_max = O(log n), sigma_min = Theta(1).
+def _abscissa(t) -> tuple:
+    """(phi, dphi/dt) for phi(t) = 1 / (1 + exp(-pi sinh t)); 1 - phi = e phi
+    keeps either end of (0, 1) free of cancellation."""
+    from mpmath import mp
 
-    Evaluates sigma_max / log(n) and sigma_min on a geometric n-grid and
-    reports the observed direction.  Finite data cannot decide an asymptotic
-    statement, so this is informational only — never a pass/fail.
+    et = mp.exp(t)
+    e = mp.exp(-mp.pi * (et - 1 / et) / 2)
+    phi = 1 / (1 + e)
+    return phi, mp.pi * (et + 1 / et) / 2 * e * phi * phi
+
+
+def _node_sums(tree: Node, k_max: int, N, grid: list) -> list:
+    """sum_t w(t) f(x(t) N, N)^k over the abscissae ``grid`` for k = 1..k_max,
+    with x = 1/N + (1 - 1/N) phi(t) in (1/N, 1) and w = dx/dt."""
+    from mpmath import mp, mpf
+
+    a = 1 / N
+    weights, values = [], []
+    for phi, dphi in grid:
+        weights.append((1 - a) * dphi)
+        i = (a + (1 - a) * phi) * N
+        try:
+            v = mpf(_eval_node(tree, i, N, mp))  # a complex value raises TypeError
+        except (ArithmeticError, TypeError):
+            v = mpf(0)
+        if not (mp.isfinite(v) and v > 0):
+            raise SigmaDomainError(
+                f"sigma has no finite positive value at i/n = {mp.nstr(i / N, 8)}"
+            )
+        values.append(v)
+    return _weighted_power_sums(weights, values, k_max)
+
+
+def _weighted_power_sums(weights: list, values: list, k_max: int) -> list:
+    """sum_j w_j v_j^k for k = 1..k_max over positive mpf weights and values.
+
+    Each term is a Python int mantissa of at least P bits and its own binary
+    exponent: a running product costs one integer multiplication, and each
+    sum of the positive terms is exact until its final rounding.
     """
-    if n_grid is None:
-        n_grid = [100, 400, 1600, 6400, 25600]
-    if spec.kind == "explicit":
-        n_avail = len(spec.payload)
-        n_grid = [n for n in n_grid if n <= n_avail] or [n_avail]
-    rows = []
-    for n in n_grid:
-        v = sigma_values(spec, n)
-        rows.append(
-            {
-                "n": int(n),
-                "sigma_max": float(v.max()),
-                "sigma_min": float(v.min()),
-                "max_over_log_n": float(v.max() / math.log(n)),
-            }
-        )
+    from mpmath import mp, mpf
 
-    def trend(xs):
-        if all(b <= a * (1 + 1e-9) for a, b in zip(xs, xs[1:])):
-            return "nonincreasing"
-        if all(b >= a * (1 - 1e-9) for a, b in zip(xs, xs[1:])):
-            return "nondecreasing"
-        return "mixed"
+    P = mp.prec + 10
 
-    return {
-        "rows": rows,
-        "max_over_log_n_trend": trend([r["max_over_log_n"] for r in rows]),
-        "sigma_min_trend": trend([r["sigma_min"] for r in rows]),
-    }
+    def split(x):  # x = man 2^exp with man of exactly P bits
+        man, exp = x.man_exp
+        return man << (P - man.bit_length()), exp - P + man.bit_length()
+
+    mans, exps = zip(*map(split, weights))
+    vmans, vexps = zip(*map(split, values))
+    sums = []
+    for _ in range(k_max):
+        mans = [(m * v) >> (P - 1) for m, v in zip(mans, vmans)]
+        exps = [e + v + P - 1 for e, v in zip(exps, vexps)]
+        low = min(exps)
+        sums.append(mpf((sum(m << (e - low) for m, e in zip(mans, exps)), low)))
+    return sums

@@ -24,9 +24,9 @@ from .combinatorics import (
     tree_count,
 )
 from .ensemble import EnsembleConfig, empirical_moments, monte_carlo, spectral_sample
-from .moments import limiting_even_moment, moment_lower_bound
-from .radius_bounds import (_DPS, HankelPencil, _cholesky, _scaled_pencil, _shifted,
-                            build_pencil, sdp_lower_bound)
+from .moments import _limits, limiting_even_moment, moment_lower_bound
+from .radius_bounds import HankelPencil, _digits, build_pencil, sdp_lower_bound
+from .reports import radius_table
 from .sigma_model import limiting_averages, parse_sigma_spec, sigma_values
 from .walk_oracle import EntryMomentModel, exact_expected_moment
 
@@ -165,20 +165,22 @@ def _explicit_spec(values):
     return SigmaSpec("explicit", tuple(values), "explicit:inline")
 
 
-def check_lambda_extrapolation() -> Check:
-    """The extrapolated ladder's Lambda_1..Lambda_29 for the exp profile match
-    the closed form (1 - e^{-4k})/(4k) to 1e-12 relative at tol 1e-8."""
-    la = limiting_averages(parse_sigma_spec(EXP_SPEC), 29, 1e-8)
-    exact = np.array([(1 - math.exp(-4 * k)) / (4 * k) for k in range(1, 30)])
-    worst = float(np.max(np.abs(la.values / exact - 1)))
-    passed = bool(la.converged.all()) and worst <= 1e-12
-    detail = f"k=1..29: worst relative error {worst:.1e}, {la.rungs} rungs, final n={la.final_n}"
-    return ("lambda_extrapolation", passed, detail)
+def check_lambda_quadrature() -> Check:
+    """The quadrature's Lambda_1..Lambda_29 for the exp profile match the
+    closed form (1 - e^{-4k})/(4k) to 1e-40 relative at 50 digits."""
+    la = limiting_averages(parse_sigma_spec(EXP_SPEC), 29, 1e-8, digits=50)
+    with mp.workdps(60):
+        worst = max(abs(v * 4 * k / (1 - mp.exp(-4 * k)) - 1) for k, v in enumerate(la.values, 1))
+    passed = bool(la.converged.all()) and worst <= mpf(10) ** -40
+    detail = (f"k=1..29: worst relative error {mp.nstr(worst, 2)}, {la.levels} levels, "
+              f"{la.nodes} nodes, {la.digits} digits")
+    return ("lambda_quadrature", passed, detail)
 
 
 def check_moment_scaling() -> Check:
     """sigma -> c*sigma multiplies m_{2s} by c^{2s} and the lower-bound
-    profile sum by c^{2s} (relative 1e-12)."""
+    profile sum by c^{2s} (relative 1e-12) at c = 2, and the SDP's beta by
+    c^2 at c = 3, a scale that rounds."""
     spec = parse_sigma_spec(EXP_SPEC)
     n, c = 400, 2.0
     values = sigma_values(spec, n)
@@ -193,57 +195,82 @@ def check_moment_scaling() -> Check:
         # the correction term scales the same way, so the bound is covariant
         if abs(lo_scaled - c ** (2 * s) * lo) > 1e-10 * abs(lo_scaled):
             return ("scaling_invariants", False, f"lower bound s={s} scaling broke")
-    return ("scaling_invariants", True, "m_{2s} and lower bounds covariant under sigma -> 2*sigma")
+    base, scaled = (radius_table(parse_sigma_spec(f"expr:{c}*exp(-4*i/n)")).sdp.beta
+                    for c in (1, 3))
+    if abs(scaled - 9 * base) > 1e-12 * scaled:
+        return ("scaling_invariants", False, f"beta(3 sigma) = {scaled!r} != 9 * {base!r}")
+    return ("scaling_invariants", True,
+            "m_{2s} and lower bounds covariant under sigma -> 2*sigma, beta under sigma -> 3*sigma")
+
+
+def _factors(M) -> bool:
+    try:
+        mp.cholesky(M)
+    except ValueError:
+        return False
+    return True
 
 
 def bisect_beta(pencil: HankelPencil, tol: float) -> float:
-    """Oracle for the SDP: min{x : H0 x - H1 >= 0} on the ridge pencil by
-    bisection on the Cholesky feasibility test, to an upper bracket end
-    within tol of the minimum (about 35 factorizations at tol 1e-10).  It
-    bisects the same power-of-two rescaled pencil as the production solve,
-    to tol 2^{-k}, and scales the bracket end back by 2^k."""
-    with mp.workdps(_DPS):
-        k, H0r, H1 = _scaled_pencil(pencil)
-        tol_scaled = mp.ldexp(mpf(tol), -k)
+    """Oracle for the SDP: min{x : H0 x - H1 >= 0} by bisection on whether
+    mp.cholesky factors H0 x - H1, to an upper bracket end within tol of the
+    minimum (about 35 factorizations at tol 1e-10).  A measure with
+    finite support leaves H0 singular, so the bisection runs on the largest
+    leading block of H0 that mp.cholesky accepts."""
+    nu, m = pencil.nu, pencil.s_bar + 1
+
+    def hankel(shift):
+        return mp.matrix([[nu[i + j + shift] for j in range(m)] for i in range(m)])
+
+    with mp.workdps(_digits(pencil.s_bar)):
+        while m > 1 and not _factors(hankel(0)):
+            m -= 1
+        H0, H1 = hankel(0), hankel(1)
         lo, hi = mpf(0), mpf(1)
-        while _cholesky(_shifted(H0r, H1, hi)) is None:
+        while not _factors(H0 * hi - H1):
             lo, hi = hi, 2 * hi
-        while hi - lo >= tol_scaled:
+        while hi - lo >= tol:
             mid = (lo + hi) / 2
-            if _cholesky(_shifted(H0r, H1, mid)) is not None:
+            if _factors(H0 * mid - H1):
                 hi = mid
             else:
                 lo = mid
-        return float(mp.ldexp(hi, k))
+        return float(hi)
 
 
 def check_sdp_dual_method(deep: bool) -> Check:
     """The production eigenvalue is within 10*tol of the bisection oracle on
-    random atomic measures and on the named profiles."""
+    random atomic measures and on the named profiles, and the exp profile's
+    beta at s_bar = 14, from 38-digit moments, is 0.6010092398."""
     rng = np.random.default_rng(7)
     tol = 1e-10
     cases = 12 if deep else 6
-    problems = []
+    pencils = []
     for case in range(cases):
         s_bar = int(rng.integers(1, 6))
         atoms = rng.uniform(0.2, 2.0, size=s_bar + 2)
         weights = rng.dirichlet(np.ones(s_bar + 2))
         nu = [float(np.sum(weights * atoms ** t)) for t in range(1, 2 * s_bar + 2)]
-        problems.append((f"case {case}", nu, s_bar))
+        pencils.append((f"case {case}", build_pencil(nu, s_bar)))
     for label, lam_fn in (
         ("constant", lambda k: 1.0),
         ("exp-profile", lambda k: (1 - math.exp(-4 * k)) / (4 * k)),
     ):
-        s_bar = 6
-        lams = [lam_fn(k) for k in range(1, 2 * s_bar + 2)]
-        nu = [float(limiting_even_moment(lams[:s], s)) for s in range(1, 2 * s_bar + 2)]
-        problems.append((label, nu, s_bar))
-    for label, nu, s_bar in problems:
-        pencil = build_pencil(nu, s_bar)
-        gap = abs(sdp_lower_bound(pencil, tol).beta - bisect_beta(pencil, tol))
+        lams = [lam_fn(k) for k in range(1, 14)]
+        nu = [float(limiting_even_moment(lams[:s], s)) for s in range(1, 14)]
+        pencils.append((label, build_pencil(nu, 6)))
+    with mp.workdps(38):
+        lams = [(1 - mp.exp(-4 * k)) / (4 * k) for k in range(1, 30)]
+        pencils.append(("exp-profile at s_bar=14", build_pencil(_limits(lams, 29), 14)))
+    for label, pencil in pencils:
+        beta = sdp_lower_bound(pencil, tol).beta
+        gap = abs(beta - bisect_beta(pencil, tol))
         if gap > 10 * tol:
             return ("sdp_dual_method", False, f"{label}: |eigenvalue - bisection| = {gap:.2e}")
-    return ("sdp_dual_method", True, f"{cases} random measures + 2 named profiles, <= 10*tol")
+    if abs(beta - 0.6010092398) > 1e-9:
+        return ("sdp_dual_method", False, f"exp profile beta(14) = {beta!r} != 0.6010092398")
+    return ("sdp_dual_method", True,
+            f"{cases} random measures + 3 named profiles, <= 10*tol; exp profile beta(14) = {beta:.10f}")
 
 
 def check_simulation_consistency() -> Check:
@@ -293,7 +320,7 @@ def run_all(deep: bool = False) -> List[Check]:
     checks.append(check_profile_realization(deep))
     checks.append(check_series_vs_profile_sum(deep))
     checks.append(check_walk_oracle(deep))
-    checks.append(check_lambda_extrapolation())
+    checks.append(check_lambda_quadrature())
     checks.append(check_moment_scaling())
     checks.append(check_sdp_dual_method(deep))
     checks.append(check_simulation_consistency())

@@ -3,15 +3,17 @@ import importlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
 import pytest
 
 import rank1_spectra
-from rank1_spectra import cli, sigma_model
+from rank1_spectra import cli
 from rank1_spectra.moments import limiting_even_moment
 from rank1_spectra.sigma_model import sigma_stats
 
@@ -168,7 +170,7 @@ PUBLIC_NAMES = [
     "SpecSyntaxError", "SpectralSample", "build_pencil", "catalan", "combinatorics",
     "degree_profile_of", "derive_trial_seed", "dominant_term", "eigenvalues",
     "empirical_moments", "ensemble", "enumerate_degree_profiles", "enumerate_plane_trees",
-    "esd_histogram", "exact_expected_moment", "growth_diagnostic", "lambda_vector",
+    "esd_histogram", "exact_expected_moment", "lambda_vector",
     "limiting_averages", "limiting_even_moment", "moment_lower_bound", "moment_sandwich",
     "moment_table", "moment_upper_bound", "moments", "monte_carlo", "multinomial",
     "odd_moment_bound", "parse_sigma_spec", "radius_bounds", "radius_lower_bound",
@@ -187,12 +189,13 @@ def import_runs(tmp_path_factory):
     quiet = [
         ["moments", "--sigma", f"file:{sigma}", "--n", "6", "--max-order", "8",
          "--out", str(out / "m_file.json")],
-        ["moments", "--sigma", "expr:exp(-4*i/n)", "--max-order", "8",
-         "--out", str(out / "m_expr.json")],
     ] + [
         ["simulate", "--sigma", "const:1", "--n", "20", "--trials", "2", "--dist", dist,
          "--out", str(out / dist)]
         for dist in ("rademacher", "uniform", "truncated_gaussian")
+    ] + [
+        ["moments", "--sigma", "expr:exp(-4*i/n)", "--max-order", "8",
+         "--out", str(out / "m_expr.json")],
     ]
     heavy = [
         ["radius", "--sigma", "expr:exp(-4*i/n)", "--sbar", "3", "--out", str(out / "r.json")],
@@ -221,11 +224,12 @@ def test_each_command_loads_only_its_own_layers(import_runs):
     quiet, heavy = import_runs
     oracles = {"rank1_spectra.validation", "rank1_spectra.walk_oracle",
                "rank1_spectra.combinatorics"}
-    # moments (file and expr sigma), then the three simulate laws
+    # moments (file sigma), the three simulate laws, then moments (expr
+    # sigma), whose limiting averages are the first thing here to need mpmath
     for index, (_, mods) in enumerate(quiet["runs"]):
-        assert "mpmath" not in mods
+        assert ("mpmath" in mods) == (index == 4)
         assert not oracles & set(mods)
-        assert ("rank1_spectra.ensemble" in mods) == (index >= 2)
+        assert ("rank1_spectra.ensemble" in mods) == (index >= 1)
     (_, after_radius), (_, after_validate) = heavy["runs"]
     assert "mpmath" in after_radius  # the detector sees a module that is loaded
     assert "rank1_spectra.ensemble" not in after_radius
@@ -251,13 +255,67 @@ def test_package_names_load_on_first_use(import_runs):
 
 
 @pytest.mark.parametrize("command", ["radius", "moments"])
-def test_unconverged_ladder_exits_3_without_output(tmp_path, monkeypatch, capsys, command):
-    monkeypatch.setattr(sigma_model, "LADDER_MAX_DOUBLINGS", 2)
+def test_unconverged_ladder_exits_3_without_output(tmp_path, capsys, command):
+    # (1/n) sum (1 + log i) grows like log n: the limit test rejects it on the
+    # quadrature's coarse level, well inside the time bound
     out = tmp_path / "out.json"
     argv = [command, "--sigma", "expr:1+log(i)", "--out", str(out)]
     argv += ["--sbar", "1"] if command == "radius" else ["--max-order", "2"]
+    start = time.perf_counter()
     assert cli.main(argv) == cli.NUMERIC_EXIT
+    assert time.perf_counter() - start < 2.0
     assert "--lambda-tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _beta(tmp_path, *argv):
+    out = tmp_path / "radius.json"
+    assert cli.main(["radius", *argv, "--out", str(out)]) == 0
+    return json.loads(out.read_text(encoding="utf-8"))["radius"]["sdp"]["beta"]
+
+
+def test_radius_beta_scales_with_sigma_squared(tmp_path):
+    # the moments carry 38 digits, so beta scales to the last float bit or so
+    base = _beta(tmp_path, "--sigma", "const:1")
+    assert _beta(tmp_path, "--sigma", "const:1000") == pytest.approx(1e6 * base, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def uniform_sigma_file(tmp_path_factory):
+    """4000 values sigma ~ U[0.5, 2] and their exact-sum SDP oracle at s_bar = 14:
+    Lambda_k as exact sums of the float values, bisected in mpmath."""
+    from mpmath import mp, mpf
+
+    from rank1_spectra.moments import _limits
+    from rank1_spectra.radius_bounds import build_pencil
+    from rank1_spectra.validation import bisect_beta
+
+    rng = random.Random(1)
+    values = [rng.uniform(0.5, 2.0) for _ in range(4000)]
+    path = tmp_path_factory.mktemp("uniform") / "sigma.txt"
+    path.write_text("".join(repr(v) + "\n" for v in values), encoding="utf-8")
+    with mp.workdps(80):
+        powers, lams = [mpf(v) for v in values], []
+        for _ in range(29):
+            lams.append(mp.fsum(powers) / len(values))
+            powers = [p * mpf(v) for p, v in zip(powers, values)]
+        pencil = build_pencil(_limits(lams, 29), 14)
+    return f"file:{path}", bisect_beta(pencil, 1e-10)
+
+
+def test_explicit_sigma_beta_matches_the_exact_sum_oracle(tmp_path, uniform_sigma_file):
+    spec, oracle = uniform_sigma_file
+    beta = _beta(tmp_path, "--sigma", spec, "--n", "4000", "--sbar", "14")
+    assert beta == pytest.approx(oracle, rel=1e-8)
+
+
+def test_explicit_sigma_past_its_float_digits_exits_3(tmp_path, capsys, uniform_sigma_file):
+    # at s_bar = 25 the float averages S_{n,k}/n are no longer a moment sequence
+    out = tmp_path / "radius.json"
+    argv = ["radius", "--sigma", uniform_sigma_file[0], "--n", "4000", "--sbar", "25",
+            "--out", str(out)]
+    assert cli.main(argv) == cli.NUMERIC_EXIT
+    assert "not a valid moment sequence" in capsys.readouterr().err
     assert not out.exists()
 
 

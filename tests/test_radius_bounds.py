@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,16 +7,11 @@ from mpmath import mp, mpf
 
 from rank1_spectra.combinatorics import catalan
 from rank1_spectra.moments import limiting_even_moment, moment_lower_bound
+from rank1_spectra.moments import _limits
 from rank1_spectra.radius_bounds import (
-    _DPS,
-    RIDGE_SCALE,
     InvalidMomentSequenceError,
-    _cholesky,
-    _floats,
-    _scaled_pencil,
-    _shifted,
-    _times,
-    _top_eigenvalue,
+    _count_below,
+    _digits,
     build_pencil,
     moment_sandwich,
     radius_lower_bound,
@@ -250,15 +246,15 @@ def test_report_builder_defaults_are_the_sdp_defaults():
     assert params["sdp_tol"].default == DEFAULT_TOL
 
 
-# --- the 60-digit list arithmetic against mpmath's matrix path --------------
+def mp_exp_pencil(s_bar: int, digits: int):
+    """The exp profile's pencil from its closed-form Lambda, with the moments
+    in mpf at ``digits`` digits."""
+    with mp.workdps(digits):
+        lams = [(1 - mp.exp(-4 * k)) / (4 * k) for k in range(1, 2 * s_bar + 2)]
+        return build_pencil(_limits(lams, 2 * s_bar + 1), s_bar)
 
-def _mp_ridge_pencil(pencil):
-    """H0 with the ridge and H1 as mp matrices, unscaled."""
-    H0r = mp.matrix(pencil.H0.tolist())
-    for i in range(H0r.rows):
-        H0r[i, i] = H0r[i, i] * (1 + mpf(RIDGE_SCALE))
-    return H0r, mp.matrix(pencil.H1.tolist())
 
+# --- the Sturm solve against mpmath's matrix path ----------------------------
 
 def _mp_factors(M):
     try:
@@ -268,35 +264,36 @@ def _mp_factors(M):
         return False
 
 
+def _hankel(pencil, shift=0):
+    m = pencil.s_bar + 1
+    return mp.matrix([[pencil.nu[i + j + shift] for j in range(m)] for i in range(m)])
+
+
 def _matrix_oracle(pencil, tol):
     """The mp.matrix solve: beta = max eigsy(L^{-1} H1 L^{-T}) with L from
-    mp.cholesky and L^{-1} from mp.inverse, the two-Cholesky certificate,
-    and cond(H0r) from a full eigsy.  Raises where that path fails."""
-    with mp.workdps(_DPS):
-        H0r, H1 = _mp_ridge_pencil(pencil)
-        Li = mp.inverse(mp.cholesky(H0r))
+    mp.cholesky(H0) and L^{-1} from mp.inverse, certified by mp.cholesky of
+    H0 (beta + tol) - H1 and H0 (beta - tol) - H1.  Raises ArithmeticError
+    where H0 does not factor or the certificate fails."""
+    with mp.workdps(_digits(pencil.s_bar)):
+        H0, H1 = _hankel(pencil), _hankel(pencil, 1)
+        if not _mp_factors(H0):
+            raise ArithmeticError("H0 is not positive definite")
+        Li = mp.inverse(mp.cholesky(H0))
         B = Li * H1 * Li.T
         beta = max(mp.eigsy((B + B.T) / 2, eigvals_only=True))
         half = mpf(tol)
-        if not _mp_factors(H0r * (beta + half) - H1) or _mp_factors(H0r * (beta - half) - H1):
+        if not _mp_factors(H0 * (beta + half) - H1) or _mp_factors(H0 * (beta - half) - H1):
             raise ArithmeticError("not certified")
-        eigs = mp.eigsy(H0r, eigvals_only=True)
-        return float(beta), float(max(eigs) / min(eigs))
-
-
-def _exact_cond(pencil, dps=250):
-    """cond(H0r) from an eigsy carried far beyond the matrix's condition."""
-    with mp.workdps(dps):
-        eigs = mp.eigsy(_mp_ridge_pencil(pencil)[0], eigvals_only=True)
-        return float(max(eigs) / min(eigs))
+        return float(beta)
 
 
 def _battery():
-    """80 pencils: the exp profile at eight s_bar, Catalan at 14, and 71
-    random atomic measures with atoms at scales 1 to 1e30."""
-    cases = [(f"exp-{s_bar}", exp_family_moments(2 * s_bar + 1), s_bar, 1e-10)
+    """80 pencils: the exp profile at eight s_bar from mpf moments, Catalan
+    at 14, and 71 random atomic measures with atoms at scales 1 to 1e30."""
+    cases = [(f"exp-{s_bar}", mp_exp_pencil(s_bar, 2 * s_bar + 10), 1e-10)
              for s_bar in (1, 3, 6, 10, 14, 20, 25, 31)]
-    cases.append(("catalan-14", catalan_moments(29), 14, 1e-10))
+    with mp.workdps(60):  # exact integers, taken at 60 digits rather than 53 bits
+        cases.append(("catalan-14", build_pencil([catalan(s) for s in range(1, 30)], 14), 1e-10))
     rng = np.random.default_rng(2024)
     for case in range(71):
         scale = 10.0 ** [0, 3, 10, 22, 30][case % 5]
@@ -304,115 +301,70 @@ def _battery():
         atoms = rng.uniform(0.1, 2.5, size=s_bar + 2) * scale
         weights = rng.dirichlet(np.ones(s_bar + 2))
         nu = [float(np.sum(weights * atoms ** t)) for t in range(1, 2 * s_bar + 2)]
-        cases.append((f"atoms-{case}", nu, s_bar, 1e-8))
+        cases.append((f"atoms-{case}", build_pencil(nu, s_bar), 1e-8))
     return cases
 
 
-def test_beta_and_cond_match_the_matrix_oracle_bit_for_bit():
-    """Wherever the mp.matrix path certifies, beta is the same float, and so
-    is cond(H0r) unless that path's 60-digit eigsy misses lambda_min (cond
-    up to 1e134 here); there the list path must match a 250-digit eigsy."""
-    compared = rescued = 0
-    for label, nu, s_bar, tol in _battery():
-        pencil = build_pencil(nu, s_bar)
-        with mp.workdps(_DPS):
-            oracle_builds = _mp_factors(_mp_ridge_pencil(pencil)[0])
+def test_beta_matches_the_matrix_oracle():
+    """Wherever the mp.matrix path certifies beta, the Sturm solve finds the
+    same top eigenvalue: the two certified values lie within 2 tol."""
+    compared = 0
+    for label, pencil, tol in _battery():
+        res = sdp_lower_bound(pencil, tol)
         try:
-            want = _matrix_oracle(pencil, tol) if oracle_builds else None
-        except (ArithmeticError, ValueError):
-            want = None
-        res = sdp_lower_bound(pencil, tol)  # never fails where the oracle succeeds
-        if want is None:
-            rescued += 1
+            want = _matrix_oracle(pencil, tol)
+        except ArithmeticError:
             continue
         compared += 1
-        assert res.beta == want[0], label
-        if res.condition_estimate != want[1]:
-            assert res.condition_estimate == _exact_cond(pencil), label
-    assert compared >= 60 and compared + rescued == 80
-
-
-def test_cond_beyond_sixty_digits_is_exact():
-    # cond(H0r) ~ 1e145: a 60-digit eigsy misses lambda_min entirely, while
-    # W = L^{-1} of the rescaled pencil carries it to the last bit
-    atoms = (0.5e22, 1e22)
-    nu = [0.5 * (atoms[0] ** t + atoms[1] ** t) for t in range(1, 8)]
-    pencil = build_pencil(nu, 3)
-    res = sdp_lower_bound(pencil, 1e-8)
-    assert res.condition_estimate == _exact_cond(pencil)
-    assert res.condition_estimate > 1e140
-
-
-def _spd_and_indefinite_matrices():
-    rng = np.random.default_rng(99)
-    mats = []
-    for n in (1, 2, 5, 9):
-        G = rng.normal(size=(n, n))
-        mats.append(("spd", G @ G.T + 1e-3 * np.eye(n)))
-        mats.append(("indefinite", G + G.T))
-    mats.append(("hilbert-12", np.array([[1.0 / (i + j + 1) for j in range(12)]
-                                         for i in range(12)])))
-    mats.append(("semidefinite", np.ones((4, 4))))
-    mats.append(("tiny-pivot", np.diag([1.0, 1e-70, 1.0])))
-    return mats
-
-
-def _check_same_cholesky(rows):
-    """The list Cholesky accepts exactly what mp.cholesky accepts and, when
-    it does, returns the same factor entry for entry."""
-    got = _cholesky(rows)
-    try:
-        want = mp.cholesky(mp.matrix(rows))
-    except ValueError:
-        assert got is None
-        return False
-    assert got is not None
-    for i, row in enumerate(got):
-        assert row == [want[i, j] for j in range(i + 1)]
-    return True
-
-
-def test_list_cholesky_is_mp_cholesky_on_spd_and_indefinite_matrices():
-    seen = set()
-    with mp.workdps(_DPS):
-        for kind, M in _spd_and_indefinite_matrices():
-            ok = _check_same_cholesky([[mpf(v) for v in row] for row in M.tolist()])
-            seen.add((kind, ok))
-    assert ("spd", True) in seen and ("indefinite", False) in seen
-    assert ("tiny-pivot", False) in seen and ("semidefinite", False) in seen
+        assert abs(res.beta - want) <= 2 * tol, label
+    assert compared >= 60
 
 
 @pytest.mark.parametrize("s_bar", [3, 14])
-def test_list_cholesky_is_mp_cholesky_on_the_shifted_pencil(s_bar):
-    pencil = build_pencil(exp_family_moments(2 * s_bar + 1), s_bar)
+def test_sturm_count_matches_mp_cholesky_on_the_shifted_pencil(s_bar):
+    # J - xI is congruent to H1 - x H0: all s_bar + 1 Jacobi eigenvalues lie
+    # below x exactly when H0 x - H1 factors
+    pencil = mp_exp_pencil(s_bar, 2 * s_bar + 10)
     tol = 1e-10
     beta = sdp_lower_bound(pencil, tol).beta
-    with mp.workdps(_DPS):
-        H0r, H1 = _mp_ridge_pencil(pencil)
-        k, H0s, H1s = _scaled_pencil(pencil)
+    with mp.workdps(_digits(s_bar)):
+        H0, H1 = _hankel(pencil), _hankel(pencil, 1)
         for x in (mpf(beta) + tol, mpf(beta) - tol, mpf(beta) + 1e-3, mpf(beta) - 1e-3):
-            unscaled = H0r * x - H1
-            rows = [[unscaled[i, j] for j in range(unscaled.cols)] for i in range(unscaled.rows)]
-            assert _shifted([[H0r[i, j] for j in range(H0r.cols)] for i in range(H0r.rows)],
-                            [[H1[i, j] for j in range(H1.cols)] for i in range(H1.rows)],
-                            x) == rows
-            assert _check_same_cholesky(rows) == (x > beta)
-            assert _check_same_cholesky(_shifted(H0s, H1s, mp.ldexp(x, -k))) == (x > beta)
+            below = _count_below(pencil.a, pencil.b, x) == s_bar + 1
+            assert below == _mp_factors(H0 * x - H1) == (x > beta)
 
 
-@pytest.mark.parametrize("s_bar", [6, 14])
-def test_refined_eigenvalue_has_sixty_digits(s_bar):
-    # the float eigenvector's own Rayleigh quotient is off by ~1e-32; one
-    # residual step brings it to the 60-digit eigsy value
-    pencil = build_pencil(exp_family_moments(2 * s_bar + 1), s_bar)
-    with mp.workdps(_DPS):
-        _, H0r, _ = _scaled_pencil(pencil)
-        want = max(mp.eigsy(mp.matrix(H0r), eigvals_only=True))
-        got = _top_eigenvalue(_times(H0r), *np.linalg.eigh(_floats(H0r)))
-        assert abs(got / want - 1) < mpf(10) ** -50
+def test_condition_bounds_the_digits_lost():
+    # the recurrence from 38-digit moments against one from 120-digit ones:
+    # every coefficient keeps 38 - log10(condition) digits, give or take one
+    s_bar = 14
+    coarse, fine = mp_exp_pencil(s_bar, 38), mp_exp_pencil(s_bar, 120)
+    with mp.workdps(120):
+        worst = max(abs(x / y - 1) for x, y in zip(coarse.a + coarse.b[1:], fine.a + fine.b[1:]))
+    assert 1e10 < coarse.condition < 1e20
+    assert worst <= coarse.condition * mpf(10) ** -37
+    assert worst > mpf(10) ** -100  # the coarse moments do lose digits
 
 
-# --- the power-of-two rescaling ---------------------------------------------
+def test_condition_estimate_is_scale_free():
+    from rank1_spectra.reports import radius_table
+
+    conds = {c: radius_table(parse_sigma_spec(f"expr:{c}*exp(-4*i/n)"), s_bar=6).sdp
+             .condition_estimate for c in ("0.0078125", "1", "3")}
+    assert conds["0.0078125"] == conds["1"]
+    assert conds["3"] == pytest.approx(conds["1"], rel=1e-12)
+
+
+def test_finite_support_ends_the_recurrence():
+    # three exact atoms: b_3 is 0, and beta is the top atom at any s_bar
+    atoms, weights = (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)), (Fraction(1, 3),) * 3
+    nu = [sum(w * x ** t for w, x in zip(weights, atoms)) for t in range(1, 12)]
+    pencil = build_pencil(nu, 5)
+    assert len(pencil.a) == len(pencil.b) == 3
+    assert sdp_lower_bound(pencil, 1e-12).beta == pytest.approx(2.5, rel=1e-15)
+
+
+# --- scale and finite support ------------------------------------------------
 
 def test_small_sigma_beta_is_the_scaled_beta_bit_for_bit():
     from rank1_spectra.reports import radius_table
@@ -425,21 +377,6 @@ def test_small_sigma_beta_is_the_scaled_beta_bit_for_bit():
     assert beta["0.0078125*"] == beta[""] / 16384
 
 
-@pytest.mark.parametrize("scale", [2.0 ** -40, 1e-3, 1.0, 3e5])
-def test_rescaled_pencil_is_exact(scale):
-    atoms = scale * np.array([0.5, 1.0, 1.7, 2.2])
-    nu = [float(np.sum(atoms ** t)) / 4 for t in range(1, 8)]
-    pencil = build_pencil(nu, 3)
-    with mp.workdps(_DPS):
-        H0r, H1 = _mp_ridge_pencil(pencil)
-        k, H0s, H1s = _scaled_pencil(pencil)
-        assert k == round(math.log2(nu[0]))
-        for i in range(4):
-            for j in range(4):
-                assert mp.ldexp(H0s[i][j], k * (i + j)) == H0r[i, j]
-                assert mp.ldexp(H1s[i][j], k * (i + j + 1)) == H1[i, j]
-
-
 def test_two_astronomical_atoms_are_certified():
     # the mp.matrix path raised ArithmeticError here ("numerically singular")
     atoms = (0.5e22, 1e22)
@@ -450,6 +387,18 @@ def test_two_astronomical_atoms_are_certified():
     res = sdp_lower_bound(pencil, 1e-8)
     assert res.beta == pytest.approx(1e22, rel=1e-12)
     assert abs(res.beta - bisect_beta(pencil, 1e-8)) <= 10 * 1e-8 * 1e22
+
+
+@pytest.mark.parametrize("s_bar, want", [(14, 0.6010092398), (20, 0.6040969222),
+                                          (25, 0.6052315803), (31, 0.6059610880)])
+def test_exp_profile_beta_matches_the_exact_lambda_reference(s_bar, want):
+    # references: mp.eigsy of the pencil of exact Lambda_k = (1 - e^{-4k})/(4k);
+    # E^2 = 0.6073973333 is the squared limiting edge, which beta bounds from below
+    from rank1_spectra.reports import radius_table
+
+    sdp = radius_table(parse_sigma_spec(EXP_SPEC), s_bar=s_bar).sdp  # raises unless certified
+    assert abs(sdp.beta - want) <= 1e-9
+    assert sdp.beta <= 0.6073973333
 
 
 # --- radius_table with --orders ---------------------------------------------
@@ -475,12 +424,14 @@ def test_radius_table_orders_evaluate_sigma_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
 
-    # each row is what the per-order bounds give
+    # each row is what the per-order bounds give, at the limit of the float
+    # averages correctly rounded
     n, smax, smin = 4000, float(values.max()), float(values.min())
     lams = list(sigma_model.sigma_stats(values, 64).partial_sums / n)
     for row, s in zip(report.rows, orders):
         lower = radius_lower_bound(values, s)
-        limit = float(limiting_even_moment(lams[:s], s))
+        with mp.workdps(60):
+            limit = float(limiting_even_moment([mpf(a) for a in lams[:s]], s))
         assert row.s == s
         assert row.lower == lower
         assert row.upper == radius_upper_bound(n, s, smax, smax, smin, limit)

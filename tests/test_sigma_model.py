@@ -2,23 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy.integrate import quad
 
 from rank1_spectra import sigma_model
 from rank1_spectra.reports import lambda_vector
 from rank1_spectra.sigma_model import (
-    LADDER_MAX_DOUBLINGS,
-    LADDER_START,
+    _LIMIT_LEVEL,
+    _MAX_LEVEL,
     NoLimitError,
     SigmaDomainError,
     SpecSyntaxError,
-    growth_diagnostic,
     limiting_averages,
     parse_sigma_spec,
     sigma_stats,
     sigma_values,
 )
-from rank1_spectra.validation import check_lambda_extrapolation
+from rank1_spectra.validation import check_lambda_quadrature
 
 EXP_SPEC = "expr:exp(-4*i/n)"
 
@@ -170,7 +170,7 @@ class TestLimitingAverages:
         np.testing.assert_array_equal(la.values, [0.5, 0.25, 0.125])
 
     def test_exp_family_first_average(self):
-        # oracle: (1 - e^-4)/4 = integral of e^{-4x}; the ladder at 1e-8 pins
+        # oracle: (1 - e^-4)/4 = integral of e^{-4x}; Lambda_1 at 1e-8 pins
         # the spec's quoted 7-digit value 0.2454211
         la = limiting_averages(parse_sigma_spec(EXP_SPEC), 1, 1e-8)
         assert la.converged.all()
@@ -183,7 +183,7 @@ class TestLimitingAverages:
         assert la.values[1] == pytest.approx(0.1249581, abs=1e-7)
 
     def test_riemann_consistency_with_quadrature(self):
-        # expression depends on i only through i/n: ladder must match quadrature
+        # expression depends on i only through i/n: Lambda_k must match scipy's quadrature
         spec = parse_sigma_spec(EXP_SPEC)
         la = limiting_averages(spec, 3, 1e-7)
         for k in range(1, 4):
@@ -204,11 +204,11 @@ class TestLimitingAverages:
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_tol_that_is_not_finite_and_positive(self, monkeypatch, tol):
-        # raised before any rung is evaluated
-        def no_rung(*args):
-            raise AssertionError("ladder ran")
+        # raised before any node is evaluated
+        def no_nodes(*args):
+            raise AssertionError("quadrature ran")
 
-        monkeypatch.setattr(sigma_model, "_ladder_averages", no_rung)
+        monkeypatch.setattr(sigma_model, "_node_sums", no_nodes)
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             limiting_averages(parse_sigma_spec(EXP_SPEC), 2, tol)
 
@@ -221,94 +221,98 @@ class TestLimitingAverages:
             )
 
     def test_scaling_covariance_expression(self):
-        # the tolerance is relative, so with c = 2 the ladder stops at the
-        # same rung at the same tolerance and every float op scales exactly
+        # the tolerances are relative, so with c = 2 the quadrature stops at
+        # the same level and every mpf op scales exactly
         base = limiting_averages(parse_sigma_spec(EXP_SPEC), 1, 1e-7)
         scaled = limiting_averages(parse_sigma_spec("expr:2*exp(-4*i/n)"), 1, 1e-7)
         assert scaled.rungs == base.rungs
-        assert scaled.values[0] == pytest.approx(2.0 * base.values[0], rel=1e-12)
+        assert scaled.values[0] == mp.ldexp(base.values[0], 1)
 
 
 class TestExtrapolatedLadder:
     def test_exp_family_all_averages(self):
         la = limiting_averages(parse_sigma_spec(EXP_SPEC), 29, 1e-8)
         assert la.converged.all()
-        assert la.final_n <= 160_000
+        assert la.final_n <= 400
         want = [closed_form_lambda(k) for k in range(1, 30)]
-        np.testing.assert_allclose(la.values, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose([float(v) for v in la.values], want, rtol=1e-15, atol=0)
+        with mp.workdps(40):
+            worst = max(abs(v * 4 * k / (1 - mp.exp(-4 * k)) - 1) for k, v in enumerate(la.values, 1))
+        assert worst < 1e-29  # DEFAULT_DIGITS = 30
 
     def test_large_averages_settle(self):
         # Lambda_29 is about 6e11: an absolute tol of 1e-8 is below its float
         # spacing, the relative one is not
         la = limiting_averages(parse_sigma_spec("expr:3*exp(-4*i/n)"), 29, 1e-8)
         assert la.converged.all()
-        assert la.final_n <= 160_000
+        assert la.final_n <= 400
         want = [3.0 ** k * closed_form_lambda(k) for k in range(1, 30)]
-        np.testing.assert_allclose(la.values, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose([float(v) for v in la.values], want, rtol=1e-15, atol=0)
 
     def test_polynomial_profile(self):
         # integral of (1 + x)^k over [0, 1]
         la = limiting_averages(parse_sigma_spec("expr:1+i/n"), 8, 1e-8)
         assert la.converged.all()
         want = [(2.0 ** (k + 1) - 1) / (k + 1) for k in range(1, 9)]
-        np.testing.assert_allclose(la.values, want, rtol=1e-13, atol=0)
+        np.testing.assert_allclose([float(v) for v in la.values], want, rtol=1e-15, atol=0)
 
     def test_index_only_profile(self):
-        # (1/n) sum (1 + 1/i) = 1 + (log n + gamma)/n + ...: no power of 1/n
-        # removes the log n / n term, yet the ladder settles honestly
+        # (1/n) sum (1 + 1/i) = 1 + (log n + gamma)/n + ...: the limit 1 is
+        # reached, at N = 10^35 to 1e-33
         tol = 1e-6
         la = limiting_averages(parse_sigma_spec("expr:1+1/i"), 1, tol)
         assert la.converged.all()
-        assert abs(la.values[0] - 1.0) <= 10 * tol
+        assert abs(la.values[0] - 1.0) <= 1e-30
 
     def test_odd_powers_are_extrapolated(self):
-        # sum_{i<=n} 1/(i(i+1)(i+2)) = 1/4 - 1/(2(n+1)(n+2)), so the rung error
-        # c/(4n) - c/(2n(n+1)(n+2)) carries 1/n^3, 1/n^5, ... terms that only
-        # an extrapolation over every integer power (not just the even
-        # Euler-Maclaurin powers) removes: those alone leave about 7e-10 here
+        # sum_{i<=n} 1/(i(i+1)(i+2)) = 1/4 - 1/(2(n+1)(n+2)): a spec in i alone
+        # whose finite-n averages carry odd powers of 1/n; the limit is 1
         la = limiting_averages(parse_sigma_spec("expr:1+1e8/(i*(i+1)*(i+2))"), 1, 1e-8)
         assert la.converged.all()
         assert abs(la.values[0] - 1.0) <= 1e-11
 
-    def test_unbounded_profile_stops_at_the_cap(self, monkeypatch):
-        monkeypatch.setattr(sigma_model, "LADDER_MAX_DOUBLINGS", 3)
+    def test_unbounded_profile_stops_at_the_cap(self):
+        # (1/n) sum (1 + log i) grows like log n: the limit test on the coarse
+        # level fails every k, and the quadrature stops there
         la = limiting_averages(parse_sigma_spec("expr:1+log(i)"), 2, 1e-8)
         assert not la.converged.any()
-        assert la.rungs == 3
-        assert la.final_n == LADDER_START * 8
+        assert la.levels == _LIMIT_LEVEL
+        assert la.nodes <= 200
 
-    def test_rung_of_several_chunks_matches_one_chunk(self, monkeypatch):
-        spec = parse_sigma_spec(EXP_SPEC)
-        one = sigma_model._ladder_averages(spec, 12, LADDER_START)
-        monkeypatch.setattr(sigma_model, "_CHUNK", 3000)  # 4 chunks, the last partial
-        several = sigma_model._ladder_averages(spec, 12, LADDER_START)
-        np.testing.assert_allclose(several, one, rtol=1e-15, atol=0)
+    def test_integrable_singularity_with_divergent_powers(self):
+        # sigma = (n/i)^(1/2): Lambda_1 = 2, but (1/n) sum n/i = H_n diverges
+        la = limiting_averages(parse_sigma_spec("expr:(i/n)^(0-0.5)"), 2, 1e-8)
+        assert la.converged.tolist() == [True, False]
+        assert abs(la.values[0] - 2) <= 1e-12
 
     def test_ladder_work_is_bounded(self):
-        # the rungs' point counts sum to less than twice the final n
-        assert LADDER_START * 2 ** (LADDER_MAX_DOUBLINGS + 1) <= 1e8
+        # at most _MAX_LEVEL levels: a profile that never settles (here one
+        # with a kink, which tanh-sinh converges on only slowly) stops there
+        la = limiting_averages(parse_sigma_spec("expr:1+((i/n-0.5)^2)^0.5"), 1, 1e-8)
+        assert la.levels == _MAX_LEVEL and not la.converged.any()
+        assert la.nodes <= 10 * 2 ** _MAX_LEVEL  # |t| <= 5 at step 2^-_MAX_LEVEL
+
+    def test_negative_profile_is_a_domain_error(self):
+        with pytest.raises(SigmaDomainError, match="no finite positive value"):
+            limiting_averages(parse_sigma_spec("expr:1-2*i/n"), 1, 1e-8)
 
     def test_note_names_the_work(self):
         spec = parse_sigma_spec(EXP_SPEC)
         la = limiting_averages(spec, 3, 1e-8)
         _, note = lambda_vector(spec, 3, 1e-8)
-        assert note == (f"doubling ladder, Richardson-extrapolated: {la.rungs} rungs, "
-                        f"final n={la.final_n}")
+        assert note == (f"tanh-sinh quadrature of the pointwise limit: {la.levels} levels, "
+                        f"{la.nodes} nodes, 30 digits")
         assert lambda_vector(parse_sigma_spec("const:2"), 3, 1e-8)[1] == "exact (constant sigma)"
 
-    def test_unconverged_ladder_is_an_error(self, monkeypatch):
-        monkeypatch.setattr(sigma_model, "LADDER_MAX_DOUBLINGS", 2)
-        with pytest.raises(NoLimitError, match=r"tol=1e-08 in 2 rungs \(final n=40000\)"):
+    def test_unconverged_ladder_is_an_error(self):
+        with pytest.raises(NoLimitError, match=rf"Lambda_1 did not converge to relative "
+                                               rf"tol=1e-08 \({_LIMIT_LEVEL} levels, \d+ nodes, 30 digits\)"):
             lambda_vector(parse_sigma_spec("expr:1+log(i)"), 1, 1e-8)
 
+    def test_unsettled_quadrature_is_an_error(self):
+        with pytest.raises(NoLimitError, match="its quadrature did not settle to 30 digits"):
+            lambda_vector(parse_sigma_spec("expr:1+((i/n-0.5)^2)^0.5"), 1, 1e-8)
+
     def test_validate_check_passes(self):
-        name, passed, detail = check_lambda_extrapolation()
-        assert name == "lambda_extrapolation" and passed, detail
-
-
-def test_growth_diagnostic_reports_trends():
-    diag = growth_diagnostic(parse_sigma_spec(EXP_SPEC), n_grid=[100, 400, 1600])
-    assert len(diag["rows"]) == 3
-    assert diag["sigma_min_trend"] in ("nonincreasing", "nondecreasing", "mixed")
-    for row in diag["rows"]:
-        assert row["sigma_min"] == pytest.approx(math.exp(-4.0), rel=1e-9)
+        name, passed, detail = check_lambda_quadrature()
+        assert name == "lambda_quadrature" and passed, detail
