@@ -30,7 +30,8 @@ USAGE_EXIT = 2
 NUMERIC_EXIT = 3
 # the SDP at s_bar needs m_2 .. m_{2(2 s_bar + 1)}
 _MAX_SBAR = (MAX_ORDER - 1) // 2
-_LAMBDA_TOL_HELP = "relative tolerance of the test that each Lambda_k has a limit"
+_LAMBDA_TOL_HELP = ("relative tolerance of the test that each Lambda_k has a limit, and the "
+                    "least accuracy accepted where its quadrature stops short of full precision")
 
 
 def _moment_rows_payload(report: MomentReport) -> list:

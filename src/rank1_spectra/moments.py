@@ -36,10 +36,6 @@ MAX_ORDER = 64  # maximum s in m_{2s}
 Number = Union[int, float, Fraction]
 
 
-def _dot(x: Sequence, y: Sequence):
-    return sum(a * b for a, b in zip(x, y))
-
-
 def _tree_series(averages: Sequence[Number], s_max: int) -> list:
     """[m_2, m_4, .., m_{2 s_max}]: sums over R_s of tree_count(profile) * prod averages[j-1]^r_j.
 
@@ -53,13 +49,16 @@ def _tree_series(averages: Sequence[Number], s_max: int) -> list:
     """
     phi = [a if isinstance(a, (int, Fraction)) or hasattr(a, "_mpf_") else float(a)
            for a in averages[:s_max]]
-    dot = _dot
-    if phi and hasattr(phi[0], "_mpf_"):
-        from mpmath import fdot as dot
+    mpf_terms = bool(phi) and hasattr(phi[0], "_mpf_")
+    if mpf_terms:
+        from mpmath import fdot
     power = list(phi)
     series = []
     for s in range(1, s_max + 1):
-        power = [dot(power[:k + 1], phi[k::-1]) for k in range(s_max)]
+        if mpf_terms:
+            power = [fdot(power[:k + 1], phi[k::-1]) for k in range(s_max)]
+        else:
+            power = [sum(power[i] * phi[k - i] for i in range(k + 1)) for k in range(s_max)]
         series.append(power[s - 1] * Fraction(2, s + 1))
     return series
 

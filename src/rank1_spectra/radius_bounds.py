@@ -12,28 +12,21 @@ finite-n companion value usually quoted next to the lower bound, and it is
 reported with that caveat.
 
 Asymptotically, given the even limiting moments nu_s = m_{2s}, the support
-supremum of the squared-eigenvalue distribution is lower-bounded by the
-one-variable semidefinite program
+supremum of the squared-eigenvalue law is lower-bounded by the SDP
 
-    beta = min { x > 0 : H0 * x - H1 >= 0 },
+    beta = min { x > 0 : H0 * x - H1 >= 0 },  H0 = (nu_{i+j}), H1 = (nu_{i+j+1}),
 
-over the two Hankel moment matrices H0[i][j] = nu_{i+j}, H1[i][j] =
-nu_{i+j+1}; then sqrt(beta) lower-bounds the limiting spectral radius.  The
-minimum is the largest eigenvalue of the pencil (H1, H0), which is the top
-eigenvalue of the moments' Jacobi matrix J (Golub-Welsch 1969).  Gautschi's
-Chebyshev algorithm turns nu_0..nu_{2 s_bar + 1} into J's recurrence
-coefficients (a_k, b_k) in O(s_bar^2) operations.  J - xI is congruent to
-H1 - x H0, so the Sturm count of J at x, the number of negative pivots of
-J - xI, counts the pencil's eigenvalues below x: bisection on it finds beta,
-and the counts at beta - tol and beta + tol certify it.
-`validation.bisect_beta` is the oracle.
-
+and sqrt(beta) lower-bounds the limiting spectral radius.  beta is the top
+eigenvalue of the moments' Jacobi matrix J (Golub-Welsch 1969), whose
+recurrence (a_k, b_k) Gautschi's Chebyshev algorithm gives in O(s_bar^2)
+operations.  J - xI is congruent to H1 - x H0, so the Sturm count of J at x
+counts the pencil's eigenvalues below x: bisection on it finds beta, and the
+counts at beta -/+ tol certify it (`validation.bisect_beta` is the oracle).
 cond(H0) grows about 10^1.8 per order, so the recurrence runs at
-max(60, 2 s_bar + 10) digits on moments that carry 2 s_bar + 10 or more
-(`reports.radius_table` computes them so).  Nothing regularises the
-moments: a b_k that vanishes to their own precision means the measure has
-finite support, and a clearly negative one means they are no moment
-sequence.
+max(60, 2 s_bar + 10) digits on moments that carry 2 s_bar + 10
+(`reports.radius_table`).  Nothing regularises them: a b_k that vanishes to
+their precision ends the recurrence (finite support, or spent digits), and a
+clearly negative one means they are no moment sequence.
 """
 
 from __future__ import annotations
@@ -42,7 +35,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
 from mpmath import mp, mpf
 
 from .moments import moment_lower_bound, theta_factor
@@ -79,22 +71,14 @@ class InvalidMomentSequenceError(ValueError):
 
 @dataclass(frozen=True)
 class HankelPencil:
-    """The two Hankel matrices of a truncated moment sequence and its Jacobi recurrence.
-
-    ``nu`` holds (nu_0, ..., nu_{2 s_bar + 1}) as mpf numbers, with nu_0 = 1
-    and nu_s equal to the even moment m_{2s}; H0 and H1 are float64 copies
-    of the Hankel matrices.  ``a`` and ``b`` are the coefficients of the
-    monic orthogonal polynomials p_{k+1} = (x - a_k) p_k - b_k p_{k-1}
-    (b[0] = 0); they stop short of s_bar + 1 entries when the measure has
-    finite support.  ``condition`` is the largest factor by which the
-    recurrence amplified the moments' relative error: about 10^d where it
-    lost d digits.
-    """
+    """``nu`` = (1, m_2, m_4, .., m_{2(2 s_bar + 1)}) in mpf, the entries of
+    the Hankel matrices, and the recurrence p_{k+1} = (x - a_k) p_k -
+    b_k p_{k-1} (b[0] = 0) of its orthogonal polynomials, shorter than
+    s_bar + 1 for a finite support.  ``condition`` is the largest factor by
+    which the recurrence amplified the moments' relative error."""
 
     s_bar: int
     nu: Tuple[mpf, ...]
-    H0: np.ndarray
-    H1: np.ndarray
     a: Tuple[mpf, ...]
     b: Tuple[mpf, ...]
     condition: float
@@ -128,28 +112,28 @@ class SdpResult:
     ridge_scale: float
 
 
-def build_pencil(moments: Sequence, s_bar: int) -> HankelPencil:
+def build_pencil(moments: Sequence, s_bar: int, eps=None) -> HankelPencil:
     """Assemble the pencil and its Jacobi recurrence from m_2, m_4, ..., m_{2(2 s_bar + 1)}.
 
-    ``moments[t-1]`` must hold m_{2t}: floats, which carry 53 bits, or mpf
-    numbers, taken to carry the current mp precision.  Raises
-    InvalidMomentSequenceError where the recurrence finds some b_k < 0
-    (e.g. nu_2 < nu_1^2).
+    ``moments[t-1]`` must hold m_{2t}, floats or mpf numbers.  ``eps`` is
+    their relative error; by default 2^-53 when any is a float, else the
+    current mp precision.  Raises InvalidMomentSequenceError where the
+    recurrence finds some b_k < 0 (e.g. nu_2 < nu_1^2).
     """
     if s_bar < 1:
         raise ValueError(f"s_bar must be >= 1, got {s_bar}")
     needed = 2 * s_bar + 1
     if len(moments) < needed:
         raise ValueError(f"need m_2..m_{2 * needed}, got {len(moments)} moments")
-    eps = mpf(2) ** -53 if any(isinstance(m, float) for m in moments[:needed]) else +mp.eps
+    if eps is None:
+        eps = 2.0 ** -53 if any(isinstance(m, float) for m in moments[:needed]) else mp.eps
+    eps = mpf(eps)
     with mp.workdps(_digits(s_bar)):
         nu = (mpf(1),) + tuple(mp.mpmathify(m) for m in moments[:needed])
         if not all(mp.isfinite(v) for v in nu):
             raise ValueError("moment sequence contains non-finite entries")
         a, b, condition = _chebyshev(nu, eps)
-    floats = np.array([float(v) for v in nu])
-    hankel = np.add.outer(np.arange(s_bar + 1), np.arange(s_bar + 1))
-    return HankelPencil(s_bar, nu, floats[hankel], floats[hankel + 1], a, b, condition)
+    return HankelPencil(s_bar, nu, a, b, condition)
 
 
 def _chebyshev(nu: tuple, eps: mpf) -> Tuple[tuple, tuple, float]:
@@ -159,11 +143,10 @@ def _chebyshev(nu: tuple, eps: mpf) -> Tuple[tuple, tuple, float]:
         sigma_{k,l} = sigma_{k-1,l+1} - a_{k-1} sigma_{k-1,l} - b_{k-1} sigma_{k-2,l},
         a_k = sigma_{k,k+1} / sigma_{k,k} - sigma_{k-1,k} / sigma_{k-1,k-1},
         b_k = sigma_{k,k} / sigma_{k-1,k-1}.
-    The same recurrence with every term taken positive bounds what cancels
-    in sigma_{k,k}; a relative input error eps moves sigma_{k,k} by about eps
-    times that bound.  A sigma_{k,k} within _NOISE such errors of zero ends
-    the recurrence (p_k vanishes on the support), a negative one beyond them
-    raises, and ``condition`` is the largest bound / sigma_{k,k}.
+    The same recurrence on absolute values bounds what a relative input
+    error eps can move sigma_{k,k} by, over eps.  A sigma_{k,k} within
+    _NOISE such moves of zero ends the recurrence, a negative one beyond
+    them raises, and ``condition`` is the largest bound / sigma_{k,k}.
     """
     m = len(nu) // 2
     zeros = [0] * len(nu)
@@ -200,16 +183,11 @@ def _count_below(a: tuple, b: tuple, x) -> int:
 
 
 def sdp_lower_bound(pencil: HankelPencil, tol: float = DEFAULT_TOL) -> SdpResult:
-    """Solve min{x > 0 : H0 x - H1 >= 0} as the top eigenvalue of the pencil's
-    Jacobi matrix, by bisection on its Sturm count.
-
-    The bracket starts at [max a_k, Gershgorin's bound] and halves until it
-    is narrower than tol and than 2^-64 of its upper end, past float64's 53
-    bits; beta is its midpoint.  Raises ArithmeticError when the certificate
-    fails (not every eigenvalue lies below beta + tol, or none at or above
-    beta - tol): the working digits cannot resolve beta to tol, as for a
-    support near 1e60 at tol 1e-8.
-    """
+    """min{x > 0 : H0 x - H1 >= 0}, the top eigenvalue of the pencil's Jacobi
+    matrix, by bisecting [max a_k, Gershgorin's bound] on its Sturm count to
+    below tol and 2^-64 of the upper end; beta is the midpoint.  Raises
+    ArithmeticError when the counts at beta -/+ tol do not certify it: the
+    digits cannot resolve beta to tol, as for a support near 1e60 at 1e-8."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     a, b, m = pencil.a, pencil.b, len(pencil.a)

@@ -19,6 +19,7 @@ from .sigma_model import (
     NoLimitError,
     SigmaSpec,
     SigmaStats,
+    _mp_power_averages,
     limiting_averages,
     sigma_stats,
     sigma_values,
@@ -39,34 +40,33 @@ def lambda_vector(
     n: Optional[int] = None,
     stats: Optional[SigmaStats] = None,
     digits: int = DEFAULT_DIGITS,
-) -> Tuple[Sequence, str]:
-    """Lambda_1..Lambda_k and a note naming their source.
+) -> Tuple[Sequence, str, int]:
+    """Lambda_1..Lambda_k, a note naming their source, and the digits they carry.
 
-    Constant and expression specs give mpf numbers to about ``digits``
-    digits (`limiting_averages`); the note of an expression names the
-    quadrature's levels, nodes and digits, and one that fails the limit
-    test or does not settle raises NoLimitError.  Explicit sequences have no
-    limit, so the float finite-n averages S_{n,k}/n stand in (with n
-    defaulting to the full sequence length) and the note says so; ``stats``,
-    the caller's sigma_stats of those n values with k_max or more sums,
-    spares evaluating them again.
+    Constant and expression specs give mpf numbers (`limiting_averages`);
+    the note of an expression names the quadrature's work, and one that
+    fails the limit test or ``tol`` raises NoLimitError.  Explicit sequences
+    have no limit: the float finite-n averages S_{n,k}/n (n defaulting to
+    the full length), good to 15 digits, stand in, and ``stats``, the
+    caller's sigma_stats of those n values up to k_max, spares recomputing.
     """
     if spec.kind == "explicit":
         n_eff = n if n is not None else len(spec.payload)
         if stats is None:
             stats = sigma_stats(sigma_values(spec, n_eff), k_max)
-        return stats.partial_sums[:k_max] / n_eff, f"finite-n averages S_{{n,k}}/n at n={n_eff}"
+        return (stats.partial_sums[:k_max] / n_eff,
+                f"finite-n averages S_{{n,k}}/n at n={n_eff}", 15)
     la = limiting_averages(spec, k_max, tol, digits)
     if spec.kind == "constant":
-        return la.values, "exact (constant sigma)"
+        return la.values, "exact (constant sigma)", la.digits
     work = f"{la.levels} levels, {la.nodes} nodes, {la.digits} digits"
     if not la.converged.all():
         k = int(np.argmin(la.converged)) + 1
         cause = ("the profile may have no limit; try a larger --lambda-tol"
-                 if la.levels == _LIMIT_LEVEL else
-                 f"its quadrature did not settle to {la.digits} digits")
+                 if la.panels == 1 and la.levels == _LIMIT_LEVEL else
+                 f"its quadrature stopped at {la.digits} digits")
         raise NoLimitError(f"Lambda_{k} did not converge to relative tol={tol:g} ({work}): {cause}")
-    return la.values, f"tanh-sinh quadrature of the pointwise limit: {work}"
+    return la.values, f"tanh-sinh quadrature of the pointwise limit: {work}", la.digits
 
 
 def moment_table(
@@ -94,7 +94,7 @@ def moment_table(
         stats = sigma_stats(sigma_values(spec, n), k_stats)
         if K is None:
             K = stats.sigma_max
-    lambdas, source = lambda_vector(spec, s_max, lambda_tol, n, stats)
+    lambdas, source, _ = lambda_vector(spec, s_max, lambda_tol, n, stats)
     notes = [f"limiting averages: {source}"]
     limits = _limits([float(a) for a in lambdas], s_max)
     lowers = _lower_bounds(stats, min(s_max, n - 1)) if stats is not None else []
@@ -140,13 +140,14 @@ def radius_table(
 ) -> RadiusBoundsReport:
     """Radius-bound report: finite-n sandwich rows plus the SDP lower bound.
 
-    ``orders`` requires ``n``.  The largest Lambda index needed is
-    max(2*s_bar + 1, max(orders)), and every limit comes from one pass of the
-    tree series, run in mpf at the 2*s_bar + 10 digits (at least
-    DEFAULT_DIGITS) that the SDP needs; sigma is evaluated once, and every
-    row's lower bound comes from one more pass.  The defaults of ``s_bar``
-    and ``sdp_tol`` are radius_bounds.DEFAULT_SBAR and DEFAULT_TOL, written
-    out because radius_bounds is imported only here, at call time.
+    ``orders`` requires ``n``.  Sigma is evaluated once; the limits up to
+    max(2*s_bar + 1, max(orders)) come from one pass of the tree series in
+    mpf at max(DEFAULT_DIGITS, 2*s_bar + 10) digits, and the rows' lower
+    bounds from one more.  The SDP sums an explicit sequence's powers in mpf
+    (`_mp_power_averages`): the pencil would amplify the float S_{n,k}/n's
+    rounding past beta's first digit.  The defaults of ``s_bar`` and
+    ``sdp_tol`` are radius_bounds.DEFAULT_SBAR and DEFAULT_TOL, written out
+    because radius_bounds is imported only here, at call time.
     """
     from mpmath import mp, mpf
 
@@ -166,20 +167,26 @@ def radius_table(
     k_need = 2 * s_bar + 1 if s_bar else 1
     if orders:
         k_need = max(k_need, max(orders))
-    stats = None
+    stats = values = None
     if orders:
         for s in sorted(orders):
             _check_order(s)
             if n <= s:
                 raise ValueError(f"order s={s} needs n > s, got n={n}")
+    if orders or spec.kind == "explicit":
+        values = sigma_values(spec, n if n is not None else len(spec.payload))
         # an explicit sequence's averages need S_{n,k} up to k_need
-        k_stats = k_need if spec.kind == "explicit" else max(orders)
-        stats = sigma_stats(sigma_values(spec, n), k_stats)
+        stats = sigma_stats(values, k_need if spec.kind == "explicit" else max(orders))
     digits = max(DEFAULT_DIGITS, 2 * (s_bar or 0) + 10)
     with mp.workdps(digits):
-        lambdas, source = lambda_vector(spec, k_need, lambda_tol, n, stats, digits)
+        lambdas, source, carried = lambda_vector(spec, k_need, lambda_tol, n, stats, digits)
         series = _limits([mpf(a) for a in lambdas], k_need)
-        pencil = build_pencil(series[: 2 * s_bar + 1], s_bar) if s_bar else None
+        if s_bar:
+            nu, eps = series, mpf(10) ** -carried
+            if spec.kind == "explicit":
+                # the SDP needs the averages past float precision: sum them in mpf
+                nu, eps = _limits(_mp_power_averages(values, 2 * s_bar + 1), 2 * s_bar + 1), None
+            pencil = build_pencil(nu[: 2 * s_bar + 1], s_bar, eps)
     notes = [f"limiting averages: {source}"]
     limits = [float(m) for m in series]
 

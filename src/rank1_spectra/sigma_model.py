@@ -9,16 +9,17 @@ Lambda_k = lim_n (1/n) S_{n,k}.
 
 The limiting averages of an expression are integrals of its pointwise limit:
 with i = xN at a huge N, Lambda_k = int_{1/N}^1 f(xN, N)^k dx, evaluated in
-mpmath by tanh-sinh quadrature (Takahasi-Mori 1974) to a requested number of
-digits.  One node set serves every k: f is evaluated once per node and the
-powers come from running products.  The same sums at 10^10 N on a coarse
-level test that the limit exists; a profile without one, such as
-1 + log(i), fails that test before the step is refined.  mpmath is imported
-only when limiting averages are requested.
+mpmath by tanh-sinh quadrature (Takahasi-Mori 1974).  f is evaluated once
+per node and every k comes from running products.  The same sums at 10^10 N
+on a coarse level test that the limit exists (1 + log(i) fails at once),
+and a panel across which the quadrature stalls, as at a kink, is halved.
+mpmath is imported only when limiting averages are requested.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
 import operator
 from dataclasses import dataclass
@@ -41,9 +42,10 @@ __all__ = [
 
 DEFAULT_DIGITS = 30  # working precision of Lambda_k unless the caller asks for more
 # tanh-sinh levels (step 2^-level): the limit test runs on the nodes of
-# _LIMIT_LEVEL, and the step stops halving at _MAX_LEVEL
-_LIMIT_LEVEL = 2
-_MAX_LEVEL = 8
+# _LIMIT_LEVEL, and a panel stops at _MAX_LEVEL; no panel is split after
+# _MAX_NODES evaluations of sigma
+_LIMIT_LEVEL, _MAX_LEVEL, _MAX_NODES = 2, 8, 2 ** 14
+_CELLS = 2 ** 12  # cells of the float midpoint rule that checks every settled panel
 
 
 class SpecSyntaxError(ValueError):
@@ -260,16 +262,16 @@ class SigmaSpec:
 class LimitingAverages:
     """Lambda_1..Lambda_k as mpf numbers good to about ``digits`` digits.
 
-    ``levels`` counts the quadrature's step halvings and ``nodes`` the
-    points at which sigma was evaluated (both 0 for a constant spec, whose
-    powers are exact).  ``converged[k-1]`` is False when Lambda_k failed the
-    limit test or the quadrature had not settled by its last level;
-    ``values`` then still carries the last estimate.
+    ``levels`` is the quadrature's deepest step halving, ``panels`` the
+    intervals it integrated and ``nodes`` the evaluations of sigma (all 0
+    for a constant).  ``converged[k-1]`` is False when Lambda_k failed the
+    limit test or the tolerance; ``values`` then holds the last estimate.
     """
 
     values: tuple
     converged: np.ndarray
     levels: int
+    panels: int
     nodes: int
     digits: int
 
@@ -398,20 +400,28 @@ def _power_sums(v: np.ndarray, k_max: int) -> list:
     return sums
 
 
+def _mp_power_averages(values: Sequence[float], k_max: int) -> list:
+    """(1/n) sum_i v_i^k, k = 1..k_max, in mpf at the current precision: the
+    float v_i taken as exact, without float64's rounding of powers and sums."""
+    from mpmath import mpf
+
+    weights = [1 / mpf(len(values))] * len(values)
+    return _weighted_power_sums(weights, [mpf(float(v)) for v in values], k_max)
+
+
 def limiting_averages(
     spec: SigmaSpec, k_max: int, tol: float, digits: int = DEFAULT_DIGITS
 ) -> LimitingAverages:
     """Lambda_k = lim (1/n) S_{n,k} for k = 1..k_max, to about ``digits`` digits.
 
-    A constant c gives c^k.  An expression f gives int_{1/N}^1 f(xN, N)^k dx
-    at N = 10^(digits + 5), by tanh-sinh quadrature on the nodes
-    x = 1/N + (1 - 1/N) / (1 + exp(-pi sinh t)), t = j 2^-level, out to
-    10^-10 / N from the ends; each level adds the midpoints of the last.  At
-    _LIMIT_LEVEL the same sums at 10^10 N must agree to the relative ``tol``
-    (the limit test; a failure returns at once).  Then the step halves until
-    two levels agree to half the digits, whose square bounds the error, or
-    _MAX_LEVEL is reached.  Explicit sequences carry no limit: use S_{n,k}/n
-    from `sigma_stats` instead.
+    A constant c gives c^k, an expression f the tanh-sinh integrals
+    int_{1/N}^1 f(xN, N)^k dx at N = 10^(digits + 5).  At _LIMIT_LEVEL the
+    same sums at 10^10 N must agree to the relative ``tol`` (the limit
+    test).  Then the panel with the largest error, stalled (`_settle`) or
+    at odds with a float midpoint rule (`_unseen`), is halved until the errors sum to 10^-digits of Lambda_k or _MAX_NODES
+    points are spent; ``digits`` of the result is what they leave and
+    ``converged`` whether that meets ``tol``.  Explicit sequences have no
+    limit: use S_{n,k}/n from `sigma_stats`.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -426,60 +436,150 @@ def limiting_averages(
 
     with mp.workdps(digits):
         if spec.kind == "constant":
-            c = mpf(spec.payload)
-            values = tuple(c ** k for k in range(1, k_max + 1))
-            return LimitingAverages(values, np.ones(k_max, dtype=bool), 0, 0, digits)
-        N = mpf(10) ** (digits + 5)
+            values = tuple(mpf(spec.payload) ** k for k in range(1, k_max + 1))
+            return LimitingAverages(values, np.ones(k_max, dtype=bool), 0, 0, 0, digits)
+        tree, N = spec.payload, mpf(10) ** (digits + 5)
         t_max = mp.asinh(mp.log(N * 10 ** 10) / mp.pi)
-        sums, far_sums, nodes = [0] * k_max, [0] * k_max, 0
-        for level in range(_MAX_LEVEL + 1):
-            h = mpf(2) ** -level
-            grid = [_abscissa(j * h) for j in range(-int(t_max / h), int(t_max / h) + 1)
-                    if level == 0 or j % 2]
-            sums = [s + d for s, d in zip(sums, _node_sums(spec.payload, k_max, N, grid))]
-            nodes += len(grid)
-            estimate = [s * h for s in sums]
-            if level <= _LIMIT_LEVEL:
-                far = _node_sums(spec.payload, k_max, N * 10 ** 10, grid)
-                far_sums = [s + d for s, d in zip(far_sums, far)]
-                nodes += len(grid)
-            if level == _LIMIT_LEVEL:
-                converged = np.array([abs(e - f * h) <= tol * abs(e)
-                                      for e, f in zip(estimate, far_sums)])
-                if not converged.all():
-                    break
-            elif level > _LIMIT_LEVEL:
-                settled = np.array([abs(e - p) <= abs(e) * mpf(10) ** -(digits // 2 + 2)
-                                    for e, p in zip(estimate, previous)])
-                if settled.all():
-                    break
-            previous = estimate
-        else:
-            converged &= settled
-    return LimitingAverages(tuple(estimate), converged, level, nodes, digits)
+        near = _levels(tree, k_max, N, 1 / N, mpf(1), t_max)
+        far = _levels(tree, k_max, N * 10 ** 10, 1 / (N * 10 ** 10), mpf(1), t_max)
+        history, nodes = [], 0
+        for _ in range(_LIMIT_LEVEL + 1):
+            (n, estimate), (n_far, far_estimate) = next(near), next(far)
+            history.append(estimate)
+            nodes += n + n_far
+        converged = np.array([abs(e - f) <= tol * e for e, f in zip(estimate, far_estimate)])
+        if not converged.all():
+            return LimitingAverages(tuple(estimate), converged, _LIMIT_LEVEL, 1, nodes, digits)
+        scale, floor = estimate, mpf(10) ** -digits
+        grid = _midpoint_sums(tree, k_max, float(N))
+        settled, stalled, panels, level = [0] * k_max, [], 0, _LIMIT_LEVEL
+        todo = [(1 / N, mpf(1), near, history)]
+        while todo:
+            for p, q, levels, history in todo:
+                estimate, error, n = _settle(levels, history, digits)
+                panels, nodes, level = panels + 1, nodes + n, max(level, len(history) - 1)
+                if error is None and grid is not None:
+                    error = _unseen(grid, p, q, estimate, scale)
+                if error is None:
+                    settled = [s + e for s, e in zip(settled, estimate)]
+                else:
+                    worst = max(e / s for e, s in zip(error, scale))
+                    heapq.heappush(stalled, (-worst, panels, p, q, estimate, error))
+            error = [sum(panel[5][k] for panel in stalled) for k in range(k_max)]
+            todo = []
+            if stalled and nodes < _MAX_NODES and any(e > floor * s for e, s in zip(error, scale)):
+                p, q = heapq.heappop(stalled)[2:4]
+                todo = [(a, b, _levels(tree, k_max, N, a, b, t_max), [])
+                        for a, b in ((p, (p + q) / 2), ((p + q) / 2, q))]
+        values = [s + sum(panel[4][k] for panel in stalled) for k, s in enumerate(settled)]
+        converged = np.array([e <= max(tol, floor) * v for e, v in zip(error, values)])
+        relative = max(e / v for e, v in zip(error, values))
+        if relative > floor:
+            digits = max(0, int(-mp.log10(relative)))
+    return LimitingAverages(tuple(values), converged, level, panels, nodes, digits)
 
 
-def _abscissa(t) -> tuple:
-    """(phi, dphi/dt) for phi(t) = 1 / (1 + exp(-pi sinh t)); 1 - phi = e phi
+def _midpoint_sums(tree: Node, k_max: int, N: float) -> Optional[list]:
+    """Cumulative float64 midpoint sums of f(xN, N)^k / cells, k = 1..k_max,
+    over _CELLS and _CELLS / 2 equal cells of [0, 1], or None where they
+    leave float64's range.  A point where sigma is not positive raises."""
+    sums = []
+    for cells in (_CELLS, _CELLS // 2):
+        x = (np.arange(cells) + 0.5) / cells
+        with np.errstate(all="ignore"):
+            f = np.broadcast_to(np.asarray(_eval_node(tree, x * N, N), dtype=float), x.shape)
+            powers = np.cumprod(np.broadcast_to(f, (k_max, cells)), axis=0) / cells
+        if (f <= 0).any():
+            raise SigmaDomainError(
+                f"sigma has no finite positive value at i/n = {x[np.argmax(f <= 0)]:.8g}"
+            )
+        sums.append(np.concatenate([np.zeros((k_max, 1)), np.cumsum(powers, axis=1)], axis=1))
+    return sums if all(np.isfinite(s).all() for s in sums) else None
+
+
+def _unseen(grid: list, p, q, estimate: list, scale: list) -> Optional[list]:
+    """|estimate - midpoint sum| per k on the panel [p, q] when, for some k,
+    it exceeds 20 times the midpoint rule's change from _CELLS / 2 cells
+    plus 1e-12 Lambda_k: a feature a few cells wide that the tanh-sinh
+    nodes stepped over.  None otherwise, and on panels under 4 cells."""
+    from mpmath import mpf
+
+    lo, hi = round(float(p) * _CELLS), round(float(q) * _CELLS)  # panels are dyadic
+    if hi - lo < 4:
+        return None
+    fine = grid[0][:, hi] - grid[0][:, lo]
+    coarse = grid[1][:, hi // 2] - grid[1][:, lo // 2]
+    gap = np.abs(np.array([float(e) for e in estimate]) - fine)
+    slack = 20 * np.abs(fine - coarse) + 1e-12 * np.array([float(s) for s in scale])
+    return None if (gap <= slack).all() else [mpf(g) for g in gap]
+
+
+def _levels(tree: Node, k_max: int, N, p, q, t_max):
+    """Yield (nodes, tanh-sinh estimates of int_p^q f(xN, N)^k dx, k = 1..k_max)
+    at steps 2^-level, level = 0.._MAX_LEVEL, over |t| <= t_max; each level
+    adds the midpoints of the last, a centred grid of twice its step."""
+    from mpmath import mpf
+
+    sums = [0] * k_max
+    for level in range(_MAX_LEVEL + 1):
+        h = mpf(2) ** -level
+        step, n = (h, 2 * int(t_max) + 1) if level == 0 else (2 * h, 2 * int((t_max / h + 1) / 2))
+        sums = [s + d for s, d in zip(sums, _ladder_averages(tree, k_max, N, p, q, step, n))]
+        yield n, [s * h for s in sums]
+
+
+def _settle(levels, history: list, digits: int) -> tuple:
+    """Run a panel's `_levels` until they settle or stall: (estimate, error, nodes).
+
+    With d_L the largest relative change from level L-1 to L, the panel
+    settles (error None) once d_L <= 10^-(digits // 2 + 2) and
+    d_L <= d_{L-1}^1.5, the double-exponential regime where the error is
+    about d_L^2, or once d_L is down to rounding.  Past _LIMIT_LEVEL it
+    stalls where d_L exceeds both, as tanh-sinh does across a kink, or at
+    _MAX_LEVEL; its error is then ten times the last changes.  ``history``
+    holds the levels run so far.
+    """
+    from mpmath import mpf
+
+    target, nodes, settled = mpf(10) ** -(digits // 2 + 2), 0, False
+    for n, estimate in levels:
+        nodes += n
+        history.append(estimate)
+        if len(history) > 2:
+            new, old = (max(abs(x - y) / x for x, y in zip(history[-j], history[-j - 1]))
+                        for j in (1, 2))
+            settled = new <= min(target, old ** 1.5) or new <= mpf(10) ** (2 - digits)
+            if settled or (new > max(target, old ** 1.5) and len(history) > _LIMIT_LEVEL + 1):
+                break
+    error = None if settled else [10 * abs(x - y) for x, y in zip(history[-1], history[-2])]
+    return history[-1], error, nodes
+
+
+@functools.lru_cache(maxsize=64)
+def _abscissae(step, n: int, prec: int) -> tuple:
+    """(phi, dphi/dt) at t_j = (j - (n - 1) / 2) step, j < n, at mp precision
+    ``prec``, for phi(t) = 1 / (1 + e), e = exp(-pi sinh t): 1 - phi = e phi
     keeps either end of (0, 1) free of cancellation."""
     from mpmath import mp
 
-    et = mp.exp(t)
-    e = mp.exp(-mp.pi * (et - 1 / et) / 2)
-    phi = 1 / (1 + e)
-    return phi, mp.pi * (et + 1 / et) / 2 * e * phi * phi
+    nodes = []
+    for j in range(n):
+        et = mp.exp((2 * j - n + 1) * step / 2)
+        e = mp.exp(-mp.pi * (et - 1 / et) / 2)
+        phi = 1 / (1 + e)
+        nodes.append((phi, mp.pi * (et + 1 / et) / 2 * e * phi * phi))
+    return tuple(nodes)
 
 
-def _node_sums(tree: Node, k_max: int, N, grid: list) -> list:
-    """sum_t w(t) f(x(t) N, N)^k over the abscissae ``grid`` for k = 1..k_max,
-    with x = 1/N + (1 - 1/N) phi(t) in (1/N, 1) and w = dx/dt."""
+def _ladder_averages(tree: Node, k_max: int, N, p, q, step, n: int) -> list:
+    """sum_j w_j f(x_j N, N)^k, k = 1..k_max, over the n nodes of `_abscissae`
+    on the panel [p, q]: x = p + (q - p) phi(t) and w = (q - p) dphi/dt."""
     from mpmath import mp, mpf
 
-    a = 1 / N
     weights, values = [], []
-    for phi, dphi in grid:
-        weights.append((1 - a) * dphi)
-        i = (a + (1 - a) * phi) * N
+    for phi, dphi in _abscissae(step, n, mp.prec):
+        weights.append((q - p) * dphi)
+        i = (p + (q - p) * phi) * N
         try:
             v = mpf(_eval_node(tree, i, N, mp))  # a complex value raises TypeError
         except (ArithmeticError, TypeError):

@@ -280,7 +280,7 @@ class TestOnePass:
         s_max = 34
         spec = sigma_file if kind == "file" else parse_sigma_spec(EXP_SPEC)
         report = reports.moment_table(spec, s_max, n=n)
-        lambdas, _ = reports.lambda_vector(spec, s_max, n=n)
+        lambdas, _, _ = reports.lambda_vector(spec, s_max, n=n)
         lambdas = [float(a) for a in lambdas]  # a table's series runs in float64
         values = sigma_values(spec, n)
         assert len(report.rows) == s_max

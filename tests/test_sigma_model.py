@@ -6,10 +6,11 @@ from mpmath import mp
 from scipy.integrate import quad
 
 from rank1_spectra import sigma_model
-from rank1_spectra.reports import lambda_vector
+from rank1_spectra.reports import lambda_vector, moment_table
 from rank1_spectra.sigma_model import (
     _LIMIT_LEVEL,
     _MAX_LEVEL,
+    _MAX_NODES,
     NoLimitError,
     SigmaDomainError,
     SpecSyntaxError,
@@ -208,7 +209,7 @@ class TestLimitingAverages:
         def no_nodes(*args):
             raise AssertionError("quadrature ran")
 
-        monkeypatch.setattr(sigma_model, "_node_sums", no_nodes)
+        monkeypatch.setattr(sigma_model, "_ladder_averages", no_nodes)
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             limiting_averages(parse_sigma_spec(EXP_SPEC), 2, tol)
 
@@ -286,11 +287,50 @@ class TestExtrapolatedLadder:
         assert abs(la.values[0] - 2) <= 1e-12
 
     def test_ladder_work_is_bounded(self):
-        # at most _MAX_LEVEL levels: a profile that never settles (here one
-        # with a kink, which tanh-sinh converges on only slowly) stops there
-        la = limiting_averages(parse_sigma_spec("expr:1+((i/n-0.5)^2)^0.5"), 1, 1e-8)
-        assert la.levels == _MAX_LEVEL and not la.converged.any()
-        assert la.nodes <= 10 * 2 ** _MAX_LEVEL  # |t| <= 5 at step 2^-_MAX_LEVEL
+        # a kink at 1/3, never at a panel's end, needs ever narrower panels:
+        # at 60 digits they stop once _MAX_NODES points are spent, the
+        # digits then reached are reported, and they pass tol = 1e-8
+        la = limiting_averages(parse_sigma_spec("expr:1+((i/n-1/3)^2)^0.5"), 1, 1e-8, digits=60)
+        # the last split adds two panels of at most _MAX_LEVEL levels, |t| <= 5
+        assert _MAX_NODES <= la.nodes <= _MAX_NODES + 2 * (10 * 2 ** _MAX_LEVEL + 1)
+        assert 15 <= la.digits < 60 and la.converged.all()
+        with mp.workdps(60):
+            c = mp.mpf(1 / 3)  # the float the spec's 1/3 gives
+            assert abs(la.values[0] - (1 + (c * c + (1 - c) ** 2) / 2)) <= mp.mpf(10) ** -la.digits
+
+    @pytest.mark.parametrize("kink, c", [("0.5", 0.5), ("1/3", 1 / 3)])
+    def test_kinked_profile_is_split_at_the_kink(self, kink, c):
+        # tanh-sinh stalls across the kink; halving the panels puts it at a
+        # panel's end (1/2 at once, 1/3 in the limit), where it converges.
+        # Lambda_k = ((1 + c)^(k+1) + (2 - c)^(k+1) - 2) / (k + 1), with c the
+        # float the spec's literals give
+        la = limiting_averages(parse_sigma_spec(f"expr:1+((i/n-{kink})^2)^0.5"), 2, 1e-8)
+        assert la.converged.all() and la.digits == 30 and la.panels > 1
+        with mp.workdps(40):
+            c = mp.mpf(c)
+            for k, v in enumerate(la.values, 1):
+                want = ((1 + c) ** (k + 1) + (2 - c) ** (k + 1) - 2) / (k + 1)
+                assert abs(v / want - 1) <= 1e-28
+
+    def test_narrow_bump_between_the_nodes_is_found(self):
+        # a bump 1e-3 wide falls between the tanh-sinh nodes of [0, 1], which
+        # settle on Lambda = 1; the float midpoint rule over 4096 cells sees
+        # it, and the panel around it is halved until the nodes do
+        la = limiting_averages(parse_sigma_spec("expr:1+exp(0-((i/n-1/3)^2)*1e6)"), 2, 1e-8)
+        assert la.converged.all() and la.digits == 30 and la.panels > 1
+        with mp.workdps(40):
+            g = mp.sqrt(mp.pi) / 1000  # int exp(-1e6 (x - c)^2) dx; the tails are below 1e-100
+            for v, want in zip(la.values, (1 + g, 1 + 2 * g + g / mp.sqrt(2))):
+                assert abs(v / want - 1) <= 1e-28
+
+    def test_narrow_dip_below_zero_is_a_domain_error(self):
+        with pytest.raises(SigmaDomainError, match="no finite positive value at i/n = 0.33"):
+            limiting_averages(parse_sigma_spec("expr:1-2*exp(0-((i/n-1/3)^2)*1e6)"), 1, 1e-8)
+
+    def test_kinked_profile_gets_its_moments(self):
+        # m_2 = Lambda_1^2 and m_4 = 2 Lambda_1^2 Lambda_2, as the float ladder gave them
+        report = moment_table(parse_sigma_spec("expr:1+((i/n-0.5)^2)^0.5"), 2)
+        assert [row.limit for row in report.rows] == pytest.approx([1.5625, 475 / 96], rel=1e-15)
 
     def test_negative_profile_is_a_domain_error(self):
         with pytest.raises(SigmaDomainError, match="no finite positive value"):
@@ -299,9 +339,10 @@ class TestExtrapolatedLadder:
     def test_note_names_the_work(self):
         spec = parse_sigma_spec(EXP_SPEC)
         la = limiting_averages(spec, 3, 1e-8)
-        _, note = lambda_vector(spec, 3, 1e-8)
+        _, note, digits = lambda_vector(spec, 3, 1e-8)
         assert note == (f"tanh-sinh quadrature of the pointwise limit: {la.levels} levels, "
                         f"{la.nodes} nodes, 30 digits")
+        assert digits == 30
         assert lambda_vector(parse_sigma_spec("const:2"), 3, 1e-8)[1] == "exact (constant sigma)"
 
     def test_unconverged_ladder_is_an_error(self):
@@ -309,9 +350,10 @@ class TestExtrapolatedLadder:
                                                rf"tol=1e-08 \({_LIMIT_LEVEL} levels, \d+ nodes, 30 digits\)"):
             lambda_vector(parse_sigma_spec("expr:1+log(i)"), 1, 1e-8)
 
-    def test_unsettled_quadrature_is_an_error(self):
-        with pytest.raises(NoLimitError, match="its quadrature did not settle to 30 digits"):
-            lambda_vector(parse_sigma_spec("expr:1+((i/n-0.5)^2)^0.5"), 1, 1e-8)
+    def test_quadrature_short_of_tol_is_an_error(self):
+        # the 60-digit kink of test_ladder_work_is_bounded reaches 28 digits
+        with pytest.raises(NoLimitError, match=r"its quadrature stopped at \d\d digits"):
+            lambda_vector(parse_sigma_spec("expr:1+((i/n-1/3)^2)^0.5"), 1, 1e-40, digits=60)
 
     def test_validate_check_passes(self):
         name, passed, detail = check_lambda_quadrature()
