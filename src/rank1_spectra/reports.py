@@ -182,7 +182,8 @@ def radius_table(
         lambdas, source, carried = lambda_vector(spec, k_need, lambda_tol, n, stats, digits)
         series = _limits([mpf(a) for a in lambdas], k_need)
         if s_bar:
-            nu, eps = series, mpf(10) ** -carried
+            # m_{2s} sums products of s + 1 averages, each good to `carried` digits
+            nu, eps = series, (2 * s_bar + 2) * mpf(10) ** -carried
             if spec.kind == "explicit":
                 # the SDP needs the averages past float precision: sum them in mpf
                 nu, eps = _limits(_mp_power_averages(values, 2 * s_bar + 1), 2 * s_bar + 1), None
