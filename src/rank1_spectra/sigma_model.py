@@ -402,11 +402,20 @@ def _power_sums(v: np.ndarray, k_max: int) -> list:
 
 def _mp_power_averages(values: Sequence[float], k_max: int) -> list:
     """(1/n) sum_i v_i^k, k = 1..k_max, in mpf at the current precision: the
-    float v_i taken as exact, without float64's rounding of powers and sums."""
-    from mpmath import mpf
+    float v_i taken as exact, without float64's rounding of powers and sums.
+    The powers are integers with P bits below the largest v_i, each product
+    truncated by less than 2^-P of the largest term."""
+    from mpmath import mp, mpf
 
-    weights = [1 / mpf(len(values))] * len(values)
-    return _weighted_power_sums(weights, [mpf(float(v)) for v in values], k_max)
+    n = len(values)
+    P = mp.prec + 10 + n.bit_length() + k_max.bit_length()
+    E = math.frexp(max(values))[1]
+    ints = [math.floor(math.ldexp(float(v), P - E)) for v in values]
+    powers, averages = ints, []
+    for k in range(1, k_max + 1):
+        averages.append(mpf((sum(powers), k * E - P)) / n)
+        powers = [(p * v) >> P for p, v in zip(powers, ints)]
+    return averages
 
 
 def limiting_averages(
