@@ -567,16 +567,20 @@ def _settle(levels, history: list, digits: int) -> tuple:
 @functools.lru_cache(maxsize=64)
 def _abscissae(step, n: int, prec: int) -> tuple:
     """(phi, dphi/dt) at t_j = (j - (n - 1) / 2) step, j < n, at mp precision
-    ``prec``, for phi(t) = 1 / (1 + e), e = exp(-pi sinh t): 1 - phi = e phi
-    keeps either end of (0, 1) free of cancellation."""
+    ``prec``, for phi(t) = 1 / (1 + e), e = exp(-pi sinh t).  The grid is
+    symmetric, phi(-t) = e phi(t) = 1 - phi(t) keeps either end of (0, 1)
+    free of cancellation, and dphi/dt is even, so t >= 0 gives every node."""
     from mpmath import mp
 
     nodes = []
-    for j in range(n):
+    for j in range(n // 2, n):
         et = mp.exp((2 * j - n + 1) * step / 2)
         e = mp.exp(-mp.pi * (et - 1 / et) / 2)
         phi = 1 / (1 + e)
-        nodes.append((phi, mp.pi * (et + 1 / et) / 2 * e * phi * phi))
+        dphi = mp.pi * (et + 1 / et) / 2 * e * phi * phi
+        nodes.append((phi, dphi))
+        if 2 * j > n - 1:
+            nodes.append((e * phi, dphi))
     return tuple(nodes)
 
 
