@@ -427,10 +427,11 @@ def limiting_averages(
     int_{1/N}^1 f(xN, N)^k dx at N = 10^(digits + 5).  At _LIMIT_LEVEL the
     same sums at 10^10 N must agree to the relative ``tol`` (the limit
     test).  Then the panel with the largest error, stalled (`_settle`) or
-    at odds with a float midpoint rule (`_unseen`), is halved until the errors sum to 10^-digits of Lambda_k or _MAX_NODES
-    points are spent; ``digits`` of the result is what they leave and
-    ``converged`` whether that meets ``tol``.  Explicit sequences have no
-    limit: use S_{n,k}/n from `sigma_stats`.
+    at odds with a float midpoint rule (`_unseen`), is halved until the
+    errors sum to 10^-digits of Lambda_k or _MAX_NODES points are spent;
+    ``digits`` of the result is what they leave and ``converged`` whether
+    that meets ``tol``.  Explicit sequences have no limit: use S_{n,k}/n
+    from `sigma_stats`.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -491,16 +492,17 @@ def limiting_averages(
 def _midpoint_sums(tree: Node, k_max: int, N: float) -> Optional[list]:
     """Cumulative float64 midpoint sums of f(xN, N)^k / cells, k = 1..k_max,
     over _CELLS and _CELLS / 2 equal cells of [0, 1], or None where they
-    leave float64's range.  A point where sigma is not positive raises."""
+    leave float64's range.  A point where sigma is negative raises; one
+    that underflows to 0 is fine."""
     sums = []
     for cells in (_CELLS, _CELLS // 2):
         x = (np.arange(cells) + 0.5) / cells
         with np.errstate(all="ignore"):
             f = np.broadcast_to(np.asarray(_eval_node(tree, x * N, N), dtype=float), x.shape)
             powers = np.cumprod(np.broadcast_to(f, (k_max, cells)), axis=0) / cells
-        if (f <= 0).any():
+        if (f < 0).any():
             raise SigmaDomainError(
-                f"sigma has no finite positive value at i/n = {x[np.argmax(f <= 0)]:.8g}"
+                f"sigma has no finite positive value at i/n = {x[np.argmax(f < 0)]:.8g}"
             )
         sums.append(np.concatenate([np.zeros((k_max, 1)), np.cumsum(powers, axis=1)], axis=1))
     return sums if all(np.isfinite(s).all() for s in sums) else None

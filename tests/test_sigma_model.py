@@ -327,6 +327,14 @@ class TestExtrapolatedLadder:
         with pytest.raises(SigmaDomainError, match="no finite positive value at i/n = 0.33"):
             limiting_averages(parse_sigma_spec("expr:1-2*exp(0-((i/n-1/3)^2)*1e6)"), 1, 1e-8)
 
+    def test_profile_below_float_range_is_no_domain_error(self):
+        # exp(-1000 x) underflows to 0 in the float midpoint rule past
+        # x = 0.745; it stays positive in mpf
+        la = limiting_averages(parse_sigma_spec("expr:exp(-1000*i/n)"), 2, 1e-8)
+        with mp.workdps(30):
+            for k, v in enumerate(la.values, 1):
+                assert abs(v * 1000 * k / (1 - mp.exp(-1000 * k)) - 1) <= 1e-28
+
     def test_kinked_profile_gets_its_moments(self):
         # m_2 = Lambda_1^2 and m_4 = 2 Lambda_1^2 Lambda_2, as the float ladder gave them
         report = moment_table(parse_sigma_spec("expr:1+((i/n-0.5)^2)^0.5"), 2)
