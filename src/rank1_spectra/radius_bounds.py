@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
 from mpmath import mp, mpf
 
 from .moments import moment_lower_bound, theta_factor
@@ -184,7 +185,8 @@ def _count_below(a: tuple, b: tuple, x) -> int:
 
 def sdp_lower_bound(pencil: HankelPencil, tol: float = DEFAULT_TOL) -> SdpResult:
     """min{x > 0 : H0 x - H1 >= 0}, the top eigenvalue of the pencil's Jacobi
-    matrix, by bisecting [max a_k, Gershgorin's bound] on its Sturm count to
+    matrix, by bisecting [max a_k, Gershgorin's bound], or 2^-40 around the
+    float64 eigenvalue where the counts confirm it, on its Sturm count to
     below tol and 2^-64 of the upper end; beta is the midpoint.  Raises
     ArithmeticError when the counts at beta -/+ tol do not certify it: the
     digits cannot resolve beta to tol, as for a support near 1e60 at 1e-8."""
@@ -196,6 +198,13 @@ def sdp_lower_bound(pencil: HankelPencil, tol: float = DEFAULT_TOL) -> SdpResult
         root = [mp.sqrt(v) for v in b[1:]] + [0]
         lo = max(a)
         hi = max(ak + rk + rl for ak, rk, rl in zip(a, [0] + root, root))
+        # float64's top eigenvalue, where the counts confirm it, narrows the bracket
+        with np.errstate(all="ignore"):
+            J = np.diag([float(v) for v in a]) + np.diag([float(v) for v in root[:-1]], 1)
+            guess = mpf(float(np.linalg.eigvalsh(J, UPLO="U")[-1])) if np.isfinite(J).all() else lo
+        near = abs(guess) * mpf(2) ** -40
+        if _count_below(a, b, guess + near) == m and _count_below(a, b, guess - near) < m:
+            lo, hi = max(lo, guess - near), min(hi, guess + near)
         while hi - lo > min(tol, abs(hi) * mpf(2) ** -64):
             mid = (lo + hi) / 2
             if mid in (lo, hi):

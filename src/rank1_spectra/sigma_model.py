@@ -591,10 +591,10 @@ def _ladder_averages(tree: Node, k_max: int, N, p, q, step, n: int) -> list:
     on the panel [p, q]: x = p + (q - p) phi(t) and w = (q - p) dphi/dt."""
     from mpmath import mp, mpf
 
-    weights, values = [], []
+    weights, values, width = [], [], q - p
     for phi, dphi in _abscissae(step, n, mp.prec):
-        weights.append((q - p) * dphi)
-        i = (p + (q - p) * phi) * N
+        weights.append(width * dphi)
+        i = (p + width * phi) * N
         try:
             v = mpf(_eval_node(tree, i, N, mp))  # a complex value raises TypeError
         except (ArithmeticError, TypeError):
