@@ -414,7 +414,8 @@ def _mp_power_averages(values: Sequence[float], k_max: int) -> list:
     powers, averages = ints, []
     for k in range(1, k_max + 1):
         averages.append(mpf((sum(powers), k * E - P)) / n)
-        powers = [(p * v) >> P for p, v in zip(powers, ints)]
+        if k < k_max:
+            powers = [(p * v) >> P for p, v in zip(powers, ints)]
     return averages
 
 
