@@ -1,9 +1,9 @@
 """Command-line surface: moment tables, simulations, radius bounds, validation.
 
 Each command loads only its own layers: the handlers import them when they
-run, so ``moments`` never loads the Monte Carlo layer and loads mpmath only
-for limiting averages (not for a ``file:`` sigma), and only ``validate``
-loads the enumeration oracles.
+run, so ``moments`` never loads the Monte Carlo layer, nor mpmath for a
+``file:`` sigma, whose S_{n,k}/n it sums in float64 (``radius`` sums them
+exactly in mpf), and only ``validate`` loads the enumeration oracles.
 
 Exit codes: 0 success, 1 when a ``validate`` check fails, 2 usage or parse
 errors, 3 numeric or runtime errors.

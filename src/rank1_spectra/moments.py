@@ -96,12 +96,14 @@ def _is_positive(a: Number) -> bool:
     return math.isfinite(float(a)) and float(a) > 0
 
 
-def _lower_bounds(stats: SigmaStats, s_max: int) -> list:
-    """moment_lower_bound for s = 1..s_max from one sigma_stats with k_max >= s_max."""
+def _lower_bounds(stats: SigmaStats, s_max: int, mains: Optional[list] = None) -> list:
+    """moment_lower_bound for s = 1..s_max from one sigma_stats with k_max >=
+    s_max, and ``mains``, the tree series at its S_{n,k}/n, if run already."""
     n = stats.n
     if n <= s_max:
         raise ValueError(f"need n > s, got n={n}, s={s_max}")
-    mains = _tree_series(stats.partial_sums[:s_max] / n, s_max)
+    if mains is None:
+        mains = _tree_series(stats.partial_sums[:s_max] / n, s_max)
     bounds = []
     for s, main in enumerate(mains, start=1):
         correction = int(sum(math.comb(n, j) * j ** (s + 1 - j) for j in range(1, s + 1)))

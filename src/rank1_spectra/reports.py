@@ -1,8 +1,9 @@
 """Builders gluing the sigma/moments/radius layers into reports.
 
 ``radius_table`` imports ``radius_bounds`` (and so mpmath) when called, so
-building a moment table never loads the SDP layer; it loads mpmath only for
-limiting averages.
+building a moment table never loads the SDP layer.  A moment table of an
+explicit sequence takes S_{n,k}/n in float64 from `sigma_stats` and loads
+no mpmath; every other Lambda_k comes from `limiting_averages` in mpf.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from .sigma_model import (
     DEFAULT_DIGITS,
     NoLimitError,
     SigmaSpec,
-    SigmaStats,
-    _mp_power_averages,
     limiting_averages,
     sigma_stats,
     sigma_values,
@@ -31,6 +30,7 @@ if TYPE_CHECKING:
 __all__ = ["lambda_vector", "moment_table", "radius_table", "DEFAULT_LAMBDA_TOL"]
 
 DEFAULT_LAMBDA_TOL = 1e-8
+_FINITE_NOTE = "finite-n averages S_{{n,k}}/n at n={}"
 
 
 def lambda_vector(
@@ -38,25 +38,16 @@ def lambda_vector(
     k_max: int,
     tol: float = DEFAULT_LAMBDA_TOL,
     n: Optional[int] = None,
-    stats: Optional[SigmaStats] = None,
     digits: int = DEFAULT_DIGITS,
 ) -> Tuple[Sequence, str, int]:
-    """Lambda_1..Lambda_k, a note naming their source, and the digits they carry.
-
-    Constant and expression specs give mpf numbers (`limiting_averages`);
-    the note of an expression names the quadrature's work, and one that
-    fails the limit test or ``tol`` raises NoLimitError.  Explicit sequences
-    have no limit: the float finite-n averages S_{n,k}/n (n defaulting to
-    the full length), good to 15 digits, stand in, and ``stats``, the
-    caller's sigma_stats of those n values up to k_max, spares recomputing.
+    """Lambda_1..Lambda_k in mpf (`limiting_averages`), a note naming their
+    source, and the digits they carry.  For an explicit sequence the note
+    names n; for an expression it names the quadrature's work, and one that
+    fails the limit test or ``tol`` raises NoLimitError.
     """
+    la = limiting_averages(spec, k_max, tol, digits, n)
     if spec.kind == "explicit":
-        n_eff = n if n is not None else len(spec.payload)
-        if stats is None:
-            stats = sigma_stats(sigma_values(spec, n_eff), k_max)
-        return (stats.partial_sums[:k_max] / n_eff,
-                f"finite-n averages S_{{n,k}}/n at n={n_eff}", 15)
-    la = limiting_averages(spec, k_max, tol, digits)
+        return la.values, _FINITE_NOTE.format(len(spec.payload) if n is None else n), la.digits
     if spec.kind == "constant":
         return la.values, "exact (constant sigma)", la.digits
     work = f"{la.levels} levels, {la.nodes} nodes, {la.digits} digits"
@@ -83,21 +74,30 @@ def moment_table(
     With ``n`` given the finite-n lower/upper bounds are included; the upper
     bound takes K = sigma_max unless overridden.  ``empirical`` maps order ->
     (mean, stderr) pairs to attach Monte Carlo columns.  Sigma is evaluated
-    once, and the limits (in float64) and the lower bounds' main terms each
-    come from one pass of the tree series.
+    once.  The limits come from one pass of the tree series in float64, and
+    the lower bounds' main terms from one more; an explicit sequence's
+    limits are that series at the same S_{n,k}/n, so one pass gives both.
     """
+    explicit = spec.kind == "explicit"
+    n_stats = len(spec.payload) if explicit and n is None else n
     stats = None
-    if n is not None:
+    if n_stats is not None:
         # the lower bounds need S_{n,k} for k < n; an explicit sequence's
         # averages need them up to s_max
-        k_stats = s_max if spec.kind == "explicit" else max(1, min(s_max, n - 1))
-        stats = sigma_stats(sigma_values(spec, n), k_stats)
-        if K is None:
-            K = stats.sigma_max
-    lambdas, source, _ = lambda_vector(spec, s_max, lambda_tol, n, stats)
+        stats = sigma_stats(sigma_values(spec, n_stats),
+                            s_max if explicit else max(1, min(s_max, n_stats - 1)))
+    if explicit:
+        source = _FINITE_NOTE.format(n_stats)
+        limits = _limits(list(stats.partial_sums / n_stats), s_max)
+    else:
+        lambdas, source, _ = lambda_vector(spec, s_max, lambda_tol)
+        limits = _limits([float(a) for a in lambdas], s_max)
     notes = [f"limiting averages: {source}"]
-    limits = _limits([float(a) for a in lambdas], s_max)
-    lowers = _lower_bounds(stats, min(s_max, n - 1)) if stats is not None else []
+    lowers = []
+    if n is not None:
+        K = stats.sigma_max if K is None else K
+        s_low = min(s_max, n - 1)
+        lowers = _lower_bounds(stats, s_low, limits[:s_low] if explicit else None)
     rows = []
     for s in range(1, s_max + 1):
         limit = float(limits[s - 1])
@@ -140,12 +140,12 @@ def radius_table(
 ) -> RadiusBoundsReport:
     """Radius-bound report: finite-n sandwich rows plus the SDP lower bound.
 
-    ``orders`` requires ``n``.  Sigma is evaluated once; the limits up to
-    max(2*s_bar + 1, max(orders)) come from one pass of the tree series in
-    mpf at max(DEFAULT_DIGITS, 2*s_bar + 10) digits, and the rows' lower
-    bounds from one more.  The SDP sums an explicit sequence's powers in mpf
-    (`_mp_power_averages`): the pencil would amplify the float S_{n,k}/n's
-    rounding past beta's first digit.  The defaults of ``s_bar`` and
+    ``orders`` requires ``n``.  One pass of the tree series in mpf at
+    max(DEFAULT_DIGITS, 2*s_bar + 10) digits gives the limits up to
+    max(2*s_bar + 1, max(orders)) for the SDP and the rows' upper bounds;
+    an explicit sequence's S_{n,k}/n are summed exactly, as the pencil would
+    amplify float64's rounding past beta's first digit.  The rows' lower
+    bounds run their own float64 pass at n.  The defaults of ``s_bar`` and
     ``sdp_tol`` are radius_bounds.DEFAULT_SBAR and DEFAULT_TOL, written out
     because radius_bounds is imported only here, at call time.
     """
@@ -167,32 +167,24 @@ def radius_table(
     k_need = 2 * s_bar + 1 if s_bar else 1
     if orders:
         k_need = max(k_need, max(orders))
-    stats = values = None
-    if orders:
         for s in sorted(orders):
             _check_order(s)
             if n <= s:
                 raise ValueError(f"order s={s} needs n > s, got n={n}")
-    if orders or spec.kind == "explicit":
-        values = sigma_values(spec, n if n is not None else len(spec.payload))
-        # an explicit sequence's averages need S_{n,k} up to k_need
-        stats = sigma_stats(values, k_need if spec.kind == "explicit" else max(orders))
     digits = max(DEFAULT_DIGITS, 2 * (s_bar or 0) + 10)
     with mp.workdps(digits):
-        lambdas, source, carried = lambda_vector(spec, k_need, lambda_tol, n, stats, digits)
-        series = _limits([mpf(a) for a in lambdas], k_need)
+        lambdas, source, carried = lambda_vector(spec, k_need, lambda_tol, n, digits)
+        series = _limits(lambdas, k_need)
         if s_bar:
             # m_{2s} sums products of s + 1 averages, each good to `carried` digits
-            nu, eps = series, (2 * s_bar + 2) * mpf(10) ** -carried
-            if spec.kind == "explicit":
-                # the SDP needs the averages past float precision: sum them in mpf
-                nu, eps = _limits(_mp_power_averages(values, 2 * s_bar + 1), 2 * s_bar + 1), None
-            pencil = build_pencil(nu[: 2 * s_bar + 1], s_bar, eps)
+            eps = (2 * s_bar + 2) * mpf(10) ** -carried
+            pencil = build_pencil(series[: 2 * s_bar + 1], s_bar, eps)
     notes = [f"limiting averages: {source}"]
     limits = [float(m) for m in series]
 
     rows = []
     if orders:
+        stats = sigma_stats(sigma_values(spec, n), max(orders))
         lowers = _lower_bounds(stats, max(orders))
         smax, smin = stats.sigma_max, stats.sigma_min
         K_eff = smax if K is None else K

@@ -7,13 +7,15 @@ everything downstream: the partial sums S_{n,k} = sum_i sigma_i^k, the
 extremes sigma_max / sigma_min, and the limiting averages
 Lambda_k = lim_n (1/n) S_{n,k}.
 
-The limiting averages of an expression are integrals of its pointwise limit:
-with i = xN at a huge N, Lambda_k = int_{1/N}^1 f(xN, N)^k dx, evaluated in
-mpmath by tanh-sinh quadrature (Takahasi-Mori 1974).  f is evaluated once
-per node and every k comes from running products.  The same sums at 10^10 N
-on a coarse level test that the limit exists (1 + log(i) fails at once),
-and a panel across which the quadrature stalls, as at a kink, is halved.
-mpmath is imported only when limiting averages are requested.
+Every Lambda_k is one mpf sum of w_j v_j^k over a node set
+(`_weighted_power_sums`): a constant is one node of weight 1, and an
+explicit sequence, which has no limit, stands in with its first n values,
+each distinct value weighted by its count over n.  An expression's nodes
+are those of tanh-sinh quadrature (Takahasi-Mori 1974) of its pointwise
+limit, Lambda_k = int_{1/N}^1 f(xN, N)^k dx at a huge N.  The same sums at
+10^10 N on a coarse level test that the limit exists (1 + log(i) fails at
+once), and a panel across which the quadrature stalls, as at a kink, is
+halved.  mpmath is imported only when limiting averages are requested.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import functools
 import heapq
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -65,8 +68,7 @@ class SigmaDomainError(ValueError):
 
 
 class NoLimitError(ValueError):
-    """Raised when limiting averages are requested for an explicit (finite)
-    sequence, or for a profile whose averages do not settle."""
+    """Raised for a profile whose limiting averages do not settle."""
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +265,10 @@ class LimitingAverages:
     """Lambda_1..Lambda_k as mpf numbers good to about ``digits`` digits.
 
     ``levels`` is the quadrature's deepest step halving, ``panels`` the
-    intervals it integrated and ``nodes`` the evaluations of sigma (all 0
-    for a constant).  ``converged[k-1]`` is False when Lambda_k failed the
-    limit test or the tolerance; ``values`` then holds the last estimate.
+    intervals it integrated and ``nodes`` the evaluations of sigma (the
+    distinct values of a constant or an explicit sequence).  ``converged``
+    is False where Lambda_k failed the limit test or the tolerance, and
+    ``values`` then holds the last estimate.
     """
 
     values: tuple
@@ -400,55 +403,36 @@ def _power_sums(v: np.ndarray, k_max: int) -> list:
     return sums
 
 
-def _mp_power_averages(values: Sequence[float], k_max: int) -> list:
-    """(1/n) sum_i v_i^k, k = 1..k_max, in mpf at the current precision: the
-    float v_i taken as exact, without float64's rounding of powers and sums.
-    The powers are integers with P bits below the largest v_i, each product
-    truncated by less than 2^-P of the largest term."""
-    from mpmath import mp, mpf
-
-    n = len(values)
-    P = mp.prec + 10 + n.bit_length() + k_max.bit_length()
-    E = math.frexp(max(values))[1]
-    ints = [math.floor(math.ldexp(float(v), P - E)) for v in values]
-    powers, averages = ints, []
-    for k in range(1, k_max + 1):
-        averages.append(mpf((sum(powers), k * E - P)) / n)
-        if k < k_max:
-            powers = [(p * v) >> P for p, v in zip(powers, ints)]
-    return averages
-
-
 def limiting_averages(
-    spec: SigmaSpec, k_max: int, tol: float, digits: int = DEFAULT_DIGITS
+    spec: SigmaSpec, k_max: int, tol: float, digits: int = DEFAULT_DIGITS,
+    n: Optional[int] = None,
 ) -> LimitingAverages:
     """Lambda_k = lim (1/n) S_{n,k} for k = 1..k_max, to about ``digits`` digits.
 
-    A constant c gives c^k, an expression f the tanh-sinh integrals
-    int_{1/N}^1 f(xN, N)^k dx at N = 10^(digits + 5).  At _LIMIT_LEVEL the
-    same sums at 10^10 N must agree to the relative ``tol`` (the limit
-    test).  Then the panel with the largest error, stalled (`_settle`) or
-    at odds with a float midpoint rule (`_unseen`), is halved until the
-    errors sum to 10^-digits of Lambda_k or _MAX_NODES points are spent;
-    ``digits`` of the result is what they leave and ``converged`` whether
-    that meets ``tol``.  Explicit sequences have no limit: use S_{n,k}/n
-    from `sigma_stats`.
+    A constant c gives c^k, an explicit sequence S_{n,k}/n of its first
+    ``n`` values (all by default), an expression f the tanh-sinh integrals
+    int_{1/N}^1 f(xN, N)^k dx at N = 10^(digits + 5).
+    At _LIMIT_LEVEL the same sums at 10^10 N must agree to the relative
+    ``tol`` (the limit test).  Then the panel with the largest error,
+    stalled (`_settle`) or at odds with a float midpoint rule (`_unseen`),
+    is halved until the errors sum to 10^-digits of Lambda_k or _MAX_NODES
+    points are spent; ``digits`` of the result is what they leave and
+    ``converged`` whether that meets ``tol``.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    if spec.kind == "explicit":
-        raise NoLimitError(
-            "explicit sigma sequences have no limiting averages; "
-            "use sigma_stats(values, k_max).partial_sums / n for the finite-n version"
-        )
     from mpmath import mp, mpf
 
     with mp.workdps(digits):
-        if spec.kind == "constant":
-            values = tuple(mpf(spec.payload) ** k for k in range(1, k_max + 1))
-            return LimitingAverages(values, np.ones(k_max, dtype=bool), 0, 0, 0, digits)
+        if spec.kind != "expression":
+            # a constant is its value at n = 1, an explicit sequence its first n values
+            size = 1 if spec.kind == "constant" else len(spec.payload) if n is None else n
+            values, counts = np.unique(sigma_values(spec, size), return_counts=True)
+            sums = _weighted_power_sums(counts.tolist(), values.tolist(), k_max)
+            return LimitingAverages(tuple(s / size for s in sums), np.ones(k_max, dtype=bool),
+                                    0, 0, len(values), digits)
         tree, N = spec.payload, mpf(10) ** (digits + 5)
         t_max = mp.asinh(mp.log(N * 10 ** 10) / mp.pi)
         near = _levels(tree, k_max, N, 1 / N, mpf(1), t_max)
@@ -609,26 +593,44 @@ def _ladder_averages(tree: Node, k_max: int, N, p, q, step, n: int) -> list:
 
 
 def _weighted_power_sums(weights: list, values: list, k_max: int) -> list:
-    """sum_j w_j v_j^k for k = 1..k_max over positive mpf weights and values.
+    """sum_j w_j v_j^k for k = 1..k_max over positive weights and values
+    (ints, floats or mpf), each within 2^-(prec + 10) of the exact sum
+    before its final rounding to the mp precision ``prec``.
 
-    Each term is a Python int mantissa of at least P bits and its own binary
-    exponent: a running product costs one integer multiplication, and each
-    sum of the positive terms is exact until its final rounding.
+    In a group of the terms whose v lie in [2^(e-1), 2^e) and w below 2^f,
+    w v^k is an integer T in units of 2^(f + ek - P), short by at most
+    k + 1 units, so a power costs one integer product and shift.  The
+    group's heaviest node (w, v), the largest v among equal weights, gives
+    a term of at least 2^(f - 1) v^k: P = prec + 12 + bits(n k_max) +
+    k_max log2(2^e / v) keeps the group's sum to the bound.
     """
     from mpmath import mp, mpf
 
-    P = mp.prec + 10
-
-    def split(x):  # x = man 2^exp with man of exactly P bits
-        man, exp = x.man_exp
-        return man << (P - man.bit_length()), exp - P + man.bit_length()
-
-    mans, exps = zip(*map(split, weights))
-    vmans, vexps = zip(*map(split, values))
+    groups = defaultdict(list)
+    for node in zip(weights, values, map(_binary, values)):
+        groups[node[2][1] + node[2][0].bit_length()].append(node)
+    guard = mp.prec + 12 + (len(values) * k_max).bit_length()
+    parts = [[] for _ in range(k_max)]
+    for e, nodes in groups.items():
+        w, _, (vm, vx) = max(nodes)
+        wm, wx = _binary(w)
+        f = wx + wm.bit_length()
+        P = guard + math.ceil(k_max * (53 - math.log2(vm << 53 >> (e - vx))))
+        T = [m << P >> (f - x) for m, x in (_binary(w) for w, _, _ in nodes)]
+        V = [m << P >> (e - x) for _, _, (m, x) in nodes]
+        for k in range(k_max):
+            T = [t * x >> P for t, x in zip(T, V)]
+            parts[k].append((sum(T), f + e * (k + 1) - P))
     sums = []
-    for _ in range(k_max):
-        mans = [(m * v) >> (P - 1) for m, v in zip(mans, vmans)]
-        exps = [e + v + P - 1 for e, v in zip(exps, vexps)]
-        low = min(exps)
-        sums.append(mpf((sum(m << (e - low) for m, e in zip(mans, exps)), low)))
+    for terms in parts:
+        low = min(x for _, x in terms)
+        sums.append(mpf((sum(t << (x - low) for t, x in terms), low)))
     return sums
+
+
+def _binary(x) -> tuple:
+    """(man, exp) with x = man 2^exp, for a positive int, float or mpf x."""
+    if isinstance(x, float):
+        m, e = math.frexp(x)
+        return int(math.ldexp(m, 53)), e - 53
+    return (x, 0) if isinstance(x, int) else x.man_exp

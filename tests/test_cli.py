@@ -1,4 +1,5 @@
 import csv
+import functools
 import importlib
 import json
 import math
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -286,11 +288,26 @@ def _uniform_sigma_file(directory, seed):
     values = [rng.uniform(0.5, 2.0) for _ in range(4000)]
     path = directory / f"sigma{seed}.txt"
     path.write_text("".join(repr(v) + "\n" for v in values), encoding="utf-8")
-    return f"file:{path}", values
+    return f"file:{path}"
 
 
-def _exact_sum_oracle(values, s_bar):
-    """The SDP at Lambda_k = exact sums of the float values over n, bisected in mpmath."""
+@functools.lru_cache(maxsize=None)
+def _exact_averages(seed):
+    """Lambda_1..Lambda_51 of the file of ``seed``: exact sums of its float
+    values over n, as Fractions, from the integers of float.as_integer_ratio."""
+    rng = random.Random(seed)
+    ratios = [rng.uniform(0.5, 2.0).as_integer_ratio() for _ in range(4000)]
+    den = max(d for _, d in ratios)  # a power of 2, so every v_i is an integer over it
+    ints = [m * (den // d) for m, d in ratios]
+    powers, averages = ints, []
+    for k in range(1, 52):
+        averages.append(Fraction(sum(powers), len(ints) * den ** k))
+        powers = [p * m for p, m in zip(powers, ints)]
+    return averages
+
+
+def _exact_sum_oracle(seed, s_bar):
+    """The SDP at the exact averages of the file of ``seed``, bisected in mpmath."""
     from mpmath import mp, mpf
 
     from rank1_spectra.moments import _limits
@@ -298,18 +315,15 @@ def _exact_sum_oracle(values, s_bar):
     from rank1_spectra.validation import bisect_beta
 
     with mp.workdps(100):
-        powers, lams = [mpf(v) for v in values], []
-        for _ in range(2 * s_bar + 1):
-            lams.append(mp.fsum(powers) / len(values))
-            powers = [p * mpf(v) for p, v in zip(powers, values)]
+        lams = [mpf(a.numerator) / a.denominator for a in _exact_averages(seed)[:2 * s_bar + 1]]
         pencil = build_pencil(_limits(lams, 2 * s_bar + 1), s_bar)
     return bisect_beta(pencil, 1e-12)
 
 
 def test_explicit_sigma_beta_matches_the_exact_sum_oracle(tmp_path):
-    spec, values = _uniform_sigma_file(tmp_path, 1)
+    spec = _uniform_sigma_file(tmp_path, 1)
     beta = _beta(tmp_path, "--sigma", spec, "--n", "4000", "--sbar", "14")
-    oracle = _exact_sum_oracle(values, 14)
+    oracle = _exact_sum_oracle(1, 14)
     assert oracle == pytest.approx(7.41271062, abs=1e-8)
     assert abs(beta - oracle) <= 2e-10
 
@@ -318,10 +332,10 @@ def test_explicit_sigma_beta_matches_the_exact_sum_oracle(tmp_path):
 def test_explicit_sigma_past_float_digits_stays_a_lower_bound(tmp_path, seed):
     # at s_bar = 25 the pencil amplifies the float S_{n,k}/n's rounding past
     # beta's first digit (seed 0 gave 7.52368 above the exact 7.52160, seed 1
-    # no moment sequence); the SDP sums the powers in mpf instead
-    spec, values = _uniform_sigma_file(tmp_path, seed)
+    # no moment sequence); the averages are summed exactly instead
+    spec = _uniform_sigma_file(tmp_path, seed)
     beta = _beta(tmp_path, "--sigma", spec, "--n", "4000", "--sbar", "25")
-    oracle = _exact_sum_oracle(values, 25)
+    oracle = _exact_sum_oracle(seed, 25)
     assert oracle - 2e-10 <= beta <= oracle + 1e-10
 
 

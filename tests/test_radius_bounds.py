@@ -413,26 +413,44 @@ def test_radius_table_orders_evaluate_sigma_once(tmp_path, monkeypatch):
     spec = parse_sigma_spec(f"file:{path}")
     orders = (2, 5, 9, 20, 40, 64)
 
-    calls = []
+    calls, series, run_series = [], [], moments._tree_series
 
     def counting(values, k_max):
         calls.append(k_max)
         return sigma_model.sigma_stats(values, k_max)
 
+    def tree_series(averages, s_max):
+        series.append("mpf" if hasattr(averages[0], "_mpf_") else "float")
+        return run_series(averages, s_max)
+
     for module in (reports, moments):
         monkeypatch.setattr(module, "sigma_stats", counting)
+    monkeypatch.setattr(moments, "_tree_series", tree_series)
     report = reports.radius_table(spec, orders=orders, n=4000, s_bar=3)
     assert len(calls) == 1
+    # one mpf series feeds the SDP and the upper bounds; the lower bounds
+    # run their own float64 series, as `radius_lower_bound` does
+    assert series == ["mpf", "float"]
+    series.clear()
+    reports.radius_table(spec, n=4000, s_bar=3)
+    assert series == ["mpf"]
     monkeypatch.undo()
 
-    # each row is what the per-order bounds give, at the limit of the float
+    # each row is what the per-order bounds give, at the limit of the exact
     # averages correctly rounded
     n, smax, smin = 4000, float(values.max()), float(values.min())
-    lams = list(sigma_model.sigma_stats(values, 64).partial_sums / n)
+    ratios = [float(v).as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)  # a power of 2, so every v_i is an integer over it
+    ints = [m * (den // d) for m, d in ratios]
+    powers, lams = ints, []
+    with mp.workdps(60):
+        for k in range(1, 65):
+            lams.append(mpf(sum(powers)) / (n * den ** k))
+            powers = [p * m for p, m in zip(powers, ints)]
     for row, s in zip(report.rows, orders):
         lower = radius_lower_bound(values, s)
         with mp.workdps(60):
-            limit = float(limiting_even_moment([mpf(a) for a in lams[:s]], s))
+            limit = float(limiting_even_moment(lams[:s], s))
         assert row.s == s
         assert row.lower == lower
         assert row.upper == radius_upper_bound(n, s, smax, smax, smin, limit)

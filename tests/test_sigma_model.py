@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from rank1_spectra.sigma_model import (
     _MAX_NODES,
     NoLimitError,
     SigmaDomainError,
+    SigmaSpec,
     SpecSyntaxError,
     limiting_averages,
     parse_sigma_spec,
@@ -22,6 +24,14 @@ from rank1_spectra.sigma_model import (
 from rank1_spectra.validation import check_lambda_quadrature
 
 EXP_SPEC = "expr:exp(-4*i/n)"
+
+
+def _fraction(x):
+    """A positive int, float or mpf as an exact Fraction."""
+    if isinstance(x, (int, float)):
+        return Fraction(x)
+    man, exp = x.man_exp
+    return man * Fraction(2) ** exp
 
 
 def closed_form_lambda(k: float) -> float:
@@ -191,12 +201,43 @@ class TestLimitingAverages:
             integral, _ = quad(lambda x: math.exp(-4.0 * k * x), 0.0, 1.0, epsabs=1e-13)
             assert la.values[k - 1] == pytest.approx(integral, abs=5e-7)
 
-    def test_explicit_has_no_limit(self):
-        from rank1_spectra.sigma_model import SigmaSpec
+    @pytest.mark.parametrize("c", [0.7, 1000.0, 3.0e-5])
+    def test_constant_is_its_powers(self, c):
+        with mp.workdps(60):
+            want = [mp.mpf(c) ** k for k in range(1, 30)]
+        la = limiting_averages(parse_sigma_spec(f"const:{c!r}"), 29, 1e-8, digits=60)
+        assert list(la.values) == want
+        assert la.nodes == 1
 
-        spec = SigmaSpec("explicit", (0.5, 0.25), "explicit:inline")
-        with pytest.raises(NoLimitError):
-            limiting_averages(spec, 2, 1e-8)
+    def test_explicit_sequence_is_its_finite_n_averages(self):
+        # equal values merge into one node of weight 2; the sums are exact
+        # until the division by n
+        spec = SigmaSpec("explicit", (0.5, 0.25, 0.5), "explicit:inline")
+        la = limiting_averages(spec, 8, 1e-8, digits=60)
+        with mp.workdps(60):
+            want = [(2 * mp.mpf(0.5) ** k + mp.mpf(0.25) ** k) / 3 for k in range(1, 9)]
+            first_two = [(mp.mpf(0.5) ** k + mp.mpf(0.25) ** k) / 2 for k in range(1, 9)]
+        assert list(la.values) == want
+        assert (la.nodes, la.digits, la.converged.all()) == (2, 60, True)
+        assert list(limiting_averages(spec, 8, 1e-8, digits=60, n=2).values) == first_two
+        with pytest.raises(SigmaDomainError, match="explicit sigma sequence has 3 entries, need 4"):
+            limiting_averages(spec, 2, 1e-8, n=4)
+
+    @pytest.mark.parametrize("digits, k_max", [(38, 29), (60, 51)])
+    def test_power_sums_are_the_exact_sums_rounded_once(self, digits, k_max):
+        # weights over 80 binades and values, floats and mpf with full
+        # mantissas, over 7 binades below [1, 2), whose two nodes sit at its
+        # bottom and make most of the sums
+        rng = np.random.default_rng(11)
+        weights = (rng.uniform(0, 1, 40) * 2.0 ** rng.integers(-80, 4, 40)).tolist() + [100, 7]
+        values = rng.uniform(0.03, 2.7, 40).tolist() + [3.0000000003, 3.0000000009]
+        with mp.workdps(digits):
+            values = [v / 3 for v in values[:20]] + [mp.mpf(v) / 3 for v in values[20:]]
+            got = sigma_model._weighted_power_sums(weights, values, k_max)
+            for k, sum_k in enumerate(got, start=1):
+                exact = sum(_fraction(w) * _fraction(v) ** k for w, v in zip(weights, values))
+                dyadic = (exact.numerator, 1 - exact.denominator.bit_length())
+                assert sum_k == mp.mpf(dyadic)
 
     def test_monotone_in_k_for_subunit_sigma(self):
         la = limiting_averages(parse_sigma_spec(EXP_SPEC), 6, 1e-7)
