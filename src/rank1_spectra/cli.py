@@ -112,8 +112,6 @@ def _radius_payload(report: RadiusBoundsReport) -> dict:
             "ridge_scale": report.sdp.ridge_scale,
         }
     payload["asymptotic_root"] = report.asymptotic_root
-    if report.empirical is not None:
-        payload["empirical"] = report.empirical
     payload["notes"] = list(report.notes)
     return payload
 
@@ -257,13 +255,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_r.add_argument("--lambda-tol", type=float, default=DEFAULT_LAMBDA_TOL, help=_LAMBDA_TOL_HELP)
 
     p_v = sub.add_parser("validate", help="run the self-validation battery")
-    p_v.add_argument("--deep", action="store_true", help="extend enumerations to s=11")
+    p_v.add_argument("--deep", action="store_true",
+                     help="extend the enumerations to s=11 and double the walk oracle's "
+                          "Monte Carlo trials and the SDP's random measures")
 
     return parser
 
 
 def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    for name in ("tol", "lambda_tol"):
+    for name in ("tol", "lambda_tol", "K"):
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value > 0):
             parser.error(f"--{name.replace('_', '-')} must be finite and > 0, got {value}")
@@ -283,11 +283,13 @@ def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
             parser.error(f"--bins must be >= 1, got {args.bins}")
         if args.max_order < 1:
             parser.error(f"--max-order must be >= 1, got {args.max_order}")
-        if args.seed < 0:
-            parser.error(f"--seed must be >= 0, got {args.seed}")
+        if not 0 <= args.seed < 2 ** 64:
+            parser.error(f"--seed must be in 0..{2 ** 64 - 1}, got {args.seed}")
     elif args.command == "radius":
         if not 1 <= args.sbar <= _MAX_SBAR:
             parser.error(f"--sbar must be in 1..{_MAX_SBAR}, got {args.sbar}")
+        if args.n is not None and args.n < 1:
+            parser.error(f"--n must be >= 1, got {args.n}")
         if args.orders:
             try:
                 orders = [int(tok) for tok in args.orders.split(",") if tok]

@@ -238,7 +238,6 @@ class MomentReport:
     n: Optional[int] = None
     sigma_text: str = ""
     K: Optional[float] = None
-    seed: Optional[int] = None
     notes: tuple = field(default_factory=tuple)
 
     def row(self, order: int) -> MomentRow:

@@ -297,7 +297,7 @@ class RadiusOrderRow:
 
 @dataclass(frozen=True)
 class RadiusBoundsReport:
-    """Radius bounds per order plus the SDP result and optional empirical stats.
+    """Radius bounds per order plus the SDP result.
 
     ``asymptotic_root`` is m_{2s}^{1/2s} at the largest computed order: the
     numeric surrogate for the limiting-root upper estimate (it increases
@@ -307,5 +307,4 @@ class RadiusBoundsReport:
     rows: Tuple[RadiusOrderRow, ...]
     sdp: Optional[SdpResult] = None
     asymptotic_root: Optional[float] = None
-    empirical: Optional[dict] = None
     notes: Tuple[str, ...] = ()

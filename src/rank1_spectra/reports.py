@@ -67,7 +67,6 @@ def moment_table(
     K: Optional[float] = None,
     lambda_tol: float = DEFAULT_LAMBDA_TOL,
     empirical: Optional[dict] = None,
-    seed: Optional[int] = None,
 ) -> MomentReport:
     """Moment report for even orders 2..2*s_max.
 
@@ -123,9 +122,7 @@ def moment_table(
             f"standard errors at orders {flagged}; finite-n simulation means "
             "need not match the asymptotic formula"
         )
-    return MomentReport(
-        rows=tuple(rows), n=n, sigma_text=spec.text, K=K, seed=seed, notes=tuple(notes)
-    )
+    return MomentReport(rows=tuple(rows), n=n, sigma_text=spec.text, K=K, notes=tuple(notes))
 
 
 def radius_table(
@@ -136,7 +133,6 @@ def radius_table(
     K: Optional[float] = None,
     lambda_tol: float = DEFAULT_LAMBDA_TOL,
     sdp_tol: float = 1e-10,
-    empirical: Optional[dict] = None,
 ) -> RadiusBoundsReport:
     """Radius-bound report: finite-n sandwich rows plus the SDP lower bound.
 
@@ -213,9 +209,5 @@ def radius_table(
         asymptotic_root = limits[top - 1] ** (1.0 / (2 * top))
 
     return RadiusBoundsReport(
-        rows=tuple(rows),
-        sdp=sdp,
-        asymptotic_root=asymptotic_root,
-        empirical=empirical,
-        notes=tuple(notes),
+        rows=tuple(rows), sdp=sdp, asymptotic_root=asymptotic_root, notes=tuple(notes)
     )

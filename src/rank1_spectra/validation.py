@@ -1,16 +1,19 @@
 """Self-validation battery: enumeration and bisection oracles, invariants.
 
-Each check returns (name, passed, detail).  The CLI's ``validate`` command
-prints one line per check and exits non-zero if any fails.  The battery is
-deliberately cheap (seconds); ``deep=True`` extends the enumerations to
-s = 11 and costs around a minute.
+``CHECKS`` is the one registry of checks: (name, check) pairs, where
+check(deep) returns (passed, detail).  The CLI's ``validate`` command prints
+one line per check from `run_all` and exits non-zero if any fails; the tests
+run each at deep=False.  The battery is deliberately cheap (seconds);
+``deep=True`` extends the enumerations to s = 11 and doubles the walk
+oracle's Monte Carlo trials and the SDP's random measures; it took 80 s on a
+2-CPU machine.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 from mpmath import mp, mpf
@@ -30,7 +33,7 @@ from .reports import radius_table
 from .sigma_model import limiting_averages, parse_sigma_spec, sigma_values
 from .walk_oracle import EntryMomentModel, exact_expected_moment
 
-Check = Tuple[str, bool, str]
+Check = Tuple[bool, str]
 
 EXP_SPEC = "expr:exp(-4*i/n)"
 
@@ -41,12 +44,8 @@ def check_catalan_partition(deep: bool) -> Check:
     for s in range(1, s_top + 1):
         total = sum(tree_count(p, "enumeration") for p in enumerate_degree_profiles(s))
         if total != catalan(s):
-            return (
-                "catalan_partition",
-                False,
-                f"s={s}: enumeration total {total} != C_{s} = {catalan(s)}",
-            )
-    return ("catalan_partition", True, f"s=1..{s_top}")
+            return False, f"s={s}: enumeration total {total} != C_{s} = {catalan(s)}"
+    return True, f"s=1..{s_top}"
 
 
 def check_tree_count_modes(deep: bool) -> Check:
@@ -65,31 +64,13 @@ def check_tree_count_modes(deep: bool) -> Check:
             closed = tree_count(p, "closed_form")
             enum = tree_count(p, "enumeration")
             if closed != enum:
-                return (
-                    "tree_count",
-                    False,
-                    f"FAIL at s={s} profile {p.r} (closed {closed}, enum {enum})",
-                )
-            naive = 2 * multinomial(s + 1, p.r)
-            expected = Fraction(2, s + 1) * multinomial(s + 1, p.r)
-            if Fraction(closed) != expected:
-                return (
-                    "tree_count",
-                    False,
-                    f"closed form drifted at s={s}: {closed} != (2/(s+1))*multinomial",
-                )
-            if s >= 2 and naive == closed:
-                return (
-                    "tree_count",
-                    False,
-                    f"closed form degenerated to the naive factor-2 count at s={s}",
-                )
-    return (
-        "tree_count",
-        True,
-        f"closed_form == enumeration on all profiles, s=1..{s_top}; "
-        "count 2*s!/prod r_j! from labelled trees, embeddings and root corners",
-    )
+                return False, f"FAIL at s={s} profile {p.r} (closed {closed}, enum {enum})"
+            if Fraction(closed) != Fraction(2, s + 1) * multinomial(s + 1, p.r):
+                return False, f"closed form drifted at s={s}: {closed} != (2/(s+1))*multinomial"
+            if s >= 2 and 2 * multinomial(s + 1, p.r) == closed:
+                return False, f"closed form degenerated to the naive factor-2 count at s={s}"
+    return True, (f"closed_form == enumeration on all profiles, s=1..{s_top}; "
+                  "count 2*s!/prod r_j! from labelled trees, embeddings and root corners")
 
 
 def _profile_sum(averages, s: int):
@@ -107,8 +88,7 @@ def check_series_vs_profile_sum(deep: bool) -> Check:
     averages = [Fraction(j + 1, 2 * j + 1) for j in range(1, s_top + 1)]
     bad = [s for s in range(1, s_top + 1)
            if limiting_even_moment(averages, s) != _profile_sum(averages, s)]
-    detail = f"differs at s={bad}" if bad else f"exact on rational averages, s=1..{s_top}"
-    return ("series_vs_profile_sum", not bad, detail)
+    return not bad, f"differs at s={bad}" if bad else f"exact on rational averages, s=1..{s_top}"
 
 
 def check_profile_realization(deep: bool) -> Check:
@@ -120,11 +100,11 @@ def check_profile_realization(deep: bool) -> Check:
         for t in enumerate_plane_trees(s + 1):
             r = degree_profile_of(t).r
             if r not in profiles:
-                return ("profile_realization", False, f"s={s}: tree profile {r} not in R_s")
+                return False, f"s={s}: tree profile {r} not in R_s"
             seen.add(r)
         if seen != profiles:
-            return ("profile_realization", False, f"s={s}: unrealized profiles {profiles - seen}")
-    return ("profile_realization", True, f"s=1..{s_top}")
+            return False, f"s={s}: unrealized profiles {profiles - seen}"
+    return True, f"s=1..{s_top}"
 
 
 def check_walk_oracle(deep: bool) -> Check:
@@ -134,7 +114,7 @@ def check_walk_oracle(deep: bool) -> Check:
     for k in (3, 5):
         v = exact_expected_moment(3, k, sigma, model)
         if v != 0.0:
-            return ("walk_oracle", False, f"odd k={k} gave {v}, expected exact 0")
+            return False, f"odd k={k} gave {v}, expected exact 0"
     n, k_max = 3, 4
     trials = 40_000 if deep else 20_000
     cfg = EnsembleConfig(
@@ -151,12 +131,8 @@ def check_walk_oracle(deep: bool) -> Check:
         # rademacher m_2 is deterministic: its stderr is eigensolver jitter,
         # so allow a rounding floor alongside the statistical band
         if abs(mean - exact) > max(4.0 * se, 1e-11):
-            return (
-                "walk_oracle",
-                False,
-                f"k={k}: |{mean:.6g} - {exact:.6g}| > 4*stderr ({se:.2g})",
-            )
-    return ("walk_oracle", True, f"odd orders exact 0; n={n} k<=4 within 4 stderr of MC({trials})")
+            return False, f"k={k}: |{mean:.6g} - {exact:.6g}| > 4*stderr ({se:.2g})"
+    return True, f"odd orders exact 0; n={n} k<=4 within 4 stderr of MC({trials})"
 
 
 def _explicit_spec(values):
@@ -165,19 +141,18 @@ def _explicit_spec(values):
     return SigmaSpec("explicit", tuple(values), "explicit:inline")
 
 
-def check_lambda_quadrature() -> Check:
+def check_lambda_quadrature(deep: bool) -> Check:
     """The quadrature's Lambda_1..Lambda_29 for the exp profile match the
     closed form (1 - e^{-4k})/(4k) to 1e-40 relative at 50 digits."""
     la = limiting_averages(parse_sigma_spec(EXP_SPEC), 29, 1e-8, digits=50)
     with mp.workdps(60):
         worst = max(abs(v * 4 * k / (1 - mp.exp(-4 * k)) - 1) for k, v in enumerate(la.values, 1))
     passed = bool(la.converged.all()) and worst <= mpf(10) ** -40
-    detail = (f"k=1..29: worst relative error {mp.nstr(worst, 2)}, {la.levels} levels, "
-              f"{la.nodes} nodes, {la.digits} digits")
-    return ("lambda_quadrature", passed, detail)
+    return passed, (f"k=1..29: worst relative error {mp.nstr(worst, 2)}, {la.levels} levels, "
+                    f"{la.nodes} nodes, {la.digits} digits")
 
 
-def check_moment_scaling() -> Check:
+def check_moment_scaling(deep: bool) -> Check:
     """sigma -> c*sigma multiplies m_{2s} by c^{2s} and the lower-bound
     profile sum by c^{2s} (relative 1e-12) at c = 2, and the SDP's beta by
     c^2 at c = 3, a scale that rounds."""
@@ -189,18 +164,17 @@ def check_moment_scaling() -> Check:
         base = limiting_even_moment(lams, s)
         scaled = limiting_even_moment([c ** k * v for k, v in enumerate(lams, 1)], s)
         if abs(scaled - c ** (2 * s) * base) > 1e-12 * abs(scaled):
-            return ("scaling_invariants", False, f"limit moment s={s} scaling broke")
+            return False, f"limit moment s={s} scaling broke"
         lo = moment_lower_bound(values, s)
         lo_scaled = moment_lower_bound(c * values, s)
         # the correction term scales the same way, so the bound is covariant
         if abs(lo_scaled - c ** (2 * s) * lo) > 1e-10 * abs(lo_scaled):
-            return ("scaling_invariants", False, f"lower bound s={s} scaling broke")
+            return False, f"lower bound s={s} scaling broke"
     base, scaled = (radius_table(parse_sigma_spec(f"expr:{c}*exp(-4*i/n)")).sdp.beta
                     for c in (1, 3))
     if abs(scaled - 9 * base) > 1e-12 * scaled:
-        return ("scaling_invariants", False, f"beta(3 sigma) = {scaled!r} != 9 * {base!r}")
-    return ("scaling_invariants", True,
-            "m_{2s} and lower bounds covariant under sigma -> 2*sigma, beta under sigma -> 3*sigma")
+        return False, f"beta(3 sigma) = {scaled!r} != 9 * {base!r}"
+    return True, "m_{2s} and lower bounds covariant under sigma -> 2*sigma, beta under sigma -> 3*sigma"
 
 
 def _factors(M) -> bool:
@@ -211,21 +185,35 @@ def _factors(M) -> bool:
     return True
 
 
-def bisect_beta(pencil: HankelPencil, tol: float) -> float:
-    """Oracle for the SDP: min{x : H0 x - H1 >= 0} by bisection on whether
-    mp.cholesky factors H0 x - H1, to an upper bracket end within tol of the
-    minimum (about 35 factorizations at tol 1e-10).  A measure with
-    finite support leaves H0 singular, so the bisection runs on the largest
-    leading block of H0 that mp.cholesky accepts."""
+def pencil_hankels(pencil: HankelPencil):
+    """H0 = (nu_{i+j}) and H1 = (nu_{i+j+1}) as mp matrices, on the largest
+    leading block of H0 that mp.cholesky factors: a measure with finite
+    support leaves H0 singular.  Call at mp.workdps(_digits(pencil.s_bar))."""
     nu, m = pencil.nu, pencil.s_bar + 1
 
     def hankel(shift):
         return mp.matrix([[nu[i + j + shift] for j in range(m)] for i in range(m)])
 
+    while m > 1 and not _factors(hankel(0)):
+        m -= 1
+    return hankel(0), hankel(1)
+
+
+def brackets_beta(pencil: HankelPencil, lo, hi) -> bool:
+    """The oracle's certificate that min{x : H0 x - H1 >= 0} lies in (lo, hi]:
+    mp.cholesky factors H0 hi - H1 and not H0 lo - H1, on `pencil_hankels`."""
     with mp.workdps(_digits(pencil.s_bar)):
-        while m > 1 and not _factors(hankel(0)):
-            m -= 1
-        H0, H1 = hankel(0), hankel(1)
+        H0, H1 = pencil_hankels(pencil)
+        return _factors(H0 * mpf(hi) - H1) and not _factors(H0 * mpf(lo) - H1)
+
+
+def bisect_beta(pencil: HankelPencil, tol: float) -> float:
+    """Oracle for the SDP: the upper end of a bracket (lo, hi] narrower than
+    tol that `brackets_beta` certifies, by doubling hi from 1 and bisecting
+    (about 35 factorizations at tol 1e-10).  Each step keeps the lower end
+    unfactored and so factors only the midpoint."""
+    with mp.workdps(_digits(pencil.s_bar)):
+        H0, H1 = pencil_hankels(pencil)
         lo, hi = mpf(0), mpf(1)
         while not _factors(H0 * hi - H1):
             lo, hi = hi, 2 * hi
@@ -266,34 +254,34 @@ def check_sdp_dual_method(deep: bool) -> Check:
         beta = sdp_lower_bound(pencil, tol).beta
         gap = abs(beta - bisect_beta(pencil, tol))
         if gap > 10 * tol:
-            return ("sdp_dual_method", False, f"{label}: |eigenvalue - bisection| = {gap:.2e}")
+            return False, f"{label}: |eigenvalue - bisection| = {gap:.2e}"
     if abs(beta - 0.6010092398) > 1e-9:
-        return ("sdp_dual_method", False, f"exp profile beta(14) = {beta!r} != 0.6010092398")
-    return ("sdp_dual_method", True,
-            f"{cases} random measures + 3 named profiles, <= 10*tol; exp profile beta(14) = {beta:.10f}")
+        return False, f"exp profile beta(14) = {beta!r} != 0.6010092398"
+    return True, (f"{cases} random measures + 3 named profiles, <= 10*tol; "
+                  f"exp profile beta(14) = {beta:.10f}")
 
 
-def check_simulation_consistency() -> Check:
+def check_simulation_consistency(deep: bool) -> Check:
     """Determinism, histogram conservation, eigensolver trace identity."""
     spec = parse_sigma_spec(EXP_SPEC)
     cfg = EnsembleConfig(n=60, sigma=spec, seed=99)
     a = monte_carlo(cfg, trials=6, k_max=4)
     b = monte_carlo(cfg, trials=6, k_max=4)
     if not np.array_equal(a.per_trial_moments, b.per_trial_moments):
-        return ("simulation_consistency", False, "rerun not bit-identical")
+        return False, "rerun not bit-identical"
     sample = spectral_sample(cfg, 0)
     m = empirical_moments(sample, 2)
     if abs(m[0] * cfg.n - np.sum(sample.eigenvalues)) > 1e-9:
-        return ("simulation_consistency", False, "moment/trace mismatch")
+        return False, "moment/trace mismatch"
     from .ensemble import esd_histogram
 
     hist = esd_histogram(sample, bins=13)
     if hist.total != cfg.n:
-        return ("simulation_consistency", False, f"histogram total {hist.total} != {cfg.n}")
-    return ("simulation_consistency", True, "determinism, trace identity, histogram conservation")
+        return False, f"histogram total {hist.total} != {cfg.n}"
+    return True, "determinism, trace identity, histogram conservation"
 
 
-def check_formula_vs_simulation_gap() -> Check:
+def check_formula_vs_simulation_gap(deep: bool) -> Check:
     """Informational: the limiting formula and a finite-n campaign are allowed
     to disagree beyond 3 stderr (and do, for strongly varying profiles); the
     gap is flagged, not failed."""
@@ -305,24 +293,26 @@ def check_formula_vs_simulation_gap() -> Check:
     gap = abs(mc.moment_means[3] - limit)
     se = mc.moment_stderrs[3]
     flagged = gap > 3 * se
-    return (
-        "formula_vs_simulation",
-        True,
+    return True, (
         f"order-4 limit {limit:.4e} vs n=300 mean {mc.moment_means[3]:.4e} "
-        + ("(gap flagged: finite-n means need not match the limit)" if flagged else "(within 3 stderr)"),
+        + ("(gap flagged: finite-n means need not match the limit)" if flagged else "(within 3 stderr)")
     )
 
 
-def run_all(deep: bool = False) -> List[Check]:
-    checks: List[Check] = []
-    checks.append(check_catalan_partition(deep))
-    checks.append(check_tree_count_modes(deep))
-    checks.append(check_profile_realization(deep))
-    checks.append(check_series_vs_profile_sum(deep))
-    checks.append(check_walk_oracle(deep))
-    checks.append(check_lambda_quadrature())
-    checks.append(check_moment_scaling())
-    checks.append(check_sdp_dual_method(deep))
-    checks.append(check_simulation_consistency())
-    checks.append(check_formula_vs_simulation_gap())
-    return checks
+CHECKS: Tuple[Tuple[str, Callable[[bool], Check]], ...] = (
+    ("catalan_partition", check_catalan_partition),
+    ("tree_count", check_tree_count_modes),
+    ("profile_realization", check_profile_realization),
+    ("series_vs_profile_sum", check_series_vs_profile_sum),
+    ("walk_oracle", check_walk_oracle),
+    ("lambda_quadrature", check_lambda_quadrature),
+    ("scaling_invariants", check_moment_scaling),
+    ("sdp_dual_method", check_sdp_dual_method),
+    ("simulation_consistency", check_simulation_consistency),
+    ("formula_vs_simulation", check_formula_vs_simulation_gap),
+)
+
+
+def run_all(deep: bool = False) -> List[Tuple[str, bool, str]]:
+    """(name, passed, detail) for each check of ``CHECKS``, in order."""
+    return [(name, *check(deep)) for name, check in CHECKS]

@@ -116,7 +116,13 @@ def test_usage_errors_exit_2(argv):
      (["moments", "--sigma", "const:1", "--max-order", "130", "--out", "m.json"],
       "--max-order must be even, in 2..128"),
      (["radius", "--sigma", "const:1", "--n", "100", "--orders", "3,65", "--out", "r.json"],
-      "--orders entries must be in 1..64")],
+      "--orders entries must be in 1..64"),
+     (["radius", "--sigma", "const:1", "--n", "0", "--out", "r.json"], "--n must be >= 1"),
+     (["simulate", "--sigma", "const:1", "--n", "4", "--trials", "1", "--seed", "-1",
+       "--out", "sim"], "--seed must be in 0..18446744073709551615"),
+     (["simulate", "--sigma", "const:1", "--n", "4", "--trials", "1",
+       "--seed", "18446744073709551616", "--out", "sim"],
+      "--seed must be in 0..18446744073709551615")],
 )
 def test_out_of_range_orders_name_the_flag(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -128,11 +134,13 @@ def test_out_of_range_orders_name_the_flag(capsys, argv, message):
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize(
     "command, flag",
-    [("radius", "--tol"), ("radius", "--lambda-tol"), ("moments", "--lambda-tol")],
+    [("radius", "--tol"), ("radius", "--lambda-tol"), ("moments", "--lambda-tol"),
+     ("simulate", "--K")],
 )
 def test_tolerance_must_be_finite_and_positive(capsys, command, flag, value):
     argv = [command, "--sigma", "const:1", "--out", "out.json", f"{flag}={value}"]
-    argv += ["--sbar", "1"] if command == "radius" else ["--max-order", "2"]
+    argv += {"radius": ["--sbar", "1"], "moments": ["--max-order", "2"],
+             "simulate": ["--n", "4", "--trials", "1"]}[command]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == cli.USAGE_EXIT
@@ -141,7 +149,9 @@ def test_tolerance_must_be_finite_and_positive(capsys, command, flag, value):
 
 # Runs in a fresh interpreter: the test session has every layer (and scipy)
 # loaded already.  argv[1] is a JSON list of CLI argument vectors; after each
-# call the script records which of the watched modules are loaded.
+# call the script records which of the watched modules are loaded, and last,
+# as the detector's control, which are loaded once it imports the oracles and
+# scipy.
 _IMPORT_SCRIPT = """
 import json, sys
 import rank1_spectra
@@ -158,7 +168,7 @@ report = {
 }
 from rank1_spectra import cli
 report["runs"] = [[cli.main(argv), loaded()] for argv in json.loads(sys.argv[1])]
-import scipy.special
+import rank1_spectra.validation, scipy.special
 report["control"] = loaded()
 print(json.dumps(report))
 """
@@ -184,7 +194,7 @@ PUBLIC_NAMES = [
 
 @pytest.fixture(scope="module")
 def import_runs(tmp_path_factory):
-    """Two fresh interpreters: moments and simulate, then radius and validate."""
+    """Two fresh interpreters: moments and simulate, then radius."""
     out = tmp_path_factory.mktemp("imports")
     sigma = out / "sigma.txt"
     sigma.write_text("\n".join(repr(v) for v in SIGMA) + "\n", encoding="utf-8")
@@ -201,7 +211,6 @@ def import_runs(tmp_path_factory):
     ]
     heavy = [
         ["radius", "--sigma", "expr:exp(-4*i/n)", "--sbar", "3", "--out", str(out / "r.json")],
-        ["validate"],
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
     reports = []
@@ -232,11 +241,11 @@ def test_each_command_loads_only_its_own_layers(import_runs):
         assert ("mpmath" in mods) == (index == 4)
         assert not oracles & set(mods)
         assert ("rank1_spectra.ensemble" in mods) == (index >= 1)
-    (_, after_radius), (_, after_validate) = heavy["runs"]
+    ((_, after_radius),) = heavy["runs"]
     assert "mpmath" in after_radius  # the detector sees a module that is loaded
     assert "rank1_spectra.ensemble" not in after_radius
     assert not oracles & set(after_radius)
-    assert oracles <= set(after_validate)
+    assert oracles <= set(heavy["control"])
 
 
 def test_package_names_load_on_first_use(import_runs):
@@ -306,26 +315,27 @@ def _exact_averages(seed):
     return averages
 
 
-def _exact_sum_oracle(seed, s_bar):
-    """The SDP at the exact averages of the file of ``seed``, bisected in mpmath."""
+def _exact_sum_pencil(seed, s_bar):
+    """The pencil of the exact averages of the file of ``seed``, in 100-digit mpf."""
     from mpmath import mp, mpf
 
     from rank1_spectra.moments import _limits
     from rank1_spectra.radius_bounds import build_pencil
-    from rank1_spectra.validation import bisect_beta
 
     with mp.workdps(100):
         lams = [mpf(a.numerator) / a.denominator for a in _exact_averages(seed)[:2 * s_bar + 1]]
-        pencil = build_pencil(_limits(lams, 2 * s_bar + 1), s_bar)
-    return bisect_beta(pencil, 1e-12)
+        return build_pencil(_limits(lams, 2 * s_bar + 1), s_bar)
 
 
 def test_explicit_sigma_beta_matches_the_exact_sum_oracle(tmp_path):
+    from rank1_spectra.validation import brackets_beta
+
     spec = _uniform_sigma_file(tmp_path, 1)
     beta = _beta(tmp_path, "--sigma", spec, "--n", "4000", "--sbar", "14")
-    oracle = _exact_sum_oracle(1, 14)
-    assert oracle == pytest.approx(7.41271062, abs=1e-8)
-    assert abs(beta - oracle) <= 2e-10
+    # the exact pencil's minimum beta* is 7.41271062 +- 1e-8 and within 2e-10 of beta
+    pencil = _exact_sum_pencil(1, 14)
+    assert brackets_beta(pencil, 7.41271062 - 1e-8, 7.41271062 + 1e-8)
+    assert brackets_beta(pencil, beta - 2e-10, beta + 2e-10)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -333,16 +343,18 @@ def test_explicit_sigma_past_float_digits_stays_a_lower_bound(tmp_path, seed):
     # at s_bar = 25 the pencil amplifies the float S_{n,k}/n's rounding past
     # beta's first digit (seed 0 gave 7.52368 above the exact 7.52160, seed 1
     # no moment sequence); the averages are summed exactly instead
+    from rank1_spectra.validation import brackets_beta
+
     spec = _uniform_sigma_file(tmp_path, seed)
     beta = _beta(tmp_path, "--sigma", spec, "--n", "4000", "--sbar", "25")
-    oracle = _exact_sum_oracle(seed, 25)
-    assert oracle - 2e-10 <= beta <= oracle + 1e-10
+    # beta* - 2e-10 <= beta <= beta* + 1e-10 for the exact pencil's minimum beta*
+    assert brackets_beta(_exact_sum_pencil(seed, 25), beta - 1e-10, beta + 2e-10)
 
 
 def test_validate_exits_1_on_a_failing_check(monkeypatch, capsys):
-    checks = [("ok", True, "fine"), ("bad", False, "broke")]
-    monkeypatch.setattr("rank1_spectra.validation.run_all", lambda deep: checks)
+    checks = (("ok", lambda deep: (True, "fine")), ("bad", lambda deep: (False, "broke")))
+    monkeypatch.setattr("rank1_spectra.validation.CHECKS", checks)
     assert cli.main(["validate"]) == 1
     captured = capsys.readouterr()
-    assert "bad: FAIL (broke)" in captured.out
+    assert captured.out == "ok: PASS (fine)\nbad: FAIL (broke)\n"
     assert "1 of 2 checks failed" in captured.err

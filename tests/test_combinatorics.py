@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import pytest
@@ -144,24 +143,3 @@ def test_enumeration_guard():
         list(enumerate_plane_trees(14))
     with pytest.raises(ValueError):
         tree_count(enumerate_degree_profiles(12)[0], "enumeration")
-
-
-@pytest.mark.parametrize("s", [1, 2, 3, 4])
-def test_dominant_walk_count_identity(s):
-    """Closed walks of length 2s on n = s+1 labeled vertices using each edge
-    exactly twice and visiting all vertices number n(n-1)...(n-s) * C_s."""
-    n = s + 1
-    count = 0
-    for walk in itertools.product(range(n), repeat=2 * s):
-        if len(set(walk)) != n:
-            continue
-        edges = {}
-        prev = walk[0]
-        for v in list(walk[1:]) + [walk[0]]:
-            key = (min(v, prev), max(v, prev))
-            edges[key] = edges.get(key, 0) + 1
-            prev = v
-        if all(m == 2 for m in edges.values()):
-            count += 1
-    falling = math.prod(range(n - s, n + 1))
-    assert count == falling * catalan(s)

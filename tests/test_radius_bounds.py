@@ -19,7 +19,7 @@ from rank1_spectra.radius_bounds import (
     sdp_lower_bound,
 )
 from rank1_spectra.sigma_model import parse_sigma_spec, sigma_values
-from rank1_spectra.validation import bisect_beta
+from rank1_spectra.validation import bisect_beta, brackets_beta, pencil_hankels
 
 EXP_SPEC = "expr:exp(-4*i/n)"
 
@@ -257,33 +257,19 @@ def mp_exp_pencil(s_bar: int, digits: int):
 
 # --- the Sturm solve against mpmath's matrix path ----------------------------
 
-def _mp_factors(M):
-    try:
-        mp.cholesky(M)
-        return True
-    except ValueError:
-        return False
-
-
-def _hankel(pencil, shift=0):
-    m = pencil.s_bar + 1
-    return mp.matrix([[pencil.nu[i + j + shift] for j in range(m)] for i in range(m)])
-
-
 def _matrix_oracle(pencil, tol):
     """The mp.matrix solve: beta = max eigsy(L^{-1} H1 L^{-T}) with L from
-    mp.cholesky(H0) and L^{-1} from mp.inverse, certified by mp.cholesky of
-    H0 (beta + tol) - H1 and H0 (beta - tol) - H1.  Raises ArithmeticError
-    where H0 does not factor or the certificate fails."""
+    mp.cholesky(H0) and L^{-1} from mp.inverse, certified by `brackets_beta`
+    on (beta - tol, beta + tol].  Raises ArithmeticError where H0 does not
+    factor or the certificate fails."""
     with mp.workdps(_digits(pencil.s_bar)):
-        H0, H1 = _hankel(pencil), _hankel(pencil, 1)
-        if not _mp_factors(H0):
+        H0, H1 = pencil_hankels(pencil)
+        if H0.rows <= pencil.s_bar:
             raise ArithmeticError("H0 is not positive definite")
         Li = mp.inverse(mp.cholesky(H0))
         B = Li * H1 * Li.T
         beta = max(mp.eigsy((B + B.T) / 2, eigvals_only=True))
-        half = mpf(tol)
-        if not _mp_factors(H0 * (beta + half) - H1) or _mp_factors(H0 * (beta - half) - H1):
+        if not brackets_beta(pencil, beta - mpf(tol), beta + mpf(tol)):
             raise ArithmeticError("not certified")
         return float(beta)
 
@@ -326,13 +312,15 @@ def test_sturm_count_matches_mp_cholesky_on_the_shifted_pencil(s_bar):
     # J - xI is congruent to H1 - x H0: all s_bar + 1 Jacobi eigenvalues lie
     # below x exactly when H0 x - H1 factors
     pencil = mp_exp_pencil(s_bar, 2 * s_bar + 10)
-    tol = 1e-10
-    beta = sdp_lower_bound(pencil, tol).beta
+    beta = sdp_lower_bound(pencil, 1e-10).beta
     with mp.workdps(_digits(s_bar)):
-        H0, H1 = _hankel(pencil), _hankel(pencil, 1)
-        for x in (mpf(beta) + tol, mpf(beta) - tol, mpf(beta) + 1e-3, mpf(beta) - 1e-3):
-            below = _count_below(pencil.a, pencil.b, x) == s_bar + 1
-            assert below == _mp_factors(H0 * x - H1) == (x > beta)
+        for half in (1e-10, 1e-3):
+            lo, hi = mpf(beta) - half, mpf(beta) + half
+            assert _count_below(pencil.a, pencil.b, hi) == s_bar + 1
+            assert _count_below(pencil.a, pencil.b, lo) < s_bar + 1
+            assert brackets_beta(pencil, lo, hi)
+            assert not brackets_beta(pencil, lo - half, lo)
+            assert not brackets_beta(pencil, hi, hi + half)
 
 
 def test_condition_bounds_the_digits_lost():

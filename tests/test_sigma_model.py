@@ -21,7 +21,6 @@ from rank1_spectra.sigma_model import (
     sigma_stats,
     sigma_values,
 )
-from rank1_spectra.validation import check_lambda_quadrature
 
 EXP_SPEC = "expr:exp(-4*i/n)"
 
@@ -403,7 +402,3 @@ class TestExtrapolatedLadder:
         # the 60-digit kink of test_ladder_work_is_bounded reaches 28 digits
         with pytest.raises(NoLimitError, match=r"its quadrature stopped at \d\d digits"):
             lambda_vector(parse_sigma_spec("expr:1+((i/n-1/3)^2)^0.5"), 1, 1e-40, digits=60)
-
-    def test_validate_check_passes(self):
-        name, passed, detail = check_lambda_quadrature()
-        assert name == "lambda_quadrature" and passed, detail
