@@ -18,6 +18,12 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
+# Thread counts of the BLAS builds numpy may load.  ``cli`` sets each to 1
+# before numpy loads, and ``ensemble.monte_carlo`` runs its trials on more than
+# one thread only when all of them read 1, so workers never share cores with
+# BLAS threads.  A name here loads no numpy.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 _MODULE_EXPORTS = {
     "combinatorics": (
         "DegreeProfile",

@@ -5,6 +5,13 @@ run, so ``moments`` never loads the Monte Carlo layer, nor mpmath for a
 ``file:`` sigma, whose S_{n,k}/n it sums in float64 (``radius`` sums them
 exactly in mpf), and only ``validate`` loads the enumeration oracles.
 
+Importing this module pins BLAS to one thread: it sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS to 1, unless they are set already, before
+anything loads numpy.  ``simulate`` then runs its trials on one worker thread
+per CPU instead of one BLAS thread per CPU on each solve; a value set by the
+user wins, and with any of them other than 1 the trials run on one thread.
+The ``simulate`` manifest records the worker count and the three variables.
+
 Exit codes: 0 success, 1 when a ``validate`` check fails, 2 usage or parse
 errors, 3 numeric or runtime errors.
 All outputs are UTF-8; floats serialize with 17 significant digits.
@@ -14,9 +21,16 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
+
+from . import _BLAS_THREAD_VARS
+
+# before the imports below load numpy, which reads these once
+for _name in _BLAS_THREAD_VARS:
+    os.environ.setdefault(_name, "1")
 
 from .moments import MAX_ORDER, MomentReport
 from .reports import DEFAULT_LAMBDA_TOL
@@ -148,6 +162,8 @@ def cmd_simulate(args: argparse.Namespace, argv: list) -> int:
     )
     hist = _histogram(mc.pooled_eigenvalues, args.bins, None)
     manifest = run_manifest("simulate", argv, args.sigma, args.seed)
+    manifest["threads"] = {"workers": mc.workers,
+                           **{name: os.environ.get(name) for name in _BLAS_THREAD_VARS}}
     moments_payload = []
     for k in range(1, args.max_order + 1):
         moments_payload.append(

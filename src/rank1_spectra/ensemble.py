@@ -13,21 +13,29 @@ sigma_i*sigma_j and |a_ij| <= K surely.  Three entry laws are provided:
   from exact rejection (Robert 1995), so no law needs scipy.
 
 Everything that depends only on the configuration (sigma, the bound K, the
-upper-triangle mask and the law's per-entry coefficients) is computed once
-per campaign and cached; a trial only draws.  Per-trial generators are derived
-from the base seed by one splitmix64 round over seed XOR trial_index, so
-trials are order-independent and a campaign is reproducible bit for bit.
+flat indices of the upper triangle and of its mirror, and the law's per-entry
+coefficients) is computed once per campaign and cached; a trial only draws.
+Per-trial generators are derived from the base seed by one splitmix64 round
+over seed XOR trial_index, so trials are order-independent and a campaign is
+reproducible bit for bit.
+
+A campaign runs in contiguous blocks of trials, each drawn into one stack of
+matrices and solved by one stacked eigensolve, on a pool of worker threads
+when BLAS is pinned to one thread (see ``monte_carlo``).
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from . import _BLAS_THREAD_VARS
 from .sigma_model import SigmaSpec, sigma_values
 
 __all__ = [
@@ -227,11 +235,16 @@ def _truncated_normal(rng: np.random.Generator, c: np.ndarray) -> np.ndarray:
     For c >= sqrt(pi/2) a standard normal is accepted when |z| <= c; below,
     a uniform z on [-c, c] is accepted with probability exp(-z^2/2).  Either
     way at least 79% of proposals are accepted, and each round redraws only
-    the rejected entries.
+    the rejected entries.  When every c is wide, the first round draws
+    straight into z, with the generator calls the general path makes.
     """
     z = np.empty_like(c)
     wide = c >= _WIDE
-    todo = np.flatnonzero(wide)
+    if wide.all():
+        rng.standard_normal(out=z)
+        todo = np.flatnonzero(np.abs(z) > c)
+    else:
+        todo = np.flatnonzero(wide)
     while todo.size:
         x = rng.standard_normal(todo.size)
         ok = np.abs(x) <= c[todo]
@@ -246,10 +259,30 @@ def _truncated_normal(rng: np.random.Generator, c: np.ndarray) -> np.ndarray:
     return z
 
 
+def _halfwidths(sigma: np.ndarray, rows: np.ndarray, cols: np.ndarray, K: float) -> np.ndarray:
+    """The half-width c of every entry (rows[e], cols[e]), rows <= cols, from
+    one solve per distinct pair of sigma values.
+
+    The distinct values u (sorted) give the upper triangle of u_p u_q / K^2,
+    which ``_truncnorm_halfwidth`` solves; each entry gathers its pair's c.
+    u_p u_q is the same float as sigma_i sigma_j, and the solve is elementwise,
+    so c is bit-identical to a solve per entry.
+    """
+    values, inverse = np.unique(sigma, return_inverse=True)
+    k = values.size
+    tri_rows, tri_cols = np.triu_indices(k)
+    c = _truncnorm_halfwidth(values[tri_rows] * values[tri_cols] / (K * K))
+    p, q = inverse[rows], inverse[cols]
+    p, q = np.minimum(p, q), np.maximum(p, q)
+    # row-major position of (p, q) in the upper triangle of a k x k matrix
+    return c[p * (2 * k - p + 1) // 2 + (q - p)]
+
+
 @lru_cache(maxsize=1)
 def _plan(config: EnsembleConfig):
-    """The per-campaign data of ``config``: the upper-triangle mask and the
-    law's per-entry coefficients, in the mask's row-major order, read-only.
+    """The per-campaign data of ``config``, read-only: the flat indices of the
+    upper triangle (diagonal included) in row-major order and of its mirror,
+    and the law's per-entry coefficients in the same order.
 
     Coefficients: sqrt(sigma_i sigma_j) for rademacher, sqrt(3 sigma_i sigma_j)
     for uniform, and (c, K/c) for the truncated gaussian, where c is the
@@ -262,59 +295,73 @@ def _plan(config: EnsembleConfig):
     K = _resolve_bound(config.distribution, smax, config.K)
     _check_bound(config.distribution, smax, K)
 
-    mask = np.triu(np.ones((n, n), dtype=bool))
-    prod = np.outer(sigma, sigma)[mask]
-    if config.distribution == "rademacher":
-        coeffs = (np.sqrt(prod),)
-    elif config.distribution == "uniform":
-        coeffs = (np.sqrt(3.0 * prod),)
-    else:
-        c = _truncnorm_halfwidth(prod / (K * K))
+    rows, cols = np.triu_indices(n)
+    upper, lower = rows * n + cols, cols * n + rows
+    if config.distribution == "truncated_gaussian":
+        c = _halfwidths(sigma, rows, cols, K)
         coeffs = (c, K / c)
-    for array in (mask, *coeffs):
+    else:
+        prod = sigma[rows] * sigma[cols]
+        coeffs = (np.sqrt(prod if config.distribution == "rademacher" else 3.0 * prod),)
+    for array in (upper, lower, *coeffs):
         array.flags.writeable = False
-    return mask, coeffs
+    return upper, lower, coeffs
 
 
-def sample_matrix(config: EnsembleConfig, trial_index: int = 0) -> np.ndarray:
-    """One symmetric realization A = [a_ij / sqrt(n)].
+def sample_matrix(
+    config: EnsembleConfig, trial_index: int = 0, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """One symmetric realization A = [a_ij / sqrt(n)], written into ``out``
+    (a C-contiguous float64 n x n array, such as one member of a stack) when
+    given, and returned.
 
     The diagonal and upper triangle are drawn as a single flat row-major
-    block, so a (seed, trial_index) pair fixes the matrix exactly.
+    block, so a (seed, trial_index) pair fixes the matrix exactly; the block
+    is scattered through the flat indices of the triangle and of its mirror,
+    which together cover every entry.
     """
     n = config.n
-    mask, coeffs = _plan(config)
+    upper, lower, coeffs = _plan(config)
     rng = np.random.Generator(np.random.PCG64(derive_trial_seed(config.seed, trial_index)))
-    m = coeffs[0].size
+    m = upper.size
 
     if config.distribution == "rademacher":
-        signs = rng.integers(0, 2, size=m).astype(np.float64) * 2.0 - 1.0
-        a = signs * coeffs[0]
+        a = rng.integers(0, 2, size=m).astype(np.float64) * 2.0 - 1.0
+        a *= coeffs[0]
     elif config.distribution == "uniform":
         a = coeffs[0] * rng.uniform(-1.0, 1.0, size=m)
     else:
         c, scale = coeffs
-        a = scale * _truncated_normal(rng, c)
+        a = _truncated_normal(rng, c)
+        a *= scale
+    a /= math.sqrt(n)
 
-    A = np.zeros((n, n))
-    A[mask] = a / math.sqrt(n)
-    A += np.triu(A, 1).T
-    return A
+    if out is None:
+        out = np.empty((n, n))
+    elif out.shape != (n, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {(n, n)}")
+    flat = out.reshape(-1)
+    flat[upper] = a
+    flat[lower] = a
+    return out
 
 
 def eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Full spectrum of a symmetric matrix, ascending.
+    """Full spectrum of a symmetric matrix, or of each matrix of a stack of
+    shape (..., n, n), ascending along the last axis.
 
-    The residual contract (||A v - lambda v|| <= n * 1e-9 * ||A|| for each
-    returned eigenvalue) is spot-checked by the test suite, not per call.
+    A stack is solved by one call, which gives the same bits as a solve per
+    matrix.  The residual contract (||A v - lambda v|| <= n * 1e-9 * ||A|| for
+    each returned eigenvalue) is spot-checked by the test suite, not per call.
     """
     A = np.asarray(matrix, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {A.shape}")
+    At = A.swapaxes(-1, -2)
     # sample_matrix mirrors its triangles exactly; only other matrices pay
-    # for the two n x n temporaries of the asymmetry
-    if not np.array_equal(A, A.T):
-        asym = float(np.max(np.abs(A - A.T)))
+    # for the two temporaries of the asymmetry
+    if not np.array_equal(A, At):
+        asym = float(np.max(np.abs(A - At)))
         if asym > 1e-12:
             raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     try:
@@ -323,12 +370,29 @@ def eigenvalues(matrix: np.ndarray) -> np.ndarray:
         raise RuntimeError(f"symmetric eigensolver did not converge: {exc}") from exc
 
 
+def _radius(lam: np.ndarray) -> np.ndarray:
+    """max |lambda| of ascending spectra, along the last axis."""
+    return np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1]))
+
+
+def _power_moments(lam: np.ndarray, k_max: int) -> np.ndarray:
+    """(1/n) sum lambda_i^k for k = 1..k_max along the last axis, in a new
+    last axis.  Each row's mean takes the same bits as the mean of that row
+    alone."""
+    out = np.empty(lam.shape[:-1] + (k_max,))
+    p = lam.copy()
+    for k in range(k_max):
+        out[..., k] = p.mean(axis=-1)
+        if k + 1 < k_max:
+            p *= lam
+    return out
+
+
 def spectral_sample(config: EnsembleConfig, trial_index: int = 0) -> SpectralSample:
     lam = eigenvalues(sample_matrix(config, trial_index))
-    radius = max(abs(float(lam[0])), abs(float(lam[-1]))) if lam.size else 0.0
     return SpectralSample(
         eigenvalues=lam,
-        radius=radius,
+        radius=float(_radius(lam)),
         trial_index=trial_index,
         seed_used=derive_trial_seed(config.seed, trial_index),
     )
@@ -338,14 +402,7 @@ def empirical_moments(sample: SpectralSample, k_max: int) -> np.ndarray:
     """Power-sum moments (1/n) sum lambda_i^k for k = 1..k_max."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    lam = sample.eigenvalues
-    out = np.empty(k_max)
-    p = lam.copy()
-    for k in range(k_max):
-        out[k] = float(p.mean())
-        if k + 1 < k_max:
-            p *= lam
-    return out
+    return _power_moments(sample.eigenvalues, k_max)
 
 
 def esd_histogram(
@@ -396,6 +453,27 @@ class MonteCarloResult:
     radius_max: float
     seeds: Tuple[int, ...]
     pooled_eigenvalues: Optional[np.ndarray] = None
+    workers: int = 1
+
+
+# Bytes of float64 matrices per block of trials.
+_BLOCK_BYTES = 1 << 22
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blocks(trials: int, n: int, workers: int) -> List[Tuple[int, int]]:
+    """Near-equal contiguous (start, stop) blocks of trial indices, of about
+    ``_BLOCK_BYTES`` of matrices each, in a whole number of rounds of
+    ``workers`` when there are trials enough."""
+    per_block = max(1, _BLOCK_BYTES // (8 * n * n))
+    count = -(-trials // per_block)
+    count = min(trials, workers * -(-count // workers))
+    return [(trials * i // count, trials * (i + 1) // count) for i in range(count)]
 
 
 def monte_carlo(
@@ -404,28 +482,56 @@ def monte_carlo(
     k_max: int,
     collect_eigenvalues: bool = False,
 ) -> MonteCarloResult:
-    """Run a reproducible campaign of independent trials, one after another.
+    """Run a reproducible campaign of independent trials, in blocks.
 
-    The per-campaign plan (the mask and the law's coefficients, from sigma and
-    K) is built by the first trial and reused by the rest; every trial owns a
-    generator seeded from (seed, trial_index), so a campaign is reproducible
-    bit for bit. Standard errors need trials >= 2 and are None otherwise.
+    The per-campaign plan (the triangle's indices and the law's coefficients,
+    from sigma and K) is built once, before any block runs.  A block of
+    trials draws each trial's matrix into one (b, n, n) stack with the
+    module-level ``sample_matrix``, from the trial's own generator seeded
+    from (seed, trial_index), solves the stack with one ``eigenvalues`` call
+    and takes the moments along the last axis.  numpy releases the GIL in a
+    stacked eigensolve, so the blocks run on a pool of
+    min(CPUs, blocks) threads when every variable of ``_BLAS_THREAD_VARS``
+    reads 1 (``cli`` sets them), and on the calling thread otherwise, where
+    BLAS threads already use the CPUs.  Results are written by trial index,
+    so a campaign is reproducible bit for bit whatever the worker count;
+    ``workers`` records it.  Standard errors need trials >= 2 and are None
+    otherwise.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
 
+    n = config.n
+    _plan(config)  # built, and its errors raised, here rather than in a worker
+    pinned = all(os.environ.get(name) == "1" for name in _BLAS_THREAD_VARS)
+    cpus = _cpu_count() if pinned else 1
+    blocks = _blocks(trials, n, cpus)
+    workers = min(cpus, len(blocks))
+
     per_trial = np.empty((trials, k_max))
     radii = np.empty(trials)
-    pooled = [None] * trials if collect_eigenvalues else None
+    pooled = np.empty((trials, n)) if collect_eigenvalues else None
 
-    for t in range(trials):
-        s = spectral_sample(config, t)
-        per_trial[t] = empirical_moments(s, k_max)
-        radii[t] = s.radius
+    def run(block: Tuple[int, int]) -> None:
+        start, stop = block
+        stack = np.empty((stop - start, n, n))
+        for t in range(start, stop):
+            sample_matrix(config, t, out=stack[t - start])
+        lam = eigenvalues(stack)
+        per_trial[start:stop] = _power_moments(lam, k_max)
+        radii[start:stop] = _radius(lam)
         if pooled is not None:
-            pooled[t] = s.eigenvalues
+            pooled[start:stop] = lam
+
+    if workers == 1:
+        for block in blocks:
+            run(block)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for _ in pool.map(run, blocks):  # re-raises a worker's exception
+                pass
 
     means = per_trial.mean(axis=0)
     if trials >= 2:
@@ -447,5 +553,6 @@ def monte_carlo(
         radius_min=float(radii.min()),
         radius_max=float(radii.max()),
         seeds=tuple(derive_trial_seed(config.seed, t) for t in range(trials)),
-        pooled_eigenvalues=np.concatenate(pooled) if pooled is not None else None,
+        pooled_eigenvalues=pooled.reshape(-1) if pooled is not None else None,
+        workers=workers,
     )

@@ -224,6 +224,20 @@ def import_runs(tmp_path_factory):
     return reports
 
 
+def test_cli_pins_blas_before_numpy_loads():
+    """The package loads no numpy; the CLI sets each unset BLAS variable to 1
+    before numpy loads, and keeps a value the user set."""
+    script = ("import json, os, sys; import rank1_spectra; before = 'numpy' in sys.modules; "
+              "import rank1_spectra.cli; "
+              "print(json.dumps([before, [os.environ.get(v) for v in rank1_spectra._BLAS_THREAD_VARS]]))")
+    env = {k: v for k, v in os.environ.items() if k not in rank1_spectra._BLAS_THREAD_VARS}
+    env.update(PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), MKL_NUM_THREADS="3")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, ["1", "1", "3"]]
+
+
 def test_no_command_loads_scipy(import_runs):
     for report in import_runs:
         assert [code for code, _ in report["runs"]] == [0] * len(report["runs"])

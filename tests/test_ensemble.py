@@ -1,4 +1,7 @@
+import json
 import math
+import sys
+import threading
 import warnings
 from collections import Counter
 
@@ -6,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from rank1_spectra import ensemble
+from rank1_spectra import _BLAS_THREAD_VARS, cli, ensemble
 from rank1_spectra.ensemble import (
     DISTRIBUTIONS,
     EnsembleConfig,
@@ -29,6 +32,18 @@ def explicit_spec(values):
 
 def ones_spec():
     return parse_sigma_spec("const:1")
+
+
+@pytest.fixture
+def pinned_cpus(monkeypatch):
+    """Set the BLAS variables to 1 and make ``monte_carlo`` see ``count`` CPUs."""
+
+    def pin(count):
+        for name in _BLAS_THREAD_VARS:
+            monkeypatch.setenv(name, "1")
+        monkeypatch.setattr(ensemble, "_cpu_count", lambda: count)
+
+    return pin
 
 
 def truncated_moments(c):
@@ -188,6 +203,19 @@ class TestSampling:
         A = sample_matrix(cfg, 3)
         assert [float(x).hex() for x in A[np.triu_indices(4)]] == expected
 
+    def test_draws_into_a_stack_member(self):
+        cfg = EnsembleConfig(n=6, sigma=explicit_spec(GOLDEN_SIGMA + (0.3, 0.9)),
+                             distribution="uniform", seed=3)
+        stack = np.full((2, 6, 6), np.nan)
+        A = sample_matrix(cfg, 4, out=stack[1])
+        assert np.shares_memory(A, stack[1])
+        np.testing.assert_array_equal(stack[1], sample_matrix(cfg, 4))
+        assert np.isnan(stack[0]).all()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            sample_matrix(cfg, 4, out=np.empty((6, 6)).T)
+        with pytest.raises(ValueError, match="shape"):
+            sample_matrix(cfg, 4, out=np.empty((5, 5)))
+
     def test_unknown_distribution_rejected(self):
         with pytest.raises(ValueError):
             EnsembleConfig(n=2, sigma=ones_spec(), distribution="gaussian", seed=0)
@@ -240,6 +268,34 @@ class TestHalfwidth:
                 assert vi == pytest.approx(float(1 - g), rel=1e-14)
                 assert dvi == pytest.approx(float(g / c * (c * c - 1 + g)), rel=1e-12, abs=1e-300)
 
+    def test_one_solve_per_distinct_pair(self, monkeypatch):
+        sizes = []
+        variance = ensemble._conditioned_variance
+
+        def counted(x):
+            sizes.append(x.size)
+            return variance(x)
+
+        monkeypatch.setattr(ensemble, "_conditioned_variance", counted)
+        ensemble._plan.cache_clear()
+        cfg = EnsembleConfig(n=50, sigma=ones_spec(), distribution="truncated_gaussian", seed=1)
+        c, scale = ensemble._plan(cfg)[2]
+        assert sizes and set(sizes) == {1}
+        assert c.size == 50 * 51 // 2 and np.all(c == c[0])
+
+    @pytest.mark.parametrize("K", [None, 1.75 * 2.0])
+    def test_repeated_sigma_gives_the_per_entry_halfwidths(self, K):
+        sigma = (0.5, 1.0, 0.5, 2.0, 1.0, 0.5, 0.7, 2.0)
+        n = len(sigma)
+        cfg = EnsembleConfig(
+            n=n, sigma=explicit_spec(sigma), distribution="truncated_gaussian", K=K, seed=1
+        )
+        bound = 3.0 * max(sigma) if K is None else K
+        prod = np.outer(sigma, sigma)[np.triu(np.ones((n, n), dtype=bool))]
+        c, scale = ensemble._plan(cfg)[2]
+        np.testing.assert_array_equal(c, ensemble._truncnorm_halfwidth(prod / (bound * bound)))
+        np.testing.assert_array_equal(scale, bound / c)
+
     def test_several_blocks_match_one_block(self, monkeypatch):
         rho = np.concatenate([np.linspace(1e-4, 0.333, 40), [0.0, 5e-324, 1e-310]])
         one = ensemble._truncnorm_halfwidth(rho)
@@ -269,6 +325,22 @@ class TestEigenvalues:
         else:
             with pytest.raises(ValueError, match=r"matrix is not symmetric \(max asymmetry 1\.000e-11\)"):
                 eigenvalues(M)
+
+    def test_stack_matches_solves_one_by_one(self):
+        cfg = EnsembleConfig(n=30, sigma=parse_sigma_spec(EXP_SPEC), seed=8)
+        stack = np.stack([sample_matrix(cfg, t) for t in range(4)])
+        np.testing.assert_array_equal(
+            eigenvalues(stack), [np.linalg.eigvalsh(A) for A in stack]
+        )
+
+    def test_stack_rejects_an_asymmetric_member(self):
+        M = np.array([[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 1.0]])
+        bad = M.copy()
+        bad[2, 0] += 1e-11
+        with pytest.raises(ValueError, match=r"not symmetric \(max asymmetry 1\.000e-11\)"):
+            eigenvalues(np.stack([M, np.eye(3), bad]))
+        with pytest.raises(ValueError, match="square"):
+            eigenvalues(np.zeros((2, 3, 4)))
 
     def test_trace_and_frobenius_identities(self):
         cfg = EnsembleConfig(n=50, sigma=parse_sigma_spec(EXP_SPEC), seed=321)
@@ -381,3 +453,88 @@ class TestMonteCarlo:
         cfg = EnsembleConfig(n=15, sigma=ones_spec(), seed=8)
         mc = monte_carlo(cfg, trials=4, k_max=2, collect_eigenvalues=True)
         assert mc.pooled_eigenvalues.shape == (60,)
+
+    def test_blocks_of_about_4_mb_in_whole_rounds_of_workers(self):
+        assert ensemble._blocks(24, 300, 2) == [(4 * i, 4 * i + 4) for i in range(6)]
+        assert ensemble._blocks(24, 300, 1) == [(0, 4), (4, 9), (9, 14), (14, 19), (19, 24)]
+        assert ensemble._blocks(20000, 3, 2) == [(0, 10000), (10000, 20000)]
+        assert ensemble._blocks(3, 2000, 2) == [(0, 1), (1, 2), (2, 3)]
+        assert ensemble._blocks(1, 10, 8) == [(0, 1)]
+
+    @pytest.mark.parametrize("trials", [1, 5, 24])
+    def test_worker_count_does_not_change_results(self, pinned_cpus, trials):
+        cfg = EnsembleConfig(
+            n=30, sigma=parse_sigma_spec(EXP_SPEC), distribution="truncated_gaussian", seed=11
+        )
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more workers than cores, switching often
+        try:
+            for count in (1, 2, 8):
+                pinned_cpus(count)
+                runs.append(monte_carlo(cfg, trials, 6, collect_eigenvalues=True))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [mc.workers for mc in runs] == [1, min(2, trials), min(8, trials)]
+        for mc in runs[1:]:
+            np.testing.assert_array_equal(mc.per_trial_moments, runs[0].per_trial_moments)
+            np.testing.assert_array_equal(mc.radii, runs[0].radii)
+            np.testing.assert_array_equal(mc.pooled_eigenvalues, runs[0].pooled_eigenvalues)
+
+    def test_blocks_equal_the_per_trial_path(self, pinned_cpus, monkeypatch):
+        n, trials, k_max = 20, 10, 5
+        cfg = EnsembleConfig(n=n, sigma=parse_sigma_spec(EXP_SPEC), distribution="uniform", seed=4)
+        pinned_cpus(2)
+        monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 3 * 8 * n * n)  # blocks of 2 or 3
+        mc = monte_carlo(cfg, trials, k_max, collect_eigenvalues=True)
+        assert mc.workers == 2
+        for t in range(trials):
+            s = spectral_sample(cfg, t)
+            np.testing.assert_array_equal(mc.per_trial_moments[t], empirical_moments(s, k_max))
+            assert mc.radii[t] == s.radius
+            np.testing.assert_array_equal(mc.pooled_eigenvalues[t * n:(t + 1) * n], s.eigenvalues)
+
+    @pytest.mark.parametrize("name", _BLAS_THREAD_VARS)
+    def test_one_worker_unless_blas_is_pinned(self, pinned_cpus, monkeypatch, name):
+        pinned_cpus(8)
+        monkeypatch.setenv(name, "2")
+        mc = monte_carlo(EnsembleConfig(n=10, sigma=ones_spec(), seed=2), trials=16, k_max=2)
+        assert mc.workers == 1
+
+    def test_worker_error_makes_the_cli_exit_3(self, pinned_cpus, monkeypatch, tmp_path, capsys):
+        pinned_cpus(2)
+        threads = []
+
+        def failing(matrix):
+            threads.append(threading.current_thread())
+            raise RuntimeError("symmetric eigensolver did not converge: injected")
+
+        monkeypatch.setattr(ensemble, "eigenvalues", failing)
+        argv = ["simulate", "--sigma", "const:1", "--n", "10", "--trials", "4",
+                "--out", str(tmp_path / "sim")]
+        assert cli.main(argv) == cli.NUMERIC_EXIT
+        assert "injected" in capsys.readouterr().err
+        assert threads and threading.main_thread() not in threads
+        assert not (tmp_path / "sim").exists()
+
+    def test_manifest_records_workers_and_blas_settings(self, pinned_cpus, monkeypatch, tmp_path):
+        pinned_cpus(2)
+        runs = {}
+        for openblas in ("1", "4"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", openblas)
+            out = tmp_path / openblas
+            argv = ["simulate", "--sigma", "const:1", "--n", "10", "--trials", "4",
+                    "--out", str(out)]
+            assert cli.main(argv) == 0
+            runs[openblas] = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert runs["1"]["manifest"]["threads"] == {
+            "workers": 2, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": "1",
+        }
+        assert runs["4"]["manifest"]["threads"] == {
+            "workers": 1, "OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": "1",
+        }
+        for report in runs.values():
+            del report["manifest"]
+        assert runs["1"] == runs["4"]
