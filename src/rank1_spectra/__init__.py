@@ -14,15 +14,38 @@ a caller pays only for the layers it touches; mpmath, for one, loads with
 ``radius_bounds`` or for limiting averages.
 """
 
+import os as _os
+import sys as _sys
 from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# Thread counts of the BLAS builds numpy may load.  ``cli`` sets each to 1
-# before numpy loads, and ``ensemble.monte_carlo`` runs its trials on more than
-# one thread only when all of them read 1, so workers never share cores with
-# BLAS threads.  A name here loads no numpy.
+# Thread counts of the BLAS builds numpy may load, which BLAS reads once, when
+# numpy loads.  A name here loads no numpy.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Whether numpy loaded after ``_pin_blas`` found every variable at 1.
+_blas_pinned = False
+
+
+def _pin_blas() -> None:
+    """Set each variable of ``_BLAS_THREAD_VARS`` that is unset to 1, if numpy
+    has not loaded yet (afterwards they would only reach child processes).
+
+    BLAS then runs on one thread when every variable reads 1, which
+    ``_blas_is_pinned`` reports from then on.  ``ensemble.monte_carlo`` runs
+    trials on more than one thread only then, so its workers never share
+    cores with BLAS threads.
+    """
+    global _blas_pinned
+    if "numpy" in _sys.modules:
+        return
+    for name in _BLAS_THREAD_VARS:
+        _os.environ.setdefault(name, "1")
+    _blas_pinned = all(_os.environ[name] == "1" for name in _BLAS_THREAD_VARS)
+
+
+def _blas_is_pinned() -> bool:
+    return _blas_pinned
 
 _MODULE_EXPORTS = {
     "combinatorics": (

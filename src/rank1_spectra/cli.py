@@ -5,11 +5,12 @@ run, so ``moments`` never loads the Monte Carlo layer, nor mpmath for a
 ``file:`` sigma, whose S_{n,k}/n it sums in float64 (``radius`` sums them
 exactly in mpf), and only ``validate`` loads the enumeration oracles.
 
-Importing this module pins BLAS to one thread: it sets OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS and MKL_NUM_THREADS to 1, unless they are set already, before
-anything loads numpy.  ``simulate`` then runs its trials on one worker thread
-per CPU instead of one BLAS thread per CPU on each solve; a value set by the
-user wins, and with any of them other than 1 the trials run on one thread.
+Importing this module before numpy loads pins BLAS to one thread: it sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1, unless they
+are set already, in this process and so in its children.  ``simulate`` then
+runs its trials on worker threads, one per CPU at most, instead of one BLAS
+thread per CPU on each solve.  A value set by the user wins, and with any of
+them other than 1, or with numpy loaded first, the trials run on one thread.
 The ``simulate`` manifest records the worker count and the three variables.
 
 Exit codes: 0 success, 1 when a ``validate`` check fails, 2 usage or parse
@@ -26,11 +27,9 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from . import _BLAS_THREAD_VARS
+from . import _BLAS_THREAD_VARS, _pin_blas
 
-# before the imports below load numpy, which reads these once
-for _name in _BLAS_THREAD_VARS:
-    os.environ.setdefault(_name, "1")
+_pin_blas()  # before the imports below load numpy
 
 from .moments import MAX_ORDER, MomentReport
 from .reports import DEFAULT_LAMBDA_TOL

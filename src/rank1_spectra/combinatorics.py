@@ -10,7 +10,9 @@ s <= 11) is the ground truth that the closed-form count is validated against.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, List, Tuple
 
 __all__ = [
@@ -181,8 +183,9 @@ def tree_count(profile: DegreeProfile, mode: str = "closed_form") -> int:
     N = s+1 vertices of degrees d_i there are (N-2)! / prod (d_i-1)!
     labelled trees, prod (d_i-1)! planar embeddings of each and 2s root
     corners; dividing by the N! labellings leaves 2 * s! / prod r_j!.
-    ``enumeration`` counts preorder codes by brute force; the validation
-    suite asserts the two modes equal on every profile with s <= 11.
+    ``enumeration`` counts preorder codes by brute force, reading one count
+    per profile from a single pass over the C_s trees; the validation suite
+    asserts the two modes equal on every profile with s <= 11.
     """
     s = profile.s
     if mode == "closed_form":
@@ -196,5 +199,12 @@ def tree_count(profile: DegreeProfile, mode: str = "closed_form") -> int:
     if mode == "enumeration":
         if s > MAX_ENUMERATION_ORDER:
             raise ValueError(f"enumeration mode requires s <= {MAX_ENUMERATION_ORDER}")
-        return sum(1 for t in enumerate_plane_trees(s + 1) if degree_profile_of(t) == profile)
+        return _trees_by_profile(s)[profile]
     raise ValueError(f"unknown mode {mode!r}")
+
+
+@lru_cache(maxsize=None)
+def _trees_by_profile(s: int) -> Counter:
+    """How many plane trees on s + 1 vertices realize each degree profile,
+    from one enumeration (read it, do not change it)."""
+    return Counter(degree_profile_of(t) for t in enumerate_plane_trees(s + 1))

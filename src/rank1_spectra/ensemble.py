@@ -13,11 +13,10 @@ sigma_i*sigma_j and |a_ij| <= K surely.  Three entry laws are provided:
   from exact rejection (Robert 1995), so no law needs scipy.
 
 Everything that depends only on the configuration (sigma, the bound K, the
-flat indices of the upper triangle and of its mirror, and the law's per-entry
-coefficients) is computed once per campaign and cached; a trial only draws.
-Per-trial generators are derived from the base seed by one splitmix64 round
-over seed XOR trial_index, so trials are order-independent and a campaign is
-reproducible bit for bit.
+upper-triangle mask and the law's per-entry coefficients) is computed once
+per campaign and cached; a trial only draws.  Per-trial generators are derived
+from the base seed by one splitmix64 round over seed XOR trial_index, so
+trials are order-independent and a campaign is reproducible bit for bit.
 
 A campaign runs in contiguous blocks of trials, each drawn into one stack of
 matrices and solved by one stacked eigensolve, on a pool of worker threads
@@ -35,7 +34,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import _BLAS_THREAD_VARS
+from . import _blas_is_pinned
 from .sigma_model import SigmaSpec, sigma_values
 
 __all__ = [
@@ -259,30 +258,10 @@ def _truncated_normal(rng: np.random.Generator, c: np.ndarray) -> np.ndarray:
     return z
 
 
-def _halfwidths(sigma: np.ndarray, rows: np.ndarray, cols: np.ndarray, K: float) -> np.ndarray:
-    """The half-width c of every entry (rows[e], cols[e]), rows <= cols, from
-    one solve per distinct pair of sigma values.
-
-    The distinct values u (sorted) give the upper triangle of u_p u_q / K^2,
-    which ``_truncnorm_halfwidth`` solves; each entry gathers its pair's c.
-    u_p u_q is the same float as sigma_i sigma_j, and the solve is elementwise,
-    so c is bit-identical to a solve per entry.
-    """
-    values, inverse = np.unique(sigma, return_inverse=True)
-    k = values.size
-    tri_rows, tri_cols = np.triu_indices(k)
-    c = _truncnorm_halfwidth(values[tri_rows] * values[tri_cols] / (K * K))
-    p, q = inverse[rows], inverse[cols]
-    p, q = np.minimum(p, q), np.maximum(p, q)
-    # row-major position of (p, q) in the upper triangle of a k x k matrix
-    return c[p * (2 * k - p + 1) // 2 + (q - p)]
-
-
 @lru_cache(maxsize=1)
 def _plan(config: EnsembleConfig):
-    """The per-campaign data of ``config``, read-only: the flat indices of the
-    upper triangle (diagonal included) in row-major order and of its mirror,
-    and the law's per-entry coefficients in the same order.
+    """The per-campaign data of ``config``: the upper-triangle mask and the
+    law's per-entry coefficients, in the mask's row-major order, read-only.
 
     Coefficients: sqrt(sigma_i sigma_j) for rademacher, sqrt(3 sigma_i sigma_j)
     for uniform, and (c, K/c) for the truncated gaussian, where c is the
@@ -295,17 +274,18 @@ def _plan(config: EnsembleConfig):
     K = _resolve_bound(config.distribution, smax, config.K)
     _check_bound(config.distribution, smax, K)
 
-    rows, cols = np.triu_indices(n)
-    upper, lower = rows * n + cols, cols * n + rows
-    if config.distribution == "truncated_gaussian":
-        c = _halfwidths(sigma, rows, cols, K)
-        coeffs = (c, K / c)
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    prod = np.outer(sigma, sigma)[mask]
+    if config.distribution == "rademacher":
+        coeffs = (np.sqrt(prod),)
+    elif config.distribution == "uniform":
+        coeffs = (np.sqrt(3.0 * prod),)
     else:
-        prod = sigma[rows] * sigma[cols]
-        coeffs = (np.sqrt(prod if config.distribution == "rademacher" else 3.0 * prod),)
-    for array in (upper, lower, *coeffs):
+        c = _truncnorm_halfwidth(prod / (K * K))
+        coeffs = (c, K / c)
+    for array in (mask, *coeffs):
         array.flags.writeable = False
-    return upper, lower, coeffs
+    return mask, coeffs
 
 
 def sample_matrix(
@@ -317,19 +297,20 @@ def sample_matrix(
 
     The diagonal and upper triangle are drawn as a single flat row-major
     block, so a (seed, trial_index) pair fixes the matrix exactly; the block
-    is scattered through the flat indices of the triangle and of its mirror,
+    is placed through the mask and again through the mask of the transpose,
     which together cover every entry.
     """
     n = config.n
-    upper, lower, coeffs = _plan(config)
+    mask, coeffs = _plan(config)
     rng = np.random.Generator(np.random.PCG64(derive_trial_seed(config.seed, trial_index)))
-    m = upper.size
+    m = coeffs[0].size
 
     if config.distribution == "rademacher":
         a = rng.integers(0, 2, size=m).astype(np.float64) * 2.0 - 1.0
         a *= coeffs[0]
     elif config.distribution == "uniform":
-        a = coeffs[0] * rng.uniform(-1.0, 1.0, size=m)
+        a = rng.uniform(-1.0, 1.0, size=m)
+        a *= coeffs[0]
     else:
         c, scale = coeffs
         a = _truncated_normal(rng, c)
@@ -340,9 +321,8 @@ def sample_matrix(
         out = np.empty((n, n))
     elif out.shape != (n, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape {(n, n)}")
-    flat = out.reshape(-1)
-    flat[upper] = a
-    flat[lower] = a
+    out[mask] = a
+    out.T[mask] = a
     return out
 
 
@@ -458,6 +438,13 @@ class MonteCarloResult:
 
 # Bytes of float64 matrices per block of trials.
 _BLOCK_BYTES = 1 << 22
+# Bytes that the workers may hold at once: each holds its block's stack, and
+# a draw and LAPACK's copy of one matrix.
+_POOL_BYTES = 1 << 28
+# numpy releases the GIL in a stacked eigvalsh only when stack size * n
+# exceeds this (a lone 300 x 300 solve holds it; 2 x 300 and 1 x 600 release
+# it).
+_GIL_FREE_SIZE = 500
 
 
 def _cpu_count() -> int:
@@ -466,14 +453,27 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _blocks(trials: int, n: int, workers: int) -> List[Tuple[int, int]]:
-    """Near-equal contiguous (start, stop) blocks of trial indices, of about
-    ``_BLOCK_BYTES`` of matrices each, in a whole number of rounds of
-    ``workers`` when there are trials enough."""
-    per_block = max(1, _BLOCK_BYTES // (8 * n * n))
+def _schedule(trials: int, n: int, cpus: int) -> Tuple[List[Tuple[int, int]], int]:
+    """Near-equal contiguous (start, stop) blocks of trial indices, and the
+    number of worker threads to run them on.
+
+    A block holds about ``_BLOCK_BYTES`` of matrices.  There are at most
+    ``cpus`` workers, and no more than ``_POOL_BYTES`` allows (2 at n = 2000).
+    With more than one, the block count is raised to a whole number of
+    rounds of the workers, but never so far that a block's stack is too small
+    for numpy to release the GIL in its solve: blocks that hold it would run
+    one at a time whatever the pool.
+    """
+    matrix = 8 * n * n
+    per_block = max(1, _BLOCK_BYTES // matrix)
+    cpus = min(cpus, max(1, _POOL_BYTES // ((per_block + 2) * matrix)))
     count = -(-trials // per_block)
-    count = min(trials, workers * -(-count // workers))
-    return [(trials * i // count, trials * (i + 1) // count) for i in range(count)]
+    most = max(1, trials // (_GIL_FREE_SIZE // n + 1))
+    if cpus > 1 and count < most:
+        workers = min(cpus, most)
+        count = min(most, workers * -(-count // workers))
+    blocks = [(trials * i // count, trials * (i + 1) // count) for i in range(count)]
+    return blocks, min(cpus, count)
 
 
 def monte_carlo(
@@ -484,16 +484,18 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Run a reproducible campaign of independent trials, in blocks.
 
-    The per-campaign plan (the triangle's indices and the law's coefficients,
-    from sigma and K) is built once, before any block runs.  A block of
+    The per-campaign plan (the mask and the law's coefficients, from sigma
+    and K) is built once, before any block runs.  A block of
     trials draws each trial's matrix into one (b, n, n) stack with the
     module-level ``sample_matrix``, from the trial's own generator seeded
     from (seed, trial_index), solves the stack with one ``eigenvalues`` call
     and takes the moments along the last axis.  numpy releases the GIL in a
-    stacked eigensolve, so the blocks run on a pool of
-    min(CPUs, blocks) threads when every variable of ``_BLAS_THREAD_VARS``
-    reads 1 (``cli`` sets them), and on the calling thread otherwise, where
-    BLAS threads already use the CPUs.  Results are written by trial index,
+    large enough stacked eigensolve (see ``_schedule``), so the blocks run on
+    a pool of up to one thread per CPU when BLAS was pinned to one thread
+    before numpy loaded (``cli`` does this), and on the calling thread
+    otherwise, where BLAS threads already use the CPUs.  At large n a block
+    is one trial and each worker holds about three n x n arrays at once (its
+    matrix, the draw and LAPACK's copy).  Results are written by trial index,
     so a campaign is reproducible bit for bit whatever the worker count;
     ``workers`` records it.  Standard errors need trials >= 2 and are None
     otherwise.
@@ -505,10 +507,8 @@ def monte_carlo(
 
     n = config.n
     _plan(config)  # built, and its errors raised, here rather than in a worker
-    pinned = all(os.environ.get(name) == "1" for name in _BLAS_THREAD_VARS)
-    cpus = _cpu_count() if pinned else 1
-    blocks = _blocks(trials, n, cpus)
-    workers = min(cpus, len(blocks))
+    cpus = _cpu_count() if _blas_is_pinned() else 1
+    blocks, workers = _schedule(trials, n, cpus)
 
     per_trial = np.empty((trials, k_max))
     radii = np.empty(trials)

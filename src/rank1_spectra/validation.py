@@ -6,16 +6,14 @@ one line per check from `run_all` and exits non-zero if any fails; the tests
 run each at deep=False.  The battery is deliberately cheap (seconds);
 ``deep=True`` extends the enumerations to s = 11 and doubles the walk
 oracle's Monte Carlo trials and the SDP's random measures; it takes about 5 s
-on a 2-CPU machine, because the tree checks read one count of profiles per s,
-from a single pass over its C_s trees.
+on a 2-CPU machine, because ``tree_count``'s enumeration mode counts the
+trees of every profile of an order s in a single pass over its C_s trees.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -41,19 +39,11 @@ Check = Tuple[bool, str]
 EXP_SPEC = "expr:exp(-4*i/n)"
 
 
-@lru_cache(maxsize=None)
-def _trees_by_profile(s: int) -> Counter:
-    """How many plane trees on s + 1 vertices realize each degree profile,
-    from one enumeration of the C_s trees (read it, do not change it)."""
-    return Counter(degree_profile_of(t) for t in enumerate_plane_trees(s + 1))
-
-
 def check_catalan_partition(deep: bool) -> Check:
     """Profile-wise enumeration counts must partition the Catalan numbers."""
     s_top = 11 if deep else 8
     for s in range(1, s_top + 1):
-        counts = _trees_by_profile(s)
-        total = sum(counts[p] for p in enumerate_degree_profiles(s))
+        total = sum(tree_count(p, "enumeration") for p in enumerate_degree_profiles(s))
         if total != catalan(s):
             return False, f"s={s}: enumeration total {total} != C_{s} = {catalan(s)}"
     return True, f"s=1..{s_top}"
@@ -71,10 +61,9 @@ def check_tree_count_modes(deep: bool) -> Check:
     """
     s_top = 11 if deep else 8
     for s in range(1, s_top + 1):
-        counts = _trees_by_profile(s)
         for p in enumerate_degree_profiles(s):
             closed = tree_count(p, "closed_form")
-            enum = counts[p]
+            enum = tree_count(p, "enumeration")
             if closed != enum:
                 return False, f"FAIL at s={s} profile {p.r} (closed {closed}, enum {enum})"
             if Fraction(closed) != Fraction(2, s + 1) * multinomial(s + 1, p.r):
@@ -109,10 +98,11 @@ def check_profile_realization(deep: bool) -> Check:
     for s in range(1, s_top + 1):
         profiles = set(p.r for p in enumerate_degree_profiles(s))
         seen = set()
-        for p in _trees_by_profile(s):
-            if p.r not in profiles:
-                return False, f"s={s}: tree profile {p.r} not in R_s"
-            seen.add(p.r)
+        for t in enumerate_plane_trees(s + 1):
+            r = degree_profile_of(t).r
+            if r not in profiles:
+                return False, f"s={s}: tree profile {r} not in R_s"
+            seen.add(r)
         if seen != profiles:
             return False, f"s={s}: unrealized profiles {profiles - seen}"
     return True, f"s=1..{s_top}"

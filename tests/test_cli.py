@@ -224,18 +224,36 @@ def import_runs(tmp_path_factory):
     return reports
 
 
-def test_cli_pins_blas_before_numpy_loads():
+_PIN_SCRIPT = """
+import json, os, sys
+{first}
+import rank1_spectra
+before = 'numpy' in sys.modules
+import rank1_spectra.cli
+from rank1_spectra import ensemble
+ensemble._cpu_count = lambda: 2
+cfg = ensemble.EnsembleConfig(n=60, sigma=rank1_spectra.parse_sigma_spec('const:1'), seed=1)
+print(json.dumps([before, [os.environ.get(v) for v in rank1_spectra._BLAS_THREAD_VARS],
+                  ensemble.monte_carlo(cfg, 24, 2).workers]))
+"""
+
+
+@pytest.mark.parametrize("first, user, expected", [
+    ("", {}, [False, ["1", "1", "1"], 2]),
+    ("", {"MKL_NUM_THREADS": "3"}, [False, ["1", "1", "3"], 1]),
+    ("import numpy", {}, [True, [None, None, None], 1]),
+])
+def test_cli_pins_blas_before_numpy_loads(first, user, expected):
     """The package loads no numpy; the CLI sets each unset BLAS variable to 1
-    before numpy loads, and keeps a value the user set."""
-    script = ("import json, os, sys; import rank1_spectra; before = 'numpy' in sys.modules; "
-              "import rank1_spectra.cli; "
-              "print(json.dumps([before, [os.environ.get(v) for v in rank1_spectra._BLAS_THREAD_VARS]]))")
+    before numpy loads, and keeps a value the user set.  Trials run on more
+    than one thread only when every variable read 1 as numpy loaded; once
+    numpy has loaded first, the CLI leaves the environment alone."""
     env = {k: v for k, v in os.environ.items() if k not in rank1_spectra._BLAS_THREAD_VARS}
-    env.update(PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), MKL_NUM_THREADS="3")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=60)
+    env.update(PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), **user)
+    proc = subprocess.run([sys.executable, "-c", _PIN_SCRIPT.format(first=first)],
+                          capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [False, ["1", "1", "3"]]
+    assert json.loads(proc.stdout) == expected
 
 
 def test_no_command_loads_scipy(import_runs):

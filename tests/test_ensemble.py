@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import rank1_spectra
 from rank1_spectra import _BLAS_THREAD_VARS, cli, ensemble
 from rank1_spectra.ensemble import (
     DISTRIBUTIONS,
@@ -36,12 +37,15 @@ def ones_spec():
 
 @pytest.fixture
 def pinned_cpus(monkeypatch):
-    """Set the BLAS variables to 1 and make ``monte_carlo`` see ``count`` CPUs."""
+    """Set the BLAS variables to 1 as if before numpy loaded, and make
+    ``monte_carlo`` see ``count`` CPUs and take any stack as releasing the GIL."""
 
     def pin(count):
         for name in _BLAS_THREAD_VARS:
             monkeypatch.setenv(name, "1")
+        monkeypatch.setattr(rank1_spectra, "_blas_pinned", True)
         monkeypatch.setattr(ensemble, "_cpu_count", lambda: count)
+        monkeypatch.setattr(ensemble, "_GIL_FREE_SIZE", 0)
 
     return pin
 
@@ -268,34 +272,6 @@ class TestHalfwidth:
                 assert vi == pytest.approx(float(1 - g), rel=1e-14)
                 assert dvi == pytest.approx(float(g / c * (c * c - 1 + g)), rel=1e-12, abs=1e-300)
 
-    def test_one_solve_per_distinct_pair(self, monkeypatch):
-        sizes = []
-        variance = ensemble._conditioned_variance
-
-        def counted(x):
-            sizes.append(x.size)
-            return variance(x)
-
-        monkeypatch.setattr(ensemble, "_conditioned_variance", counted)
-        ensemble._plan.cache_clear()
-        cfg = EnsembleConfig(n=50, sigma=ones_spec(), distribution="truncated_gaussian", seed=1)
-        c, scale = ensemble._plan(cfg)[2]
-        assert sizes and set(sizes) == {1}
-        assert c.size == 50 * 51 // 2 and np.all(c == c[0])
-
-    @pytest.mark.parametrize("K", [None, 1.75 * 2.0])
-    def test_repeated_sigma_gives_the_per_entry_halfwidths(self, K):
-        sigma = (0.5, 1.0, 0.5, 2.0, 1.0, 0.5, 0.7, 2.0)
-        n = len(sigma)
-        cfg = EnsembleConfig(
-            n=n, sigma=explicit_spec(sigma), distribution="truncated_gaussian", K=K, seed=1
-        )
-        bound = 3.0 * max(sigma) if K is None else K
-        prod = np.outer(sigma, sigma)[np.triu(np.ones((n, n), dtype=bool))]
-        c, scale = ensemble._plan(cfg)[2]
-        np.testing.assert_array_equal(c, ensemble._truncnorm_halfwidth(prod / (bound * bound)))
-        np.testing.assert_array_equal(scale, bound / c)
-
     def test_several_blocks_match_one_block(self, monkeypatch):
         rho = np.concatenate([np.linspace(1e-4, 0.333, 40), [0.0, 5e-324, 1e-310]])
         one = ensemble._truncnorm_halfwidth(rho)
@@ -455,11 +431,24 @@ class TestMonteCarlo:
         assert mc.pooled_eigenvalues.shape == (60,)
 
     def test_blocks_of_about_4_mb_in_whole_rounds_of_workers(self):
-        assert ensemble._blocks(24, 300, 2) == [(4 * i, 4 * i + 4) for i in range(6)]
-        assert ensemble._blocks(24, 300, 1) == [(0, 4), (4, 9), (9, 14), (14, 19), (19, 24)]
-        assert ensemble._blocks(20000, 3, 2) == [(0, 10000), (10000, 20000)]
-        assert ensemble._blocks(3, 2000, 2) == [(0, 1), (1, 2), (2, 3)]
-        assert ensemble._blocks(1, 10, 8) == [(0, 1)]
+        assert ensemble._schedule(24, 300, 2) == ([(4 * i, 4 * i + 4) for i in range(6)], 2)
+        assert ensemble._schedule(24, 300, 1) == (
+            [(0, 4), (4, 9), (9, 14), (14, 19), (19, 24)], 1)
+        assert ensemble._schedule(20000, 3, 2) == ([(0, 10000), (10000, 20000)], 2)
+        assert ensemble._schedule(3, 2000, 2) == ([(0, 1), (1, 2), (2, 3)], 2)
+        assert ensemble._schedule(1, 10, 8) == ([(0, 1)], 1)
+
+    def test_blocks_stay_large_enough_to_release_the_gil(self):
+        # 2 x 300 releases the GIL, a lone 300 x 300 solve holds it
+        assert ensemble._schedule(24, 300, 16) == ([(2 * i, 2 * i + 2) for i in range(12)], 12)
+        assert ensemble._schedule(4, 200, 8) == ([(0, 4)], 1)
+        assert ensemble._schedule(24, 100, 4) == ([(0, 6), (6, 12), (12, 18), (18, 24)], 4)
+        assert ensemble._schedule(5, 100, 4) == ([(0, 5)], 1)
+
+    def test_workers_hold_a_bounded_share_of_memory(self):
+        blocks, workers = ensemble._schedule(16, 2000, 16)
+        assert blocks == [(i, i + 1) for i in range(16)] and workers == 2
+        assert ensemble._schedule(16, 1000, 16)[1] == 11
 
     @pytest.mark.parametrize("trials", [1, 5, 24])
     def test_worker_count_does_not_change_results(self, pinned_cpus, trials):
@@ -494,10 +483,9 @@ class TestMonteCarlo:
             assert mc.radii[t] == s.radius
             np.testing.assert_array_equal(mc.pooled_eigenvalues[t * n:(t + 1) * n], s.eigenvalues)
 
-    @pytest.mark.parametrize("name", _BLAS_THREAD_VARS)
-    def test_one_worker_unless_blas_is_pinned(self, pinned_cpus, monkeypatch, name):
+    def test_one_worker_unless_blas_is_pinned(self, pinned_cpus, monkeypatch):
         pinned_cpus(8)
-        monkeypatch.setenv(name, "2")
+        monkeypatch.setattr(rank1_spectra, "_blas_pinned", False)
         mc = monte_carlo(EnsembleConfig(n=10, sigma=ones_spec(), seed=2), trials=16, k_max=2)
         assert mc.workers == 1
 
@@ -522,6 +510,7 @@ class TestMonteCarlo:
         runs = {}
         for openblas in ("1", "4"):
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", openblas)
+            monkeypatch.setattr(rank1_spectra, "_blas_pinned", openblas == "1")
             out = tmp_path / openblas
             argv = ["simulate", "--sigma", "const:1", "--n", "10", "--trials", "4",
                     "--out", str(out)]
