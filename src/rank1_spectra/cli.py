@@ -4,6 +4,11 @@ Each command loads only its own layers: the handlers import them when they
 run, so ``moments`` never loads the Monte Carlo layer, nor mpmath for a
 ``file:`` sigma, whose S_{n,k}/n it sums in float64 (``radius`` sums them
 exactly in mpf), and only ``validate`` loads the enumeration oracles.
+numpy loads only for work on n float values: ``simulate``, ``validate``,
+``moments`` with ``--n`` and ``radius`` with ``--orders``, which evaluate
+sigma at n points.  ``radius`` otherwise and ``moments`` of a limit run in
+exact or mp arithmetic on a few dozen numbers and never load it, which
+saves its import, most of their start-up.
 
 Importing this module before numpy loads pins BLAS to one thread: it sets
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1, unless they

@@ -14,6 +14,7 @@ multiplies the limit by 1 + theta*s with a fully explicit theta.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -43,23 +44,67 @@ def _tree_series(averages: Sequence[Number], s_max: int) -> list:
     coefficient of its term prod A_j^{r_j} w^{s-1} in phi(w)^{s+1}.  Each
     power phi^j is built once, truncated after w^{s_max-1}; its low
     coefficients are the same sums, in the same order, as a truncation
-    after w^{s-1}.  Ints and Fractions stay exact, mpmath numbers stay mpf
-    (each coefficient one correctly rounded ``mpmath.fdot``), anything else
-    is a float; all terms are positive.
+    after w^{s-1}.  Ints and Fractions stay exact, mpmath numbers give mpf
+    (`_fixed_point_series`), anything else is a float; all terms are
+    positive.
     """
     phi = [a if isinstance(a, (int, Fraction)) or hasattr(a, "_mpf_") else float(a)
            for a in averages[:s_max]]
-    mpf_terms = bool(phi) and hasattr(phi[0], "_mpf_")
-    if mpf_terms:
-        from mpmath import fdot
+    if phi and all(hasattr(a, "_mpf_") for a in phi):
+        return _fixed_point_series(phi, s_max)
     power = list(phi)
     series = []
     for s in range(1, s_max + 1):
-        if mpf_terms:
-            power = [fdot(power[:k + 1], phi[k::-1]) for k in range(s_max)]
-        else:
-            power = [sum(power[i] * phi[k - i] for i in range(k + 1)) for k in range(s_max)]
+        power = [sum(power[i] * phi[k - i] for i in range(k + 1)) for k in range(s_max)]
         series.append(power[s - 1] * Fraction(2, s + 1))
+    return series
+
+
+def _fixed_point_series(phi: list, s_max: int) -> list:
+    """The tree series of positive mpf averages phi in Python ints, each
+    m_{2s} within 2^-prec (1 + 2^-3) of itself of the exact series at phi,
+    at the mp precision prec.
+
+    Scaling: A_k = 2^(a + b k) l_k with integer a, b, so the coefficient of
+    w^j in phi^p is 2^(a p + b (j + p)) times that of the l's: every
+    product in it has p factors whose indices sum to j + p.  b follows the
+    slope of log2 A_k and a puts l_1 in [1, 2), so that averages of any
+    size, as of const:1000 or 0.0078125*exp(-4*i/n), keep their relative
+    precision.  With mu <= min l_k, every coefficient c of a power of the
+    l's is at least mu: it holds the term l_1^(p-1) l_(j+1).
+
+    The l_k are held as L_k = floor(l_k 2^F), and each coefficient of the
+    next power is the exact sum of its products, shifted down by F bits.
+    Every step errs downwards: L_k falls short of l_k 2^F by under 1, a
+    relative 2^-F/mu, and the shift of a sum of positive terms adds under
+    1 unit to the relative errors of its terms, so the coefficients of
+    phi^p fall short by at most (2p - 1) 2^-F/mu.  The floor division by
+    s + 1, of the coefficient shifted up by bits(s + 1), adds another
+    2^-F/mu at most, so m_{2s} falls short by at most
+    (2 s_max + 2) 2^-F/mu before its one rounding to prec bits, which
+    F = prec + 3 + bits(2 s_max + 2) + log2(1/mu) makes at most 2^-(prec+3).
+    """
+    from mpmath import mp, mpf
+
+    # A_k = man_k 2^exp_k with 2^(e_k - 1) <= A_k < 2^e_k
+    scaled = [a.man_exp for a in phi]
+    e = [x + m.bit_length() for m, x in scaled]
+    b = round((e[-1] - e[0]) / (s_max - 1)) if s_max > 1 else 0
+    a = e[0] - 1 - b
+    # l_k = A_k 2^-(a + b k) = man_k 2^x_k, with l_1 in [1, 2)
+    x = [xk - a - b * k for k, (_, xk) in enumerate(scaled, start=1)]
+    low = min(xk + m.bit_length() for (m, _), xk in zip(scaled, x)) - 1  # mu = 2^low
+    F = mp.prec + 3 + (2 * s_max + 2).bit_length() + max(0, -low)
+    L = [m << (xk + F) if xk + F >= 0 else m >> -(xk + F) for (m, _), xk in zip(scaled, x)]
+    reverse = L[::-1]
+    power, series = L, []
+    for s in range(1, s_max + 1):
+        power = [sum(map(operator.mul, power[:k + 1], reverse[s_max - 1 - k:])) >> F
+                 for k in range(s_max)]
+        # m_2s = 2/(s+1) [w^(s-1)] phi^(s+1), and 2^(a (s+1) + 2 b s - F) times the l's;
+        # the shift by t bits before the division keeps its floor within 1/(2 power)
+        t = (s + 1).bit_length()
+        series.append(mpf(((power[s - 1] << t + 1) // (s + 1), a * (s + 1) + 2 * b * s - F - t)))
     return series
 
 

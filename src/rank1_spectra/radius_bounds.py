@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
 from mpmath import mp, mpf
 
 from .moments import moment_lower_bound, theta_factor
@@ -172,24 +171,44 @@ def _chebyshev(nu: tuple, eps: mpf) -> Tuple[tuple, tuple, float]:
     return tuple(a), tuple(b), float(condition)
 
 
-def _count_below(a: tuple, b: tuple, x) -> int:
+def _count_below(a: tuple, b: tuple, x, eps=None) -> int:
     """Eigenvalues of the Jacobi matrix below x: the negative pivots of
-    J - xI (Sturm).  A pivot that is exactly 0 moves just above 0."""
-    count, q = 0, mpf(1)
+    J - xI (Sturm), in mpf or, with float a, b, x and eps = 2^-52, in
+    float64.  A pivot that is exactly 0 moves eps (|a_k| + |x|) above 0,
+    with eps the mp precision's by default."""
+    count, q, eps = 0, 1, mp.eps if eps is None else eps
     for ak, bk in zip(a, b):
         q = ak - x - bk / q
-        q = q or mp.eps * (abs(ak) + abs(x))
+        q = q or eps * (abs(ak) + abs(x))
         count += q < 0
     return count
 
 
+def _float_top(a: tuple, b: tuple, lo, hi) -> Optional[mpf]:
+    """The top eigenvalue of the Jacobi matrix in [lo, hi], bisected on
+    float64 Sturm counts to float64's resolution, or None where a, b, lo
+    or hi leave float64's range."""
+    a, b = [float(v) for v in a], [float(v) for v in b]
+    lo, hi = float(lo), float(hi)
+    if not all(map(math.isfinite, [*a, *b, lo, hi])):
+        return None
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if _count_below(a, b, mid, 2.0 ** -52) == len(a):
+            hi = mid
+        else:
+            lo = mid
+    return mpf(hi)
+
+
 def sdp_lower_bound(pencil: HankelPencil, tol: float = DEFAULT_TOL) -> SdpResult:
     """min{x > 0 : H0 x - H1 >= 0}, the top eigenvalue of the pencil's Jacobi
-    matrix, by bisecting [max a_k, Gershgorin's bound], or 2^-40 around the
-    float64 eigenvalue where the counts confirm it, on its Sturm count to
-    below tol and 2^-64 of the upper end; beta is the midpoint.  Raises
-    ArithmeticError when the counts at beta -/+ tol do not certify it: the
-    digits cannot resolve beta to tol, as for a support near 1e60 at 1e-8."""
+    matrix, by bisecting [max a_k, Gershgorin's bound], or 2^-40 around a
+    guess where the counts confirm it, on its Sturm count to below tol and
+    2^-64 of the upper end; beta is the midpoint.  The guess is the same
+    bisection in float64 (`_float_top`), whose counts cost a fraction of mp
+    ones.  Raises ArithmeticError when the counts at beta -/+ tol do not
+    certify it: the digits cannot resolve beta to tol, as for a support
+    near 1e60 at 1e-8."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     a, b, m = pencil.a, pencil.b, len(pencil.a)
@@ -198,13 +217,13 @@ def sdp_lower_bound(pencil: HankelPencil, tol: float = DEFAULT_TOL) -> SdpResult
         root = [mp.sqrt(v) for v in b[1:]] + [0]
         lo = max(a)
         hi = max(ak + rk + rl for ak, rk, rl in zip(a, [0] + root, root))
-        # float64's top eigenvalue, where the counts confirm it, narrows the bracket
-        with np.errstate(all="ignore"):
-            J = np.diag([float(v) for v in a]) + np.diag([float(v) for v in root[:-1]], 1)
-            guess = mpf(float(np.linalg.eigvalsh(J, UPLO="U")[-1])) if np.isfinite(J).all() else lo
-        near = abs(guess) * mpf(2) ** -40
-        if _count_below(a, b, guess + near) == m and _count_below(a, b, guess - near) < m:
-            lo, hi = max(lo, guess - near), min(hi, guess + near)
+        # the same bisection in float64 counts, where the full ones confirm
+        # it, narrows the bracket
+        guess = _float_top(a, b, lo, hi)
+        if guess is not None:
+            near = abs(guess) * mpf(2) ** -40
+            if _count_below(a, b, guess + near) == m and _count_below(a, b, guess - near) < m:
+                lo, hi = max(lo, guess - near), min(hi, guess + near)
         while hi - lo > min(tol, abs(hi) * mpf(2) ** -64):
             mid = (lo + hi) / 2
             if mid in (lo, hi):

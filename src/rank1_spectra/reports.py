@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .moments import (MomentReport, MomentRow, _check_order, _limits, _lower_bounds,
                       moment_upper_bound)
 from .sigma_model import (
@@ -51,8 +49,8 @@ def lambda_vector(
     if spec.kind == "constant":
         return la.values, "exact (constant sigma)", la.digits
     work = f"{la.levels} levels, {la.nodes} nodes, {la.digits} digits"
-    if not la.converged.all():
-        k = int(np.argmin(la.converged)) + 1
+    if not all(la.converged):
+        k = la.converged.index(False) + 1
         cause = ("the profile may have no limit; try a larger --lambda-tol"
                  if la.panels == 1 and la.levels == _LIMIT_LEVEL else
                  f"its quadrature stopped at {la.digits} digits")

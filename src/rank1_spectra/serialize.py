@@ -9,10 +9,9 @@ timestamp varies.
 from __future__ import annotations
 
 import math
+import numbers
 from datetime import datetime, timezone
 from typing import Any, Optional
-
-import numpy as np
 
 __all__ = ["fmt17", "dumps_json", "run_manifest", "histogram_csv"]
 
@@ -35,9 +34,9 @@ def _encode(obj: Any, out: list, indent: int, level: int) -> None:
         out.append("false")
     elif isinstance(obj, str):
         out.append(_quote(obj))
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, numbers.Integral):  # numpy registers its scalars here
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, numbers.Real):
         x = float(obj)
         if not math.isfinite(x):
             # JSON has no inf/nan; callers carry explicit flags instead
@@ -56,7 +55,7 @@ def _encode(obj: Any, out: list, indent: int, level: int) -> None:
             _encode(value, out, indent, level + 1)
             out.append(",\n" if idx + 1 < len(obj) else "\n")
         out.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+    elif isinstance(obj, (list, tuple)):
         seq = list(obj)
         if not seq:
             out.append("[]")
@@ -106,7 +105,7 @@ def run_manifest(
     }
 
 
-def histogram_csv(bin_edges: np.ndarray, counts: np.ndarray) -> str:
+def histogram_csv(bin_edges, counts) -> str:
     """CSV text ``bin_lo,bin_hi,count`` with 17-significant-digit edges."""
     lines = ["bin_lo,bin_hi,count"]
     for k in range(len(counts)):

@@ -16,6 +16,12 @@ limit, Lambda_k = int_{1/N}^1 f(xN, N)^k dx at a huge N.  The same sums at
 10^10 N on a coarse level test that the limit exists (1 + log(i) fails at
 once), and a panel across which the quadrature stalls, as at a kink, is
 halved.  mpmath is imported only when limiting averages are requested.
+
+numpy is imported only where a float vector of length n is processed:
+`SigmaSpec.evaluate`, `sigma_values` and `sigma_stats`.  Limiting averages
+load none: a constant's or an explicit sequence's nodes come from its
+values, and the float midpoint rule that checks the quadrature runs on
+plain lists.
 """
 
 from __future__ import annotations
@@ -24,11 +30,11 @@ import functools
 import heapq
 import math
 import operator
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from types import SimpleNamespace
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 __all__ = [
     "SigmaSpec",
@@ -206,10 +212,89 @@ class _ExprParser:
         raise self.fail(f"unknown identifier {word!r}")
 
 
-def _eval_node(node: Node, i, n, ns=np):
+def _odd(b: float) -> bool:
+    return b.is_integer() and b % 2 == 1
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _log(x: float) -> float:
+    if x > 0:
+        return math.log(x)
+    return -math.inf if x == 0 else math.nan
+
+
+def _power(a: float, b: float) -> float:
+    try:
+        return math.pow(a, b)
+    except ValueError:  # a negative base to a fraction, or 0 to a power < 0
+        if a != 0:
+            return math.nan
+        return math.copysign(math.inf, a) if _odd(b) else math.inf
+    except OverflowError:
+        return math.copysign(math.inf, a) if _odd(b) else math.inf
+
+
+def _divide(a: float, b: float) -> float:
+    try:
+        return a / b
+    except ZeroDivisionError:
+        if a == 0 or a != a:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _elementwise(fast, careful):
+    """``fast`` over the elements of its `_Floats` arguments (a float
+    argument is every element's), or ``careful`` where ``fast`` raises."""
+    def apply(*args):
+        if not any(isinstance(a, _Floats) for a in args):
+            return careful(*args)
+        try:
+            return _Floats(map(fast, *(a if isinstance(a, _Floats) else repeat(a) for a in args)))
+        except (ArithmeticError, ValueError):
+            return _Floats(map(careful, *(a if isinstance(a, _Floats) else repeat(a)
+                                          for a in args)))
+    return apply
+
+
+class _Floats(tuple):
+    """Floats with numpy's elementwise arithmetic: each operation maps over
+    all of them in C, some twenty times faster than `_eval_node` called
+    point by point.  Where math raises or Python leaves the reals the
+    values are numpy's: NaN off the reals and for 0/0, a signed inf on
+    overflow or division by zero, and -inf for log(0)."""
+
+    __slots__ = ()
+    __add__ = __radd__ = _elementwise(operator.add, operator.add)
+    __mul__ = __rmul__ = _elementwise(operator.mul, operator.mul)
+    __sub__ = _sub = _elementwise(operator.sub, operator.sub)
+    __truediv__ = _div = _elementwise(operator.truediv, _divide)
+
+    def __rsub__(self, a):
+        return _Floats._sub(a, self)
+
+    def __rtruediv__(self, a):
+        return _Floats._div(a, self)
+
+    def __neg__(self):
+        return _Floats(map(operator.neg, self))
+
+
+# the `_eval_node` namespace of `_Floats`
+_FLOAT = SimpleNamespace(exp=_elementwise(math.exp, _exp), log=_elementwise(math.log, _log),
+                         power=_elementwise(math.pow, _power))
+
+
+def _eval_node(node: Node, i, n, ns):
     """Evaluate a parsed expression at index i and dimension n.  ``ns``
     supplies exp, log and power: numpy for arrays of indices, mpmath's ``mp``
-    for one mpf point."""
+    for one mpf point, `_FLOAT` for `_Floats`."""
     op = node[0]
     if op == "num":
         return node[1]
@@ -244,6 +329,8 @@ class SigmaSpec:
 
     def evaluate(self, i: np.ndarray, n: int) -> np.ndarray:
         """Evaluate sigma at (possibly non-contiguous) 1-based indices ``i``."""
+        import numpy as np
+
         if self.kind == "constant":
             return np.full(i.shape, self.payload, dtype=np.float64)
         if self.kind == "explicit":
@@ -256,7 +343,7 @@ class SigmaSpec:
                 )
             return values[np.asarray(i, dtype=np.int64) - 1]
         with np.errstate(all="ignore"):
-            out = _eval_node(self.payload, np.asarray(i, dtype=np.float64), float(n))
+            out = _eval_node(self.payload, np.asarray(i, dtype=np.float64), float(n), np)
         return np.broadcast_to(np.asarray(out, dtype=np.float64), i.shape).copy()
 
 
@@ -267,12 +354,12 @@ class LimitingAverages:
     ``levels`` is the quadrature's deepest step halving, ``panels`` the
     intervals it integrated and ``nodes`` the evaluations of sigma (the
     distinct values of a constant or an explicit sequence).  ``converged``
-    is False where Lambda_k failed the limit test or the tolerance, and
-    ``values`` then holds the last estimate.
+    is a tuple of bools, False where Lambda_k failed the limit test or the
+    tolerance, and ``values`` then holds the last estimate.
     """
 
     values: tuple
-    converged: np.ndarray
+    converged: tuple
     levels: int
     panels: int
     nodes: int
@@ -350,16 +437,24 @@ def sigma_values(spec: SigmaSpec, n: int) -> np.ndarray:
     """Evaluate the first n sigma values (i = 1..n), checking positivity."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if spec.kind == "explicit" and len(spec.payload) < n:
-        raise SigmaDomainError(
-            f"explicit sigma sequence has {len(spec.payload)} entries, need {n}"
-        )
+    _check_length(spec, n)
+    import numpy as np
+
     values = spec.evaluate(np.arange(1, n + 1), n)
     _check_positive(values, first_index=1)
     return values
 
 
+def _check_length(spec: SigmaSpec, n: int) -> None:
+    if spec.kind == "explicit" and len(spec.payload) < n:
+        raise SigmaDomainError(
+            f"explicit sigma sequence has {len(spec.payload)} entries, need {n}"
+        )
+
+
 def _check_positive(values: np.ndarray, first_index: int) -> None:
+    import numpy as np
+
     bad = ~(np.isfinite(values) & (values > 0))
     if bad.any():
         j = int(np.argmax(bad))
@@ -373,9 +468,14 @@ def sigma_stats(values: Sequence[float], k_max: int) -> SigmaStats:
     """Partial sums S_{n,k} for k = 1..k_max plus max/min of the vector.
 
     Sums accumulate in extended precision; an overflow to non-finite raises.
+    This, `sigma_values` and `SigmaSpec.evaluate` are where numpy loads:
+    their work is a float vector of length n, which a Python loop would take
+    ten times longer over.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    import numpy as np
+
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("values must be a non-empty 1-d vector")
@@ -394,6 +494,8 @@ def sigma_stats(values: Sequence[float], k_max: int) -> SigmaStats:
 
 def _power_sums(v: np.ndarray, k_max: int) -> list:
     """sum_i v_i^k for k = 1..k_max, each accumulated in extended precision."""
+    import numpy as np
+
     sums = []
     p = v.copy()
     for k in range(k_max):
@@ -428,11 +530,21 @@ def limiting_averages(
     with mp.workdps(digits):
         if spec.kind != "expression":
             # a constant is its value at n = 1, an explicit sequence its first n values
-            size = 1 if spec.kind == "constant" else len(spec.payload) if n is None else n
-            values, counts = np.unique(sigma_values(spec, size), return_counts=True)
-            sums = _weighted_power_sums(counts.tolist(), values.tolist(), k_max)
-            return LimitingAverages(tuple(s / size for s in sums), np.ones(k_max, dtype=bool),
-                                    0, 0, len(values), digits)
+            if spec.kind == "constant":
+                size, values = 1, (spec.payload,)
+            else:
+                size = len(spec.payload) if n is None else n
+                if size < 1:
+                    raise ValueError(f"n must be >= 1, got {size}")
+                _check_length(spec, size)
+                values = spec.payload[:size]
+            nodes = Counter(values)
+            bad = next((v for v in nodes if not 0 < v < math.inf), None)
+            if bad is not None:
+                raise SigmaDomainError(f"sigma value {bad} is not finite and positive")
+            sums = _weighted_power_sums(list(nodes.values()), list(nodes), k_max)
+            return LimitingAverages(tuple(s / size for s in sums), (True,) * k_max,
+                                    0, 0, len(nodes), digits)
         tree, N = spec.payload, mpf(10) ** (digits + 5)
         t_max = mp.asinh(mp.log(N * 10 ** 10) / mp.pi)
         near = _levels(tree, k_max, N, 1 / N, mpf(1), t_max)
@@ -442,8 +554,8 @@ def limiting_averages(
             (n, estimate), (n_far, far_estimate) = next(near), next(far)
             history.append(estimate)
             nodes += n + n_far
-        converged = np.array([abs(e - f) <= tol * e for e, f in zip(estimate, far_estimate)])
-        if not converged.all():
+        converged = tuple(abs(e - f) <= tol * e for e, f in zip(estimate, far_estimate))
+        if not all(converged):
             return LimitingAverages(tuple(estimate), converged, _LIMIT_LEVEL, 1, nodes, digits)
         scale, floor = estimate, mpf(10) ** -digits
         grid = _midpoint_sums(tree, k_max, float(N))
@@ -467,7 +579,7 @@ def limiting_averages(
                 todo = [(a, b, _levels(tree, k_max, N, a, b, t_max), [])
                         for a, b in ((p, (p + q) / 2), ((p + q) / 2, q))]
         values = [s + sum(panel[4][k] for panel in stalled) for k, s in enumerate(settled)]
-        converged = np.array([e <= max(tol, floor) * v for e, v in zip(error, values)])
+        converged = tuple(e <= max(tol, floor) * v for e, v in zip(error, values))
         relative = max(e / v for e, v in zip(error, values))
         if relative > floor:
             digits = max(0, int(-mp.log10(relative)))
@@ -477,20 +589,27 @@ def limiting_averages(
 def _midpoint_sums(tree: Node, k_max: int, N: float) -> Optional[list]:
     """Cumulative float64 midpoint sums of f(xN, N)^k / cells, k = 1..k_max,
     over _CELLS and _CELLS / 2 equal cells of [0, 1], or None where they
-    leave float64's range.  A point where sigma is negative raises; one
-    that underflows to 0 is fine."""
+    leave float64's range: ``sums[g][k - 1][j]`` sums the first j cells of
+    grid g.  A point where sigma is negative raises; one that underflows to
+    0 is fine.  Each f^k is the product of f^(k-1) and f, then divided by
+    the cells, and the sums run left to right."""
     sums = []
     for cells in (_CELLS, _CELLS // 2):
-        x = (np.arange(cells) + 0.5) / cells
-        with np.errstate(all="ignore"):
-            f = np.broadcast_to(np.asarray(_eval_node(tree, x * N, N), dtype=float), x.shape)
-            powers = np.cumprod(np.broadcast_to(f, (k_max, cells)), axis=0) / cells
-        if (f < 0).any():
-            raise SigmaDomainError(
-                f"sigma has no finite positive value at i/n = {x[np.argmax(f < 0)]:.8g}"
-            )
-        sums.append(np.concatenate([np.zeros((k_max, 1)), np.cumsum(powers, axis=1)], axis=1))
-    return sums if all(np.isfinite(s).all() for s in sums) else None
+        x = [(j + 0.5) / cells for j in range(cells)]
+        f = _eval_node(tree, _Floats(xj * N for xj in x), N, _FLOAT)
+        f = f if isinstance(f, _Floats) else [f] * cells
+        negative = next((xj for xj, fj in zip(x, f) if fj < 0), None)
+        if negative is not None:
+            raise SigmaDomainError(f"sigma has no finite positive value at i/n = {negative:.8g}")
+        rows, power = [], f
+        for k in range(k_max):
+            if k:
+                power = list(map(operator.mul, power, f))
+            rows.append(list(accumulate(map(operator.truediv, power, repeat(float(cells))),
+                                        initial=0.0)))
+        sums.append(rows)
+    # f >= 0, so a row's last sum is finite only if every sum before it is
+    return sums if all(math.isfinite(row[-1]) for rows in sums for row in rows) else None
 
 
 def _unseen(grid: list, p, q, estimate: list, scale: list) -> Optional[list]:
@@ -503,11 +622,13 @@ def _unseen(grid: list, p, q, estimate: list, scale: list) -> Optional[list]:
     lo, hi = round(float(p) * _CELLS), round(float(q) * _CELLS)  # panels are dyadic
     if hi - lo < 4:
         return None
-    fine = grid[0][:, hi] - grid[0][:, lo]
-    coarse = grid[1][:, hi // 2] - grid[1][:, lo // 2]
-    gap = np.abs(np.array([float(e) for e in estimate]) - fine)
-    slack = 20 * np.abs(fine - coarse) + 1e-12 * np.array([float(s) for s in scale])
-    return None if (gap <= slack).all() else [mpf(g) for g in gap]
+    gaps, seen = [], True
+    for fine_sums, coarse_sums, e, s in zip(grid[0], grid[1], estimate, scale):
+        fine = fine_sums[hi] - fine_sums[lo]
+        coarse = coarse_sums[hi // 2] - coarse_sums[lo // 2]
+        gaps.append(abs(float(e) - fine))
+        seen = seen and gaps[-1] <= 20 * abs(fine - coarse) + 1e-12 * float(s)
+    return None if seen else [mpf(g) for g in gaps]
 
 
 def _levels(tree: Node, k_max: int, N, p, q, t_max):

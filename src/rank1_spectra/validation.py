@@ -148,7 +148,7 @@ def check_lambda_quadrature(deep: bool) -> Check:
     la = limiting_averages(parse_sigma_spec(EXP_SPEC), 29, 1e-8, digits=50)
     with mp.workdps(60):
         worst = max(abs(v * 4 * k / (1 - mp.exp(-4 * k)) - 1) for k, v in enumerate(la.values, 1))
-    passed = bool(la.converged.all()) and worst <= mpf(10) ** -40
+    passed = all(la.converged) and worst <= mpf(10) ** -40
     return passed, (f"k=1..29: worst relative error {mp.nstr(worst, 2)}, {la.levels} levels, "
                     f"{la.nodes} nodes, {la.digits} digits")
 

@@ -148,15 +148,16 @@ def test_tolerance_must_be_finite_and_positive(capsys, command, flag, value):
 
 
 # Runs in a fresh interpreter: the test session has every layer (and scipy)
-# loaded already.  argv[1] is a JSON list of CLI argument vectors; after each
-# call the script records which of the watched modules are loaded, and last,
+# loaded already.  argv[1] is a JSON list of CLI argument vectors; the script
+# records the modules loaded and the BLAS variables once the CLI is imported
+# and its parser built, which modules are loaded after each call, and last,
 # as the detector's control, which are loaded once it imports the oracles and
 # scipy.
 _IMPORT_SCRIPT = """
-import json, sys
+import json, os, sys
 import rank1_spectra
 
-WATCHED = ("scipy", "mpmath", "rank1_spectra.ensemble", "rank1_spectra.validation",
+WATCHED = ("numpy", "scipy", "mpmath", "rank1_spectra.ensemble", "rank1_spectra.validation",
            "rank1_spectra.walk_oracle", "rank1_spectra.combinatorics")
 
 def loaded():
@@ -167,6 +168,8 @@ report = {
     "submodules": sorted(m for m in sys.modules if m.startswith("rank1_spectra.")),
 }
 from rank1_spectra import cli
+cli.build_parser()
+report["start"] = [loaded(), [os.environ.get(v) for v in rank1_spectra._BLAS_THREAD_VARS]]
 report["runs"] = [[cli.main(argv), loaded()] for argv in json.loads(sys.argv[1])]
 import rank1_spectra.validation, scipy.special
 report["control"] = loaded()
@@ -194,7 +197,8 @@ PUBLIC_NAMES = [
 
 @pytest.fixture(scope="module")
 def import_runs(tmp_path_factory):
-    """Two fresh interpreters: moments and simulate, then radius."""
+    """Three fresh interpreters: moments and simulate, then radius, then the
+    commands that load no numpy."""
     out = tmp_path_factory.mktemp("imports")
     sigma = out / "sigma.txt"
     sigma.write_text("\n".join(repr(v) for v in SIGMA) + "\n", encoding="utf-8")
@@ -211,13 +215,23 @@ def import_runs(tmp_path_factory):
     ]
     heavy = [
         ["radius", "--sigma", "expr:exp(-4*i/n)", "--sbar", "3", "--out", str(out / "r.json")],
+        ["radius", "--sigma", f"file:{sigma}", "--n", "6", "--sbar", "2", "--orders", "2,3",
+         "--out", str(out / "r_orders.json")],
+    ]
+    numpy_free = [
+        ["radius", "--sigma", "expr:exp(-4*i/n)", "--sbar", "3", "--out", str(out / "r.json")],
+        ["radius", "--sigma", "const:1000", "--sbar", "3", "--out", str(out / "r_const.json")],
+        ["radius", "--sigma", f"file:{sigma}", "--sbar", "2", "--out", str(out / "r_file.json")],
+        ["moments", "--sigma", "expr:exp(-4*i/n)", "--max-order", "8",
+         "--out", str(out / "m_expr.json")],
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in rank1_spectra._BLAS_THREAD_VARS}
     reports = []
-    for argvs in (quiet, heavy):
+    for argvs in (quiet, heavy, numpy_free):
         proc = subprocess.run(
             [sys.executable, "-c", _IMPORT_SCRIPT, json.dumps(argvs)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+            capture_output=True, text=True, env={**env, "PYTHONPATH": src}, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         reports.append(json.loads(proc.stdout.splitlines()[-1]))
@@ -264,7 +278,7 @@ def test_no_command_loads_scipy(import_runs):
 
 
 def test_each_command_loads_only_its_own_layers(import_runs):
-    quiet, heavy = import_runs
+    quiet, heavy, _ = import_runs
     oracles = {"rank1_spectra.validation", "rank1_spectra.walk_oracle",
                "rank1_spectra.combinatorics"}
     # moments (file sigma), the three simulate laws, then moments (expr
@@ -273,11 +287,26 @@ def test_each_command_loads_only_its_own_layers(import_runs):
         assert ("mpmath" in mods) == (index == 4)
         assert not oracles & set(mods)
         assert ("rank1_spectra.ensemble" in mods) == (index >= 1)
-    ((_, after_radius),) = heavy["runs"]
-    assert "mpmath" in after_radius  # the detector sees a module that is loaded
-    assert "rank1_spectra.ensemble" not in after_radius
-    assert not oracles & set(after_radius)
+    for _, after_radius in heavy["runs"]:
+        assert "mpmath" in after_radius  # the detector sees a module that is loaded
+        assert "rank1_spectra.ensemble" not in after_radius
+        assert not oracles & set(after_radius)
     assert oracles <= set(heavy["control"])
+
+
+def test_radius_and_limit_moments_load_no_numpy(import_runs):
+    """Building the parser, ``radius`` on an expression, a constant and a
+    file without --orders, and ``moments`` on an expression without --n load
+    no numpy; moments at n, simulate and radius --orders load it, after the
+    CLI pinned BLAS."""
+    quiet, heavy, numpy_free = import_runs
+    for report in import_runs:
+        assert report["start"] == [[], ["1", "1", "1"]]  # pinned, and numpy not yet loaded
+        assert "numpy" in report["control"]  # the detector sees numpy when it is loaded
+    assert [code for code, _ in numpy_free["runs"]] == [0] * 4
+    assert all("numpy" not in mods for _, mods in numpy_free["runs"])
+    assert all("numpy" in mods for _, mods in quiet["runs"])  # from moments --n on
+    assert ["numpy" in mods for _, mods in heavy["runs"]] == [False, True]
 
 
 def test_package_names_load_on_first_use(import_runs):

@@ -295,3 +295,69 @@ class TestOnePass:
                 assert row.upper is not None
             else:
                 assert row.lower is None and row.upper is None
+
+
+def _fdot_series(averages, s_max):
+    """The tree series with each coefficient one correctly rounded
+    ``mpmath.fdot``, at the current mp precision."""
+    from mpmath import fdot
+
+    power, series = list(averages), []
+    for s in range(1, s_max + 1):
+        power = [fdot(power[:k + 1], averages[k::-1]) for k in range(s_max)]
+        series.append(power[s - 1] * Fraction(2, s + 1))
+    return series
+
+
+def _exp_lambdas(k_max, scale=1):
+    from mpmath import mp
+
+    return [scale ** k * (1 - mp.exp(-4 * k)) / (4 * k) for k in range(1, k_max + 1)]
+
+
+class TestFixedPointSeries:
+    """`moments._fixed_point_series` against ``mpmath.fdot`` at 64 more bits:
+    each m_{2s} is within 2^-prec (1 + 2^-3) of the exact series, the bound
+    its docstring proves; the oracle's own error is (2 s_max + 2) 2^-(prec+64)
+    at most."""
+
+    @pytest.mark.parametrize("case, s_bar", [
+        ("exp", 14), ("exp", 25), ("exp", 31), ("const:1000", 14),
+        ("0.0078125*exp", 14), ("file", 14),
+    ])
+    def test_within_the_proven_bound(self, tmp_path, case, s_bar):
+        from mpmath import mp, mpf
+
+        k_max = 2 * s_bar + 1
+        with mp.workdps(max(30, 2 * s_bar + 10)):  # the digits of reports.radius_table
+            if case == "exp":
+                averages = _exp_lambdas(k_max)
+            elif case == "const:1000":
+                averages = [mpf(1000) ** k for k in range(1, k_max + 1)]
+            elif case == "0.0078125*exp":
+                averages = _exp_lambdas(k_max, mpf(0.0078125))
+            else:
+                values = np.random.default_rng(3).uniform(0.5, 2.0, 500)
+                path = tmp_path / "sigma.txt"
+                path.write_text("".join(repr(float(v)) + "\n" for v in values), encoding="utf-8")
+                averages = list(sigma_model.limiting_averages(
+                    parse_sigma_spec(f"file:{path}"), k_max, 1e-8, mp.dps).values)
+            prec = mp.prec
+            got = _tree_series(averages, k_max)
+            with mp.workprec(prec + 64):
+                exact = _fdot_series(averages, k_max)
+            assert all(isinstance(m, mpf) for m in got)
+            for m, want in zip(got, exact):
+                assert abs(m - want) <= (1 + 2 ** -3 + 2 ** -40) * mpf(2) ** -prec * want
+
+    def test_tiny_and_huge_averages_scale_exactly(self):
+        # sigma -> c sigma multiplies m_2s by c^2s; with c a power of 2 the
+        # scaling is exact, so the series of the scaled averages is the
+        # scaled series bit for bit
+        from mpmath import mp, mpf
+
+        with mp.workdps(38):
+            base = _tree_series(_exp_lambdas(29), 29)
+            for c in (mpf(2) ** -7, mpf(2) ** 10):
+                scaled = _tree_series(_exp_lambdas(29, c), 29)
+                assert scaled == [m * c ** (2 * s) for s, m in enumerate(base, start=1)]

@@ -401,11 +401,16 @@ def test_radius_table_orders_evaluate_sigma_once(tmp_path, monkeypatch):
     spec = parse_sigma_spec(f"file:{path}")
     orders = (2, 5, 9, 20, 40, 64)
 
-    calls, series, run_series = [], [], moments._tree_series
+    calls, evaluations, series = [], [], []
+    run_series, run_values = moments._tree_series, sigma_model.sigma_values
 
     def counting(values, k_max):
         calls.append(k_max)
         return sigma_model.sigma_stats(values, k_max)
+
+    def evaluating(spec, n):
+        evaluations.append(n)
+        return run_values(spec, n)
 
     def tree_series(averages, s_max):
         series.append("mpf" if hasattr(averages[0], "_mpf_") else "float")
@@ -413,15 +418,20 @@ def test_radius_table_orders_evaluate_sigma_once(tmp_path, monkeypatch):
 
     for module in (reports, moments):
         monkeypatch.setattr(module, "sigma_stats", counting)
+    for module in (reports, sigma_model):
+        monkeypatch.setattr(module, "sigma_values", evaluating)
     monkeypatch.setattr(moments, "_tree_series", tree_series)
     report = reports.radius_table(spec, orders=orders, n=4000, s_bar=3)
     assert len(calls) == 1
+    # the limiting averages count the file's values; only the rows evaluate sigma
+    assert evaluations == [4000]
     # one mpf series feeds the SDP and the upper bounds; the lower bounds
     # run their own float64 series, as `radius_lower_bound` does
     assert series == ["mpf", "float"]
     series.clear()
     reports.radius_table(spec, n=4000, s_bar=3)
     assert series == ["mpf"]
+    assert evaluations == [4000]  # no rows, no evaluation
     monkeypatch.undo()
 
     # each row is what the per-order bounds give, at the limit of the exact

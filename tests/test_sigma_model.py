@@ -172,7 +172,7 @@ class TestLimitingAverages:
         spec = parse_sigma_spec("const:1")
         la = limiting_averages(spec, 4, 1e-12)
         np.testing.assert_array_equal(la.values, [1.0, 1.0, 1.0, 1.0])
-        assert la.converged.all()
+        assert all(la.converged)
 
     def test_constant_power(self):
         spec = parse_sigma_spec("const:0.5")
@@ -183,7 +183,7 @@ class TestLimitingAverages:
         # oracle: (1 - e^-4)/4 = integral of e^{-4x}; Lambda_1 at 1e-8 pins
         # the spec's quoted 7-digit value 0.2454211
         la = limiting_averages(parse_sigma_spec(EXP_SPEC), 1, 1e-8)
-        assert la.converged.all()
+        assert all(la.converged)
         assert la.values[0] == pytest.approx(closed_form_lambda(1), abs=2e-8)
         assert la.values[0] == pytest.approx(0.2454211, abs=1e-7)
 
@@ -217,7 +217,7 @@ class TestLimitingAverages:
             want = [(2 * mp.mpf(0.5) ** k + mp.mpf(0.25) ** k) / 3 for k in range(1, 9)]
             first_two = [(mp.mpf(0.5) ** k + mp.mpf(0.25) ** k) / 2 for k in range(1, 9)]
         assert list(la.values) == want
-        assert (la.nodes, la.digits, la.converged.all()) == (2, 60, True)
+        assert (la.nodes, la.digits, all(la.converged)) == (2, 60, True)
         assert list(limiting_averages(spec, 8, 1e-8, digits=60, n=2).values) == first_two
         with pytest.raises(SigmaDomainError, match="explicit sigma sequence has 3 entries, need 4"):
             limiting_averages(spec, 2, 1e-8, n=4)
@@ -273,7 +273,7 @@ class TestLimitingAverages:
 class TestExtrapolatedLadder:
     def test_exp_family_all_averages(self):
         la = limiting_averages(parse_sigma_spec(EXP_SPEC), 29, 1e-8)
-        assert la.converged.all()
+        assert all(la.converged)
         assert la.final_n <= 400
         want = [closed_form_lambda(k) for k in range(1, 30)]
         np.testing.assert_allclose([float(v) for v in la.values], want, rtol=1e-15, atol=0)
@@ -285,7 +285,7 @@ class TestExtrapolatedLadder:
         # Lambda_29 is about 6e11: an absolute tol of 1e-8 is below its float
         # spacing, the relative one is not
         la = limiting_averages(parse_sigma_spec("expr:3*exp(-4*i/n)"), 29, 1e-8)
-        assert la.converged.all()
+        assert all(la.converged)
         assert la.final_n <= 400
         want = [3.0 ** k * closed_form_lambda(k) for k in range(1, 30)]
         np.testing.assert_allclose([float(v) for v in la.values], want, rtol=1e-15, atol=0)
@@ -293,7 +293,7 @@ class TestExtrapolatedLadder:
     def test_polynomial_profile(self):
         # integral of (1 + x)^k over [0, 1]
         la = limiting_averages(parse_sigma_spec("expr:1+i/n"), 8, 1e-8)
-        assert la.converged.all()
+        assert all(la.converged)
         want = [(2.0 ** (k + 1) - 1) / (k + 1) for k in range(1, 9)]
         np.testing.assert_allclose([float(v) for v in la.values], want, rtol=1e-15, atol=0)
 
@@ -302,28 +302,28 @@ class TestExtrapolatedLadder:
         # reached, at N = 10^35 to 1e-33
         tol = 1e-6
         la = limiting_averages(parse_sigma_spec("expr:1+1/i"), 1, tol)
-        assert la.converged.all()
+        assert all(la.converged)
         assert abs(la.values[0] - 1.0) <= 1e-30
 
     def test_odd_powers_are_extrapolated(self):
         # sum_{i<=n} 1/(i(i+1)(i+2)) = 1/4 - 1/(2(n+1)(n+2)): a spec in i alone
         # whose finite-n averages carry odd powers of 1/n; the limit is 1
         la = limiting_averages(parse_sigma_spec("expr:1+1e8/(i*(i+1)*(i+2))"), 1, 1e-8)
-        assert la.converged.all()
+        assert all(la.converged)
         assert abs(la.values[0] - 1.0) <= 1e-11
 
     def test_unbounded_profile_stops_at_the_cap(self):
         # (1/n) sum (1 + log i) grows like log n: the limit test on the coarse
         # level fails every k, and the quadrature stops there
         la = limiting_averages(parse_sigma_spec("expr:1+log(i)"), 2, 1e-8)
-        assert not la.converged.any()
+        assert not any(la.converged)
         assert la.levels == _LIMIT_LEVEL
         assert la.nodes <= 200
 
     def test_integrable_singularity_with_divergent_powers(self):
         # sigma = (n/i)^(1/2): Lambda_1 = 2, but (1/n) sum n/i = H_n diverges
         la = limiting_averages(parse_sigma_spec("expr:(i/n)^(0-0.5)"), 2, 1e-8)
-        assert la.converged.tolist() == [True, False]
+        assert list(la.converged) == [True, False]
         assert abs(la.values[0] - 2) <= 1e-12
 
     def test_ladder_work_is_bounded(self):
@@ -333,7 +333,7 @@ class TestExtrapolatedLadder:
         la = limiting_averages(parse_sigma_spec("expr:1+((i/n-1/3)^2)^0.5"), 1, 1e-8, digits=60)
         # the last split adds two panels of at most _MAX_LEVEL levels, |t| <= 5
         assert _MAX_NODES <= la.nodes <= _MAX_NODES + 2 * (10 * 2 ** _MAX_LEVEL + 1)
-        assert 15 <= la.digits < 60 and la.converged.all()
+        assert 15 <= la.digits < 60 and all(la.converged)
         with mp.workdps(60):
             c = mp.mpf(1 / 3)  # the float the spec's 1/3 gives
             assert abs(la.values[0] - (1 + (c * c + (1 - c) ** 2) / 2)) <= mp.mpf(10) ** -la.digits
@@ -345,7 +345,7 @@ class TestExtrapolatedLadder:
         # Lambda_k = ((1 + c)^(k+1) + (2 - c)^(k+1) - 2) / (k + 1), with c the
         # float the spec's literals give
         la = limiting_averages(parse_sigma_spec(f"expr:1+((i/n-{kink})^2)^0.5"), 2, 1e-8)
-        assert la.converged.all() and la.digits == 30 and la.panels > 1
+        assert all(la.converged) and la.digits == 30 and la.panels > 1
         with mp.workdps(40):
             c = mp.mpf(c)
             for k, v in enumerate(la.values, 1):
@@ -357,7 +357,7 @@ class TestExtrapolatedLadder:
         # settle on Lambda = 1; the float midpoint rule over 4096 cells sees
         # it, and the panel around it is halved until the nodes do
         la = limiting_averages(parse_sigma_spec("expr:1+exp(0-((i/n-1/3)^2)*1e6)"), 2, 1e-8)
-        assert la.converged.all() and la.digits == 30 and la.panels > 1
+        assert all(la.converged) and la.digits == 30 and la.panels > 1
         with mp.workdps(40):
             g = mp.sqrt(mp.pi) / 1000  # int exp(-1e6 (x - c)^2) dx; the tails are below 1e-100
             for v, want in zip(la.values, (1 + g, 1 + 2 * g + g / mp.sqrt(2))):
@@ -402,3 +402,65 @@ class TestExtrapolatedLadder:
         # the 60-digit kink of test_ladder_work_is_bounded reaches 28 digits
         with pytest.raises(NoLimitError, match=r"its quadrature stopped at \d\d digits"):
             lambda_vector(parse_sigma_spec("expr:1+((i/n-1/3)^2)^0.5"), 1, 1e-40, digits=60)
+
+
+class TestMidpointGrid:
+    """`sigma_model._midpoint_sums`, the float check of settled panels, in
+    plain Python: numpy's formula over the same sigma values, bit for bit."""
+
+    N = 1e35  # float(10^(DEFAULT_DIGITS + 5)), the N of the quadrature
+
+    @staticmethod
+    def numpy_grid(f, k_max):
+        # numpy's formula: f^k by cumulative products, then / cells, then
+        # cumulative sums after a leading 0
+        cells = len(f)
+        powers = np.cumprod(np.broadcast_to(np.array(f), (k_max, cells)), axis=0) / cells
+        return np.concatenate([np.zeros((k_max, 1)), np.cumsum(powers, axis=1)], axis=1)
+
+    @pytest.mark.parametrize("spec, sigma", [
+        ("expr:exp(-4*i/n)", lambda i, n: math.exp(-4.0 * i / n)),
+        ("expr:1+((i/n-1/3)^2)^0.5", lambda i, n: 1 + ((i / n - 1 / 3) ** 2.0) ** 0.5),
+        ("expr:1+exp(0-((i/n-1/3)^2)*1e6)",
+         lambda i, n: 1 + math.exp(0 - ((i / n - 1 / 3) ** 2.0) * 1e6)),
+    ], ids=["exp", "kink", "bump"])
+    def test_grid_is_the_numpy_formula(self, spec, sigma):
+        tree, N, k_max = parse_sigma_spec(spec).payload, self.N, 29
+        grid = sigma_model._midpoint_sums(tree, k_max, N)
+        for rows, cells in zip(grid, (sigma_model._CELLS, sigma_model._CELLS // 2)):
+            x = (np.arange(cells) + 0.5) / cells
+            f = [sigma(i, N) for i in (x * N).tolist()]
+            assert np.array_equal(np.array(rows), self.numpy_grid(f, k_max))
+            # numpy's own exp and power may be SIMD builds that differ from
+            # the C library's in the last bit
+            with np.errstate(all="ignore"):
+                np.testing.assert_array_max_ulp(
+                    np.array(f), sigma_model._eval_node(tree, x * N, N, np), maxulp=1)
+
+    def test_negative_sigma_raises(self):
+        tree = parse_sigma_spec("expr:1-2*exp(0-((i/n-1/3)^2)*1e6)").payload
+        with pytest.raises(SigmaDomainError, match="no finite positive value at i/n = 0.33"):
+            sigma_model._midpoint_sums(tree, 1, self.N)
+
+    def test_overflow_gives_no_grid(self):
+        # exp(i) overflows at every point: no grid, and no OverflowError
+        assert sigma_model._midpoint_sums(parse_sigma_spec("expr:exp(i)").payload, 3,
+                                          self.N) is None
+
+    @pytest.mark.parametrize("expr", [
+        "log(i-0.5)", "(i-0.5)^0.5", "(i-0.5)^(0-1)", "(0-i)^(0-1)", "1/(i-0.5)",
+        "(i-0.5)/(i-0.5)", "exp(i*1000)", "(0-i*10)^309", "(i*10)^(0-400)", "0-1/(i-0.5)",
+    ])
+    def test_bad_points_read_as_in_numpy(self, expr):
+        # NaN off the reals, signed inf on overflow and division by zero,
+        # -inf for log(0), where math raises or Python gives complex numbers
+        tree = parse_sigma_spec(f"expr:{expr}").payload
+        i = [0.0, 0.25, 0.5, 1.0, 2.0]
+        got = np.array(sigma_model._eval_node(tree, sigma_model._Floats(i), 1.0,
+                                              sigma_model._FLOAT))
+        with np.errstate(all="ignore"):
+            want = sigma_model._eval_node(tree, np.array(i), 1.0, np)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_array_equal(got[np.isinf(got)], want[np.isinf(got)])
+        np.testing.assert_allclose(got[np.isfinite(got)], want[np.isfinite(got)], rtol=1e-15)
+        assert np.isfinite(got).sum() == np.isfinite(want).sum()
