@@ -13,13 +13,13 @@ reading a public name imports the one submodule that defines it (PEP 562), so
 a caller pays only for the layers it touches; mpmath, for one, loads with
 ``radius_bounds`` or for limiting averages.
 
-numpy loads only where a float vector of length n is processed: sigma
-evaluated at n points (``sigma_values``, ``sigma_stats``) and the Monte Carlo
-layer (``ensemble``).  The exact layers, from the sigma spec through the
-limiting averages, the tree series and the SDP to the serializer, load none,
-so ``radius`` without ``--orders`` and ``moments`` without ``--n`` run
-without it; with ``--orders`` or ``--n``, and for ``simulate``, it loads
-when the command first needs it.
+numpy loads only with the Monte Carlo layer (``ensemble``) and the
+validation battery (``validation``).  Every other layer, from the sigma spec
+through sigma at n points and its partial sums (``sigma_values``,
+``sigma_stats``), the limiting averages, the tree series and the SDP to the
+serializer, runs on Python floats, ints and mpmath, so ``moments`` and
+``radius`` never load it; ``simulate`` and ``validate`` load it when they
+first need it.
 """
 
 import os as _os

@@ -4,11 +4,10 @@ Each command loads only its own layers: the handlers import them when they
 run, so ``moments`` never loads the Monte Carlo layer, nor mpmath for a
 ``file:`` sigma, whose S_{n,k}/n it sums in float64 (``radius`` sums them
 exactly in mpf), and only ``validate`` loads the enumeration oracles.
-numpy loads only for work on n float values: ``simulate``, ``validate``,
-``moments`` with ``--n`` and ``radius`` with ``--orders``, which evaluate
-sigma at n points.  ``radius`` otherwise and ``moments`` of a limit run in
-exact or mp arithmetic on a few dozen numbers and never load it, which
-saves its import, most of their start-up.
+numpy loads only with the Monte Carlo layer, for ``simulate`` and
+``validate``.  ``moments`` and ``radius`` run on Python floats, exact ints
+and mpf, sigma at n points and its partial sums included, and never load
+it, which saves its import, most of their start-up.
 
 Importing this module before numpy loads pins BLAS to one thread: it sets
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1, unless they
@@ -53,54 +52,33 @@ _LAMBDA_TOL_HELP = ("relative tolerance of the test that each Lambda_k has a lim
 
 
 def _moment_rows_payload(report: MomentReport) -> list:
-    rows = []
-    for r in report.rows:
-        upper = r.upper
-        rows.append(
-            {
-                "order": r.order,
-                "limit": r.limit,
-                "lower": r.lower,
-                "upper": None if upper is not None and math.isinf(upper) else upper,
-                "empirical_mean": r.empirical_mean,
-                "empirical_stderr": r.empirical_stderr,
-                "flags": {
-                    "lower_vacuous": r.lower_vacuous,
-                    "upper_overflow": r.upper_overflow,
-                    "formula_gap": r.formula_gap_flagged,
-                },
-            }
-        )
-    return rows
+    return [
+        {
+            "order": r.order,
+            "limit": r.limit,
+            "lower": r.lower,
+            "upper": None if r.upper_overflow else r.upper,
+            "flags": {"lower_vacuous": r.lower_vacuous, "upper_overflow": r.upper_overflow},
+        }
+        for r in report.rows
+    ]
+
+
+def _csv_cell(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return str(x).lower()
+    if isinstance(x, float):
+        return "inf" if math.isinf(x) else fmt17(x)
+    return str(x)
 
 
 def _moment_csv(report: MomentReport) -> str:
-    lines = ["order,limit,lower,upper,empirical_mean,empirical_stderr,lower_vacuous,upper_overflow"]
+    lines = ["order,limit,lower,upper,lower_vacuous,upper_overflow"]
     for r in report.rows:
-        def cell(x):
-            if x is None:
-                return ""
-            if isinstance(x, bool):
-                return str(x).lower()
-            if isinstance(x, float) and math.isinf(x):
-                return "inf"
-            return fmt17(x) if isinstance(x, float) else str(x)
-
-        lines.append(
-            ",".join(
-                cell(v)
-                for v in (
-                    r.order,
-                    r.limit,
-                    r.lower,
-                    r.upper,
-                    r.empirical_mean,
-                    r.empirical_stderr,
-                    r.lower_vacuous,
-                    r.upper_overflow,
-                )
-            )
-        )
+        cells = (r.order, r.limit, r.lower, r.upper, r.lower_vacuous, r.upper_overflow)
+        lines.append(",".join(map(_csv_cell, cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -205,10 +183,9 @@ def cmd_radius(args: argparse.Namespace, argv: list) -> int:
     from .reports import radius_table
 
     spec = parse_sigma_spec(args.sigma)
-    orders = [int(tok) for tok in args.orders.split(",") if tok] if args.orders else []
     report = radius_table(
         spec,
-        orders=orders,
+        orders=args.orders,
         n=args.n,
         s_bar=args.sbar,
         lambda_tol=args.lambda_tol,
@@ -234,6 +211,20 @@ def cmd_validate(args: argparse.Namespace, argv: list) -> int:
         print(f"{failed} of {len(checks)} checks failed", file=sys.stderr)
         return 1
     return 0
+
+
+def _orders(text: str) -> tuple:
+    """The s values of ``--orders``, comma-separated, each in 1..MAX_ORDER."""
+    if not text:
+        return ()
+    try:
+        orders = tuple(int(tok) for tok in text.split(",") if tok)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--orders must be comma-separated integers, got {text!r}") from None
+    if not orders or any(not 1 <= s <= MAX_ORDER for s in orders):
+        raise argparse.ArgumentTypeError(f"--orders entries must be in 1..{MAX_ORDER}, got {text!r}")
+    return orders
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_r = sub.add_parser("radius", help="radius bounds and the Hankel-pencil SDP")
     p_r.add_argument("--sigma", required=True)
-    p_r.add_argument("--orders", default="", help="comma-separated s values")
+    p_r.add_argument("--orders", type=_orders, default=(), help="comma-separated s values")
     p_r.add_argument("--n", type=int, default=None)
     p_r.add_argument("--sbar", type=int, default=14,
                      help=f"SDP truncation s_bar (at most {_MAX_SBAR})")
@@ -310,15 +301,8 @@ def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
             parser.error(f"--sbar must be in 1..{_MAX_SBAR}, got {args.sbar}")
         if args.n is not None and args.n < 1:
             parser.error(f"--n must be >= 1, got {args.n}")
-        if args.orders:
-            try:
-                orders = [int(tok) for tok in args.orders.split(",") if tok]
-            except ValueError:
-                parser.error(f"--orders must be comma-separated integers, got {args.orders!r}")
-            if not orders or any(not 1 <= s <= MAX_ORDER for s in orders):
-                parser.error(f"--orders entries must be in 1..{MAX_ORDER}, got {args.orders!r}")
-            if args.n is None:
-                parser.error("--orders needs --n for finite-n bounds")
+        if args.orders and args.n is None:
+            parser.error("--orders needs --n for finite-n bounds")
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -269,7 +269,7 @@ def _plan(config: EnsembleConfig):
     standard normal conditioned on |Z| <= c.
     """
     n = config.n
-    sigma = sigma_values(config.sigma, n)
+    sigma = np.array(sigma_values(config.sigma, n))
     smax = float(sigma.max())
     K = _resolve_bound(config.distribution, smax, config.K)
     _check_bound(config.distribution, smax, K)

@@ -148,7 +148,7 @@ def _lower_bounds(stats: SigmaStats, s_max: int, mains: Optional[list] = None) -
     if n <= s_max:
         raise ValueError(f"need n > s, got n={n}, s={s_max}")
     if mains is None:
-        mains = _tree_series(stats.partial_sums[:s_max] / n, s_max)
+        mains = _tree_series([S / n for S in stats.partial_sums[:s_max]], s_max)
     bounds = []
     for s, main in enumerate(mains, start=1):
         correction = int(sum(math.comb(n, j) * j ** (s + 1 - j) for j in range(1, s + 1)))
@@ -255,8 +255,6 @@ class MomentRow:
     limit: float                    # m_{2s}
     lower: Optional[float] = None   # finite-n lower bound (raw, may be <= 0)
     upper: Optional[float] = None   # finite-n upper bound (may be +inf)
-    empirical_mean: Optional[float] = None
-    empirical_stderr: Optional[float] = None
 
     @property
     def lower_vacuous(self) -> Optional[bool]:
@@ -265,14 +263,6 @@ class MomentRow:
     @property
     def upper_overflow(self) -> Optional[bool]:
         return None if self.upper is None else math.isinf(self.upper)
-
-    @property
-    def formula_gap_flagged(self) -> Optional[bool]:
-        """True when the empirical mean sits more than 3 standard errors from
-        the limiting formula value (the documented convention ambiguity)."""
-        if self.empirical_mean is None or not self.empirical_stderr:
-            return None
-        return abs(self.empirical_mean - self.limit) > 3.0 * self.empirical_stderr
 
 
 @dataclass(frozen=True)

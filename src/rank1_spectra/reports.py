@@ -64,16 +64,14 @@ def moment_table(
     n: Optional[int] = None,
     K: Optional[float] = None,
     lambda_tol: float = DEFAULT_LAMBDA_TOL,
-    empirical: Optional[dict] = None,
 ) -> MomentReport:
     """Moment report for even orders 2..2*s_max.
 
     With ``n`` given the finite-n lower/upper bounds are included; the upper
-    bound takes K = sigma_max unless overridden.  ``empirical`` maps order ->
-    (mean, stderr) pairs to attach Monte Carlo columns.  Sigma is evaluated
-    once.  The limits come from one pass of the tree series in float64, and
-    the lower bounds' main terms from one more; an explicit sequence's
-    limits are that series at the same S_{n,k}/n, so one pass gives both.
+    bound takes K = sigma_max unless overridden.  Sigma is evaluated once.
+    The limits come from one pass of the tree series in float64, and the
+    lower bounds' main terms from one more; an explicit sequence's limits
+    are that series at the same S_{n,k}/n, so one pass gives both.
     """
     explicit = spec.kind == "explicit"
     n_stats = len(spec.payload) if explicit and n is None else n
@@ -85,7 +83,7 @@ def moment_table(
                             s_max if explicit else max(1, min(s_max, n_stats - 1)))
     if explicit:
         source = _FINITE_NOTE.format(n_stats)
-        limits = _limits(list(stats.partial_sums / n_stats), s_max)
+        limits = _limits([S / n_stats for S in stats.partial_sums], s_max)
     else:
         lambdas, source, _ = lambda_vector(spec, s_max, lambda_tol)
         limits = _limits([float(a) for a in lambdas], s_max)
@@ -102,24 +100,7 @@ def moment_table(
         if s <= len(lowers):
             lower = lowers[s - 1]
             upper = moment_upper_bound(n, s, K, stats.sigma_max, stats.sigma_min, limit)
-        emp = empirical.get(2 * s) if empirical else None
-        rows.append(
-            MomentRow(
-                order=2 * s,
-                limit=limit,
-                lower=lower,
-                upper=upper,
-                empirical_mean=emp[0] if emp else None,
-                empirical_stderr=emp[1] if emp else None,
-            )
-        )
-    flagged = [r.order for r in rows if r.formula_gap_flagged]
-    if flagged:
-        notes.append(
-            "empirical means differ from the limiting formula by more than 3 "
-            f"standard errors at orders {flagged}; finite-n simulation means "
-            "need not match the asymptotic formula"
-        )
+        rows.append(MomentRow(order=2 * s, limit=limit, lower=lower, upper=upper))
     return MomentReport(rows=tuple(rows), n=n, sigma_text=spec.text, K=K, notes=tuple(notes))
 
 

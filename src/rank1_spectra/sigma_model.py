@@ -17,11 +17,11 @@ limit, Lambda_k = int_{1/N}^1 f(xN, N)^k dx at a huge N.  The same sums at
 once), and a panel across which the quadrature stalls, as at a kink, is
 halved.  mpmath is imported only when limiting averages are requested.
 
-numpy is imported only where a float vector of length n is processed:
-`SigmaSpec.evaluate`, `sigma_values` and `sigma_stats`.  Limiting averages
-load none: a constant's or an explicit sequence's nodes come from its
-values, and the float midpoint rule that checks the quadrature runs on
-plain lists.
+No numpy loads here.  Float sigma at n points (`sigma_values`) and the
+float midpoint rule that checks the quadrature run one evaluator, `_Floats`
+on the C library's math, so their values do not depend on the CPU's vector
+unit, and `sigma_stats` takes each partial sum with `math.fsum`, correctly
+rounded on every platform.
 """
 
 from __future__ import annotations
@@ -293,8 +293,8 @@ _FLOAT = SimpleNamespace(exp=_elementwise(math.exp, _exp), log=_elementwise(math
 
 def _eval_node(node: Node, i, n, ns):
     """Evaluate a parsed expression at index i and dimension n.  ``ns``
-    supplies exp, log and power: numpy for arrays of indices, mpmath's ``mp``
-    for one mpf point, `_FLOAT` for `_Floats`."""
+    supplies exp, log and power: `_FLOAT` for `_Floats`, mpmath's ``mp`` for
+    one mpf point (numpy, on arrays, serves as well)."""
     op = node[0]
     if op == "num":
         return node[1]
@@ -326,25 +326,6 @@ class SigmaSpec:
     kind: str
     payload: Union[float, Node, tuple]
     text: str
-
-    def evaluate(self, i: np.ndarray, n: int) -> np.ndarray:
-        """Evaluate sigma at (possibly non-contiguous) 1-based indices ``i``."""
-        import numpy as np
-
-        if self.kind == "constant":
-            return np.full(i.shape, self.payload, dtype=np.float64)
-        if self.kind == "explicit":
-            values = np.asarray(self.payload, dtype=np.float64)
-            if i.size and int(i.max()) > values.size:
-                raise SigmaDomainError(
-                    f"explicit sigma sequence has {values.size} entries, "
-                    f"but index {int(i.max())} was requested",
-                    index=int(i.max()),
-                )
-            return values[np.asarray(i, dtype=np.int64) - 1]
-        with np.errstate(all="ignore"):
-            out = _eval_node(self.payload, np.asarray(i, dtype=np.float64), float(n), np)
-        return np.broadcast_to(np.asarray(out, dtype=np.float64), i.shape).copy()
 
 
 @dataclass(frozen=True)
@@ -378,7 +359,7 @@ class SigmaStats:
     """
 
     n: int
-    partial_sums: np.ndarray
+    partial_sums: tuple
     sigma_max: float
     sigma_min: float
 
@@ -433,15 +414,23 @@ def parse_sigma_spec(text: str) -> SigmaSpec:
     )
 
 
-def sigma_values(spec: SigmaSpec, n: int) -> np.ndarray:
-    """Evaluate the first n sigma values (i = 1..n), checking positivity."""
+def sigma_values(spec: SigmaSpec, n: int) -> tuple:
+    """The first n sigma values (i = 1..n) as floats, checking positivity.
+
+    An expression runs on `_Floats`, in the arithmetic of `_midpoint_sums`;
+    a constant or an explicit sequence is its payload.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_length(spec, n)
-    import numpy as np
-
-    values = spec.evaluate(np.arange(1, n + 1), n)
-    _check_positive(values, first_index=1)
+    if spec.kind == "constant":
+        values = (spec.payload,) * n
+    elif spec.kind == "explicit":
+        values = spec.payload[:n]
+    else:
+        values = _eval_node(spec.payload, _Floats(map(float, range(1, n + 1))), float(n), _FLOAT)
+        values = tuple(values) if isinstance(values, _Floats) else (values,) * n
+    _check_positive(values)
     return values
 
 
@@ -452,57 +441,40 @@ def _check_length(spec: SigmaSpec, n: int) -> None:
         )
 
 
-def _check_positive(values: np.ndarray, first_index: int) -> None:
-    import numpy as np
-
-    bad = ~(np.isfinite(values) & (values > 0))
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise SigmaDomainError(
-            f"sigma evaluated to {values[j]} at i={first_index + j}",
-            index=first_index + j,
-        )
+def _check_positive(values: Sequence[float]) -> None:
+    """Raise SigmaDomainError at the first of ``values`` (i = 1, 2, ..) that
+    is not finite and positive."""
+    if min(values) > 0 and math.isfinite(sum(values)):  # a NaN or an inf spoils the sum
+        return
+    i = next((i for i, v in enumerate(values, start=1) if not 0 < v < math.inf), None)
+    if i is not None:
+        raise SigmaDomainError(f"sigma evaluated to {values[i - 1]} at i={i}", index=i)
 
 
 def sigma_stats(values: Sequence[float], k_max: int) -> SigmaStats:
     """Partial sums S_{n,k} for k = 1..k_max plus max/min of the vector.
 
-    Sums accumulate in extended precision; an overflow to non-finite raises.
-    This, `sigma_values` and `SigmaSpec.evaluate` are where numpy loads:
-    their work is a float vector of length n, which a Python loop would take
-    ten times longer over.
+    Each v_i^k is the float product of v_i^(k-1) and v_i, and S_{n,k} their
+    `math.fsum`, correctly rounded; an overflow to non-finite raises.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    import numpy as np
-
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("values must be a non-empty 1-d vector")
-    _check_positive(v, first_index=1)
-    sums = np.array(_power_sums(v, k_max))
-    if not np.all(np.isfinite(sums)):
-        k_bad = int(np.argmax(~np.isfinite(sums))) + 1
-        raise OverflowError(f"partial sum S_{{n,{k_bad}}} overflowed")
-    return SigmaStats(
-        n=v.size,
-        partial_sums=sums,
-        sigma_max=float(v.max()),
-        sigma_min=float(v.min()),
-    )
-
-
-def _power_sums(v: np.ndarray, k_max: int) -> list:
-    """sum_i v_i^k for k = 1..k_max, each accumulated in extended precision."""
-    import numpy as np
-
-    sums = []
-    p = v.copy()
-    for k in range(k_max):
-        sums.append(float(np.sum(p, dtype=np.longdouble)))
-        if k + 1 < k_max:
-            p *= v
-    return sums
+    v = [float(x) for x in values]
+    if not v:
+        raise ValueError("values must be a non-empty vector")
+    _check_positive(v)
+    sums, power = [], v
+    for k in range(1, k_max + 1):
+        if k > 1:
+            power = list(map(operator.mul, power, v))
+        try:
+            total = math.fsum(power)
+        except OverflowError:  # a partial sum of finite terms left the float range
+            total = math.inf
+        if not math.isfinite(total):
+            raise OverflowError(f"partial sum S_{{n,{k}}} overflowed")
+        sums.append(total)
+    return SigmaStats(n=len(v), partial_sums=tuple(sums), sigma_max=max(v), sigma_min=min(v))
 
 
 def limiting_averages(

@@ -167,7 +167,7 @@ def check_moment_scaling(deep: bool) -> Check:
         if abs(scaled - c ** (2 * s) * base) > 1e-12 * abs(scaled):
             return False, f"limit moment s={s} scaling broke"
         lo = moment_lower_bound(values, s)
-        lo_scaled = moment_lower_bound(c * values, s)
+        lo_scaled = moment_lower_bound([c * v for v in values], s)
         # the correction term scales the same way, so the bound is covariant
         if abs(lo_scaled - c ** (2 * s) * lo) > 1e-10 * abs(lo_scaled):
             return False, f"lower bound s={s} scaling broke"

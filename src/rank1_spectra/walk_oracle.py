@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 __all__ = [
     "EntryMomentModel",
     "exact_expected_moment",
@@ -130,7 +128,6 @@ def dominant_term(n: int, s: int, values: Sequence[float]) -> float:
         raise ValueError(f"n must be in [1, 8], got {n}")
     if len(values) < n:
         raise ValueError(f"need {n} sigma values, got {len(values)}")
-    sigma = np.asarray(values, dtype=np.float64)
     k = 2 * s
     terms: list = []
     walk = [0] * (k + 1)
@@ -145,7 +142,7 @@ def dominant_term(n: int, s: int, values: Sequence[float]) -> float:
                 return
             w = 1.0
             for (a, b) in edges:
-                w *= sigma[a] * sigma[b]
+                w *= values[a] * values[b]
             terms.append(w)
             return
         for v in range(n):

@@ -24,7 +24,7 @@ SIGMA = [0.7, 1.3, 0.9, 2.0, 1.1, 0.6]
 
 def limits(max_order):
     n = len(SIGMA)
-    averages = sigma_stats(SIGMA, max_order // 2).partial_sums / n
+    averages = [S / n for S in sigma_stats(SIGMA, max_order // 2).partial_sums]
     return [float(limiting_even_moment(averages, s)) for s in range(1, max_order // 2 + 1)]
 
 
@@ -197,15 +197,12 @@ PUBLIC_NAMES = [
 
 @pytest.fixture(scope="module")
 def import_runs(tmp_path_factory):
-    """Three fresh interpreters: moments and simulate, then radius, then the
-    commands that load no numpy."""
+    """Two fresh interpreters: the simulate laws and then moments of a limit,
+    and every moments and radius run that loads no numpy."""
     out = tmp_path_factory.mktemp("imports")
     sigma = out / "sigma.txt"
     sigma.write_text("\n".join(repr(v) for v in SIGMA) + "\n", encoding="utf-8")
-    quiet = [
-        ["moments", "--sigma", f"file:{sigma}", "--n", "6", "--max-order", "8",
-         "--out", str(out / "m_file.json")],
-    ] + [
+    monte_carlo = [
         ["simulate", "--sigma", "const:1", "--n", "20", "--trials", "2", "--dist", dist,
          "--out", str(out / dist)]
         for dist in ("rademacher", "uniform", "truncated_gaussian")
@@ -213,22 +210,23 @@ def import_runs(tmp_path_factory):
         ["moments", "--sigma", "expr:exp(-4*i/n)", "--max-order", "8",
          "--out", str(out / "m_expr.json")],
     ]
-    heavy = [
-        ["radius", "--sigma", "expr:exp(-4*i/n)", "--sbar", "3", "--out", str(out / "r.json")],
+    numpy_free = [
+        ["moments", "--sigma", f"file:{sigma}", "--n", "6", "--max-order", "8",
+         "--out", str(out / "m_file.json")],
         ["radius", "--sigma", f"file:{sigma}", "--n", "6", "--sbar", "2", "--orders", "2,3",
          "--out", str(out / "r_orders.json")],
-    ]
-    numpy_free = [
         ["radius", "--sigma", "expr:exp(-4*i/n)", "--sbar", "3", "--out", str(out / "r.json")],
         ["radius", "--sigma", "const:1000", "--sbar", "3", "--out", str(out / "r_const.json")],
         ["radius", "--sigma", f"file:{sigma}", "--sbar", "2", "--out", str(out / "r_file.json")],
         ["moments", "--sigma", "expr:exp(-4*i/n)", "--max-order", "8",
          "--out", str(out / "m_expr.json")],
+        ["moments", "--sigma", "expr:exp(-4*i/n)", "--n", "50", "--max-order", "8",
+         "--out", str(out / "m_expr_n.json")],
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k not in rank1_spectra._BLAS_THREAD_VARS}
     reports = []
-    for argvs in (quiet, heavy, numpy_free):
+    for argvs in (monte_carlo, numpy_free):
         proc = subprocess.run(
             [sys.executable, "-c", _IMPORT_SCRIPT, json.dumps(argvs)],
             capture_output=True, text=True, env={**env, "PYTHONPATH": src}, timeout=120,
@@ -278,35 +276,35 @@ def test_no_command_loads_scipy(import_runs):
 
 
 def test_each_command_loads_only_its_own_layers(import_runs):
-    quiet, heavy, _ = import_runs
+    monte_carlo, numpy_free = import_runs
     oracles = {"rank1_spectra.validation", "rank1_spectra.walk_oracle",
                "rank1_spectra.combinatorics"}
-    # moments (file sigma), the three simulate laws, then moments (expr
-    # sigma), whose limiting averages are the first thing here to need mpmath
-    for index, (_, mods) in enumerate(quiet["runs"]):
-        assert ("mpmath" in mods) == (index == 4)
+    # the three simulate laws, then moments (expr sigma), whose limiting
+    # averages are the first thing here to need mpmath
+    for index, (_, mods) in enumerate(monte_carlo["runs"]):
+        assert ("mpmath" in mods) == (index == 3)
+        assert "rank1_spectra.ensemble" in mods
         assert not oracles & set(mods)
-        assert ("rank1_spectra.ensemble" in mods) == (index >= 1)
-    for _, after_radius in heavy["runs"]:
-        assert "mpmath" in after_radius  # the detector sees a module that is loaded
-        assert "rank1_spectra.ensemble" not in after_radius
-        assert not oracles & set(after_radius)
-    assert oracles <= set(heavy["control"])
+    # moments (file sigma), whose S_{n,k}/n sum in float64, then radius and
+    # moments of an expression, which need mpmath
+    for index, (_, mods) in enumerate(numpy_free["runs"]):
+        assert ("mpmath" in mods) == (index >= 1)
+        assert "rank1_spectra.ensemble" not in mods
+        assert not oracles & set(mods)
+    assert oracles <= set(numpy_free["control"])
 
 
 def test_radius_and_limit_moments_load_no_numpy(import_runs):
-    """Building the parser, ``radius`` on an expression, a constant and a
-    file without --orders, and ``moments`` on an expression without --n load
-    no numpy; moments at n, simulate and radius --orders load it, after the
-    CLI pinned BLAS."""
-    quiet, heavy, numpy_free = import_runs
+    """Building the parser and every ``moments`` and ``radius`` run, at n or
+    of a limit, on an expression, a constant or a file, load no numpy;
+    simulate loads it, after the CLI pinned BLAS."""
+    monte_carlo, numpy_free = import_runs
     for report in import_runs:
         assert report["start"] == [[], ["1", "1", "1"]]  # pinned, and numpy not yet loaded
         assert "numpy" in report["control"]  # the detector sees numpy when it is loaded
-    assert [code for code, _ in numpy_free["runs"]] == [0] * 4
+    assert [code for code, _ in numpy_free["runs"]] == [0] * 7
     assert all("numpy" not in mods for _, mods in numpy_free["runs"])
-    assert all("numpy" in mods for _, mods in quiet["runs"])  # from moments --n on
-    assert ["numpy" in mods for _, mods in heavy["runs"]] == [False, True]
+    assert all("numpy" in mods for _, mods in monte_carlo["runs"])
 
 
 def test_package_names_load_on_first_use(import_runs):

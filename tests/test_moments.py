@@ -100,7 +100,7 @@ class TestLowerBound:
         v = sigma_values(spec, n)
         s1 = float(np.sum(np.longdouble(v)))
         s2 = float(np.sum(np.longdouble(v) ** 2))
-        smax = v.max()
+        smax = max(v)
         expected = 2.0 * (s1 / n) ** 2 * (s2 / n) - smax ** 4 * (n + n * (n - 1)) / n ** 3
         got = moment_lower_bound(v, 2)
         assert got == pytest.approx(expected, rel=1e-12)
@@ -239,7 +239,7 @@ class TestOnePass:
             list(range(1, 65)),
             [lam(k) for k in range(1, 65)],
             list(np.random.default_rng(1409).uniform(0.1, 3.0, 64)),
-            list(sigma_model.sigma_stats(np.linspace(0.5, 2.0, 4000), 64).partial_sums / 4000),
+            [S / 4000 for S in sigma_model.sigma_stats(np.linspace(0.5, 2.0, 4000), 64).partial_sums],
         ],
         ids=["fraction", "int", "exp", "uniform", "partial-averages"],
     )
@@ -283,7 +283,7 @@ class TestOnePass:
         report = reports.moment_table(spec, s_max, n=n)
         values = sigma_values(spec, n)
         if kind == "file":  # the finite-n averages S_{n,k}/n stand in for the limit
-            lambdas = list(sigma_model.sigma_stats(values, s_max).partial_sums / n)
+            lambdas = [S / n for S in sigma_model.sigma_stats(values, s_max).partial_sums]
         else:
             lambdas, _, _ = reports.lambda_vector(spec, s_max)
             lambdas = [float(a) for a in lambdas]  # a table's series runs in float64

@@ -56,6 +56,12 @@ class TestParsing:
             sigma_values(spec, 2), [math.exp(-2.0), math.exp(-4.0)], rtol=1e-15
         )
 
+    def test_expression_is_the_c_library_value(self):
+        # bit for bit, where numpy's vectorised exp may differ in the last bit
+        n = 4096
+        v = sigma_values(parse_sigma_spec(EXP_SPEC), n)
+        assert v == tuple(math.exp(-4 * i / n) for i in range(1, n + 1))
+
     def test_unbalanced_paren_column(self):
         with pytest.raises(SpecSyntaxError) as err:
             parse_sigma_spec("expr:exp(-4*i/n")
@@ -165,6 +171,16 @@ class TestStats:
     def test_rejects_nonpositive(self):
         with pytest.raises(SigmaDomainError):
             sigma_stats([1.0, 0.0], 2)
+
+    def test_sums_are_correctly_rounded(self):
+        # a float64 running sum, and numpy's pairwise one, lose both 1s
+        assert sigma_stats([2.0 ** 53, 1.0, 1.0], 1).partial_sums[0] == 2.0 ** 53 + 2
+
+    @pytest.mark.parametrize("values, k", [([1e308, 1e308], 1), ([1e300, 1e300], 2)],
+                             ids=["sum", "power"])
+    def test_overflow_raises(self, values, k):
+        with pytest.raises(OverflowError, match=f"S_{{n,{k}}} overflowed"):
+            sigma_stats(values, 3)
 
 
 class TestLimitingAverages:
