@@ -114,7 +114,7 @@ _MODULE_EXPORTS = {
         "sigma_stats",
         "sigma_values",
     ),
-    "walk_oracle": ("EntryMomentModel", "dominant_term", "exact_expected_moment"),
+    "walk_oracle": ("EntryMomentModel", "exact_expected_moment"),
 }
 
 _EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}

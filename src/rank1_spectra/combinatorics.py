@@ -3,16 +3,15 @@
 The even spectral moments are sums over the set R_s of tree degree profiles
 (r_1, ..., r_s) with sum r_j = s+1 and sum j*r_j = 2s, each weighted by the
 number of rooted ordered trees realizing that profile.  Everything here is
-exact integer arithmetic; the enumeration of actual trees (feasible for
-s <= 11) is the ground truth that the closed-form count is validated against.
+exact integer arithmetic.  `tree_count` is the closed-form count; the
+enumeration of actual plane trees (feasible for s <= 11) is kept as the
+oracle that ``validate`` checks it against.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, List, Tuple
 
 __all__ = [
@@ -175,36 +174,21 @@ def degree_profile_of(tree: PlaneTree) -> DegreeProfile:
     return DegreeProfile(s, tuple(r))
 
 
-def tree_count(profile: DegreeProfile, mode: str = "closed_form") -> int:
+def tree_count(profile: DegreeProfile) -> int:
     """Number of rooted ordered trees on s+1 vertices with the given profile.
 
-    ``closed_form`` evaluates 2 * s! / prod(r_j!), i.e. the multinomial
+    The closed form 2 * s! / prod(r_j!), i.e. the multinomial
     binom(s+1; r_1..r_s) scaled by 2/(s+1).  This is a theorem: with
     N = s+1 vertices of degrees d_i there are (N-2)! / prod (d_i-1)!
     labelled trees, prod (d_i-1)! planar embeddings of each and 2s root
     corners; dividing by the N! labellings leaves 2 * s! / prod r_j!.
-    ``enumeration`` counts preorder codes by brute force, reading one count
-    per profile from a single pass over the C_s trees; the validation suite
-    asserts the two modes equal on every profile with s <= 11.
+    ``validate``'s tree_count check counts the trees of every profile
+    with s <= 11 by enumeration and compares.
     """
-    s = profile.s
-    if mode == "closed_form":
-        num = 2 * math.factorial(s)
-        den = 1
-        for rj in profile.r:
-            den *= math.factorial(rj)
-        if num % den != 0:
-            raise ArithmeticError(f"non-integer tree count for {profile!r}")
-        return num // den
-    if mode == "enumeration":
-        if s > MAX_ENUMERATION_ORDER:
-            raise ValueError(f"enumeration mode requires s <= {MAX_ENUMERATION_ORDER}")
-        return _trees_by_profile(s)[profile]
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-@lru_cache(maxsize=None)
-def _trees_by_profile(s: int) -> Counter:
-    """How many plane trees on s + 1 vertices realize each degree profile,
-    from one enumeration (read it, do not change it)."""
-    return Counter(degree_profile_of(t) for t in enumerate_plane_trees(s + 1))
+    num = 2 * math.factorial(profile.s)
+    den = 1
+    for rj in profile.r:
+        den *= math.factorial(rj)
+    if num % den != 0:
+        raise ArithmeticError(f"non-integer tree count for {profile!r}")
+    return num // den

@@ -13,6 +13,7 @@ multiplies the limit by 1 + theta*s with a fully explicit theta.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -46,7 +47,8 @@ def _tree_series(averages: Sequence[Number], s_max: int) -> list:
     coefficients are the same sums, in the same order, as a truncation
     after w^{s-1}.  Ints and Fractions stay exact, mpmath numbers give mpf
     (`_fixed_point_series`), anything else is a float; all terms are
-    positive.
+    positive.  Each coefficient sums its products left to right, on every
+    Python: from 3.12 on, the builtin ``sum`` compensates float sums.
     """
     phi = [a if isinstance(a, (int, Fraction)) or hasattr(a, "_mpf_") else float(a)
            for a in averages[:s_max]]
@@ -55,7 +57,8 @@ def _tree_series(averages: Sequence[Number], s_max: int) -> list:
     power = list(phi)
     series = []
     for s in range(1, s_max + 1):
-        power = [sum(power[i] * phi[k - i] for i in range(k + 1)) for k in range(s_max)]
+        power = [functools.reduce(operator.add, map(operator.mul, power[:k + 1], phi[k::-1]))
+                 for k in range(s_max)]
         series.append(power[s - 1] * Fraction(2, s + 1))
     return series
 

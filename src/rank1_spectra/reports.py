@@ -168,7 +168,7 @@ def radius_table(
             upper = radius_upper_bound(n, s, K_eff, smax, smin, limits[s - 1])
             companion = None
             if not lower.vacuous:
-                companion = moment_sandwich(n, s, lower.value ** (2 * s))[1]
+                companion = moment_sandwich(n, s, lowers[s - 1])[1]
             rows.append(
                 RadiusOrderRow(s=s, n=n, lower=lower, upper=upper, upper_companion=companion)
             )

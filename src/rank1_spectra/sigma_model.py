@@ -32,7 +32,7 @@ import math
 import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import repeat
 from types import SimpleNamespace
 from typing import Optional, Sequence, Union
 
@@ -417,7 +417,7 @@ def parse_sigma_spec(text: str) -> SigmaSpec:
 def sigma_values(spec: SigmaSpec, n: int) -> tuple:
     """The first n sigma values (i = 1..n) as floats, checking positivity.
 
-    An expression runs on `_Floats`, in the arithmetic of `_midpoint_sums`;
+    An expression runs on `_Floats`, in the arithmetic of `_midpoint_grid`;
     a constant or an explicit sequence is its payload.
     """
     if n < 1:
@@ -488,10 +488,10 @@ def limiting_averages(
     int_{1/N}^1 f(xN, N)^k dx at N = 10^(digits + 5).
     At _LIMIT_LEVEL the same sums at 10^10 N must agree to the relative
     ``tol`` (the limit test).  Then the panel with the largest error,
-    stalled (`_settle`) or at odds with a float midpoint rule (`_unseen`),
-    is halved until the errors sum to 10^-digits of Lambda_k or _MAX_NODES
-    points are spent; ``digits`` of the result is what they leave and
-    ``converged`` whether that meets ``tol``.
+    stalled (`_settle`) or at odds with a float midpoint rule on its cells
+    of `_midpoint_grid` (`_unseen`), is halved until the errors sum to
+    10^-digits of Lambda_k or _MAX_NODES points are spent; ``digits`` of the
+    result is what they leave and ``converged`` whether that meets ``tol``.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -530,14 +530,14 @@ def limiting_averages(
         if not all(converged):
             return LimitingAverages(tuple(estimate), converged, _LIMIT_LEVEL, 1, nodes, digits)
         scale, floor = estimate, mpf(10) ** -digits
-        grid = _midpoint_sums(tree, k_max, float(N))
+        grid = _midpoint_grid(tree, float(N))
         settled, stalled, panels, level = [0] * k_max, [], 0, _LIMIT_LEVEL
         todo = [(1 / N, mpf(1), near, history)]
         while todo:
             for p, q, levels, history in todo:
                 estimate, error, n = _settle(levels, history, digits)
                 panels, nodes, level = panels + 1, nodes + n, max(level, len(history) - 1)
-                if error is None and grid is not None:
+                if error is None:
                     error = _unseen(grid, p, q, estimate, scale)
                 if error is None:
                     settled = [s + e for s, e in zip(settled, estimate)]
@@ -558,14 +558,11 @@ def limiting_averages(
     return LimitingAverages(tuple(values), converged, level, panels, nodes, digits)
 
 
-def _midpoint_sums(tree: Node, k_max: int, N: float) -> Optional[list]:
-    """Cumulative float64 midpoint sums of f(xN, N)^k / cells, k = 1..k_max,
-    over _CELLS and _CELLS / 2 equal cells of [0, 1], or None where they
-    leave float64's range: ``sums[g][k - 1][j]`` sums the first j cells of
-    grid g.  A point where sigma is negative raises; one that underflows to
-    0 is fine.  Each f^k is the product of f^(k-1) and f, then divided by
-    the cells, and the sums run left to right."""
-    sums = []
+def _midpoint_grid(tree: Node, N: float) -> tuple:
+    """f(xN, N) at the midpoints x of _CELLS and of _CELLS / 2 equal cells
+    of [0, 1], as two float64 sequences for `_unseen`.  A point where sigma
+    is negative raises; one that underflows to 0 is fine."""
+    grid = []
     for cells in (_CELLS, _CELLS // 2):
         x = [(j + 0.5) / cells for j in range(cells)]
         f = _eval_node(tree, _Floats(xj * N for xj in x), N, _FLOAT)
@@ -573,34 +570,44 @@ def _midpoint_sums(tree: Node, k_max: int, N: float) -> Optional[list]:
         negative = next((xj for xj, fj in zip(x, f) if fj < 0), None)
         if negative is not None:
             raise SigmaDomainError(f"sigma has no finite positive value at i/n = {negative:.8g}")
-        rows, power = [], f
-        for k in range(k_max):
-            if k:
-                power = list(map(operator.mul, power, f))
-            rows.append(list(accumulate(map(operator.truediv, power, repeat(float(cells))),
-                                        initial=0.0)))
-        sums.append(rows)
-    # f >= 0, so a row's last sum is finite only if every sum before it is
-    return sums if all(math.isfinite(row[-1]) for rows in sums for row in rows) else None
+        grid.append(f)
+    return tuple(grid)
 
 
-def _unseen(grid: list, p, q, estimate: list, scale: list) -> Optional[list]:
+def _panel_sums(f: Sequence[float], k_max: int, cells: int) -> list:
+    """The midpoint sums of f^k / cells over the cells of ``f``, k = 1..k_max.
+    Each f^k is the product of f^(k-1) and f, then divided by the cells,
+    and the sums run left to right, on every Python."""
+    sums, power = [], f
+    for k in range(k_max):
+        if k:
+            power = list(map(operator.mul, power, f))
+        sums.append(functools.reduce(operator.add, map(operator.truediv, power,
+                                                       repeat(float(cells))), 0.0))
+    return sums
+
+
+def _unseen(grid: tuple, p, q, estimate: list, scale: list) -> Optional[list]:
     """|estimate - midpoint sum| per k on the panel [p, q] when, for some k,
     it exceeds 20 times the midpoint rule's change from _CELLS / 2 cells
     plus 1e-12 Lambda_k: a feature a few cells wide that the tanh-sinh
-    nodes stepped over.  None otherwise, and on panels under 4 cells."""
+    nodes stepped over.  None otherwise, on panels under 4 cells, and where
+    the panel's midpoint sums leave float64's range."""
     from mpmath import mpf
 
     lo, hi = round(float(p) * _CELLS), round(float(q) * _CELLS)  # panels are dyadic
     if hi - lo < 4:
         return None
-    gaps, seen = [], True
-    for fine_sums, coarse_sums, e, s in zip(grid[0], grid[1], estimate, scale):
-        fine = fine_sums[hi] - fine_sums[lo]
-        coarse = coarse_sums[hi // 2] - coarse_sums[lo // 2]
-        gaps.append(abs(float(e) - fine))
-        seen = seen and gaps[-1] <= 20 * abs(fine - coarse) + 1e-12 * float(s)
-    return None if seen else [mpf(g) for g in gaps]
+    fine = _panel_sums(grid[0][lo:hi], len(estimate), _CELLS)
+    coarse = _panel_sums(grid[1][lo // 2:hi // 2], len(estimate), _CELLS // 2)
+    # f >= 0, so the sums are finite only if every power is
+    if not all(map(math.isfinite, fine + coarse)):
+        return None
+    gaps = [abs(float(e) - f) for e, f in zip(estimate, fine)]
+    if all(g <= 20 * abs(f - c) + 1e-12 * float(s)
+           for g, f, c, s in zip(gaps, fine, coarse, scale)):
+        return None
+    return [mpf(g) for g in gaps]
 
 
 def _levels(tree: Node, k_max: int, N, p, q, t_max):

@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 __all__ = [
     "EntryMomentModel",
     "exact_expected_moment",
-    "dominant_term",
     "WALK_GUARD",
 ]
 
@@ -113,41 +112,3 @@ def exact_expected_moment(
 
     recurse(0)
     return math.fsum(terms) / float(n) ** (k / 2 + 1)
-
-
-def dominant_term(n: int, s: int, values: Sequence[float]) -> float:
-    """The order-2s walk-sum restricted to walks on exactly s+1 distinct
-    vertices with every edge traversed exactly twice, normalized by n^{s+1}.
-
-    These walks have weight prod over edges of sigma_i*sigma_j regardless of
-    the entry law, so no moment model is needed.
-    """
-    if s < 1 or s > 4:
-        raise ValueError(f"s must be in [1, 4], got {s}")
-    if n < 1 or n > 8:
-        raise ValueError(f"n must be in [1, 8], got {n}")
-    if len(values) < n:
-        raise ValueError(f"need {n} sigma values, got {len(values)}")
-    k = 2 * s
-    terms: list = []
-    walk = [0] * (k + 1)
-
-    def recurse(pos: int) -> None:
-        if pos == k:
-            if len(set(walk[:k])) != s + 1:
-                return
-            walk[k] = walk[0]
-            edges = _edge_multiplicities(walk)
-            if any(mult != 2 for mult in edges.values()):
-                return
-            w = 1.0
-            for (a, b) in edges:
-                w *= values[a] * values[b]
-            terms.append(w)
-            return
-        for v in range(n):
-            walk[pos] = v
-            recurse(pos + 1)
-
-    recurse(0)
-    return math.fsum(terms) / float(n) ** (s + 1)

@@ -183,7 +183,7 @@ PUBLIC_NAMES = [
     "MonteCarloResult", "NoLimitError", "PlaneTree", "RadiusBound", "RadiusBoundsReport",
     "RadiusOrderRow", "SdpResult", "SigmaDomainError", "SigmaSpec", "SigmaStats",
     "SpecSyntaxError", "SpectralSample", "build_pencil", "catalan", "combinatorics",
-    "degree_profile_of", "derive_trial_seed", "dominant_term", "eigenvalues",
+    "degree_profile_of", "derive_trial_seed", "eigenvalues",
     "empirical_moments", "ensemble", "enumerate_degree_profiles", "enumerate_plane_trees",
     "esd_histogram", "exact_expected_moment", "lambda_vector",
     "limiting_averages", "limiting_even_moment", "moment_lower_bound", "moment_sandwich",

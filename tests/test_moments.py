@@ -223,11 +223,19 @@ def test_report_builder_attaches_bounds_and_flags():
 
 
 def per_order_series(averages, s):
-    """The tree series of one order on its own: phi^{s+1} truncated after w^{s-1}."""
+    """The tree series of one order on its own: phi^{s+1} truncated after w^{s-1},
+    each coefficient summed left to right in an explicit loop (the builtin
+    sum compensates float sums from Python 3.12 on)."""
     phi = [a if isinstance(a, (int, Fraction)) else float(a) for a in averages[:s]]
     power = [1] + [0] * (s - 1)
     for _ in range(s + 1):
-        power = [sum(power[i] * phi[k - i] for i in range(k + 1)) for k in range(s)]
+        coefficients = []
+        for k in range(s):
+            total = power[0] * phi[k]
+            for i in range(1, k + 1):
+                total += power[i] * phi[k - i]
+            coefficients.append(total)
+        power = coefficients
     return power[s - 1] * Fraction(2, s + 1)
 
 

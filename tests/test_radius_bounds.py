@@ -236,6 +236,22 @@ def test_report_builder_smoke():
     assert report.asymptotic_root is not None
 
 
+@pytest.mark.parametrize("n", [50, 2000])
+def test_upper_companion_is_the_sandwich_at_the_moment_lower_bound(n):
+    # (n m_low)^{1/2s} from m_low itself, not from its rounded root raised
+    # back to the 2s-th power
+    from rank1_spectra.reports import radius_table
+
+    spec = parse_sigma_spec(EXP_SPEC)
+    values = sigma_values(spec, n)
+    report = radius_table(spec, orders=range(1, 41), n=n, s_bar=None)
+    rows = [row for row in report.rows if not row.lower.vacuous]
+    assert rows
+    for row in rows:
+        m_low = moment_lower_bound(values, row.s)
+        assert row.upper_companion == (n * m_low) ** (1.0 / (2 * row.s))
+
+
 def test_report_builder_defaults_are_the_sdp_defaults():
     import inspect
 
@@ -452,4 +468,4 @@ def test_radius_table_orders_evaluate_sigma_once(tmp_path, monkeypatch):
         assert row.s == s
         assert row.lower == lower
         assert row.upper == radius_upper_bound(n, s, smax, smax, smin, limit)
-        assert row.upper_companion == moment_sandwich(n, s, lower.value ** (2 * s))[1]
+        assert row.upper_companion == moment_sandwich(n, s, moment_lower_bound(values, s))[1]

@@ -421,18 +421,11 @@ class TestExtrapolatedLadder:
 
 
 class TestMidpointGrid:
-    """`sigma_model._midpoint_sums`, the float check of settled panels, in
-    plain Python: numpy's formula over the same sigma values, bit for bit."""
+    """`sigma_model._midpoint_grid` and `_panel_sums`, the float check of
+    settled panels, in plain Python: numpy's formula over the same sigma
+    values, bit for bit."""
 
     N = 1e35  # float(10^(DEFAULT_DIGITS + 5)), the N of the quadrature
-
-    @staticmethod
-    def numpy_grid(f, k_max):
-        # numpy's formula: f^k by cumulative products, then / cells, then
-        # cumulative sums after a leading 0
-        cells = len(f)
-        powers = np.cumprod(np.broadcast_to(np.array(f), (k_max, cells)), axis=0) / cells
-        return np.concatenate([np.zeros((k_max, 1)), np.cumsum(powers, axis=1)], axis=1)
 
     @pytest.mark.parametrize("spec, sigma", [
         ("expr:exp(-4*i/n)", lambda i, n: math.exp(-4.0 * i / n)),
@@ -442,11 +435,19 @@ class TestMidpointGrid:
     ], ids=["exp", "kink", "bump"])
     def test_grid_is_the_numpy_formula(self, spec, sigma):
         tree, N, k_max = parse_sigma_spec(spec).payload, self.N, 29
-        grid = sigma_model._midpoint_sums(tree, k_max, N)
-        for rows, cells in zip(grid, (sigma_model._CELLS, sigma_model._CELLS // 2)):
+        grid = sigma_model._midpoint_grid(tree, N)
+        for f_grid, cells in zip(grid, (sigma_model._CELLS, sigma_model._CELLS // 2)):
             x = (np.arange(cells) + 0.5) / cells
             f = [sigma(i, N) for i in (x * N).tolist()]
-            assert np.array_equal(np.array(rows), self.numpy_grid(f, k_max))
+            # a panel at the left end and one inside: [0, 1] and [1/4, 1/2]
+            for lo, hi in ((0, cells), (cells // 4, cells // 2)):
+                # numpy's formula: f^k by cumulative products, then / cells,
+                # then the last of the cumulative sums, which run left to right
+                powers = np.cumprod(np.broadcast_to(np.array(f[lo:hi]), (k_max, hi - lo)),
+                                    axis=0) / cells
+                want = np.cumsum(powers, axis=1)[:, -1]
+                got = sigma_model._panel_sums(f_grid[lo:hi], k_max, cells)
+                assert np.array_equal(np.array(got), want)
             # numpy's own exp and power may be SIMD builds that differ from
             # the C library's in the last bit
             with np.errstate(all="ignore"):
@@ -456,12 +457,17 @@ class TestMidpointGrid:
     def test_negative_sigma_raises(self):
         tree = parse_sigma_spec("expr:1-2*exp(0-((i/n-1/3)^2)*1e6)").payload
         with pytest.raises(SigmaDomainError, match="no finite positive value at i/n = 0.33"):
-            sigma_model._midpoint_sums(tree, 1, self.N)
+            sigma_model._midpoint_grid(tree, self.N)
 
     def test_overflow_gives_no_grid(self):
-        # exp(i) overflows at every point: no grid, and no OverflowError
-        assert sigma_model._midpoint_sums(parse_sigma_spec("expr:exp(i)").payload, 3,
-                                          self.N) is None
+        # exp(i) overflows at every point: no panel is checked, and no
+        # OverflowError; an estimate of 1 fails the check on exp(-4 i/n)
+        estimate, scale = [mp.mpf(1)] * 3, [1.0] * 3
+        for spec, checked in (("expr:exp(i)", False), ("expr:exp(-4*i/n)", True)):
+            grid = sigma_model._midpoint_grid(parse_sigma_spec(spec).payload, self.N)
+            for p, q in ((0, 1), (0.25, 0.5)):
+                gaps = sigma_model._unseen(grid, p, q, estimate, scale)
+                assert (gaps is not None) is checked
 
     @pytest.mark.parametrize("expr", [
         "log(i-0.5)", "(i-0.5)^0.5", "(i-0.5)^(0-1)", "(0-i)^(0-1)", "1/(i-0.5)",
