@@ -55,6 +55,13 @@ def _pin_blas() -> None:
 def _blas_is_pinned() -> bool:
     return _blas_pinned
 
+
+# Limits that the CLI's parser states, defined here so that building it loads
+# no submodule; ``moments`` and ``reports`` export them under the public names.
+_MAX_ORDER = 64  # maximum s in m_{2s}
+_DEFAULT_LAMBDA_TOL = 1e-8
+
+
 _MODULE_EXPORTS = {
     "combinatorics": (
         "DegreeProfile",

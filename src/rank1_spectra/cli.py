@@ -1,13 +1,26 @@
 """Command-line surface: moment tables, simulations, radius bounds, validation.
 
-Each command loads only its own layers: the handlers import them when they
-run, so ``moments`` never loads the Monte Carlo layer, nor mpmath for a
-``file:`` sigma, whose S_{n,k}/n it sums in float64 (``radius`` sums them
-exactly in mpf), and only ``validate`` loads the enumeration oracles.
-numpy loads only with the Monte Carlo layer, for ``simulate`` and
-``validate``.  ``moments`` and ``radius`` run on Python floats, exact ints
-and mpf, sigma at n points and its partial sums included, and never load
-it, which saves its import, most of their start-up.
+Each command loads only its own layers.  This module imports no other
+submodule at import time: the limits its parser states come from the
+package ``__init__``, so importing it and building the parser loads
+argparse and nothing else of the package, and each handler, and ``main``
+for the exceptions it maps to exit codes, imports what it uses when it
+runs.  So ``simulate`` never loads the moment layers (``moments``,
+``reports``, ``fractions``), ``moments`` never loads the Monte Carlo
+layer, nor mpmath for a ``file:`` sigma, whose S_{n,k}/n it sums in
+float64 (``radius`` sums them exactly in mpf), and only ``validate`` loads
+the enumeration oracles.  numpy loads only with the Monte Carlo layer, for
+``simulate`` and ``validate``.  ``moments`` and ``radius`` run on Python
+floats, exact ints and mpf, sigma at n points and its partial sums
+included, and never load it, which saves its import, most of their
+start-up.
+
+A process that enters through ``run`` (``python -m rank1_spectra.cli`` and
+the ``rank1-spectra`` script) calls ``gc.freeze()`` once ``main`` has
+returned, so the garbage collections that the interpreter runs as it shuts
+down skip every object still alive: tens of milliseconds for ``simulate``,
+whose numpy and result objects they would otherwise traverse.  A caller of
+``main`` in its own process keeps the normal collector.
 
 Importing this module before numpy loads pins BLAS to one thread: it sets
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1, unless they
@@ -25,28 +38,26 @@ All outputs are UTF-8; floats serialize with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
-from pathlib import Path
-from typing import TYPE_CHECKING, Optional
 
-from . import _BLAS_THREAD_VARS, _pin_blas
+from . import _BLAS_THREAD_VARS, _DEFAULT_LAMBDA_TOL, _MAX_ORDER, _pin_blas
 
-_pin_blas()  # before the imports below load numpy
+_pin_blas()  # before any handler loads numpy
 
-from .moments import MAX_ORDER, MomentReport
-from .reports import DEFAULT_LAMBDA_TOL
-from .serialize import dumps_json, fmt17, histogram_csv, run_manifest
-from .sigma_model import NoLimitError, SigmaDomainError, SpecSyntaxError, parse_sigma_spec
-
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
+    from typing import Optional
+
+    from .moments import MomentReport
     from .radius_bounds import RadiusBoundsReport
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
 # the SDP at s_bar needs m_2 .. m_{2(2 s_bar + 1)}
-_MAX_SBAR = (MAX_ORDER - 1) // 2
+_MAX_SBAR = (_MAX_ORDER - 1) // 2
 _LAMBDA_TOL_HELP = ("relative tolerance of the test that each Lambda_k has a limit, and the "
                     "least accuracy accepted where its quadrature stops short of full precision")
 
@@ -70,6 +81,8 @@ def _csv_cell(x) -> str:
     if isinstance(x, bool):
         return str(x).lower()
     if isinstance(x, float):
+        from .serialize import fmt17
+
         return "inf" if math.isinf(x) else fmt17(x)
     return str(x)
 
@@ -112,28 +125,36 @@ def _radius_payload(report: RadiusBoundsReport) -> dict:
     return payload
 
 
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def cmd_moments(args: argparse.Namespace, argv: list) -> int:
     from .reports import moment_table
+    from .serialize import dumps_json, run_manifest
+    from .sigma_model import parse_sigma_spec
 
     spec = parse_sigma_spec(args.sigma)
     s_max = args.max_order // 2
     report = moment_table(spec, s_max, n=args.n, lambda_tol=args.lambda_tol)
     manifest = run_manifest("moments", argv, args.sigma, None)
-    out = Path(args.out)
     if args.format == "json":
         payload = {
             "manifest": manifest,
             "moments": _moment_rows_payload(report),
             "notes": list(report.notes),
         }
-        out.write_text(dumps_json(payload), encoding="utf-8")
+        _write(args.out, dumps_json(payload))
     else:
-        out.write_text(_moment_csv(report), encoding="utf-8")
+        _write(args.out, _moment_csv(report))
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace, argv: list) -> int:
     from .ensemble import EnsembleConfig, _histogram, monte_carlo
+    from .serialize import dumps_json, histogram_csv, run_manifest
+    from .sigma_model import parse_sigma_spec
 
     spec = parse_sigma_spec(args.sigma)
     config = EnsembleConfig(
@@ -170,17 +191,16 @@ def cmd_simulate(args: argparse.Namespace, argv: list) -> int:
         "n": args.n,
         "distribution": args.dist,
     }
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(dumps_json(payload), encoding="utf-8")
-    (out_dir / "esd.csv").write_text(
-        histogram_csv(hist.bin_edges, hist.counts), encoding="utf-8"
-    )
+    os.makedirs(args.out, exist_ok=True)
+    _write(os.path.join(args.out, "report.json"), dumps_json(payload))
+    _write(os.path.join(args.out, "esd.csv"), histogram_csv(hist.bin_edges, hist.counts))
     return 0
 
 
 def cmd_radius(args: argparse.Namespace, argv: list) -> int:
     from .reports import radius_table
+    from .serialize import dumps_json, run_manifest
+    from .sigma_model import parse_sigma_spec
 
     spec = parse_sigma_spec(args.sigma)
     report = radius_table(
@@ -193,7 +213,7 @@ def cmd_radius(args: argparse.Namespace, argv: list) -> int:
     )
     manifest = run_manifest("radius", argv, args.sigma, None)
     payload = {"manifest": manifest, "radius": _radius_payload(report)}
-    Path(args.out).write_text(dumps_json(payload), encoding="utf-8")
+    _write(args.out, dumps_json(payload))
     return 0
 
 
@@ -214,7 +234,7 @@ def cmd_validate(args: argparse.Namespace, argv: list) -> int:
 
 
 def _orders(text: str) -> tuple:
-    """The s values of ``--orders``, comma-separated, each in 1..MAX_ORDER."""
+    """The s values of ``--orders``, comma-separated, each in 1.._MAX_ORDER."""
     if not text:
         return ()
     try:
@@ -222,8 +242,8 @@ def _orders(text: str) -> tuple:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"--orders must be comma-separated integers, got {text!r}") from None
-    if not orders or any(not 1 <= s <= MAX_ORDER for s in orders):
-        raise argparse.ArgumentTypeError(f"--orders entries must be in 1..{MAX_ORDER}, got {text!r}")
+    if not orders or any(not 1 <= s <= _MAX_ORDER for s in orders):
+        raise argparse.ArgumentTypeError(f"--orders entries must be in 1..{_MAX_ORDER}, got {text!r}")
     return orders
 
 
@@ -237,11 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_m = sub.add_parser("moments", help="limiting moments and finite-n bounds")
     p_m.add_argument("--sigma", required=True, help="const:<v> | expr:<e> | file:<path>")
     p_m.add_argument("--max-order", type=int, required=True,
-                     help=f"largest even order 2S (at most {2 * MAX_ORDER})")
+                     help=f"largest even order 2S (at most {2 * _MAX_ORDER})")
     p_m.add_argument("--n", type=int, default=None, help="dimension for finite-n bounds")
     p_m.add_argument("--out", required=True)
     p_m.add_argument("--format", choices=("json", "csv"), default="json")
-    p_m.add_argument("--lambda-tol", type=float, default=DEFAULT_LAMBDA_TOL, help=_LAMBDA_TOL_HELP)
+    p_m.add_argument("--lambda-tol", type=float, default=_DEFAULT_LAMBDA_TOL, help=_LAMBDA_TOL_HELP)
 
     p_s = sub.add_parser("simulate", help="Monte Carlo campaign")
     p_s.add_argument("--sigma", required=True)
@@ -263,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"SDP truncation s_bar (at most {_MAX_SBAR})")
     p_r.add_argument("--tol", type=float, default=1e-10, help="certified half-width of beta")
     p_r.add_argument("--out", required=True)
-    p_r.add_argument("--lambda-tol", type=float, default=DEFAULT_LAMBDA_TOL, help=_LAMBDA_TOL_HELP)
+    p_r.add_argument("--lambda-tol", type=float, default=_DEFAULT_LAMBDA_TOL, help=_LAMBDA_TOL_HELP)
 
     p_v = sub.add_parser("validate", help="run the self-validation battery")
     p_v.add_argument("--deep", action="store_true",
@@ -279,8 +299,8 @@ def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         if value is not None and not (math.isfinite(value) and value > 0):
             parser.error(f"--{name.replace('_', '-')} must be finite and > 0, got {value}")
     if args.command == "moments":
-        if not 2 <= args.max_order <= 2 * MAX_ORDER or args.max_order % 2:
-            parser.error(f"--max-order must be even, in 2..{2 * MAX_ORDER}, got {args.max_order}")
+        if not 2 <= args.max_order <= 2 * _MAX_ORDER or args.max_order % 2:
+            parser.error(f"--max-order must be even, in 2..{2 * _MAX_ORDER}, got {args.max_order}")
         if args.n is not None and args.n < 2:
             parser.error(f"--n must be >= 2, got {args.n}")
         if args.sigma.startswith("file:") and args.n is None:
@@ -310,6 +330,7 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)  # exits 2 on usage errors
     _validate_args(parser, args)
+    from .sigma_model import NoLimitError, SigmaDomainError, SpecSyntaxError
 
     handlers = {
         "moments": cmd_moments,
@@ -328,5 +349,15 @@ def main(argv: Optional[list] = None) -> int:
         return NUMERIC_EXIT
 
 
+def run() -> int:
+    """The process entry point, of ``python -m rank1_spectra.cli`` and of the
+    ``rank1-spectra`` script: ``main``, then ``gc.freeze()``, so that the
+    collections the interpreter runs as it exits skip every object still
+    alive instead of traversing them all."""
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -14,20 +14,24 @@ sigma_i*sigma_j and |a_ij| <= K surely.  Three entry laws are provided:
 
 Everything that depends only on the configuration (sigma, the bound K, the
 upper-triangle mask and the law's per-entry coefficients) is computed once
-per campaign and cached; a trial only draws.  Per-trial generators are derived
-from the base seed by one splitmix64 round over seed XOR trial_index, so
-trials are order-independent and a campaign is reproducible bit for bit.
+per campaign and cached; a trial only draws.  The truncated gaussian's
+half-width is solved once per distinct rho = sigma_i sigma_j / K^2 and
+scattered to the entries, so a constant sigma is one solve however large n.
+Per-trial generators are derived from the base seed by one splitmix64 round
+over seed XOR trial_index, so trials are order-independent and a campaign is
+reproducible bit for bit.
 
 A campaign runs in contiguous blocks of trials, each drawn into one stack of
-matrices and solved by one stacked eigensolve, on a pool of worker threads
-when BLAS is pinned to one thread (see ``monte_carlo``).
+matrices and solved by one stacked eigensolve, on plain ``threading``
+workers when BLAS is pinned to one thread (see ``monte_carlo``); a thread
+pool would import ``concurrent.futures`` and with it ``logging``.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -265,7 +269,8 @@ def _plan(config: EnsembleConfig):
 
     Coefficients: sqrt(sigma_i sigma_j) for rademacher, sqrt(3 sigma_i sigma_j)
     for uniform, and (c, K/c) for the truncated gaussian, where c is the
-    half-width from ``_truncnorm_halfwidth``: the entry is (K/c) Z with Z a
+    half-width from ``_truncnorm_halfwidth``, solved on the distinct values
+    of rho = sigma_i sigma_j / K^2 only: the entry is (K/c) Z with Z a
     standard normal conditioned on |Z| <= c.
     """
     n = config.n
@@ -281,7 +286,10 @@ def _plan(config: EnsembleConfig):
     elif config.distribution == "uniform":
         coeffs = (np.sqrt(3.0 * prod),)
     else:
-        c = _truncnorm_halfwidth(prod / (K * K))
+        # each entry's solve is independent of the others, so solving the
+        # distinct values and scattering them gives the same bits
+        rho, entry = np.unique(prod / (K * K), return_inverse=True)
+        c = _truncnorm_halfwidth(rho)[entry]
         coeffs = (c, K / c)
     for array in (mask, *coeffs):
         array.flags.writeable = False
@@ -390,9 +398,11 @@ def esd_histogram(
 ) -> Histogram:
     """Histogram of the eigenvalues with deterministic half-open binning.
 
-    The default range is [min, max] widened by 1e-9 on both sides; counts sum
-    to n whenever the range covers the spectrum (eigenvalues outside an
-    explicit narrower range are dropped, as usual for histograms).
+    The default range is [min, max] widened on both sides by 1e-9 times the
+    larger of |min| and |max|, and by at least the smallest normal float, so
+    the bins scale with the spectrum and an all-zero one still gets a range.
+    Counts sum to n whenever the range covers the spectrum (eigenvalues
+    outside an explicit narrower range are dropped, as usual for histograms).
     """
     return _histogram(sample.eigenvalues, bins, value_range)
 
@@ -401,8 +411,9 @@ def _histogram(values: np.ndarray, bins: int, value_range) -> Histogram:
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     if value_range is None:
-        lo = float(values.min()) - 1e-9
-        hi = float(values.max()) + 1e-9
+        lo, hi = float(values.min()), float(values.max())
+        pad = max(1e-9 * max(abs(lo), abs(hi)), np.finfo(np.float64).tiny)
+        lo, hi = lo - pad, hi + pad
     else:
         lo, hi = float(value_range[0]), float(value_range[1])
     if lo >= hi:
@@ -491,9 +502,11 @@ def monte_carlo(
     from (seed, trial_index), solves the stack with one ``eigenvalues`` call
     and takes the moments along the last axis.  numpy releases the GIL in a
     large enough stacked eigensolve (see ``_schedule``), so the blocks run on
-    a pool of up to one thread per CPU when BLAS was pinned to one thread
-    before numpy loaded (``cli`` does this), and on the calling thread
-    otherwise, where BLAS threads already use the CPUs.  At large n a block
+    up to one worker thread per CPU, worker w taking blocks w, w + workers,
+    ..., when BLAS was pinned to one thread before numpy loaded (``cli`` does
+    this), and on the calling thread otherwise, where BLAS threads already
+    use the CPUs.  A worker's exception is re-raised on the calling thread
+    once every worker has finished.  At large n a block
     is one trial and each worker holds about three n x n arrays at once (its
     matrix, the draw and LAPACK's copy).  Results are written by trial index,
     so a campaign is reproducible bit for bit whatever the worker count;
@@ -529,9 +542,23 @@ def monte_carlo(
         for block in blocks:
             run(block)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for _ in pool.map(run, blocks):  # re-raises a worker's exception
-                pass
+        errors = []
+
+        def work(share: List[Tuple[int, int]]) -> None:
+            try:
+                for block in share:
+                    run(block)
+            except BaseException as exc:  # re-raised on the calling thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(blocks[w::workers],))
+                   for w in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
 
     means = per_trial.mean(axis=0)
     if trials >= 2:

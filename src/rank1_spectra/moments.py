@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from . import _MAX_ORDER as MAX_ORDER  # maximum s in m_{2s}
 from .sigma_model import SigmaStats, sigma_stats
 
 __all__ = [
@@ -32,8 +33,6 @@ __all__ = [
     "theta_factor",
     "MAX_ORDER",
 ]
-
-MAX_ORDER = 64  # maximum s in m_{2s}
 
 Number = Union[int, float, Fraction]
 

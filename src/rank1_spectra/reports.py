@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
+from . import _DEFAULT_LAMBDA_TOL as DEFAULT_LAMBDA_TOL
 from .moments import (MomentReport, MomentRow, _check_order, _limits, _lower_bounds,
                       moment_upper_bound)
 from .sigma_model import (
@@ -27,7 +28,6 @@ if TYPE_CHECKING:
 
 __all__ = ["lambda_vector", "moment_table", "radius_table", "DEFAULT_LAMBDA_TOL"]
 
-DEFAULT_LAMBDA_TOL = 1e-8
 _FINITE_NOTE = "finite-n averages S_{{n,k}}/n at n={}"
 
 

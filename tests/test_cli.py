@@ -1,5 +1,6 @@
 import csv
 import functools
+import gc
 import importlib
 import json
 import math
@@ -85,6 +86,68 @@ def test_simulate_histogram_counts_every_eigenvalue(tmp_path):
     assert report["n"] == 20 and report["trials"] == 2
 
 
+def _esd_counts(out: Path) -> list:
+    with open(out / "esd.csv", encoding="utf-8") as fh:
+        return [int(row["count"]) for row in csv.DictReader(fh)]
+
+
+def test_histogram_at_any_sigma_scale(tmp_path):
+    # the default range used to widen [min, max] by an absolute 1e-9: at sigma
+    # scale 1e-10 that left 8 of 100 bins non-empty
+    counts = []
+    for scale in (1.0, 2.0 ** -40):
+        out = tmp_path / repr(scale)
+        argv = ["simulate", "--sigma", f"expr:{scale!r}*exp(-4*i/n)", "--n", "200",
+                "--trials", "2", "--out", str(out)]
+        assert cli.main(argv) == 0
+        counts.append(_esd_counts(out))
+    assert counts[0] == counts[1]
+    assert sum(counts[0]) == 400
+
+
+_TGAUSS = ["simulate", "--sigma", "expr:exp(-4*i/n)", "--n", "40", "--trials", "3",
+           "--dist", "truncated_gaussian", "--seed", "5"]
+
+
+def _report_without_manifest(out: Path) -> dict:
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    report.pop("manifest")
+    return report
+
+
+def test_in_process_main_keeps_the_collector(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert cli.main([*_TGAUSS, "--out", str(tmp_path / "sim")]) == 0
+    assert gc.get_freeze_count() == frozen
+    assert gc.isenabled()
+
+
+def test_run_freezes_the_heap_after_main(monkeypatch):
+    events = []
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or 3)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    assert cli.run() == 3
+    assert events == ["main", "freeze"]
+
+
+def test_process_entry_writes_what_main_writes(tmp_path):
+    """``python -m rank1_spectra.cli`` goes through ``run``, as the
+    ``rank1-spectra`` script does, and writes what an in-process ``main``
+    writes."""
+    inproc, child = tmp_path / "inproc", tmp_path / "child"
+    assert cli.main([*_TGAUSS, "--out", str(inproc)]) == 0
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "rank1_spectra.cli", *_TGAUSS, "--out", str(child)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (child / "esd.csv").read_bytes() == (inproc / "esd.csv").read_bytes()
+    assert _report_without_manifest(child) == _report_without_manifest(inproc)
+    pyproject = src.parent / "pyproject.toml"
+    if pyproject.is_file():  # a source checkout
+        assert 'rank1-spectra = "rank1_spectra.cli:run"' in pyproject.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "sigma, code",
     [("expr:exp(", cli.USAGE_EXIT), ("const:-1", cli.NUMERIC_EXIT),
@@ -151,14 +214,15 @@ def test_tolerance_must_be_finite_and_positive(capsys, command, flag, value):
 # loaded already.  argv[1] is a JSON list of CLI argument vectors; the script
 # records the modules loaded and the BLAS variables once the CLI is imported
 # and its parser built, which modules are loaded after each call, and last,
-# as the detector's control, which are loaded once it imports the oracles and
-# scipy.
+# as the detector's control, which are loaded once it imports the oracles,
+# scipy and ``concurrent.futures``.
 _IMPORT_SCRIPT = """
 import json, os, sys
 import rank1_spectra
 
 WATCHED = ("numpy", "scipy", "mpmath", "rank1_spectra.ensemble", "rank1_spectra.validation",
-           "rank1_spectra.walk_oracle", "rank1_spectra.combinatorics")
+           "rank1_spectra.walk_oracle", "rank1_spectra.combinatorics", "rank1_spectra.moments",
+           "rank1_spectra.reports", "fractions", "concurrent.futures", "logging")
 
 def loaded():
     return sorted(w for w in WATCHED if any(m == w or m.startswith(w + ".") for m in sys.modules))
@@ -169,9 +233,10 @@ report = {
 }
 from rank1_spectra import cli
 cli.build_parser()
+report["parser"] = sorted(m for m in sys.modules if m.startswith("rank1_spectra."))
 report["start"] = [loaded(), [os.environ.get(v) for v in rank1_spectra._BLAS_THREAD_VARS]]
 report["runs"] = [[cli.main(argv), loaded()] for argv in json.loads(sys.argv[1])]
-import rank1_spectra.validation, scipy.special
+import rank1_spectra.validation, scipy.special, concurrent.futures
 report["control"] = loaded()
 print(json.dumps(report))
 """
@@ -279,19 +344,28 @@ def test_each_command_loads_only_its_own_layers(import_runs):
     monte_carlo, numpy_free = import_runs
     oracles = {"rank1_spectra.validation", "rank1_spectra.walk_oracle",
                "rank1_spectra.combinatorics"}
+    # the moment layers and the stdlib modules that simulate has no use for
+    moment_layers = {"rank1_spectra.moments", "rank1_spectra.reports", "fractions"}
+    unused = moment_layers | {"concurrent.futures", "logging"}
     # the three simulate laws, then moments (expr sigma), whose limiting
     # averages are the first thing here to need mpmath
     for index, (_, mods) in enumerate(monte_carlo["runs"]):
         assert ("mpmath" in mods) == (index == 3)
         assert "rank1_spectra.ensemble" in mods
         assert not oracles & set(mods)
+        if index < 3:
+            assert not unused & set(mods)
+        else:
+            assert moment_layers <= set(mods)
     # moments (file sigma), whose S_{n,k}/n sum in float64, then radius and
     # moments of an expression, which need mpmath
     for index, (_, mods) in enumerate(numpy_free["runs"]):
         assert ("mpmath" in mods) == (index >= 1)
         assert "rank1_spectra.ensemble" not in mods
         assert not oracles & set(mods)
-    assert oracles <= set(numpy_free["control"])
+    for report in import_runs:
+        assert oracles | unused <= set(report["control"])
+        assert report["parser"] == ["rank1_spectra.cli"]  # the parser loads no other layer
 
 
 def test_radius_and_limit_moments_load_no_numpy(import_runs):

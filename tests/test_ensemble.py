@@ -22,7 +22,7 @@ from rank1_spectra.ensemble import (
     sample_matrix,
     spectral_sample,
 )
-from rank1_spectra.sigma_model import SigmaSpec, parse_sigma_spec
+from rank1_spectra.sigma_model import SigmaSpec, parse_sigma_spec, sigma_values
 
 EXP_SPEC = "expr:exp(-4*i/n)"
 
@@ -279,6 +279,36 @@ class TestHalfwidth:
         several = ensemble._truncnorm_halfwidth(rho)
         np.testing.assert_array_equal(several, one)
 
+    @pytest.mark.parametrize("sigma, n", [
+        (parse_sigma_spec(EXP_SPEC), 300),
+        (ones_spec(), 50),
+        (explicit_spec(np.random.default_rng(8).uniform(0.5, 2.0, 60).tolist()), 60),
+    ], ids=["exp", "const", "random"])
+    def test_plan_solves_each_distinct_rho_once(self, sigma, n):
+        """The plan's half-widths, one solve per distinct rho scattered back,
+        are the solve over every entry bit for bit."""
+        ensemble._plan.cache_clear()
+        mask, (c, _) = ensemble._plan(
+            EnsembleConfig(n=n, sigma=sigma, distribution="truncated_gaussian"))
+        values = np.array(sigma_values(sigma, n))
+        rho = np.outer(values, values)[mask] / (3.0 * values.max()) ** 2
+        if sigma.kind == "explicit":
+            assert np.unique(rho).size == rho.size  # every rho distinct
+        assert c.tobytes() == ensemble._truncnorm_halfwidth(rho).tobytes()
+
+    def test_constant_sigma_is_one_solve(self, monkeypatch):
+        sizes = []
+        block = ensemble._halfwidth_block
+        monkeypatch.setattr(ensemble, "_halfwidth_block",
+                            lambda rho: sizes.append(rho.size) or block(rho))
+        ensemble._plan.cache_clear()
+        try:
+            ensemble._plan(EnsembleConfig(n=2000, sigma=ones_spec(),
+                                          distribution="truncated_gaussian"))
+        finally:
+            ensemble._plan.cache_clear()  # 2e6 entries
+        assert sizes == [1]
+
 
 class TestEigenvalues:
     def test_identity(self):
@@ -367,6 +397,15 @@ class TestMomentsAndHistogram:
         np.testing.assert_array_equal(h3.counts, [0, 3, 0])
         with pytest.raises(ValueError):
             esd_histogram(mk([0.0]), bins=2, value_range=(1.0, 1.0))
+
+    def test_default_range_scales_with_the_spectrum(self):
+        values = np.array([-0.7, -0.1, 0.2, 0.3, 0.75])
+        one = ensemble._histogram(values, 10, None)
+        tiny = ensemble._histogram(values * 2.0 ** -60, 10, None)
+        np.testing.assert_array_equal(tiny.counts, one.counts)
+        np.testing.assert_array_equal(tiny.bin_edges, one.bin_edges * 2.0 ** -60)
+        zeros = ensemble._histogram(np.zeros(3), 4, None)
+        assert zeros.bin_edges[0] < zeros.bin_edges[-1] and zeros.total == 3
 
     def test_histogram_conservation(self):
         s = spectral_sample(EnsembleConfig(n=300, sigma=parse_sigma_spec(EXP_SPEC), seed=12))
