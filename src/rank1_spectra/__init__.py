@@ -56,10 +56,14 @@ def _blas_is_pinned() -> bool:
     return _blas_pinned
 
 
-# Limits that the CLI's parser states, defined here so that building it loads
-# no submodule; ``moments`` and ``reports`` export them under the public names.
+# Limits and defaults that the CLI's parser states, defined here so that
+# building it loads no submodule; ``moments``, ``reports``, ``radius_bounds``
+# and ``ensemble`` export them under the public names.
 _MAX_ORDER = 64  # maximum s in m_{2s}
 _DEFAULT_LAMBDA_TOL = 1e-8
+_DEFAULT_SBAR = 14  # SDP truncation s_bar
+_DEFAULT_TOL = 1e-10  # certified half-width of the SDP's beta
+_DISTRIBUTIONS = ("rademacher", "uniform", "truncated_gaussian")  # entry laws
 
 
 _MODULE_EXPORTS = {

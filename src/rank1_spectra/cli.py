@@ -43,7 +43,8 @@ import math
 import os
 import sys
 
-from . import _BLAS_THREAD_VARS, _DEFAULT_LAMBDA_TOL, _MAX_ORDER, _pin_blas
+from . import (_BLAS_THREAD_VARS, _DEFAULT_LAMBDA_TOL, _DEFAULT_SBAR, _DEFAULT_TOL,
+               _DISTRIBUTIONS, _MAX_ORDER, _pin_blas)
 
 _pin_blas()  # before any handler loads numpy
 
@@ -109,9 +110,9 @@ def _radius_payload(report: RadiusBoundsReport) -> dict:
                 "upper_companion": row.upper_companion,
             }
         )
-    payload = {"orders": rows}
-    if report.sdp is not None:
-        payload["sdp"] = {
+    return {
+        "orders": rows,
+        "sdp": {
             "s_bar": report.sdp.s_bar,
             "beta": report.sdp.beta,
             "sqrt_beta": report.sdp.sqrt_beta,
@@ -119,10 +120,10 @@ def _radius_payload(report: RadiusBoundsReport) -> dict:
             "tol": report.sdp.tol,
             "condition_estimate": report.sdp.condition_estimate,
             "ridge_scale": report.sdp.ridge_scale,
-        }
-    payload["asymptotic_root"] = report.asymptotic_root
-    payload["notes"] = list(report.notes)
-    return payload
+        },
+        "asymptotic_root": report.asymptotic_root,
+        "notes": list(report.notes),
+    }
 
 
 def _write(path: str, text: str) -> None:
@@ -267,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--sigma", required=True)
     p_s.add_argument("--n", type=int, required=True)
     p_s.add_argument("--trials", type=int, required=True)
-    p_s.add_argument("--dist", choices=("rademacher", "uniform", "truncated_gaussian"),
-                     default="rademacher")
+    p_s.add_argument("--dist", choices=_DISTRIBUTIONS, default="rademacher")
     p_s.add_argument("--seed", type=int, default=0)
     p_s.add_argument("--bins", type=int, default=100)
     p_s.add_argument("--max-order", type=int, default=10)
@@ -279,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_r.add_argument("--sigma", required=True)
     p_r.add_argument("--orders", type=_orders, default=(), help="comma-separated s values")
     p_r.add_argument("--n", type=int, default=None)
-    p_r.add_argument("--sbar", type=int, default=14,
+    p_r.add_argument("--sbar", type=int, default=_DEFAULT_SBAR,
                      help=f"SDP truncation s_bar (at most {_MAX_SBAR})")
-    p_r.add_argument("--tol", type=float, default=1e-10, help="certified half-width of beta")
+    p_r.add_argument("--tol", type=float, default=_DEFAULT_TOL, help="certified half-width of beta")
     p_r.add_argument("--out", required=True)
     p_r.add_argument("--lambda-tol", type=float, default=_DEFAULT_LAMBDA_TOL, help=_LAMBDA_TOL_HELP)
 

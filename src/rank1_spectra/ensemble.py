@@ -38,6 +38,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from . import _DISTRIBUTIONS as DISTRIBUTIONS  # the entry laws
 from . import _blas_is_pinned
 from .sigma_model import SigmaSpec, sigma_values
 
@@ -54,8 +55,6 @@ __all__ = [
     "spectral_sample",
     "monte_carlo",
 ]
-
-DISTRIBUTIONS = ("rademacher", "uniform", "truncated_gaussian")
 
 _MASK64 = (1 << 64) - 1
 
@@ -117,25 +116,23 @@ class Histogram:
         return int(self.counts.sum())
 
 
-def _resolve_bound(distribution: str, sigma_max: float, K: Optional[float]) -> float:
-    if K is None:
-        if distribution == "rademacher":
-            return sigma_max
-        if distribution == "uniform":
-            return math.sqrt(3.0) * sigma_max
-        return 3.0 * sigma_max
-    return float(K)
-
-
-def _check_bound(distribution: str, sigma_max: float, K: float) -> None:
-    if distribution == "rademacher" and K < sigma_max * (1 - 1e-12):
-        raise ValueError(f"rademacher needs K >= sigma_max ({sigma_max}), got K={K}")
-    if distribution == "uniform" and K < math.sqrt(3.0) * sigma_max * (1 - 1e-12):
-        raise ValueError(f"uniform needs K >= sqrt(3)*sigma_max ({math.sqrt(3)*sigma_max}), got K={K}")
-    if distribution == "truncated_gaussian" and K * K <= 3.0 * sigma_max * sigma_max:
-        raise ValueError(
-            f"truncated gaussian needs K > sqrt(3)*sigma_max ({math.sqrt(3)*sigma_max}), got K={K}"
-        )
+def _bound(distribution: str, sigma_max: float, K: Optional[float]) -> float:
+    """The checked bound of a campaign: ``K``, or by default the law's of
+    EnsembleConfig; raises ValueError where ``K`` is too small for the law."""
+    root3 = math.sqrt(3.0) * sigma_max
+    if distribution == "rademacher":
+        K = sigma_max if K is None else float(K)
+        if K < sigma_max * (1 - 1e-12):
+            raise ValueError(f"rademacher needs K >= sigma_max ({sigma_max}), got K={K}")
+    elif distribution == "uniform":
+        K = root3 if K is None else float(K)
+        if K < root3 * (1 - 1e-12):
+            raise ValueError(f"uniform needs K >= sqrt(3)*sigma_max ({root3}), got K={K}")
+    else:
+        K = 3.0 * sigma_max if K is None else float(K)
+        if K * K <= 3.0 * sigma_max * sigma_max:
+            raise ValueError(f"truncated gaussian needs K > sqrt(3)*sigma_max ({root3}), got K={K}")
+    return K
 
 
 # Entries per block of the half-width solve, so its temporaries stay small.
@@ -276,8 +273,7 @@ def _plan(config: EnsembleConfig):
     n = config.n
     sigma = np.array(sigma_values(config.sigma, n))
     smax = float(sigma.max())
-    K = _resolve_bound(config.distribution, smax, config.K)
-    _check_bound(config.distribution, smax, K)
+    K = _bound(config.distribution, smax, config.K)
 
     mask = np.triu(np.ones((n, n), dtype=bool))
     prod = np.outer(sigma, sigma)[mask]

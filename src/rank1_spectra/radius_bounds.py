@@ -20,15 +20,15 @@ and sqrt(beta) lower-bounds the limiting spectral radius.  beta is the top
 eigenvalue of the moments' Jacobi matrix J (Golub-Welsch 1969), whose
 recurrence (a_k, b_k) Gautschi's Chebyshev algorithm gives in O(s_bar^2)
 operations.  J - xI is congruent to H1 - x H0, so the Sturm count of J at x
-counts the pencil's eigenvalues below x: bisection on it finds beta, and the
-counts at beta -/+ tol certify it (`validation.bisect_beta` is the oracle).
-cond(H0) grows about 10^1.8 per order, so the recurrence runs at
+counts the pencil's eigenvalues below x.  One bisection on that count, in
+mpf at the recurrence's digits, finds beta, and the counts at beta -/+ tol
+certify it (`validation.bisect_beta` is the oracle).  cond(H0) grows about
+10^1.8 per order, so the recurrence and the counts run at
 max(60, 2 s_bar + 10) digits on moments that carry 2 s_bar + 10
 (`reports.radius_table`).  Nothing regularises them: a b_k that vanishes to
 their precision ends the recurrence (finite support, or spent digits), and a
 clearly negative one means they are no moment sequence.
 """
-
 from __future__ import annotations
 
 import math
@@ -37,11 +37,15 @@ from typing import Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
+from . import _DEFAULT_SBAR as DEFAULT_SBAR
+from . import _DEFAULT_TOL as DEFAULT_TOL
 from .moments import moment_lower_bound, theta_factor
 
 __all__ = [
     "HankelPencil",
     "RadiusBound",
+    "RadiusBoundsReport",
+    "RadiusOrderRow",
     "SdpResult",
     "InvalidMomentSequenceError",
     "build_pencil",
@@ -53,8 +57,6 @@ __all__ = [
     "DEFAULT_SBAR",
 ]
 
-DEFAULT_TOL = 1e-10
-DEFAULT_SBAR = 14
 # sigma_{k,k} within this many rounding units of the magnitude that cancels in
 # it is zero to the moments' precision
 _NOISE = 16
@@ -171,42 +173,23 @@ def _chebyshev(nu: tuple, eps: mpf) -> Tuple[tuple, tuple, float]:
     return tuple(a), tuple(b), float(condition)
 
 
-def _count_below(a: tuple, b: tuple, x, eps=None) -> int:
+def _count_below(a: tuple, b: tuple, x) -> int:
     """Eigenvalues of the Jacobi matrix below x: the negative pivots of
-    J - xI (Sturm), in mpf or, with float a, b, x and eps = 2^-52, in
-    float64.  A pivot that is exactly 0 moves eps (|a_k| + |x|) above 0,
-    with eps the mp precision's by default."""
-    count, q, eps = 0, 1, mp.eps if eps is None else eps
+    J - xI (Sturm), in mpf.  A pivot that is exactly 0 moves
+    mp.eps (|a_k| + |x|) above 0."""
+    count, q = 0, 1
     for ak, bk in zip(a, b):
         q = ak - x - bk / q
-        q = q or eps * (abs(ak) + abs(x))
+        q = q or mp.eps * (abs(ak) + abs(x))
         count += q < 0
     return count
 
 
-def _float_top(a: tuple, b: tuple, lo, hi) -> Optional[mpf]:
-    """The top eigenvalue of the Jacobi matrix in [lo, hi], bisected on
-    float64 Sturm counts to float64's resolution, or None where a, b, lo
-    or hi leave float64's range."""
-    a, b = [float(v) for v in a], [float(v) for v in b]
-    lo, hi = float(lo), float(hi)
-    if not all(map(math.isfinite, [*a, *b, lo, hi])):
-        return None
-    while lo < (mid := (lo + hi) / 2) < hi:
-        if _count_below(a, b, mid, 2.0 ** -52) == len(a):
-            hi = mid
-        else:
-            lo = mid
-    return mpf(hi)
-
-
 def sdp_lower_bound(pencil: HankelPencil, tol: float = DEFAULT_TOL) -> SdpResult:
     """min{x > 0 : H0 x - H1 >= 0}, the top eigenvalue of the pencil's Jacobi
-    matrix, by bisecting [max a_k, Gershgorin's bound], or 2^-40 around a
-    guess where the counts confirm it, on its Sturm count to below tol and
-    2^-64 of the upper end; beta is the midpoint.  The guess is the same
-    bisection in float64 (`_float_top`), whose counts cost a fraction of mp
-    ones.  Raises ArithmeticError when the counts at beta -/+ tol do not
+    matrix, by bisecting [max a_k, Gershgorin's bound] on its mp Sturm count
+    until the bracket is below tol and 2^-64 of its upper end; beta is the
+    midpoint.  Raises ArithmeticError when the counts at beta -/+ tol do not
     certify it: the digits cannot resolve beta to tol, as for a support
     near 1e60 at 1e-8."""
     if not (math.isfinite(tol) and tol > 0):
@@ -217,13 +200,6 @@ def sdp_lower_bound(pencil: HankelPencil, tol: float = DEFAULT_TOL) -> SdpResult
         root = [mp.sqrt(v) for v in b[1:]] + [0]
         lo = max(a)
         hi = max(ak + rk + rl for ak, rk, rl in zip(a, [0] + root, root))
-        # the same bisection in float64 counts, where the full ones confirm
-        # it, narrows the bracket
-        guess = _float_top(a, b, lo, hi)
-        if guess is not None:
-            near = abs(guess) * mpf(2) ** -40
-            if _count_below(a, b, guess + near) == m and _count_below(a, b, guess - near) < m:
-                lo, hi = max(lo, guess - near), min(hi, guess + near)
         while hi - lo > min(tol, abs(hi) * mpf(2) ** -64):
             mid = (lo + hi) / 2
             if mid in (lo, hi):
@@ -324,6 +300,6 @@ class RadiusBoundsReport:
     """
 
     rows: Tuple[RadiusOrderRow, ...]
-    sdp: Optional[SdpResult] = None
-    asymptotic_root: Optional[float] = None
+    sdp: SdpResult
+    asymptotic_root: float
     notes: Tuple[str, ...] = ()

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from . import _DEFAULT_LAMBDA_TOL as DEFAULT_LAMBDA_TOL
+from . import _DEFAULT_SBAR, _DEFAULT_TOL
 from .moments import (MomentReport, MomentRow, _check_order, _limits, _lower_bounds,
                       moment_upper_bound)
 from .sigma_model import (
@@ -108,10 +109,10 @@ def radius_table(
     spec: SigmaSpec,
     orders: Sequence[int] = (),
     n: Optional[int] = None,
-    s_bar: Optional[int] = 14,
+    s_bar: int = _DEFAULT_SBAR,
     K: Optional[float] = None,
     lambda_tol: float = DEFAULT_LAMBDA_TOL,
-    sdp_tol: float = 1e-10,
+    sdp_tol: float = _DEFAULT_TOL,
 ) -> RadiusBoundsReport:
     """Radius-bound report: finite-n sandwich rows plus the SDP lower bound.
 
@@ -120,9 +121,7 @@ def radius_table(
     max(2*s_bar + 1, max(orders)) for the SDP and the rows' upper bounds;
     an explicit sequence's S_{n,k}/n are summed exactly, as the pencil would
     amplify float64's rounding past beta's first digit.  The rows' lower
-    bounds run their own float64 pass at n.  The defaults of ``s_bar`` and
-    ``sdp_tol`` are radius_bounds.DEFAULT_SBAR and DEFAULT_TOL, written out
-    because radius_bounds is imported only here, at call time.
+    bounds run their own float64 pass at n.
     """
     from mpmath import mp, mpf
 
@@ -139,21 +138,19 @@ def radius_table(
     orders = tuple(int(s) for s in orders)
     if orders and n is None:
         raise ValueError("finite-n radius bounds need n")
-    k_need = 2 * s_bar + 1 if s_bar else 1
-    if orders:
-        k_need = max(k_need, max(orders))
-        for s in sorted(orders):
-            _check_order(s)
-            if n <= s:
-                raise ValueError(f"order s={s} needs n > s, got n={n}")
-    digits = max(DEFAULT_DIGITS, 2 * (s_bar or 0) + 10)
+    top = 2 * s_bar + 1  # the pencil takes m_2 .. m_{2 top}
+    k_need = max((top, *orders))
+    for s in sorted(orders):
+        _check_order(s)
+        if n <= s:
+            raise ValueError(f"order s={s} needs n > s, got n={n}")
+    digits = max(DEFAULT_DIGITS, 2 * s_bar + 10)
     with mp.workdps(digits):
         lambdas, source, carried = lambda_vector(spec, k_need, lambda_tol, n, digits)
         series = _limits(lambdas, k_need)
-        if s_bar:
-            # m_{2s} sums products of s + 1 averages, each good to `carried` digits
-            eps = (2 * s_bar + 2) * mpf(10) ** -carried
-            pencil = build_pencil(series[: 2 * s_bar + 1], s_bar, eps)
+        # m_{2s} sums products of s + 1 averages, each good to `carried` digits
+        eps = (2 * s_bar + 2) * mpf(10) ** -carried
+        pencil = build_pencil(series[:top], s_bar, eps)
     notes = [f"limiting averages: {source}"]
     limits = [float(m) for m in series]
 
@@ -180,13 +177,9 @@ def radius_table(
                 "factor is severe for strongly varying profiles"
             )
 
-    sdp = None
-    asymptotic_root = None
-    if s_bar:
-        sdp = sdp_lower_bound(pencil, sdp_tol)
-        top = 2 * s_bar + 1
-        asymptotic_root = limits[top - 1] ** (1.0 / (2 * top))
-
     return RadiusBoundsReport(
-        rows=tuple(rows), sdp=sdp, asymptotic_root=asymptotic_root, notes=tuple(notes)
+        rows=tuple(rows),
+        sdp=sdp_lower_bound(pencil, sdp_tol),
+        asymptotic_root=limits[top - 1] ** (1.0 / (2 * top)),
+        notes=tuple(notes),
     )

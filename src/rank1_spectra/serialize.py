@@ -13,9 +13,9 @@ import numbers
 from datetime import datetime, timezone
 from typing import Any, Optional
 
-__all__ = ["fmt17", "dumps_json", "run_manifest", "histogram_csv"]
+from . import __version__ as LIBRARY_VERSION
 
-LIBRARY_VERSION = "0.1.0"
+__all__ = ["fmt17", "dumps_json", "run_manifest", "histogram_csv"]
 
 
 def fmt17(x: float) -> str:

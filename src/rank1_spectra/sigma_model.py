@@ -576,14 +576,16 @@ def _midpoint_grid(tree: Node, N: float) -> tuple:
 
 def _panel_sums(f: Sequence[float], k_max: int, cells: int) -> list:
     """The midpoint sums of f^k / cells over the cells of ``f``, k = 1..k_max.
-    Each f^k is the product of f^(k-1) and f, then divided by the cells,
-    and the sums run left to right, on every Python."""
+    Each f^k is the product of f^(k-1) and f; its terms are summed left to
+    right, on every Python, and the sum is divided once by ``cells``.
+    ``cells`` must be a power of two: dividing by it is then exact, so the
+    result is the sum of the quotients f^k / cells bit for bit, unless a
+    term or partial sum is subnormal or overflows."""
     sums, power = [], f
     for k in range(k_max):
         if k:
             power = list(map(operator.mul, power, f))
-        sums.append(functools.reduce(operator.add, map(operator.truediv, power,
-                                                       repeat(float(cells))), 0.0))
+        sums.append(functools.reduce(operator.add, power, 0.0) / cells)
     return sums
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -396,6 +397,21 @@ def test_package_names_load_on_first_use(import_runs):
     with pytest.raises(AttributeError, match="no_such_name"):
         rank1_spectra.no_such_name
     assert not hasattr(rank1_spectra, "cli_main")
+
+
+def test_each_module_lists_the_names_the_package_exports_from_it():
+    for module, names in rank1_spectra._MODULE_EXPORTS.items():
+        listed = importlib.import_module(f"rank1_spectra.{module}").__all__
+        assert [name for name in names if name not in listed] == [], module
+
+
+def test_the_version_is_the_one_in_pyproject():
+    # a regex, since Python 3.10 has no tomllib
+    from rank1_spectra.serialize import LIBRARY_VERSION
+
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'(?m)^version = "([^"]*)"$', text) == [rank1_spectra.__version__]
+    assert LIBRARY_VERSION is rank1_spectra.__version__
 
 
 @pytest.mark.parametrize("command", ["radius", "moments"])

@@ -244,7 +244,7 @@ def test_upper_companion_is_the_sandwich_at_the_moment_lower_bound(n):
 
     spec = parse_sigma_spec(EXP_SPEC)
     values = sigma_values(spec, n)
-    report = radius_table(spec, orders=range(1, 41), n=n, s_bar=None)
+    report = radius_table(spec, orders=range(1, 41), n=n, s_bar=1)
     rows = [row for row in report.rows if not row.lower.vacuous]
     assert rows
     for row in rows:
