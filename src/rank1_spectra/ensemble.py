@@ -17,9 +17,9 @@ upper-triangle mask and the law's per-entry coefficients) is computed once
 per campaign and cached; a trial only draws.  The truncated gaussian's
 half-width is solved once per distinct rho = sigma_i sigma_j / K^2 and
 scattered to the entries, so a constant sigma is one solve however large n.
-Per-trial generators are derived from the base seed by one splitmix64 round
-over seed XOR trial_index, so trials are order-independent and a campaign is
-reproducible bit for bit.
+Per-trial generators are seeded with splitmix64(splitmix64(seed) +
+trial_index), so trials are order-independent, a campaign is reproducible bit
+for bit, and campaigns at different seeds draw unrelated trials.
 
 A campaign runs in contiguous blocks of trials, each drawn into one stack of
 matrices and solved by one stacked eigensolve, on plain ``threading``
@@ -59,12 +59,20 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 
-def derive_trial_seed(seed: int, trial_index: int) -> int:
-    """splitmix64 finalizer applied to seed XOR trial_index."""
-    z = ((seed ^ trial_index) + 0x9E3779B97F4A7C15) & _MASK64
+def _splitmix64(x: int) -> int:
+    """One splitmix64 output from state x: the golden-ratio step, then the finalizer."""
+    z = (x + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def derive_trial_seed(seed: int, trial_index: int) -> int:
+    """splitmix64(splitmix64(seed) + trial_index), in 0..2^64 - 1.  The seed
+    is mixed before the index is added, so campaigns at nearby seeds draw
+    unrelated trials; seed XOR trial_index would make seeds that differ only
+    below the trial count draw the same matrices in another order."""
+    return _splitmix64((_splitmix64(seed) + trial_index) & _MASK64)
 
 
 @dataclass(frozen=True)

@@ -60,22 +60,22 @@ def truncated_moments(c):
 
 GOLDEN_SIGMA = (1.0, 0.5, 0.8, 0.25)
 GOLDEN_RADEMACHER = [
-    "-0x1.0000000000000p-1", "0x1.6a09e667f3bcdp-2", "-0x1.c9f25c5bfedd9p-2",
-    "0x1.0000000000000p-2", "-0x1.0000000000000p-2", "-0x1.43d136248490fp-2",
-    "-0x1.6a09e667f3bcdp-3", "-0x1.999999999999ap-2", "-0x1.c9f25c5bfedd9p-3",
-    "-0x1.0000000000000p-3",
+    "0x1.0000000000000p-1", "-0x1.6a09e667f3bcdp-2", "0x1.c9f25c5bfedd9p-2",
+    "0x1.0000000000000p-2", "0x1.0000000000000p-2", "0x1.43d136248490fp-2",
+    "0x1.6a09e667f3bcdp-3", "0x1.999999999999ap-2", "-0x1.c9f25c5bfedd9p-3",
+    "0x1.0000000000000p-3",
 ]
 GOLDEN_UNIFORM = [
-    "0x1.c9e3b4e26d56dp-4", "0x1.03f229ca433f0p-1", "-0x1.6af08b1eaafecp-5",
-    "-0x1.c4708e732c0d7p-5", "-0x1.676309ba49d51p-2", "-0x1.aad21479a7564p-2",
-    "-0x1.47197c395cd76p-3", "0x1.8b1359f154a9dp-2", "0x1.69d1e96a2d8bdp-5",
-    "0x1.abb0f5e2d49cbp-5",
+    "-0x1.73528492f20d8p-6", "0x1.952318161ed39p-2", "0x1.c21c5f9424453p-3",
+    "0x1.0270910040ad4p-2", "0x1.8d30ef1f18cd3p-2", "-0x1.16b72b125498dp-3",
+    "-0x1.c4b8eedd7dedap-3", "-0x1.972ea45537965p-4", "-0x1.8878769423e5cp-5",
+    "0x1.1d27133bc9673p-3",
 ]
 GOLDEN_TRUNCATED_GAUSSIAN = [
-    "0x1.c71af689827a2p-2", "-0x1.91d32ddd9164bp-3", "0x1.6e4de89262b77p-1",
-    "-0x1.3048f193dc8ccp-2", "-0x1.f89f82ae765d9p-3", "0x1.381ecb7bb651ep-1",
-    "0x1.f03a7b416b9d8p-5", "-0x1.9fb3b2356e604p-3", "-0x1.a618f82c399f5p-2",
-    "0x1.98e15cbf6cb18p-2",
+    "-0x1.7c2cfcc26a644p-3", "0x1.00bb1d798fe99p-1", "0x1.e46db90273db1p-6",
+    "-0x1.2524155b72ca8p-4", "-0x1.f5e1d67f9c170p-3", "0x1.43beec4af2470p-8",
+    "0x1.cd91e1aee3145p-6", "-0x1.118592c4e8815p-3", "-0x1.3adc5811a1946p-3",
+    "0x1.e037424dacfb2p-4",
 ]
 
 
@@ -87,6 +87,15 @@ class TestSeedDerivation:
 
     def test_deterministic(self):
         assert derive_trial_seed(7, 3) == derive_trial_seed(7, 3)
+
+    @pytest.mark.parametrize("a, b, trials", [(1, 7, 24), (0, 16, 32)])
+    def test_nearby_seeds_share_no_trial(self, a, b, trials):
+        # seed XOR t would map 0..trials-1 onto itself for both pairs
+        seeds_a = {derive_trial_seed(a, t) for t in range(trials)}
+        seeds_b = {derive_trial_seed(b, t) for t in range(trials)}
+        assert len(seeds_a) == len(seeds_b) == trials
+        assert not seeds_a & seeds_b
+        assert 0 <= derive_trial_seed(2 ** 64 - 1, trials) < 2 ** 64
 
 
 class TestSampling:
