@@ -69,9 +69,8 @@ def _splitmix64(x: int) -> int:
 
 def derive_trial_seed(seed: int, trial_index: int) -> int:
     """splitmix64(splitmix64(seed) + trial_index), in 0..2^64 - 1.  The seed
-    is mixed before the index is added, so campaigns at nearby seeds draw
-    unrelated trials; seed XOR trial_index would make seeds that differ only
-    below the trial count draw the same matrices in another order."""
+    is mixed before the index is added, so seeds that differ only in their
+    low bits still draw unrelated trials."""
     return _splitmix64((_splitmix64(seed) + trial_index) & _MASK64)
 
 

@@ -29,6 +29,7 @@ max(60, 2 s_bar + 10) digits on moments that carry 2 s_bar + 10
 their precision ends the recurrence (finite support, or spent digits), and a
 clearly negative one means they are no moment sequence.
 """
+
 from __future__ import annotations
 
 import math
