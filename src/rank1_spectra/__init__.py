@@ -57,8 +57,8 @@ def _blas_is_pinned() -> bool:
 
 
 # Limits and defaults that the CLI's parser states, defined here so that
-# building it loads no submodule; ``moments``, ``reports``, ``radius_bounds``
-# and ``ensemble`` export them under the public names.
+# building it loads no submodule; ``moments``, ``combinatorics``, ``reports``,
+# ``radius_bounds`` and ``ensemble`` export them under the public names.
 _MAX_ORDER = 64  # maximum s in m_{2s}
 _DEFAULT_LAMBDA_TOL = 1e-8
 _DEFAULT_SBAR = 14  # SDP truncation s_bar
@@ -81,14 +81,11 @@ _MODULE_EXPORTS = {
         "EnsembleConfig",
         "Histogram",
         "MonteCarloResult",
-        "SpectralSample",
         "derive_trial_seed",
         "eigenvalues",
         "empirical_moments",
-        "esd_histogram",
         "monte_carlo",
         "sample_matrix",
-        "spectral_sample",
     ),
     "moments": (
         "MomentReport",

@@ -164,7 +164,7 @@ def cmd_simulate(args: argparse.Namespace, argv: list) -> int:
     mc = monte_carlo(
         config, trials=args.trials, k_max=args.max_order, collect_eigenvalues=True
     )
-    hist = _histogram(mc.pooled_eigenvalues, args.bins, None)
+    hist = _histogram(mc.pooled_eigenvalues, args.bins)
     manifest = run_manifest("simulate", argv, args.sigma, args.seed)
     manifest["threads"] = {"workers": mc.workers,
                            **{name: os.environ.get(name) for name in _BLAS_THREAD_VARS}}
@@ -303,8 +303,6 @@ def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
             parser.error(f"--max-order must be even, in 2..{2 * _MAX_ORDER}, got {args.max_order}")
         if args.n is not None and args.n < 2:
             parser.error(f"--n must be >= 2, got {args.n}")
-        if args.sigma.startswith("file:") and args.n is None:
-            parser.error("explicit sigma sequences need --n (no limiting averages exist)")
     elif args.command == "simulate":
         if args.trials < 1:
             parser.error(f"--trials must be >= 1, got {args.trials}")

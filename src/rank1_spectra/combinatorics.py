@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
+from . import _MAX_ORDER as MAX_PROFILE_ORDER  # enumerate_degree_profiles guard
+
 __all__ = [
     "DegreeProfile",
     "PlaneTree",
@@ -27,7 +29,6 @@ __all__ = [
     "MAX_ENUMERATION_ORDER",
 ]
 
-MAX_PROFILE_ORDER = 64      # enumerate_degree_profiles guard
 MAX_ENUMERATION_ORDER = 11  # plane-tree enumeration guard (C_11 = 58786)
 
 

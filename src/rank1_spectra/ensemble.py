@@ -24,7 +24,11 @@ for bit, and campaigns at different seeds draw unrelated trials.
 A campaign runs in contiguous blocks of trials, each drawn into one stack of
 matrices and solved by one stacked eigensolve, on plain ``threading``
 workers when BLAS is pinned to one thread (see ``monte_carlo``); a thread
-pool would import ``concurrent.futures`` and with it ``logging``.
+pool would import ``concurrent.futures`` and with it ``logging``.  Every
+trial statistic comes from the campaign: ``empirical_moments`` is the block's
+moment step and ``_histogram`` bins the pooled spectra.  One trial on its
+own is ``eigenvalues(sample_matrix(config, t))``, bit for bit the campaign's
+trial t.
 """
 
 from __future__ import annotations
@@ -44,15 +48,12 @@ from .sigma_model import SigmaSpec, sigma_values
 
 __all__ = [
     "EnsembleConfig",
-    "SpectralSample",
     "MonteCarloResult",
     "Histogram",
     "derive_trial_seed",
     "sample_matrix",
     "eigenvalues",
     "empirical_moments",
-    "esd_histogram",
-    "spectral_sample",
     "monte_carlo",
 ]
 
@@ -101,19 +102,8 @@ class EnsembleConfig:
 
 
 @dataclass(frozen=True)
-class SpectralSample:
-    """Eigenvalues of one realization, ascending, plus provenance."""
-
-    eigenvalues: np.ndarray
-    radius: float
-    trial_index: int
-    seed_used: int
-
-
-@dataclass(frozen=True)
 class Histogram:
-    """Half-open bins (last bin closed), counts summing to the sample size
-    whenever the range covers the data."""
+    """Half-open bins (last bin closed) and their counts."""
 
     bin_edges: np.ndarray
     counts: np.ndarray
@@ -366,62 +356,34 @@ def _radius(lam: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1]))
 
 
-def _power_moments(lam: np.ndarray, k_max: int) -> np.ndarray:
-    """(1/n) sum lambda_i^k for k = 1..k_max along the last axis, in a new
-    last axis.  Each row's mean takes the same bits as the mean of that row
-    alone."""
-    out = np.empty(lam.shape[:-1] + (k_max,))
-    p = lam.copy()
+def empirical_moments(eigenvalues: np.ndarray, k_max: int) -> np.ndarray:
+    """Power-sum moments (1/n) sum lambda_i^k for k = 1..k_max of a spectrum,
+    or of each spectrum of a stack along the last axis, in a new last axis.
+    Each spectrum's moments take the same bits as that spectrum's alone."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    out = np.empty(eigenvalues.shape[:-1] + (k_max,))
+    p = eigenvalues.copy()
     for k in range(k_max):
         out[..., k] = p.mean(axis=-1)
         if k + 1 < k_max:
-            p *= lam
+            p *= eigenvalues
     return out
 
 
-def spectral_sample(config: EnsembleConfig, trial_index: int = 0) -> SpectralSample:
-    lam = eigenvalues(sample_matrix(config, trial_index))
-    return SpectralSample(
-        eigenvalues=lam,
-        radius=float(_radius(lam)),
-        trial_index=trial_index,
-        seed_used=derive_trial_seed(config.seed, trial_index),
-    )
+def _histogram(values: np.ndarray, bins: int) -> Histogram:
+    """Histogram of ``values`` with deterministic half-open binning.
 
-
-def empirical_moments(sample: SpectralSample, k_max: int) -> np.ndarray:
-    """Power-sum moments (1/n) sum lambda_i^k for k = 1..k_max."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    return _power_moments(sample.eigenvalues, k_max)
-
-
-def esd_histogram(
-    sample: SpectralSample, bins: int, value_range: Optional[Tuple[float, float]] = None
-) -> Histogram:
-    """Histogram of the eigenvalues with deterministic half-open binning.
-
-    The default range is [min, max] widened on both sides by 1e-9 times the
-    larger of |min| and |max|, and by at least the smallest normal float, so
-    the bins scale with the spectrum and an all-zero one still gets a range.
-    Counts sum to n whenever the range covers the spectrum (eigenvalues
-    outside an explicit narrower range are dropped, as usual for histograms).
+    The range is [min, max] widened on both sides by 1e-9 times the larger
+    of |min| and |max|, and by at least the smallest normal float, so the
+    bins scale with the values, an all-zero array still gets a range, and
+    the counts sum to the number of values.
     """
-    return _histogram(sample.eigenvalues, bins, value_range)
-
-
-def _histogram(values: np.ndarray, bins: int, value_range) -> Histogram:
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    if value_range is None:
-        lo, hi = float(values.min()), float(values.max())
-        pad = max(1e-9 * max(abs(lo), abs(hi)), np.finfo(np.float64).tiny)
-        lo, hi = lo - pad, hi + pad
-    else:
-        lo, hi = float(value_range[0]), float(value_range[1])
-    if lo >= hi:
-        raise ValueError(f"histogram range must satisfy lo < hi, got [{lo}, {hi}]")
-    counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
+    lo, hi = float(values.min()), float(values.max())
+    pad = max(1e-9 * max(abs(lo), abs(hi)), np.finfo(np.float64).tiny)
+    counts, edges = np.histogram(values, bins=bins, range=(lo - pad, hi + pad))
     return Histogram(bin_edges=edges, counts=counts)
 
 
@@ -499,21 +461,23 @@ def monte_carlo(
     """Run a reproducible campaign of independent trials, in blocks.
 
     The per-campaign plan (the mask and the law's coefficients, from sigma
-    and K) is built once, before any block runs.  A block of
-    trials draws each trial's matrix into one (b, n, n) stack with the
-    module-level ``sample_matrix``, from the trial's own generator seeded
-    from (seed, trial_index), solves the stack with one ``eigenvalues`` call
-    and takes the moments along the last axis.  numpy releases the GIL in a
-    large enough stacked eigensolve (see ``_schedule``), so the blocks run on
-    up to one worker thread per CPU, worker w taking blocks w, w + workers,
-    ..., when BLAS was pinned to one thread before numpy loaded (``cli`` does
-    this), and on the calling thread otherwise, where BLAS threads already
-    use the CPUs.  A worker's exception is re-raised on the calling thread
-    once every worker has finished.  At large n a block
-    is one trial and each worker holds about three n x n arrays at once (its
-    matrix, the draw and LAPACK's copy).  Results are written by trial index,
-    so a campaign is reproducible bit for bit whatever the worker count;
-    ``workers`` records it.  Standard errors need trials >= 2 and are None
+    and K) is built once, before any block runs.  A block of trials draws
+    each trial's matrix into one (b, n, n) stack with the module-level
+    ``sample_matrix``, from the trial's own generator seeded from (seed,
+    trial_index), solves the stack with one ``eigenvalues`` call and takes
+    every spectrum's moments with one ``empirical_moments`` call; these are
+    the only per-trial statistics, and the CLI bins ``pooled_eigenvalues``
+    with ``_histogram``.  numpy releases the GIL in a large enough stacked
+    eigensolve (see ``_schedule``), so the blocks run on up to one worker
+    thread per CPU, worker w taking blocks w, w + workers, ..., when BLAS
+    was pinned to one thread before numpy loaded (``cli`` does this), and on
+    the calling thread otherwise, where BLAS threads already use the CPUs.
+    A worker's exception is re-raised on the calling thread once every
+    worker has finished.  At large n a block is one trial and each worker
+    holds about three n x n arrays at once (its matrix, the draw and
+    LAPACK's copy).  Results are written by trial index, so a campaign is
+    reproducible bit for bit whatever the worker count; ``workers`` records
+    it.  Standard errors need trials >= 2 and are None
     otherwise.
     """
     if trials < 1:
@@ -536,7 +500,7 @@ def monte_carlo(
         for t in range(start, stop):
             sample_matrix(config, t, out=stack[t - start])
         lam = eigenvalues(stack)
-        per_trial[start:stop] = _power_moments(lam, k_max)
+        per_trial[start:stop] = empirical_moments(lam, k_max)
         radii[start:stop] = _radius(lam)
         if pooled is not None:
             pooled[start:stop] = lam

@@ -138,9 +138,10 @@ def limiting_even_moment(lambdas: Sequence[Number], s: int) -> Number:
 
 
 def _is_positive(a: Number) -> bool:
-    if isinstance(a, Fraction):
-        return a > 0
-    return math.isfinite(float(a)) and float(a) > 0
+    """0 < a < inf, with exact and mpf values compared as they are: rounded
+    to float, an mpf of 1e348 would read as inf and one of 1e-348 as 0."""
+    x = a if isinstance(a, (int, Fraction)) or hasattr(a, "_mpf_") else float(a)
+    return 0 < x < math.inf
 
 
 def _lower_bounds(stats: SigmaStats, s_max: int, mains: Optional[list] = None) -> list:

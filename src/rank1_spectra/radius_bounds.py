@@ -5,11 +5,14 @@ norm is sandwiched by power roots of expected-moment bounds:
 
     m_lower^{1/2s}  <=  E||A||  <=  (n * m_upper)^{1/2s},
 
-where m_lower comes from `moments.moment_lower_bound` and m_upper =
-(1 + theta*s) * m_limit.  The same sandwich evaluated at m_lower on both
-sides is also exposed: it is not a proven upper bound, but it is the
-finite-n companion value usually quoted next to the lower bound, and it is
-reported with that caveat.
+where m_lower and m_upper = (1 + theta*s) * m_limit are the moment bounds
+of `moments` (``moment_lower_bound``, ``moment_upper_bound``; theta is
+computed there only), and one root, ``_root_bound``, flags a moment bound
+<= 0 or +inf as vacuous.  ``reports.radius_table`` takes both moment bounds
+from the builder that fills the moment table's rows.  The same sandwich
+evaluated at m_lower on both sides is also exposed: it is not a proven
+upper bound, but it is the finite-n companion value usually quoted next to
+the lower bound, and it is reported with that caveat.
 
 Asymptotically, given the even limiting moments nu_s = m_{2s}, the support
 supremum of the squared-eigenvalue law is lower-bounded by the SDP
@@ -40,7 +43,7 @@ from mpmath import mp, mpf
 
 from . import _DEFAULT_SBAR as DEFAULT_SBAR
 from . import _DEFAULT_TOL as DEFAULT_TOL
-from .moments import moment_lower_bound, theta_factor
+from .moments import moment_lower_bound, moment_upper_bound
 
 __all__ = [
     "HankelPencil",
@@ -235,11 +238,11 @@ def radius_lower_bound(values: Sequence[float], s: int) -> RadiusBound:
     return _root_bound(moment_lower_bound(values, s), s)
 
 
-def _root_bound(m_low: float, s: int) -> RadiusBound:
-    """m_low^{1/2s}, vacuous (NaN value) when m_low <= 0."""
-    if m_low <= 0:
+def _root_bound(m: float, s: int) -> RadiusBound:
+    """m^{1/2s}, vacuous where m <= 0 (NaN value) or m = +inf (+inf value)."""
+    if m <= 0:
         return RadiusBound(value=math.nan, vacuous=True)
-    return RadiusBound(value=m_low ** (1.0 / (2 * s)), vacuous=False)
+    return RadiusBound(value=m ** (1.0 / (2 * s)), vacuous=math.isinf(m))
 
 
 def radius_upper_bound(
@@ -250,20 +253,14 @@ def radius_upper_bound(
     sigma_min: float,
     m_limit: float,
 ) -> RadiusBound:
-    """Upper bound (n (1 + theta s) m_{2s})^{1/2s} on the expected spectral radius.
+    """Upper bound (n (1 + theta s) m_{2s})^{1/2s} on the expected spectral
+    radius, from `moments.moment_upper_bound`.
 
-    Finite for any valid inputs unless theta overflows (then +inf, flagged).
-    For strongly varying sigma the theta term makes this enormous at
-    moderate s; `moment_sandwich` gives the companion value usually reported.
+    Vacuous (+inf) where theta or the product overflows.  For strongly
+    varying sigma the theta term makes this enormous at moderate s;
+    `moment_sandwich` gives the companion value usually reported.
     """
-    if n <= s:
-        raise ValueError(f"need n > s, got n={n}, s={s}")
-    th = theta_factor(n, s, K, sigma_max, sigma_min)
-    if math.isinf(th):
-        return RadiusBound(value=math.inf, vacuous=True)
-    return RadiusBound(
-        value=(n * (1.0 + th * s) * m_limit) ** (1.0 / (2 * s)), vacuous=False
-    )
+    return _root_bound(n * moment_upper_bound(n, s, K, sigma_max, sigma_min, m_limit), s)
 
 
 def moment_sandwich(n: int, s: int, moment_value: float) -> Tuple[float, float]:

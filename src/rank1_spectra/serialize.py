@@ -23,9 +23,12 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _encode(obj: Any, out: list, indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+_INDENT = 2  # spaces per nesting level
+
+
+def _encode(obj: Any, out: list, level: int) -> None:
+    pad = " " * (_INDENT * level)
+    pad_in = " " * (_INDENT * (level + 1))
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -52,7 +55,7 @@ def _encode(obj: Any, out: list, indent: int, level: int) -> None:
             out.append(pad_in)
             out.append(_quote(str(key)))
             out.append(": ")
-            _encode(value, out, indent, level + 1)
+            _encode(value, out, level + 1)
             out.append(",\n" if idx + 1 < len(obj) else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -63,7 +66,7 @@ def _encode(obj: Any, out: list, indent: int, level: int) -> None:
         out.append("[\n")
         for idx, value in enumerate(seq):
             out.append(pad_in)
-            _encode(value, out, indent, level + 1)
+            _encode(value, out, level + 1)
             out.append(",\n" if idx + 1 < len(seq) else "\n")
         out.append(pad + "]")
     else:
@@ -81,10 +84,11 @@ def _quote(s: str) -> str:
     return f'"{escaped}"'
 
 
-def dumps_json(obj: Any, indent: int = 2) -> str:
-    """Deterministic JSON text: insertion-ordered keys, 17-digit floats."""
+def dumps_json(obj: Any) -> str:
+    """Deterministic JSON text: insertion-ordered keys, 17-digit floats,
+    two spaces per level."""
     out: list = []
-    _encode(obj, out, indent, 0)
+    _encode(obj, out, 0)
     out.append("\n")
     return "".join(out)
 

@@ -30,7 +30,8 @@ from .combinatorics import (
     multinomial,
     tree_count,
 )
-from .ensemble import EnsembleConfig, empirical_moments, monte_carlo, spectral_sample
+from .ensemble import (EnsembleConfig, _histogram, eigenvalues, empirical_moments, monte_carlo,
+                       sample_matrix)
 from .moments import _limits, limiting_even_moment, moment_lower_bound
 from .radius_bounds import HankelPencil, _digits, build_pencil, sdp_lower_bound
 from .reports import radius_table
@@ -278,13 +279,11 @@ def check_simulation_consistency(deep: bool) -> Check:
     b = monte_carlo(cfg, trials=6, k_max=4)
     if not np.array_equal(a.per_trial_moments, b.per_trial_moments):
         return False, "rerun not bit-identical"
-    sample = spectral_sample(cfg, 0)
-    m = empirical_moments(sample, 2)
-    if abs(m[0] * cfg.n - np.sum(sample.eigenvalues)) > 1e-9:
+    lam = eigenvalues(sample_matrix(cfg, 0))
+    m = empirical_moments(lam, 2)
+    if abs(m[0] * cfg.n - np.sum(lam)) > 1e-9:
         return False, "moment/trace mismatch"
-    from .ensemble import esd_histogram
-
-    hist = esd_histogram(sample, bins=13)
+    hist = _histogram(lam, 13)
     if hist.total != cfg.n:
         return False, f"histogram total {hist.total} != {cfg.n}"
     return True, "determinism, trace identity, histogram conservation"

@@ -53,6 +53,26 @@ def test_moments_limits_round_trip(tmp_path, sigma_file, fmt):
     assert got == limits(8)
 
 
+def test_moments_of_a_file_without_n_are_its_averages(tmp_path, sigma_file):
+    rows = {}
+    for n in (None, len(SIGMA)):
+        out = tmp_path / f"moments_{n}.json"
+        argv = ["moments", "--sigma", sigma_file, "--max-order", "8", "--out", str(out)]
+        assert cli.main(argv + ([] if n is None else ["--n", str(n)])) == 0
+        rows[n] = json.loads(out.read_text(encoding="utf-8"))["moments"]
+    assert [row["limit"] for row in rows[None]] == [row["limit"] for row in rows[len(SIGMA)]]
+    assert all(row["lower"] is None and row["upper"] is None for row in rows[None])
+    assert all(row["lower"] is not None for row in rows[len(SIGMA)][:len(SIGMA) - 1])
+
+
+def test_moments_name_a_lambda_beyond_float64(tmp_path, capsys):
+    argv = ["moments", "--sigma", "const:1e12", "--max-order", "64",
+            "--out", str(tmp_path / "m.json")]
+    assert cli.main(argv) == cli.NUMERIC_EXIT
+    assert "Lambda_26 leaves float64's range" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_radius_sbar_3(tmp_path):
     out = tmp_path / "radius.json"
     assert cli.main(["radius", "--sigma", "const:1", "--sbar", "3", "--out", str(out)]) == 0
@@ -64,11 +84,12 @@ def test_radius_sbar_3(tmp_path):
 
 @pytest.mark.parametrize(
     "sigma", ["expr:1e-2*exp(-4*i/n)", "expr:0.0078125*exp(-4*i/n)", "const:0.0078125",
-              "const:1000"],
+              "const:1000", "const:1e12", "expr:1e-12*exp(-4*i/n)"],
 )
 def test_radius_at_any_sigma_scale(tmp_path, sigma):
     # small sigma used to fail Cholesky's absolute pivot test ("not a valid
-    # moment sequence"), const:1000 mp.inverse ("numerically singular")
+    # moment sequence"), const:1000 mp.inverse ("numerically singular");
+    # at 1e12 and 1e-12, Lambda_29 rounded to float read as inf and 0
     out = tmp_path / "radius.json"
     assert cli.main(["radius", "--sigma", sigma, "--out", str(out)]) == 0
     sdp = json.loads(out.read_text(encoding="utf-8"))["radius"]["sdp"]
@@ -248,15 +269,15 @@ PUBLIC_NAMES = [
     "InvalidMomentSequenceError", "LimitingAverages", "MomentReport", "MomentRow",
     "MonteCarloResult", "NoLimitError", "PlaneTree", "RadiusBound", "RadiusBoundsReport",
     "RadiusOrderRow", "SdpResult", "SigmaDomainError", "SigmaSpec", "SigmaStats",
-    "SpecSyntaxError", "SpectralSample", "build_pencil", "catalan", "combinatorics",
+    "SpecSyntaxError", "build_pencil", "catalan", "combinatorics",
     "degree_profile_of", "derive_trial_seed", "eigenvalues",
     "empirical_moments", "ensemble", "enumerate_degree_profiles", "enumerate_plane_trees",
-    "esd_histogram", "exact_expected_moment", "lambda_vector",
+    "exact_expected_moment", "lambda_vector",
     "limiting_averages", "limiting_even_moment", "moment_lower_bound", "moment_sandwich",
     "moment_table", "moment_upper_bound", "moments", "monte_carlo", "multinomial",
     "odd_moment_bound", "parse_sigma_spec", "radius_bounds", "radius_lower_bound",
     "radius_table", "radius_upper_bound", "reports", "sample_matrix", "sdp_lower_bound",
-    "sigma_model", "sigma_stats", "sigma_values", "spectral_sample", "theta_factor",
+    "sigma_model", "sigma_stats", "sigma_values", "theta_factor",
     "tree_count", "walk_oracle",
 ]
 

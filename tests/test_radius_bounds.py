@@ -202,6 +202,12 @@ class TestFiniteNBounds:
         assert b.vacuous
         assert math.isinf(b.value)
 
+    def test_upper_bound_flags_a_product_that_overflows(self):
+        # theta is finite here; n (1 + theta s) m_{2s} is not
+        b = radius_upper_bound(10 ** 6, 2, 1.0, 1.0, 1.0, 1e305)
+        assert b.vacuous
+        assert math.isinf(b.value)
+
     def test_sandwich_relation(self):
         lo, hi = moment_sandwich(1000, 3, 2.5e-3)
         assert lo == pytest.approx(2.5e-3 ** (1.0 / 6.0))
@@ -252,15 +258,38 @@ def test_upper_companion_is_the_sandwich_at_the_moment_lower_bound(n):
         assert row.upper_companion == (n * m_low) ** (1.0 / (2 * row.s))
 
 
-def test_report_builder_defaults_are_the_sdp_defaults():
+def test_cli_passes_its_defaults_to_radius_table(tmp_path, monkeypatch):
     import inspect
 
-    from rank1_spectra.radius_bounds import DEFAULT_SBAR, DEFAULT_TOL
+    from rank1_spectra import cli, reports
+
+    calls = []
+    real = reports.radius_table
+
+    def capture(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reports, "radius_table", capture)
+    argv = ["radius", "--sigma", "const:1", "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 0
+    [kwargs] = calls
+    args = cli.build_parser().parse_args(argv)
+    assert (kwargs["s_bar"], kwargs["sdp_tol"], kwargs["lambda_tol"]) == (
+        args.sbar, args.tol, args.lambda_tol)
+    params = inspect.signature(real).parameters
+    for name in ("s_bar", "sdp_tol", "lambda_tol"):
+        assert kwargs[name] == params[name].default
+
+
+def test_asymptotic_root_scales_with_sigma_exactly():
+    # the root of the mpf moment: a power-of-two scale of sigma moves it by
+    # that scale to the bit, which the float root of the float moment missed
     from rank1_spectra.reports import radius_table
 
-    params = inspect.signature(radius_table).parameters
-    assert params["s_bar"].default == DEFAULT_SBAR
-    assert params["sdp_tol"].default == DEFAULT_TOL
+    one, small = (radius_table(parse_sigma_spec(text), s_bar=14).asymptotic_root
+                  for text in ("const:1", "const:0.0078125"))
+    assert small == one * 2.0 ** -7
 
 
 def mp_exp_pencil(s_bar: int, digits: int):
