@@ -20,6 +20,18 @@ through sigma at n points and its partial sums (``sigma_values``,
 serializer, runs on Python floats, ints and mpmath, so ``moments`` and
 ``radius`` never load it; ``simulate`` and ``validate`` load it when they
 first need it.
+
+The records of those numpy-free layers are ``typing.NamedTuple``s:
+``SigmaSpec``, ``LimitingAverages`` and ``SigmaStats`` (``sigma_model``),
+``MomentRow`` and ``MomentReport`` (``moments``), and ``HankelPencil``,
+``RadiusBound``, ``SdpResult``, ``RadiusOrderRow`` and
+``RadiusBoundsReport`` (``radius_bounds``).  They are immutable, and they
+compare, hash, unpack and iterate as the tuples of their fields, so one
+equals a plain tuple of the same values.  Declaring them so keeps
+``dataclasses`` and the ``inspect`` it imports out of ``moments`` and
+``radius``, whose start-up is most of their time.  The records of the
+Monte Carlo layer and the oracles (``ensemble``, ``combinatorics``,
+``walk_oracle``) stay dataclasses: numpy loads ``inspect`` anyway.
 """
 
 import os as _os

@@ -5,15 +5,18 @@ submodule at import time: the limits its parser states come from the
 package ``__init__``, so importing it and building the parser loads
 argparse and nothing else of the package, and each handler, and ``main``
 for the exceptions it maps to exit codes, imports what it uses when it
-runs.  So ``simulate`` never loads the moment layers (``moments``,
-``reports``, ``fractions``), ``moments`` never loads the Monte Carlo
-layer, nor mpmath for a ``file:`` sigma, whose S_{n,k}/n it sums in
-float64 (``radius`` sums them exactly in mpf), and only ``validate`` loads
-the enumeration oracles.  numpy loads only with the Monte Carlo layer, for
-``simulate`` and ``validate``.  ``moments`` and ``radius`` run on Python
-floats, exact ints and mpf, sigma at n points and its partial sums
-included, and never load it, which saves its import, most of their
-start-up.
+runs.  So ``simulate`` never loads the moment layers (``moments`` and
+``reports``), ``moments`` never loads the Monte Carlo layer, nor mpmath
+for a ``file:`` sigma, whose S_{n,k}/n it sums in float64 (``radius``
+sums them exactly in mpf), and only ``validate`` loads the enumeration
+oracles.  numpy loads only with the Monte Carlo layer, for ``simulate``
+and ``validate``.  ``moments`` and ``radius`` run on Python floats, exact
+ints and mpf, sigma at n points and its partial sums included, and never
+load it, which saves its import, most of their start-up.  Nor do they
+load ``dataclasses`` (with ``inspect``, ``ast``, ``dis`` and
+``tokenize``), ``datetime``, ``fractions`` or ``decimal``: the records of
+their layers are NamedTuples, the manifest's timestamp is formatted from
+``time.time_ns()``, and a float tree series takes no Fraction.
 
 A process that enters through ``run`` (``python -m rank1_spectra.cli`` and
 the ``rank1-spectra`` script) calls ``gc.freeze()`` once ``main`` has

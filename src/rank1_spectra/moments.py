@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from . import _MAX_ORDER as MAX_ORDER  # maximum s in m_{2s}
 from .sigma_model import SigmaStats, sigma_stats
@@ -34,7 +33,7 @@ __all__ = [
     "MAX_ORDER",
 ]
 
-Number = Union[int, float, Fraction]
+Number = numbers.Real  # an int, a Fraction, a float or an mpf
 
 
 def _tree_series(averages: Sequence[Number], s_max: int) -> list:
@@ -44,22 +43,38 @@ def _tree_series(averages: Sequence[Number], s_max: int) -> list:
     coefficient of its term prod A_j^{r_j} w^{s-1} in phi(w)^{s+1}.  Each
     power phi^j is built once, truncated after w^{s_max-1}; its low
     coefficients are the same sums, in the same order, as a truncation
-    after w^{s-1}.  Ints and Fractions stay exact, mpmath numbers give mpf
-    (`_fixed_point_series`), anything else is a float; all terms are
-    positive.  Each coefficient sums its products left to right, on every
-    Python: from 3.12 on, the builtin ``sum`` compensates float sums.
+    after w^{s-1}.  Rationals stay exact (integers of any type as ints),
+    mpmath numbers give mpf (`_fixed_point_series`), anything else is a
+    float; all terms are positive.  Each coefficient sums its products left
+    to right, on every Python: from 3.12 on, the builtin ``sum``
+    compensates float sums.  A float series takes 2/(s+1) as the float
+    2 / (s + 1), which is float(Fraction(2, s + 1)), so it loads no
+    ``fractions``.
     """
-    phi = [a if isinstance(a, (int, Fraction)) or hasattr(a, "_mpf_") else float(a)
-           for a in averages[:s_max]]
+    phi = [_exact_or_float(a) for a in averages[:s_max]]
     if phi and all(hasattr(a, "_mpf_") for a in phi):
         return _fixed_point_series(phi, s_max)
+    if all(isinstance(a, float) for a in phi):
+        factors = [2 / (s + 1) for s in range(1, s_max + 1)]
+    else:  # exact, mpf or mixed input keeps its product types
+        from fractions import Fraction
+
+        factors = [Fraction(2, s + 1) for s in range(1, s_max + 1)]
     power = list(phi)
     series = []
     for s in range(1, s_max + 1):
         power = [functools.reduce(operator.add, map(operator.mul, power[:k + 1], phi[k::-1]))
                  for k in range(s_max)]
-        series.append(power[s - 1] * Fraction(2, s + 1))
+        series.append(power[s - 1] * factors[s - 1])
     return series
+
+
+def _exact_or_float(a):
+    """A rational ``a`` exactly (an integer of any type as an int), an mpf
+    as it is, anything else as a float."""
+    if isinstance(a, numbers.Integral):
+        return int(a)
+    return a if isinstance(a, numbers.Rational) or hasattr(a, "_mpf_") else float(a)
 
 
 def _fixed_point_series(phi: list, s_max: int) -> list:
@@ -140,8 +155,7 @@ def limiting_even_moment(lambdas: Sequence[Number], s: int) -> Number:
 def _is_positive(a: Number) -> bool:
     """0 < a < inf, with exact and mpf values compared as they are: rounded
     to float, an mpf of 1e348 would read as inf and one of 1e-348 as 0."""
-    x = a if isinstance(a, (int, Fraction)) or hasattr(a, "_mpf_") else float(a)
-    return 0 < x < math.inf
+    return 0 < _exact_or_float(a) < math.inf
 
 
 def _lower_bounds(stats: SigmaStats, s_max: int, mains: Optional[list] = None) -> list:
@@ -155,7 +169,7 @@ def _lower_bounds(stats: SigmaStats, s_max: int, mains: Optional[list] = None) -
     bounds = []
     for s, main in enumerate(mains, start=1):
         correction = int(sum(math.comb(n, j) * j ** (s + 1 - j) for j in range(1, s + 1)))
-        eps = stats.sigma_max ** (2 * s) * float(Fraction(correction, n ** (s + 1)))
+        eps = stats.sigma_max ** (2 * s) * (correction / n ** (s + 1))
         bounds.append(main - eps)
     return bounds
 
@@ -191,7 +205,7 @@ def theta_factor(n: int, s: int, K: float, sigma_max: float, sigma_min: float) -
             (K * K * s ** 6)
             / (2.0 * n * sigma_max * sigma_max)
             * ratio_pow
-            * float(Fraction(n ** (s - 1), (n - s) ** (s + 1)))
+            * (n ** (s - 1) / (n - s) ** (s + 1))
         )
     except OverflowError:
         return math.inf
@@ -250,8 +264,7 @@ def odd_moment_bound(n: int, s: int, K: float, sigma_max: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class MomentRow:
+class MomentRow(NamedTuple):
     """One even order of a moment table."""
 
     order: int                      # 2s
@@ -268,15 +281,14 @@ class MomentRow:
         return None if self.upper is None else math.isinf(self.upper)
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     """Moment table plus the metadata needed to reproduce it."""
 
     rows: tuple
     n: Optional[int] = None
     sigma_text: str = ""
     K: Optional[float] = None
-    notes: tuple = field(default_factory=tuple)
+    notes: tuple = ()
 
     def row(self, order: int) -> MomentRow:
         for r in self.rows:

@@ -36,8 +36,7 @@ clearly negative one means they are no moment sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
@@ -75,8 +74,7 @@ class InvalidMomentSequenceError(ValueError):
     """The moments are not those of a positive measure: some b_k < 0."""
 
 
-@dataclass(frozen=True)
-class HankelPencil:
+class HankelPencil(NamedTuple):
     """``nu`` = (1, m_2, m_4, .., m_{2(2 s_bar + 1)}) in mpf, the entries of
     the Hankel matrices, and the recurrence p_{k+1} = (x - a_k) p_k -
     b_k p_{k-1} (b[0] = 0) of its orthogonal polynomials, shorter than
@@ -90,8 +88,7 @@ class HankelPencil:
     condition: float
 
 
-@dataclass(frozen=True)
-class RadiusBound:
+class RadiusBound(NamedTuple):
     """A one-sided bound with its vacuity flag.
 
     For lower bounds ``vacuous`` means the bounded quantity was non-positive
@@ -102,8 +99,7 @@ class RadiusBound:
     vacuous: bool
 
 
-@dataclass(frozen=True)
-class SdpResult:
+class SdpResult(NamedTuple):
     """``beta`` is certified within ``tol`` of the pencil's minimum, and
     ``method_agreement`` is that half-width (= tol).  ``condition_estimate``
     is the pencil's ``condition`` and ``ridge_scale`` is 0: no
@@ -277,8 +273,7 @@ def moment_sandwich(n: int, s: int, moment_value: float) -> Tuple[float, float]:
     return moment_value ** root, (n * moment_value) ** root
 
 
-@dataclass(frozen=True)
-class RadiusOrderRow:
+class RadiusOrderRow(NamedTuple):
     """Finite-n radius bounds at one order s."""
 
     s: int
@@ -288,8 +283,7 @@ class RadiusOrderRow:
     upper_companion: Optional[float]  # (n * moment_lower)^{1/2s}, see moment_sandwich
 
 
-@dataclass(frozen=True)
-class RadiusBoundsReport:
+class RadiusBoundsReport(NamedTuple):
     """Radius bounds per order plus the SDP result.
 
     ``asymptotic_root`` is m_{2s}^{1/2s} at the largest computed order: the

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from datetime import datetime, timezone
+import time
 from typing import Any, Optional
 
 from . import __version__ as LIBRARY_VERSION
@@ -105,8 +105,19 @@ def run_manifest(
         "sigma": sigma_text,
         "seed": seed,
         "version": LIBRARY_VERSION,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "timestamp": _utc_timestamp(time.time_ns()),
     }
+
+
+def _utc_timestamp(time_ns: int) -> str:
+    """``time_ns`` (nanoseconds since the epoch) as
+    ``datetime.fromtimestamp(t, timezone.utc).isoformat()`` writes it in
+    the years 1000-9999: to the microsecond (truncated), with no fraction
+    at microsecond 0.  ``datetime`` would add a millisecond to start-up."""
+    seconds, nanos = divmod(time_ns, 10 ** 9)
+    micros = nanos // 1000
+    fraction = f".{micros:06d}" if micros else ""
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + fraction + "+00:00"
 
 
 def histogram_csv(bin_edges, counts) -> str:

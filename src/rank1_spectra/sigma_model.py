@@ -31,10 +31,9 @@ import heapq
 import math
 import operator
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import repeat
 from types import SimpleNamespace
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 __all__ = [
     "SigmaSpec",
@@ -313,8 +312,7 @@ def _eval_node(node: Node, i, n, ns):
     return _BINARY[op](a, b)
 
 
-@dataclass(frozen=True)
-class SigmaSpec:
+class SigmaSpec(NamedTuple):
     """Declarative description of a positive sequence {sigma_i}.
 
     ``kind`` is one of ``constant`` / ``expression`` / ``explicit``; ``payload``
@@ -328,8 +326,7 @@ class SigmaSpec:
     text: str
 
 
-@dataclass(frozen=True)
-class LimitingAverages:
+class LimitingAverages(NamedTuple):
     """Lambda_1..Lambda_k as mpf numbers good to about ``digits`` digits.
 
     ``levels`` is the quadrature's deepest step halving, ``panels`` the
@@ -351,8 +348,7 @@ class LimitingAverages:
     final_n = property(lambda self: self.nodes)
 
 
-@dataclass(frozen=True)
-class SigmaStats:
+class SigmaStats(NamedTuple):
     """Partial sums and extremes of a finite sigma vector.
 
     ``partial_sums[k-1]`` is S_{n,k} for k = 1..k_max.

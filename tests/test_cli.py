@@ -237,14 +237,17 @@ def test_tolerance_must_be_finite_and_positive(capsys, command, flag, value):
 # records the modules loaded and the BLAS variables once the CLI is imported
 # and its parser built, which modules are loaded after each call, and last,
 # as the detector's control, which are loaded once it imports the oracles,
-# scipy and ``concurrent.futures``.
+# scipy and ``concurrent.futures``.  numpy and the oracles' dataclasses load
+# ``dataclasses``, ``inspect`` and ``datetime``, and ``validation`` loads
+# ``fractions`` and with it ``decimal``.
 _IMPORT_SCRIPT = """
 import json, os, sys
 import rank1_spectra
 
 WATCHED = ("numpy", "scipy", "mpmath", "rank1_spectra.ensemble", "rank1_spectra.validation",
            "rank1_spectra.walk_oracle", "rank1_spectra.combinatorics", "rank1_spectra.moments",
-           "rank1_spectra.reports", "fractions", "concurrent.futures", "logging")
+           "rank1_spectra.reports", "fractions", "concurrent.futures", "logging",
+           "dataclasses", "inspect", "datetime", "decimal")
 
 def loaded():
     return sorted(w for w in WATCHED if any(m == w or m.startswith(w + ".") for m in sys.modules))
@@ -257,7 +260,9 @@ from rank1_spectra import cli
 cli.build_parser()
 report["parser"] = sorted(m for m in sys.modules if m.startswith("rank1_spectra."))
 report["start"] = [loaded(), [os.environ.get(v) for v in rank1_spectra._BLAS_THREAD_VARS]]
-report["runs"] = [[cli.main(argv), loaded()] for argv in json.loads(sys.argv[1])]
+argvs = json.loads(sys.argv[1])
+report["commands"] = [argv[0] for argv in argvs]
+report["runs"] = [[cli.main(argv), loaded()] for argv in argvs]
 import rank1_spectra.validation, scipy.special, concurrent.futures
 report["control"] = loaded()
 print(json.dumps(report))
@@ -367,8 +372,8 @@ def test_each_command_loads_only_its_own_layers(import_runs):
     oracles = {"rank1_spectra.validation", "rank1_spectra.walk_oracle",
                "rank1_spectra.combinatorics"}
     # the moment layers and the stdlib modules that simulate has no use for
-    moment_layers = {"rank1_spectra.moments", "rank1_spectra.reports", "fractions"}
-    unused = moment_layers | {"concurrent.futures", "logging"}
+    moment_layers = {"rank1_spectra.moments", "rank1_spectra.reports"}
+    unused = moment_layers | {"fractions", "decimal", "concurrent.futures", "logging"}
     # the three simulate laws, then moments (expr sigma), whose limiting
     # averages are the first thing here to need mpmath
     for index, (_, mods) in enumerate(monte_carlo["runs"]):
@@ -388,6 +393,27 @@ def test_each_command_loads_only_its_own_layers(import_runs):
     for report in import_runs:
         assert oracles | unused <= set(report["control"])
         assert report["parser"] == ["rank1_spectra.cli"]  # the parser loads no other layer
+
+
+def test_moments_and_radius_load_no_dataclasses_datetime_or_fractions(import_runs):
+    """No ``moments`` or ``radius`` run loads ``dataclasses`` (nor the
+    ``inspect`` it brings), ``datetime``, ``fractions`` or ``decimal``: its
+    records are NamedTuples, the manifest's timestamp comes from
+    ``time.time_ns`` and a float tree series needs no Fraction.  Before
+    the numpy-free runs none of them is loaded at all; in the other
+    interpreter simulate has loaded all but two of them already."""
+    lean = {"dataclasses", "inspect", "datetime", "fractions", "decimal"}
+    checked = 0
+    for report in import_runs:
+        assert not lean & set(report["start"][0])
+        before = set(report["start"][0])
+        for command, (_, mods) in zip(report["commands"], report["runs"]):
+            if command in ("moments", "radius"):
+                assert not lean & (set(mods) - before), command
+                checked += 1
+            before = set(mods)
+        assert lean <= set(report["control"])  # the detector sees each once it is loaded
+    assert checked == 8
 
 
 def test_radius_and_limit_moments_load_no_numpy(import_runs):
@@ -433,6 +459,20 @@ def test_the_version_is_the_one_in_pyproject():
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     assert re.findall(r'(?m)^version = "([^"]*)"$', text) == [rank1_spectra.__version__]
     assert LIBRARY_VERSION is rank1_spectra.__version__
+
+
+@pytest.mark.parametrize("micros", [0, 999999, 123456])
+def test_manifest_timestamp_is_the_isoformat_of_datetime(micros):
+    from datetime import datetime, timezone
+
+    from rank1_spectra.serialize import _utc_timestamp, run_manifest
+
+    for seconds in (0, 951782400, 1760000000, 4102444799):  # 1970, 2000-02-29, 2025, 2099
+        for nanos in (1000 * micros, 1000 * micros + 999):  # nanoseconds truncate
+            expected = datetime.fromtimestamp(seconds, timezone.utc).replace(microsecond=micros)
+            assert _utc_timestamp(seconds * 10 ** 9 + nanos) == expected.isoformat()
+    stamp = run_manifest("radius", [], "const:1", None)["timestamp"]
+    assert datetime.fromisoformat(stamp).tzinfo == timezone.utc
 
 
 @pytest.mark.parametrize("command", ["radius", "moments"])

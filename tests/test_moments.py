@@ -177,6 +177,8 @@ class TestUpperBound:
 
     def test_overflow_returns_inf(self):
         assert moment_upper_bound(40, 30, 1.0, 1.0, 1e-12, 1.0) == math.inf
+        assert theta_factor(50, 40, 1.0, 1.0, 1e-200) == math.inf  # the power ratio overflows
+        assert theta_factor(201, 200, 1.0, 1.0, 1.0) == math.inf  # so does 201^199 / 1
 
     def test_bound_coherence_where_nonvacuous(self):
         # lower <= (1 + theta s) * limit whenever the lower bound is positive
@@ -188,6 +190,25 @@ class TestUpperBound:
                 continue
             upper = moment_upper_bound(n, s, 1.0, 1.0, 1.0, float(CATALANS[s - 1]))
             assert lower <= upper
+
+
+@pytest.mark.parametrize("n_of", [lambda s: s + 1, lambda s: 50, lambda s: 4000,
+                                  lambda s: 10 ** 6], ids=["s+1", "50", "4000", "1e6"])
+def test_integer_ratios_round_as_fractions_do(n_of):
+    # theta's n^(s-1) / (n-s)^(s+1) and the lower bounds' correction over
+    # n^(s+1) are int true divisions, bit for bit float(Fraction(a, b))
+    K, smax, smin = 2.5, 1.7, 0.45
+    for s in range(1, moments.MAX_ORDER + 1):
+        n = n_of(s)
+        if n <= s:
+            continue
+        ratio = float(Fraction(n ** (s - 1), (n - s) ** (s + 1)))
+        expected = (K * K * s ** 6) / (2.0 * n * smax * smax) * (smax / smin) ** (2 * s) * ratio
+        assert theta_factor(n, s, K, smax, smin).hex() == expected.hex()
+        stats = sigma_model.SigmaStats(n, (1.0,) * s, smax, smin)
+        correction = sum(math.comb(n, j) * j ** (s + 1 - j) for j in range(1, s + 1))
+        eps = smax ** (2 * s) * float(Fraction(correction, n ** (s + 1)))
+        assert moments._lower_bounds(stats, s, [0.0] * s)[-1].hex() == (-eps).hex()
 
 
 class TestOddMomentBound:
