@@ -33,6 +33,11 @@ thread per CPU on each solve.  A value set by the user wins, and with any of
 them other than 1, or with numpy loaded first, the trials run on one thread.
 The ``simulate`` manifest records the worker count and the three variables.
 
+``moments`` and ``radius`` tables run at the one scale of ``reports`` and
+so take sigma of any size.  A moment beyond float64's normal range is
+written as null, an empty CSV cell, and then every row of its table carries
+the ``out_of_range`` flag and the power root m_{2s}^{1/2s}, ``limit_root``.
+
 Exit codes: 0 success, 1 when a ``validate`` check fails, 2 usage or parse
 errors, 3 numeric or runtime errors.
 All outputs are UTF-8; floats serialize with 17 significant digits.
@@ -67,13 +72,18 @@ _LAMBDA_TOL_HELP = ("relative tolerance of the test that each Lambda_k has a lim
 
 
 def _moment_rows_payload(report: MomentReport) -> list:
+    # where some limit leaves float64's normal range every row carries the
+    # out_of_range flag and the power root
+    wide = any(r.out_of_range for r in report.rows)
     return [
         {
             "order": r.order,
-            "limit": r.limit,
+            "limit": None if r.out_of_range else r.limit,
             "lower": r.lower,
             "upper": None if r.upper_overflow else r.upper,
-            "flags": {"lower_vacuous": r.lower_vacuous, "upper_overflow": r.upper_overflow},
+            "flags": {"lower_vacuous": r.lower_vacuous, "upper_overflow": r.upper_overflow,
+                      **({"out_of_range": r.out_of_range} if wide else {})},
+            **({"limit_root": r.root} if wide else {}),
         }
         for r in report.rows
     ]
@@ -92,9 +102,12 @@ def _csv_cell(x) -> str:
 
 
 def _moment_csv(report: MomentReport) -> str:
-    lines = ["order,limit,lower,upper,lower_vacuous,upper_overflow"]
+    wide = any(r.out_of_range for r in report.rows)
+    lines = ["order,limit,lower,upper,lower_vacuous,upper_overflow"
+             + (",out_of_range,limit_root" if wide else "")]
     for r in report.rows:
-        cells = (r.order, r.limit, r.lower, r.upper, r.lower_vacuous, r.upper_overflow)
+        cells = (r.order, None if r.out_of_range else r.limit, r.lower, r.upper,
+                 r.lower_vacuous, r.upper_overflow) + ((r.out_of_range, r.root) if wide else ())
         lines.append(",".join(map(_csv_cell, cells)))
     return "\n".join(lines) + "\n"
 

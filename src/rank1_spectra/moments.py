@@ -85,10 +85,12 @@ def _fixed_point_series(phi: list, s_max: int) -> list:
     Scaling: A_k = 2^(a + b k) l_k with integer a, b, so the coefficient of
     w^j in phi^p is 2^(a p + b (j + p)) times that of the l's: every
     product in it has p factors whose indices sum to j + p.  b follows the
-    slope of log2 A_k and a puts l_1 in [1, 2), so that averages of any
-    size, as of const:1000 or 0.0078125*exp(-4*i/n), keep their relative
-    precision.  With mu <= min l_k, every coefficient c of a power of the
-    l's is at least mu: it holds the term l_1^(p-1) l_(j+1).
+    slope of log2 A_k and a puts l_1 in [1, 2).  This is no scale of sigma
+    (the tables have one, in `reports`, and this series is exact under it):
+    it keeps the l_k near 1, and so F short, where the A_k themselves would
+    cost F another (p - 1) log2(1/A_1) bits.  With mu <= min l_k, every
+    coefficient c of a power of the l's is at least mu: it holds the term
+    l_1^(p-1) l_(j+1).
 
     The l_k are held as L_k = floor(l_k 2^F), and each coefficient of the
     next power is the exact sum of its products, shifted down by F bits.
@@ -137,7 +139,7 @@ def _limits(lambdas: Sequence[Number], s_max: int) -> list:
     _check_order(s_max)
     if len(lambdas) < s_max:
         raise ValueError(f"need Lambda_1..Lambda_{s_max}, got {len(lambdas)} entries")
-    if any((not _is_positive(a)) for a in lambdas[:s_max]):
+    if not all(0 < a < math.inf for a in lambdas[:s_max]):
         raise ValueError("Lambda entries must be positive and finite")
     return _tree_series(lambdas, s_max)
 
@@ -150,12 +152,6 @@ def limiting_even_moment(lambdas: Sequence[Number], s: int) -> Number:
     current mp precision for mpf values, float otherwise.
     """
     return _limits(lambdas, s)[-1]
-
-
-def _is_positive(a: Number) -> bool:
-    """0 < a < inf, with exact and mpf values compared as they are: rounded
-    to float, an mpf of 1e348 would read as inf and one of 1e-348 as 0."""
-    return 0 < _exact_or_float(a) < math.inf
 
 
 def _lower_bounds(stats: SigmaStats, s_max: int, mains: Optional[list] = None) -> list:
@@ -264,6 +260,15 @@ def odd_moment_bound(n: int, s: int, K: float, sigma_max: float) -> float:
         return math.inf
 
 
+def _scaled(x: float, e: int) -> float:
+    """x 2^e: exact where that is a normal float, else +-0 or +-inf."""
+    try:
+        y = math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+    return math.copysign(0.0, y) if abs(y) < 2.0 ** -1022 else y
+
+
 class MomentRow(NamedTuple):
     """One even order of a moment table."""
 
@@ -271,6 +276,13 @@ class MomentRow(NamedTuple):
     limit: float                    # m_{2s}
     lower: Optional[float] = None   # finite-n lower bound (raw, may be <= 0)
     upper: Optional[float] = None   # finite-n upper bound (may be +inf)
+    root: Optional[float] = None    # m_{2s}^{1/2s}, finite at any scale
+
+    @property
+    def out_of_range(self) -> bool:
+        """m_{2s} lies outside float64's normal range: ``limit`` holds it as
+        0 or +inf, the row has no bounds, and ``root`` carries its value."""
+        return not 2.0 ** -1022 <= self.limit < math.inf
 
     @property
     def lower_vacuous(self) -> Optional[bool]:

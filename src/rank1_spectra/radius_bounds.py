@@ -42,7 +42,7 @@ from mpmath import mp, mpf
 
 from . import _DEFAULT_SBAR as DEFAULT_SBAR
 from . import _DEFAULT_TOL as DEFAULT_TOL
-from .moments import moment_lower_bound, moment_upper_bound
+from .moments import _scaled, moment_lower_bound, moment_upper_bound
 
 __all__ = [
     "HankelPencil",
@@ -234,11 +234,12 @@ def radius_lower_bound(values: Sequence[float], s: int) -> RadiusBound:
     return _root_bound(moment_lower_bound(values, s), s)
 
 
-def _root_bound(m: float, s: int) -> RadiusBound:
-    """m^{1/2s}, vacuous where m <= 0 (NaN value) or m = +inf (+inf value)."""
+def _root_bound(m: float, s: int, e: int = 0) -> RadiusBound:
+    """m^{1/2s} 2^e, the root of m 4^es, vacuous where m <= 0 (NaN value) or
+    m = +inf (+inf value)."""
     if m <= 0:
         return RadiusBound(value=math.nan, vacuous=True)
-    return RadiusBound(value=m ** (1.0 / (2 * s)), vacuous=math.isinf(m))
+    return RadiusBound(value=_scaled(m ** (1.0 / (2 * s)), e), vacuous=math.isinf(m))
 
 
 def radius_upper_bound(

@@ -7,6 +7,12 @@ no mpmath; every other Lambda_k comes from `limiting_averages` in mpf.  The
 finite-n bounds on E m_{2s} have one builder, `_finite_n_bounds`: the
 moment table's rows report them and the radius table's rows their power
 roots.
+
+Lambda_k is homogeneous in sigma of degree k, m_{2s} of degree 2s and a
+root of degree 1, so the float64 work of both tables runs at one scale,
+sigma / 2^e with e from `_scale`, and each result is scaled back once.
+Scaling by a power of two is exact; a moment that then leaves float64's
+normal range is flagged by its row (`MomentRow.out_of_range`).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from . import _DEFAULT_LAMBDA_TOL as DEFAULT_LAMBDA_TOL
 from . import _DEFAULT_SBAR, _DEFAULT_TOL
-from .moments import (MomentReport, MomentRow, _check_order, _limits, _lower_bounds,
+from .moments import (MomentReport, MomentRow, _check_order, _limits, _lower_bounds, _scaled,
                       moment_upper_bound)
 from .sigma_model import (
     _LIMIT_LEVEL,
@@ -35,6 +41,29 @@ if TYPE_CHECKING:
 __all__ = ["lambda_vector", "moment_table", "radius_table", "DEFAULT_LAMBDA_TOL"]
 
 _FINITE_NOTE = "finite-n averages S_{{n,k}}/n at n={}"
+
+
+def _scale(values: Optional[Sequence[float]], lambdas: Sequence = ()) -> int:
+    """The one scale of a table: the least e with x <= 2^e, x the largest of
+    ``values``, sigma at n, or else Lambda_K^{1/K} for the last of the mpf
+    ``lambdas``, which is at most sigma_max and, as Lambda_k^{1/k} grows
+    with k, puts every Lambda_k 2^-ek at or below 1."""
+    if values is not None:
+        man, e = math.frexp(max(values))
+    else:
+        from mpmath import mp
+
+        man, e = mp.frexp(mp.root(lambdas[-1], len(lambdas)))
+    return e - (man == 0.5)
+
+
+def _check_normal(limits: list, e: int) -> None:
+    """Raise unless each m_{2s} 2^-2es of ``limits`` (s = 1, 2, ..) is a
+    normal float: one that is not shows averages that span more than one
+    float64 scale holds, and would give a false root."""
+    for s, m in enumerate(limits, start=1):
+        if not 2.0 ** -1022 <= m < math.inf:
+            raise ValueError(f"m_{2 * s} leaves float64's range even at the table's scale 2^{e}")
 
 
 def lambda_vector(
@@ -64,13 +93,12 @@ def lambda_vector(
     return la.values, f"tanh-sinh quadrature of the pointwise limit: {work}", la.digits
 
 
-def _finite_n_bounds(stats: SigmaStats, s_top: int, limits: Sequence[float],
-                     K: Optional[float] = None, mains: Optional[list] = None) -> Tuple[list, list]:
+def _finite_n_bounds(stats: SigmaStats, s_top: int, limits: Sequence[float], K: float,
+                     mains: Optional[list] = None) -> Tuple[list, list]:
     """The finite-n bounds on E m_{2s} at n = stats.n, for s = 1..s_top:
     lower from `_lower_bounds` (``mains``, the tree series at S_{n,k}/n, if
     run already), upper (1 + theta s) m_{2s} from `moment_upper_bound` at
-    the limits, with K = sigma_max unless given."""
-    K = stats.sigma_max if K is None else K
+    the limits and K."""
     uppers = [moment_upper_bound(stats.n, s, K, stats.sigma_max, stats.sigma_min, limits[s - 1])
               for s in range(1, s_top + 1)]
     return _lower_bounds(stats, s_top, mains), uppers
@@ -87,44 +115,44 @@ def moment_table(
 
     With ``n`` given the rows of orders s < n carry the finite-n bounds of
     `_finite_n_bounds`; the upper bound takes K = sigma_max unless
-    overridden.  Sigma is evaluated once.  The limits come from one pass of
-    the tree series in float64, and the lower bounds' main terms from one
-    more; an explicit sequence's limits are that series at the same
-    S_{n,k}/n, so one pass gives both, and without ``n`` they are the
-    averages of all its values.  A Lambda_k that leaves float64's range
-    raises ValueError.
+    overridden.  Sigma is evaluated once.  The table runs at the one scale
+    of `_scale`: on sigma 2^-e at n and on Lambda_k 2^-ek.  The limits come
+    from one pass of the tree series in float64, and the lower bounds' main
+    terms from one more; an explicit sequence's limits are that series at
+    the same S_{n,k}/n, so one pass gives both, and without ``n`` they are
+    the averages of all its values.  Each row is scaled back by 4^es.
     """
     explicit = spec.kind == "explicit"
     n_stats = len(spec.payload) if explicit and n is None else n
-    stats = None
-    if n_stats is not None:
+    values = None if n_stats is None else sigma_values(spec, n_stats)
+    if explicit:
+        source, e = _FINITE_NOTE.format(n_stats), _scale(values)
+    else:
+        from mpmath import mp
+
+        lambdas, source, _ = lambda_vector(spec, s_max, lambda_tol)
+        e = _scale(values, lambdas)
+        averages = [float(mp.ldexp(a, -e * k)) for k, a in enumerate(lambdas, start=1)]
+    if values is not None:
         # the lower bounds need S_{n,k} for k < n; an explicit sequence's
         # averages need them up to s_max
-        stats = sigma_stats(sigma_values(spec, n_stats),
+        stats = sigma_stats([math.ldexp(v, -e) for v in values],
                             s_max if explicit else max(1, min(s_max, n_stats - 1)))
-    if explicit:
-        source = _FINITE_NOTE.format(n_stats)
-        limits = _limits([S / n_stats for S in stats.partial_sums], s_max)
-    else:
-        lambdas, source, _ = lambda_vector(spec, s_max, lambda_tol)
-        averages = [float(a) for a in lambdas]
-        for k, x in enumerate(averages, start=1):
-            if not 0 < x < math.inf:
-                raise ValueError(f"Lambda_{k} leaves float64's range, in which moment "
-                                 "tables are computed")
-        limits = _limits(averages, s_max)
+    limits = _limits([S / n_stats for S in stats.partial_sums] if explicit else averages, s_max)
+    _check_normal(limits, e)
     lowers = uppers = ()
     if n is not None:
-        K = stats.sigma_max if K is None else K
+        K = max(values) if K is None else K
         s_low = min(s_max, n - 1)
-        lowers, uppers = _finite_n_bounds(stats, s_low, limits, K,
+        lowers, uppers = _finite_n_bounds(stats, s_low, limits, math.ldexp(K, -e),
                                           limits[:s_low] if explicit else None)
     rows = []
-    for s in range(1, s_max + 1):
-        bounded = s <= len(lowers)
-        rows.append(MomentRow(order=2 * s, limit=float(limits[s - 1]),
-                              lower=lowers[s - 1] if bounded else None,
-                              upper=uppers[s - 1] if bounded else None))
+    for s, m in enumerate(limits, start=1):
+        row = MomentRow(2 * s, _scaled(m, 2 * e * s), root=_scaled(m ** (1 / (2 * s)), e))
+        if s <= len(lowers) and not row.out_of_range:  # bounds share the limit's scale
+            row = row._replace(lower=_scaled(lowers[s - 1], 2 * e * s),
+                               upper=_scaled(uppers[s - 1], 2 * e * s))
+        rows.append(row)
     return MomentReport(rows=tuple(rows), n=n, sigma_text=spec.text, K=K,
                         notes=(f"limiting averages: {source}",))
 
@@ -145,11 +173,12 @@ def radius_table(
     max(2*s_bar + 1, max(orders)) for the SDP, ``asymptotic_root`` and the
     rows' upper bounds; an explicit sequence's S_{n,k}/n are summed exactly,
     as the pencil would amplify float64's rounding past beta's first digit.
-    The SDP and ``asymptotic_root`` stay in mpf, so sigma of any scale whose
-    beta is a float works.  A row at order s is the power roots of the
-    moment bounds of `_finite_n_bounds` at n, whose lower bounds run their
-    own float64 pass: lower (m_low)^{1/2s}, upper (n m_up)^{1/2s} and
-    companion (n m_low)^{1/2s}.
+    The SDP and ``asymptotic_root`` take these mpf moments as they are.  A
+    row at order s is the power roots of the moment bounds of
+    `_finite_n_bounds` at n, whose lower bounds run their own float64 pass:
+    lower (m_low)^{1/2s}, upper (n m_up)^{1/2s} and companion
+    (n m_low)^{1/2s}.  The rows run at the one scale of `_scale`, on sigma
+    2^-e at n and on m_{2s} 2^-2es, and each root is scaled back by 2^e.
     """
     from mpmath import mp, mpf
 
@@ -182,14 +211,18 @@ def radius_table(
 
     rows = []
     if orders:
-        stats = sigma_stats(sigma_values(spec, n), orders[-1])
-        lowers, uppers = _finite_n_bounds(stats, orders[-1], [float(m) for m in series], K)
+        values = sigma_values(spec, n)
+        e = _scale(values)
+        stats = sigma_stats([math.ldexp(v, -e) for v in values], orders[-1])
+        limits = [float(mp.ldexp(m, -2 * e * s)) for s, m in enumerate(series[:orders[-1]], 1)]
+        _check_normal(limits, e)
+        lowers, uppers = _finite_n_bounds(stats, orders[-1], limits,
+                                          math.ldexp(max(values) if K is None else K, -e))
         for s in orders:
-            lower = _root_bound(lowers[s - 1], s)
-            rows.append(RadiusOrderRow(
-                s=s, n=n, lower=lower, upper=_root_bound(n * uppers[s - 1], s),
-                upper_companion=None if lower.vacuous else _root_bound(n * lowers[s - 1], s).value,
-            ))
+            lower = _root_bound(lowers[s - 1], s, e)
+            companion = None if lower.vacuous else _root_bound(n * lowers[s - 1], s, e).value
+            rows.append(RadiusOrderRow(s=s, n=n, lower=lower, upper_companion=companion,
+                                       upper=_root_bound(n * uppers[s - 1], s, e)))
         if any(row.upper.value > 10 * row.upper_companion for row in rows
                if row.upper_companion is not None and not row.upper.vacuous):
             notes.append(

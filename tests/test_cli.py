@@ -65,12 +65,29 @@ def test_moments_of_a_file_without_n_are_its_averages(tmp_path, sigma_file):
     assert all(row["lower"] is not None for row in rows[len(SIGMA)][:len(SIGMA) - 1])
 
 
-def test_moments_name_a_lambda_beyond_float64(tmp_path, capsys):
-    argv = ["moments", "--sigma", "const:1e12", "--max-order", "64",
-            "--out", str(tmp_path / "m.json")]
-    assert cli.main(argv) == cli.NUMERIC_EXIT
-    assert "Lambda_26 leaves float64's range" in capsys.readouterr().err
-    assert not (tmp_path / "m.json").exists()
+def test_moments_name_a_lambda_beyond_float64(tmp_path):
+    # Lambda_26 of const:1e12 is 1e312; the table runs on sigma / 2^40 and
+    # flags each m_2s = C_s 1e24s past float64's range instead of failing
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"m.{fmt}"
+        argv = ["moments", "--sigma", "const:1e12", "--max-order", "64", "--out", str(out),
+                "--format", fmt]
+        assert cli.main(argv) == 0
+        text = out.read_text(encoding="utf-8")
+        if fmt == "json":
+            rows = [{**row, **row.pop("flags")} for row in json.loads(text)["moments"]]
+        else:
+            rows = list(csv.DictReader(text.splitlines()))
+        flagged = [row["out_of_range"] in (True, "true") for row in rows]
+        assert flagged == [s > 12 for s in range(1, 33)]
+        for s, row in enumerate(rows, start=1):
+            catalan = math.comb(2 * s, s) // (s + 1)
+            root = catalan ** (1 / (2 * s)) * 1e12
+            assert float(row["limit_root"]) == pytest.approx(root, rel=1e-15)
+            if s > 12:
+                assert row["limit"] in (None, "")
+            else:
+                assert float(row["limit"]) == pytest.approx(catalan * 1e24 ** s, rel=1e-15)
 
 
 def test_radius_sbar_3(tmp_path):
@@ -82,20 +99,100 @@ def test_radius_sbar_3(tmp_path):
     assert sdp["method_agreement"] <= 10 * sdp["tol"]
 
 
-@pytest.mark.parametrize(
-    "sigma", ["expr:1e-2*exp(-4*i/n)", "expr:0.0078125*exp(-4*i/n)", "const:0.0078125",
-              "const:1000", "const:1e12", "expr:1e-12*exp(-4*i/n)"],
-)
-def test_radius_at_any_sigma_scale(tmp_path, sigma):
+# the scale sweep: c times the exp profile and times a file of 1000 seeded
+# values, ``file:<c>*``; 2^-40 is exact
+_SCALES = {"2^-40": 2.0 ** -40, "1e-12": 1e-12, "1e-5": 1e-5, "1": 1.0, "1e3": 1e3, "1e12": 1e12}
+_SWEEP = (("radius", "--n", "1000", "--orders", "2,5,40"),
+          ("moments", "--n", "1000", "--max-order", "80"), ("moments", "--max-order", "128"))
+
+
+@pytest.fixture(scope="module")
+def scale_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("scales")
+
+
+def _at_scale(sigma, directory):
+    """(spec text, c, spec text at scale 1) of a case of the sweep."""
+    kind, body = sigma.split(":")
+    head, _, profile = body.partition("*")
+    c = _SCALES[head] if head in _SCALES else float(head)
+    if kind == "const":
+        return sigma, c, "const:1"
+    if kind == "expr":
+        return sigma, c, f"expr:{profile}"
+    rng = random.Random(11)
+    values = [rng.uniform(0.5, 2.0) for _ in range(1000)]
+    texts = []
+    for name, factor in ((head, c), ("1", 1.0)):
+        path = directory / f"sigma_{name}.txt"
+        path.write_text("".join(repr(factor * v) + "\n" for v in values), encoding="utf-8")
+        texts.append(f"file:{path}")
+    return texts[0], c, texts[1]
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep(sigma, directory):
+    """The JSON payloads of the commands of _SWEEP at ``sigma``."""
+    payloads, name = [], re.sub(r"\W", "_", sigma)
+    for k, command in enumerate(_SWEEP):
+        out = directory / f"{name}_{k}.json"
+        assert cli.main([command[0], "--sigma", sigma, *command[1:], "--out", str(out)]) == 0
+        payloads.append(json.loads(out.read_text(encoding="utf-8")))
+    return payloads
+
+
+def _scales_by(got, want, c, tol):
+    """got == c * want, to the relative ``tol`` (0: to the bit), with
+    c * want in mpf; where c * want is beyond float64's range, got is None."""
+    from mpmath import mp, mpf
+
+    if want is None:
+        return got is None
+    with mp.workprec(113):
+        scaled = mpf(c) * want
+        if abs(scaled) > sys.float_info.max:
+            return got is None
+        return got is not None and abs(got - scaled) <= tol * abs(scaled)
+
+
+@pytest.mark.parametrize("sigma", list(dict.fromkeys([
+    "expr:1e-2*exp(-4*i/n)", "expr:0.0078125*exp(-4*i/n)", "const:0.0078125",
+    "const:1000", "const:1e12", "expr:1e-12*exp(-4*i/n)",
+    *(f"expr:{c}*exp(-4*i/n)" for c in _SCALES), *(f"file:{c}*" for c in _SCALES)])))
+def test_radius_at_any_sigma_scale(scale_dir, sigma):
     # small sigma used to fail Cholesky's absolute pivot test ("not a valid
     # moment sequence"), const:1000 mp.inverse ("numerically singular");
-    # at 1e12 and 1e-12, Lambda_29 rounded to float read as inf and 0
-    out = tmp_path / "radius.json"
-    assert cli.main(["radius", "--sigma", sigma, "--out", str(out)]) == 0
-    sdp = json.loads(out.read_text(encoding="utf-8"))["radius"]["sdp"]
-    scale = float(sigma.split(":")[1].split("*")[0])
-    assert 0.0 < sdp["beta"] <= 4.0 * scale ** 2
+    # at 1e12 and 1e-12, Lambda_29 rounded to float read as inf and 0; and
+    # the moments of 1e-5 sigma read 0 from order 64 on, with no flag
+    text, c, one = _at_scale(sigma, scale_dir)
+    radius, moments, limits = _sweep(text, scale_dir)
+    sdp = radius["radius"]["sdp"]
+    assert 0.0 < sdp["beta"] <= 4.0 * (2 * c if text.startswith("file:") else c) ** 2
     assert math.isfinite(sdp["condition_estimate"])
+    # every root is c times the root at scale 1, to the bit at 2^-40 and
+    # else to 1e-15, every moment c^2s times the moment at scale 1, to
+    # 2s 1e-15 as c sigma rounds each sigma, or flagged with its root
+    from mpmath import mpf
+
+    tol = 0 if c == 2.0 ** -40 else 1e-15
+    base = _sweep(one, scale_dir)
+    assert _scales_by(sdp["sqrt_beta"], base[0]["radius"]["sdp"]["sqrt_beta"], c, tol)
+    assert _scales_by(radius["radius"]["asymptotic_root"], base[0]["radius"]["asymptotic_root"],
+                      c, tol)
+    for row, want in zip(radius["radius"]["orders"], base[0]["radius"]["orders"], strict=True):
+        for key in ("lower", "upper", "upper_companion"):
+            assert _scales_by(row[key], want[key], c, tol), (row, want)
+    for got, want in ((moments, base[1]), (limits, base[2])):
+        for row, ref in zip(got["moments"], want["moments"], strict=True):
+            s = row["order"] // 2
+            if row["flags"].get("out_of_range"):
+                assert row["limit"] is None
+                assert _scales_by(row["limit_root"], ref["limit"] ** (1 / (2 * s)), c, 1e-15)
+                continue
+            assert row["limit"] >= 2.0 ** -1022
+            for key in ("limit", "lower", "upper"):
+                scale = mpf(c) ** (2 * s)
+                assert _scales_by(row[key], ref[key], scale, 2 * s * tol), (key, row, ref)
 
 
 def test_simulate_histogram_counts_every_eigenvalue(tmp_path):

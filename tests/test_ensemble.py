@@ -124,6 +124,7 @@ class TestSampling:
         vals = np.array([sample_matrix(cfg, t)[0, 1] * math.sqrt(2) for t in range(4000)])
         assert np.max(np.abs(vals)) <= math.sqrt(3 * 0.125) + 1e-12
         se = np.std(vals ** 2, ddof=1) / math.sqrt(vals.size)
+        # false alarm per seed: |t| > 3 on 3999 degrees of freedom, about 2.7e-3
         assert abs(np.mean(vals ** 2) - 0.125) < 3 * se
 
     def test_truncated_gaussian_bounded_and_variance(self):
@@ -140,6 +141,7 @@ class TestSampling:
             assert np.max(np.abs(vals)) <= K + 1e-9
             target = sigma[0] * sigma[1]
             se = np.std(vals ** 2, ddof=1) / math.sqrt(vals.size)
+            # false alarm per seed: |t| > 4 on 1499 degrees of freedom, about 6.6e-5 a case
             assert abs(np.mean(vals ** 2) - target) < 4 * se
 
     def test_truncated_gaussian_underflowing_variance(self):
@@ -178,6 +180,7 @@ class TestSampling:
         for power, target in ((2, sigma * sigma), (4, (bound / c) ** 4 * fourth)):
             x = a ** power
             se = np.std(x, ddof=1) / math.sqrt(x.size)
+            # false alarm per seed: |t| > 4 on 40199 degrees of freedom, about 6.3e-5 a power
             assert abs(np.mean(x) - target) < 4 * se
 
     def test_bound_feasibility_errors(self):
@@ -452,12 +455,15 @@ class TestMonteCarlo:
     def test_semicircle_second_moment(self):
         cfg = EnsembleConfig(n=600, sigma=ones_spec(), seed=606)
         mc = monte_carlo(cfg, trials=30, k_max=2)
+        # rademacher m_2 is 1 but for eigensolver rounding, which this gates: if that
+        # rounding is unbiased, |t| > 3 on 29 degrees of freedom, about 5.5e-3 per seed
         assert abs(mc.moment_means[1] - 1.0) < 3.0 * mc.moment_stderrs[1]
 
     def test_odd_moments_are_noise(self):
         cfg = EnsembleConfig(n=80, sigma=parse_sigma_spec(EXP_SPEC), seed=44)
         mc = monte_carlo(cfg, trials=60, k_max=5)
         for k in (1, 3, 5):
+            # false alarm per seed: |t| > 4 on 59 degrees of freedom, about 1.8e-4 an order
             assert abs(mc.moment_means[k - 1]) < 4.0 * mc.moment_stderrs[k - 1]
 
     def test_pooled_eigenvalues(self):

@@ -227,6 +227,7 @@ class TestOddMomentBound:
         spec = parse_sigma_spec(EXP_SPEC)
         cfg = EnsembleConfig(n=500, sigma=spec, seed=314159)
         mc = monte_carlo(cfg, trials=24, k_max=3)
+        # false alarm per seed: |t| > 3 on 23 degrees of freedom, about 6.4e-3
         assert abs(mc.moment_means[2]) < 3.0 * mc.moment_stderrs[2]
 
 
@@ -241,6 +242,18 @@ def test_report_builder_attaches_bounds_and_flags():
     assert row.lower_vacuous == (row.lower <= 0)
     with pytest.raises(KeyError):
         report.row(12)
+
+
+def test_a_moment_beyond_the_one_scale_is_an_error():
+    # a file of 1.0 and 199999 values 1e-300 has m_128 below float64's normal
+    # range at its scale, 2^0, where the series itself underflows: the table
+    # names the order instead of writing a subnormal limit or a root of 0
+    from rank1_spectra.reports import _check_normal
+
+    _check_normal([1.0, 2.0 ** -1022], 3)
+    for bad in (0.0, 2.0 ** -1030, math.inf):
+        with pytest.raises(ValueError, match=r"m_4 leaves float64's range even at .* 2\^3$"):
+            _check_normal([1.0, bad], 3)
 
 
 def per_order_series(averages, s):

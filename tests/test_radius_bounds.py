@@ -479,10 +479,13 @@ def test_radius_table_orders_evaluate_sigma_once(tmp_path, monkeypatch):
     assert evaluations == [4000]  # no rows, no evaluation
     monkeypatch.undo()
 
-    # each row is what the per-order bounds give, at the limit of the exact
-    # averages correctly rounded
-    n, smax, smin = 4000, float(values.max()), float(values.min())
-    ratios = [float(v).as_integer_ratio() for v in values]
+    # each row is what the per-order bounds give at the table's one scale,
+    # sigma / 2^e with the largest sigma in [1/2, 1), scaled back by 2^e, at
+    # the limit of the exact averages correctly rounded
+    e = math.frexp(float(values.max()))[1]
+    values = [math.ldexp(float(v), -e) for v in values]
+    n, smax, smin = 4000, max(values), min(values)
+    ratios = [v.as_integer_ratio() for v in values]
     den = max(d for _, d in ratios)  # a power of 2, so every v_i is an integer over it
     ints = [m * (den // d) for m, d in ratios]
     powers, lams = ints, []
@@ -494,7 +497,9 @@ def test_radius_table_orders_evaluate_sigma_once(tmp_path, monkeypatch):
         lower = radius_lower_bound(values, s)
         with mp.workdps(60):
             limit = float(limiting_even_moment(lams[:s], s))
+        upper = radius_upper_bound(n, s, smax, smax, smin, limit)
         assert row.s == s
-        assert row.lower == lower
-        assert row.upper == radius_upper_bound(n, s, smax, smax, smin, limit)
-        assert row.upper_companion == moment_sandwich(n, s, moment_lower_bound(values, s))[1]
+        assert row.lower == lower._replace(value=math.ldexp(lower.value, e))
+        assert row.upper == upper._replace(value=math.ldexp(upper.value, e))
+        companion = moment_sandwich(n, s, moment_lower_bound(values, s))[1]
+        assert row.upper_companion == math.ldexp(companion, e)
