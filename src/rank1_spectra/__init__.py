@@ -11,7 +11,10 @@ simulation and two brute-force enumeration oracles.
 Names load on first use: ``import rank1_spectra`` imports no submodule, and
 reading a public name imports the one submodule that defines it (PEP 562), so
 a caller pays only for the layers it touches; mpmath, for one, loads with
-``radius_bounds`` or for limiting averages.
+``radius_bounds`` or for limiting averages.  ``limiting_averages`` is read
+from ``quadrature``, the module that defines it, and the sigma expression
+language (``expression``) exports no public name, so reading a name of
+``sigma_model`` compiles neither.
 
 numpy loads only with the Monte Carlo layer (``ensemble``) and the
 validation battery (``validation``).  Every other layer, from the sigma spec
@@ -121,6 +124,7 @@ _MODULE_EXPORTS = {
         "radius_upper_bound",
         "sdp_lower_bound",
     ),
+    "quadrature": ("limiting_averages",),
     "reports": ("lambda_vector", "moment_table", "radius_table"),
     "sigma_model": (
         "LimitingAverages",
@@ -129,7 +133,6 @@ _MODULE_EXPORTS = {
         "SigmaSpec",
         "SigmaStats",
         "SpecSyntaxError",
-        "limiting_averages",
         "parse_sigma_spec",
         "sigma_stats",
         "sigma_values",

@@ -6,11 +6,14 @@ package ``__init__``, so importing it and building the parser loads
 argparse and nothing else of the package, and each handler, and ``main``
 for the exceptions it maps to exit codes, imports what it uses when it
 runs.  So ``simulate`` never loads the moment layers (``moments`` and
-``reports``), ``moments`` never loads the Monte Carlo layer, nor mpmath
-for a ``file:`` sigma, whose S_{n,k}/n it sums in float64 (``radius``
-sums them exactly in mpf), and only ``validate`` loads the enumeration
-oracles.  numpy loads only with the Monte Carlo layer, for ``simulate``
-and ``validate``.  ``moments`` and ``radius`` run on Python floats, exact
+``reports``), ``moments`` never loads the Monte Carlo layer, and only
+``validate`` loads the enumeration oracles.  A ``file:`` sigma needs
+neither the expression language (``expression``) nor the quadrature of
+the limiting averages (``quadrature``): ``moments`` sums its S_{n,k}/n in
+float64 and loads neither, nor mpmath (``radius`` sums them exactly in
+mpf), and ``simulate`` of a constant or ``file:`` sigma loads neither.
+numpy loads only with the Monte Carlo layer, for ``simulate`` and
+``validate``.  ``moments`` and ``radius`` run on Python floats, exact
 ints and mpf, sigma at n points and its partial sums included, and never
 load it, which saves its import, most of their start-up.  Nor do they
 load ``dataclasses`` (with ``inspect``, ``ast``, ``dis`` and

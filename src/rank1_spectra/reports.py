@@ -3,10 +3,11 @@
 ``radius_table`` imports ``radius_bounds`` (and so mpmath) when called, so
 building a moment table never loads the SDP layer.  A moment table of an
 explicit sequence takes S_{n,k}/n in float64 from `sigma_stats` and loads
-no mpmath; every other Lambda_k comes from `limiting_averages` in mpf.  The
-finite-n bounds on E m_{2s} have one builder, `_finite_n_bounds`: the
-moment table's rows report them and the radius table's rows their power
-roots.
+neither mpmath nor ``quadrature``; every other Lambda_k comes from
+`limiting_averages` in mpf, which `lambda_vector` imports from
+``quadrature`` when called.  The finite-n bounds on E m_{2s} have one
+builder, `_finite_n_bounds`: the moment table's rows report them and the
+radius table's rows their power roots.
 
 Lambda_k is homogeneous in sigma of degree k, m_{2s} of degree 2s and a
 root of degree 1, so the float64 work of both tables runs at one scale,
@@ -24,16 +25,8 @@ from . import _DEFAULT_LAMBDA_TOL as DEFAULT_LAMBDA_TOL
 from . import _DEFAULT_SBAR, _DEFAULT_TOL
 from .moments import (MomentReport, MomentRow, _check_order, _limits, _lower_bounds, _scaled,
                       moment_upper_bound)
-from .sigma_model import (
-    _LIMIT_LEVEL,
-    DEFAULT_DIGITS,
-    NoLimitError,
-    SigmaSpec,
-    SigmaStats,
-    limiting_averages,
-    sigma_stats,
-    sigma_values,
-)
+from .sigma_model import (DEFAULT_DIGITS, NoLimitError, SigmaSpec, SigmaStats, sigma_stats,
+                          sigma_values)
 
 if TYPE_CHECKING:
     from .radius_bounds import RadiusBoundsReport
@@ -78,6 +71,8 @@ def lambda_vector(
     names n; for an expression it names the quadrature's work, and one that
     fails the limit test or ``tol`` raises NoLimitError.
     """
+    from .quadrature import _LIMIT_LEVEL, limiting_averages
+
     la = limiting_averages(spec, k_max, tol, digits, n)
     if spec.kind == "explicit":
         return la.values, _FINITE_NOTE.format(len(spec.payload) if n is None else n), la.digits

@@ -35,7 +35,7 @@ from .ensemble import (EnsembleConfig, _histogram, eigenvalues, empirical_moment
 from .moments import _limits, limiting_even_moment, moment_lower_bound
 from .radius_bounds import HankelPencil, _digits, build_pencil, sdp_lower_bound
 from .reports import radius_table
-from .sigma_model import limiting_averages, parse_sigma_spec, sigma_values
+from .sigma_model import parse_sigma_spec, sigma_values
 from .walk_oracle import EntryMomentModel, exact_expected_moment
 
 Check = Tuple[bool, str]
@@ -155,6 +155,8 @@ def _explicit_spec(values):
 def check_lambda_quadrature(deep: bool) -> Check:
     """The quadrature's Lambda_1..Lambda_29 for the exp profile match the
     closed form (1 - e^{-4k})/(4k) to 1e-40 relative at 50 digits."""
+    from .quadrature import limiting_averages
+
     la = limiting_averages(parse_sigma_spec(EXP_SPEC), 29, 1e-8, digits=50)
     with mp.workdps(60):
         worst = max(abs(v * 4 * k / (1 - mp.exp(-4 * k)) - 1) for k, v in enumerate(la.values, 1))

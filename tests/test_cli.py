@@ -343,8 +343,9 @@ import rank1_spectra
 
 WATCHED = ("numpy", "scipy", "mpmath", "rank1_spectra.ensemble", "rank1_spectra.validation",
            "rank1_spectra.walk_oracle", "rank1_spectra.combinatorics", "rank1_spectra.moments",
-           "rank1_spectra.reports", "fractions", "concurrent.futures", "logging",
-           "dataclasses", "inspect", "datetime", "decimal")
+           "rank1_spectra.reports", "rank1_spectra.expression", "rank1_spectra.quadrature",
+           "fractions", "concurrent.futures", "logging", "dataclasses", "inspect", "datetime",
+           "decimal")
 
 def loaded():
     return sorted(w for w in WATCHED if any(m == w or m.startswith(w + ".") for m in sys.modules))
@@ -377,7 +378,7 @@ PUBLIC_NAMES = [
     "exact_expected_moment", "lambda_vector",
     "limiting_averages", "limiting_even_moment", "moment_lower_bound", "moment_sandwich",
     "moment_table", "moment_upper_bound", "moments", "monte_carlo", "multinomial",
-    "odd_moment_bound", "parse_sigma_spec", "radius_bounds", "radius_lower_bound",
+    "odd_moment_bound", "parse_sigma_spec", "quadrature", "radius_bounds", "radius_lower_bound",
     "radius_table", "radius_upper_bound", "reports", "sample_matrix", "sdp_lower_bound",
     "sigma_model", "sigma_stats", "sigma_values", "theta_factor",
     "tree_count", "walk_oracle",
@@ -490,6 +491,22 @@ def test_each_command_loads_only_its_own_layers(import_runs):
     for report in import_runs:
         assert oracles | unused <= set(report["control"])
         assert report["parser"] == ["rank1_spectra.cli"]  # the parser loads no other layer
+
+
+def test_only_commands_that_need_them_compile_the_expression_and_quadrature(import_runs):
+    """``moments`` of a ``file:`` sigma takes its averages S_{n,k}/n in
+    float64, and ``simulate`` of a constant evaluates no expression and no
+    limit: neither loads the expression language nor the quadrature.
+    ``radius`` and ``moments`` of an expression load both."""
+    monte_carlo, numpy_free = import_runs
+    split = {"rank1_spectra.expression", "rank1_spectra.quadrature"}
+    runs = {("simulate", "const"): monte_carlo["runs"][:3],
+            ("moments", "file"): numpy_free["runs"][:1],
+            ("moments", "expr"): [monte_carlo["runs"][3], *numpy_free["runs"][5:]],
+            ("radius", "expr"): numpy_free["runs"][2:3]}
+    for (command, sigma), chosen in runs.items():
+        for _, mods in chosen:
+            assert split & set(mods) == (split if sigma == "expr" else set()), (command, sigma)
 
 
 def test_moments_and_radius_load_no_dataclasses_datetime_or_fractions(import_runs):

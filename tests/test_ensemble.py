@@ -459,6 +459,34 @@ class TestMonteCarlo:
         # rounding is unbiased, |t| > 3 on 29 degrees of freedom, about 5.5e-3 per seed
         assert abs(mc.moment_means[1] - 1.0) < 3.0 * mc.moment_stderrs[1]
 
+    @pytest.mark.parametrize("dist", ["uniform", "truncated_gaussian"])
+    def test_second_moment_within_its_known_variance(self, dist):
+        # m_2 = tr(A^2)/n = n^-2 [sum_i a_ii^2 + 2 sum_{i<j} a_ij^2]: mean
+        # (sum sigma / n)^2 and variance n^-4 [sum_i Var a_ii^2 + 4 sum_{i<j}
+        # Var a_ij^2], with Var a^2 = (4/5) (sigma_i sigma_j)^2 for uniform
+        # (E a^4 = (9/5) (sigma_i sigma_j)^2) and (K/c)^4 (E Z^4 - (E Z^2)^2)
+        # for the truncated gaussian, at the plan's half-widths c.  m_2 sums
+        # 20100 independent entries, so its trial mean is gaussian to far past
+        # the gate: |z| > 4 fires on about 6.3e-5 of seeds, per law.  Seed,
+        # n and trials were fixed before any outcome was seen.
+        n, trials = 200, 40
+        cfg = EnsembleConfig(n=n, sigma=parse_sigma_spec(EXP_SPEC), distribution=dist, seed=2024)
+        mc = monte_carlo(cfg, trials=trials, k_max=2)
+        sigma = np.array(sigma_values(cfg.sigma, n))
+        mask, coeffs = ensemble._plan(cfg)
+        rows, cols = np.nonzero(mask)  # the plan's entries, in its order
+        s = sigma[rows] * sigma[cols]
+        if dist == "uniform":
+            var = 0.8 * s * s
+        else:
+            c, scale = coeffs
+            distinct, entry = np.unique(c, return_inverse=True)
+            second, fourth = np.array([truncated_moments(x) for x in distinct.tolist()]).T
+            var = scale ** 4 * (fourth - second * second)[entry]
+        var_m2 = np.sum(np.where(rows == cols, 1.0, 4.0) * var) / n ** 4
+        z = (mc.moment_means[1] - (sigma.sum() / n) ** 2) / math.sqrt(var_m2 / trials)
+        assert abs(z) < 4.0, z
+
     def test_odd_moments_are_noise(self):
         cfg = EnsembleConfig(n=80, sigma=parse_sigma_spec(EXP_SPEC), seed=44)
         mc = monte_carlo(cfg, trials=60, k_max=5)

@@ -6,7 +6,7 @@ import pytest
 
 from rank1_spectra.combinatorics import catalan, degree_profile_of, enumerate_plane_trees
 from rank1_spectra.ensemble import EnsembleConfig, monte_carlo
-from rank1_spectra import moments, reports, sigma_model
+from rank1_spectra import moments, quadrature, reports, sigma_model
 from rank1_spectra.moments import (
     _tree_series,
     limiting_even_moment,
@@ -382,7 +382,7 @@ class TestFixedPointSeries:
                 values = np.random.default_rng(3).uniform(0.5, 2.0, 500)
                 path = tmp_path / "sigma.txt"
                 path.write_text("".join(repr(float(v)) + "\n" for v in values), encoding="utf-8")
-                averages = list(sigma_model.limiting_averages(
+                averages = list(quadrature.limiting_averages(
                     parse_sigma_spec(f"file:{path}"), k_max, 1e-8, mp.dps).values)
             prec = mp.prec
             got = _tree_series(averages, k_max)

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -6,17 +7,14 @@ import pytest
 from mpmath import mp
 from scipy.integrate import quad
 
-from rank1_spectra import sigma_model
+from rank1_spectra import expression, quadrature
+from rank1_spectra.quadrature import _LIMIT_LEVEL, _MAX_LEVEL, _MAX_NODES, limiting_averages
 from rank1_spectra.reports import lambda_vector, moment_table
 from rank1_spectra.sigma_model import (
-    _LIMIT_LEVEL,
-    _MAX_LEVEL,
-    _MAX_NODES,
     NoLimitError,
     SigmaDomainError,
     SigmaSpec,
     SpecSyntaxError,
-    limiting_averages,
     parse_sigma_spec,
     sigma_stats,
     sigma_values,
@@ -248,7 +246,7 @@ class TestLimitingAverages:
         values = rng.uniform(0.03, 2.7, 40).tolist() + [3.0000000003, 3.0000000009]
         with mp.workdps(digits):
             values = [v / 3 for v in values[:20]] + [mp.mpf(v) / 3 for v in values[20:]]
-            got = sigma_model._weighted_power_sums(weights, values, k_max)
+            got = quadrature._weighted_power_sums(weights, values, k_max)
             for k, sum_k in enumerate(got, start=1):
                 exact = sum(_fraction(w) * _fraction(v) ** k for w, v in zip(weights, values))
                 dyadic = (exact.numerator, 1 - exact.denominator.bit_length())
@@ -265,7 +263,7 @@ class TestLimitingAverages:
         def no_nodes(*args):
             raise AssertionError("quadrature ran")
 
-        monkeypatch.setattr(sigma_model, "_ladder_averages", no_nodes)
+        monkeypatch.setattr(quadrature, "_ladder_averages", no_nodes)
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             limiting_averages(parse_sigma_spec(EXP_SPEC), 2, tol)
 
@@ -391,6 +389,31 @@ class TestExtrapolatedLadder:
             for k, v in enumerate(la.values, 1):
                 assert abs(v * 1000 * k / (1 - mp.exp(-1000 * k)) - 1) <= 1e-28
 
+    def test_steep_profile_fails_in_bounded_time(self):
+        # exp(-1e6 x) spans 1.4 million binades on [0, 1], so at k = 16 the
+        # nodes' v^k span 2.3e7 bits; aligning every group's sum took 9 s,
+        # and minutes at k = 64, before the negligible ones were dropped
+        # (about 0.6 s now); the quadrature still stops short of any digit
+        start = time.perf_counter()
+        la = limiting_averages(parse_sigma_spec("expr:exp(-1e6*i/n)"), 16, 1e-8)
+        assert time.perf_counter() - start < 5.0
+        assert not any(la.converged) and la.digits == 0
+
+    def test_power_sums_keep_their_bound_where_groups_are_dropped(self):
+        # two nodes, 1 and 2^-g, around the cut at guard + 2 bits below the
+        # largest group's sum and far past it: each sum stays within
+        # 2^-(prec + 10) of the exact sum before its one rounding
+        with mp.workdps(30):
+            guard = mp.prec + 12 + (2 * 3).bit_length()
+            for g in (guard - 2, guard + 1, guard + 3, 4000):
+                values = [mp.mpf(1), mp.mpf(2) ** -g]
+                got = quadrature._weighted_power_sums([1, 1], values, 3)
+                for k, sum_k in enumerate(got, start=1):
+                    exact = 1 + Fraction(1, 2 ** (g * k))
+                    bound = (2 ** -mp.prec + 2 ** -(mp.prec + 10)) * exact
+                    assert abs(_fraction(sum_k) - exact) <= bound
+            assert got == [1, 1, 1]
+
     def test_kinked_profile_gets_its_moments(self):
         # m_2 = Lambda_1^2 and m_4 = 2 Lambda_1^2 Lambda_2, as the float ladder gave them
         report = moment_table(parse_sigma_spec("expr:1+((i/n-0.5)^2)^0.5"), 2)
@@ -421,7 +444,7 @@ class TestExtrapolatedLadder:
 
 
 class TestMidpointGrid:
-    """`sigma_model._midpoint_grid` and `_panel_sums`, the float check of
+    """`quadrature._midpoint_grid` and `_panel_sums`, the float check of
     settled panels, in plain Python: numpy's formula over the same sigma
     values, bit for bit."""
 
@@ -435,8 +458,8 @@ class TestMidpointGrid:
     ], ids=["exp", "kink", "bump"])
     def test_grid_is_the_numpy_formula(self, spec, sigma):
         tree, N, k_max = parse_sigma_spec(spec).payload, self.N, 29
-        grid = sigma_model._midpoint_grid(tree, N)
-        for f_grid, cells in zip(grid, (sigma_model._CELLS, sigma_model._CELLS // 2)):
+        grid = quadrature._midpoint_grid(tree, N)
+        for f_grid, cells in zip(grid, (quadrature._CELLS, quadrature._CELLS // 2)):
             x = (np.arange(cells) + 0.5) / cells
             f = [sigma(i, N) for i in (x * N).tolist()]
             # a panel at the left end and one inside: [0, 1] and [1/4, 1/2]
@@ -446,27 +469,27 @@ class TestMidpointGrid:
                 powers = np.cumprod(np.broadcast_to(np.array(f[lo:hi]), (k_max, hi - lo)),
                                     axis=0) / cells
                 want = np.cumsum(powers, axis=1)[:, -1]
-                got = sigma_model._panel_sums(f_grid[lo:hi], k_max, cells)
+                got = quadrature._panel_sums(f_grid[lo:hi], k_max, cells)
                 assert np.array_equal(np.array(got), want)
             # numpy's own exp and power may be SIMD builds that differ from
             # the C library's in the last bit
             with np.errstate(all="ignore"):
                 np.testing.assert_array_max_ulp(
-                    np.array(f), sigma_model._eval_node(tree, x * N, N, np), maxulp=1)
+                    np.array(f), expression._eval_node(tree, x * N, N, np), maxulp=1)
 
     def test_negative_sigma_raises(self):
         tree = parse_sigma_spec("expr:1-2*exp(0-((i/n-1/3)^2)*1e6)").payload
         with pytest.raises(SigmaDomainError, match="no finite positive value at i/n = 0.33"):
-            sigma_model._midpoint_grid(tree, self.N)
+            quadrature._midpoint_grid(tree, self.N)
 
     def test_overflow_gives_no_grid(self):
         # exp(i) overflows at every point: no panel is checked, and no
         # OverflowError; an estimate of 1 fails the check on exp(-4 i/n)
         estimate, scale = [mp.mpf(1)] * 3, [1.0] * 3
         for spec, checked in (("expr:exp(i)", False), ("expr:exp(-4*i/n)", True)):
-            grid = sigma_model._midpoint_grid(parse_sigma_spec(spec).payload, self.N)
+            grid = quadrature._midpoint_grid(parse_sigma_spec(spec).payload, self.N)
             for p, q in ((0, 1), (0.25, 0.5)):
-                gaps = sigma_model._unseen(grid, p, q, estimate, scale)
+                gaps = quadrature._unseen(grid, p, q, estimate, scale)
                 assert (gaps is not None) is checked
 
     @pytest.mark.parametrize("expr", [
@@ -478,10 +501,10 @@ class TestMidpointGrid:
         # -inf for log(0), where math raises or Python gives complex numbers
         tree = parse_sigma_spec(f"expr:{expr}").payload
         i = [0.0, 0.25, 0.5, 1.0, 2.0]
-        got = np.array(sigma_model._eval_node(tree, sigma_model._Floats(i), 1.0,
-                                              sigma_model._FLOAT))
+        got = np.array(expression._eval_node(tree, expression._Floats(i), 1.0,
+                                             expression._FLOAT))
         with np.errstate(all="ignore"):
-            want = sigma_model._eval_node(tree, np.array(i), 1.0, np)
+            want = expression._eval_node(tree, np.array(i), 1.0, np)
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
         np.testing.assert_array_equal(got[np.isinf(got)], want[np.isinf(got)])
         np.testing.assert_allclose(got[np.isfinite(got)], want[np.isfinite(got)], rtol=1e-15)
