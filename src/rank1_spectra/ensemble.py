@@ -396,7 +396,6 @@ class MonteCarloResult:
     (trials, k_max) and is ordered by trial index.
     """
 
-    config: EnsembleConfig
     trials: int
     k_max: int
     moment_means: np.ndarray
@@ -407,7 +406,6 @@ class MonteCarloResult:
     radius_stderr: Optional[float]
     radius_min: float
     radius_max: float
-    seeds: Tuple[int, ...]
     pooled_eigenvalues: Optional[np.ndarray] = None
     workers: int = 1
 
@@ -535,7 +533,6 @@ def monte_carlo(
         stderrs = None
         radius_stderr = None
     return MonteCarloResult(
-        config=config,
         trials=trials,
         k_max=k_max,
         moment_means=means,
@@ -546,7 +543,6 @@ def monte_carlo(
         radius_stderr=radius_stderr,
         radius_min=float(radii.min()),
         radius_max=float(radii.max()),
-        seeds=tuple(derive_trial_seed(config.seed, t) for t in range(trials)),
         pooled_eigenvalues=pooled.reshape(-1) if pooled is not None else None,
         workers=workers,
     )

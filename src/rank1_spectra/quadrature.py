@@ -8,7 +8,8 @@ are those of tanh-sinh quadrature (Takahasi-Mori 1974) of its pointwise
 limit, Lambda_k = int_{1/N}^1 f(xN, N)^k dx at a huge N.  The same sums at
 10^10 N on a coarse level test that the limit exists (1 + log(i) fails at
 once), and a panel across which the quadrature stalls, as at a kink, is
-halved.  The functions here import mpmath when they run.
+halved.  The functions here import mpmath, and those that evaluate an
+expression the expression language, when they run.
 
 `reports.lambda_vector` and `validation` import this module when they run,
 so a command that needs no mpf average, ``moments --sigma file:`` with its
@@ -20,13 +21,14 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import operator
 from collections import Counter, defaultdict
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
-from .expression import _FLOAT, Node, _eval_node, _Floats
 from .sigma_model import (DEFAULT_DIGITS, LimitingAverages, SigmaDomainError, SigmaSpec,
-                          _check_length)
+                          _check_length, _power_sums)
+
+if TYPE_CHECKING:
+    from .expression import Node
 
 __all__ = ["limiting_averages"]
 
@@ -122,6 +124,8 @@ def _midpoint_grid(tree: Node, N: float) -> tuple:
     """f(xN, N) at the midpoints x of _CELLS and of _CELLS / 2 equal cells
     of [0, 1], as two float64 sequences for `_unseen`.  A point where sigma
     is negative raises; one that underflows to 0 is fine."""
+    from .expression import _FLOAT, _eval_node, _Floats
+
     grid = []
     for cells in (_CELLS, _CELLS // 2):
         x = [(j + 0.5) / cells for j in range(cells)]
@@ -134,34 +138,20 @@ def _midpoint_grid(tree: Node, N: float) -> tuple:
     return tuple(grid)
 
 
-def _panel_sums(f: Sequence[float], k_max: int, cells: int) -> list:
-    """The midpoint sums of f^k / cells over the cells of ``f``, k = 1..k_max.
-    Each f^k is the product of f^(k-1) and f; its terms are summed left to
-    right, on every Python, and the sum is divided once by ``cells``.
-    ``cells`` must be a power of two: dividing by it is then exact, so the
-    result is the sum of the quotients f^k / cells bit for bit, unless a
-    term or partial sum is subnormal or overflows."""
-    sums, power = [], f
-    for k in range(k_max):
-        if k:
-            power = list(map(operator.mul, power, f))
-        sums.append(functools.reduce(operator.add, power, 0.0) / cells)
-    return sums
-
-
 def _unseen(grid: tuple, p, q, estimate: list, scale: list) -> Optional[list]:
     """|estimate - midpoint sum| per k on the panel [p, q] when, for some k,
     it exceeds 20 times the midpoint rule's change from _CELLS / 2 cells
     plus 1e-12 Lambda_k: a feature a few cells wide that the tanh-sinh
     nodes stepped over.  None otherwise, on panels under 4 cells, and where
-    the panel's midpoint sums leave float64's range."""
+    the panel's midpoint sums leave float64's range: the `_power_sums` of
+    its cells, correctly rounded, over the cell count, a power of two."""
     from mpmath import mpf
 
     lo, hi = round(float(p) * _CELLS), round(float(q) * _CELLS)  # panels are dyadic
     if hi - lo < 4:
         return None
-    fine = _panel_sums(grid[0][lo:hi], len(estimate), _CELLS)
-    coarse = _panel_sums(grid[1][lo // 2:hi // 2], len(estimate), _CELLS // 2)
+    fine = [s / _CELLS for s in _power_sums(grid[0][lo:hi], len(estimate))]
+    coarse = [s / (_CELLS // 2) for s in _power_sums(grid[1][lo // 2:hi // 2], len(estimate))]
     # f >= 0, so the sums are finite only if every power is
     if not all(map(math.isfinite, fine + coarse)):
         return None
@@ -237,6 +227,8 @@ def _ladder_averages(tree: Node, k_max: int, N, p, q, step, n: int) -> list:
     """sum_j w_j f(x_j N, N)^k, k = 1..k_max, over the n nodes of `_abscissae`
     on the panel [p, q]: x = p + (q - p) phi(t) and w = (q - p) dphi/dt."""
     from mpmath import mp, mpf
+
+    from .expression import _eval_node
 
     weights, values, width = [], [], q - p
     for phi, dphi in _abscissae(step, n, mp.prec):

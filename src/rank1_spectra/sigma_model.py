@@ -9,19 +9,21 @@ Lambda_k = lim_n (1/n) S_{n,k}, whose record `LimitingAverages` is defined
 here, are computed by `quadrature.limiting_averages`.
 
 A process compiles only the sigma code it runs.  The expression language
-lives in `expression`, which `parse_sigma_spec` and `sigma_values` import
-only for an expression, and the limiting averages in `quadrature`, which
-its callers import when they run and whose functions import mpmath.  So
-``moments --sigma file:``, whose averages are S_{n,k}/n in float64,
-compiles neither.  This module imports `quadrature` only in `__getattr__`,
-which forwards two of its names until the benchmark's tracer reads them
-there.
+lives in `expression`, which `parse_sigma_spec`, `sigma_values` and the
+quadrature import only for an expression, and the limiting averages in
+`quadrature`, which its callers import when they run and whose functions
+import mpmath.  So ``moments --sigma file:``, whose averages are S_{n,k}/n
+in float64, compiles neither, and Lambda_k of a constant or a file no
+expression language.  This module imports `quadrature` only in
+`__getattr__`, which forwards two of its names until the benchmark's
+tracer reads them there.
 
 No numpy loads here.  Float sigma at n points (`sigma_values`) and the
 float midpoint rule that checks the quadrature run one evaluator,
 `expression._Floats` on the C library's math, so their values do not
-depend on the CPU's vector unit, and `sigma_stats` takes each partial sum
-with `math.fsum`, correctly rounded on every platform.
+depend on the CPU's vector unit.  Both take their float64 power sums with
+one kernel, `_power_sums`: each v^k is the float product of v^(k-1) and v,
+and each sum a `math.fsum`, correctly rounded on every platform.
 """
 
 from __future__ import annotations
@@ -210,8 +212,8 @@ def _check_positive(values: Sequence[float]) -> None:
 def sigma_stats(values: Sequence[float], k_max: int) -> SigmaStats:
     """Partial sums S_{n,k} for k = 1..k_max plus max/min of the vector.
 
-    Each v_i^k is the float product of v_i^(k-1) and v_i, and S_{n,k} their
-    `math.fsum`, correctly rounded; an overflow to non-finite raises.
+    S_{n,k} are the `_power_sums` of the values, correctly rounded; an
+    overflow to non-finite raises.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -219,18 +221,26 @@ def sigma_stats(values: Sequence[float], k_max: int) -> SigmaStats:
     if not v:
         raise ValueError("values must be a non-empty vector")
     _check_positive(v)
-    sums, power = [], v
-    for k in range(1, k_max + 1):
-        if k > 1:
-            power = list(map(operator.mul, power, v))
-        try:
-            total = math.fsum(power)
-        except OverflowError:  # a partial sum of finite terms left the float range
-            total = math.inf
-        if not math.isfinite(total):
-            raise OverflowError(f"partial sum S_{{n,{k}}} overflowed")
-        sums.append(total)
+    sums = _power_sums(v, k_max)
+    k = next((k for k, s in enumerate(sums, start=1) if not math.isfinite(s)), None)
+    if k is not None:
+        raise OverflowError(f"partial sum S_{{n,{k}}} overflowed")
     return SigmaStats(n=len(v), partial_sums=tuple(sums), sigma_max=max(v), sigma_min=min(v))
+
+
+def _power_sums(values: Sequence[float], k_max: int) -> list:
+    """The sums of v^k over the float ``values`` for k = 1..k_max.  Each v^k
+    is the float product of v^(k-1) and v, and each sum their `math.fsum`,
+    correctly rounded; a sum that leaves the float range is +inf."""
+    sums, power = [], values
+    for k in range(k_max):
+        if k:
+            power = list(map(operator.mul, power, values))
+        try:
+            sums.append(math.fsum(power))
+        except OverflowError:  # a partial sum of finite terms left the float range
+            sums.append(math.inf)
+    return sums
 
 
 def __getattr__(name: str):

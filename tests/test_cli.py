@@ -405,9 +405,10 @@ def import_runs(tmp_path_factory):
          "--out", str(out / "m_file.json")],
         ["radius", "--sigma", f"file:{sigma}", "--n", "6", "--sbar", "2", "--orders", "2,3",
          "--out", str(out / "r_orders.json")],
+        ["moments", "--sigma", "const:1", "--max-order", "8", "--out", str(out / "m_const.json")],
+        ["radius", "--sigma", f"file:{sigma}", "--sbar", "2", "--out", str(out / "r_file.json")],
         ["radius", "--sigma", "expr:exp(-4*i/n)", "--sbar", "3", "--out", str(out / "r.json")],
         ["radius", "--sigma", "const:1000", "--sbar", "3", "--out", str(out / "r_const.json")],
-        ["radius", "--sigma", f"file:{sigma}", "--sbar", "2", "--out", str(out / "r_file.json")],
         ["moments", "--sigma", "expr:exp(-4*i/n)", "--max-order", "8",
          "--out", str(out / "m_expr.json")],
         ["moments", "--sigma", "expr:exp(-4*i/n)", "--n", "50", "--max-order", "8",
@@ -497,16 +498,20 @@ def test_only_commands_that_need_them_compile_the_expression_and_quadrature(impo
     """``moments`` of a ``file:`` sigma takes its averages S_{n,k}/n in
     float64, and ``simulate`` of a constant evaluates no expression and no
     limit: neither loads the expression language nor the quadrature.
-    ``radius`` and ``moments`` of an expression load both."""
+    ``moments`` of a constant and ``radius`` of a file take mpf Lambda_k
+    from the quadrature but evaluate no expression; ``radius`` and
+    ``moments`` of an expression load both."""
     monte_carlo, numpy_free = import_runs
     split = {"rank1_spectra.expression", "rank1_spectra.quadrature"}
-    runs = {("simulate", "const"): monte_carlo["runs"][:3],
-            ("moments", "file"): numpy_free["runs"][:1],
-            ("moments", "expr"): [monte_carlo["runs"][3], *numpy_free["runs"][5:]],
-            ("radius", "expr"): numpy_free["runs"][2:3]}
-    for (command, sigma), chosen in runs.items():
+    runs = {"simulate of a constant": (monte_carlo["runs"][:3], set()),
+            "moments of a file": (numpy_free["runs"][:1], set()),
+            "moments of a constant, radius of a file": (numpy_free["runs"][2:4],
+                                                        {"rank1_spectra.quadrature"}),
+            "radius of an expression": (numpy_free["runs"][4:5], split),
+            "moments of an expression": ([monte_carlo["runs"][3], *numpy_free["runs"][6:]], split)}
+    for label, (chosen, want) in runs.items():
         for _, mods in chosen:
-            assert split & set(mods) == (split if sigma == "expr" else set()), (command, sigma)
+            assert split & set(mods) == want, label
 
 
 def test_moments_and_radius_load_no_dataclasses_datetime_or_fractions(import_runs):
@@ -527,7 +532,7 @@ def test_moments_and_radius_load_no_dataclasses_datetime_or_fractions(import_run
                 checked += 1
             before = set(mods)
         assert lean <= set(report["control"])  # the detector sees each once it is loaded
-    assert checked == 8
+    assert checked == 9
 
 
 def test_radius_and_limit_moments_load_no_numpy(import_runs):
@@ -538,7 +543,7 @@ def test_radius_and_limit_moments_load_no_numpy(import_runs):
     for report in import_runs:
         assert report["start"] == [[], ["1", "1", "1"]]  # pinned, and numpy not yet loaded
         assert "numpy" in report["control"]  # the detector sees numpy when it is loaded
-    assert [code for code, _ in numpy_free["runs"]] == [0] * 7
+    assert [code for code, _ in numpy_free["runs"]] == [0] * 8
     assert all("numpy" not in mods for _, mods in numpy_free["runs"])
     assert all("numpy" in mods for _, mods in monte_carlo["runs"])
 

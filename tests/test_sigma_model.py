@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 from scipy.integrate import quad
 
-from rank1_spectra import expression, quadrature
+from rank1_spectra import expression, quadrature, sigma_model
 from rank1_spectra.quadrature import _LIMIT_LEVEL, _MAX_LEVEL, _MAX_NODES, limiting_averages
 from rank1_spectra.reports import lambda_vector, moment_table
 from rank1_spectra.sigma_model import (
@@ -444,9 +444,11 @@ class TestExtrapolatedLadder:
 
 
 class TestMidpointGrid:
-    """`quadrature._midpoint_grid` and `_panel_sums`, the float check of
+    """`quadrature._midpoint_grid` and its midpoint sums, the float check of
     settled panels, in plain Python: numpy's formula over the same sigma
-    values, bit for bit."""
+    values, bit for bit.  A midpoint sum is the `sigma_model._power_sums`
+    kernel of S_{n,k}, a `math.fsum` of running products, over the cell
+    count."""
 
     N = 1e35  # float(10^(DEFAULT_DIGITS + 5)), the N of the quadrature
 
@@ -464,13 +466,13 @@ class TestMidpointGrid:
             f = [sigma(i, N) for i in (x * N).tolist()]
             # a panel at the left end and one inside: [0, 1] and [1/4, 1/2]
             for lo, hi in ((0, cells), (cells // 4, cells // 2)):
-                # numpy's formula: f^k by cumulative products, then / cells,
-                # then the last of the cumulative sums, which run left to right
+                # numpy's formula: f^k by cumulative products, each summed
+                # correctly rounded by math.fsum, then / cells, which is exact
                 powers = np.cumprod(np.broadcast_to(np.array(f[lo:hi]), (k_max, hi - lo)),
-                                    axis=0) / cells
-                want = np.cumsum(powers, axis=1)[:, -1]
-                got = quadrature._panel_sums(f_grid[lo:hi], k_max, cells)
-                assert np.array_equal(np.array(got), want)
+                                    axis=0)
+                want = [math.fsum(row) / cells for row in powers.tolist()]
+                got = [s / cells for s in sigma_model._power_sums(f_grid[lo:hi], k_max)]
+                assert got == want
             # numpy's own exp and power may be SIMD builds that differ from
             # the C library's in the last bit
             with np.errstate(all="ignore"):
