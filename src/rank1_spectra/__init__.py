@@ -94,7 +94,6 @@ _MODULE_EXPORTS = {
     ),
     "ensemble": (
         "EnsembleConfig",
-        "Histogram",
         "MonteCarloResult",
         "derive_trial_seed",
         "eigenvalues",
@@ -119,9 +118,6 @@ _MODULE_EXPORTS = {
         "RadiusOrderRow",
         "SdpResult",
         "build_pencil",
-        "moment_sandwich",
-        "radius_lower_bound",
-        "radius_upper_bound",
         "sdp_lower_bound",
     ),
     "quadrature": ("limiting_averages",),

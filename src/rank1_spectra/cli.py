@@ -180,10 +180,8 @@ def cmd_simulate(args: argparse.Namespace, argv: list) -> int:
     config = EnsembleConfig(
         n=args.n, sigma=spec, distribution=args.dist, K=args.K, seed=args.seed
     )
-    mc = monte_carlo(
-        config, trials=args.trials, k_max=args.max_order, collect_eigenvalues=True
-    )
-    hist = _histogram(mc.pooled_eigenvalues, args.bins)
+    mc = monte_carlo(config, trials=args.trials, k_max=args.max_order)
+    counts, edges = _histogram(mc.pooled_eigenvalues, args.bins)
     manifest = run_manifest("simulate", argv, args.sigma, args.seed)
     manifest["threads"] = {"workers": mc.workers,
                            **{name: os.environ.get(name) for name in _BLAS_THREAD_VARS}}
@@ -213,7 +211,7 @@ def cmd_simulate(args: argparse.Namespace, argv: list) -> int:
     }
     os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "report.json"), dumps_json(payload))
-    _write(os.path.join(args.out, "esd.csv"), histogram_csv(hist.bin_edges, hist.counts))
+    _write(os.path.join(args.out, "esd.csv"), histogram_csv(edges, counts))
     return 0
 
 

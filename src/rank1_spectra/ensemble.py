@@ -26,9 +26,10 @@ matrices and solved by one stacked eigensolve, on plain ``threading``
 workers when BLAS is pinned to one thread (see ``monte_carlo``); a thread
 pool would import ``concurrent.futures`` and with it ``logging``.  Every
 trial statistic comes from the campaign: ``empirical_moments`` is the block's
-moment step and ``_histogram`` bins the pooled spectra.  One trial on its
-own is ``eigenvalues(sample_matrix(config, t))``, bit for bit the campaign's
-trial t.
+moment step, a campaign always returns its pooled spectra, and
+``_histogram`` bins them into numpy's (counts, edges) pair.  One trial on
+its own is ``eigenvalues(sample_matrix(config, t))``, bit for bit the
+campaign's trial t.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .sigma_model import SigmaSpec, sigma_values
 __all__ = [
     "EnsembleConfig",
     "MonteCarloResult",
-    "Histogram",
     "derive_trial_seed",
     "sample_matrix",
     "eigenvalues",
@@ -99,18 +99,6 @@ class EnsembleConfig:
             raise ValueError("seed must fit in 64 bits")
         if self.K is not None and not (math.isfinite(self.K) and self.K > 0):
             raise ValueError(f"K must be finite and > 0, got {self.K}")
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Half-open bins (last bin closed) and their counts."""
-
-    bin_edges: np.ndarray
-    counts: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 def _bound(distribution: str, sigma_max: float, K: Optional[float]) -> float:
@@ -371,8 +359,8 @@ def empirical_moments(eigenvalues: np.ndarray, k_max: int) -> np.ndarray:
     return out
 
 
-def _histogram(values: np.ndarray, bins: int) -> Histogram:
-    """Histogram of ``values`` with deterministic half-open binning.
+def _histogram(values: np.ndarray, bins: int) -> Tuple[np.ndarray, np.ndarray]:
+    """numpy's (counts, edges) of ``values``: half-open bins, the last closed.
 
     The range is [min, max] widened on both sides by 1e-9 times the larger
     of |min| and |max|, and by at least the smallest normal float, so the
@@ -383,8 +371,7 @@ def _histogram(values: np.ndarray, bins: int) -> Histogram:
         raise ValueError(f"bins must be >= 1, got {bins}")
     lo, hi = float(values.min()), float(values.max())
     pad = max(1e-9 * max(abs(lo), abs(hi)), np.finfo(np.float64).tiny)
-    counts, edges = np.histogram(values, bins=bins, range=(lo - pad, hi + pad))
-    return Histogram(bin_edges=edges, counts=counts)
+    return np.histogram(values, bins=bins, range=(lo - pad, hi + pad))
 
 
 @dataclass(frozen=True)
@@ -393,11 +380,10 @@ class MonteCarloResult:
 
     ``moment_means[k-1]`` estimates E{(1/n) trace(A^k)}; ``moment_stderrs``
     is None for a single trial.  ``per_trial_moments`` has shape
-    (trials, k_max) and is ordered by trial index.
+    (trials, k_max) and ``pooled_eigenvalues`` shape (trials * n,), both
+    ordered by trial index.
     """
 
-    trials: int
-    k_max: int
     moment_means: np.ndarray
     moment_stderrs: Optional[np.ndarray]
     per_trial_moments: np.ndarray
@@ -406,7 +392,7 @@ class MonteCarloResult:
     radius_stderr: Optional[float]
     radius_min: float
     radius_max: float
-    pooled_eigenvalues: Optional[np.ndarray] = None
+    pooled_eigenvalues: np.ndarray
     workers: int = 1
 
 
@@ -450,12 +436,7 @@ def _schedule(trials: int, n: int, cpus: int) -> Tuple[List[Tuple[int, int]], in
     return blocks, min(cpus, count)
 
 
-def monte_carlo(
-    config: EnsembleConfig,
-    trials: int,
-    k_max: int,
-    collect_eigenvalues: bool = False,
-) -> MonteCarloResult:
+def monte_carlo(config: EnsembleConfig, trials: int, k_max: int) -> MonteCarloResult:
     """Run a reproducible campaign of independent trials, in blocks.
 
     The per-campaign plan (the mask and the law's coefficients, from sigma
@@ -464,7 +445,8 @@ def monte_carlo(
     ``sample_matrix``, from the trial's own generator seeded from (seed,
     trial_index), solves the stack with one ``eigenvalues`` call and takes
     every spectrum's moments with one ``empirical_moments`` call; these are
-    the only per-trial statistics, and the CLI bins ``pooled_eigenvalues``
+    the only per-trial statistics.  Every spectrum is kept in
+    ``pooled_eigenvalues`` (8 * trials * n bytes), which the CLI bins
     with ``_histogram``.  numpy releases the GIL in a large enough stacked
     eigensolve (see ``_schedule``), so the blocks run on up to one worker
     thread per CPU, worker w taking blocks w, w + workers, ..., when BLAS
@@ -475,8 +457,11 @@ def monte_carlo(
     holds about three n x n arrays at once (its matrix, the draw and
     LAPACK's copy).  Results are written by trial index, so a campaign is
     reproducible bit for bit whatever the worker count; ``workers`` records
-    it.  Standard errors need trials >= 2 and are None
-    otherwise.
+    it.  Each moment's mean is ``math.fsum`` of its trials over their count,
+    correctly rounded but for the division (numpy would sum the strided
+    column naively, losing digits linearly in the trial count), and its
+    standard error comes from the deviations about that mean.  Standard
+    errors need trials >= 2 and are None otherwise.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -490,7 +475,7 @@ def monte_carlo(
 
     per_trial = np.empty((trials, k_max))
     radii = np.empty(trials)
-    pooled = np.empty((trials, n)) if collect_eigenvalues else None
+    pooled = np.empty((trials, n))
 
     def run(block: Tuple[int, int]) -> None:
         start, stop = block
@@ -500,8 +485,7 @@ def monte_carlo(
         lam = eigenvalues(stack)
         per_trial[start:stop] = empirical_moments(lam, k_max)
         radii[start:stop] = _radius(lam)
-        if pooled is not None:
-            pooled[start:stop] = lam
+        pooled[start:stop] = lam
 
     if workers == 1:
         for block in blocks:
@@ -525,16 +509,16 @@ def monte_carlo(
         if errors:
             raise errors[0]
 
-    means = per_trial.mean(axis=0)
+    means = np.array([math.fsum(column) / trials for column in per_trial.T.tolist()])
     if trials >= 2:
-        stderrs = per_trial.std(axis=0, ddof=1) / math.sqrt(trials)
+        squares = ((per_trial - means) ** 2).T.tolist()
+        variances = [math.fsum(column) / (trials - 1) for column in squares]
+        stderrs = np.sqrt(variances) / math.sqrt(trials)
         radius_stderr = float(radii.std(ddof=1) / math.sqrt(trials))
     else:
         stderrs = None
         radius_stderr = None
     return MonteCarloResult(
-        trials=trials,
-        k_max=k_max,
         moment_means=means,
         moment_stderrs=stderrs,
         per_trial_moments=per_trial,
@@ -543,6 +527,6 @@ def monte_carlo(
         radius_stderr=radius_stderr,
         radius_min=float(radii.min()),
         radius_max=float(radii.max()),
-        pooled_eigenvalues=pooled.reshape(-1) if pooled is not None else None,
+        pooled_eigenvalues=pooled.reshape(-1),
         workers=workers,
     )

@@ -294,16 +294,7 @@ class MomentRow(NamedTuple):
 
 
 class MomentReport(NamedTuple):
-    """Moment table plus the metadata needed to reproduce it."""
+    """Moment table rows, by ascending order, and notes on their sources."""
 
     rows: tuple
-    n: Optional[int] = None
-    sigma_text: str = ""
-    K: Optional[float] = None
     notes: tuple = ()
-
-    def row(self, order: int) -> MomentRow:
-        for r in self.rows:
-            if r.order == order:
-                return r
-        raise KeyError(f"no row of order {order}")

@@ -7,12 +7,11 @@ norm is sandwiched by power roots of expected-moment bounds:
 
 where m_lower and m_upper = (1 + theta*s) * m_limit are the moment bounds
 of `moments` (``moment_lower_bound``, ``moment_upper_bound``; theta is
-computed there only), and one root, ``_root_bound``, flags a moment bound
-<= 0 or +inf as vacuous.  ``reports.radius_table`` takes both moment bounds
-from the builder that fills the moment table's rows.  The same sandwich
-evaluated at m_lower on both sides is also exposed: it is not a proven
-upper bound, but it is the finite-n companion value usually quoted next to
-the lower bound, and it is reported with that caveat.
+computed there only).  ``reports.radius_table`` forms the finite-n roots
+with ``_root_bound``, which flags a moment bound <= 0 or +inf as vacuous,
+from the builder that fills the moment table's rows.  It also reports
+(n m_lower)^{1/2s}: not a proven upper bound, but the companion value
+usually quoted next to the lower bound, reported with that caveat.
 
 Asymptotically, given the even limiting moments nu_s = m_{2s}, the support
 supremum of the squared-eigenvalue law is lower-bounded by the SDP
@@ -42,7 +41,7 @@ from mpmath import mp, mpf
 
 from . import _DEFAULT_SBAR as DEFAULT_SBAR
 from . import _DEFAULT_TOL as DEFAULT_TOL
-from .moments import _scaled, moment_lower_bound, moment_upper_bound
+from .moments import _scaled
 
 __all__ = [
     "HankelPencil",
@@ -53,9 +52,6 @@ __all__ = [
     "InvalidMomentSequenceError",
     "build_pencil",
     "sdp_lower_bound",
-    "radius_lower_bound",
-    "radius_upper_bound",
-    "moment_sandwich",
     "DEFAULT_TOL",
     "DEFAULT_SBAR",
 ]
@@ -225,53 +221,12 @@ def sdp_lower_bound(pencil: HankelPencil, tol: float = DEFAULT_TOL) -> SdpResult
     )
 
 
-def radius_lower_bound(values: Sequence[float], s: int) -> RadiusBound:
-    """Lower bound m_lower^{1/2s} on the expected spectral radius at finite n.
-
-    Vacuous (NaN value) when the bounded moment quantity is non-positive,
-    which genuinely happens at small n.
-    """
-    return _root_bound(moment_lower_bound(values, s), s)
-
-
 def _root_bound(m: float, s: int, e: int = 0) -> RadiusBound:
     """m^{1/2s} 2^e, the root of m 4^es, vacuous where m <= 0 (NaN value) or
     m = +inf (+inf value)."""
     if m <= 0:
         return RadiusBound(value=math.nan, vacuous=True)
     return RadiusBound(value=_scaled(m ** (1.0 / (2 * s)), e), vacuous=math.isinf(m))
-
-
-def radius_upper_bound(
-    n: int,
-    s: int,
-    K: float,
-    sigma_max: float,
-    sigma_min: float,
-    m_limit: float,
-) -> RadiusBound:
-    """Upper bound (n (1 + theta s) m_{2s})^{1/2s} on the expected spectral
-    radius, from `moments.moment_upper_bound`.
-
-    Vacuous (+inf) where theta or the product overflows.  For strongly
-    varying sigma the theta term makes this enormous at moderate s;
-    `moment_sandwich` gives the companion value usually reported.
-    """
-    return _root_bound(n * moment_upper_bound(n, s, K, sigma_max, sigma_min, m_limit), s)
-
-
-def moment_sandwich(n: int, s: int, moment_value: float) -> Tuple[float, float]:
-    """The plain power-root sandwich (m^{1/2s}, (n m)^{1/2s}) at a moment value.
-
-    Applied to the true expected moment these are two-sided bounds on
-    E||A||; applied to a lower bound on the moment, the first entry is still
-    a valid lower bound while the second is only the customary companion
-    estimate.
-    """
-    if moment_value <= 0:
-        raise ValueError(f"moment_value must be > 0, got {moment_value}")
-    root = 1.0 / (2 * s)
-    return moment_value ** root, (n * moment_value) ** root
 
 
 class RadiusOrderRow(NamedTuple):
@@ -281,7 +236,7 @@ class RadiusOrderRow(NamedTuple):
     n: int
     lower: RadiusBound            # moment_lower^{1/2s}
     upper: RadiusBound            # (n (1 + theta s) m_{2s})^{1/2s}
-    upper_companion: Optional[float]  # (n * moment_lower)^{1/2s}, see moment_sandwich
+    upper_companion: Optional[float]  # (n * moment_lower)^{1/2s}, not a proven bound
 
 
 class RadiusBoundsReport(NamedTuple):

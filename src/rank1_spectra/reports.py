@@ -148,8 +148,7 @@ def moment_table(
             row = row._replace(lower=_scaled(lowers[s - 1], 2 * e * s),
                                upper=_scaled(uppers[s - 1], 2 * e * s))
         rows.append(row)
-    return MomentReport(rows=tuple(rows), n=n, sigma_text=spec.text, K=K,
-                        notes=(f"limiting averages: {source}",))
+    return MomentReport(rows=tuple(rows), notes=(f"limiting averages: {source}",))
 
 
 def radius_table(

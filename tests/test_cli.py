@@ -368,7 +368,7 @@ print(json.dumps(report))
 
 # The public names of ``import rank1_spectra`` before names loaded lazily.
 PUBLIC_NAMES = [
-    "DegreeProfile", "EnsembleConfig", "EntryMomentModel", "HankelPencil", "Histogram",
+    "DegreeProfile", "EnsembleConfig", "EntryMomentModel", "HankelPencil",
     "InvalidMomentSequenceError", "LimitingAverages", "MomentReport", "MomentRow",
     "MonteCarloResult", "NoLimitError", "PlaneTree", "RadiusBound", "RadiusBoundsReport",
     "RadiusOrderRow", "SdpResult", "SigmaDomainError", "SigmaSpec", "SigmaStats",
@@ -376,10 +376,10 @@ PUBLIC_NAMES = [
     "degree_profile_of", "derive_trial_seed", "eigenvalues",
     "empirical_moments", "ensemble", "enumerate_degree_profiles", "enumerate_plane_trees",
     "exact_expected_moment", "lambda_vector",
-    "limiting_averages", "limiting_even_moment", "moment_lower_bound", "moment_sandwich",
+    "limiting_averages", "limiting_even_moment", "moment_lower_bound",
     "moment_table", "moment_upper_bound", "moments", "monte_carlo", "multinomial",
-    "odd_moment_bound", "parse_sigma_spec", "quadrature", "radius_bounds", "radius_lower_bound",
-    "radius_table", "radius_upper_bound", "reports", "sample_matrix", "sdp_lower_bound",
+    "odd_moment_bound", "parse_sigma_spec", "quadrature", "radius_bounds",
+    "radius_table", "reports", "sample_matrix", "sdp_lower_bound",
     "sigma_model", "sigma_stats", "sigma_values", "theta_factor",
     "tree_count", "walk_oracle",
 ]

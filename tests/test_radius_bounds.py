@@ -6,16 +6,14 @@ import pytest
 from mpmath import mp, mpf
 
 from rank1_spectra.combinatorics import catalan
-from rank1_spectra.moments import limiting_even_moment, moment_lower_bound
+from rank1_spectra.moments import limiting_even_moment, moment_lower_bound, moment_upper_bound
 from rank1_spectra.moments import _limits
 from rank1_spectra.radius_bounds import (
     InvalidMomentSequenceError,
     _count_below,
     _digits,
+    _root_bound,
     build_pencil,
-    moment_sandwich,
-    radius_lower_bound,
-    radius_upper_bound,
     sdp_lower_bound,
 )
 from rank1_spectra.sigma_model import parse_sigma_spec, sigma_values
@@ -35,6 +33,16 @@ def exp_family_moments(count: int):
 
 def catalan_moments(count: int):
     return [float(catalan(s)) for s in range(1, count + 1)]
+
+
+def lower_root(values, s: int):
+    """m_lower^{1/2s}, the lower bound of a `radius --orders` row."""
+    return _root_bound(moment_lower_bound(values, s), s)
+
+
+def upper_root(n: int, s: int, K: float, sigma_max: float, sigma_min: float, m_limit: float):
+    """(n (1 + theta s) m_{2s})^{1/2s}, the upper bound of a `radius --orders` row."""
+    return _root_bound(n * moment_upper_bound(n, s, K, sigma_max, sigma_min, m_limit), s)
 
 
 class TestBuildPencil:
@@ -152,7 +160,7 @@ class TestFiniteNBounds:
         target = 42.0 ** 0.1
         prev = 0.0
         for n in (100, 1000, 10_000):
-            b = radius_lower_bound(np.ones(n), 5)
+            b = lower_root(np.ones(n), 5)
             assert not b.vacuous
             assert b.value < target
             assert b.value > prev
@@ -161,21 +169,16 @@ class TestFiniteNBounds:
 
     def test_vacuous_at_tiny_n(self):
         v = sigma_values(parse_sigma_spec(EXP_SPEC), 3)
-        b = radius_lower_bound(v, 2)
+        b = lower_root(v, 2)
         assert b.vacuous
         assert math.isnan(b.value)
-
-    def test_matches_moment_root(self):
-        v = sigma_values(parse_sigma_spec(EXP_SPEC), 200)
-        b = radius_lower_bound(v, 3)
-        assert b.value == pytest.approx(moment_lower_bound(v, 3) ** (1.0 / 6.0), rel=1e-13)
 
     def test_upper_bound_identity_profile(self):
         from rank1_spectra.moments import theta_factor
 
         n, s = 10 ** 6, 2
         th = theta_factor(n, s, 1.0, 1.0, 1.0)
-        b = radius_upper_bound(n, s, 1.0, 1.0, 1.0, 2.0)
+        b = upper_root(n, s, 1.0, 1.0, 1.0, 2.0)
         assert b.value == pytest.approx((n * (1 + 2 * th) * 2.0) ** 0.25, rel=1e-13)
 
     def test_upper_bound_trend_toward_semicircle_edge(self):
@@ -186,34 +189,23 @@ class TestFiniteNBounds:
         for n in (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6):
             s = round(n ** 0.4)
             m = float(math.comb(2 * s, s) // (s + 1))  # sigma = 1 moment
-            b = radius_upper_bound(n, s, 1.0, 1.0, 1.0, m)
+            b = upper_root(n, s, 1.0, 1.0, 1.0, m)
             assert not b.vacuous
             vals.append(b.value)
         assert all(v > 2.0 for v in vals)
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 2.05
 
-    def test_upper_bound_rejects_s_ge_n(self):
-        with pytest.raises(ValueError):
-            radius_upper_bound(5, 5, 1.0, 1.0, 1.0, 1.0)
-
     def test_upper_overflow_flag(self):
-        b = radius_upper_bound(40, 30, 1.0, 1.0, 1e-12, 1.0)
+        b = upper_root(40, 30, 1.0, 1.0, 1e-12, 1.0)
         assert b.vacuous
         assert math.isinf(b.value)
 
     def test_upper_bound_flags_a_product_that_overflows(self):
         # theta is finite here; n (1 + theta s) m_{2s} is not
-        b = radius_upper_bound(10 ** 6, 2, 1.0, 1.0, 1.0, 1e305)
+        b = upper_root(10 ** 6, 2, 1.0, 1.0, 1.0, 1e305)
         assert b.vacuous
         assert math.isinf(b.value)
-
-    def test_sandwich_relation(self):
-        lo, hi = moment_sandwich(1000, 3, 2.5e-3)
-        assert lo == pytest.approx(2.5e-3 ** (1.0 / 6.0))
-        assert hi == pytest.approx(1000.0 ** (1.0 / 6.0) * lo, rel=1e-12)
-        with pytest.raises(ValueError):
-            moment_sandwich(10, 1, 0.0)
 
 
 def test_sqrt_beta_below_theta_upper_bound():
@@ -222,7 +214,7 @@ def test_sqrt_beta_below_theta_upper_bound():
     ms = catalan_moments(29)
     res = sdp_lower_bound(build_pencil(ms, 14), 1e-10)
     n, s = 10 ** 4, 8
-    upper = radius_upper_bound(n, s, 1.0, 1.0, 1.0, ms[s - 1])
+    upper = upper_root(n, s, 1.0, 1.0, 1.0, ms[s - 1])
     assert res.sqrt_beta <= upper.value + 1e-6
 
 
@@ -471,7 +463,7 @@ def test_radius_table_orders_evaluate_sigma_once(tmp_path, monkeypatch):
     # the limiting averages count the file's values; only the rows evaluate sigma
     assert evaluations == [4000]
     # one mpf series feeds the SDP and the upper bounds; the lower bounds
-    # run their own float64 series, as `radius_lower_bound` does
+    # run their own float64 series, as `moment_lower_bound` does
     assert series == ["mpf", "float"]
     series.clear()
     reports.radius_table(spec, n=4000, s_bar=3)
@@ -494,12 +486,12 @@ def test_radius_table_orders_evaluate_sigma_once(tmp_path, monkeypatch):
             lams.append(mpf(sum(powers)) / (n * den ** k))
             powers = [p * m for p, m in zip(powers, ints)]
     for row, s in zip(report.rows, orders):
-        lower = radius_lower_bound(values, s)
+        m_low = moment_lower_bound(values, s)
+        lower = _root_bound(m_low, s)
         with mp.workdps(60):
             limit = float(limiting_even_moment(lams[:s], s))
-        upper = radius_upper_bound(n, s, smax, smax, smin, limit)
+        upper = upper_root(n, s, smax, smax, smin, limit)
         assert row.s == s
         assert row.lower == lower._replace(value=math.ldexp(lower.value, e))
         assert row.upper == upper._replace(value=math.ldexp(upper.value, e))
-        companion = moment_sandwich(n, s, moment_lower_bound(values, s))[1]
-        assert row.upper_companion == math.ldexp(companion, e)
+        assert row.upper_companion == math.ldexp((n * m_low) ** (1.0 / (2 * s)), e)
