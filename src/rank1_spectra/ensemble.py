@@ -457,11 +457,12 @@ def monte_carlo(config: EnsembleConfig, trials: int, k_max: int) -> MonteCarloRe
     holds about three n x n arrays at once (its matrix, the draw and
     LAPACK's copy).  Results are written by trial index, so a campaign is
     reproducible bit for bit whatever the worker count; ``workers`` records
-    it.  Each moment's mean is ``math.fsum`` of its trials over their count,
+    it.  The radius is one more per-trial column beside the moments, and
+    each column's mean is ``math.fsum`` of its trials over their count,
     correctly rounded but for the division (numpy would sum the strided
     column naively, losing digits linearly in the trial count), and its
-    standard error comes from the deviations about that mean.  Standard
-    errors need trials >= 2 and are None otherwise.
+    standard error comes from the fsum of the squared deviations about
+    that mean.  Standard errors need trials >= 2 and are None otherwise.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -473,8 +474,8 @@ def monte_carlo(config: EnsembleConfig, trials: int, k_max: int) -> MonteCarloRe
     cpus = _cpu_count() if _blas_is_pinned() else 1
     blocks, workers = _schedule(trials, n, cpus)
 
-    per_trial = np.empty((trials, k_max))
-    radii = np.empty(trials)
+    # a trial's moments m_1..m_{k_max} and, in the last column, its radius
+    per_trial = np.empty((trials, k_max + 1))
     pooled = np.empty((trials, n))
 
     def run(block: Tuple[int, int]) -> None:
@@ -483,8 +484,8 @@ def monte_carlo(config: EnsembleConfig, trials: int, k_max: int) -> MonteCarloRe
         for t in range(start, stop):
             sample_matrix(config, t, out=stack[t - start])
         lam = eigenvalues(stack)
-        per_trial[start:stop] = empirical_moments(lam, k_max)
-        radii[start:stop] = _radius(lam)
+        per_trial[start:stop, :k_max] = empirical_moments(lam, k_max)
+        per_trial[start:stop, k_max] = _radius(lam)
         pooled[start:stop] = lam
 
     if workers == 1:
@@ -510,21 +511,19 @@ def monte_carlo(config: EnsembleConfig, trials: int, k_max: int) -> MonteCarloRe
             raise errors[0]
 
     means = np.array([math.fsum(column) / trials for column in per_trial.T.tolist()])
+    stderrs = None
     if trials >= 2:
         squares = ((per_trial - means) ** 2).T.tolist()
         variances = [math.fsum(column) / (trials - 1) for column in squares]
         stderrs = np.sqrt(variances) / math.sqrt(trials)
-        radius_stderr = float(radii.std(ddof=1) / math.sqrt(trials))
-    else:
-        stderrs = None
-        radius_stderr = None
+    radii = per_trial[:, k_max]
     return MonteCarloResult(
-        moment_means=means,
-        moment_stderrs=stderrs,
-        per_trial_moments=per_trial,
+        moment_means=means[:k_max],
+        moment_stderrs=None if stderrs is None else stderrs[:k_max],
+        per_trial_moments=per_trial[:, :k_max],
         radii=radii,
-        radius_mean=float(radii.mean()),
-        radius_stderr=radius_stderr,
+        radius_mean=float(means[k_max]),
+        radius_stderr=None if stderrs is None else float(stderrs[k_max]),
         radius_min=float(radii.min()),
         radius_max=float(radii.max()),
         pooled_eigenvalues=pooled.reshape(-1),

@@ -155,8 +155,10 @@ def limiting_even_moment(lambdas: Sequence[Number], s: int) -> Number:
 
 
 def _lower_bounds(stats: SigmaStats, s_max: int, mains: Optional[list] = None) -> list:
-    """moment_lower_bound for s = 1..s_max from one sigma_stats with k_max >=
-    s_max, and ``mains``, the tree series at its S_{n,k}/n, if run already."""
+    """moment_lower_bound for s = 1..s_max from one sigma_stats, and
+    ``mains``, the tree series at its S_{n,k}/n, if run already.  Without
+    ``mains`` the stats need k_max >= s_max; with them only n and
+    sigma_max are read."""
     n = stats.n
     if n <= s_max:
         raise ValueError(f"need n > s, got n={n}, s={s_max}")

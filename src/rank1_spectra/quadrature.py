@@ -253,10 +253,14 @@ def _weighted_power_sums(weights: list, values: list, k_max: int) -> list:
 
     In a group of the terms whose v lie in [2^(e-1), 2^e) and w below 2^f,
     w v^k is an integer T in units of 2^(f + ek - P), short by at most
-    k + 1 units, so a power costs one integer product and shift.  The
-    group's heaviest node (w, v), the largest v among equal weights, gives
-    a term of at least 2^(f - 1) v^k: P = prec + 12 + bits(n k_max) +
-    k_max log2(2^e / v) keeps the group's sum to the bound.
+    k + 1 units, so a power costs one integer product and shift: by v's
+    mantissa, left-aligned to the group's widest (W bits, 53 for floats
+    and at most prec for mpf), and by W bits.  As P > W, that is the
+    integer that v in units of 2^(e - P) and a shift by P would give, for
+    a shorter product.  The group's heaviest node (w, v), the largest v
+    among equal weights, gives a term of at least 2^(f - 1) v^k:
+    P = prec + 12 + bits(n k_max) + k_max log2(2^e / v) keeps the group's
+    sum to the bound.
 
     A group's sum more than guard + 2 bits below the largest, guard =
     prec + 12 + bits(n k_max), is dropped before the sums are aligned.  It
@@ -278,10 +282,11 @@ def _weighted_power_sums(weights: list, values: list, k_max: int) -> list:
         wm, wx = _binary(w)
         f = wx + wm.bit_length()
         P = guard + math.ceil(k_max * (53 - math.log2(vm << 53 >> (e - vx))))
+        W = max(m.bit_length() for _, _, (m, _) in nodes)
         T = [m << P >> (f - x) for m, x in (_binary(w) for w, _, _ in nodes)]
-        V = [m << P >> (e - x) for _, _, (m, x) in nodes]
+        V = [m << W >> (e - x) for _, _, (m, x) in nodes]
         for k in range(k_max):
-            T = [t * x >> P for t, x in zip(T, V)]
+            T = [t * x >> W for t, x in zip(T, V)]
             parts[k].append((sum(T), f + e * (k + 1) - P))
     sums = []
     for terms in parts:

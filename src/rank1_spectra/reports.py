@@ -7,7 +7,9 @@ neither mpmath nor ``quadrature``; every other Lambda_k comes from
 `limiting_averages` in mpf, which `lambda_vector` imports from
 ``quadrature`` when called.  The finite-n bounds on E m_{2s} have one
 builder, `_finite_n_bounds`: the moment table's rows report them and the
-radius table's rows their power roots.
+radius table's rows their power roots.  In both tables an explicit
+sequence's lower bounds take their main terms from the table's one tree
+series, which is already at its S_{n,k}/n.
 
 Lambda_k is homogeneous in sigma of degree k, m_{2s} of degree 2s and a
 root of degree 1, so the float64 work of both tables runs at one scale,
@@ -169,10 +171,12 @@ def radius_table(
     as the pencil would amplify float64's rounding past beta's first digit.
     The SDP and ``asymptotic_root`` take these mpf moments as they are.  A
     row at order s is the power roots of the moment bounds of
-    `_finite_n_bounds` at n, whose lower bounds run their own float64 pass:
-    lower (m_low)^{1/2s}, upper (n m_up)^{1/2s} and companion
+    `_finite_n_bounds` at n, whose lower bounds' main terms are these
+    moments for an explicit sequence and a float64 series at S_{n,k}/n
+    otherwise: lower (m_low)^{1/2s}, upper (n m_up)^{1/2s} and companion
     (n m_low)^{1/2s}.  The rows run at the one scale of `_scale`, on sigma
-    2^-e at n and on m_{2s} 2^-2es, and each root is scaled back by 2^e.
+    2^-e at n and on m_{2s} 2^-2es, each rounded once, and each root is
+    scaled back by 2^e.
     """
     from mpmath import mp, mpf
 
@@ -207,11 +211,14 @@ def radius_table(
     if orders:
         values = sigma_values(spec, n)
         e = _scale(values)
-        stats = sigma_stats([math.ldexp(v, -e) for v in values], orders[-1])
+        explicit = spec.kind == "explicit"
+        # given the series, the lower bounds read only n and sigma_max
+        stats = sigma_stats([math.ldexp(v, -e) for v in values], 1 if explicit else orders[-1])
         limits = [float(mp.ldexp(m, -2 * e * s)) for s, m in enumerate(series[:orders[-1]], 1)]
         _check_normal(limits, e)
         lowers, uppers = _finite_n_bounds(stats, orders[-1], limits,
-                                          math.ldexp(max(values) if K is None else K, -e))
+                                          math.ldexp(max(values) if K is None else K, -e),
+                                          limits if explicit else None)
         for s in orders:
             lower = _root_bound(lowers[s - 1], s, e)
             companion = None if lower.vacuous else _root_bound(n * lowers[s - 1], s, e).value

@@ -5,7 +5,8 @@ check(deep) returns (passed, detail).  The CLI's ``validate`` command prints
 one line per check from `run_all` and exits non-zero if any fails; the tests
 run each at deep=False.  Each fact has one check, and each enumeration runs
 once per order: the three plane-tree checks read one cached count of trees
-per profile.  The battery is deliberately cheap (2-2.5 s on a 2-CPU
+per profile.  The walk oracle's Monte Carlo campaign likewise runs once per
+trial count, and the tests read the same cached result.  The battery is deliberately cheap (2-2.5 s on a 2-CPU
 machine); ``deep=True`` extends the enumerations to s = 11 and doubles the
 walk oracle's Monte Carlo trials and the SDP's random measures, and takes
 3.5-5 s there.
@@ -30,8 +31,8 @@ from .combinatorics import (
     multinomial,
     tree_count,
 )
-from .ensemble import (EnsembleConfig, _histogram, eigenvalues, empirical_moments, monte_carlo,
-                       sample_matrix)
+from .ensemble import (EnsembleConfig, MonteCarloResult, _histogram, eigenvalues,
+                       empirical_moments, monte_carlo, sample_matrix)
 from .moments import _limits, limiting_even_moment, moment_lower_bound
 from .radius_bounds import HankelPencil, _digits, build_pencil, sdp_lower_bound
 from .reports import radius_table
@@ -117,26 +118,33 @@ def check_series_vs_profile_sum(deep: bool) -> Check:
     return not bad, f"differs at s={bad}" if bad else f"exact on rational averages, s=1..{s_top}"
 
 
+WALK_SIGMA = (1.0, 0.5, 0.25, 0.8)
+
+
+@lru_cache(maxsize=None)
+def _walk_campaign(trials: int) -> MonteCarloResult:
+    """The walk-oracle check's Monte Carlo campaign, run once per trial count:
+    rademacher entries, n = 3, sigma = WALK_SIGMA[:3], seed 20240917,
+    moments to k = 4.  Callers share the result and must not modify it."""
+    n = 3
+    cfg = EnsembleConfig(n=n, sigma=_explicit_spec(WALK_SIGMA[:n]), distribution="rademacher",
+                         seed=20240917)
+    return monte_carlo(cfg, trials=trials, k_max=4)
+
+
 def check_walk_oracle(deep: bool) -> Check:
     """Odd orders vanish exactly; Monte Carlo matches m_2 to rounding and m_4
     within 4 stderr."""
-    sigma = (1.0, 0.5, 0.25, 0.8)
-    model = EntryMomentModel("rademacher", sigma)
+    model = EntryMomentModel("rademacher", WALK_SIGMA)
     for k in (3, 5):
-        v = exact_expected_moment(3, k, sigma, model)
+        v = exact_expected_moment(3, k, WALK_SIGMA, model)
         if v != 0.0:
             return False, f"odd k={k} gave {v}, expected exact 0"
-    n, k_max = 3, 4
+    n = 3
     trials = 40_000 if deep else 20_000
-    cfg = EnsembleConfig(
-        n=n,
-        sigma=_explicit_spec(sigma[:n]),
-        distribution="rademacher",
-        seed=20240917,
-    )
-    mc = monte_carlo(cfg, trials=trials, k_max=k_max)
+    mc = _walk_campaign(trials)
     for k in (2, 4):
-        exact = exact_expected_moment(n, k, sigma[:n], model)
+        exact = exact_expected_moment(n, k, WALK_SIGMA[:n], model)
         mean = float(mc.moment_means[k - 1])
         if k == 2:
             # rademacher m_2 = (sum sigma / n)^2 on every draw, so the gate is

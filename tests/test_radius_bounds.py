@@ -459,12 +459,13 @@ def test_radius_table_orders_evaluate_sigma_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "sigma_values", evaluating)
     monkeypatch.setattr(moments, "_tree_series", tree_series)
     report = reports.radius_table(spec, orders=orders, n=4000, s_bar=3)
-    assert len(calls) == 1
+    # the rows read only n and the extremes of sigma at n
+    assert calls == [1]
     # the limiting averages count the file's values; only the rows evaluate sigma
     assert evaluations == [4000]
-    # one mpf series feeds the SDP and the upper bounds; the lower bounds
-    # run their own float64 series, as `moment_lower_bound` does
-    assert series == ["mpf", "float"]
+    # one mpf series, at the exact S_{n,k}/n, feeds the SDP and every bound
+    # of the rows: the lower bounds' main terms are its moments
+    assert series == ["mpf"]
     series.clear()
     reports.radius_table(spec, n=4000, s_bar=3)
     assert series == ["mpf"]
@@ -473,7 +474,9 @@ def test_radius_table_orders_evaluate_sigma_once(tmp_path, monkeypatch):
 
     # each row is what the per-order bounds give at the table's one scale,
     # sigma / 2^e with the largest sigma in [1/2, 1), scaled back by 2^e, at
-    # the limit of the exact averages correctly rounded
+    # the limit of the exact averages correctly rounded; the lower bound is
+    # that limit less the repeated-index correction
+    # (sigma_max^{2s} / n^{s+1}) sum_{j <= s} binom(n, j) j^{s+1-j}
     e = math.frexp(float(values.max()))[1]
     values = [math.ldexp(float(v), -e) for v in values]
     n, smax, smin = 4000, max(values), min(values)
@@ -486,10 +489,11 @@ def test_radius_table_orders_evaluate_sigma_once(tmp_path, monkeypatch):
             lams.append(mpf(sum(powers)) / (n * den ** k))
             powers = [p * m for p, m in zip(powers, ints)]
     for row, s in zip(report.rows, orders):
-        m_low = moment_lower_bound(values, s)
-        lower = _root_bound(m_low, s)
         with mp.workdps(60):
             limit = float(limiting_even_moment(lams[:s], s))
+        correction = sum(math.comb(n, j) * j ** (s + 1 - j) for j in range(1, s + 1))
+        m_low = limit - smax ** (2 * s) * (correction / n ** (s + 1))
+        lower = _root_bound(m_low, s)
         upper = upper_root(n, s, smax, smax, smin, limit)
         assert row.s == s
         assert row.lower == lower._replace(value=math.ldexp(lower.value, e))

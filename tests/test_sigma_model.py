@@ -399,6 +399,49 @@ class TestExtrapolatedLadder:
         assert time.perf_counter() - start < 5.0
         assert not any(la.converged) and la.digits == 0
 
+    @staticmethod
+    def _p_bit_power_sums(weights, values, k_max):
+        # `_weighted_power_sums` with each v held in units of 2^(e - P) and
+        # each product shifted by P, the wider form of its products
+        groups = {}
+        for node in zip(weights, values, map(quadrature._binary, values)):
+            groups.setdefault(node[2][1] + node[2][0].bit_length(), []).append(node)
+        guard = mp.prec + 12 + (len(values) * k_max).bit_length()
+        parts = [[] for _ in range(k_max)]
+        for e, nodes in groups.items():
+            w, _, (vm, vx) = max(nodes)
+            wm, wx = quadrature._binary(w)
+            f = wx + wm.bit_length()
+            P = guard + math.ceil(k_max * (53 - math.log2(vm << 53 >> (e - vx))))
+            T = [m << P >> (f - x) for m, x in (quadrature._binary(w) for w, _, _ in nodes)]
+            V = [m << P >> (e - x) for _, _, (m, x) in nodes]
+            for k in range(k_max):
+                T = [t * x >> P for t, x in zip(T, V)]
+                parts[k].append((sum(T), f + e * (k + 1) - P))
+        sums = []
+        for terms in parts:
+            top = max(x + t.bit_length() for t, x in terms)
+            terms = [(t, x) for t, x in terms if x + t.bit_length() >= top - guard - 2]
+            low = min(x for _, x in terms)
+            sums.append(mp.mpf((sum(t << (x - low) for t, x in terms), low)))
+        return sums
+
+    def test_power_sums_are_the_p_bit_products_bit_for_bit(self):
+        # float values with count weights, as an explicit sigma gives them;
+        # mpf nodes with full mantissas over 20 binades; and nodes 2^-200
+        # below the rest, whose group is dropped
+        rng = np.random.default_rng(23)
+        with mp.workdps(38):
+            floats = rng.uniform(0.5, 2.0, 2000).tolist()
+            counts = rng.integers(1, 4, 2000).tolist()
+            mpfs, weights = ([mp.mpf((int.from_bytes(rng.bytes(17), "big"), int(x) - 136))
+                              for x in rng.integers(-20, 1, 300)] for _ in range(2))
+            tiny = [v * 2.0 ** -200 for v in floats[:5]]
+            for w, v, k_max in ((counts, floats, 40), (weights, mpfs, 29),
+                                ([1] * 10, floats[:5] + tiny, 3)):
+                assert (quadrature._weighted_power_sums(w, v, k_max)
+                        == self._p_bit_power_sums(w, v, k_max))
+
     def test_power_sums_keep_their_bound_where_groups_are_dropped(self):
         # two nodes, 1 and 2^-g, around the cut at guard + 2 bits below the
         # largest group's sum and far past it: each sum stays within
