@@ -12,6 +12,8 @@ neither the expression language (``expression``) nor the quadrature of
 the limiting averages (``quadrature``): ``moments`` sums its S_{n,k}/n in
 float64 and loads neither, nor mpmath (``radius`` sums them exactly in
 mpf), and ``simulate`` of a constant or ``file:`` sigma loads neither.
+Rows at ``--n`` sum powers of sigma at n only for an expression: the
+S_{n,k}/n of a constant or a ``file:`` sigma are its averages (``reports``).
 numpy loads only with the Monte Carlo layer, for ``simulate`` and
 ``validate``.  ``moments`` and ``radius`` run on Python floats, exact
 ints and mpf, sigma at n points and its partial sums included, and never

@@ -7,9 +7,9 @@ neither mpmath nor ``quadrature``; every other Lambda_k comes from
 `limiting_averages` in mpf, which `lambda_vector` imports from
 ``quadrature`` when called.  The finite-n bounds on E m_{2s} have one
 builder, `_finite_n_bounds`: the moment table's rows report them and the
-radius table's rows their power roots.  In both tables an explicit
-sequence's lower bounds take their main terms from the table's one tree
-series, which is already at its S_{n,k}/n.
+radius table's rows their power roots.  Their lower bounds' main terms are
+the tree series at S_{n,k}/n, which for a constant or an explicit sequence
+are the table's limits; only an expression's are summed from sigma at n.
 
 Lambda_k is homogeneous in sigma of degree k, m_{2s} of degree 2s and a
 root of degree 1, so the float64 work of both tables runs at one scale,
@@ -90,15 +90,22 @@ def lambda_vector(
     return la.values, f"tanh-sinh quadrature of the pointwise limit: {work}", la.digits
 
 
-def _finite_n_bounds(stats: SigmaStats, s_top: int, limits: Sequence[float], K: float,
-                     mains: Optional[list] = None) -> Tuple[list, list]:
-    """The finite-n bounds on E m_{2s} at n = stats.n, for s = 1..s_top:
-    lower from `_lower_bounds` (``mains``, the tree series at S_{n,k}/n, if
-    run already), upper (1 + theta s) m_{2s} from `moment_upper_bound` at
-    the limits and K."""
-    uppers = [moment_upper_bound(stats.n, s, K, stats.sigma_max, stats.sigma_min, limits[s - 1])
-              for s in range(1, s_top + 1)]
-    return _lower_bounds(stats, s_top, mains), uppers
+def _finite_n_bounds(spec: SigmaSpec, values: Sequence[float], e: int, limits: Sequence[float],
+                     K: Optional[float] = None,
+                     stats: Optional[SigmaStats] = None) -> Tuple[list, list]:
+    """Lower and upper bounds on E m_{2s}, s = 1..len(limits), at ``values``,
+    sigma at n, on the table's scale 2^-e: `_lower_bounds`, and
+    `moment_upper_bound` at ``limits`` and K 2^-e or sigma_max.  A constant
+    or an explicit sequence is its own average at n, so ``limits`` are its
+    lower bounds' main terms, the tree series at S_{n,k}/n; only an
+    expression's are summed.  ``stats``, if given, replace `sigma_stats`."""
+    own = spec.kind != "expression"
+    if stats is None:
+        stats = sigma_stats([math.ldexp(v, -e) for v in values], 1 if own else max(1, len(limits)))
+    K = stats.sigma_max if K is None else math.ldexp(K, -e)
+    uppers = [moment_upper_bound(stats.n, s, K, stats.sigma_max, stats.sigma_min, m)
+              for s, m in enumerate(limits, start=1)]
+    return _lower_bounds(stats, len(limits), limits if own else None), uppers
 
 
 def moment_table(
@@ -111,38 +118,34 @@ def moment_table(
     """Moment report for even orders 2..2*s_max, in float64.
 
     With ``n`` given the rows of orders s < n carry the finite-n bounds of
-    `_finite_n_bounds`; the upper bound takes K = sigma_max unless
-    overridden.  Sigma is evaluated once.  The table runs at the one scale
-    of `_scale`: on sigma 2^-e at n and on Lambda_k 2^-ek.  The limits come
-    from one pass of the tree series in float64, and the lower bounds' main
-    terms from one more; an explicit sequence's limits are that series at
-    the same S_{n,k}/n, so one pass gives both, and without ``n`` they are
-    the averages of all its values.  Each row is scaled back by 4^es.
+    `_finite_n_bounds` at sigma at n, which is evaluated once; the upper
+    bound takes K = sigma_max unless overridden.  The table runs at the one
+    scale of `_scale`: on sigma 2^-e at n and on Lambda_k 2^-ek.  The
+    limits come from one pass of the tree series in float64.  An explicit
+    sequence's averages are its S_{n,k}/n, from one `sigma_stats` that the
+    bounds reuse, and without ``n`` those of all its values; a constant's
+    S_{n,k}/n are its limits too, and only an expression's lower bounds run
+    a second series.  Each row is scaled back by 4^es.
     """
     explicit = spec.kind == "explicit"
     n_stats = len(spec.payload) if explicit and n is None else n
     values = None if n_stats is None else sigma_values(spec, n_stats)
+    stats = None
     if explicit:
         source, e = _FINITE_NOTE.format(n_stats), _scale(values)
+        stats = sigma_stats([math.ldexp(v, -e) for v in values], s_max)
+        averages = [S / n_stats for S in stats.partial_sums]
     else:
         from mpmath import mp
 
         lambdas, source, _ = lambda_vector(spec, s_max, lambda_tol)
         e = _scale(values, lambdas)
         averages = [float(mp.ldexp(a, -e * k)) for k, a in enumerate(lambdas, start=1)]
-    if values is not None:
-        # the lower bounds need S_{n,k} for k < n; an explicit sequence's
-        # averages need them up to s_max
-        stats = sigma_stats([math.ldexp(v, -e) for v in values],
-                            s_max if explicit else max(1, min(s_max, n_stats - 1)))
-    limits = _limits([S / n_stats for S in stats.partial_sums] if explicit else averages, s_max)
+    limits = _limits(averages, s_max)
     _check_normal(limits, e)
     lowers = uppers = ()
     if n is not None:
-        K = max(values) if K is None else K
-        s_low = min(s_max, n - 1)
-        lowers, uppers = _finite_n_bounds(stats, s_low, limits, math.ldexp(K, -e),
-                                          limits[:s_low] if explicit else None)
+        lowers, uppers = _finite_n_bounds(spec, values, e, limits[:n - 1], K, stats)
     rows = []
     for s, m in enumerate(limits, start=1):
         row = MomentRow(2 * s, _scaled(m, 2 * e * s), root=_scaled(m ** (1 / (2 * s)), e))
@@ -171,12 +174,12 @@ def radius_table(
     as the pencil would amplify float64's rounding past beta's first digit.
     The SDP and ``asymptotic_root`` take these mpf moments as they are.  A
     row at order s is the power roots of the moment bounds of
-    `_finite_n_bounds` at n, whose lower bounds' main terms are these
-    moments for an explicit sequence and a float64 series at S_{n,k}/n
-    otherwise: lower (m_low)^{1/2s}, upper (n m_up)^{1/2s} and companion
-    (n m_low)^{1/2s}.  The rows run at the one scale of `_scale`, on sigma
-    2^-e at n and on m_{2s} 2^-2es, each rounded once, and each root is
-    scaled back by 2^e.
+    `_finite_n_bounds` at sigma at n, whose lower bounds' main terms are
+    these moments for a constant or an explicit sequence, each its own
+    S_{n,k}/n, and a float64 series at an expression's S_{n,k}/n: lower
+    (m_low)^{1/2s}, upper (n m_up)^{1/2s} and companion (n m_low)^{1/2s}.
+    The rows run at the one scale of `_scale`, on sigma 2^-e at n and on
+    m_{2s} 2^-2es, each rounded once, and each root is scaled back by 2^e.
     """
     from mpmath import mp, mpf
 
@@ -211,14 +214,9 @@ def radius_table(
     if orders:
         values = sigma_values(spec, n)
         e = _scale(values)
-        explicit = spec.kind == "explicit"
-        # given the series, the lower bounds read only n and sigma_max
-        stats = sigma_stats([math.ldexp(v, -e) for v in values], 1 if explicit else orders[-1])
         limits = [float(mp.ldexp(m, -2 * e * s)) for s, m in enumerate(series[:orders[-1]], 1)]
         _check_normal(limits, e)
-        lowers, uppers = _finite_n_bounds(stats, orders[-1], limits,
-                                          math.ldexp(max(values) if K is None else K, -e),
-                                          limits if explicit else None)
+        lowers, uppers = _finite_n_bounds(spec, values, e, limits, K)
         for s in orders:
             lower = _root_bound(lowers[s - 1], s, e)
             companion = None if lower.vacuous else _root_bound(n * lowers[s - 1], s, e).value

@@ -317,6 +317,38 @@ class TestOnePass:
         reports.moment_table(sigma_file, 34, n=40)
         assert calls == {"sigma_values": 1, "sigma_stats": 1, "_tree_series": 1}
 
+    @pytest.mark.parametrize("kind", ["const", "expr"])
+    @pytest.mark.parametrize("table", ["moments", "radius"])
+    def test_only_an_expression_sums_powers_for_its_rows(self, monkeypatch, table, kind):
+        # a constant is its own average at n: its rows' main terms are the
+        # table's series, so sigma_stats reads only n and the extremes; an
+        # expression's rows run their float series at S_{n,k}/n to s_top
+        stats_k, series = [], []
+        run_stats, run_series = sigma_model.sigma_stats, moments._tree_series
+
+        def counting(values, k_max):
+            stats_k.append(k_max)
+            return run_stats(values, k_max)
+
+        def tree_series(averages, s_max):
+            series.append(("mpf" if hasattr(averages[0], "_mpf_") else "float", s_max))
+            return run_series(averages, s_max)
+
+        for module in (reports, moments):
+            monkeypatch.setattr(module, "sigma_stats", counting)
+        monkeypatch.setattr(moments, "_tree_series", tree_series)
+        spec = parse_sigma_spec("const:0.7" if kind == "const" else EXP_SPEC)
+        if table == "moments":
+            reports.moment_table(spec, 34, n=12)
+            limits, s_top = ("float", 34), 11
+        else:
+            reports.radius_table(spec, orders=(2, 5, 40), n=200, s_bar=3)
+            limits, s_top = ("mpf", 40), 40
+        if kind == "const":
+            assert stats_k == [1] and series == [limits]
+        else:
+            assert stats_k == [s_top] and series == [limits, ("float", s_top)]
+
     @pytest.mark.parametrize("kind, n", [("file", 40), ("file", 12), ("expr", 12)])
     def test_moment_table_rows_equal_each_order_alone(self, sigma_file, kind, n):
         s_max = 34

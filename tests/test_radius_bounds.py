@@ -499,3 +499,16 @@ def test_radius_table_orders_evaluate_sigma_once(tmp_path, monkeypatch):
         assert row.lower == lower._replace(value=math.ldexp(lower.value, e))
         assert row.upper == upper._replace(value=math.ldexp(upper.value, e))
         assert row.upper_companion == math.ldexp((n * m_low) ** (1.0 / (2 * s)), e)
+
+
+def test_radius_table_of_a_constant_is_that_of_its_values(tmp_path):
+    # n copies of c average c^k at n, the constant's Lambda_k, so both give
+    # the same series, SDP and rows
+    from rank1_spectra.reports import radius_table
+
+    path = tmp_path / "sigma.txt"
+    path.write_text("0.7\n" * 20000, encoding="utf-8")
+    const, explicit = (radius_table(parse_sigma_spec(text), orders=(2, 5, 40), n=20000, s_bar=3)
+                       for text in ("const:0.7", f"file:{path}"))
+    assert const.rows == explicit.rows
+    assert const.sdp == explicit.sdp
