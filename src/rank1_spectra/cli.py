@@ -12,8 +12,8 @@ neither the expression language (``expression``) nor the quadrature of
 the limiting averages (``quadrature``): ``moments`` sums its S_{n,k}/n in
 float64 and loads neither, nor mpmath (``radius`` sums them exactly in
 mpf), and ``simulate`` of a constant or ``file:`` sigma loads neither.
-Rows at ``--n`` sum powers of sigma at n only for an expression: the
-S_{n,k}/n of a constant or a ``file:`` sigma are its averages (``reports``).
+Rows at ``--n`` sum powers of sigma at n only for an expression, and never
+evaluate a constant at n: the S_{n,k}/n of the others are their averages.
 numpy loads only with the Monte Carlo layer, for ``simulate`` and
 ``validate``.  ``moments`` and ``radius`` run on Python floats, exact
 ints and mpf, sigma at n points and its partial sums included, and never
@@ -44,7 +44,7 @@ written as null, an empty CSV cell, and then every row of its table carries
 the ``out_of_range`` flag and the power root m_{2s}^{1/2s}, ``limit_root``.
 
 Exit codes: 0 success, 1 when a ``validate`` check fails, 2 usage or parse
-errors, 3 numeric or runtime errors.
+errors, 3 numeric, runtime or out-of-memory errors.
 All outputs are UTF-8; floats serialize with 17 significant digits.
 """
 
@@ -361,8 +361,8 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (SigmaDomainError, NoLimitError, ValueError, ArithmeticError, OverflowError,
-            RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            RuntimeError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return NUMERIC_EXIT
 
 

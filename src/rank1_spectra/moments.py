@@ -20,7 +20,7 @@ import operator
 from typing import NamedTuple, Optional, Sequence
 
 from . import _MAX_ORDER as MAX_ORDER  # maximum s in m_{2s}
-from .sigma_model import SigmaStats, sigma_stats
+from .sigma_model import sigma_stats
 
 __all__ = [
     "MomentRow",
@@ -154,20 +154,15 @@ def limiting_even_moment(lambdas: Sequence[Number], s: int) -> Number:
     return _limits(lambdas, s)[-1]
 
 
-def _lower_bounds(stats: SigmaStats, s_max: int, mains: Optional[list] = None) -> list:
-    """moment_lower_bound for s = 1..s_max from one sigma_stats, and
-    ``mains``, the tree series at its S_{n,k}/n, if run already.  Without
-    ``mains`` the stats need k_max >= s_max; with them only n and
-    sigma_max are read."""
-    n = stats.n
-    if n <= s_max:
-        raise ValueError(f"need n > s, got n={n}, s={s_max}")
-    if mains is None:
-        mains = _tree_series([S / n for S in stats.partial_sums[:s_max]], s_max)
+def _lower_bounds(n: int, sigma_max: float, mains: Sequence[float]) -> list:
+    """moment_lower_bound for s = 1..len(mains) at n and sigma_max, from
+    ``mains``, the tree series at S_{n,k}/n."""
+    if n <= len(mains):
+        raise ValueError(f"need n > s, got n={n}, s={len(mains)}")
     bounds = []
     for s, main in enumerate(mains, start=1):
         correction = int(sum(math.comb(n, j) * j ** (s + 1 - j) for j in range(1, s + 1)))
-        eps = stats.sigma_max ** (2 * s) * (correction / n ** (s + 1))
+        eps = sigma_max ** (2 * s) * (correction / n ** (s + 1))
         bounds.append(main - eps)
     return bounds
 
@@ -183,7 +178,9 @@ def moment_lower_bound(values: Sequence[float], s: int) -> float:
     than clamping.  Bad sigma raises SigmaDomainError, overflow OverflowError.
     """
     _check_order(s)
-    return _lower_bounds(sigma_stats(values, s), s)[-1]
+    stats = sigma_stats(values, s)
+    mains = _tree_series([S / stats.n for S in stats.partial_sums], s)
+    return _lower_bounds(stats.n, stats.sigma_max, mains)[-1]
 
 
 def theta_factor(n: int, s: int, K: float, sigma_max: float, sigma_min: float) -> float:

@@ -5,15 +5,16 @@ building a moment table never loads the SDP layer.  A moment table of an
 explicit sequence takes S_{n,k}/n in float64 from `sigma_stats` and loads
 neither mpmath nor ``quadrature``; every other Lambda_k comes from
 `limiting_averages` in mpf, which `lambda_vector` imports from
-``quadrature`` when called.  The finite-n bounds on E m_{2s} have one
-builder, `_finite_n_bounds`: the moment table's rows report them and the
-radius table's rows their power roots.  Their lower bounds' main terms are
-the tree series at S_{n,k}/n, which for a constant or an explicit sequence
-are the table's limits; only an expression's are summed from sigma at n.
+``quadrature`` when called.  A table reads sigma at n once, by `_at_n`; a
+constant is its one value, never n copies.  The finite-n bounds on E m_{2s}
+have one builder, `_finite_n_bounds`: the moment table's rows report them
+and the radius table's rows their power roots.  Their lower bounds' main
+terms are the tree series at S_{n,k}/n, which for a constant or an explicit
+sequence are the table's limits; only an expression's are summed.
 
 Lambda_k is homogeneous in sigma of degree k, m_{2s} of degree 2s and a
 root of degree 1, so the float64 work of both tables runs at one scale,
-sigma / 2^e with e from `_scale`, and each result is scaled back once.
+sigma / 2^e with e from `_at_n` or `_scale`, and each result is scaled back once.
 Scaling by a power of two is exact; a moment that then leaves float64's
 normal range is flagged by its row (`MomentRow.out_of_range`).
 """
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 from . import _DEFAULT_LAMBDA_TOL as DEFAULT_LAMBDA_TOL
 from . import _DEFAULT_SBAR, _DEFAULT_TOL
 from .moments import (MomentReport, MomentRow, _check_order, _limits, _lower_bounds, _scaled,
-                      moment_upper_bound)
+                      _tree_series, moment_upper_bound)
 from .sigma_model import (DEFAULT_DIGITS, NoLimitError, SigmaSpec, SigmaStats, sigma_stats,
                           sigma_values)
 
@@ -38,18 +39,29 @@ __all__ = ["lambda_vector", "moment_table", "radius_table", "DEFAULT_LAMBDA_TOL"
 _FINITE_NOTE = "finite-n averages S_{{n,k}}/n at n={}"
 
 
-def _scale(values: Optional[Sequence[float]], lambdas: Sequence = ()) -> int:
-    """The one scale of a table: the least e with x <= 2^e, x the largest of
-    ``values``, sigma at n, or else Lambda_K^{1/K} for the last of the mpf
-    ``lambdas``, which is at most sigma_max and, as Lambda_k^{1/k} grows
-    with k, puts every Lambda_k 2^-ek at or below 1."""
-    if values is not None:
-        man, e = math.frexp(max(values))
-    else:
-        from mpmath import mp
+def _scale(lambdas: Sequence) -> int:
+    """The scale of a table without n: the least e with x <= 2^e, x =
+    Lambda_K^{1/K} for the last of the mpf ``lambdas``, which is at most
+    sigma_max and, as Lambda_k^{1/k} grows with k, puts each Lambda_k 2^-ek
+    at or below 1."""
+    from mpmath import mp
 
-        man, e = mp.frexp(mp.root(lambdas[-1], len(lambdas)))
+    man, e = mp.frexp(mp.root(lambdas[-1], len(lambdas)))
     return e - (man == 0.5)
+
+
+def _at_n(spec: SigmaSpec, n: int, k_max: int) -> Tuple[int, SigmaStats]:
+    """Sigma at n on its table's scale: the least e with sigma_max <= 2^e,
+    and n, the extremes and S_{n,1..k_max} (none at k_max 0) of sigma 2^-e.
+    A constant is its one value and sums nothing: S_{n,k}/n is Lambda_k."""
+    const = spec.kind == "constant"
+    values = (spec.payload,) if const else sigma_values(spec, n)
+    top, bottom = max(values), min(values)
+    man, e = math.frexp(top)
+    e -= man == 0.5
+    if const or not k_max:
+        return e, SigmaStats(n, (), math.ldexp(top, -e), math.ldexp(bottom, -e))
+    return e, sigma_stats([math.ldexp(v, -e) for v in values], k_max)
 
 
 def _check_normal(limits: list, e: int) -> None:
@@ -90,22 +102,21 @@ def lambda_vector(
     return la.values, f"tanh-sinh quadrature of the pointwise limit: {work}", la.digits
 
 
-def _finite_n_bounds(spec: SigmaSpec, values: Sequence[float], e: int, limits: Sequence[float],
-                     K: Optional[float] = None,
-                     stats: Optional[SigmaStats] = None) -> Tuple[list, list]:
-    """Lower and upper bounds on E m_{2s}, s = 1..len(limits), at ``values``,
-    sigma at n, on the table's scale 2^-e: `_lower_bounds`, and
-    `moment_upper_bound` at ``limits`` and K 2^-e or sigma_max.  A constant
-    or an explicit sequence is its own average at n, so ``limits`` are its
-    lower bounds' main terms, the tree series at S_{n,k}/n; only an
-    expression's are summed.  ``stats``, if given, replace `sigma_stats`."""
-    own = spec.kind != "expression"
-    if stats is None:
-        stats = sigma_stats([math.ldexp(v, -e) for v in values], 1 if own else max(1, len(limits)))
+def _finite_n_bounds(spec: SigmaSpec, stats: SigmaStats, e: int, limits: Sequence[float],
+                     K: Optional[float] = None) -> Tuple[list, list]:
+    """Lower and upper bounds on E m_{2s}, s = 1..len(limits), at sigma at
+    n, ``stats`` from `_at_n`, on the table's scale 2^-e: `_lower_bounds`,
+    and `moment_upper_bound` at ``limits`` and K 2^-e or sigma_max.  A
+    constant or an explicit sequence is its own average at n, so ``limits``
+    are its lower bounds' main terms, the tree series at S_{n,k}/n; only an
+    expression's are summed, from the S_{n,k} of ``stats``."""
+    mains = limits
+    if spec.kind == "expression":
+        mains = _tree_series([S / stats.n for S in stats.partial_sums], len(limits))
     K = stats.sigma_max if K is None else math.ldexp(K, -e)
     uppers = [moment_upper_bound(stats.n, s, K, stats.sigma_max, stats.sigma_min, m)
               for s, m in enumerate(limits, start=1)]
-    return _lower_bounds(stats, len(limits), limits if own else None), uppers
+    return _lower_bounds(stats.n, stats.sigma_max, mains), uppers
 
 
 def moment_table(
@@ -118,34 +129,31 @@ def moment_table(
     """Moment report for even orders 2..2*s_max, in float64.
 
     With ``n`` given the rows of orders s < n carry the finite-n bounds of
-    `_finite_n_bounds` at sigma at n, which is evaluated once; the upper
-    bound takes K = sigma_max unless overridden.  The table runs at the one
-    scale of `_scale`: on sigma 2^-e at n and on Lambda_k 2^-ek.  The
-    limits come from one pass of the tree series in float64.  An explicit
-    sequence's averages are its S_{n,k}/n, from one `sigma_stats` that the
-    bounds reuse, and without ``n`` those of all its values; a constant's
-    S_{n,k}/n are its limits too, and only an expression's lower bounds run
-    a second series.  Each row is scaled back by 4^es.
+    `_finite_n_bounds` at sigma at n, read once by `_at_n`; the upper bound
+    takes K = sigma_max unless overridden.  The table runs at one scale, on
+    sigma 2^-e at n and on Lambda_k 2^-ek.  The limits come from one pass
+    of the tree series in float64.  An explicit sequence's averages are its
+    S_{n,k}/n, summed by `_at_n` to s_max (all its values without ``n``); a
+    constant's S_{n,k}/n are its limits too, and only an expression's lower
+    bounds run a second series.  Each row is scaled back by 4^es.
     """
     explicit = spec.kind == "explicit"
-    n_stats = len(spec.payload) if explicit and n is None else n
-    values = None if n_stats is None else sigma_values(spec, n_stats)
-    stats = None
+    n_at = len(spec.payload) if explicit and n is None else n
+    if n_at is not None:
+        e, at_n = _at_n(spec, n_at, s_max if explicit else min(s_max, n_at - 1))
     if explicit:
-        source, e = _FINITE_NOTE.format(n_stats), _scale(values)
-        stats = sigma_stats([math.ldexp(v, -e) for v in values], s_max)
-        averages = [S / n_stats for S in stats.partial_sums]
+        source, averages = _FINITE_NOTE.format(n_at), [S / n_at for S in at_n.partial_sums]
     else:
         from mpmath import mp
 
         lambdas, source, _ = lambda_vector(spec, s_max, lambda_tol)
-        e = _scale(values, lambdas)
+        e = _scale(lambdas) if n is None else e
         averages = [float(mp.ldexp(a, -e * k)) for k, a in enumerate(lambdas, start=1)]
     limits = _limits(averages, s_max)
     _check_normal(limits, e)
     lowers = uppers = ()
     if n is not None:
-        lowers, uppers = _finite_n_bounds(spec, values, e, limits[:n - 1], K, stats)
+        lowers, uppers = _finite_n_bounds(spec, at_n, e, limits[:n - 1], K)
     rows = []
     for s, m in enumerate(limits, start=1):
         row = MomentRow(2 * s, _scaled(m, 2 * e * s), root=_scaled(m ** (1 / (2 * s)), e))
@@ -174,12 +182,13 @@ def radius_table(
     as the pencil would amplify float64's rounding past beta's first digit.
     The SDP and ``asymptotic_root`` take these mpf moments as they are.  A
     row at order s is the power roots of the moment bounds of
-    `_finite_n_bounds` at sigma at n, whose lower bounds' main terms are
-    these moments for a constant or an explicit sequence, each its own
-    S_{n,k}/n, and a float64 series at an expression's S_{n,k}/n: lower
+    `_finite_n_bounds` at sigma at n from `_at_n`, whose lower bounds' main
+    terms are these moments for a constant or an explicit sequence, each its
+    own S_{n,k}/n, and a float64 series at an expression's S_{n,k}/n: lower
     (m_low)^{1/2s}, upper (n m_up)^{1/2s} and companion (n m_low)^{1/2s}.
-    The rows run at the one scale of `_scale`, on sigma 2^-e at n and on
-    m_{2s} 2^-2es, each rounded once, and each root is scaled back by 2^e.
+    Only an expression's rows sum powers of sigma at n; the others read n
+    and its extremes.  The rows run at one scale, sigma 2^-e and m_{2s}
+    2^-2es, each rounded once, and each root is scaled back by 2^e.
     """
     from mpmath import mp, mpf
 
@@ -212,11 +221,10 @@ def radius_table(
 
     rows = []
     if orders:
-        values = sigma_values(spec, n)
-        e = _scale(values)
+        e, at_n = _at_n(spec, n, orders[-1] if spec.kind == "expression" else 0)
         limits = [float(mp.ldexp(m, -2 * e * s)) for s, m in enumerate(series[:orders[-1]], 1)]
         _check_normal(limits, e)
-        lowers, uppers = _finite_n_bounds(spec, values, e, limits, K)
+        lowers, uppers = _finite_n_bounds(spec, at_n, e, limits, K)
         for s in orders:
             lower = _root_bound(lowers[s - 1], s, e)
             companion = None if lower.vacuous else _root_bound(n * lowers[s - 1], s, e).value

@@ -1,9 +1,10 @@
 """Deterministic serialization: JSON with 17-significant-digit floats, CSV, manifests.
 
-Every output file embeds a run manifest (command, argument vector, sigma
-text, seed, library version, timestamp).  The numeric payload serializes
-identically across reruns of the same configuration; only the manifest
-timestamp varies.
+The JSON outputs (``moments``, ``radius``, ``simulate``'s report.json) embed
+a run manifest (command, argument vector, sigma text, seed, library version,
+timestamp); the CSV ones (``moments --format csv``, ``esd.csv``) carry none.
+The numeric payload serializes identically across reruns of the same
+configuration; only the manifest timestamp varies.
 """
 
 from __future__ import annotations
@@ -73,15 +74,13 @@ def _encode(obj: Any, out: list, level: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+# every control character escaped: the short form where JSON has one, else \u00XX
+_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)} | {
+    ord(c): "\\" + e for c, e in zip('\\"\n\r\t', '\\"nrt')}
+
+
 def _quote(s: str) -> str:
-    escaped = (
-        s.replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-        .replace("\t", "\\t")
-    )
-    return f'"{escaped}"'
+    return f'"{s.translate(_ESCAPES)}"'
 
 
 def dumps_json(obj: Any) -> str:

@@ -278,6 +278,36 @@ def test_bad_sigma_exit_codes(tmp_path, sigma, code):
     assert cli.main(argv) == code
 
 
+def test_control_characters_in_a_path_stay_valid_json(tmp_path):
+    # every U+0000-U+001F a file name may hold (all but NUL) survives json.loads
+    name = "s" + "".join(map(chr, range(1, 0x20))) + ".txt"
+    path = tmp_path / name
+    path.write_text("\n".join(repr(v) for v in SIGMA) + "\n", encoding="utf-8")
+    out = tmp_path / ("m\x01" + name + ".json")
+    argv = ["moments", "--sigma", f"file:{path}", "--max-order", "4", "--out", str(out)]
+    assert cli.main(argv) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["manifest"]["sigma"] == f"file:{path}"
+    assert payload["manifest"]["argv"] == argv
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 298. GiB for an array"),
+     "error: Unable to allocate 298. GiB for an array\n"),
+    (MemoryError(), "error: MemoryError\n")])
+def test_out_of_memory_exits_3(tmp_path, monkeypatch, capsys, exc, line):
+    # a campaign numpy cannot allocate is a runtime error, not a failed check
+    def no_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("rank1_spectra.ensemble.monte_carlo", no_memory)
+    argv = ["simulate", "--sigma", "expr:exp(-4*i/n)", "--n", "200000", "--trials", "1",
+            "--out", str(tmp_path / "sim")]
+    assert cli.main(argv) == cli.NUMERIC_EXIT
+    assert capsys.readouterr().err == line
+    assert not (tmp_path / "sim").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["moments", "--sigma", "const:1", "--max-order", "3", "--out", "m.json"],

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -205,10 +206,9 @@ def test_integer_ratios_round_as_fractions_do(n_of):
         ratio = float(Fraction(n ** (s - 1), (n - s) ** (s + 1)))
         expected = (K * K * s ** 6) / (2.0 * n * smax * smax) * (smax / smin) ** (2 * s) * ratio
         assert theta_factor(n, s, K, smax, smin).hex() == expected.hex()
-        stats = sigma_model.SigmaStats(n, (1.0,) * s, smax, smin)
         correction = sum(math.comb(n, j) * j ** (s + 1 - j) for j in range(1, s + 1))
         eps = smax ** (2 * s) * float(Fraction(correction, n ** (s + 1)))
-        assert moments._lower_bounds(stats, s, [0.0] * s)[-1].hex() == (-eps).hex()
+        assert moments._lower_bounds(n, smax, [0.0] * s)[-1].hex() == (-eps).hex()
 
 
 class TestOddMomentBound:
@@ -321,8 +321,8 @@ class TestOnePass:
     @pytest.mark.parametrize("table", ["moments", "radius"])
     def test_only_an_expression_sums_powers_for_its_rows(self, monkeypatch, table, kind):
         # a constant is its own average at n: its rows' main terms are the
-        # table's series, so sigma_stats reads only n and the extremes; an
-        # expression's rows run their float series at S_{n,k}/n to s_top
+        # table's series, and it runs no sigma_stats; an expression's rows run
+        # their float series at S_{n,k}/n to s_top
         stats_k, series = [], []
         run_stats, run_series = sigma_model.sigma_stats, moments._tree_series
 
@@ -336,7 +336,7 @@ class TestOnePass:
 
         for module in (reports, moments):
             monkeypatch.setattr(module, "sigma_stats", counting)
-        monkeypatch.setattr(moments, "_tree_series", tree_series)
+            monkeypatch.setattr(module, "_tree_series", tree_series)
         spec = parse_sigma_spec("const:0.7" if kind == "const" else EXP_SPEC)
         if table == "moments":
             reports.moment_table(spec, 34, n=12)
@@ -345,9 +345,28 @@ class TestOnePass:
             reports.radius_table(spec, orders=(2, 5, 40), n=200, s_bar=3)
             limits, s_top = ("mpf", 40), 40
         if kind == "const":
-            assert stats_k == [1] and series == [limits]
+            assert stats_k == [] and series == [limits]
         else:
             assert stats_k == [s_top] and series == [limits, ("float", s_top)]
+
+    def test_a_constant_is_never_evaluated_at_n(self, monkeypatch):
+        # a constant's rows read n and its one value: neither table builds n
+        # copies of it or sums their powers, at any n
+        def refuse(*args, **kwargs):
+            raise AssertionError("a constant was evaluated at n")
+
+        for name in ("sigma_values", "sigma_stats"):
+            fn = getattr(sigma_model, name)
+            for module in [m for key, m in sys.modules.items() if key.startswith("rank1_spectra")]:
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, refuse)
+        spec, n = parse_sigma_spec("const:0.7"), 2_000_000
+        rows = reports.moment_table(spec, 64, n=n).rows
+        assert all(row.lower is not None and row.upper is not None for row in rows)
+        report = reports.radius_table(spec, orders=(2, 5, 40), n=n, s_bar=3)
+        assert [(row.s, row.n) for row in report.rows] == [(2, n), (5, n), (40, n)]
+        # the bounds are those of the one value: m_2 = c^2 less c^2 n / n^2
+        assert rows[0].lower == 0.7 ** 2 - 0.7 ** 2 * (n / n ** 2)
 
     @pytest.mark.parametrize("kind, n", [("file", 40), ("file", 12), ("expr", 12)])
     def test_moment_table_rows_equal_each_order_alone(self, sigma_file, kind, n):

@@ -459,8 +459,8 @@ def test_radius_table_orders_evaluate_sigma_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "sigma_values", evaluating)
     monkeypatch.setattr(moments, "_tree_series", tree_series)
     report = reports.radius_table(spec, orders=orders, n=4000, s_bar=3)
-    # the rows read only n and the extremes of sigma at n
-    assert calls == [1]
+    # the rows read only n and the extremes of sigma at n: no sigma_stats
+    assert calls == []
     # the limiting averages count the file's values; only the rows evaluate sigma
     assert evaluations == [4000]
     # one mpf series, at the exact S_{n,k}/n, feeds the SDP and every bound
