@@ -10,17 +10,18 @@ simulation and two brute-force enumeration oracles.
 
 Names load on first use: ``import rank1_spectra`` imports no submodule, and
 reading a public name imports the one submodule that defines it (PEP 562), so
-a caller pays only for the layers it touches; mpmath, for one, loads with
-``radius_bounds`` or for limiting averages.  ``limiting_averages`` is read
-from ``quadrature``, the module that defines it, and the sigma expression
-language (``expression``) exports no public name, so reading a name of
-``sigma_model`` compiles neither.
+a caller pays only for the layers it touches; the stdlib's ``decimal``,
+for one, loads with ``radius_bounds`` or for limiting averages, and mpmath
+only with ``validation``, the oracle of the Decimal layers.
+``limiting_averages`` is read from ``quadrature``, the module that defines
+it, and the sigma expression language (``expression``) exports no public
+name, so reading a name of ``sigma_model`` compiles neither.
 
 numpy loads only with the Monte Carlo layer (``ensemble``) and the
 validation battery (``validation``).  Every other layer, from the sigma spec
 through sigma at n points and its partial sums (``sigma_values``,
 ``sigma_stats``), the limiting averages, the tree series and the SDP to the
-serializer, runs on Python floats, ints and mpmath, so ``moments`` and
+serializer, runs on Python floats, ints and Decimals, so ``moments`` and
 ``radius`` never load it; ``simulate`` and ``validate`` load it when they
 first need it.
 

@@ -10,18 +10,20 @@ runs.  So ``simulate`` never loads the moment layers (``moments`` and
 ``validate`` loads the enumeration oracles.  A ``file:`` sigma needs
 neither the expression language (``expression``) nor the quadrature of
 the limiting averages (``quadrature``): ``moments`` sums its S_{n,k}/n in
-float64 and loads neither, nor mpmath (``radius`` sums them exactly in
-mpf), and ``simulate`` of a constant or ``file:`` sigma loads neither.
-Rows at ``--n`` sum powers of sigma at n only for an expression, and never
-evaluate a constant at n: the S_{n,k}/n of the others are their averages.
-numpy loads only with the Monte Carlo layer, for ``simulate`` and
-``validate``.  ``moments`` and ``radius`` run on Python floats, exact
-ints and mpf, sigma at n points and its partial sums included, and never
-load it, which saves its import, most of their start-up.  Nor do they
-load ``dataclasses`` (with ``inspect``, ``ast``, ``dis`` and
-``tokenize``), ``datetime``, ``fractions`` or ``decimal``: the records of
-their layers are NamedTuples, the manifest's timestamp is formatted from
-``time.time_ns()``, and a float tree series takes no Fraction.
+float64 and loads neither, nor ``decimal`` (``radius`` sums them exactly
+in Decimal), and ``simulate`` of a constant or ``file:`` sigma loads
+neither.  Rows at ``--n`` sum powers of sigma at n only for an expression,
+and never evaluate a constant at n: the S_{n,k}/n of the others are their
+averages.  numpy loads only with the Monte Carlo layer, for ``simulate``
+and ``validate``.  ``moments`` and ``radius`` run on Python floats, exact
+ints and the stdlib's C ``decimal``, sigma at n points and its partial
+sums included, and never load numpy, which saves its import, most of
+their start-up.  No command but ``validate``, whose oracles check the
+Decimal layers, loads mpmath.  Nor do ``moments`` and ``radius`` load
+``dataclasses`` (with ``inspect``, ``ast``, ``dis`` and ``tokenize``),
+``datetime`` or ``fractions``: the records of their layers are
+NamedTuples, the manifest's timestamp is formatted from
+``time.time_ns()``, and a float or Decimal tree series takes no Fraction.
 
 A process that enters through ``run`` (``python -m rank1_spectra.cli`` and
 the ``rank1-spectra`` script) calls ``gc.freeze()`` once ``main`` has

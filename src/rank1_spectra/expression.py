@@ -4,10 +4,11 @@ An ``expr:`` spec is arithmetic in the index ``i`` and the dimension ``n``.
 `_ExprParser` turns its text into a tree of tuples, and `_eval_node`
 evaluates the tree in any arithmetic that supplies exp, log and power: on
 `_Floats`, the C library's math mapped over many points, for sigma at n
-points and the quadrature's float midpoint check, and on one mpf for a
-quadrature node.  `sigma_model` imports this module only where it parses or
-evaluates an expression, so parsing a constant or ``file:`` sigma and
-taking its values never compile it; `quadrature` imports it for its nodes.
+points and the quadrature's float midpoint check, and on one Decimal for
+a quadrature node (`quadrature._DECIMAL`).  `sigma_model` imports this
+module only where it parses or evaluates an expression, so parsing a
+constant or ``file:`` sigma and taking its values never compile it;
+`quadrature` imports it for its nodes.
 """
 
 from __future__ import annotations
@@ -235,8 +236,10 @@ _FLOAT = SimpleNamespace(exp=_elementwise(math.exp, _exp), log=_elementwise(math
 
 def _eval_node(node: Node, i, n, ns):
     """Evaluate a parsed expression at index i and dimension n.  ``ns``
-    supplies exp, log and power: `_FLOAT` for `_Floats`, mpmath's ``mp`` for
-    one mpf point (numpy, on arrays, serves as well)."""
+    supplies exp, log and power: `_FLOAT` for `_Floats`,
+    `quadrature._DECIMAL` for one Decimal point, whose tree holds Decimal
+    literals (`quadrature._decimal_literals`), as Decimal takes no float
+    operand (numpy, on arrays, serves as well)."""
     op = node[0]
     if op == "num":
         return node[1]

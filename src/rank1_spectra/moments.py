@@ -33,7 +33,7 @@ __all__ = [
     "MAX_ORDER",
 ]
 
-Number = numbers.Real  # an int, a Fraction, a float or an mpf
+Number = numbers.Number  # an int, a Fraction, a float or a Decimal
 
 
 def _tree_series(averages: Sequence[Number], s_max: int) -> list:
@@ -43,22 +43,26 @@ def _tree_series(averages: Sequence[Number], s_max: int) -> list:
     coefficient of its term prod A_j^{r_j} w^{s-1} in phi(w)^{s+1}.  Each
     power phi^j is built once, truncated after w^{s_max-1}; its low
     coefficients are the same sums, in the same order, as a truncation
-    after w^{s-1}.  Rationals stay exact (integers of any type as ints),
-    mpmath numbers give mpf (`_fixed_point_series`), anything else is a
-    float; all terms are positive.  Each coefficient sums its products left
-    to right, on every Python: from 3.12 on, the builtin ``sum``
-    compensates float sums.  A float series takes 2/(s+1) as the float
-    2 / (s + 1), which is float(Fraction(2, s + 1)), so it loads no
-    ``fractions``.
+    after w^{s-1}.  Floats give floats, Decimals give Decimals at the
+    current context's digits (`_fixed_point_series`), and rationals stay
+    exact (integers of any type as ints); other reals, mixed with
+    rationals, are floats.  All terms are positive.  Each coefficient sums
+    its products left to right, on every Python: from 3.12 on, the builtin
+    ``sum`` compensates float sums.  A float series takes 2/(s+1) as the
+    float 2 / (s + 1), which is float(Fraction(2, s + 1)), so it loads
+    neither ``fractions`` nor ``decimal``.
     """
-    phi = [_exact_or_float(a) for a in averages[:s_max]]
-    if phi and all(hasattr(a, "_mpf_") for a in phi):
-        return _fixed_point_series(phi, s_max)
+    phi = averages[:s_max]
     if all(isinstance(a, float) for a in phi):
-        factors = [2 / (s + 1) for s in range(1, s_max + 1)]
-    else:  # exact, mpf or mixed input keeps its product types
+        phi, factors = [float(a) for a in phi], [2 / (s + 1) for s in range(1, s_max + 1)]
+    else:  # exact or mixed input keeps its product types
+        from decimal import Decimal
+
+        if all(isinstance(a, Decimal) for a in phi):
+            return _fixed_point_series(list(phi), s_max)
         from fractions import Fraction
 
+        phi = [_exact_or_float(a) for a in phi]
         factors = [Fraction(2, s + 1) for s in range(1, s_max + 1)]
     power = list(phi)
     series = []
@@ -70,17 +74,21 @@ def _tree_series(averages: Sequence[Number], s_max: int) -> list:
 
 
 def _exact_or_float(a):
-    """A rational ``a`` exactly (an integer of any type as an int), an mpf
-    as it is, anything else as a float."""
+    """A rational ``a`` exactly (an integer of any type as an int), another
+    real as a float.  A Decimal, which is no ``numbers.Real``, raises: its
+    series is `_fixed_point_series`, never a float one."""
     if isinstance(a, numbers.Integral):
         return int(a)
-    return a if isinstance(a, numbers.Rational) or hasattr(a, "_mpf_") else float(a)
+    if not isinstance(a, numbers.Real):
+        raise TypeError(f"averages must be reals or all Decimals, got {a!r}")
+    return a if isinstance(a, numbers.Rational) else float(a)
 
 
 def _fixed_point_series(phi: list, s_max: int) -> list:
-    """The tree series of positive mpf averages phi in Python ints, each
-    m_{2s} within 2^-prec (1 + 2^-3) of itself of the exact series at phi,
-    at the mp precision prec.
+    """The tree series of positive Decimal averages phi in Python ints,
+    each m_{2s} within 2^-(prec + 3) of itself of the exact series at phi
+    before its one rounding to the current decimal context's D digits,
+    prec = bits(10^D): within 10^(1-D) (1/2 + 1/80) in all.
 
     Scaling: A_k = 2^(a + b k) l_k with integer a, b, so the coefficient of
     w^j in phi^p is 2^(a p + b (j + p)) times that of the l's: every
@@ -92,29 +100,37 @@ def _fixed_point_series(phi: list, s_max: int) -> list:
     coefficient c of a power of the l's is at least mu: it holds the term
     l_1^(p-1) l_(j+1).
 
-    The l_k are held as L_k = floor(l_k 2^F), and each coefficient of the
-    next power is the exact sum of its products, shifted down by F bits.
-    Every step errs downwards: L_k falls short of l_k 2^F by under 1, a
-    relative 2^-F/mu, and the shift of a sum of positive terms adds under
-    1 unit to the relative errors of its terms, so the coefficients of
-    phi^p fall short by at most (2p - 1) 2^-F/mu.  The floor division by
-    s + 1, of the coefficient shifted up by bits(s + 1), adds another
-    2^-F/mu at most, so m_{2s} falls short by at most
-    (2 s_max + 2) 2^-F/mu before its one rounding to prec bits, which
-    F = prec + 3 + bits(2 s_max + 2) + log2(1/mu) makes at most 2^-(prec+3).
+    The l_k are held as L_k = floor(l_k 2^F), from the exact ratio of each
+    Decimal, and each coefficient of the next power is the exact sum of its
+    products, shifted down by F bits.  Every step errs downwards: L_k falls
+    short of l_k 2^F by under 1, a relative 2^-F/mu, and the shift of a sum
+    of positive terms adds under 1 unit to the relative errors of its
+    terms, so the coefficients of phi^p fall short by at most
+    (2p - 1) 2^-F/mu.  The floor division by s + 1, of the coefficient
+    shifted up by bits(s + 1), adds another 2^-F/mu at most, so m_{2s}
+    falls short by at most (2 s_max + 2) 2^-F/mu before its one rounding,
+    which F = prec + 3 + bits(2 s_max + 2) + log2(1/mu) makes at most
+    2^-(prec+3).
     """
-    from mpmath import mp, mpf
+    from decimal import getcontext
 
-    # A_k = man_k 2^exp_k with 2^(e_k - 1) <= A_k < 2^e_k
-    scaled = [a.man_exp for a in phi]
-    e = [x + m.bit_length() for m, x in scaled]
+    from .sigma_model import _context, _exact_ratio, _from_binary
+
+    ctx = _context(getcontext().prec)
+    prec = (10 ** ctx.prec).bit_length()
+    ratios = [_exact_ratio(a) for a in phi]
+    # A_k = p_k / q_k 2^t_k with 2^(e_k - 1) <= A_k < 2^e_k
+    e = []
+    for p, q, t in ratios:
+        ek = p.bit_length() - q.bit_length()
+        e.append(ek + t + (_floor_ldexp(p, q, -ek) >= 1))
     b = round((e[-1] - e[0]) / (s_max - 1)) if s_max > 1 else 0
     a = e[0] - 1 - b
-    # l_k = A_k 2^-(a + b k) = man_k 2^x_k, with l_1 in [1, 2)
-    x = [xk - a - b * k for k, (_, xk) in enumerate(scaled, start=1)]
-    low = min(xk + m.bit_length() for (m, _), xk in zip(scaled, x)) - 1  # mu = 2^low
-    F = mp.prec + 3 + (2 * s_max + 2).bit_length() + max(0, -low)
-    L = [m << (xk + F) if xk + F >= 0 else m >> -(xk + F) for (m, _), xk in zip(scaled, x)]
+    # l_k = A_k 2^-(a + b k) lies in [2^(x_k - 1), 2^x_k), with l_1 in [1, 2)
+    x = [ek - a - b * k for k, ek in enumerate(e, start=1)]
+    low = min(x) - 1  # mu = 2^low
+    F = prec + 3 + (2 * s_max + 2).bit_length() + max(0, -low)
+    L = [_floor_ldexp(p, q, F - a - b * k + t) for k, (p, q, t) in enumerate(ratios, start=1)]
     reverse = L[::-1]
     power, series = L, []
     for s in range(1, s_max + 1):
@@ -123,8 +139,14 @@ def _fixed_point_series(phi: list, s_max: int) -> list:
         # m_2s = 2/(s+1) [w^(s-1)] phi^(s+1), and 2^(a (s+1) + 2 b s - F) times the l's;
         # the shift by t bits before the division keeps its floor within 1/(2 power)
         t = (s + 1).bit_length()
-        series.append(mpf(((power[s - 1] << t + 1) // (s + 1), a * (s + 1) + 2 * b * s - F - t)))
+        series.append(_from_binary((power[s - 1] << t + 1) // (s + 1),
+                                   a * (s + 1) + 2 * b * s - F - t, ctx))
     return series
+
+
+def _floor_ldexp(p: int, q: int, shift: int) -> int:
+    """floor(p 2^shift / q) for positive ints p, q."""
+    return (p << shift) // q if shift >= 0 else p // (q << -shift)
 
 
 def _check_order(s: int) -> None:
@@ -148,8 +170,8 @@ def limiting_even_moment(lambdas: Sequence[Number], s: int) -> Number:
     """Moment m_{2s} of the limiting spectral distribution from Lambda_1..Lambda_s.
 
     Exact rational arithmetic when the Lambda values are ints/Fractions
-    (useful for the constant-profile specialization), mpf arithmetic at the
-    current mp precision for mpf values, float otherwise.
+    (useful for the constant-profile specialization), Decimal at the
+    current decimal context's digits for Decimal values, float otherwise.
     """
     return _limits(lambdas, s)[-1]
 

@@ -1,6 +1,6 @@
-"""Limiting averages Lambda_k = lim_n (1/n) S_{n,k} of a sigma spec, in mpf.
+"""Limiting averages Lambda_k = lim_n (1/n) S_{n,k} of a sigma spec, in Decimal.
 
-Every Lambda_k is one mpf sum of w_j v_j^k over a node set
+Every Lambda_k is one Decimal sum of w_j v_j^k over a node set
 (`_weighted_power_sums`): a constant is one node of weight 1, and an
 explicit sequence, which has no limit, stands in with its first n values,
 each distinct value weighted by its count over n.  An expression's nodes
@@ -8,12 +8,14 @@ are those of tanh-sinh quadrature (Takahasi-Mori 1974) of its pointwise
 limit, Lambda_k = int_{1/N}^1 f(xN, N)^k dx at a huge N.  The same sums at
 10^10 N on a coarse level test that the limit exists (1 + log(i) fails at
 once), and a panel across which the quadrature stalls, as at a kink, is
-halved.  The functions here import mpmath, and those that evaluate an
-expression the expression language, when they run.
+halved.  Every average is a `decimal.Decimal` of the stdlib's C decimal
+module, in the context `sigma_model._context` at the caller's digits and
+`sigma_model._GUARD_DIGITS` more; the functions that evaluate an
+expression import the expression language when they run.
 
 `reports.lambda_vector` and `validation` import this module when they run,
-so a command that needs no mpf average, ``moments --sigma file:`` with its
-float64 S_{n,k}/n, never compiles it.
+so a command that needs no arbitrary-precision average, ``moments --sigma
+file:`` with its float64 S_{n,k}/n, never compiles it.
 """
 
 from __future__ import annotations
@@ -21,11 +23,15 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 from collections import Counter, defaultdict
+from decimal import Decimal, getcontext, localcontext
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional
 
 from .sigma_model import (DEFAULT_DIGITS, LimitingAverages, SigmaDomainError, SigmaSpec,
-                          _check_length, _power_sums)
+                          _GUARD_DIGITS, _check_length, _context, _from_binary,
+                          _power_sums)
 
 if TYPE_CHECKING:
     from .expression import Node
@@ -37,6 +43,7 @@ __all__ = ["limiting_averages"]
 # _MAX_NODES evaluations of sigma
 _LIMIT_LEVEL, _MAX_LEVEL, _MAX_NODES = 2, 8, 2 ** 14
 _CELLS = 2 ** 12  # cells of the float midpoint rule that checks every settled panel
+_LOG2_10 = 3321928094887362347870  # floor(log2(10) 10^21)
 
 
 def limiting_averages(
@@ -59,9 +66,8 @@ def limiting_averages(
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    from mpmath import mp, mpf
 
-    with mp.workdps(digits):
+    with localcontext(_context(digits + _GUARD_DIGITS)):
         if spec.kind != "expression":
             # a constant is its value at n = 1, an explicit sequence its first n values
             if spec.kind == "constant":
@@ -79,44 +85,47 @@ def limiting_averages(
             sums = _weighted_power_sums(list(nodes.values()), list(nodes), k_max)
             return LimitingAverages(tuple(s / size for s in sums), (True,) * k_max,
                                     0, 0, len(nodes), digits)
-        tree, N = spec.payload, mpf(10) ** (digits + 5)
-        t_max = mp.asinh(mp.log(N * 10 ** 10) / mp.pi)
-        near = _levels(tree, k_max, N, 1 / N, mpf(1), t_max)
-        far = _levels(tree, k_max, N * 10 ** 10, 1 / (N * 10 ** 10), mpf(1), t_max)
+        tree, N = _decimal_literals(spec.payload), Decimal(10) ** (digits + 5)
+        # the nodes reach within about 1/(10^10 N) of 0, the far sums' lower
+        # end; t_max sets only their span, so float64 holds it
+        t_max = math.asinh(math.log(10) * (digits + 15) / math.pi)
+        near = _levels(tree, k_max, N, 1 / N, Decimal(1), t_max)
+        far = _levels(tree, k_max, N * 10 ** 10, 1 / (N * 10 ** 10), Decimal(1), t_max)
         history, nodes = [], 0
         for _ in range(_LIMIT_LEVEL + 1):
             (n, estimate), (n_far, far_estimate) = next(near), next(far)
             history.append(estimate)
             nodes += n + n_far
-        converged = tuple(abs(e - f) <= tol * e for e, f in zip(estimate, far_estimate))
+        converged = tuple(abs(e - f) <= Decimal(tol) * e for e, f in zip(estimate, far_estimate))
         if not all(converged):
             return LimitingAverages(tuple(estimate), converged, _LIMIT_LEVEL, 1, nodes, digits)
-        scale, floor = estimate, mpf(10) ** -digits
-        grid = _midpoint_grid(tree, float(N))
+        scale, floor = estimate, Decimal(10) ** -digits
+        grid = _midpoint_grid(spec.payload, float(N))
         settled, stalled, panels, level = [0] * k_max, [], 0, _LIMIT_LEVEL
-        todo = [(1 / N, mpf(1), near, history)]
+        todo = [(1 / N, Decimal(1), near, history, None)]
         while todo:
-            for p, q, levels, history in todo:
+            for p, q, levels, history, sums in todo:
                 estimate, error, n = _settle(levels, history, digits)
                 panels, nodes, level = panels + 1, nodes + n, max(level, len(history) - 1)
                 if error is None:
-                    error = _unseen(grid, p, q, estimate, scale)
+                    error, sums = _unseen(grid, p, q, estimate, scale, sums)
                 if error is None:
                     settled = [s + e for s, e in zip(settled, estimate)]
                 else:
                     worst = max(e / s for e, s in zip(error, scale))
-                    heapq.heappush(stalled, (-worst, panels, p, q, estimate, error))
+                    heapq.heappush(stalled, (-worst, panels, p, q, estimate, error, sums))
             error = [sum(panel[5][k] for panel in stalled) for k in range(k_max)]
             todo = []
             if stalled and nodes < _MAX_NODES and any(e > floor * s for e, s in zip(error, scale)):
-                p, q = heapq.heappop(stalled)[2:4]
-                todo = [(a, b, _levels(tree, k_max, N, a, b, t_max), [])
-                        for a, b in ((p, (p + q) / 2), ((p + q) / 2, q))]
+                p, q, _, _, sums = heapq.heappop(stalled)[2:]
+                m = (p + q) / 2
+                todo = [(a, b, _levels(tree, k_max, N, a, b, t_max), [], half)
+                        for (a, b), half in zip(((p, m), (m, q)), _half_sums(grid, p, q, sums))]
         values = [s + sum(panel[4][k] for panel in stalled) for k, s in enumerate(settled)]
-        converged = tuple(e <= max(tol, floor) * v for e, v in zip(error, values))
+        converged = tuple(e <= max(Decimal(tol), floor) * v for e, v in zip(error, values))
         relative = max(e / v for e, v in zip(error, values))
         if relative > floor:
-            digits = max(0, int(-mp.log10(relative)))
+            digits = max(0, int(-relative.log10()))
     return LimitingAverages(tuple(values), converged, level, panels, nodes, digits)
 
 
@@ -138,40 +147,62 @@ def _midpoint_grid(tree: Node, N: float) -> tuple:
     return tuple(grid)
 
 
-def _unseen(grid: tuple, p, q, estimate: list, scale: list) -> Optional[list]:
-    """|estimate - midpoint sum| per k on the panel [p, q] when, for some k,
-    it exceeds 20 times the midpoint rule's change from _CELLS / 2 cells
-    plus 1e-12 Lambda_k: a feature a few cells wide that the tanh-sinh
-    nodes stepped over.  None otherwise, on panels under 4 cells, and where
-    the panel's midpoint sums leave float64's range: the `_power_sums` of
-    its cells, correctly rounded, over the cell count, a power of two."""
-    from mpmath import mpf
-
-    lo, hi = round(float(p) * _CELLS), round(float(q) * _CELLS)  # panels are dyadic
+def _unseen(grid: tuple, p, q, estimate: list, scale: list, sums: Optional[tuple]) -> tuple:
+    """(gaps, sums) for the panel [p, q]: gaps is |estimate - midpoint
+    sum| per k where, for some k, it exceeds 20 times the midpoint rule's
+    change from _CELLS / 2 cells plus 1e-12 Lambda_k, a feature a few cells
+    wide that the tanh-sinh nodes stepped over; (None, None) otherwise, on
+    panels under 4 cells and where the panel's midpoint sums leave float64's
+    range.  ``sums`` are the panel's `_cell_sums` when its parent passed
+    them (`_half_sums`), and a panel that fails returns its own."""
+    lo, hi = _cells(p, q)
     if hi - lo < 4:
-        return None
-    fine = [s / _CELLS for s in _power_sums(grid[0][lo:hi], len(estimate))]
-    coarse = [s / (_CELLS // 2) for s in _power_sums(grid[1][lo // 2:hi // 2], len(estimate))]
+        return None, None
+    sums = sums or _cell_sums(grid, lo, hi, len(estimate))
+    fine = [s / _CELLS for s in sums[0]]
+    coarse = [s / (_CELLS // 2) for s in sums[1]]
     # f >= 0, so the sums are finite only if every power is
     if not all(map(math.isfinite, fine + coarse)):
-        return None
+        return None, None
     gaps = [abs(float(e) - f) for e, f in zip(estimate, fine)]
     if all(g <= 20 * abs(f - c) + 1e-12 * float(s)
            for g, f, c, s in zip(gaps, fine, coarse, scale)):
-        return None
-    return [mpf(g) for g in gaps]
+        return None, None
+    return [Decimal(g) for g in gaps], sums
 
 
-def _levels(tree: Node, k_max: int, N, p, q, t_max):
+def _half_sums(grid: tuple, p, q, sums: Optional[tuple]) -> tuple:
+    """The `_cell_sums` of the halves of the panel [p, q] that is split,
+    from its own ``sums`` (None, None without them): the first half's are
+    summed and the second's are the differences, within float64's rounding
+    of the panel's sums, far below the 1e-12 Lambda_k `_unseen` allows."""
+    if sums is None:
+        return None, None
+    lo, hi = _cells(p, q)
+    first = _cell_sums(grid, lo, (lo + hi) // 2, len(sums[0]))
+    return first, tuple([a - b for a, b in zip(whole, part)] for whole, part in zip(sums, first))
+
+
+def _cells(p, q) -> tuple:
+    """The fine cells lo..hi of `_midpoint_grid` that the dyadic panel [p, q] covers."""
+    return round(float(p) * _CELLS), round(float(q) * _CELLS)
+
+
+def _cell_sums(grid: tuple, lo: int, hi: int, k_max: int) -> tuple:
+    """The `_power_sums` of f on the fine cells lo..hi of `_midpoint_grid`
+    and on the coarse cells they cover, each correctly rounded."""
+    return (_power_sums(grid[0][lo:hi], k_max), _power_sums(grid[1][lo // 2:hi // 2], k_max))
+
+
+def _levels(tree: Node, k_max: int, N, p, q, t_max: float):
     """Yield (nodes, tanh-sinh estimates of int_p^q f(xN, N)^k dx, k = 1..k_max)
     at steps 2^-level, level = 0.._MAX_LEVEL, over |t| <= t_max; each level
     adds the midpoints of the last, a centred grid of twice its step."""
-    from mpmath import mpf
-
     sums = [0] * k_max
     for level in range(_MAX_LEVEL + 1):
-        h = mpf(2) ** -level
-        step, n = (h, 2 * int(t_max) + 1) if level == 0 else (2 * h, 2 * int((t_max / h + 1) / 2))
+        h = Decimal(2) ** -level
+        step, n = ((h, 2 * int(t_max) + 1) if level == 0
+                   else (2 * h, 2 * int((t_max * 2 ** level + 1) / 2)))
         sums = [s + d for s, d in zip(sums, _ladder_averages(tree, k_max, N, p, q, step, n))]
         yield n, [s * h for s in sums]
 
@@ -187,80 +218,123 @@ def _settle(levels, history: list, digits: int) -> tuple:
     _MAX_LEVEL; its error is then ten times the last changes.  ``history``
     holds the levels run so far.
     """
-    from mpmath import mpf
-
-    target, nodes, settled = mpf(10) ** -(digits // 2 + 2), 0, False
+    target, nodes, settled = Decimal(10) ** -(digits // 2 + 2), 0, False
     for n, estimate in levels:
         nodes += n
         history.append(estimate)
         if len(history) > 2:
             new, old = (max(abs(x - y) / x for x, y in zip(history[-j], history[-j - 1]))
                         for j in (1, 2))
-            settled = new <= min(target, old ** 1.5) or new <= mpf(10) ** (2 - digits)
-            if settled or (new > max(target, old ** 1.5) and len(history) > _LIMIT_LEVEL + 1):
+            old = old * old.sqrt()  # d_{L-1}^1.5
+            settled = new <= min(target, old) or new <= Decimal(10) ** (2 - digits)
+            if settled or (new > max(target, old) and len(history) > _LIMIT_LEVEL + 1):
                 break
     error = None if settled else [10 * abs(x - y) for x, y in zip(history[-1], history[-2])]
     return history[-1], error, nodes
 
 
 @functools.lru_cache(maxsize=64)
-def _abscissae(step, n: int, prec: int) -> tuple:
-    """(phi, dphi/dt) at t_j = (j - (n - 1) / 2) step, j < n, at mp precision
-    ``prec``, for phi(t) = 1 / (1 + e), e = exp(-pi sinh t).  The grid is
-    symmetric, phi(-t) = e phi(t) = 1 - phi(t) keeps either end of (0, 1)
-    free of cancellation, and dphi/dt is even, so t >= 0 gives every node."""
-    from mpmath import mp
-
-    nodes = []
-    for j in range(n // 2, n):
-        et = mp.exp((2 * j - n + 1) * step / 2)
-        e = mp.exp(-mp.pi * (et - 1 / et) / 2)
-        phi = 1 / (1 + e)
-        dphi = mp.pi * (et + 1 / et) / 2 * e * phi * phi
-        nodes.append((phi, dphi))
-        if 2 * j > n - 1:
-            nodes.append((e * phi, dphi))
+def _abscissae(step: Decimal, n: int, digits: int) -> tuple:
+    """(phi, dphi/dt) at t_j = (j - (n - 1) / 2) step, j < n, to ``digits``
+    digits, for phi(t) = 1 / (1 + e), e = exp(-c sinh t).  c is pi to
+    float64's digits: any c > 0 maps the line onto (0, 1) double
+    exponentially, and dphi/dt = c cosh(t) e phi^2 takes the same c.  The
+    grid is symmetric, phi(-t) = e phi(t) = 1 - phi(t) keeps either end of
+    (0, 1) free of cancellation, and dphi/dt is even, so t >= 0 gives every
+    node.  exp(t_j) runs along the level as exp(t_first) exp(step)^j, a
+    product per node, so each node costs the one exp of e; all at 10 guard
+    digits."""
+    with localcontext(_context(digits + 10)):
+        c = Decimal(math.pi)
+        first = n // 2
+        et, ratio = ((2 * first - n + 1) * step / 2).exp(), step.exp()
+        nodes = []
+        for j in range(first, n):
+            e = (-c * (et - 1 / et) / 2).exp()
+            phi = 1 / (1 + e)
+            dphi = c * (et + 1 / et) / 2 * e * phi * phi
+            nodes.append((phi, dphi))
+            if 2 * j > n - 1:
+                nodes.append((e * phi, dphi))
+            et *= ratio
     return tuple(nodes)
+
+
+def _decimal_power(a: Decimal, b: Decimal) -> Decimal:
+    """a^b: a half-integral b as sqrt(a)^(2b), the rest by Decimal's power,
+    which takes an integral b by products; a negative base to a fraction
+    raises InvalidOperation."""
+    twice = 2 * b
+    if b != b.to_integral_value() and twice == twice.to_integral_value():
+        return a.sqrt() ** twice
+    return a ** b
+
+
+# the `expression._eval_node` namespace of one Decimal point
+_DECIMAL = SimpleNamespace(exp=Decimal.exp, log=Decimal.ln, power=_decimal_power)
+
+
+@functools.lru_cache(maxsize=16)
+def _decimal_literals(tree: Node) -> Node:
+    """The expression tree with each float literal as its exact Decimal,
+    after arithmetic among literals alone is done in float64, as on the
+    float points: 1/3 is the same float here as in the midpoint grid and in
+    sigma at n.  Literal arithmetic that raises is left to the nodes."""
+    from .expression import _BINARY
+
+    if tree[0] in ("i", "n"):
+        return tree
+    if tree[0] == "num":
+        return ("num", Decimal(tree[1]))
+    kids = tuple(map(_decimal_literals, tree[1:]))
+    fold = {**_BINARY, "neg": operator.neg}.get(tree[0])
+    if fold and all(kid[0] == "num" for kid in kids):
+        try:
+            return ("num", Decimal(fold(*(float(kid[1]) for kid in kids))))
+        except ArithmeticError:
+            pass
+    return (tree[0], *kids)
 
 
 def _ladder_averages(tree: Node, k_max: int, N, p, q, step, n: int) -> list:
     """sum_j w_j f(x_j N, N)^k, k = 1..k_max, over the n nodes of `_abscissae`
-    on the panel [p, q]: x = p + (q - p) phi(t) and w = (q - p) dphi/dt."""
-    from mpmath import mp, mpf
-
+    on the panel [p, q]: x = p + (q - p) phi(t) and w = (q - p) dphi/dt.
+    ``tree`` holds Decimal literals (`_decimal_literals`)."""
     from .expression import _eval_node
 
     weights, values, width = [], [], q - p
-    for phi, dphi in _abscissae(step, n, mp.prec):
+    for phi, dphi in _abscissae(step, n, getcontext().prec):
         weights.append(width * dphi)
         i = (p + width * phi) * N
         try:
-            v = mpf(_eval_node(tree, i, N, mp))  # a complex value raises TypeError
-        except (ArithmeticError, TypeError):
-            v = mpf(0)
-        if not (mp.isfinite(v) and v > 0):
-            raise SigmaDomainError(
-                f"sigma has no finite positive value at i/n = {mp.nstr(i / N, 8)}"
-            )
+            v = _eval_node(tree, i, N, _DECIMAL)
+        except ArithmeticError:  # the decimal signals: off the reals, 1/0, out of range
+            v = Decimal(0)
+        if not (v.is_finite() and v > 0):
+            raise SigmaDomainError(f"sigma has no finite positive value at i/n = {i / N:.8g}")
         values.append(v)
     return _weighted_power_sums(weights, values, k_max)
 
 
 def _weighted_power_sums(weights: list, values: list, k_max: int) -> list:
     """sum_j w_j v_j^k for k = 1..k_max over positive weights and values
-    (ints, floats or mpf), each within 2^-(prec + 10) of the exact sum
-    before its final rounding to the mp precision ``prec``.
+    (ints, floats or Decimals), in the current decimal context of D digits:
+    each within 2^-(prec + 9) of the exact sum, prec = bits(10^D), before
+    its one rounding to D digits.  That is under 10^(1-D)/5000, next to the
+    half unit 10^(1-D)/2 of the rounding.
 
-    In a group of the terms whose v lie in [2^(e-1), 2^e) and w below 2^f,
-    w v^k is an integer T in units of 2^(f + ek - P), short by at most
-    k + 1 units, so a power costs one integer product and shift: by v's
-    mantissa, left-aligned to the group's widest (W bits, 53 for floats
-    and at most prec for mpf), and by W bits.  As P > W, that is the
-    integer that v in units of 2^(e - P) and a shift by P would give, for
-    a shorter product.  The group's heaviest node (w, v), the largest v
-    among equal weights, gives a term of at least 2^(f - 1) v^k:
-    P = prec + 12 + bits(n k_max) + k_max log2(2^e / v) keeps the group's
-    sum to the bound.
+    Ints and floats are exact binary numbers; a Decimal is held to
+    B = prec + 14 + bits(k_max + 1) bits (`_binary`), within 2^(2 - B), which
+    moves w v^k by a relative (k + 1) 2^(2 - B) (1 + 2^-B)^k, under
+    2^-(prec + 11).  In a group of the terms whose v lie in [2^(e-1), 2^e)
+    and w below 2^f, w v^k is an integer T in units of 2^(f + ek - P),
+    short by at most k + 1 units, so a power costs one integer product and
+    shift: by v's mantissa, left-aligned to the group's widest (W bits),
+    and by W bits.  As P > W, that is the integer that v in units of
+    2^(e - P) and a shift by P would give, for a shorter product.  The
+    group's heaviest node (w, v), the largest v among equal weights, gives
+    a term of at least 2^(f - 1) v^k: P = prec + 12 + bits(n k_max) +
+    k_max log2(2^e / v) keeps the group's sum within 2^-(prec + 10).
 
     A group's sum more than guard + 2 bits below the largest, guard =
     prec + 12 + bits(n k_max), is dropped before the sums are aligned.  It
@@ -268,22 +342,25 @@ def _weighted_power_sums(weights: list, values: list, k_max: int) -> list:
     nodes, at least one each, would add to a kept group, so the bound
     holds; the groups number at most n, so the share dropped is below
     2^-(prec + 12).  Aligned, it would cost an integer as long as the
-    binades that v^k spans: millions of bits for a steep profile.
+    binades that v^k spans: millions of bits for a steep profile.  The
+    integer products run at about half the time of plain Decimal ones.
     """
-    from mpmath import mp, mpf
-
+    ctx = getcontext()
+    prec = (10 ** ctx.prec).bit_length()
+    bits = prec + 14 + (k_max + 1).bit_length()
+    wide = _context(bits // 3 + 10)  # its unit, under 10^-(B/3 + 8), is below 2^-(B + 26)
     groups = defaultdict(list)
-    for node in zip(weights, values, map(_binary, values)):
+    for node in zip(weights, values, (_binary(v, bits, wide) for v in values)):
         groups[node[2][1] + node[2][0].bit_length()].append(node)
-    guard = mp.prec + 12 + (len(values) * k_max).bit_length()
+    guard = prec + 12 + (len(values) * k_max).bit_length()
     parts = [[] for _ in range(k_max)]
     for e, nodes in groups.items():
         w, _, (vm, vx) = max(nodes)
-        wm, wx = _binary(w)
+        wm, wx = _binary(w, bits, wide)
         f = wx + wm.bit_length()
         P = guard + math.ceil(k_max * (53 - math.log2(vm << 53 >> (e - vx))))
         W = max(m.bit_length() for _, _, (m, _) in nodes)
-        T = [m << P >> (f - x) for m, x in (_binary(w) for w, _, _ in nodes)]
+        T = [m << P >> (f - x) for m, x in (_binary(w, bits, wide) for w, _, _ in nodes)]
         V = [m << W >> (e - x) for _, _, (m, x) in nodes]
         for k in range(k_max):
             T = [t * x >> W for t, x in zip(T, V)]
@@ -293,13 +370,21 @@ def _weighted_power_sums(weights: list, values: list, k_max: int) -> list:
         top = max(x + t.bit_length() for t, x in terms)
         terms = [(t, x) for t, x in terms if x + t.bit_length() >= top - guard - 2]
         low = min(x for _, x in terms)
-        sums.append(mpf((sum(t << (x - low) for t, x in terms), low)))
+        sums.append(_from_binary(sum(t << (x - low) for t, x in terms), low, ctx))
     return sums
 
 
-def _binary(x) -> tuple:
-    """(man, exp) with x = man 2^exp, for a positive int, float or mpf x."""
+def _binary(x, bits: int, ctx) -> tuple:
+    """(man, exp) with x = man 2^exp for a positive int or float x.  A
+    Decimal x gives man = floor(x 2^-exp) of bits + 1..bits + 5 bits, with
+    x 2^-exp rounded twice in ``ctx``, whose digits make it good to
+    2^-(bits + 25): within 2^(2 - bits) of x in all.  The exact ratio of
+    x would cost a division as long as its decimal exponent."""
     if isinstance(x, float):
         m, e = math.frexp(x)
         return int(math.ldexp(m, 53)), e - 53
-    return (x, 0) if isinstance(x, int) else x.man_exp
+    if isinstance(x, int):
+        return x, 0
+    # 10^adjusted <= x < 10^(adjusted + 1); 2^shift x >= 2^bits
+    shift = bits - x.adjusted() * _LOG2_10 // 10 ** 21
+    return int(ctx.multiply(x, ctx.power(2, shift))), -shift

@@ -23,25 +23,28 @@ eigenvalue of the moments' Jacobi matrix J (Golub-Welsch 1969), whose
 recurrence (a_k, b_k) Gautschi's Chebyshev algorithm gives in O(s_bar^2)
 operations.  J - xI is congruent to H1 - x H0, so the Sturm count of J at x
 counts the pencil's eigenvalues below x.  One bisection on that count, in
-mpf at the recurrence's digits, finds beta, and the counts at beta -/+ tol
+Decimal at the recurrence's digits, finds beta, and the counts at beta -/+ tol
 certify it (`validation.bisect_beta` is the oracle).  cond(H0) grows about
 10^1.8 per order, so the recurrence and the counts run at
 max(60, 2 s_bar + 10) digits on moments that carry 2 s_bar + 10
-(`reports.radius_table`).  Nothing regularises them: a b_k that vanishes to
+(`reports.radius_table`), each with `sigma_model._GUARD_DIGITS` more.  Nothing regularises them: a b_k that vanishes to
 their precision ends the recurrence (finite support, or spent digits), and a
-clearly negative one means they are no moment sequence.
+clearly negative one means they are no moment sequence.  All of it runs
+on the stdlib's C ``decimal`` in `sigma_model._context`; mpmath is only
+the oracle of `validation` and the tests.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from decimal import Decimal, getcontext, localcontext
 from typing import NamedTuple, Optional, Sequence, Tuple
-
-from mpmath import mp, mpf
 
 from . import _DEFAULT_SBAR as DEFAULT_SBAR
 from . import _DEFAULT_TOL as DEFAULT_TOL
 from .moments import _scaled
+from .sigma_model import _GUARD_DIGITS, _context
 
 __all__ = [
     "HankelPencil",
@@ -71,16 +74,16 @@ class InvalidMomentSequenceError(ValueError):
 
 
 class HankelPencil(NamedTuple):
-    """``nu`` = (1, m_2, m_4, .., m_{2(2 s_bar + 1)}) in mpf, the entries of
+    """``nu`` = (1, m_2, m_4, .., m_{2(2 s_bar + 1)}) in Decimal, the entries of
     the Hankel matrices, and the recurrence p_{k+1} = (x - a_k) p_k -
     b_k p_{k-1} (b[0] = 0) of its orthogonal polynomials, shorter than
     s_bar + 1 for a finite support.  ``condition`` is the largest factor by
     which the recurrence amplified the moments' relative error."""
 
     s_bar: int
-    nu: Tuple[mpf, ...]
-    a: Tuple[mpf, ...]
-    b: Tuple[mpf, ...]
+    nu: Tuple[Decimal, ...]
+    a: Tuple[Decimal, ...]
+    b: Tuple[Decimal, ...]
     condition: float
 
 
@@ -113,10 +116,12 @@ class SdpResult(NamedTuple):
 def build_pencil(moments: Sequence, s_bar: int, eps=None) -> HankelPencil:
     """Assemble the pencil and its Jacobi recurrence from m_2, m_4, ..., m_{2(2 s_bar + 1)}.
 
-    ``moments[t-1]`` must hold m_{2t}, floats or mpf numbers.  ``eps`` is
-    their relative error; by default 2^-53 when any is a float, else the
-    current mp precision.  Raises InvalidMomentSequenceError where the
-    recurrence finds some b_k < 0 (e.g. nu_2 < nu_1^2).
+    ``moments[t-1]`` must hold m_{2t}: floats, rationals or Decimals, each
+    rounded once to the recurrence's digits.  ``eps`` is their relative
+    error; by default 2^-53 when any is a float, else the unit 10^(1 - D)
+    of the current decimal context's D digits.  Raises
+    InvalidMomentSequenceError where the recurrence finds some b_k < 0
+    (e.g. nu_2 < nu_1^2).
     """
     if s_bar < 1:
         raise ValueError(f"s_bar must be >= 1, got {s_bar}")
@@ -124,17 +129,20 @@ def build_pencil(moments: Sequence, s_bar: int, eps=None) -> HankelPencil:
     if len(moments) < needed:
         raise ValueError(f"need m_2..m_{2 * needed}, got {len(moments)} moments")
     if eps is None:
-        eps = 2.0 ** -53 if any(isinstance(m, float) for m in moments[:needed]) else mp.eps
-    eps = mpf(eps)
-    with mp.workdps(_digits(s_bar)):
-        nu = (mpf(1),) + tuple(mp.mpmathify(m) for m in moments[:needed])
-        if not all(mp.isfinite(v) for v in nu):
+        eps = (2.0 ** -53 if any(isinstance(m, float) for m in moments[:needed])
+               else Decimal(1).scaleb(1 - getcontext().prec))
+    eps = Decimal(eps)
+    with localcontext(_context(_digits(s_bar) + _GUARD_DIGITS)) as ctx:
+        nu = (Decimal(1),) + tuple(
+            ctx.divide(m.numerator, m.denominator) if isinstance(m, numbers.Rational)
+            else ctx.create_decimal(m) for m in moments[:needed])
+        if not all(v.is_finite() for v in nu):
             raise ValueError("moment sequence contains non-finite entries")
         a, b, condition = _chebyshev(nu, eps)
     return HankelPencil(s_bar, nu, a, b, condition)
 
 
-def _chebyshev(nu: tuple, eps: mpf) -> Tuple[tuple, tuple, float]:
+def _chebyshev(nu: tuple, eps: Decimal) -> Tuple[tuple, tuple, float]:
     """(a, b, condition) from nu_0..nu_{2m-1} by Gautschi's Chebyshev algorithm.
 
     Row k holds sigma_{k,l} = int p_k x^l dmu, l = k..2m-k-1:
@@ -149,7 +157,7 @@ def _chebyshev(nu: tuple, eps: mpf) -> Tuple[tuple, tuple, float]:
     m = len(nu) // 2
     zeros = [0] * len(nu)
     prev, row, prev_mag, row_mag = zeros, list(nu), zeros, [abs(v) for v in nu]
-    a, b, condition = [nu[1] / nu[0]], [mpf(0)], mpf(1)
+    a, b, condition = [nu[1] / nu[0]], [Decimal(0)], Decimal(1)
     for k in range(1, m):
         new, mag = list(zeros), list(zeros)
         for l in range(k, 2 * m - k):
@@ -160,7 +168,7 @@ def _chebyshev(nu: tuple, eps: mpf) -> Tuple[tuple, tuple, float]:
         if new[k] < 0:
             raise InvalidMomentSequenceError(
                 f"not a valid moment sequence: the Jacobi recurrence has b_{k} = "
-                f"{mp.nstr(new[k] / row[k - 1], 3)} < 0"
+                f"{new[k] / row[k - 1]:.3g} < 0"
             )
         a.append(new[k + 1] / new[k] - row[k] / row[k - 1])
         b.append(new[k] / row[k - 1])
@@ -171,19 +179,19 @@ def _chebyshev(nu: tuple, eps: mpf) -> Tuple[tuple, tuple, float]:
 
 def _count_below(a: tuple, b: tuple, x) -> int:
     """Eigenvalues of the Jacobi matrix below x: the negative pivots of
-    J - xI (Sturm), in mpf.  A pivot that is exactly 0 moves
-    mp.eps (|a_k| + |x|) above 0."""
+    J - xI (Sturm), in the current decimal context of D digits.  A pivot
+    that is exactly 0 moves 10^(1 - D) (|a_k| + |x|) above 0."""
     count, q = 0, 1
     for ak, bk in zip(a, b):
         q = ak - x - bk / q
-        q = q or mp.eps * (abs(ak) + abs(x))
+        q = q or Decimal(1).scaleb(1 - getcontext().prec) * (abs(ak) + abs(x))
         count += q < 0
     return count
 
 
 def sdp_lower_bound(pencil: HankelPencil, tol: float = DEFAULT_TOL) -> SdpResult:
     """min{x > 0 : H0 x - H1 >= 0}, the top eigenvalue of the pencil's Jacobi
-    matrix, by bisecting [max a_k, Gershgorin's bound] on its mp Sturm count
+    matrix, by bisecting [max a_k, Gershgorin's bound] on its Decimal Sturm count
     until the bracket is below tol and 2^-64 of its upper end; beta is the
     midpoint.  Raises ArithmeticError when the counts at beta -/+ tol do not
     certify it: the digits cannot resolve beta to tol, as for a support
@@ -192,11 +200,12 @@ def sdp_lower_bound(pencil: HankelPencil, tol: float = DEFAULT_TOL) -> SdpResult
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     a, b, m = pencil.a, pencil.b, len(pencil.a)
     digits = _digits(pencil.s_bar)
-    with mp.workdps(digits):
-        root = [mp.sqrt(v) for v in b[1:]] + [0]
+    with localcontext(_context(digits + _GUARD_DIGITS)):
+        root = [v.sqrt() for v in b[1:]] + [0]
         lo = max(a)
         hi = max(ak + rk + rl for ak, rk, rl in zip(a, [0] + root, root))
-        while hi - lo > min(tol, abs(hi) * mpf(2) ** -64):
+        half = Decimal(tol)
+        while hi - lo > min(half, abs(hi) * Decimal(2) ** -64):
             mid = (lo + hi) / 2
             if mid in (lo, hi):
                 break
@@ -205,9 +214,9 @@ def sdp_lower_bound(pencil: HankelPencil, tol: float = DEFAULT_TOL) -> SdpResult
             else:
                 lo = mid
         beta = (lo + hi) / 2
-        if _count_below(a, b, beta + tol) != m or _count_below(a, b, beta - tol) == m:
+        if _count_below(a, b, beta + half) != m or _count_below(a, b, beta - half) == m:
             raise ArithmeticError(
-                f"beta = {mp.nstr(beta, 17)} is not certified to within tol = {tol}: "
+                f"beta = {beta:.17g} is not certified to within tol = {tol}: "
                 f"{digits}-digit Sturm counts cannot separate beta - tol from beta + tol"
             )
     return SdpResult(

@@ -1,12 +1,15 @@
 """Builders gluing the sigma/moments/radius layers into reports.
 
-``radius_table`` imports ``radius_bounds`` (and so mpmath) when called, so
-building a moment table never loads the SDP layer.  A moment table of an
-explicit sequence takes S_{n,k}/n in float64 from `sigma_stats` and loads
-neither mpmath nor ``quadrature``; every other Lambda_k comes from
-`limiting_averages` in mpf, which `lambda_vector` imports from
-``quadrature`` when called.  A table reads sigma at n once, by `_at_n`; a
-constant is its one value, never n copies.  The finite-n bounds on E m_{2s}
+``radius_table`` imports ``radius_bounds`` when called, so building a
+moment table never loads the SDP layer.  A moment table of an explicit
+sequence takes S_{n,k}/n in float64 from `sigma_stats` and loads neither
+``decimal`` nor ``quadrature``; every other Lambda_k comes from
+`limiting_averages` as a Decimal, which `lambda_vector` imports from
+``quadrature`` when called.  The arbitrary-precision steps here, the
+table's scale and the Decimal moments' floats and root, run on the
+stdlib's C ``decimal``; no command but ``validate`` loads mpmath.  A
+table reads sigma at n once, by `_at_n`; a constant is its one value,
+never n copies.  The finite-n bounds on E m_{2s}
 have one builder, `_finite_n_bounds`: the moment table's rows report them
 and the radius table's rows their power roots.  Their lower bounds' main
 terms are the tree series at S_{n,k}/n, which for a constant or an explicit
@@ -15,7 +18,8 @@ sequence are the table's limits; only an expression's are summed.
 Lambda_k is homogeneous in sigma of degree k, m_{2s} of degree 2s and a
 root of degree 1, so the float64 work of both tables runs at one scale,
 sigma / 2^e with e from `_at_n` or `_scale`, and each result is scaled back once.
-Scaling by a power of two is exact; a moment that then leaves float64's
+Scaling by a power of two is exact, and a Decimal's float at the scale is
+one correct rounding (`_to_float`); a moment that then leaves float64's
 normal range is flagged by its row (`MomentRow.out_of_range`).
 """
 
@@ -28,8 +32,8 @@ from . import _DEFAULT_LAMBDA_TOL as DEFAULT_LAMBDA_TOL
 from . import _DEFAULT_SBAR, _DEFAULT_TOL
 from .moments import (MomentReport, MomentRow, _check_order, _limits, _lower_bounds, _scaled,
                       _tree_series, moment_upper_bound)
-from .sigma_model import (DEFAULT_DIGITS, NoLimitError, SigmaSpec, SigmaStats, sigma_stats,
-                          sigma_values)
+from .sigma_model import (_GUARD_DIGITS, DEFAULT_DIGITS, NoLimitError, SigmaSpec, SigmaStats,
+                          _context, _exact_ratio, sigma_stats, sigma_values)
 
 if TYPE_CHECKING:
     from .radius_bounds import RadiusBoundsReport
@@ -41,24 +45,43 @@ _FINITE_NOTE = "finite-n averages S_{{n,k}}/n at n={}"
 
 def _scale(lambdas: Sequence) -> int:
     """The scale of a table without n: the least e with x <= 2^e, x =
-    Lambda_K^{1/K} for the last of the mpf ``lambdas``, which is at most
+    Lambda_K^{1/K} for the last of the Decimal ``lambdas``, which is at most
     sigma_max and, as Lambda_k^{1/k} grows with k, puts each Lambda_k 2^-ek
-    at or below 1."""
-    from mpmath import mp
+    at or below 1.  Decided exactly, as Lambda_K <= 2^eK on its ratio."""
+    K = len(lambdas)
+    p, q, t = _exact_ratio(lambdas[-1])
+    # Lambda_K = p / q 2^t, so log2 Lambda_K > bits(p) - bits(q) - 1 + t
+    e = -((q.bit_length() - p.bit_length() + 1 - t) // K)
+    while (p << max(0, t - e * K)) > (q << max(0, e * K - t)):
+        e += 1
+    return e
 
-    man, e = mp.frexp(mp.root(lambdas[-1], len(lambdas)))
-    return e - (man == 0.5)
+
+def _to_float(x, e: int) -> float:
+    """x 2^e for a Decimal x, one correct rounding (integer true
+    division): +inf past float64's range, 0 or a subnormal below it."""
+    p, q, t = _exact_ratio(x)
+    e += t
+    try:
+        return (p << e) / q if e >= 0 else p / (q << -e)
+    except OverflowError:
+        return math.inf
 
 
 def _at_n(spec: SigmaSpec, n: int, k_max: int) -> Tuple[int, SigmaStats]:
     """Sigma at n on its table's scale: the least e with sigma_max <= 2^e,
     and n, the extremes and S_{n,1..k_max} (none at k_max 0) of sigma 2^-e.
-    A constant is its one value and sums nothing: S_{n,k}/n is Lambda_k."""
+    A constant is its one value and sums nothing: S_{n,k}/n is Lambda_k.
+    Raises where sigma_min 2^-e underflows to 0: one float64 scale cannot
+    hold the span of sigma."""
     const = spec.kind == "constant"
     values = (spec.payload,) if const else sigma_values(spec, n)
     top, bottom = max(values), min(values)
     man, e = math.frexp(top)
     e -= man == 0.5
+    if not math.ldexp(bottom, -e):
+        raise ValueError(f"sigma_max = {top!r} and sigma_min = {bottom!r} span more than one "
+                         f"float64 scale holds: sigma_min 2^{-e} underflows to 0")
     if const or not k_max:
         return e, SigmaStats(n, (), math.ldexp(top, -e), math.ldexp(bottom, -e))
     return e, sigma_stats([math.ldexp(v, -e) for v in values], k_max)
@@ -80,7 +103,7 @@ def lambda_vector(
     n: Optional[int] = None,
     digits: int = DEFAULT_DIGITS,
 ) -> Tuple[Sequence, str, int]:
-    """Lambda_1..Lambda_k in mpf (`limiting_averages`), a note naming their
+    """Lambda_1..Lambda_k as Decimals (`limiting_averages`), a note naming their
     source, and the digits they carry.  For an explicit sequence the note
     names n; for an expression it names the quadrature's work, and one that
     fails the limit test or ``tol`` raises NoLimitError.
@@ -144,11 +167,9 @@ def moment_table(
     if explicit:
         source, averages = _FINITE_NOTE.format(n_at), [S / n_at for S in at_n.partial_sums]
     else:
-        from mpmath import mp
-
         lambdas, source, _ = lambda_vector(spec, s_max, lambda_tol)
         e = _scale(lambdas) if n is None else e
-        averages = [float(mp.ldexp(a, -e * k)) for k, a in enumerate(lambdas, start=1)]
+        averages = [_to_float(a, -e * k) for k, a in enumerate(lambdas, start=1)]
     limits = _limits(averages, s_max)
     _check_normal(limits, e)
     lowers = uppers = ()
@@ -175,12 +196,13 @@ def radius_table(
 ) -> RadiusBoundsReport:
     """Radius-bound report: finite-n sandwich rows plus the SDP lower bound.
 
-    ``orders`` requires ``n``.  One pass of the tree series in mpf at
-    max(DEFAULT_DIGITS, 2*s_bar + 10) digits gives the limits up to
+    ``orders`` requires ``n``.  One pass of the tree series in Decimal at
+    max(DEFAULT_DIGITS, 2*s_bar + 10) digits (and `sigma_model._GUARD_DIGITS`
+    more) gives the limits up to
     max(2*s_bar + 1, max(orders)) for the SDP, ``asymptotic_root`` and the
     rows' upper bounds; an explicit sequence's S_{n,k}/n are summed exactly,
     as the pencil would amplify float64's rounding past beta's first digit.
-    The SDP and ``asymptotic_root`` take these mpf moments as they are.  A
+    The SDP and ``asymptotic_root`` take these Decimal moments as they are.  A
     row at order s is the power roots of the moment bounds of
     `_finite_n_bounds` at sigma at n from `_at_n`, whose lower bounds' main
     terms are these moments for a constant or an explicit sequence, each its
@@ -190,7 +212,7 @@ def radius_table(
     and its extremes.  The rows run at one scale, sigma 2^-e and m_{2s}
     2^-2es, each rounded once, and each root is scaled back by 2^e.
     """
-    from mpmath import mp, mpf
+    from decimal import Decimal, localcontext
 
     from .radius_bounds import (
         RadiusBoundsReport,
@@ -210,19 +232,19 @@ def radius_table(
         if n <= s:
             raise ValueError(f"order s={s} needs n > s, got n={n}")
     digits = max(DEFAULT_DIGITS, 2 * s_bar + 10)
-    with mp.workdps(digits):
+    with localcontext(_context(digits + _GUARD_DIGITS)):
         lambdas, source, carried = lambda_vector(spec, k_need, lambda_tol, n, digits)
         series = _limits(lambdas, k_need)
         # m_{2s} sums products of s + 1 averages, each good to `carried` digits
-        eps = (2 * s_bar + 2) * mpf(10) ** -carried
+        eps = (2 * s_bar + 2) * Decimal(1).scaleb(-carried)
         pencil = build_pencil(series[:top], s_bar, eps)
-        asymptotic_root = float(mp.root(series[top - 1], 2 * top))
+        asymptotic_root = float(series[top - 1] ** (Decimal(1) / (2 * top)))
     notes = [f"limiting averages: {source}"]
 
     rows = []
     if orders:
         e, at_n = _at_n(spec, n, orders[-1] if spec.kind == "expression" else 0)
-        limits = [float(mp.ldexp(m, -2 * e * s)) for s, m in enumerate(series[:orders[-1]], 1)]
+        limits = [_to_float(m, -2 * e * s) for s, m in enumerate(series[:orders[-1]], 1)]
         _check_normal(limits, e)
         lowers, uppers = _finite_n_bounds(spec, at_n, e, limits, K)
         for s in orders:

@@ -11,10 +11,11 @@ here, are computed by `quadrature.limiting_averages`.
 A process compiles only the sigma code it runs.  The expression language
 lives in `expression`, which `parse_sigma_spec`, `sigma_values` and the
 quadrature import only for an expression, and the limiting averages in
-`quadrature`, which its callers import when they run and whose functions
-import mpmath.  So ``moments --sigma file:``, whose averages are S_{n,k}/n
-in float64, compiles neither, and Lambda_k of a constant or a file no
-expression language.  This module imports `quadrature` only in
+`quadrature`, which its callers import when they run and which computes
+them in the stdlib's C ``decimal`` (`_context`).  So ``moments --sigma
+file:``, whose averages are S_{n,k}/n in float64, compiles neither and
+loads no ``decimal``, and Lambda_k of a constant or a file no expression
+language.  This module imports `quadrature` only in
 `__getattr__`, which forwards two of its names until the benchmark's
 tracer reads them there.
 
@@ -85,7 +86,7 @@ class SigmaSpec(NamedTuple):
 
 
 class LimitingAverages(NamedTuple):
-    """Lambda_1..Lambda_k as mpf numbers good to about ``digits`` digits.
+    """Lambda_1..Lambda_k as Decimals good to about ``digits`` digits.
 
     ``levels`` is the quadrature's deepest step halving, ``panels`` the
     intervals it integrated and ``nodes`` the evaluations of sigma (the
@@ -241,6 +242,48 @@ def _power_sums(values: Sequence[float], k_max: int) -> list:
         except OverflowError:  # a partial sum of finite terms left the float range
             sums.append(math.inf)
     return sums
+
+
+# The digits a layer's decimal context carries over the ``digits`` asked of
+# it: a context of D digits has a unit of up to 10^(1 - D), where mpmath at
+# D digits holds round((D + 1) log2 10) bits, a unit near 10^-(D + 1); D + 2
+# digits keep the unit at most 10^-(D + 1).
+_GUARD_DIGITS = 2
+
+
+def _context(digits: int):
+    """The decimal context of the arbitrary-precision layers (Lambda_k, the
+    tree series, the pencil) at ``digits`` significant digits; a layer asked
+    for D digits opens it at D + _GUARD_DIGITS.  Its exponents span
+    MIN_EMIN..MAX_EMAX, so no power of a positive sigma leaves the range,
+    and Underflow, Overflow, InvalidOperation and DivisionByZero raise: no
+    step flushes to 0 or to an infinity unseen."""
+    import decimal
+
+    return decimal.Context(prec=digits, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                           traps=[decimal.Underflow, decimal.Overflow,
+                                  decimal.InvalidOperation, decimal.DivisionByZero])
+
+
+def _from_binary(man: int, exp: int, ctx):
+    """man 2^exp as a Decimal of the context ``ctx``: formed at 20 more
+    digits, then rounded to its D digits, so it is the correctly rounded
+    value but where that lies within about 10^-(D + 18) of a rounding
+    boundary.  Exactly, 2^exp would be an integer as long as |exp| bits."""
+    wide = _context(ctx.prec + 20)
+    return ctx.plus(wide.multiply(man, wide.power(2, exp)))
+
+
+def _exact_ratio(x) -> tuple:
+    """(p, q, t) with the positive Decimal x = p / q 2^t exactly, from its
+    coefficient c and exponent t: x = c 10^t = c 5^t 2^t, so q is 1 or
+    5^-t.  `as_integer_ratio` would build the longer 10^|t| and reduce the
+    ratio by a gcd, which a Lambda_k far from 1 pays for in time."""
+    from decimal import Decimal
+
+    _, digits, t = x.as_tuple()
+    c = int(Decimal((0, digits, 0)))
+    return (c * 5 ** t, 1, t) if t >= 0 else (c, 5 ** -t, t)
 
 
 def __getattr__(name: str):

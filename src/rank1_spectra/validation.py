@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
@@ -36,7 +37,7 @@ from .ensemble import (EnsembleConfig, MonteCarloResult, _histogram, eigenvalues
 from .moments import _limits, limiting_even_moment, moment_lower_bound
 from .radius_bounds import HankelPencil, _digits, build_pencil, sdp_lower_bound
 from .reports import radius_table
-from .sigma_model import parse_sigma_spec, sigma_values
+from .sigma_model import _GUARD_DIGITS, _context, parse_sigma_spec, sigma_values
 from .walk_oracle import EntryMomentModel, exact_expected_moment
 
 Check = Tuple[bool, str]
@@ -174,7 +175,8 @@ def check_lambda_quadrature(deep: bool) -> Check:
 
     la = limiting_averages(parse_sigma_spec(EXP_SPEC), 29, 1e-8, digits=50)
     with mp.workdps(60):
-        worst = max(abs(v * 4 * k / (1 - mp.exp(-4 * k)) - 1) for k, v in enumerate(la.values, 1))
+        worst = max(abs(_mpf(v) * 4 * k / (1 - mp.exp(-4 * k)) - 1)
+                    for k, v in enumerate(la.values, 1))
     passed = all(la.converged) and worst <= mpf(10) ** -40
     return passed, (f"k=1..29: worst relative error {mp.nstr(worst, 2)}, {la.levels} levels, "
                     f"{la.nodes} nodes, {la.digits} digits")
@@ -205,6 +207,12 @@ def check_moment_scaling(deep: bool) -> Check:
     return True, "m_{2s} and lower bounds covariant under sigma -> 2*sigma, beta under sigma -> 3*sigma"
 
 
+def _mpf(x):
+    """A float, int or Decimal of production as an mpf of the oracle, to the
+    current mp precision."""
+    return mpf(str(x)) if isinstance(x, Decimal) else mpf(x)
+
+
 def _factors(M) -> bool:
     try:
         mp.cholesky(M)
@@ -220,7 +228,7 @@ def pencil_hankels(pencil: HankelPencil):
     nu, m = pencil.nu, pencil.s_bar + 1
 
     def hankel(shift):
-        return mp.matrix([[nu[i + j + shift] for j in range(m)] for i in range(m)])
+        return mp.matrix([[_mpf(nu[i + j + shift]) for j in range(m)] for i in range(m)])
 
     while m > 1 and not _factors(hankel(0)):
         m -= 1
@@ -232,7 +240,7 @@ def brackets_beta(pencil: HankelPencil, lo, hi) -> bool:
     mp.cholesky factors H0 hi - H1 and not H0 lo - H1, on `pencil_hankels`."""
     with mp.workdps(_digits(pencil.s_bar)):
         H0, H1 = pencil_hankels(pencil)
-        return _factors(H0 * mpf(hi) - H1) and not _factors(H0 * mpf(lo) - H1)
+        return _factors(H0 * _mpf(hi) - H1) and not _factors(H0 * _mpf(lo) - H1)
 
 
 def bisect_beta(pencil: HankelPencil, tol: float) -> float:
@@ -275,8 +283,8 @@ def check_sdp_dual_method(deep: bool) -> Check:
         lams = [lam_fn(k) for k in range(1, 14)]
         nu = [float(limiting_even_moment(lams[:s], s)) for s in range(1, 14)]
         pencils.append((label, build_pencil(nu, 6)))
-    with mp.workdps(38):
-        lams = [(1 - mp.exp(-4 * k)) / (4 * k) for k in range(1, 30)]
+    with localcontext(_context(38 + _GUARD_DIGITS)):
+        lams = [(1 - Decimal(-4 * k).exp()) / (4 * k) for k in range(1, 30)]
         pencils.append(("exp-profile at s_bar=14", build_pencil(_limits(lams, 29), 14)))
     for label, pencil in pencils:
         beta = sdp_lower_bound(pencil, tol).beta

@@ -278,6 +278,23 @@ def test_bad_sigma_exit_codes(tmp_path, sigma, code):
     assert cli.main(argv) == code
 
 
+@pytest.mark.parametrize("argv", [["radius", "--sbar", "2", "--orders", "1,2"],
+                                  ["moments", "--max-order", "4"]])
+def test_sigma_one_scale_cannot_hold_exits_3_naming_its_span(tmp_path, capsys, argv):
+    # sigma_min = 1e-320 underflows to 0 at the table's scale 2^-997 that
+    # holds sigma_max = 1e300: both tables name the span, not a scaled
+    # sigma_max (theta_factor) or a sigma of 0 at i = 2 (sigma_stats)
+    path = tmp_path / "sigma.txt"
+    path.write_text("1e300\n1e-320\n2\n", encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = [argv[0], "--sigma", f"file:{path}", "--n", "3", *argv[1:], "--out", str(out)]
+    assert cli.main(argv) == cli.NUMERIC_EXIT
+    assert capsys.readouterr().err == (
+        "error: sigma_max = 1e+300 and sigma_min = 1e-320 span more than one float64 scale "
+        "holds: sigma_min 2^-997 underflows to 0\n")
+    assert not out.exists()
+
+
 def test_control_characters_in_a_path_stay_valid_json(tmp_path):
     # every U+0000-U+001F a file name may hold (all but NUL) survives json.loads
     name = "s" + "".join(map(chr, range(1, 0x20))) + ".txt"
@@ -504,23 +521,28 @@ def test_each_command_loads_only_its_own_layers(import_runs):
     moment_layers = {"rank1_spectra.moments", "rank1_spectra.reports"}
     unused = moment_layers | {"fractions", "decimal", "concurrent.futures", "logging"}
     # the three simulate laws, then moments (expr sigma), whose limiting
-    # averages are the first thing here to need mpmath
+    # averages are the first thing here to need decimal; none loads mpmath
     for index, (_, mods) in enumerate(monte_carlo["runs"]):
-        assert ("mpmath" in mods) == (index == 3)
+        assert ("decimal" in mods) == (index == 3)
+        assert "mpmath" not in mods
         assert "rank1_spectra.ensemble" in mods
         assert not oracles & set(mods)
         if index < 3:
             assert not unused & set(mods)
         else:
             assert moment_layers <= set(mods)
-    # moments (file sigma), whose S_{n,k}/n sum in float64, then radius and
-    # moments of an expression, which need mpmath
+    # moments (file sigma), whose S_{n,k}/n sum in float64 and which loads
+    # neither decimal nor mpmath, then radius (file, constant and expression
+    # sigma) and moments of a constant or an expression, which need decimal
+    # and no mpmath: mpmath is the oracle of validate alone
     for index, (_, mods) in enumerate(numpy_free["runs"]):
-        assert ("mpmath" in mods) == (index >= 1)
+        assert ("decimal" in mods) == (index >= 1)
+        assert "mpmath" not in mods
         assert "rank1_spectra.ensemble" not in mods
         assert not oracles & set(mods)
     for report in import_runs:
-        assert oracles | unused <= set(report["control"])
+        # the detector sees mpmath once the oracles are imported
+        assert oracles | unused | {"mpmath"} <= set(report["control"])
         assert report["parser"] == ["rank1_spectra.cli"]  # the parser loads no other layer
 
 
@@ -546,12 +568,12 @@ def test_only_commands_that_need_them_compile_the_expression_and_quadrature(impo
 
 def test_moments_and_radius_load_no_dataclasses_datetime_or_fractions(import_runs):
     """No ``moments`` or ``radius`` run loads ``dataclasses`` (nor the
-    ``inspect`` it brings), ``datetime``, ``fractions`` or ``decimal``: its
-    records are NamedTuples, the manifest's timestamp comes from
-    ``time.time_ns`` and a float tree series needs no Fraction.  Before
-    the numpy-free runs none of them is loaded at all; in the other
-    interpreter simulate has loaded all but two of them already."""
-    lean = {"dataclasses", "inspect", "datetime", "fractions", "decimal"}
+    ``inspect`` it brings), ``datetime`` or ``fractions``: its records are
+    NamedTuples, the manifest's timestamp comes from ``time.time_ns`` and a
+    float or Decimal tree series needs no Fraction.  Before the numpy-free
+    runs none of them is loaded at all; in the other interpreter simulate
+    has loaded all but one of them already."""
+    lean = {"dataclasses", "inspect", "datetime", "fractions"}
     checked = 0
     for report in import_runs:
         assert not lean & set(report["start"][0])
@@ -675,14 +697,16 @@ def _exact_averages(seed):
 
 
 def _exact_sum_pencil(seed, s_bar):
-    """The pencil of the exact averages of the file of ``seed``, in 100-digit mpf."""
-    from mpmath import mp, mpf
+    """The pencil of the exact averages of the file of ``seed``, in 100-digit Decimal."""
+    from decimal import localcontext
 
     from rank1_spectra.moments import _limits
     from rank1_spectra.radius_bounds import build_pencil
+    from rank1_spectra.sigma_model import _context
 
-    with mp.workdps(100):
-        lams = [mpf(a.numerator) / a.denominator for a in _exact_averages(seed)[:2 * s_bar + 1]]
+    with localcontext(_context(100)) as ctx:
+        lams = [ctx.divide(a.numerator, a.denominator)
+                for a in _exact_averages(seed)[:2 * s_bar + 1]]
         return build_pencil(_limits(lams, 2 * s_bar + 1), s_bar)
 
 

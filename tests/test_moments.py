@@ -1,5 +1,6 @@
 import math
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,8 @@ from rank1_spectra.moments import (
     odd_moment_bound,
     theta_factor,
 )
-from rank1_spectra.sigma_model import SigmaDomainError, parse_sigma_spec, sigma_values
+from rank1_spectra.sigma_model import (_GUARD_DIGITS, SigmaDomainError, _context, parse_sigma_spec,
+                                      sigma_values)
 from rank1_spectra.validation import _profile_sum
 
 EXP_SPEC = "expr:exp(-4*i/n)"
@@ -331,7 +333,7 @@ class TestOnePass:
             return run_stats(values, k_max)
 
         def tree_series(averages, s_max):
-            series.append(("mpf" if hasattr(averages[0], "_mpf_") else "float", s_max))
+            series.append(("decimal" if isinstance(averages[0], Decimal) else "float", s_max))
             return run_series(averages, s_max)
 
         for module in (reports, moments):
@@ -343,7 +345,7 @@ class TestOnePass:
             limits, s_top = ("float", 34), 11
         else:
             reports.radius_table(spec, orders=(2, 5, 40), n=200, s_bar=3)
-            limits, s_top = ("mpf", 40), 40
+            limits, s_top = ("decimal", 40), 40
         if kind == "const":
             assert stats_k == [] and series == [limits]
         else:
@@ -391,9 +393,10 @@ class TestOnePass:
 
 def _fdot_series(averages, s_max):
     """The tree series with each coefficient one correctly rounded
-    ``mpmath.fdot``, at the current mp precision."""
-    from mpmath import fdot
+    ``mpmath.fdot``, at the current mp precision, of Decimal averages."""
+    from mpmath import fdot, mpf
 
+    averages = [mpf(str(a)) for a in averages]
     power, series = list(averages), []
     for s in range(1, s_max + 1):
         power = [fdot(power[:k + 1], averages[k::-1]) for k in range(s_max)]
@@ -402,16 +405,17 @@ def _fdot_series(averages, s_max):
 
 
 def _exp_lambdas(k_max, scale=1):
-    from mpmath import mp
-
-    return [scale ** k * (1 - mp.exp(-4 * k)) / (4 * k) for k in range(1, k_max + 1)]
+    """(1 - e^{-4k})/(4k) scale^k in the current decimal context."""
+    return [scale ** k * (1 - Decimal(-4 * k).exp()) / (4 * k) for k in range(1, k_max + 1)]
 
 
 class TestFixedPointSeries:
     """`moments._fixed_point_series` against ``mpmath.fdot`` at 64 more bits:
-    each m_{2s} is within 2^-prec (1 + 2^-3) of the exact series, the bound
-    its docstring proves; the oracle's own error is (2 s_max + 2) 2^-(prec+64)
-    at most."""
+    asked for D digits, each m_{2s} is within 2^-prec (1 + 2^-3) of the
+    exact series, prec the bits of mpmath at D digits, the bound of the mpf
+    series it replaced: its docstring proves 10^(1-P) (1/2 + 1/80) at the
+    P = D + _GUARD_DIGITS digits it carries, under 10^-(D+1) (1/2 + 1/80).
+    The oracle's own error is (2 s_max + 2) 2^-(prec+64) at most."""
 
     @pytest.mark.parametrize("case, s_bar", [
         ("exp", 14), ("exp", 25), ("exp", 31), ("const:1000", 14),
@@ -421,35 +425,50 @@ class TestFixedPointSeries:
         from mpmath import mp, mpf
 
         k_max = 2 * s_bar + 1
-        with mp.workdps(max(30, 2 * s_bar + 10)):  # the digits of reports.radius_table
+        digits = max(30, 2 * s_bar + 10)  # the digits of reports.radius_table
+        with localcontext(_context(digits + _GUARD_DIGITS)):
             if case == "exp":
                 averages = _exp_lambdas(k_max)
             elif case == "const:1000":
-                averages = [mpf(1000) ** k for k in range(1, k_max + 1)]
+                averages = [Decimal(1000) ** k for k in range(1, k_max + 1)]
             elif case == "0.0078125*exp":
-                averages = _exp_lambdas(k_max, mpf(0.0078125))
+                averages = _exp_lambdas(k_max, Decimal(0.0078125))
             else:
                 values = np.random.default_rng(3).uniform(0.5, 2.0, 500)
                 path = tmp_path / "sigma.txt"
                 path.write_text("".join(repr(float(v)) + "\n" for v in values), encoding="utf-8")
                 averages = list(quadrature.limiting_averages(
-                    parse_sigma_spec(f"file:{path}"), k_max, 1e-8, mp.dps).values)
-            prec = mp.prec
+                    parse_sigma_spec(f"file:{path}"), k_max, 1e-8, digits).values)
             got = _tree_series(averages, k_max)
-            with mp.workprec(prec + 64):
-                exact = _fdot_series(averages, k_max)
-            assert all(isinstance(m, mpf) for m in got)
+        with mp.workdps(digits):
+            prec = mp.prec
+        with mp.workprec(prec + 64):
+            exact = _fdot_series(averages, k_max)
+            assert all(isinstance(m, Decimal) for m in got)
             for m, want in zip(got, exact):
-                assert abs(m - want) <= (1 + 2 ** -3 + 2 ** -40) * mpf(2) ** -prec * want
+                assert abs(mpf(str(m)) - want) <= (1 + 2 ** -3 + 2 ** -40) * mpf(2) ** -prec * want
 
-    def test_tiny_and_huge_averages_scale_exactly(self):
+    def test_tiny_and_huge_averages_scale_exactly(self, monkeypatch):
         # sigma -> c sigma multiplies m_2s by c^2s; with c a power of 2 the
-        # scaling is exact, so the series of the scaled averages is the
-        # scaled series bit for bit
-        from mpmath import mp, mpf
+        # scaling is exact up to the one rounding, so each m_2s of the
+        # exactly scaled averages is the base series' unrounded m_2s times
+        # c^2s, rounded once to the context's digits
+        unrounded, to_decimal = [], sigma_model._from_binary
 
-        with mp.workdps(38):
-            base = _tree_series(_exp_lambdas(29), 29)
-            for c in (mpf(2) ** -7, mpf(2) ** 10):
-                scaled = _tree_series(_exp_lambdas(29, c), 29)
-                assert scaled == [m * c ** (2 * s) for s, m in enumerate(base, start=1)]
+        def capture(man, exp, ctx):
+            unrounded.append(Fraction(man) * Fraction(2) ** exp)
+            return to_decimal(man, exp, ctx)
+
+        with localcontext(_context(38 + _GUARD_DIGITS)) as ctx:
+            base_averages = _exp_lambdas(29)
+            monkeypatch.setattr(sigma_model, "_from_binary", capture)
+            base = _tree_series(base_averages, 29)
+            monkeypatch.undo()
+            assert base == [ctx.divide(m.numerator, m.denominator) for m in unrounded]
+            for log2c in (-7, 10):
+                with localcontext(_context(400)):  # exact: under 200 digits
+                    averages = [a * Decimal(2) ** (log2c * k)
+                                for k, a in enumerate(base_averages, start=1)]
+                want = [m * Fraction(2) ** (2 * s * log2c) for s, m in enumerate(unrounded, 1)]
+                assert _tree_series(averages, 29) == [ctx.divide(m.numerator, m.denominator)
+                                                      for m in want]

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from rank1_spectra.radius_bounds import (
     build_pencil,
     sdp_lower_bound,
 )
-from rank1_spectra.sigma_model import parse_sigma_spec, sigma_values
+from rank1_spectra.sigma_model import _GUARD_DIGITS, _context, parse_sigma_spec, sigma_values
 from rank1_spectra.validation import bisect_beta, brackets_beta, pencil_hankels
 
 EXP_SPEC = "expr:exp(-4*i/n)"
@@ -275,7 +276,7 @@ def test_cli_passes_its_defaults_to_radius_table(tmp_path, monkeypatch):
 
 
 def test_asymptotic_root_scales_with_sigma_exactly():
-    # the root of the mpf moment: a power-of-two scale of sigma moves it by
+    # the root of the Decimal moment: a power-of-two scale of sigma moves it by
     # that scale to the bit, which the float root of the float moment missed
     from rank1_spectra.reports import radius_table
 
@@ -286,9 +287,9 @@ def test_asymptotic_root_scales_with_sigma_exactly():
 
 def mp_exp_pencil(s_bar: int, digits: int):
     """The exp profile's pencil from its closed-form Lambda, with the moments
-    in mpf at ``digits`` digits."""
-    with mp.workdps(digits):
-        lams = [(1 - mp.exp(-4 * k)) / (4 * k) for k in range(1, 2 * s_bar + 2)]
+    in Decimal at ``digits`` digits, the context a layer asked for them opens."""
+    with localcontext(_context(digits + _GUARD_DIGITS)):
+        lams = [(1 - Decimal(-4 * k).exp()) / (4 * k) for k in range(1, 2 * s_bar + 2)]
         return build_pencil(_limits(lams, 2 * s_bar + 1), s_bar)
 
 
@@ -312,11 +313,11 @@ def _matrix_oracle(pencil, tol):
 
 
 def _battery():
-    """80 pencils: the exp profile at eight s_bar from mpf moments, Catalan
+    """80 pencils: the exp profile at eight s_bar from Decimal moments, Catalan
     at 14, and 71 random atomic measures with atoms at scales 1 to 1e30."""
     cases = [(f"exp-{s_bar}", mp_exp_pencil(s_bar, 2 * s_bar + 10), 1e-10)
              for s_bar in (1, 3, 6, 10, 14, 20, 25, 31)]
-    with mp.workdps(60):  # exact integers, taken at 60 digits rather than 53 bits
+    with localcontext(_context(60)):  # exact integers, their unit 1e-59 rather than 2^-53
         cases.append(("catalan-14", build_pencil([catalan(s) for s in range(1, 30)], 14), 1e-10))
     rng = np.random.default_rng(2024)
     for case in range(71):
@@ -350,9 +351,9 @@ def test_sturm_count_matches_mp_cholesky_on_the_shifted_pencil(s_bar):
     # below x exactly when H0 x - H1 factors
     pencil = mp_exp_pencil(s_bar, 2 * s_bar + 10)
     beta = sdp_lower_bound(pencil, 1e-10).beta
-    with mp.workdps(_digits(s_bar)):
-        for half in (1e-10, 1e-3):
-            lo, hi = mpf(beta) - half, mpf(beta) + half
+    with localcontext(_context(_digits(s_bar))):
+        for half in (Decimal(1e-10), Decimal(1e-3)):
+            lo, hi = Decimal(beta) - half, Decimal(beta) + half
             assert _count_below(pencil.a, pencil.b, hi) == s_bar + 1
             assert _count_below(pencil.a, pencil.b, lo) < s_bar + 1
             assert brackets_beta(pencil, lo, hi)
@@ -365,11 +366,11 @@ def test_condition_bounds_the_digits_lost():
     # every coefficient keeps 38 - log10(condition) digits, give or take one
     s_bar = 14
     coarse, fine = mp_exp_pencil(s_bar, 38), mp_exp_pencil(s_bar, 120)
-    with mp.workdps(120):
+    with localcontext(_context(120)):
         worst = max(abs(x / y - 1) for x, y in zip(coarse.a + coarse.b[1:], fine.a + fine.b[1:]))
     assert 1e10 < coarse.condition < 1e20
-    assert worst <= coarse.condition * mpf(10) ** -37
-    assert worst > mpf(10) ** -100  # the coarse moments do lose digits
+    assert worst <= Decimal(coarse.condition) * Decimal("1e-37")
+    assert worst > Decimal("1e-100")  # the coarse moments do lose digits
 
 
 def test_condition_estimate_is_scale_free():
@@ -450,7 +451,7 @@ def test_radius_table_orders_evaluate_sigma_once(tmp_path, monkeypatch):
         return run_values(spec, n)
 
     def tree_series(averages, s_max):
-        series.append("mpf" if hasattr(averages[0], "_mpf_") else "float")
+        series.append("decimal" if isinstance(averages[0], Decimal) else "float")
         return run_series(averages, s_max)
 
     for module in (reports, moments):
@@ -463,12 +464,12 @@ def test_radius_table_orders_evaluate_sigma_once(tmp_path, monkeypatch):
     assert calls == []
     # the limiting averages count the file's values; only the rows evaluate sigma
     assert evaluations == [4000]
-    # one mpf series, at the exact S_{n,k}/n, feeds the SDP and every bound
-    # of the rows: the lower bounds' main terms are its moments
-    assert series == ["mpf"]
+    # one Decimal series, at the exact S_{n,k}/n, feeds the SDP and every
+    # bound of the rows: the lower bounds' main terms are its moments
+    assert series == ["decimal"]
     series.clear()
     reports.radius_table(spec, n=4000, s_bar=3)
-    assert series == ["mpf"]
+    assert series == ["decimal"]
     assert evaluations == [4000]  # no rows, no evaluation
     monkeypatch.undo()
 
@@ -484,12 +485,12 @@ def test_radius_table_orders_evaluate_sigma_once(tmp_path, monkeypatch):
     den = max(d for _, d in ratios)  # a power of 2, so every v_i is an integer over it
     ints = [m * (den // d) for m, d in ratios]
     powers, lams = ints, []
-    with mp.workdps(60):
+    with localcontext(_context(60)) as ctx:
         for k in range(1, 65):
-            lams.append(mpf(sum(powers)) / (n * den ** k))
+            lams.append(ctx.divide(sum(powers), n * den ** k))
             powers = [p * m for p, m in zip(powers, ints)]
     for row, s in zip(report.rows, orders):
-        with mp.workdps(60):
+        with localcontext(_context(60)):
             limit = float(limiting_even_moment(lams[:s], s))
         correction = sum(math.comb(n, j) * j ** (s + 1 - j) for j in range(1, s + 1))
         m_low = limit - smax ** (2 * s) * (correction / n ** (s + 1))

@@ -1,5 +1,6 @@
 import math
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,10 @@ from rank1_spectra import expression, quadrature, sigma_model
 from rank1_spectra.quadrature import _LIMIT_LEVEL, _MAX_LEVEL, _MAX_NODES, limiting_averages
 from rank1_spectra.reports import lambda_vector, moment_table
 from rank1_spectra.sigma_model import (
+    _GUARD_DIGITS,
+    _context,
+    _exact_ratio,
+    _from_binary,
     NoLimitError,
     SigmaDomainError,
     SigmaSpec,
@@ -19,16 +24,14 @@ from rank1_spectra.sigma_model import (
     sigma_stats,
     sigma_values,
 )
+from rank1_spectra.validation import _mpf
 
 EXP_SPEC = "expr:exp(-4*i/n)"
 
 
-def _fraction(x):
-    """A positive int, float or mpf as an exact Fraction."""
-    if isinstance(x, (int, float)):
-        return Fraction(x)
-    man, exp = x.man_exp
-    return man * Fraction(2) ** exp
+def _rounded(x: Fraction, digits: int) -> Decimal:
+    """The exact x rounded once to ``digits`` digits."""
+    return _context(digits).divide(x.numerator, x.denominator)
 
 
 def closed_form_lambda(k: float) -> float:
@@ -198,13 +201,13 @@ class TestLimitingAverages:
         # the spec's quoted 7-digit value 0.2454211
         la = limiting_averages(parse_sigma_spec(EXP_SPEC), 1, 1e-8)
         assert all(la.converged)
-        assert la.values[0] == pytest.approx(closed_form_lambda(1), abs=2e-8)
-        assert la.values[0] == pytest.approx(0.2454211, abs=1e-7)
+        assert float(la.values[0]) == pytest.approx(closed_form_lambda(1), abs=2e-8)
+        assert float(la.values[0]) == pytest.approx(0.2454211, abs=1e-7)
 
     def test_exp_family_second_average(self):
         la = limiting_averages(parse_sigma_spec(EXP_SPEC), 2, 1e-8)
-        assert la.values[1] == pytest.approx((1 - math.exp(-8)) / 8, abs=2e-8)
-        assert la.values[1] == pytest.approx(0.1249581, abs=1e-7)
+        assert float(la.values[1]) == pytest.approx((1 - math.exp(-8)) / 8, abs=2e-8)
+        assert float(la.values[1]) == pytest.approx(0.1249581, abs=1e-7)
 
     def test_riemann_consistency_with_quadrature(self):
         # expression depends on i only through i/n: Lambda_k must match scipy's quadrature
@@ -212,12 +215,12 @@ class TestLimitingAverages:
         la = limiting_averages(spec, 3, 1e-7)
         for k in range(1, 4):
             integral, _ = quad(lambda x: math.exp(-4.0 * k * x), 0.0, 1.0, epsabs=1e-13)
-            assert la.values[k - 1] == pytest.approx(integral, abs=5e-7)
+            assert float(la.values[k - 1]) == pytest.approx(integral, abs=5e-7)
 
     @pytest.mark.parametrize("c", [0.7, 1000.0, 3.0e-5])
     def test_constant_is_its_powers(self, c):
-        with mp.workdps(60):
-            want = [mp.mpf(c) ** k for k in range(1, 30)]
+        # limiting_averages asked for 60 digits carries 60 + _GUARD_DIGITS
+        want = [_rounded(Fraction(c) ** k, 60 + _GUARD_DIGITS) for k in range(1, 30)]
         la = limiting_averages(parse_sigma_spec(f"const:{c!r}"), 29, 1e-8, digits=60)
         assert list(la.values) == want
         assert la.nodes == 1
@@ -227,9 +230,11 @@ class TestLimitingAverages:
         # until the division by n
         spec = SigmaSpec("explicit", (0.5, 0.25, 0.5), "explicit:inline")
         la = limiting_averages(spec, 8, 1e-8, digits=60)
-        with mp.workdps(60):
-            want = [(2 * mp.mpf(0.5) ** k + mp.mpf(0.25) ** k) / 3 for k in range(1, 9)]
-            first_two = [(mp.mpf(0.5) ** k + mp.mpf(0.25) ** k) / 2 for k in range(1, 9)]
+        carried = 60 + _GUARD_DIGITS
+        want = [_rounded((2 * Fraction(0.5) ** k + Fraction(0.25) ** k) / 3, carried)
+                for k in range(1, 9)]
+        first_two = [_rounded((Fraction(0.5) ** k + Fraction(0.25) ** k) / 2, carried)
+                     for k in range(1, 9)]
         assert list(la.values) == want
         assert (la.nodes, la.digits, all(la.converged)) == (2, 60, True)
         assert list(limiting_averages(spec, 8, 1e-8, digits=60, n=2).values) == first_two
@@ -238,19 +243,18 @@ class TestLimitingAverages:
 
     @pytest.mark.parametrize("digits, k_max", [(38, 29), (60, 51)])
     def test_power_sums_are_the_exact_sums_rounded_once(self, digits, k_max):
-        # weights over 80 binades and values, floats and mpf with full
-        # mantissas, over 7 binades below [1, 2), whose two nodes sit at its
+        # weights over 80 binades and values, floats and Decimals with full
+        # digits, over 7 binades below [1, 2), whose two nodes sit at its
         # bottom and make most of the sums
         rng = np.random.default_rng(11)
         weights = (rng.uniform(0, 1, 40) * 2.0 ** rng.integers(-80, 4, 40)).tolist() + [100, 7]
         values = rng.uniform(0.03, 2.7, 40).tolist() + [3.0000000003, 3.0000000009]
-        with mp.workdps(digits):
-            values = [v / 3 for v in values[:20]] + [mp.mpf(v) / 3 for v in values[20:]]
+        with localcontext(_context(digits)):
+            values = [v / 3 for v in values[:20]] + [Decimal(v) / 3 for v in values[20:]]
             got = quadrature._weighted_power_sums(weights, values, k_max)
-            for k, sum_k in enumerate(got, start=1):
-                exact = sum(_fraction(w) * _fraction(v) ** k for w, v in zip(weights, values))
-                dyadic = (exact.numerator, 1 - exact.denominator.bit_length())
-                assert sum_k == mp.mpf(dyadic)
+        for k, sum_k in enumerate(got, start=1):
+            exact = sum(Fraction(w) * Fraction(v) ** k for w, v in zip(weights, values))
+            assert sum_k == _rounded(exact, digits)
 
     def test_monotone_in_k_for_subunit_sigma(self):
         la = limiting_averages(parse_sigma_spec(EXP_SPEC), 6, 1e-7)
@@ -271,17 +275,22 @@ class TestLimitingAverages:
         base = limiting_averages(parse_sigma_spec("const:0.7"), 4, 1e-12)
         scaled = limiting_averages(parse_sigma_spec("const:1.4"), 4, 1e-12)
         for k in range(1, 5):
-            assert scaled.values[k - 1] == pytest.approx(
-                2.0 ** k * base.values[k - 1], rel=1e-12
+            assert float(scaled.values[k - 1]) == pytest.approx(
+                2.0 ** k * float(base.values[k - 1]), rel=1e-12
             )
 
     def test_scaling_covariance_expression(self):
         # the tolerances are relative, so with c = 2 the quadrature stops at
-        # the same level and every mpf op scales exactly
+        # the same level; a decimal product by 2 is no exact scaling, so the
+        # values agree to one unit in the last of their 30 + _GUARD_DIGITS
+        # digits (the measured gap), where binary ops agreed to the bit
         base = limiting_averages(parse_sigma_spec(EXP_SPEC), 1, 1e-7)
         scaled = limiting_averages(parse_sigma_spec("expr:2*exp(-4*i/n)"), 1, 1e-7)
         assert scaled.rungs == base.rungs
-        assert scaled.values[0] == mp.ldexp(base.values[0], 1)
+        value = scaled.values[0]
+        unit = Decimal(1).scaleb(value.adjusted() + 1 - (30 + _GUARD_DIGITS))
+        with localcontext(_context(100)):
+            assert abs(value - 2 * base.values[0]) <= unit
 
 
 class TestExtrapolatedLadder:
@@ -292,7 +301,8 @@ class TestExtrapolatedLadder:
         want = [closed_form_lambda(k) for k in range(1, 30)]
         np.testing.assert_allclose([float(v) for v in la.values], want, rtol=1e-15, atol=0)
         with mp.workdps(40):
-            worst = max(abs(v * 4 * k / (1 - mp.exp(-4 * k)) - 1) for k, v in enumerate(la.values, 1))
+            worst = max(abs(_mpf(v) * 4 * k / (1 - mp.exp(-4 * k)) - 1)
+                        for k, v in enumerate(la.values, 1))
         assert worst < 1e-29  # DEFAULT_DIGITS = 30
 
     def test_large_averages_settle(self):
@@ -317,14 +327,14 @@ class TestExtrapolatedLadder:
         tol = 1e-6
         la = limiting_averages(parse_sigma_spec("expr:1+1/i"), 1, tol)
         assert all(la.converged)
-        assert abs(la.values[0] - 1.0) <= 1e-30
+        assert abs(la.values[0] - 1) <= Decimal("1e-30")
 
     def test_odd_powers_are_extrapolated(self):
         # sum_{i<=n} 1/(i(i+1)(i+2)) = 1/4 - 1/(2(n+1)(n+2)): a spec in i alone
         # whose finite-n averages carry odd powers of 1/n; the limit is 1
         la = limiting_averages(parse_sigma_spec("expr:1+1e8/(i*(i+1)*(i+2))"), 1, 1e-8)
         assert all(la.converged)
-        assert abs(la.values[0] - 1.0) <= 1e-11
+        assert abs(la.values[0] - 1) <= Decimal("1e-11")
 
     def test_unbounded_profile_stops_at_the_cap(self):
         # (1/n) sum (1 + log i) grows like log n: the limit test on the coarse
@@ -350,7 +360,8 @@ class TestExtrapolatedLadder:
         assert 15 <= la.digits < 60 and all(la.converged)
         with mp.workdps(60):
             c = mp.mpf(1 / 3)  # the float the spec's 1/3 gives
-            assert abs(la.values[0] - (1 + (c * c + (1 - c) ** 2) / 2)) <= mp.mpf(10) ** -la.digits
+            want = 1 + (c * c + (1 - c) ** 2) / 2
+            assert abs(_mpf(la.values[0]) - want) <= mp.mpf(10) ** -la.digits
 
     @pytest.mark.parametrize("kink, c", [("0.5", 0.5), ("1/3", 1 / 3)])
     def test_kinked_profile_is_split_at_the_kink(self, kink, c):
@@ -364,7 +375,7 @@ class TestExtrapolatedLadder:
             c = mp.mpf(c)
             for k, v in enumerate(la.values, 1):
                 want = ((1 + c) ** (k + 1) + (2 - c) ** (k + 1) - 2) / (k + 1)
-                assert abs(v / want - 1) <= 1e-28
+                assert abs(_mpf(v) / want - 1) <= 1e-28
 
     def test_narrow_bump_between_the_nodes_is_found(self):
         # a bump 1e-3 wide falls between the tanh-sinh nodes of [0, 1], which
@@ -375,7 +386,7 @@ class TestExtrapolatedLadder:
         with mp.workdps(40):
             g = mp.sqrt(mp.pi) / 1000  # int exp(-1e6 (x - c)^2) dx; the tails are below 1e-100
             for v, want in zip(la.values, (1 + g, 1 + 2 * g + g / mp.sqrt(2))):
-                assert abs(v / want - 1) <= 1e-28
+                assert abs(_mpf(v) / want - 1) <= 1e-28
 
     def test_narrow_dip_below_zero_is_a_domain_error(self):
         with pytest.raises(SigmaDomainError, match="no finite positive value at i/n = 0.33"):
@@ -383,11 +394,11 @@ class TestExtrapolatedLadder:
 
     def test_profile_below_float_range_is_no_domain_error(self):
         # exp(-1000 x) underflows to 0 in the float midpoint rule past
-        # x = 0.745; it stays positive in mpf
+        # x = 0.745; it stays positive in Decimal
         la = limiting_averages(parse_sigma_spec("expr:exp(-1000*i/n)"), 2, 1e-8)
         with mp.workdps(30):
             for k, v in enumerate(la.values, 1):
-                assert abs(v * 1000 * k / (1 - mp.exp(-1000 * k)) - 1) <= 1e-28
+                assert abs(_mpf(v) * 1000 * k / (1 - mp.exp(-1000 * k)) - 1) <= 1e-28
 
     def test_steep_profile_fails_in_bounded_time(self):
         # exp(-1e6 x) spans 1.4 million binades on [0, 1], so at k = 16 the
@@ -403,17 +414,25 @@ class TestExtrapolatedLadder:
     def _p_bit_power_sums(weights, values, k_max):
         # `_weighted_power_sums` with each v held in units of 2^(e - P) and
         # each product shifted by P, the wider form of its products
+        ctx = _context(38)
+        prec = (10 ** ctx.prec).bit_length()
+        bits = prec + 14 + (k_max + 1).bit_length()
+        wide = _context(bits // 3 + 10)
+
+        def binary(x):
+            return quadrature._binary(x, bits, wide)
+
         groups = {}
-        for node in zip(weights, values, map(quadrature._binary, values)):
+        for node in zip(weights, values, map(binary, values)):
             groups.setdefault(node[2][1] + node[2][0].bit_length(), []).append(node)
-        guard = mp.prec + 12 + (len(values) * k_max).bit_length()
+        guard = prec + 12 + (len(values) * k_max).bit_length()
         parts = [[] for _ in range(k_max)]
         for e, nodes in groups.items():
             w, _, (vm, vx) = max(nodes)
-            wm, wx = quadrature._binary(w)
+            wm, wx = binary(w)
             f = wx + wm.bit_length()
             P = guard + math.ceil(k_max * (53 - math.log2(vm << 53 >> (e - vx))))
-            T = [m << P >> (f - x) for m, x in (quadrature._binary(w) for w, _, _ in nodes)]
+            T = [m << P >> (f - x) for m, x in (binary(w) for w, _, _ in nodes)]
             V = [m << P >> (e - x) for _, _, (m, x) in nodes]
             for k in range(k_max):
                 T = [t * x >> P for t, x in zip(T, V)]
@@ -423,38 +442,40 @@ class TestExtrapolatedLadder:
             top = max(x + t.bit_length() for t, x in terms)
             terms = [(t, x) for t, x in terms if x + t.bit_length() >= top - guard - 2]
             low = min(x for _, x in terms)
-            sums.append(mp.mpf((sum(t << (x - low) for t, x in terms), low)))
+            sums.append(_from_binary(sum(t << (x - low) for t, x in terms), low, ctx))
         return sums
 
     def test_power_sums_are_the_p_bit_products_bit_for_bit(self):
         # float values with count weights, as an explicit sigma gives them;
-        # mpf nodes with full mantissas over 20 binades; and nodes 2^-200
+        # Decimal nodes with full digits over 20 binades; and nodes 2^-200
         # below the rest, whose group is dropped
         rng = np.random.default_rng(23)
-        with mp.workdps(38):
+        with localcontext(_context(38)) as ctx:
             floats = rng.uniform(0.5, 2.0, 2000).tolist()
             counts = rng.integers(1, 4, 2000).tolist()
-            mpfs, weights = ([mp.mpf((int.from_bytes(rng.bytes(17), "big"), int(x) - 136))
-                              for x in rng.integers(-20, 1, 300)] for _ in range(2))
+            decimals, weights = ([ctx.multiply(int.from_bytes(rng.bytes(17), "big"),
+                                               ctx.power(2, int(x) - 136))
+                                  for x in rng.integers(-20, 1, 300)] for _ in range(2))
             tiny = [v * 2.0 ** -200 for v in floats[:5]]
-            for w, v, k_max in ((counts, floats, 40), (weights, mpfs, 29),
+            for w, v, k_max in ((counts, floats, 40), (weights, decimals, 29),
                                 ([1] * 10, floats[:5] + tiny, 3)):
                 assert (quadrature._weighted_power_sums(w, v, k_max)
                         == self._p_bit_power_sums(w, v, k_max))
 
     def test_power_sums_keep_their_bound_where_groups_are_dropped(self):
-        # two nodes, 1 and 2^-g, around the cut at guard + 2 bits below the
-        # largest group's sum and far past it: each sum stays within
-        # 2^-(prec + 10) of the exact sum before its one rounding
-        with mp.workdps(30):
-            guard = mp.prec + 12 + (2 * 3).bit_length()
+        # two nodes, 1 and about 2^-g, around the cut at guard + 2 bits below
+        # the largest group's sum and far past it: each sum stays within
+        # 2^-(prec + 9) of the exact sum before its one rounding to 30 digits
+        with localcontext(_context(30)) as ctx:
+            prec = (10 ** ctx.prec).bit_length()
+            guard = prec + 12 + (2 * 3).bit_length()
             for g in (guard - 2, guard + 1, guard + 3, 4000):
-                values = [mp.mpf(1), mp.mpf(2) ** -g]
+                values = [Decimal(1), ctx.power(2, -g)]
                 got = quadrature._weighted_power_sums([1, 1], values, 3)
                 for k, sum_k in enumerate(got, start=1):
-                    exact = 1 + Fraction(1, 2 ** (g * k))
-                    bound = (2 ** -mp.prec + 2 ** -(mp.prec + 10)) * exact
-                    assert abs(_fraction(sum_k) - exact) <= bound
+                    exact = 1 + Fraction(values[1]) ** k
+                    bound = (Fraction(1, 2 * 10 ** 29) + Fraction(1, 2 ** (prec + 9))) * exact
+                    assert abs(Fraction(sum_k) - exact) <= bound
             assert got == [1, 1, 1]
 
     def test_kinked_profile_gets_its_moments(self):
@@ -465,6 +486,54 @@ class TestExtrapolatedLadder:
     def test_negative_profile_is_a_domain_error(self):
         with pytest.raises(SigmaDomainError, match="no finite positive value"):
             limiting_averages(parse_sigma_spec("expr:1-2*i/n"), 1, 1e-8)
+
+    @pytest.mark.parametrize("power", ["0.5", "0.3"])
+    def test_negative_base_to_a_fraction_is_a_domain_error(self, power):
+        # sqrt (half-integral) and the general power both signal
+        # InvalidOperation past x = 1/2, where the base turns negative
+        with pytest.raises(SigmaDomainError, match="no finite positive value"):
+            limiting_averages(parse_sigma_spec(f"expr:1+(0.5-i/n)^{power}"), 1, 1e-8)
+
+    def test_decimal_oracle_exp_profile(self):
+        # the 38-digit Decimal Lambda_k against mpmath's closed form
+        # (1 - e^{-4k})/(4k) at 60 digits, k <= 29
+        la = limiting_averages(parse_sigma_spec(EXP_SPEC), 29, 1e-8, digits=38)
+        assert all(la.converged) and all(isinstance(v, Decimal) for v in la.values)
+        with mp.workdps(60):
+            worst = max(abs(_mpf(v) * 4 * k / (1 - mp.exp(-4 * k)) - 1)
+                        for k, v in enumerate(la.values, 1))
+        assert worst <= 1e-36
+
+    @pytest.mark.parametrize("text", ["0.7", "1E+5", "3.14159E+500", "2.5E-19240",
+                                      "1234567890123456789012345678901234567.8"])
+    def test_exact_ratio_is_the_decimal(self, text):
+        # x = p / q 2^t exactly, q a power of 5, at any decimal exponent
+        p, q, t = _exact_ratio(Decimal(text))
+        assert Fraction(p, q) * Fraction(2) ** t == Fraction(Decimal(text))
+        assert 5 ** round(math.log(q, 5)) == q
+
+    def test_no_decimal_step_flushes_to_zero(self):
+        # the default context's exponents stop at -999999 and it does not
+        # trap Underflow, so exp(-4e6)^3 reads 0 there; the layers' context
+        # spans MIN_EMIN..MAX_EMAX and raises where a result leaves even that
+        import decimal
+
+        with localcontext(decimal.Context()):
+            assert Decimal(-4e6).exp() ** 3 == 0
+        ctx = _context(38)
+        assert (ctx.Emin, ctx.Emax) == (decimal.MIN_EMIN, decimal.MAX_EMAX)
+        for signal in (decimal.Underflow, decimal.Overflow, decimal.InvalidOperation):
+            assert ctx.traps[signal]
+        with localcontext(ctx):
+            tiny = Decimal(-4e6).exp()
+            sums = quadrature._weighted_power_sums([1], [tiny], 3)
+            for k, got in enumerate(sums, start=1):
+                assert got > 0 and abs(got / tiny ** k - 1) <= Decimal("1e-36")
+            low, high = Decimal(10) ** (decimal.MIN_EMIN // 2), Decimal(10) ** (decimal.MAX_EMAX // 2)
+            with pytest.raises(decimal.Underflow):
+                low * low / 10 ** 40
+            with pytest.raises(decimal.Overflow):
+                high * high * 100
 
     def test_note_names_the_work(self):
         spec = parse_sigma_spec(EXP_SPEC)
@@ -530,12 +599,13 @@ class TestMidpointGrid:
     def test_overflow_gives_no_grid(self):
         # exp(i) overflows at every point: no panel is checked, and no
         # OverflowError; an estimate of 1 fails the check on exp(-4 i/n)
-        estimate, scale = [mp.mpf(1)] * 3, [1.0] * 3
+        estimate, scale = [Decimal(1)] * 3, [1.0] * 3
         for spec, checked in (("expr:exp(i)", False), ("expr:exp(-4*i/n)", True)):
             grid = quadrature._midpoint_grid(parse_sigma_spec(spec).payload, self.N)
             for p, q in ((0, 1), (0.25, 0.5)):
-                gaps = quadrature._unseen(grid, p, q, estimate, scale)
+                gaps, sums = quadrature._unseen(grid, p, q, estimate, scale, None)
                 assert (gaps is not None) is checked
+                assert (sums is not None) is checked
 
     @pytest.mark.parametrize("expr", [
         "log(i-0.5)", "(i-0.5)^0.5", "(i-0.5)^(0-1)", "(0-i)^(0-1)", "1/(i-0.5)",
