@@ -103,23 +103,35 @@ class EnsembleConfig:
 
 def _bound(distribution: str, sigma_max: float, K: Optional[float]) -> float:
     """The checked bound of a campaign: ``K``, or by default the law's of
-    EnsembleConfig; raises ValueError where ``K`` is too small for the law."""
+    EnsembleConfig.  Raises ValueError where sigma_max^2, or the square the
+    law scales by (3 sigma_max^2 for uniform, K^2 for the truncated
+    gaussian), is no finite normal float64, as the products sigma_i sigma_j
+    would flush to 0 or overflow there; and where ``K`` is too small for
+    the law.  A tiny sigma_i sigma_j below sigma_max^2 may underflow."""
     root3 = math.sqrt(3.0) * sigma_max
-    if distribution == "rademacher":
-        K = sigma_max if K is None else float(K)
-        if K < sigma_max * (1 - 1e-12):
-            raise ValueError(f"rademacher needs K >= sigma_max ({sigma_max}), got K={K}")
-    elif distribution == "uniform":
-        K = root3 if K is None else float(K)
-        if K < root3 * (1 - 1e-12):
-            raise ValueError(f"uniform needs K >= sqrt(3)*sigma_max ({root3}), got K={K}")
-    else:
-        K = 3.0 * sigma_max if K is None else float(K)
-        if K * K <= 3.0 * sigma_max * sigma_max:
-            raise ValueError(f"truncated gaussian needs K > sqrt(3)*sigma_max ({root3}), got K={K}")
+    if K is None:
+        K = {"rademacher": sigma_max, "uniform": root3}.get(distribution, 3.0 * sigma_max)
+    K = float(K)
+    squares = {"sigma_max^2": sigma_max * sigma_max}
+    if distribution == "uniform":
+        squares["3 sigma_max^2"] = 3.0 * sigma_max * sigma_max
+    elif distribution == "truncated_gaussian":
+        squares["K^2"] = K * K
+    for name, square in squares.items():
+        if not _NORMAL_MIN <= square <= _FLOAT_MAX:
+            raise ValueError(f"{distribution} cannot sample sigma_max = {sigma_max!r} with "
+                             f"K = {K!r}: {name} = {square!r} is no finite normal float64")
+    if distribution == "rademacher" and K < sigma_max * (1 - 1e-12):
+        raise ValueError(f"rademacher needs K >= sigma_max ({sigma_max}), got K={K}")
+    if distribution == "uniform" and K < root3 * (1 - 1e-12):
+        raise ValueError(f"uniform needs K >= sqrt(3)*sigma_max ({root3}), got K={K}")
+    if distribution == "truncated_gaussian" and K * K <= 3.0 * sigma_max * sigma_max:
+        raise ValueError(f"truncated gaussian needs K > sqrt(3)*sigma_max ({root3}), got K={K}")
     return K
 
 
+# float64's smallest normal and largest finite values
+_NORMAL_MIN, _FLOAT_MAX = np.finfo(np.float64).tiny, np.finfo(np.float64).max
 # Entries per block of the half-width solve, so its temporaries stay small.
 _BLOCK = 1 << 16
 # A Newton gap this small relative to 1/rho is rounding error.

@@ -20,7 +20,7 @@ import operator
 from typing import NamedTuple, Optional, Sequence
 
 from . import _MAX_ORDER as MAX_ORDER  # maximum s in m_{2s}
-from .sigma_model import sigma_stats
+from .sigma_model import _context, _exact_ratio, sigma_stats
 
 __all__ = [
     "MomentRow",
@@ -114,8 +114,6 @@ def _fixed_point_series(phi: list, s_max: int) -> list:
     """
     from decimal import getcontext
 
-    from .sigma_model import _context, _exact_ratio, _from_binary
-
     ctx = _context(getcontext().prec)
     prec = (10 ** ctx.prec).bit_length()
     ratios = [_exact_ratio(a) for a in phi]
@@ -142,6 +140,15 @@ def _fixed_point_series(phi: list, s_max: int) -> list:
         series.append(_from_binary((power[s - 1] << t + 1) // (s + 1),
                                    a * (s + 1) + 2 * b * s - F - t, ctx))
     return series
+
+
+def _from_binary(man: int, exp: int, ctx):
+    """man 2^exp as a Decimal of the context ``ctx``: formed at 20 more
+    digits, then rounded to its D digits, so it is the correctly rounded
+    value but where that lies within about 10^-(D + 18) of a rounding
+    boundary.  Exactly, 2^exp would be an integer as long as |exp| bits."""
+    wide = _context(ctx.prec + 20)
+    return ctx.plus(wide.multiply(man, wide.power(2, exp)))
 
 
 def _floor_ldexp(p: int, q: int, shift: int) -> int:

@@ -1,14 +1,16 @@
 """Limiting averages Lambda_k = lim_n (1/n) S_{n,k} of a sigma spec, in Decimal.
 
-Every Lambda_k is one Decimal sum of w_j v_j^k over a node set
+Every Lambda_k is one Decimal sum of w_j v_j^k over a node set, in plain
+Decimal products and sums at a few guard digits, rounded once
 (`_weighted_power_sums`): a constant is one node of weight 1, and an
 explicit sequence, which has no limit, stands in with its first n values,
 each distinct value weighted by its count over n.  An expression's nodes
 are those of tanh-sinh quadrature (Takahasi-Mori 1974) of its pointwise
 limit, Lambda_k = int_{1/N}^1 f(xN, N)^k dx at a huge N.  The same sums at
 10^10 N on a coarse level test that the limit exists (1 + log(i) fails at
-once), and a panel across which the quadrature stalls, as at a kink, is
-halved.  Every average is a `decimal.Decimal` of the stdlib's C decimal
+once), and a panel across which the quadrature stalls, as at a kink, or
+which a float midpoint rule on its own cells contradicts, is halved.
+Every average is a `decimal.Decimal` of the stdlib's C decimal
 module, in the context `sigma_model._context` at the caller's digits and
 `sigma_model._GUARD_DIGITS` more; the functions that evaluate an
 expression import the expression language when they run.
@@ -24,14 +26,13 @@ import functools
 import heapq
 import math
 import operator
-from collections import Counter, defaultdict
-from decimal import Decimal, getcontext, localcontext
+from collections import Counter
+from decimal import MAX_EMAX, Decimal, Overflow, Underflow, getcontext, localcontext
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional
 
 from .sigma_model import (DEFAULT_DIGITS, LimitingAverages, SigmaDomainError, SigmaSpec,
-                          _GUARD_DIGITS, _check_length, _context, _from_binary,
-                          _power_sums)
+                          _GUARD_DIGITS, _check_length, _context, _power_sums)
 
 if TYPE_CHECKING:
     from .expression import Node
@@ -43,7 +44,6 @@ __all__ = ["limiting_averages"]
 # _MAX_NODES evaluations of sigma
 _LIMIT_LEVEL, _MAX_LEVEL, _MAX_NODES = 2, 8, 2 ** 14
 _CELLS = 2 ** 12  # cells of the float midpoint rule that checks every settled panel
-_LOG2_10 = 3321928094887362347870  # floor(log2(10) 10^21)
 
 
 def limiting_averages(
@@ -61,6 +61,8 @@ def limiting_averages(
     of `_midpoint_grid` (`_unseen`), is halved until the errors sum to
     10^-digits of Lambda_k or _MAX_NODES points are spent; ``digits`` of the
     result is what they leave and ``converged`` whether that meets ``tol``.
+    A power of sigma beyond Decimal's exponent range raises ArithmeticError
+    naming k.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -102,25 +104,24 @@ def limiting_averages(
         scale, floor = estimate, Decimal(10) ** -digits
         grid = _midpoint_grid(spec.payload, float(N))
         settled, stalled, panels, level = [0] * k_max, [], 0, _LIMIT_LEVEL
-        todo = [(1 / N, Decimal(1), near, history, None)]
+        todo = [(1 / N, Decimal(1), near, history)]
         while todo:
-            for p, q, levels, history, sums in todo:
+            for p, q, levels, history in todo:
                 estimate, error, n = _settle(levels, history, digits)
                 panels, nodes, level = panels + 1, nodes + n, max(level, len(history) - 1)
                 if error is None:
-                    error, sums = _unseen(grid, p, q, estimate, scale, sums)
+                    error = _unseen(grid, p, q, estimate, scale)
                 if error is None:
                     settled = [s + e for s, e in zip(settled, estimate)]
                 else:
                     worst = max(e / s for e, s in zip(error, scale))
-                    heapq.heappush(stalled, (-worst, panels, p, q, estimate, error, sums))
+                    heapq.heappush(stalled, (-worst, panels, p, q, estimate, error))
             error = [sum(panel[5][k] for panel in stalled) for k in range(k_max)]
             todo = []
             if stalled and nodes < _MAX_NODES and any(e > floor * s for e, s in zip(error, scale)):
-                p, q, _, _, sums = heapq.heappop(stalled)[2:]
+                p, q = heapq.heappop(stalled)[2:4]
                 m = (p + q) / 2
-                todo = [(a, b, _levels(tree, k_max, N, a, b, t_max), [], half)
-                        for (a, b), half in zip(((p, m), (m, q)), _half_sums(grid, p, q, sums))]
+                todo = [(a, b, _levels(tree, k_max, N, a, b, t_max), []) for a, b in ((p, m), (m, q))]
         values = [s + sum(panel[4][k] for panel in stalled) for k, s in enumerate(settled)]
         converged = tuple(e <= max(Decimal(tol), floor) * v for e, v in zip(error, values))
         relative = max(e / v for e, v in zip(error, values))
@@ -147,51 +148,27 @@ def _midpoint_grid(tree: Node, N: float) -> tuple:
     return tuple(grid)
 
 
-def _unseen(grid: tuple, p, q, estimate: list, scale: list, sums: Optional[tuple]) -> tuple:
-    """(gaps, sums) for the panel [p, q]: gaps is |estimate - midpoint
-    sum| per k where, for some k, it exceeds 20 times the midpoint rule's
-    change from _CELLS / 2 cells plus 1e-12 Lambda_k, a feature a few cells
-    wide that the tanh-sinh nodes stepped over; (None, None) otherwise, on
-    panels under 4 cells and where the panel's midpoint sums leave float64's
-    range.  ``sums`` are the panel's `_cell_sums` when its parent passed
-    them (`_half_sums`), and a panel that fails returns its own."""
-    lo, hi = _cells(p, q)
+def _unseen(grid: tuple, p, q, estimate: list, scale: list) -> Optional[list]:
+    """|estimate - midpoint sum| per k for the panel [p, q] where, for some
+    k, it exceeds 20 times the midpoint rule's change from _CELLS / 2 cells
+    plus 1e-12 Lambda_k, a feature a few cells wide that the tanh-sinh
+    nodes stepped over; None otherwise, on panels under 4 cells and where
+    the panel's midpoint sums leave float64's range.  The midpoint sums are
+    the `_power_sums` of f on the fine cells the dyadic panel covers and on
+    the coarse cells they cover, each correctly rounded."""
+    lo, hi = round(float(p) * _CELLS), round(float(q) * _CELLS)
     if hi - lo < 4:
-        return None, None
-    sums = sums or _cell_sums(grid, lo, hi, len(estimate))
-    fine = [s / _CELLS for s in sums[0]]
-    coarse = [s / (_CELLS // 2) for s in sums[1]]
+        return None
+    fine = [s / _CELLS for s in _power_sums(grid[0][lo:hi], len(estimate))]
+    coarse = [s / (_CELLS // 2) for s in _power_sums(grid[1][lo // 2:hi // 2], len(estimate))]
     # f >= 0, so the sums are finite only if every power is
     if not all(map(math.isfinite, fine + coarse)):
-        return None, None
+        return None
     gaps = [abs(float(e) - f) for e, f in zip(estimate, fine)]
     if all(g <= 20 * abs(f - c) + 1e-12 * float(s)
            for g, f, c, s in zip(gaps, fine, coarse, scale)):
-        return None, None
-    return [Decimal(g) for g in gaps], sums
-
-
-def _half_sums(grid: tuple, p, q, sums: Optional[tuple]) -> tuple:
-    """The `_cell_sums` of the halves of the panel [p, q] that is split,
-    from its own ``sums`` (None, None without them): the first half's are
-    summed and the second's are the differences, within float64's rounding
-    of the panel's sums, far below the 1e-12 Lambda_k `_unseen` allows."""
-    if sums is None:
-        return None, None
-    lo, hi = _cells(p, q)
-    first = _cell_sums(grid, lo, (lo + hi) // 2, len(sums[0]))
-    return first, tuple([a - b for a, b in zip(whole, part)] for whole, part in zip(sums, first))
-
-
-def _cells(p, q) -> tuple:
-    """The fine cells lo..hi of `_midpoint_grid` that the dyadic panel [p, q] covers."""
-    return round(float(p) * _CELLS), round(float(q) * _CELLS)
-
-
-def _cell_sums(grid: tuple, lo: int, hi: int, k_max: int) -> tuple:
-    """The `_power_sums` of f on the fine cells lo..hi of `_midpoint_grid`
-    and on the coarse cells they cover, each correctly rounded."""
-    return (_power_sums(grid[0][lo:hi], k_max), _power_sums(grid[1][lo // 2:hi // 2], k_max))
+        return None
+    return [Decimal(g) for g in gaps]
 
 
 def _levels(tree: Node, k_max: int, N, p, q, t_max: float):
@@ -317,74 +294,27 @@ def _ladder_averages(tree: Node, k_max: int, N, p, q, step, n: int) -> list:
 
 
 def _weighted_power_sums(weights: list, values: list, k_max: int) -> list:
-    """sum_j w_j v_j^k for k = 1..k_max over positive weights and values
-    (ints, floats or Decimals), in the current decimal context of D digits:
-    each within 2^-(prec + 9) of the exact sum, prec = bits(10^D), before
-    its one rounding to D digits.  That is under 10^(1-D)/5000, next to the
-    half unit 10^(1-D)/2 of the rounding.
-
-    Ints and floats are exact binary numbers; a Decimal is held to
-    B = prec + 14 + bits(k_max + 1) bits (`_binary`), within 2^(2 - B), which
-    moves w v^k by a relative (k + 1) 2^(2 - B) (1 + 2^-B)^k, under
-    2^-(prec + 11).  In a group of the terms whose v lie in [2^(e-1), 2^e)
-    and w below 2^f, w v^k is an integer T in units of 2^(f + ek - P),
-    short by at most k + 1 units, so a power costs one integer product and
-    shift: by v's mantissa, left-aligned to the group's widest (W bits),
-    and by W bits.  As P > W, that is the integer that v in units of
-    2^(e - P) and a shift by P would give, for a shorter product.  The
-    group's heaviest node (w, v), the largest v among equal weights, gives
-    a term of at least 2^(f - 1) v^k: P = prec + 12 + bits(n k_max) +
-    k_max log2(2^e / v) keeps the group's sum within 2^-(prec + 10).
-
-    A group's sum more than guard + 2 bits below the largest, guard =
-    prec + 12 + bits(n k_max), is dropped before the sums are aligned.  It
-    is below 2^-(guard + 1) of the total, less than the error that its
-    nodes, at least one each, would add to a kept group, so the bound
-    holds; the groups number at most n, so the share dropped is below
-    2^-(prec + 12).  Aligned, it would cost an integer as long as the
-    binades that v^k spans: millions of bits for a steep profile.  The
-    integer products run at about half the time of plain Decimal ones.
+    """sum_j w_j v_j^k, k = 1..k_max, over n positive weights and values
+    (ints, floats or Decimals), each the exact sum rounded once to the
+    current context's D digits, except within a relative 10^-(D + 10) of a
+    rounding boundary.  Each w and v is converted once, and each running
+    product w v^k and each sum formed, at W = D + len(str(m)) + 11 digits,
+    m = n + 2 k_max: a sum takes at most m roundings of relative
+    u = 10^(1 - W)/2 (w, v to the k-th power, k products, n - 1 additions
+    of positive terms), which leave it within m u (1 + m u) < 10^-(D + 10)
+    of the exact sum.  The context spans Decimal's whole exponent range, so
+    v^k of a steep profile stays in its exponent; a power or a sum beyond
+    even that raises ArithmeticError naming k.
     """
     ctx = getcontext()
-    prec = (10 ** ctx.prec).bit_length()
-    bits = prec + 14 + (k_max + 1).bit_length()
-    wide = _context(bits // 3 + 10)  # its unit, under 10^-(B/3 + 8), is below 2^-(B + 26)
-    groups = defaultdict(list)
-    for node in zip(weights, values, (_binary(v, bits, wide) for v in values)):
-        groups[node[2][1] + node[2][0].bit_length()].append(node)
-    guard = prec + 12 + (len(values) * k_max).bit_length()
-    parts = [[] for _ in range(k_max)]
-    for e, nodes in groups.items():
-        w, _, (vm, vx) = max(nodes)
-        wm, wx = _binary(w, bits, wide)
-        f = wx + wm.bit_length()
-        P = guard + math.ceil(k_max * (53 - math.log2(vm << 53 >> (e - vx))))
-        W = max(m.bit_length() for _, _, (m, _) in nodes)
-        T = [m << P >> (f - x) for m, x in (_binary(w, bits, wide) for w, _, _ in nodes)]
-        V = [m << W >> (e - x) for _, _, (m, x) in nodes]
-        for k in range(k_max):
-            T = [t * x >> W for t, x in zip(T, V)]
-            parts[k].append((sum(T), f + e * (k + 1) - P))
-    sums = []
-    for terms in parts:
-        top = max(x + t.bit_length() for t, x in terms)
-        terms = [(t, x) for t, x in terms if x + t.bit_length() >= top - guard - 2]
-        low = min(x for _, x in terms)
-        sums.append(_from_binary(sum(t << (x - low) for t, x in terms), low, ctx))
+    with localcontext(_context(ctx.prec + len(str(len(values) + 2 * k_max)) + 11)) as wide:
+        terms, values = ([wide.create_decimal(x) for x in xs] for xs in (weights, values))
+        sums = []
+        for k in range(1, k_max + 1):
+            try:
+                terms = list(map(operator.mul, terms, values))
+                sums.append(ctx.plus(sum(terms)))
+            except (Overflow, Underflow) as exc:
+                raise ArithmeticError(f"Lambda_{k}: sigma^{k} leaves Decimal's exponent range "
+                                      f"10^-{MAX_EMAX}..10^{MAX_EMAX} ({type(exc).__name__})") from None
     return sums
-
-
-def _binary(x, bits: int, ctx) -> tuple:
-    """(man, exp) with x = man 2^exp for a positive int or float x.  A
-    Decimal x gives man = floor(x 2^-exp) of bits + 1..bits + 5 bits, with
-    x 2^-exp rounded twice in ``ctx``, whose digits make it good to
-    2^-(bits + 25): within 2^(2 - bits) of x in all.  The exact ratio of
-    x would cost a division as long as its decimal exponent."""
-    if isinstance(x, float):
-        m, e = math.frexp(x)
-        return int(math.ldexp(m, 53)), e - 53
-    if isinstance(x, int):
-        return x, 0
-    # 10^adjusted <= x < 10^(adjusted + 1); 2^shift x >= 2^bits
-    shift = bits - x.adjusted() * _LOG2_10 // 10 ** 21
-    return int(ctx.multiply(x, ctx.power(2, shift))), -shift

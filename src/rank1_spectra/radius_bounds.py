@@ -193,7 +193,9 @@ def sdp_lower_bound(pencil: HankelPencil, tol: float = DEFAULT_TOL) -> SdpResult
     """min{x > 0 : H0 x - H1 >= 0}, the top eigenvalue of the pencil's Jacobi
     matrix, by bisecting [max a_k, Gershgorin's bound] on its Decimal Sturm count
     until the bracket is below tol and 2^-64 of its upper end; beta is the
-    midpoint.  Raises ArithmeticError when the counts at beta -/+ tol do not
+    midpoint, and sqrt_beta its Decimal square root, each rounded once to a
+    float, so sqrt_beta keeps its digits where beta is a subnormal float or
+    reads 0.  Raises ArithmeticError when the counts at beta -/+ tol do not
     certify it: the digits cannot resolve beta to tol, as for a support
     near 1e60 at 1e-8."""
     if not (math.isfinite(tol) and tol > 0):
@@ -219,9 +221,10 @@ def sdp_lower_bound(pencil: HankelPencil, tol: float = DEFAULT_TOL) -> SdpResult
                 f"beta = {beta:.17g} is not certified to within tol = {tol}: "
                 f"{digits}-digit Sturm counts cannot separate beta - tol from beta + tol"
             )
+        root = max(beta, Decimal(0)).sqrt()
     return SdpResult(
         beta=float(beta),
-        sqrt_beta=math.sqrt(max(float(beta), 0.0)),
+        sqrt_beta=float(root),
         method_agreement=tol,
         s_bar=pencil.s_bar,
         tol=tol,

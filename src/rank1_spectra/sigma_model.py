@@ -11,13 +11,13 @@ here, are computed by `quadrature.limiting_averages`.
 A process compiles only the sigma code it runs.  The expression language
 lives in `expression`, which `parse_sigma_spec`, `sigma_values` and the
 quadrature import only for an expression, and the limiting averages in
-`quadrature`, which its callers import when they run and which computes
-them in the stdlib's C ``decimal`` (`_context`).  So ``moments --sigma
-file:``, whose averages are S_{n,k}/n in float64, compiles neither and
-loads no ``decimal``, and Lambda_k of a constant or a file no expression
-language.  This module imports `quadrature` only in
-`__getattr__`, which forwards two of its names until the benchmark's
-tracer reads them there.
+`quadrature`, which its callers import when they run and which sums
+Decimal powers in the stdlib's C ``decimal`` (`_context`, whose Decimals
+`_exact_ratio` reads exactly).  So ``moments --sigma file:``, whose
+averages are S_{n,k}/n in float64, compiles neither and loads no
+``decimal``, and Lambda_k of a constant or a file no expression language.
+This module imports `quadrature` only in `__getattr__`, which forwards two
+of its names until the benchmark's tracer reads them there.
 
 No numpy loads here.  Float sigma at n points (`sigma_values`) and the
 float midpoint rule that checks the quadrature run one evaluator,
@@ -255,23 +255,16 @@ def _context(digits: int):
     """The decimal context of the arbitrary-precision layers (Lambda_k, the
     tree series, the pencil) at ``digits`` significant digits; a layer asked
     for D digits opens it at D + _GUARD_DIGITS.  Its exponents span
-    MIN_EMIN..MAX_EMAX, so no power of a positive sigma leaves the range,
-    and Underflow, Overflow, InvalidOperation and DivisionByZero raise: no
-    step flushes to 0 or to an infinity unseen."""
+    MIN_EMIN..MAX_EMAX, about 10^-(10^18)..10^(10^18), which sigma^k leaves
+    only at a profile as steep as exp(1e17 i/n) (at k = 24).  Underflow,
+    Overflow, InvalidOperation and DivisionByZero raise: no step flushes to
+    0 or to an infinity unseen, and `quadrature` names a power that leaves
+    the range."""
     import decimal
 
     return decimal.Context(prec=digits, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
                            traps=[decimal.Underflow, decimal.Overflow,
                                   decimal.InvalidOperation, decimal.DivisionByZero])
-
-
-def _from_binary(man: int, exp: int, ctx):
-    """man 2^exp as a Decimal of the context ``ctx``: formed at 20 more
-    digits, then rounded to its D digits, so it is the correctly rounded
-    value but where that lies within about 10^-(D + 18) of a rounding
-    boundary.  Exactly, 2^exp would be an integer as long as |exp| bits."""
-    wide = _context(ctx.prec + 20)
-    return ctx.plus(wide.multiply(man, wide.power(2, exp)))
 
 
 def _exact_ratio(x) -> tuple:

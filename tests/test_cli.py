@@ -295,6 +295,20 @@ def test_sigma_one_scale_cannot_hold_exits_3_naming_its_span(tmp_path, capsys, a
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["radius", "--sigma", "expr:exp(1e17*i/n)", "--sbar", "14"], "Lambda_24: sigma^24 {} (Overflow)"),
+    (["moments", "--sigma", "expr:exp(-1e18*i/n)", "--max-order", "32"],
+     "Lambda_3: sigma^3 {} (Underflow)"),
+])
+def test_a_power_beyond_decimal_range_exits_3_naming_it(tmp_path, capsys, argv, line):
+    # the decimal signal escaped as "error: [<class 'decimal.Overflow'>]"
+    out = tmp_path / "out.json"
+    assert cli.main([*argv, "--out", str(out)]) == cli.NUMERIC_EXIT
+    span = "leaves Decimal's exponent range 10^-999999999999999999..10^999999999999999999"
+    assert capsys.readouterr().err == f"error: {line.format(span)}\n"
+    assert not out.exists()
+
+
 def test_control_characters_in_a_path_stay_valid_json(tmp_path):
     # every U+0000-U+001F a file name may hold (all but NUL) survives json.loads
     name = "s" + "".join(map(chr, range(1, 0x20))) + ".txt"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import threading
 import warnings
@@ -200,6 +201,26 @@ class TestSampling:
             for K in (math.nan, math.inf, 0.0):
                 with pytest.raises(ValueError, match="finite and > 0"):
                     EnsembleConfig(n=2, sigma=ones_spec(), distribution=distribution, K=K, seed=0)
+
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    @pytest.mark.parametrize("c, square", [
+        (1e-170, "sigma_max\\^2 = 0.0"), (1e160, "sigma_max\\^2 = inf"), (1e154, None),
+    ])
+    def test_sigma_max_outside_the_float_range_is_named(self, distribution, c, square):
+        # sigma_i sigma_j flushed to 0 (a radius of 0 at 1e-170) or overflowed
+        # (an eigensolver failure at 1e160); at 1e154 sigma_max^2 is a normal
+        # float, 3 sigma_max^2 and the truncated gaussian's K^2 = 9 sigma_max^2
+        # are not, and the truncated gaussian rejected its own default K
+        config = EnsembleConfig(n=3, sigma=parse_sigma_spec(f"const:{c!r}"),
+                                distribution=distribution, seed=0)
+        if square is None and distribution == "rademacher":
+            assert np.isfinite(sample_matrix(config)).all()
+            return
+        if square is None:
+            square = {"uniform": "3 sigma_max\\^2", "truncated_gaussian": "K\\^2"}[distribution]
+            square += " = inf"
+        with pytest.raises(ValueError, match=rf"sigma_max = {re.escape(repr(c))} .*: {square} is no finite"):
+            monte_carlo(config, trials=2, k_max=2)
 
     @pytest.mark.parametrize(
         "distribution, K, expected",

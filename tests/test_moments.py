@@ -453,7 +453,7 @@ class TestFixedPointSeries:
         # scaling is exact up to the one rounding, so each m_2s of the
         # exactly scaled averages is the base series' unrounded m_2s times
         # c^2s, rounded once to the context's digits
-        unrounded, to_decimal = [], sigma_model._from_binary
+        unrounded, to_decimal = [], moments._from_binary
 
         def capture(man, exp, ctx):
             unrounded.append(Fraction(man) * Fraction(2) ** exp)
@@ -461,7 +461,7 @@ class TestFixedPointSeries:
 
         with localcontext(_context(38 + _GUARD_DIGITS)) as ctx:
             base_averages = _exp_lambdas(29)
-            monkeypatch.setattr(sigma_model, "_from_binary", capture)
+            monkeypatch.setattr(moments, "_from_binary", capture)
             base = _tree_series(base_averages, 29)
             monkeypatch.undo()
             assert base == [ctx.divide(m.numerator, m.denominator) for m in unrounded]

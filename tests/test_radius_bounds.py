@@ -147,6 +147,18 @@ class TestSdp:
         res = sdp_lower_bound(build_pencil([1e30, 1e60, 1e90], 1), 1e-8)
         assert res.beta == pytest.approx(1e30, rel=1e-12)
 
+    @pytest.mark.parametrize("c", [1e-156, 1e-300])
+    def test_sqrt_beta_keeps_its_digits_below_float_range(self, c):
+        # beta = 3.96 c^2 is a subnormal float at c = 1e-156 and reads 0 at
+        # 1e-300, where sqrt(beta) = 1.99 c is a normal float; the root of
+        # the float beta lost digits or read 0
+        from rank1_spectra.reports import radius_table
+
+        base = radius_table(parse_sigma_spec("const:1"), s_bar=14).sdp.sqrt_beta
+        sdp = radius_table(parse_sigma_spec(f"const:{c!r}"), s_bar=14).sdp
+        assert sdp.sqrt_beta == pytest.approx(base * c, rel=1e-15, abs=0)
+        assert sdp.beta == pytest.approx(base * base * c * c, rel=1e-3, abs=0)
+
     def test_unresolvable_tolerance_fails_the_certificate(self):
         # 60 digits cannot separate beta -/+ 1e-8 at beta ~ 1e60
         pencil = build_pencil([1e60, 1e120, 1e180], 1)

@@ -1,4 +1,5 @@
 import math
+import operator
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -15,7 +16,6 @@ from rank1_spectra.sigma_model import (
     _GUARD_DIGITS,
     _context,
     _exact_ratio,
-    _from_binary,
     NoLimitError,
     SigmaDomainError,
     SigmaSpec,
@@ -32,6 +32,13 @@ EXP_SPEC = "expr:exp(-4*i/n)"
 def _rounded(x: Fraction, digits: int) -> Decimal:
     """The exact x rounded once to ``digits`` digits."""
     return _context(digits).divide(x.numerator, x.denominator)
+
+
+def _over_common_denominator(xs: list) -> tuple:
+    """([x d for x in xs], d), ints, with d the least common denominator of xs."""
+    fractions = [Fraction(x) for x in xs]
+    d = math.lcm(*(x.denominator for x in fractions))
+    return [x.numerator * (d // x.denominator) for x in fractions], d
 
 
 def closed_form_lambda(k: float) -> float:
@@ -245,16 +252,28 @@ class TestLimitingAverages:
     def test_power_sums_are_the_exact_sums_rounded_once(self, digits, k_max):
         # weights over 80 binades and values, floats and Decimals with full
         # digits, over 7 binades below [1, 2), whose two nodes sit at its
-        # bottom and make most of the sums
+        # bottom and make most of the sums; 2000 floats with integer counts
+        # at k_max = 40, as an explicit sigma gives them; and nodes 2^-200
+        # below the rest
         rng = np.random.default_rng(11)
         weights = (rng.uniform(0, 1, 40) * 2.0 ** rng.integers(-80, 4, 40)).tolist() + [100, 7]
         values = rng.uniform(0.03, 2.7, 40).tolist() + [3.0000000003, 3.0000000009]
         with localcontext(_context(digits)):
             values = [v / 3 for v in values[:20]] + [Decimal(v) / 3 for v in values[20:]]
-            got = quadrature._weighted_power_sums(weights, values, k_max)
-        for k, sum_k in enumerate(got, start=1):
-            exact = sum(Fraction(w) * Fraction(v) ** k for w, v in zip(weights, values))
-            assert sum_k == _rounded(exact, digits)
+        rng = np.random.default_rng(23)
+        floats = rng.uniform(0.5, 2.0, 2000).tolist()
+        counts = rng.integers(1, 4, 2000).tolist()
+        tiny = [v * 2.0 ** -200 for v in floats[:5]]
+        for w, v, k_top in ((weights, values, k_max), (counts, floats, 40),
+                            ([1] * 10, floats[:5] + tiny, 3)):
+            with localcontext(_context(digits)):
+                got = quadrature._weighted_power_sums(w, v, k_top)
+            # the exact sums in integers over common denominators
+            (wn, wd), (vn, vd) = (_over_common_denominator(xs) for xs in (w, v))
+            terms = wn
+            for k, sum_k in enumerate(got, start=1):
+                terms = list(map(operator.mul, terms, vn))
+                assert sum_k == _rounded(Fraction(sum(terms), wd * vd ** k), digits)
 
     def test_monotone_in_k_for_subunit_sigma(self):
         la = limiting_averages(parse_sigma_spec(EXP_SPEC), 6, 1e-7)
@@ -401,71 +420,19 @@ class TestExtrapolatedLadder:
                 assert abs(_mpf(v) * 1000 * k / (1 - mp.exp(-1000 * k)) - 1) <= 1e-28
 
     def test_steep_profile_fails_in_bounded_time(self):
-        # exp(-1e6 x) spans 1.4 million binades on [0, 1], so at k = 16 the
-        # nodes' v^k span 2.3e7 bits; aligning every group's sum took 9 s,
-        # and minutes at k = 64, before the negligible ones were dropped
-        # (about 0.6 s now); the quadrature still stops short of any digit
+        # exp(-1e6 x) spans 434294 decades on [0, 1], so at k = 16 the nodes'
+        # v^k span 7e6 decades; Decimal holds each in its exponent, so a sum
+        # costs what it costs at a flat profile, and the quadrature still
+        # stops short of any digit
         start = time.perf_counter()
         la = limiting_averages(parse_sigma_spec("expr:exp(-1e6*i/n)"), 16, 1e-8)
         assert time.perf_counter() - start < 5.0
         assert not any(la.converged) and la.digits == 0
 
-    @staticmethod
-    def _p_bit_power_sums(weights, values, k_max):
-        # `_weighted_power_sums` with each v held in units of 2^(e - P) and
-        # each product shifted by P, the wider form of its products
-        ctx = _context(38)
-        prec = (10 ** ctx.prec).bit_length()
-        bits = prec + 14 + (k_max + 1).bit_length()
-        wide = _context(bits // 3 + 10)
-
-        def binary(x):
-            return quadrature._binary(x, bits, wide)
-
-        groups = {}
-        for node in zip(weights, values, map(binary, values)):
-            groups.setdefault(node[2][1] + node[2][0].bit_length(), []).append(node)
-        guard = prec + 12 + (len(values) * k_max).bit_length()
-        parts = [[] for _ in range(k_max)]
-        for e, nodes in groups.items():
-            w, _, (vm, vx) = max(nodes)
-            wm, wx = binary(w)
-            f = wx + wm.bit_length()
-            P = guard + math.ceil(k_max * (53 - math.log2(vm << 53 >> (e - vx))))
-            T = [m << P >> (f - x) for m, x in (binary(w) for w, _, _ in nodes)]
-            V = [m << P >> (e - x) for _, _, (m, x) in nodes]
-            for k in range(k_max):
-                T = [t * x >> P for t, x in zip(T, V)]
-                parts[k].append((sum(T), f + e * (k + 1) - P))
-        sums = []
-        for terms in parts:
-            top = max(x + t.bit_length() for t, x in terms)
-            terms = [(t, x) for t, x in terms if x + t.bit_length() >= top - guard - 2]
-            low = min(x for _, x in terms)
-            sums.append(_from_binary(sum(t << (x - low) for t, x in terms), low, ctx))
-        return sums
-
-    def test_power_sums_are_the_p_bit_products_bit_for_bit(self):
-        # float values with count weights, as an explicit sigma gives them;
-        # Decimal nodes with full digits over 20 binades; and nodes 2^-200
-        # below the rest, whose group is dropped
-        rng = np.random.default_rng(23)
-        with localcontext(_context(38)) as ctx:
-            floats = rng.uniform(0.5, 2.0, 2000).tolist()
-            counts = rng.integers(1, 4, 2000).tolist()
-            decimals, weights = ([ctx.multiply(int.from_bytes(rng.bytes(17), "big"),
-                                               ctx.power(2, int(x) - 136))
-                                  for x in rng.integers(-20, 1, 300)] for _ in range(2))
-            tiny = [v * 2.0 ** -200 for v in floats[:5]]
-            for w, v, k_max in ((counts, floats, 40), (weights, decimals, 29),
-                                ([1] * 10, floats[:5] + tiny, 3)):
-                assert (quadrature._weighted_power_sums(w, v, k_max)
-                        == self._p_bit_power_sums(w, v, k_max))
-
     def test_power_sums_keep_their_bound_where_groups_are_dropped(self):
-        # two nodes, 1 and about 2^-g, around the cut at guard + 2 bits below
-        # the largest group's sum and far past it: each sum stays within
-        # 2^-(prec + 9) of the exact sum before its one rounding to 30 digits
+        # two nodes, 1 and about 2^-g, around the 30-digit unit and far
+        # below it: each sum stays within 10^-(D + 10) of the exact sum
+        # before its one rounding to D = 30 digits
         with localcontext(_context(30)) as ctx:
             prec = (10 ** ctx.prec).bit_length()
             guard = prec + 12 + (2 * 3).bit_length()
@@ -474,7 +441,7 @@ class TestExtrapolatedLadder:
                 got = quadrature._weighted_power_sums([1, 1], values, 3)
                 for k, sum_k in enumerate(got, start=1):
                     exact = 1 + Fraction(values[1]) ** k
-                    bound = (Fraction(1, 2 * 10 ** 29) + Fraction(1, 2 ** (prec + 9))) * exact
+                    bound = (Fraction(1, 2 * 10 ** 29) + Fraction(1, 10 ** 40)) * exact
                     assert abs(Fraction(sum_k) - exact) <= bound
             assert got == [1, 1, 1]
 
@@ -603,9 +570,8 @@ class TestMidpointGrid:
         for spec, checked in (("expr:exp(i)", False), ("expr:exp(-4*i/n)", True)):
             grid = quadrature._midpoint_grid(parse_sigma_spec(spec).payload, self.N)
             for p, q in ((0, 1), (0.25, 0.5)):
-                gaps, sums = quadrature._unseen(grid, p, q, estimate, scale, None)
+                gaps = quadrature._unseen(grid, p, q, estimate, scale)
                 assert (gaps is not None) is checked
-                assert (sums is not None) is checked
 
     @pytest.mark.parametrize("expr", [
         "log(i-0.5)", "(i-0.5)^0.5", "(i-0.5)^(0-1)", "(0-i)^(0-1)", "1/(i-0.5)",
