@@ -21,9 +21,10 @@ Per-trial generators are seeded with splitmix64(splitmix64(seed) +
 trial_index), so trials are order-independent, a campaign is reproducible bit
 for bit, and campaigns at different seeds draw unrelated trials.
 
-A campaign runs in contiguous blocks of trials, each drawn into one stack of
-matrices and solved by one stacked eigensolve, on plain ``threading``
-workers when BLAS is pinned to one thread (see ``monte_carlo``); a thread
+A campaign runs in contiguous blocks of trials, each drawn into one stack
+of matrices just large enough for numpy to solve it without the GIL.  The
+calling thread and, when BLAS is pinned to one thread, plain ``threading``
+workers pull the blocks from one iterator (see ``monte_carlo``); a thread
 pool would import ``concurrent.futures`` and with it ``logging``.  Every
 trial statistic comes from the campaign: ``empirical_moments`` is the block's
 moment step, a campaign always returns its pooled spectra, and
@@ -408,8 +409,6 @@ class MonteCarloResult:
     workers: int = 1
 
 
-# Bytes of float64 matrices per block of trials.
-_BLOCK_BYTES = 1 << 22
 # Bytes that the workers may hold at once: each holds its block's stack, and
 # a draw and LAPACK's copy of one matrix.
 _POOL_BYTES = 1 << 28
@@ -427,25 +426,18 @@ def _cpu_count() -> int:
 
 def _schedule(trials: int, n: int, cpus: int) -> Tuple[List[Tuple[int, int]], int]:
     """Near-equal contiguous (start, stop) blocks of trial indices, and the
-    number of worker threads to run them on.
+    number of threads to run them on.
 
-    A block holds about ``_BLOCK_BYTES`` of matrices.  There are at most
-    ``cpus`` workers, and no more than ``_POOL_BYTES`` allows (2 at n = 2000).
-    With more than one, the block count is raised to a whole number of
-    rounds of the workers, but never so far that a block's stack is too small
-    for numpy to release the GIL in its solve: blocks that hold it would run
-    one at a time whatever the pool.
+    A block is sized to the smallest stack numpy solves without the GIL, b =
+    ``_GIL_FREE_SIZE // n + 1`` trials: there are max(1, trials // b), each
+    under 2b.  The threads are the fewest of ``cpus``, the blocks and what
+    ``_POOL_BYTES`` allows at 2b + 1 matrices a thread (2 at n = 2000).
     """
-    matrix = 8 * n * n
-    per_block = max(1, _BLOCK_BYTES // matrix)
-    cpus = min(cpus, max(1, _POOL_BYTES // ((per_block + 2) * matrix)))
-    count = -(-trials // per_block)
-    most = max(1, trials // (_GIL_FREE_SIZE // n + 1))
-    if cpus > 1 and count < most:
-        workers = min(cpus, most)
-        count = min(most, workers * -(-count // workers))
+    per_block = _GIL_FREE_SIZE // n + 1
+    count = max(1, trials // per_block)
     blocks = [(trials * i // count, trials * (i + 1) // count) for i in range(count)]
-    return blocks, min(cpus, count)
+    room = max(1, _POOL_BYTES // ((2 * per_block + 1) * 8 * n * n))
+    return blocks, min(cpus, count, room)
 
 
 def monte_carlo(config: EnsembleConfig, trials: int, k_max: int) -> MonteCarloResult:
@@ -458,23 +450,26 @@ def monte_carlo(config: EnsembleConfig, trials: int, k_max: int) -> MonteCarloRe
     trial_index), solves the stack with one ``eigenvalues`` call and takes
     every spectrum's moments with one ``empirical_moments`` call; these are
     the only per-trial statistics.  Every spectrum is kept in
-    ``pooled_eigenvalues`` (8 * trials * n bytes), which the CLI bins
-    with ``_histogram``.  numpy releases the GIL in a large enough stacked
-    eigensolve (see ``_schedule``), so the blocks run on up to one worker
-    thread per CPU, worker w taking blocks w, w + workers, ..., when BLAS
-    was pinned to one thread before numpy loaded (``cli`` does this), and on
-    the calling thread otherwise, where BLAS threads already use the CPUs.
-    A worker's exception is re-raised on the calling thread once every
-    worker has finished.  At large n a block is one trial and each worker
-    holds about three n x n arrays at once (its matrix, the draw and
-    LAPACK's copy).  Results are written by trial index, so a campaign is
-    reproducible bit for bit whatever the worker count; ``workers`` records
-    it.  The radius is one more per-trial column beside the moments, and
-    each column's mean is ``math.fsum`` of its trials over their count,
-    correctly rounded but for the division (numpy would sum the strided
-    column naively, losing digits linearly in the trial count), and its
-    standard error comes from the fsum of the squared deviations about
-    that mean.  Standard errors need trials >= 2 and are None otherwise.
+    ``pooled_eigenvalues`` (8 * trials * n bytes), which the CLI bins with
+    ``_histogram``.  numpy releases the GIL in each block's eigensolve (see
+    ``_schedule``), so the calling thread and, when BLAS was pinned to one
+    thread before numpy loaded (``cli`` does this), one more thread per
+    further CPU pull blocks from one lock-guarded iterator, and a faster
+    thread takes more of them.  No block is handed out after the first
+    error, which is re-raised on the calling thread once all threads have
+    finished.  At large n a block is one trial and each thread holds about
+    three n x n arrays (its matrix, the draw and LAPACK's copy).  Results
+    are written by trial index, so a campaign is reproducible bit for bit
+    whatever the thread count; ``workers`` records it.  A trial moment that
+    is not finite raises ArithmeticError naming its order.  The
+    radius is one more per-trial column beside the moments.  Each column's
+    mean is ``math.fsum`` of its trials over their count, correctly rounded
+    but for the division (numpy would sum the strided column naively,
+    losing digits linearly in the trial count), and its standard error
+    comes from the fsum of the squared deviations about that mean, both
+    taken at the power of two of the column's largest magnitude, which
+    keeps them in range and, being exact, keeps their bits.  Standard
+    errors need trials >= 2 and are None otherwise.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -489,45 +484,52 @@ def monte_carlo(config: EnsembleConfig, trials: int, k_max: int) -> MonteCarloRe
     # a trial's moments m_1..m_{k_max} and, in the last column, its radius
     per_trial = np.empty((trials, k_max + 1))
     pooled = np.empty((trials, n))
+    todo = iter(blocks)
+    lock = threading.Lock()
+    errors: List[BaseException] = []
 
-    def run(block: Tuple[int, int]) -> None:
-        start, stop = block
+    def run(start: int, stop: int) -> None:
         stack = np.empty((stop - start, n, n))
         for t in range(start, stop):
             sample_matrix(config, t, out=stack[t - start])
         lam = eigenvalues(stack)
-        per_trial[start:stop, :k_max] = empirical_moments(lam, k_max)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            per_trial[start:stop, :k_max] = empirical_moments(lam, k_max)
         per_trial[start:stop, k_max] = _radius(lam)
         pooled[start:stop] = lam
 
-    if workers == 1:
-        for block in blocks:
-            run(block)
-    else:
-        errors = []
-
-        def work(share: List[Tuple[int, int]]) -> None:
+    def work() -> None:
+        while True:
+            with lock:
+                block = None if errors else next(todo, None)
+            if block is None:
+                return
             try:
-                for block in share:
-                    run(block)
+                run(*block)
             except BaseException as exc:  # re-raised on the calling thread
                 errors.append(exc)
 
-        threads = [threading.Thread(target=work, args=(blocks[w::workers],))
-                   for w in range(workers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
-    means = np.array([math.fsum(column) / trials for column in per_trial.T.tolist()])
+    finite = np.isfinite(per_trial[:, :k_max]).all(axis=0)
+    if not finite.all():
+        raise ArithmeticError(f"m_{int(finite.argmin()) + 1} of a trial leaves float64's range")
+    exps = np.frexp(np.abs(per_trial).max(axis=0))[1]
+    scaled = np.ldexp(per_trial, -exps)
+    means = np.array([math.fsum(column) / trials for column in scaled.T.tolist()])
     stderrs = None
     if trials >= 2:
-        squares = ((per_trial - means) ** 2).T.tolist()
+        squares = ((scaled - means) ** 2).T.tolist()
         variances = [math.fsum(column) / (trials - 1) for column in squares]
-        stderrs = np.sqrt(variances) / math.sqrt(trials)
+        stderrs = np.ldexp(np.sqrt(variances) / math.sqrt(trials), exps)
+    means = np.ldexp(means, exps)
     radii = per_trial[:, k_max]
     return MonteCarloResult(
         moment_means=means[:k_max],

@@ -125,37 +125,36 @@ def lambda_vector(
     return la.values, f"tanh-sinh quadrature of the pointwise limit: {work}", la.digits
 
 
-def _finite_n_bounds(spec: SigmaSpec, stats: SigmaStats, e: int, limits: Sequence[float],
-                     K: Optional[float] = None) -> Tuple[list, list]:
+def _finite_n_bounds(spec: SigmaSpec, stats: SigmaStats,
+                     limits: Sequence[float]) -> Tuple[list, list]:
     """Lower and upper bounds on E m_{2s}, s = 1..len(limits), at sigma at
-    n, ``stats`` from `_at_n`, on the table's scale 2^-e: `_lower_bounds`,
-    and `moment_upper_bound` at ``limits`` and K 2^-e or sigma_max.  A
-    constant or an explicit sequence is its own average at n, so ``limits``
-    are its lower bounds' main terms, the tree series at S_{n,k}/n; only an
-    expression's are summed, from the S_{n,k} of ``stats``."""
+    n, ``stats`` from `_at_n`, on the table's scale: `_lower_bounds`, and
+    `moment_upper_bound` at ``limits`` and K = sigma_max.  A constant or an
+    explicit sequence is its own average at n, so ``limits`` are its lower
+    bounds' main terms, the tree series at S_{n,k}/n; only an expression's
+    are summed, from the S_{n,k} of ``stats``."""
     mains = limits
     if spec.kind == "expression":
         mains = _tree_series([S / stats.n for S in stats.partial_sums], len(limits))
-    K = stats.sigma_max if K is None else math.ldexp(K, -e)
-    uppers = [moment_upper_bound(stats.n, s, K, stats.sigma_max, stats.sigma_min, m)
+    top = stats.sigma_max
+    uppers = [moment_upper_bound(stats.n, s, top, top, stats.sigma_min, m)
               for s, m in enumerate(limits, start=1)]
-    return _lower_bounds(stats.n, stats.sigma_max, mains), uppers
+    return _lower_bounds(stats.n, top, mains), uppers
 
 
 def moment_table(
     spec: SigmaSpec,
     s_max: int,
     n: Optional[int] = None,
-    K: Optional[float] = None,
     lambda_tol: float = DEFAULT_LAMBDA_TOL,
 ) -> MomentReport:
     """Moment report for even orders 2..2*s_max, in float64.
 
     With ``n`` given the rows of orders s < n carry the finite-n bounds of
     `_finite_n_bounds` at sigma at n, read once by `_at_n`; the upper bound
-    takes K = sigma_max unless overridden.  The table runs at one scale, on
-    sigma 2^-e at n and on Lambda_k 2^-ek.  The limits come from one pass
-    of the tree series in float64.  An explicit sequence's averages are its
+    takes K = sigma_max.  The table runs at one scale, on sigma 2^-e at n
+    and on Lambda_k 2^-ek.  The limits come from one pass of the tree
+    series in float64.  An explicit sequence's averages are its
     S_{n,k}/n, summed by `_at_n` to s_max (all its values without ``n``); a
     constant's S_{n,k}/n are its limits too, and only an expression's lower
     bounds run a second series.  Each row is scaled back by 4^es.
@@ -174,7 +173,7 @@ def moment_table(
     _check_normal(limits, e)
     lowers = uppers = ()
     if n is not None:
-        lowers, uppers = _finite_n_bounds(spec, at_n, e, limits[:n - 1], K)
+        lowers, uppers = _finite_n_bounds(spec, at_n, limits[:n - 1])
     rows = []
     for s, m in enumerate(limits, start=1):
         row = MomentRow(2 * s, _scaled(m, 2 * e * s), root=_scaled(m ** (1 / (2 * s)), e))
@@ -190,7 +189,6 @@ def radius_table(
     orders: Sequence[int] = (),
     n: Optional[int] = None,
     s_bar: int = _DEFAULT_SBAR,
-    K: Optional[float] = None,
     lambda_tol: float = DEFAULT_LAMBDA_TOL,
     sdp_tol: float = _DEFAULT_TOL,
 ) -> RadiusBoundsReport:
@@ -246,7 +244,7 @@ def radius_table(
         e, at_n = _at_n(spec, n, orders[-1] if spec.kind == "expression" else 0)
         limits = [_to_float(m, -2 * e * s) for s, m in enumerate(series[:orders[-1]], 1)]
         _check_normal(limits, e)
-        lowers, uppers = _finite_n_bounds(spec, at_n, e, limits, K)
+        lowers, uppers = _finite_n_bounds(spec, at_n, limits)
         for s in orders:
             lower = _root_bound(lowers[s - 1], s, e)
             companion = None if lower.vacuous else _root_bound(n * lowers[s - 1], s, e).value

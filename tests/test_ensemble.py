@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import threading
+import time
 import warnings
 from collections import Counter
 
@@ -539,13 +540,12 @@ class TestMonteCarlo:
         mc = monte_carlo(cfg, trials=4, k_max=2)
         assert mc.pooled_eigenvalues.shape == (60,)
 
-    def test_blocks_of_about_4_mb_in_whole_rounds_of_workers(self):
-        assert ensemble._schedule(24, 300, 2) == ([(4 * i, 4 * i + 4) for i in range(6)], 2)
-        assert ensemble._schedule(24, 300, 1) == (
-            [(0, 4), (4, 9), (9, 14), (14, 19), (19, 24)], 1)
-        assert ensemble._schedule(20000, 3, 2) == ([(0, 10000), (10000, 20000)], 2)
+    def test_blocks_are_the_smallest_gil_free_stacks(self):
+        # a block is _GIL_FREE_SIZE // n + 1 trials: 2 at n = 300, 1 at
+        # n = 2000, 3 at n = 200, where 4 trials make one block
+        assert ensemble._schedule(24, 300, 2) == ([(2 * i, 2 * i + 2) for i in range(12)], 2)
         assert ensemble._schedule(3, 2000, 2) == ([(0, 1), (1, 2), (2, 3)], 2)
-        assert ensemble._schedule(1, 10, 8) == ([(0, 1)], 1)
+        assert ensemble._schedule(4, 200, 8) == ([(0, 4)], 1)
 
     def test_blocks_stay_large_enough_to_release_the_gil(self):
         # 2 x 300 releases the GIL, a lone 300 x 300 solve holds it
@@ -583,7 +583,7 @@ class TestMonteCarlo:
         n, trials, k_max = 20, 10, 5
         cfg = EnsembleConfig(n=n, sigma=parse_sigma_spec(EXP_SPEC), distribution="uniform", seed=4)
         pinned_cpus(2)
-        monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 3 * 8 * n * n)  # blocks of 2 or 3
+        monkeypatch.setattr(ensemble, "_GIL_FREE_SIZE", 2 * n)  # blocks of 3 or 4
         mc = monte_carlo(cfg, trials, k_max)
         assert mc.workers == 2
         for t in range(trials):
@@ -598,21 +598,76 @@ class TestMonteCarlo:
         mc = monte_carlo(EnsembleConfig(n=10, sigma=ones_spec(), seed=2), trials=16, k_max=2)
         assert mc.workers == 1
 
-    def test_worker_error_makes_the_cli_exit_3(self, pinned_cpus, monkeypatch, tmp_path, capsys):
+    @staticmethod
+    def exits_3_on_a_failure(pinned_cpus, monkeypatch, tmp_path, capsys, on_calling_thread):
         pinned_cpus(2)
-        threads = []
+        caller, solve, failed = threading.current_thread(), ensemble.eigenvalues, threading.Event()
 
         def failing(matrix):
-            threads.append(threading.current_thread())
-            raise RuntimeError("symmetric eigensolver did not converge: injected")
+            # one thread fails its first block; the other waits for that
+            if (threading.current_thread() is caller) == on_calling_thread:
+                failed.set()
+                raise RuntimeError("symmetric eigensolver did not converge: injected")
+            assert failed.wait(10)
+            return solve(matrix)
 
         monkeypatch.setattr(ensemble, "eigenvalues", failing)
         argv = ["simulate", "--sigma", "const:1", "--n", "10", "--trials", "4",
                 "--out", str(tmp_path / "sim")]
         assert cli.main(argv) == cli.NUMERIC_EXIT
         assert "injected" in capsys.readouterr().err
-        assert threads and threading.main_thread() not in threads
         assert not (tmp_path / "sim").exists()
+
+    def test_worker_error_makes_the_cli_exit_3(self, pinned_cpus, monkeypatch, tmp_path, capsys):
+        self.exits_3_on_a_failure(pinned_cpus, monkeypatch, tmp_path, capsys, False)
+
+    def test_calling_thread_error_makes_the_cli_exit_3(
+        self, pinned_cpus, monkeypatch, tmp_path, capsys
+    ):
+        self.exits_3_on_a_failure(pinned_cpus, monkeypatch, tmp_path, capsys, True)
+
+    def test_a_slow_thread_takes_fewer_blocks(self, pinned_cpus, monkeypatch):
+        cfg = EnsembleConfig(n=20, sigma=parse_sigma_spec(EXP_SPEC), distribution="uniform", seed=9)
+        pinned_cpus(1)
+        alone = monte_carlo(cfg, 8, 4)
+        pinned_cpus(2)
+        caller, solve, solved = threading.current_thread(), ensemble.eigenvalues, Counter()
+
+        def slow_off_the_caller(matrix):
+            solved[threading.current_thread() is caller] += 1
+            if threading.current_thread() is not caller:
+                time.sleep(0.2)
+            return solve(matrix)
+
+        monkeypatch.setattr(ensemble, "eigenvalues", slow_off_the_caller)
+        mc = monte_carlo(cfg, 8, 4)
+        assert mc.workers == 2 and solved[True] > solved[False]
+        assert solved[True] + solved[False] == 8
+        np.testing.assert_array_equal(mc.per_trial_moments, alone.per_trial_moments)
+        np.testing.assert_array_equal(mc.radii, alone.radii)
+        np.testing.assert_array_equal(mc.pooled_eigenvalues, alone.pooled_eigenvalues)
+
+    @pytest.mark.parametrize("sigma, max_order, order", [
+        ("1e154", 10, 2), ("1e40", 7, None), ("1e40", 8, 8),
+    ])
+    def test_a_moment_beyond_float64_exits_3_naming_it(self, tmp_path, capsys, sigma, max_order,
+                                                       order):
+        # at sigma = 1e40 the means of m_4..m_7 are finite but their squared
+        # deviations are not, unless taken at the column's power of two
+        out = tmp_path / "sim"
+        argv = ["simulate", "--sigma", f"const:{sigma}", "--n", "5", "--trials", "2",
+                "--max-order", str(max_order), "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = cli.main(argv)
+        if order is not None:
+            assert status == cli.NUMERIC_EXIT and not out.exists()
+            assert re.search(rf"\bm_{order}\b", capsys.readouterr().err)
+            return
+        assert status == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        for row in report["moments"]:
+            assert math.isfinite(row["empirical_mean"]) and math.isfinite(row["empirical_stderr"])
 
     def test_manifest_records_workers_and_blas_settings(self, pinned_cpus, monkeypatch, tmp_path):
         pinned_cpus(2)
