@@ -135,15 +135,7 @@ def _radius_payload(report: RadiusBoundsReport) -> dict:
         )
     return {
         "orders": rows,
-        "sdp": {
-            "s_bar": report.sdp.s_bar,
-            "beta": report.sdp.beta,
-            "sqrt_beta": report.sdp.sqrt_beta,
-            "method_agreement": report.sdp.method_agreement,
-            "tol": report.sdp.tol,
-            "condition_estimate": report.sdp.condition_estimate,
-            "ridge_scale": report.sdp.ridge_scale,
-        },
+        "sdp": report.sdp._asdict(),
         "asymptotic_root": report.asymptotic_root,
         "notes": list(report.notes),
     }

@@ -461,7 +461,8 @@ def monte_carlo(config: EnsembleConfig, trials: int, k_max: int) -> MonteCarloRe
     three n x n arrays (its matrix, the draw and LAPACK's copy).  Results
     are written by trial index, so a campaign is reproducible bit for bit
     whatever the thread count; ``workers`` records it.  A trial moment that
-    is not finite raises ArithmeticError naming its order.  The
+    is not finite, or may underflow (a trial's radius^k below the smallest
+    normal float), raises ArithmeticError naming its order.  The
     radius is one more per-trial column beside the moments.  Each column's
     mean is ``math.fsum`` of its trials over their count, correctly rounded
     but for the division (numpy would sum the strided column naively,
@@ -518,9 +519,13 @@ def monte_carlo(config: EnsembleConfig, trials: int, k_max: int) -> MonteCarloRe
     if errors:
         raise errors[0]
 
-    finite = np.isfinite(per_trial[:, :k_max]).all(axis=0)
-    if not finite.all():
-        raise ArithmeticError(f"m_{int(finite.argmin()) + 1} of a trial leaves float64's range")
+    # a trial's radius^k bounds its |m_k|: below the smallest normal, that
+    # m_k is subnormal or 0
+    bad = ~np.isfinite(per_trial[:, :k_max]).all(axis=0)
+    r = float(per_trial[:, k_max].min())
+    bad |= [r < 1 and r ** k < _NORMAL_MIN for k in range(1, k_max + 1)]
+    if bad.any():
+        raise ArithmeticError(f"m_{int(bad.argmax()) + 1} of a trial leaves float64's range")
     exps = np.frexp(np.abs(per_trial).max(axis=0))[1]
     scaled = np.ldexp(per_trial, -exps)
     means = np.array([math.fsum(column) / trials for column in scaled.T.tolist()])

@@ -6,8 +6,8 @@ coefficient of the plane-tree generating series (Lagrange inversion): with
 phi(w) = sum_j A_{j+1} w^j, m_{2s} = 2/(s+1) * [w^{s-1}] phi(w)^{s+1}, a
 truncated polynomial power, exact for rational averages.  One pass over the
 powers phi^2..phi^{S+1} gives every order up to 2S.  For finite n the
-same series at the partial averages S_{n,k}/n, minus an explicit
-repeated-index correction, lower-bounds the expected moment; an upper bound
+same series at the partial averages S_{n,k}/n, less a bound on its terms
+whose indices repeat, lower-bounds the expected moment; an upper bound
 multiplies the limit by 1 + theta*s with a fully explicit theta.
 """
 
@@ -190,19 +190,33 @@ def _lower_bounds(n: int, sigma_max: float, mains: Sequence[float]) -> list:
         raise ValueError(f"need n > s, got n={n}, s={len(mains)}")
     bounds = []
     for s, main in enumerate(mains, start=1):
-        correction = int(sum(math.comb(n, j) * j ** (s + 1 - j) for j in range(1, s + 1)))
-        eps = sigma_max ** (2 * s) * (correction / n ** (s + 1))
+        # n^{s+1} eps / sigma_max^{2s}, as moment_lower_bound proves it
+        count = (n ** s if s <= 2 else
+                 math.comb(2 * s, s) // (s + 1) * (n ** (s + 1) - math.perm(n, s + 1)))
+        eps = sigma_max ** (2 * s) * (count / n ** (s + 1))
         bounds.append(main - eps)
     return bounds
 
 
 def moment_lower_bound(values: Sequence[float], s: int) -> float:
-    """Finite-n lower bound on the expected spectral moment of order 2s.
+    """Finite-n lower bound on the expected spectral moment of order 2s,
+    for every law with independent symmetric entries, Var a_ij = sigma_i sigma_j.
 
     Evaluates the tree series at the partial averages S_{n,j}/n (identical to
     (1/n^{s+1}) * prod S^{r_j} since the profile entries sum to s+1), minus
-    the repeated-index correction
-        eps = (sigma_max^{2s} / n^{s+1}) * sum_{j=1..s} binom(n,j) j^{s+1-j}.
+        eps = sigma_max^{2s} / n                                  (s <= 2),
+        eps = C_s sigma_max^{2s} (1 - n (n-1) ... (n-s) / n^{s+1})  (s >= 3).
+    Proof: n^{s+1} E m_{2s} sums E prod a_ij over the closed walks of 2s
+    steps on [n], each term >= 0 as odd moments vanish.  n^{s+1} main sums
+    prod_v sigma_{f(v)}^{deg v} over the C_s plane trees on s + 1 vertices
+    and all labellings f by [n].  An injective f walks the tree's contour,
+    twice over each of its s distinct edges, so its walk's term is prod
+    sigma_u sigma_v, its term of main, and distinct such (tree, f) give
+    distinct walks.  The other n^{s+1} - n (n-1) ... (n-s) labellings of
+    each tree add at most sigma_max^{2s} each.  At s <= 2 the walks are
+    counted outright: E m_2 = main, and n^3 (E m_4 - main) = sum_{i,j}
+    (kappa_ij - 2) (sigma_i sigma_j)^2 >= -n^2 sigma_max^4, as each
+    kappa_ij = E a_ij^4 / (sigma_i sigma_j)^2 >= 1.
     The result may be <= 0 for small n; callers flag that as vacuous rather
     than clamping.  Bad sigma raises SigmaDomainError, overflow OverflowError.
     """

@@ -1,13 +1,15 @@
 """Spectral-radius bounds: the finite-n moment sandwich and the Hankel-pencil SDP.
 
-Two families of bounds are computed.  For finite n, the expected operator
-norm is sandwiched by power roots of expected-moment bounds:
+Two families of bounds are computed.  For finite n, power roots of
+expected-moment bounds bracket the norm:
 
-    m_lower^{1/2s}  <=  E||A||  <=  (n * m_upper)^{1/2s},
+    m_lower^{1/2s}  <=  (E||A||^{2s})^{1/2s},    E||A||  <=  (n * m_upper)^{1/2s}.
 
-where m_lower and m_upper = (1 + theta*s) * m_limit are the moment bounds
-of `moments` (``moment_lower_bound``, ``moment_upper_bound``; theta is
-computed there only).  ``reports.radius_table`` forms the finite-n roots
+x -> x^{1/2s} is concave, so the lower root bounds (E||A||^{2s})^{1/2s},
+which is at least E||A||, and not E||A|| itself.  m_lower and m_upper =
+(1 + theta*s) * m_limit are the moment bounds of `moments`
+(``moment_lower_bound``, ``moment_upper_bound``; theta is computed there
+only).  ``reports.radius_table`` forms the finite-n roots
 with ``_root_bound``, which flags a moment bound <= 0 or +inf as vacuous,
 from the builder that fills the moment table's rows.  It also reports
 (n m_lower)^{1/2s}: not a proven upper bound, but the companion value
@@ -24,14 +26,15 @@ recurrence (a_k, b_k) Gautschi's Chebyshev algorithm gives in O(s_bar^2)
 operations.  J - xI is congruent to H1 - x H0, so the Sturm count of J at x
 counts the pencil's eigenvalues below x.  One bisection on that count, in
 Decimal at the recurrence's digits, finds beta, and the counts at beta -/+ tol
-certify it (`validation.bisect_beta` is the oracle).  cond(H0) grows about
-10^1.8 per order, so the recurrence and the counts run at
-max(60, 2 s_bar + 10) digits on moments that carry 2 s_bar + 10
-(`reports.radius_table`), each with `sigma_model._GUARD_DIGITS` more.  Nothing regularises them: a b_k that vanishes to
-their precision ends the recurrence (finite support, or spent digits), and a
-clearly negative one means they are no moment sequence.  All of it runs
-on the stdlib's C ``decimal`` in `sigma_model._context`; mpmath is only
-the oracle of `validation` and the tests.
+certify it (`validation.certifies` checks that claim with mp.cholesky of
+H0 x - H1).  cond(H0) grows about 10^1.8 per order, so the recurrence and
+the counts run at max(60, 2 s_bar + 10) digits on moments that carry
+2 s_bar + 10 (`reports.radius_table`), each with
+`sigma_model._GUARD_DIGITS` more.  Nothing regularises them: a b_k that
+vanishes to their precision ends the recurrence (finite support, or spent
+digits), and a clearly negative one means they are no moment sequence.
+All of it runs on the stdlib's C ``decimal`` in `sigma_model._context`;
+mpmath is only the oracle of `validation` and the tests.
 """
 
 from __future__ import annotations
@@ -102,7 +105,8 @@ class SdpResult(NamedTuple):
     """``beta`` is certified within ``tol`` of the pencil's minimum, and
     ``method_agreement`` is that half-width (= tol).  ``condition_estimate``
     is the pencil's ``condition`` and ``ridge_scale`` is 0: no
-    regularisation is added."""
+    regularisation is added.  ``order`` is the truncation beta belongs to,
+    len(pencil.a) - 1: ``s_bar`` unless the recurrence ended early."""
 
     beta: float
     sqrt_beta: float
@@ -111,6 +115,7 @@ class SdpResult(NamedTuple):
     tol: float
     condition_estimate: float
     ridge_scale: float
+    order: Optional[int] = None
 
 
 def build_pencil(moments: Sequence, s_bar: int, eps=None) -> HankelPencil:
@@ -230,6 +235,7 @@ def sdp_lower_bound(pencil: HankelPencil, tol: float = DEFAULT_TOL) -> SdpResult
         tol=tol,
         condition_estimate=pencil.condition,
         ridge_scale=0.0,
+        order=m - 1,
     )
 
 
@@ -246,7 +252,7 @@ class RadiusOrderRow(NamedTuple):
 
     s: int
     n: int
-    lower: RadiusBound            # moment_lower^{1/2s}
+    lower: RadiusBound            # moment_lower^{1/2s} <= (E||A||^{2s})^{1/2s}, not E||A||
     upper: RadiusBound            # (n (1 + theta s) m_{2s})^{1/2s}
     upper_companion: Optional[float]  # (n * moment_lower)^{1/2s}, not a proven bound
 

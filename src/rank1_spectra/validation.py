@@ -1,4 +1,4 @@
-"""Self-validation battery: enumeration and bisection oracles, invariants.
+"""Self-validation battery: enumeration oracles, certificates, invariants.
 
 ``CHECKS`` is the one registry of checks: (name, check) pairs, where
 check(deep) returns (passed, detail).  The CLI's ``validate`` command prints
@@ -6,10 +6,12 @@ one line per check from `run_all` and exits non-zero if any fails; the tests
 run each at deep=False.  Each fact has one check, and each enumeration runs
 once per order: the three plane-tree checks read one cached count of trees
 per profile.  The walk oracle's Monte Carlo campaign likewise runs once per
-trial count, and the tests read the same cached result.  The battery is deliberately cheap (2-2.5 s on a 2-CPU
-machine); ``deep=True`` extends the enumerations to s = 11 and doubles the
-walk oracle's Monte Carlo trials and the SDP's random measures, and takes
-3.5-5 s there.
+trial count, and the tests read the same cached result.  `certifies`
+checks the SDP's claim for its beta rather than solving for beta again.
+The battery is deliberately cheap: ``validate`` takes 0.9-1.1 s on a 2-CPU
+machine, most of it the walk oracle's Monte Carlo.  ``deep=True`` extends
+the enumerations to s = 11 and doubles the walk oracle's Monte Carlo
+trials and the SDP's random measures, and takes 2.1-2.2 s there.
 """
 
 from __future__ import annotations
@@ -221,51 +223,35 @@ def _factors(M) -> bool:
     return True
 
 
-def pencil_hankels(pencil: HankelPencil):
-    """H0 = (nu_{i+j}) and H1 = (nu_{i+j+1}) as mp matrices, on the largest
-    leading block of H0 that mp.cholesky factors: a measure with finite
-    support leaves H0 singular.  Call at mp.workdps(_digits(pencil.s_bar))."""
-    nu, m = pencil.nu, pencil.s_bar + 1
-
-    def hankel(shift):
-        return mp.matrix([[_mpf(nu[i + j + shift]) for j in range(m)] for i in range(m)])
-
-    while m > 1 and not _factors(hankel(0)):
-        m -= 1
-    return hankel(0), hankel(1)
-
-
 def brackets_beta(pencil: HankelPencil, lo, hi) -> bool:
     """The oracle's certificate that min{x : H0 x - H1 >= 0} lies in (lo, hi]:
-    mp.cholesky factors H0 hi - H1 and not H0 lo - H1, on `pencil_hankels`."""
+    mp.cholesky factors H0 hi - H1 and not H0 lo - H1, for H0 = (nu_{i+j})
+    and H1 = (nu_{i+j+1}) of the order the pencil's recurrence reached,
+    len(pencil.a) rows.  Where it ended early, on a finite support or spent
+    digits, H0's larger blocks are singular but for rounding."""
+    nu, m = pencil.nu, len(pencil.a)
     with mp.workdps(_digits(pencil.s_bar)):
-        H0, H1 = pencil_hankels(pencil)
+        H0, H1 = (mp.matrix([[_mpf(nu[i + j + k]) for j in range(m)] for i in range(m)])
+                  for k in (0, 1))
         return _factors(H0 * _mpf(hi) - H1) and not _factors(H0 * _mpf(lo) - H1)
 
 
-def bisect_beta(pencil: HankelPencil, tol: float) -> float:
-    """Oracle for the SDP: the upper end of a bracket (lo, hi] narrower than
-    tol that `brackets_beta` certifies, by doubling hi from 1 and bisecting
-    (about 35 factorizations at tol 1e-10).  Each step keeps the lower end
-    unfactored and so factors only the midpoint."""
+def certifies(pencil: HankelPencil, beta: float, tol: float) -> bool:
+    """Whether `brackets_beta` confirms production's claim for ``beta``, a
+    float `sdp_lower_bound` certified to ``tol``: its Decimal beta lies
+    within tol of the pencil's minimum and its rounding to a float adds half
+    an ulp, so the minimum lies in (beta - h, beta + h] with h = tol +
+    2 ulp(beta), the ends taken at the oracle's digits."""
     with mp.workdps(_digits(pencil.s_bar)):
-        H0, H1 = pencil_hankels(pencil)
-        lo, hi = mpf(0), mpf(1)
-        while not _factors(H0 * hi - H1):
-            lo, hi = hi, 2 * hi
-        while hi - lo >= tol:
-            mid = (lo + hi) / 2
-            if _factors(H0 * mid - H1):
-                hi = mid
-            else:
-                lo = mid
-        return float(hi)
+        h = mpf(tol) + 2 * mpf(math.ulp(beta))
+        return brackets_beta(pencil, mpf(beta) - h, mpf(beta) + h)
 
 
 def check_sdp_dual_method(deep: bool) -> Check:
-    """The production eigenvalue is within 10*tol of the bisection oracle on
-    random atomic measures and on the named profiles, and the exp profile's
-    beta at s_bar = 14, from 38-digit moments, is 0.6010092398."""
+    """mp.cholesky of H0 x - H1 certifies the production beta to tol + 2 ulp
+    (`certifies`) on random atomic measures and on the named profiles, and
+    the exp profile's beta at s_bar = 14, from 38-digit moments, is
+    0.6010092398."""
     rng = np.random.default_rng(7)
     tol = 1e-10
     cases = 12 if deep else 6
@@ -276,24 +262,19 @@ def check_sdp_dual_method(deep: bool) -> Check:
         weights = rng.dirichlet(np.ones(s_bar + 2))
         nu = [float(np.sum(weights * atoms ** t)) for t in range(1, 2 * s_bar + 2)]
         pencils.append((f"case {case}", build_pencil(nu, s_bar)))
-    for label, lam_fn in (
-        ("constant", lambda k: 1.0),
-        ("exp-profile", lambda k: (1 - math.exp(-4 * k)) / (4 * k)),
-    ):
-        lams = [lam_fn(k) for k in range(1, 14)]
-        nu = [float(limiting_even_moment(lams[:s], s)) for s in range(1, 14)]
-        pencils.append((label, build_pencil(nu, 6)))
+    for label, lams in (("constant", [1.0] * 13),
+                        ("exp-profile", [(1 - math.exp(-4 * k)) / (4 * k) for k in range(1, 14)])):
+        pencils.append((label, build_pencil(_limits(lams, 13), 6)))
     with localcontext(_context(38 + _GUARD_DIGITS)):
         lams = [(1 - Decimal(-4 * k).exp()) / (4 * k) for k in range(1, 30)]
         pencils.append(("exp-profile at s_bar=14", build_pencil(_limits(lams, 29), 14)))
     for label, pencil in pencils:
         beta = sdp_lower_bound(pencil, tol).beta
-        gap = abs(beta - bisect_beta(pencil, tol))
-        if gap > 10 * tol:
-            return False, f"{label}: |eigenvalue - bisection| = {gap:.2e}"
+        if not certifies(pencil, beta, tol):
+            return False, f"{label}: mp.cholesky does not bracket beta = {beta!r} to tol + 2 ulp"
     if abs(beta - 0.6010092398) > 1e-9:
         return False, f"exp profile beta(14) = {beta!r} != 0.6010092398"
-    return True, (f"{cases} random measures + 3 named profiles, <= 10*tol; "
+    return True, (f"{cases} random measures + 3 named profiles certified to tol + 2 ulp; "
                   f"exp profile beta(14) = {beta:.10f}")
 
 

@@ -99,6 +99,21 @@ def test_radius_sbar_3(tmp_path):
     assert sdp["method_agreement"] <= 10 * sdp["tol"]
 
 
+@pytest.mark.parametrize("argv, order", [
+    (("--sigma", "expr:1+((i/n-(0.5+2^(0-40)))^2)^0.5", "--sbar", "25"), 16),
+    (("--sigma", "expr:exp(-4*i/n)", "--sbar", "14", "--lambda-tol", "1e-7"), 14),
+    (("--sigma", "expr:exp(-4*i/n)", "--sbar", "31"), 31),
+    (("--sigma", "const:1", "--sbar", "31"), 31),
+], ids=["kink", "exp-14", "exp-31", "const-31"])
+def test_radius_reports_the_order_its_recurrence_reached(tmp_path, argv, order):
+    # the kink's Lambda carry 24 digits, which end its recurrence after 17
+    # coefficients: beta belongs to the truncation at 16, not at s_bar = 25
+    out = tmp_path / "radius.json"
+    assert cli.main(["radius", *argv, "--out", str(out)]) == 0
+    sdp = json.loads(out.read_text(encoding="utf-8"))["radius"]["sdp"]
+    assert (sdp["s_bar"], sdp["order"]) == (int(argv[3]), order)
+
+
 # the scale sweep: c times the exp profile and times a file of 1000 seeded
 # values, ``file:<c>*``; 2^-40 is exact
 _SCALES = {"2^-40": 2.0 ** -40, "1e-12": 1e-12, "1e-5": 1e-5, "1": 1.0, "1e3": 1e3, "1e12": 1e12}

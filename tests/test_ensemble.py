@@ -649,11 +649,14 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("sigma, max_order, order", [
         ("1e154", 10, 2), ("1e40", 7, None), ("1e40", 8, 8),
+        ("1e-100", 10, 4), ("1e-30", 10, None), ("1e-30", 11, 11),
     ])
     def test_a_moment_beyond_float64_exits_3_naming_it(self, tmp_path, capsys, sigma, max_order,
                                                        order):
         # at sigma = 1e40 the means of m_4..m_7 are finite but their squared
-        # deviations are not, unless taken at the column's power of two
+        # deviations are not, unless taken at the column's power of two; at
+        # 1e-100 the radius is about 2e-100, so m_4 would underflow to 0, and
+        # at 1e-30 m_11 would
         out = tmp_path / "sim"
         argv = ["simulate", "--sigma", f"const:{sigma}", "--n", "5", "--trials", "2",
                 "--max-order", str(max_order), "--out", str(out)]

@@ -20,6 +20,7 @@ from rank1_spectra.moments import (
 from rank1_spectra.sigma_model import (_GUARD_DIGITS, SigmaDomainError, _context, parse_sigma_spec,
                                       sigma_values)
 from rank1_spectra.validation import _profile_sum
+from rank1_spectra.walk_oracle import EntryMomentModel, exact_expected_moment
 
 EXP_SPEC = "expr:exp(-4*i/n)"
 CATALANS = [1, 2, 5, 14, 42, 132, 429, 1430]
@@ -139,6 +140,28 @@ class TestLowerBound:
         with pytest.raises(ValueError, match="exceeds supported range"):
             moment_lower_bound(np.ones(100), 65)
 
+    @pytest.mark.parametrize("law", ["rademacher", "uniform"])
+    @pytest.mark.parametrize("sigma", [(1.0,) * 8, (1.0, 0.9, 0.8, 0.7, 0.6)], ids=["ones", "decay"])
+    def test_below_the_exact_moment_of_every_small_case(self, law, sigma):
+        # rademacher is the tight law: E m_4 = 2 - 1/n at sigma = 1, the bound
+        # itself, so the comparison allows rounding.  Cases of at most 50000
+        # walks, and s = 4's 390625 at n = 5 for the tight law at sigma = 1
+        cases = [(n, s) for n in range(2, len(sigma) + 1) for s in range(1, min(n, 4))
+                 if n ** (2 * s) <= 50_000]
+        if law == "rademacher" and len(sigma) == 8:
+            cases.append((5, 4))
+        for n, s in cases:
+            values = sigma[:n]
+            exact = exact_expected_moment(n, 2 * s, values, EntryMomentModel(law, values))
+            assert moment_lower_bound(values, s) <= exact * (1 + 1e-12), (n, s)
+
+    @pytest.mark.parametrize("n", [50, 300, 2000])
+    def test_below_the_rademacher_sixth_moment(self, n):
+        # at sigma = 1 the closed walks of six steps give n^4 E m_6 = 5 n^4 -
+        # 5 n^3 - n^2 + 2 n for rademacher entries
+        exact = 5 - Fraction(5, n) - Fraction(1, n * n) + Fraction(2, n ** 3)
+        assert moment_lower_bound([1.0] * n, 3) < exact
+
     def test_scaling_covariance(self):
         rng = np.random.default_rng(11)
         v = rng.uniform(0.3, 1.0, size=50)
@@ -208,8 +231,9 @@ def test_integer_ratios_round_as_fractions_do(n_of):
         ratio = float(Fraction(n ** (s - 1), (n - s) ** (s + 1)))
         expected = (K * K * s ** 6) / (2.0 * n * smax * smax) * (smax / smin) ** (2 * s) * ratio
         assert theta_factor(n, s, K, smax, smin).hex() == expected.hex()
-        correction = sum(math.comb(n, j) * j ** (s + 1 - j) for j in range(1, s + 1))
-        eps = smax ** (2 * s) * float(Fraction(correction, n ** (s + 1)))
+        count = (sum(math.comb(n, j) * j ** (s + 1 - j) for j in range(1, s + 1)) if s <= 2
+                 else catalan(s) * (n ** (s + 1) - math.perm(n, s + 1)))
+        eps = smax ** (2 * s) * float(Fraction(count, n ** (s + 1)))
         assert moments._lower_bounds(n, smax, [0.0] * s)[-1].hex() == (-eps).hex()
 
 
