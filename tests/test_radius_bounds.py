@@ -10,12 +10,14 @@ from rank1_spectra.moments import limiting_even_moment, moment_lower_bound, mome
 from rank1_spectra.moments import _limits
 from rank1_spectra.radius_bounds import (
     InvalidMomentSequenceError,
+    _count_below,
+    _digits,
     _root_bound,
     build_pencil,
     sdp_lower_bound,
 )
 from rank1_spectra.sigma_model import _GUARD_DIGITS, _context, parse_sigma_spec, sigma_values
-from rank1_spectra.validation import certifies
+from rank1_spectra.validation import brackets_beta, certifies
 
 EXP_SPEC = "expr:exp(-4*i/n)"
 
@@ -329,6 +331,22 @@ def test_beta_matches_the_matrix_oracle():
     beta + h and not at beta - h, so it rejects every bracket moved by 2h."""
     for label, pencil, tol in _battery():
         assert certifies(pencil, sdp_lower_bound(pencil, tol).beta, tol), label
+
+
+@pytest.mark.parametrize("s_bar", [3, 14])
+def test_sturm_count_matches_mp_cholesky_on_the_shifted_pencil(s_bar):
+    # J - xI is congruent to H1 - x H0: all s_bar + 1 Jacobi eigenvalues lie
+    # below x exactly when H0 x - H1 factors
+    pencil = mp_exp_pencil(s_bar, 2 * s_bar + 10)
+    beta = sdp_lower_bound(pencil, 1e-10).beta
+    with localcontext(_context(_digits(s_bar))):
+        for half in (Decimal(1e-10), Decimal(1e-3)):
+            lo, hi = Decimal(beta) - half, Decimal(beta) + half
+            assert _count_below(pencil.a, pencil.b, hi) == s_bar + 1
+            assert _count_below(pencil.a, pencil.b, lo) < s_bar + 1
+            assert brackets_beta(pencil, lo, hi)
+            assert not brackets_beta(pencil, lo - half, lo)
+            assert not brackets_beta(pencil, hi, hi + half)
 
 
 def test_condition_bounds_the_digits_lost():
