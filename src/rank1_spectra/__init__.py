@@ -28,8 +28,8 @@ first need it.
 The records of those numpy-free layers are ``typing.NamedTuple``s:
 ``SigmaSpec``, ``LimitingAverages`` and ``SigmaStats`` (``sigma_model``),
 ``MomentRow`` and ``MomentReport`` (``moments``), and ``HankelPencil``,
-``RadiusBound``, ``SdpResult``, ``RadiusOrderRow`` and
-``RadiusBoundsReport`` (``radius_bounds``).  They are immutable, and they
+``SdpResult``, ``RadiusOrderRow`` and ``RadiusBoundsReport``
+(``radius_bounds``).  They are immutable, and they
 compare, hash, unpack and iterate as the tuples of their fields, so one
 equals a plain tuple of the same values.  Declaring them so keeps
 ``dataclasses`` and the ``inspect`` it imports out of ``moments`` and
@@ -114,7 +114,6 @@ _MODULE_EXPORTS = {
     "radius_bounds": (
         "HankelPencil",
         "InvalidMomentSequenceError",
-        "RadiusBound",
         "RadiusBoundsReport",
         "RadiusOrderRow",
         "SdpResult",

@@ -126,10 +126,10 @@ def _radius_payload(report: RadiusBoundsReport) -> dict:
             {
                 "s": row.s,
                 "n": row.n,
-                "lower": None if row.lower.vacuous else row.lower.value,
-                "lower_vacuous": row.lower.vacuous,
-                "upper": None if row.upper.vacuous else row.upper.value,
-                "upper_overflow": row.upper.vacuous,
+                "lower": row.lower,
+                "lower_vacuous": row.lower_vacuous,
+                "upper": None if row.upper_overflow else row.upper,
+                "upper_overflow": row.upper_overflow,
                 "upper_companion": row.upper_companion,
             }
         )

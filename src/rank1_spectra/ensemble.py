@@ -22,7 +22,8 @@ trial_index), so trials are order-independent, a campaign is reproducible bit
 for bit, and campaigns at different seeds draw unrelated trials.
 
 A campaign runs in contiguous blocks of trials, each drawn into one stack
-of matrices just large enough for numpy to solve it without the GIL.  The
+of matrices at least large enough for numpy to solve it without the GIL,
+and larger only where that would make many small stacks (`_schedule`).  The
 calling thread and, when BLAS is pinned to one thread, plain ``threading``
 workers pull the blocks from one iterator (see ``monte_carlo``); a thread
 pool would import ``concurrent.futures`` and with it ``logging``.  Every
@@ -416,6 +417,12 @@ _POOL_BYTES = 1 << 28
 # exceeds this (a lone 300 x 300 solve holds it; 2 x 300 and 1 x 600 release
 # it).
 _GIL_FREE_SIZE = 500
+# Blocks per CPU past which a block grows, up to _BLOCK_BYTES of stack: a
+# faster thread can still take more of them, and tiny matrices are not split
+# into hundreds of small stacks (`validation`'s walk-oracle campaign, 20000
+# trials at n = 3, is 12 blocks on 2 CPUs).
+_BLOCKS_PER_CPU = 6
+_BLOCK_BYTES = 1 << 20
 
 
 def _cpu_count() -> int:
@@ -428,15 +435,19 @@ def _schedule(trials: int, n: int, cpus: int) -> Tuple[List[Tuple[int, int]], in
     """Near-equal contiguous (start, stop) blocks of trial indices, and the
     number of threads to run them on.
 
-    A block is sized to the smallest stack numpy solves without the GIL, b =
-    ``_GIL_FREE_SIZE // n + 1`` trials: there are max(1, trials // b), each
-    under 2b.  The threads are the fewest of ``cpus``, the blocks and what
-    ``_POOL_BYTES`` allows at 2b + 1 matrices a thread (2 at n = 2000).
+    A block is at least the smallest stack numpy solves without the GIL, b =
+    ``_GIL_FREE_SIZE // n + 1`` trials, so there are at most trials // b.
+    Past ``_BLOCKS_PER_CPU`` blocks a CPU they grow instead, while a stack
+    stays within ``_BLOCK_BYTES``.  The threads are the fewest of ``cpus``,
+    the blocks and what ``_POOL_BYTES`` allows at the largest block's
+    matrices and 2 more a thread (2 at n = 2000).
     """
     per_block = _GIL_FREE_SIZE // n + 1
-    count = max(1, trials // per_block)
+    most = max(per_block, _BLOCK_BYTES // (8 * n * n))
+    count = max(1, min(trials // per_block, max(_BLOCKS_PER_CPU * cpus, -(-trials // most))))
     blocks = [(trials * i // count, trials * (i + 1) // count) for i in range(count)]
-    room = max(1, _POOL_BYTES // ((2 * per_block + 1) * 8 * n * n))
+    largest = -(-trials // count)
+    room = max(1, _POOL_BYTES // ((largest + 2) * 8 * n * n))
     return blocks, min(cpus, count, room)
 
 

@@ -9,11 +9,13 @@ x -> x^{1/2s} is concave, so the lower root bounds (E||A||^{2s})^{1/2s},
 which is at least E||A||, and not E||A|| itself.  m_lower and m_upper =
 (1 + theta*s) * m_limit are the moment bounds of `moments`
 (``moment_lower_bound``, ``moment_upper_bound``; theta is computed there
-only).  ``reports.radius_table`` forms the finite-n roots
-with ``_root_bound``, which flags a moment bound <= 0 or +inf as vacuous,
-from the builder that fills the moment table's rows.  It also reports
-(n m_lower)^{1/2s}: not a proven upper bound, but the companion value
-usually quoted next to the lower bound, reported with that caveat.
+only).  m_upper assumes |a_ij| <= sigma_max and is not proven (see
+``moment_upper_bound``), so neither is the upper root.
+``reports.radius_table`` forms the roots with ``_root_bound`` from the
+builder that fills the moment table's rows; a row holds them as floats and
+reads its flags off them, as a moment row does.  It also reports
+(n m_lower)^{1/2s}: not a bound, but the companion value usually quoted
+next to the lower bound.
 
 Asymptotically, given the even limiting moments nu_s = m_{2s}, the support
 supremum of the squared-eigenvalue law is lower-bounded by the SDP
@@ -51,7 +53,6 @@ from .sigma_model import _GUARD_DIGITS, _context
 
 __all__ = [
     "HankelPencil",
-    "RadiusBound",
     "RadiusBoundsReport",
     "RadiusOrderRow",
     "SdpResult",
@@ -88,17 +89,6 @@ class HankelPencil(NamedTuple):
     a: Tuple[Decimal, ...]
     b: Tuple[Decimal, ...]
     condition: float
-
-
-class RadiusBound(NamedTuple):
-    """A one-sided bound with its vacuity flag.
-
-    For lower bounds ``vacuous`` means the bounded quantity was non-positive
-    (value is NaN); for upper bounds it means overflow (value is +inf).
-    """
-
-    value: float
-    vacuous: bool
 
 
 class SdpResult(NamedTuple):
@@ -239,22 +229,30 @@ def sdp_lower_bound(pencil: HankelPencil, tol: float = DEFAULT_TOL) -> SdpResult
     )
 
 
-def _root_bound(m: float, s: int, e: int = 0) -> RadiusBound:
-    """m^{1/2s} 2^e, the root of m 4^es, vacuous where m <= 0 (NaN value) or
-    m = +inf (+inf value)."""
-    if m <= 0:
-        return RadiusBound(value=math.nan, vacuous=True)
-    return RadiusBound(value=_scaled(m ** (1.0 / (2 * s)), e), vacuous=math.isinf(m))
+def _root_bound(m: float, s: int, e: int = 0) -> Optional[float]:
+    """m^{1/2s} 2^e, the root of m 4^es: +inf where m is or where the root
+    leaves float64 once scaled back, and None where m <= 0."""
+    return None if m <= 0 else _scaled(m ** (1.0 / (2 * s)), e)
 
 
 class RadiusOrderRow(NamedTuple):
-    """Finite-n radius bounds at one order s."""
+    """Finite-n radius bounds at one order s, flagged as `moments.MomentRow`'s
+    are: from the numbers themselves."""
 
     s: int
     n: int
-    lower: RadiusBound            # moment_lower^{1/2s} <= (E||A||^{2s})^{1/2s}, not E||A||
-    upper: RadiusBound            # (n (1 + theta s) m_{2s})^{1/2s}
+    lower: Optional[float]            # moment_lower^{1/2s} <= (E||A||^{2s})^{1/2s}, not E||A||
+    upper: float                      # (n (1 + theta s) m_{2s})^{1/2s}, +inf on overflow
     upper_companion: Optional[float]  # (n * moment_lower)^{1/2s}, not a proven bound
+
+    @property
+    def lower_vacuous(self) -> bool:
+        """moment_lower <= 0, which has no root."""
+        return self.lower is None
+
+    @property
+    def upper_overflow(self) -> bool:
+        return math.isinf(self.upper)
 
 
 class RadiusBoundsReport(NamedTuple):

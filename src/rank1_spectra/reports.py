@@ -41,6 +41,8 @@ if TYPE_CHECKING:
 __all__ = ["lambda_vector", "moment_table", "radius_table", "DEFAULT_LAMBDA_TOL"]
 
 _FINITE_NOTE = "finite-n averages S_{{n,k}}/n at n={}"
+# what the finite-n rows prove: `moment_upper_bound` is not proven
+_UPPER_NOTE = "upper assumes |a_ij| <= sigma_max and is not a proven bound"
 
 
 def _scale(lambdas: Sequence) -> int:
@@ -152,7 +154,7 @@ def moment_table(
 
     With ``n`` given the rows of orders s < n carry the finite-n bounds of
     `_finite_n_bounds` at sigma at n, read once by `_at_n`; the upper bound
-    takes K = sigma_max.  The table runs at one scale, on sigma 2^-e at n
+    takes K = sigma_max, and a note says that it is not proven.  The table runs at one scale, on sigma 2^-e at n
     and on Lambda_k 2^-ek.  The limits come from one pass of the tree
     series in float64.  An explicit sequence's averages are its
     S_{n,k}/n, summed by `_at_n` to s_max (all its values without ``n``); a
@@ -181,7 +183,10 @@ def moment_table(
             row = row._replace(lower=_scaled(lowers[s - 1], 2 * e * s),
                                upper=_scaled(uppers[s - 1], 2 * e * s))
         rows.append(row)
-    return MomentReport(rows=tuple(rows), notes=(f"limiting averages: {source}",))
+    notes = (f"limiting averages: {source}",)
+    if n is not None:
+        notes += (f"finite-n rows: lower bounds E m_{{2s}}; {_UPPER_NOTE}",)
+    return MomentReport(rows=tuple(rows), notes=notes)
 
 
 def radius_table(
@@ -205,7 +210,8 @@ def radius_table(
     `_finite_n_bounds` at sigma at n from `_at_n`, whose lower bounds' main
     terms are these moments for a constant or an explicit sequence, each its
     own S_{n,k}/n, and a float64 series at an expression's S_{n,k}/n: lower
-    (m_low)^{1/2s}, upper (n m_up)^{1/2s} and companion (n m_low)^{1/2s}.
+    (m_low)^{1/2s}, upper (n m_up)^{1/2s} and companion (n m_low)^{1/2s},
+    and a note says what each proves.
     Only an expression's rows sum powers of sigma at n; the others read n
     and its extremes.  The rows run at one scale, sigma 2^-e and m_{2s}
     2^-2es, each rounded once, and each root is scaled back by 2^e.
@@ -241,17 +247,19 @@ def radius_table(
 
     rows = []
     if orders:
+        notes.append(f"finite-n rows: lower bounds (E||A||^{{2s}})^{{1/2s}}, not E||A||; "
+                     f"{_UPPER_NOTE}; upper_companion is no bound")
         e, at_n = _at_n(spec, n, orders[-1] if spec.kind == "expression" else 0)
         limits = [_to_float(m, -2 * e * s) for s, m in enumerate(series[:orders[-1]], 1)]
         _check_normal(limits, e)
         lowers, uppers = _finite_n_bounds(spec, at_n, limits)
         for s in orders:
             lower = _root_bound(lowers[s - 1], s, e)
-            companion = None if lower.vacuous else _root_bound(n * lowers[s - 1], s, e).value
+            companion = None if lower is None else _root_bound(n * lowers[s - 1], s, e)
             rows.append(RadiusOrderRow(s=s, n=n, lower=lower, upper_companion=companion,
                                        upper=_root_bound(n * uppers[s - 1], s, e)))
-        if any(row.upper.value > 10 * row.upper_companion for row in rows
-               if row.upper_companion is not None and not row.upper.vacuous):
+        if any(row.upper > 10 * row.upper_companion for row in rows
+               if row.upper_companion is not None and not row.upper_overflow):
             notes.append(
                 "theta-based upper bounds are orders of magnitude above the "
                 "companion sandwich values: the (sigma_max/sigma_min)^{2s} "

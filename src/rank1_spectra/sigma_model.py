@@ -76,13 +76,11 @@ class SigmaSpec(NamedTuple):
 
     ``kind`` is one of ``constant`` / ``expression`` / ``explicit``; ``payload``
     holds the constant, the parsed expression tree, or the tuple of explicit
-    values.  ``text`` is the original spec string (kept for manifests).
-    Instances are immutable and evaluation is pure.
+    values.  Instances are immutable and evaluation is pure.
     """
 
     kind: str
     payload: Union[float, Node, tuple]
-    text: str
 
 
 class LimitingAverages(NamedTuple):
@@ -134,13 +132,13 @@ def parse_sigma_spec(text: str) -> SigmaSpec:
             raise SpecSyntaxError(f"invalid constant {body!r}", len("const:") + 1) from None
         if not math.isfinite(value) or value <= 0:
             raise SigmaDomainError(f"constant sigma must be finite and positive, got {value}")
-        return SigmaSpec("constant", value, text)
+        return SigmaSpec("constant", value)
     if text.startswith("expr:"):
         from .expression import _ExprParser
 
         body = text[len("expr:"):]
         tree = _ExprParser(body, offset=len("expr:")).parse()
-        return SigmaSpec("expression", tree, text)
+        return SigmaSpec("expression", tree)
     if text.startswith("file:"):
         path = text[len("file:"):]
         try:
@@ -165,7 +163,7 @@ def parse_sigma_spec(text: str) -> SigmaSpec:
             values.append(v)
         if not values:
             raise SigmaDomainError(f"sigma file {path!r} is empty")
-        return SigmaSpec("explicit", tuple(values), text)
+        return SigmaSpec("explicit", tuple(values))
     raise SpecSyntaxError(
         "sigma spec must start with 'const:', 'expr:' or 'file:'", 1
     )

@@ -8,10 +8,12 @@ once per order: the three plane-tree checks read one cached count of trees
 per profile.  The walk oracle's Monte Carlo campaign likewise runs once per
 trial count, and the tests read the same cached result.  `certifies`
 checks the SDP's claim for its beta rather than solving for beta again.
-The battery is deliberately cheap: ``validate`` takes 0.9-1.1 s on a 2-CPU
-machine, most of it the walk oracle's Monte Carlo.  ``deep=True`` extends
-the enumerations to s = 11 and doubles the walk oracle's Monte Carlo
-trials and the SDP's random measures, and takes 2.1-2.2 s there.
+The battery is deliberately cheap: ``validate`` takes 1.2-1.3 s on a
+2-CPU machine, process start included, most of it the walk oracle's Monte
+Carlo and the finite-n bounds' walk enumerations.  ``deep=True`` extends
+the enumerations to s = 11 and the finite-n cases to 50000 walks, doubles
+the walk oracle's Monte Carlo trials and the SDP's random measures, and
+takes 2.8-3.0 s there.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .combinatorics import (
 )
 from .ensemble import (EnsembleConfig, MonteCarloResult, _histogram, eigenvalues,
                        empirical_moments, monte_carlo, sample_matrix)
-from .moments import _limits, limiting_even_moment, moment_lower_bound
+from .moments import _limits, limiting_even_moment, moment_lower_bound, moment_upper_bound
 from .radius_bounds import HankelPencil, _digits, build_pencil, sdp_lower_bound
 from .reports import radius_table
 from .sigma_model import _GUARD_DIGITS, _context, parse_sigma_spec, sigma_values
@@ -167,7 +169,40 @@ def check_walk_oracle(deep: bool) -> Check:
 def _explicit_spec(values):
     from .sigma_model import SigmaSpec
 
-    return SigmaSpec("explicit", tuple(values), "explicit:inline")
+    return SigmaSpec("explicit", tuple(values))
+
+
+def check_finite_n_bounds(deep: bool) -> Check:
+    """The finite-n bounds bracket the walk oracle's exact E m_{2s}: lower
+    <= E m_{2s} <= upper, within rounding, for rademacher and uniform
+    entries at their own K (sigma_max and sqrt(3) sigma_max), at sigma = 1,
+    (1, .9, .8, .7, .6) and the exp profile's values at n, for n <= 8, s < n
+    and n^{2s} <= 20000 walks (50000 deep).  The upper bound's m_{2s} is the
+    tree series at S_{n,k}/n, as a table of the values takes it."""
+    budget = 50_000 if deep else 20_000
+    exp = parse_sigma_spec(EXP_SPEC)
+    cases = 0
+    for label, n_top, at in (("sigma = 1", 8, lambda n: (1.0,) * n),
+                             ("decaying sigma", 5, lambda n: (1.0, 0.9, 0.8, 0.7, 0.6)[:n]),
+                             ("exp profile", 8, lambda n: tuple(sigma_values(exp, n)))):
+        for n in range(2, n_top + 1):
+            values = at(n)
+            top = max(values)
+            for s in range(1, n):
+                if n ** (2 * s) > budget:
+                    break
+                lower = moment_lower_bound(values, s)
+                main = limiting_even_moment([math.fsum(v ** k for v in values) / n
+                                             for k in range(1, s + 1)], s)
+                for law, root in (("rademacher", 1.0), ("uniform", math.sqrt(3.0))):
+                    exact = exact_expected_moment(n, 2 * s, values, EntryMomentModel(law, values))
+                    upper = moment_upper_bound(n, s, root * top, top, min(values), main)
+                    if not (lower <= exact * (1 + 1e-12) and exact <= upper * (1 + 1e-12)):
+                        return False, (f"{label}, {law}, n={n}, s={s}: lower {lower!r}, "
+                                       f"exact {exact!r}, upper {upper!r}")
+                    cases += 1
+    return True, (f"lower <= exact E m_2s <= upper in {cases} cases: rademacher and uniform, "
+                  f"n <= 8, n^2s <= {budget}")
 
 
 def check_lambda_quadrature(deep: bool) -> Check:
@@ -302,6 +337,7 @@ CHECKS: Tuple[Tuple[str, Callable[[bool], Check]], ...] = (
     ("profile_realization", check_profile_realization),
     ("series_vs_profile_sum", check_series_vs_profile_sum),
     ("walk_oracle", check_walk_oracle),
+    ("finite_n_bounds", check_finite_n_bounds),
     ("lambda_quadrature", check_lambda_quadrature),
     ("scaling_invariants", check_moment_scaling),
     ("sdp_dual_method", check_sdp_dual_method),

@@ -114,6 +114,32 @@ def test_radius_reports_the_order_its_recurrence_reached(tmp_path, argv, order):
     assert (sdp["s_bar"], sdp["order"]) == (int(argv[3]), order)
 
 
+def test_finite_n_rows_say_what_they_prove(tmp_path):
+    # a steep profile's theta upper bound, 39.5, is 30 times its companion:
+    # the rows' caveat and then the severity note follow the averages' note
+    out = tmp_path / "radius.json"
+    argv = ["radius", "--sigma", "expr:exp(-8*i/n)", "--n", "2000", "--orders", "2"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    radius = json.loads(out.read_text(encoding="utf-8"))["radius"]
+    (row,) = radius["orders"]
+    assert row["upper"] == pytest.approx(39.5, abs=0.05)
+    assert row["upper_companion"] == pytest.approx(1.30, abs=0.005)
+    assert radius["notes"][1:] == [
+        "finite-n rows: lower bounds (E||A||^{2s})^{1/2s}, not E||A||; upper assumes "
+        "|a_ij| <= sigma_max and is not a proven bound; upper_companion is no bound",
+        "theta-based upper bounds are orders of magnitude above the companion sandwich "
+        "values: the (sigma_max/sigma_min)^{2s} factor is severe for strongly varying profiles"]
+    out = tmp_path / "moments.json"
+    assert cli.main(["moments", "--sigma", "const:1", "--n", "50", "--max-order", "4",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["notes"][1:] == [
+        "finite-n rows: lower bounds E m_{2s}; upper assumes |a_ij| <= sigma_max and is not "
+        "a proven bound"]
+    # without rows, no caveat
+    assert cli.main(["radius", "--sigma", "const:1", "--sbar", "2", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text(encoding="utf-8"))["radius"]["notes"]) == 1
+
+
 # the scale sweep: c times the exp profile and times a file of 1000 seeded
 # values, ``file:<c>*``; 2^-40 is exact
 _SCALES = {"2^-40": 2.0 ** -40, "1e-12": 1e-12, "1e-5": 1e-5, "1": 1.0, "1e3": 1e3, "1e12": 1e12}
@@ -380,7 +406,15 @@ def test_usage_errors_exit_2(argv):
        "--out", "sim"], "--seed must be in 0..18446744073709551615"),
      (["simulate", "--sigma", "const:1", "--n", "4", "--trials", "1",
        "--seed", "18446744073709551616", "--out", "sim"],
-      "--seed must be in 0..18446744073709551615")],
+      "--seed must be in 0..18446744073709551615"),
+     (["simulate", "--sigma", "const:1", "--n", "0", "--trials", "1", "--out", "sim"],
+      "--n must be >= 1, got 0"),
+     (["simulate", "--sigma", "const:1", "--n", "4", "--trials", "1", "--bins", "0",
+       "--out", "sim"], "--bins must be >= 1, got 0"),
+     (["simulate", "--sigma", "const:1", "--n", "4", "--trials", "1", "--max-order", "0",
+       "--out", "sim"], "--max-order must be >= 1, got 0"),
+     (["moments", "--sigma", "const:1", "--n", "1", "--max-order", "2", "--out", "m.json"],
+      "--n must be >= 2, got 1")],
 )
 def test_out_of_range_orders_name_the_flag(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -446,12 +480,11 @@ print(json.dumps(report))
 PUBLIC_NAMES = [
     "DegreeProfile", "EnsembleConfig", "EntryMomentModel", "HankelPencil",
     "InvalidMomentSequenceError", "LimitingAverages", "MomentReport", "MomentRow",
-    "MonteCarloResult", "NoLimitError", "PlaneTree", "RadiusBound", "RadiusBoundsReport",
-    "RadiusOrderRow", "SdpResult", "SigmaDomainError", "SigmaSpec", "SigmaStats",
-    "SpecSyntaxError", "build_pencil", "catalan", "combinatorics",
-    "degree_profile_of", "derive_trial_seed", "eigenvalues",
-    "empirical_moments", "ensemble", "enumerate_degree_profiles", "enumerate_plane_trees",
-    "exact_expected_moment", "lambda_vector",
+    "MonteCarloResult", "NoLimitError", "PlaneTree", "RadiusBoundsReport", "RadiusOrderRow",
+    "SdpResult", "SigmaDomainError", "SigmaSpec", "SigmaStats", "SpecSyntaxError",
+    "build_pencil", "catalan", "combinatorics", "degree_profile_of", "derive_trial_seed",
+    "eigenvalues", "empirical_moments", "ensemble", "enumerate_degree_profiles",
+    "enumerate_plane_trees", "exact_expected_moment", "lambda_vector",
     "limiting_averages", "limiting_even_moment", "moment_lower_bound",
     "moment_table", "moment_upper_bound", "moments", "monte_carlo", "multinomial",
     "odd_moment_bound", "parse_sigma_spec", "quadrature", "radius_bounds",

@@ -8,7 +8,7 @@ import pytest
 
 from rank1_spectra.combinatorics import catalan, degree_profile_of, enumerate_plane_trees
 from rank1_spectra.ensemble import EnsembleConfig, monte_carlo
-from rank1_spectra import moments, quadrature, reports, sigma_model
+from rank1_spectra import ensemble, moments, quadrature, reports, sigma_model
 from rank1_spectra.moments import (
     _tree_series,
     limiting_even_moment,
@@ -141,19 +141,32 @@ class TestLowerBound:
             moment_lower_bound(np.ones(100), 65)
 
     @pytest.mark.parametrize("law", ["rademacher", "uniform"])
-    @pytest.mark.parametrize("sigma", [(1.0,) * 8, (1.0, 0.9, 0.8, 0.7, 0.6)], ids=["ones", "decay"])
+    @pytest.mark.parametrize("sigma", [(1.0,) * 8, (1.0, 0.9, 0.8, 0.7, 0.6), EXP_SPEC],
+                             ids=["ones", "decay", "exp"])
     def test_below_the_exact_moment_of_every_small_case(self, law, sigma):
-        # rademacher is the tight law: E m_4 = 2 - 1/n at sigma = 1, the bound
-        # itself, so the comparison allows rounding.  Cases of at most 50000
-        # walks, and s = 4's 390625 at n = 5 for the tight law at sigma = 1
-        cases = [(n, s) for n in range(2, len(sigma) + 1) for s in range(1, min(n, 4))
+        # lower <= E m_2s <= upper, the upper bound at the law's own K:
+        # sigma_max for rademacher, sqrt(3) sigma_max for uniform, and its
+        # m_2s the tree series at S_{n,k}/n, as a table of the values takes
+        # it.  rademacher is the tight law below: E m_4 = 2 - 1/n at sigma =
+        # 1, the bound itself, so the comparisons allow rounding.  Cases of
+        # at most 50000 walks, and s = 4's 390625 at n = 5 for the tight law
+        # at sigma = 1; the exp profile's values are those at each n
+        n_top = 8 if sigma == EXP_SPEC else len(sigma)
+        cases = [(n, s) for n in range(2, n_top + 1) for s in range(1, min(n, 4))
                  if n ** (2 * s) <= 50_000]
-        if law == "rademacher" and len(sigma) == 8:
+        if law == "rademacher" and sigma == (1.0,) * 8:
             cases.append((5, 4))
         for n, s in cases:
-            values = sigma[:n]
+            values = (sigma_values(parse_sigma_spec(sigma), n) if sigma == EXP_SPEC
+                      else sigma[:n])
             exact = exact_expected_moment(n, 2 * s, values, EntryMomentModel(law, values))
+            top = max(values)
+            K = top if law == "rademacher" else math.sqrt(3.0) * top
+            main = limiting_even_moment([math.fsum(v ** k for v in values) / n
+                                         for k in range(1, s + 1)], s)
             assert moment_lower_bound(values, s) <= exact * (1 + 1e-12), (n, s)
+            assert exact <= moment_upper_bound(n, s, K, top, min(values), main) * (1 + 1e-12), \
+                (n, s)
 
     @pytest.mark.parametrize("n", [50, 300, 2000])
     def test_below_the_rademacher_sixth_moment(self, n):
@@ -206,6 +219,27 @@ class TestUpperBound:
         assert theta_factor(50, 40, 1.0, 1.0, 1e-200) == math.inf  # the power ratio overflows
         assert theta_factor(201, 200, 1.0, 1.0, 1.0) == math.inf  # so does 201^199 / 1
 
+    @pytest.mark.parametrize("n, bound, exact", [(50, 2.0104167, 2.0162787),
+                                                 (300, 2.0000435, 2.0027131),
+                                                 (2000, 2.00000014, 2.00040697)])
+    def test_below_the_truncated_gaussian_fourth_moment(self, n, bound, exact):
+        # the counterexample of moment_upper_bound's docstring, which a bound
+        # made true must take out: at K = 3 sigma_max the truncated gaussian
+        # has half-width c = 2.9545 and kappa = E a^4 / (E a^2)^2 = 2.8139,
+        # and at sigma = 1 E m_4 = 2 + (kappa - 2)/n lies above the bound
+        c = float(ensemble._truncnorm_halfwidth(np.array([1 / 9]))[0])
+        phi, mass = math.exp(-c * c / 2) / math.sqrt(2 * math.pi), math.erf(c / math.sqrt(2))
+        second = 1 - 2 * c * phi / mass
+        kappa = (3 * (mass - 2 * c * phi) - 2 * c ** 3 * phi) / mass / second ** 2
+        assert (round(c, 4), round(kappa, 4)) == (2.9545, 2.8139)
+        # the closed walks' E m_4, at uniform's kappa = 9/5 on the oracle
+        assert exact_expected_moment(4, 4, (1.0,) * 4, EntryMomentModel("uniform", (1.0,) * 4)) \
+            == pytest.approx(2 + (1.8 - 2) / 4, rel=1e-15)
+        got = moment_upper_bound(n, 2, 3.0, 1.0, 1.0, 2.0)
+        assert got == pytest.approx(bound, abs=5e-8)
+        assert 2 + (kappa - 2) / n == pytest.approx(exact, abs=5e-8)
+        assert got < 2 + (kappa - 2) / n
+
     def test_bound_coherence_where_nonvacuous(self):
         # lower <= (1 + theta s) * limit whenever the lower bound is positive
         spec = parse_sigma_spec("const:1")
@@ -244,6 +278,16 @@ class TestOddMomentBound:
             assert odd_moment_bound(n, 0, 2.0, 1.0) == pytest.approx(
                 2.0 / math.sqrt(n), rel=1e-12
             )
+
+    @pytest.mark.parametrize("n, q", [(4, 1.0), (1, 0.25)], ids=["q=1", "q<1"])
+    def test_geometric_sum_at_and_below_ratio_one(self, n, q):
+        # q = n sigma_max^2 / K^2 at sigma_max = 1/2 and K = 1: each closed
+        # form equals the display summed term by term
+        s, K, sigma_max = 3, 1.0, 0.5
+        assert n * sigma_max ** 2 / K ** 2 == q
+        display = (n ** (-s - 0.5) * math.comb(2 * s + 1, s) * (s + 1) ** (2 * (2 * s + 3))
+                   * 2 ** (2 * s) * K ** (2 * s + 1) * sum(q ** (p - 1) for p in range(1, s + 2)))
+        assert odd_moment_bound(n, s, K, sigma_max) == pytest.approx(display, rel=1e-13)
 
     def test_decreasing_in_n(self):
         vals = [odd_moment_bound(n, 2, 1.0, 1.0) for n in (10, 20, 40, 80, 160)]

@@ -1,3 +1,4 @@
+import json
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -36,7 +37,8 @@ def catalan_moments(count: int):
 
 
 def lower_root(values, s: int):
-    """m_lower^{1/2s}, the lower bound of a `radius --orders` row."""
+    """m_lower^{1/2s}, the lower bound of a `radius --orders` row (None where
+    m_lower <= 0)."""
     return _root_bound(moment_lower_bound(values, s), s)
 
 
@@ -173,17 +175,13 @@ class TestFiniteNBounds:
         prev = 0.0
         for n in (100, 1000, 10_000):
             b = lower_root(np.ones(n), 5)
-            assert not b.vacuous
-            assert b.value < target
-            assert b.value > prev
-            prev = b.value
+            assert prev < b < target
+            prev = b
         assert prev == pytest.approx(target, rel=0.002)
 
     def test_vacuous_at_tiny_n(self):
         v = sigma_values(parse_sigma_spec(EXP_SPEC), 3)
-        b = lower_root(v, 2)
-        assert b.vacuous
-        assert math.isnan(b.value)
+        assert lower_root(v, 2) is None
 
     def test_upper_bound_identity_profile(self):
         from rank1_spectra.moments import theta_factor
@@ -191,7 +189,7 @@ class TestFiniteNBounds:
         n, s = 10 ** 6, 2
         th = theta_factor(n, s, 1.0, 1.0, 1.0)
         b = upper_root(n, s, 1.0, 1.0, 1.0, 2.0)
-        assert b.value == pytest.approx((n * (1 + 2 * th) * 2.0) ** 0.25, rel=1e-13)
+        assert b == pytest.approx((n * (1 + 2 * th) * 2.0) ** 0.25, rel=1e-13)
 
     def test_upper_bound_trend_toward_semicircle_edge(self):
         # with the order growing like n^0.4 the bound sinks toward the
@@ -201,23 +199,33 @@ class TestFiniteNBounds:
         for n in (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6):
             s = round(n ** 0.4)
             m = float(math.comb(2 * s, s) // (s + 1))  # sigma = 1 moment
-            b = upper_root(n, s, 1.0, 1.0, 1.0, m)
-            assert not b.vacuous
-            vals.append(b.value)
+            vals.append(upper_root(n, s, 1.0, 1.0, 1.0, m))
         assert all(v > 2.0 for v in vals)
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 2.05
 
     def test_upper_overflow_flag(self):
-        b = upper_root(40, 30, 1.0, 1.0, 1e-12, 1.0)
-        assert b.vacuous
-        assert math.isinf(b.value)
+        assert upper_root(40, 30, 1.0, 1.0, 1e-12, 1.0) == math.inf
 
     def test_upper_bound_flags_a_product_that_overflows(self):
         # theta is finite here; n (1 + theta s) m_{2s} is not
-        b = upper_root(10 ** 6, 2, 1.0, 1.0, 1.0, 1e305)
-        assert b.vacuous
-        assert math.isinf(b.value)
+        assert upper_root(10 ** 6, 2, 1.0, 1.0, 1.0, 1e305) == math.inf
+
+
+def test_an_upper_root_past_float64_once_scaled_back_overflows(tmp_path):
+    # at the table's scale 2^-e, e = 598, n m_up at s = 1 is 1.6e257 (theta
+    # 8.4e258); its root times 2^e is past float64, and the row flags it as a
+    # moment row flags an upper bound of +inf.  beta, past float64 too, needs
+    # a --tol its 60 digits can resolve
+    from rank1_spectra import cli
+
+    out = tmp_path / "radius.json"
+    assert cli.main(["radius", "--sigma", "expr:1e180*exp(-310*i/n)", "--n", "2000",
+                     "--orders", "1", "--sbar", "3", "--tol", "1e300", "--lambda-tol", "1e-3",
+                     "--out", str(out)]) == 0
+    (row,) = json.loads(out.read_text(encoding="utf-8"))["radius"]["orders"]
+    assert (row["upper"], row["upper_overflow"]) == (None, True)
+    assert _root_bound(1e300, 1, 598) == math.inf
 
 
 def test_sqrt_beta_below_theta_upper_bound():
@@ -227,7 +235,7 @@ def test_sqrt_beta_below_theta_upper_bound():
     res = sdp_lower_bound(build_pencil(ms, 14), 1e-10)
     n, s = 10 ** 4, 8
     upper = upper_root(n, s, 1.0, 1.0, 1.0, ms[s - 1])
-    assert res.sqrt_beta <= upper.value + 1e-6
+    assert res.sqrt_beta <= upper + 1e-6
 
 
 def test_report_builder_smoke():
@@ -239,10 +247,8 @@ def test_report_builder_smoke():
     assert report.sdp.s_bar == 2
     (row,) = report.rows
     assert row.s == 3 and row.n == 120
-    if not row.lower.vacuous:
-        assert row.upper_companion == pytest.approx(
-            120 ** (1 / 6) * row.lower.value, rel=1e-12
-        )
+    if not row.lower_vacuous:
+        assert row.upper_companion == pytest.approx(120 ** (1 / 6) * row.lower, rel=1e-12)
     assert report.asymptotic_root is not None
 
 
@@ -255,7 +261,7 @@ def test_upper_companion_is_the_sandwich_at_the_moment_lower_bound(n):
     spec = parse_sigma_spec(EXP_SPEC)
     values = sigma_values(spec, n)
     report = radius_table(spec, orders=range(1, 41), n=n, s_bar=1)
-    rows = [row for row in report.rows if not row.lower.vacuous]
+    rows = [row for row in report.rows if not row.lower_vacuous]
     assert rows
     for row in rows:
         m_low = moment_lower_bound(values, row.s)
@@ -484,12 +490,12 @@ def test_radius_table_orders_evaluate_sigma_once(tmp_path, monkeypatch):
         lower = _root_bound(m_low, s)
         upper = upper_root(n, s, smax, smax, smin, limit)
         assert row.s == s
-        assert row.upper == upper._replace(value=math.ldexp(upper.value, e))
-        assert row.lower.vacuous == lower.vacuous == (s >= 9)
-        if lower.vacuous:
-            assert math.isnan(row.lower.value) and row.upper_companion is None
+        assert row.upper == math.ldexp(upper, e)
+        assert row.lower_vacuous == (lower is None) == (s >= 9)
+        if lower is None:
+            assert row.lower is None and row.upper_companion is None
             continue
-        assert row.lower.value == math.ldexp(lower.value, e)
+        assert row.lower == math.ldexp(lower, e)
         assert row.upper_companion == math.ldexp((n * m_low) ** (1.0 / (2 * s)), e)
 
 

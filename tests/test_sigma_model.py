@@ -91,6 +91,18 @@ class TestParsing:
         # at i=1, n=2: 2/4 - 1/8 + 0.5 = 0.875
         assert sigma_values(spec, 2)[0] == pytest.approx(0.875)
 
+    def test_spaces_between_tokens_parse_to_the_same_tree(self):
+        assert parse_sigma_spec("expr: exp( -4 * i / n ) ") == parse_sigma_spec(EXP_SPEC)
+
+    def test_negated_expression_is_the_expression(self):
+        # -(0 - f) negates every point of sigma at n, and every node of the
+        # quadrature, exactly
+        from rank1_spectra.reports import radius_table
+
+        negated, spec = (parse_sigma_spec(text) for text in ("expr:-(0-exp(-4*i/n))", EXP_SPEC))
+        assert sigma_values(negated, 1000) == sigma_values(spec, 1000)
+        assert radius_table(negated, s_bar=3).sdp == radius_table(spec, s_bar=3).sdp
+
     def test_power_binds_single_atom(self):
         # factor := atom ('^' atom)? — no chained powers without parentheses
         with pytest.raises(SpecSyntaxError):
@@ -235,7 +247,7 @@ class TestLimitingAverages:
     def test_explicit_sequence_is_its_finite_n_averages(self):
         # equal values merge into one node of weight 2; the sums are exact
         # until the division by n
-        spec = SigmaSpec("explicit", (0.5, 0.25, 0.5), "explicit:inline")
+        spec = SigmaSpec("explicit", (0.5, 0.25, 0.5))
         la = limiting_averages(spec, 8, 1e-8, digits=60)
         carried = 60 + _GUARD_DIGITS
         want = [_rounded((2 * Fraction(0.5) ** k + Fraction(0.25) ** k) / 3, carried)
