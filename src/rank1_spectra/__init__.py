@@ -34,8 +34,9 @@ compare, hash, unpack and iterate as the tuples of their fields, so one
 equals a plain tuple of the same values.  Declaring them so keeps
 ``dataclasses`` and the ``inspect`` it imports out of ``moments`` and
 ``radius``, whose start-up is most of their time.  The records of the
-Monte Carlo layer and the oracles (``ensemble``, ``combinatorics``,
-``walk_oracle``) stay dataclasses: numpy loads ``inspect`` anyway.
+Monte Carlo layer and the tree oracle (``ensemble``, ``combinatorics``)
+stay dataclasses: numpy loads ``inspect`` anyway.  The walk oracle
+(``walk_oracle``) holds no record: it returns one dict of floats per law.
 """
 
 import os as _os
@@ -133,7 +134,7 @@ _MODULE_EXPORTS = {
         "sigma_stats",
         "sigma_values",
     ),
-    "walk_oracle": ("EntryMomentModel", "exact_expected_moment"),
+    "walk_oracle": ("exact_expected_moment",),
 }
 
 _EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}

@@ -334,6 +334,8 @@ def _validate_args(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
             parser.error(f"--n must be >= 1, got {args.n}")
         if args.orders and args.n is None:
             parser.error("--orders needs --n for finite-n bounds")
+        if args.orders and max(args.orders) >= args.n:
+            parser.error(f"--orders entries must be below --n = {args.n}, got {max(args.orders)}")
 
 
 def main(argv: Optional[list] = None) -> int:

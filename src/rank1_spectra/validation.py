@@ -8,12 +8,12 @@ once per order: the three plane-tree checks read one cached count of trees
 per profile.  The walk oracle's Monte Carlo campaign likewise runs once per
 trial count, and the tests read the same cached result.  `certifies`
 checks the SDP's claim for its beta rather than solving for beta again.
-The battery is deliberately cheap: ``validate`` takes 1.2-1.3 s on a
+The battery is deliberately cheap: ``validate`` takes 1.1-1.3 s on a
 2-CPU machine, process start included, most of it the walk oracle's Monte
-Carlo and the finite-n bounds' walk enumerations.  ``deep=True`` extends
-the enumerations to s = 11 and the finite-n cases to 50000 walks, doubles
-the walk oracle's Monte Carlo trials and the SDP's random measures, and
-takes 2.8-3.0 s there.
+Carlo.  ``deep=True`` extends the enumerations to s = 11 and the finite-n
+cases to 50000 walks, doubles the walk oracle's Monte Carlo trials and the
+SDP's random measures, and takes 2.5-2.9 s there, most of it that Monte
+Carlo and the plane trees of s = 9..11.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .moments import _limits, limiting_even_moment, moment_lower_bound, moment_u
 from .radius_bounds import HankelPencil, _digits, build_pencil, sdp_lower_bound
 from .reports import radius_table
 from .sigma_model import _GUARD_DIGITS, _context, parse_sigma_spec, sigma_values
-from .walk_oracle import EntryMomentModel, exact_expected_moment
+from .walk_oracle import exact_expected_moment
 
 Check = Tuple[bool, str]
 
@@ -140,16 +140,15 @@ def _walk_campaign(trials: int) -> MonteCarloResult:
 def check_walk_oracle(deep: bool) -> Check:
     """Odd orders vanish exactly; Monte Carlo matches m_2 to rounding and m_4
     within 4 stderr."""
-    model = EntryMomentModel("rademacher", WALK_SIGMA)
+    n = 3
     for k in (3, 5):
-        v = exact_expected_moment(3, k, WALK_SIGMA, model)
+        v = exact_expected_moment(n, k, WALK_SIGMA)["rademacher"]
         if v != 0.0:
             return False, f"odd k={k} gave {v}, expected exact 0"
-    n = 3
     trials = 40_000 if deep else 20_000
     mc = _walk_campaign(trials)
     for k in (2, 4):
-        exact = exact_expected_moment(n, k, WALK_SIGMA[:n], model)
+        exact = exact_expected_moment(n, k, WALK_SIGMA)["rademacher"]
         mean = float(mc.moment_means[k - 1])
         if k == 2:
             # rademacher m_2 = (sum sigma / n)^2 on every draw, so the gate is
@@ -177,8 +176,9 @@ def check_finite_n_bounds(deep: bool) -> Check:
     <= E m_{2s} <= upper, within rounding, for rademacher and uniform
     entries at their own K (sigma_max and sqrt(3) sigma_max), at sigma = 1,
     (1, .9, .8, .7, .6) and the exp profile's values at n, for n <= 8, s < n
-    and n^{2s} <= 20000 walks (50000 deep).  The upper bound's m_{2s} is the
-    tree series at S_{n,k}/n, as a table of the values takes it."""
+    and n^{2s} <= 20000 walks (50000 deep).  One enumeration of each case's
+    walks gives both laws' E m_{2s}.  The upper bound's m_{2s} is the tree
+    series at S_{n,k}/n, as a table of the values takes it."""
     budget = 50_000 if deep else 20_000
     exp = parse_sigma_spec(EXP_SPEC)
     cases = 0
@@ -194,8 +194,9 @@ def check_finite_n_bounds(deep: bool) -> Check:
                 lower = moment_lower_bound(values, s)
                 main = limiting_even_moment([math.fsum(v ** k for v in values) / n
                                              for k in range(1, s + 1)], s)
+                exact_by_law = exact_expected_moment(n, 2 * s, values)
                 for law, root in (("rademacher", 1.0), ("uniform", math.sqrt(3.0))):
-                    exact = exact_expected_moment(n, 2 * s, values, EntryMomentModel(law, values))
+                    exact = exact_by_law[law]
                     upper = moment_upper_bound(n, s, root * top, top, min(values), main)
                     if not (lower <= exact * (1 + 1e-12) and exact <= upper * (1 + 1e-12)):
                         return False, (f"{label}, {law}, n={n}, s={s}: lower {lower!r}, "

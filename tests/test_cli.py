@@ -414,7 +414,9 @@ def test_usage_errors_exit_2(argv):
      (["simulate", "--sigma", "const:1", "--n", "4", "--trials", "1", "--max-order", "0",
        "--out", "sim"], "--max-order must be >= 1, got 0"),
      (["moments", "--sigma", "const:1", "--n", "1", "--max-order", "2", "--out", "m.json"],
-      "--n must be >= 2, got 1")],
+      "--n must be >= 2, got 1"),
+     (["radius", "--sigma", "const:1", "--n", "3", "--orders", "5", "--sbar", "2",
+       "--out", "r.json"], "--orders entries must be below --n = 3, got 5")],
 )
 def test_out_of_range_orders_name_the_flag(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -478,7 +480,7 @@ print(json.dumps(report))
 
 # The public names of ``import rank1_spectra`` before names loaded lazily.
 PUBLIC_NAMES = [
-    "DegreeProfile", "EnsembleConfig", "EntryMomentModel", "HankelPencil",
+    "DegreeProfile", "EnsembleConfig", "HankelPencil",
     "InvalidMomentSequenceError", "LimitingAverages", "MomentReport", "MomentRow",
     "MonteCarloResult", "NoLimitError", "PlaneTree", "RadiusBoundsReport", "RadiusOrderRow",
     "SdpResult", "SigmaDomainError", "SigmaSpec", "SigmaStats", "SpecSyntaxError",

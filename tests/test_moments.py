@@ -19,8 +19,8 @@ from rank1_spectra.moments import (
 )
 from rank1_spectra.sigma_model import (_GUARD_DIGITS, SigmaDomainError, _context, parse_sigma_spec,
                                       sigma_values)
-from rank1_spectra.validation import _profile_sum
-from rank1_spectra.walk_oracle import EntryMomentModel, exact_expected_moment
+from rank1_spectra.validation import _profile_sum, check_finite_n_bounds
+from rank1_spectra.walk_oracle import exact_expected_moment
 
 EXP_SPEC = "expr:exp(-4*i/n)"
 CATALANS = [1, 2, 5, 14, 42, 132, 429, 1430]
@@ -140,33 +140,23 @@ class TestLowerBound:
         with pytest.raises(ValueError, match="exceeds supported range"):
             moment_lower_bound(np.ones(100), 65)
 
-    @pytest.mark.parametrize("law", ["rademacher", "uniform"])
-    @pytest.mark.parametrize("sigma", [(1.0,) * 8, (1.0, 0.9, 0.8, 0.7, 0.6), EXP_SPEC],
-                             ids=["ones", "decay", "exp"])
-    def test_below_the_exact_moment_of_every_small_case(self, law, sigma):
-        # lower <= E m_2s <= upper, the upper bound at the law's own K:
-        # sigma_max for rademacher, sqrt(3) sigma_max for uniform, and its
-        # m_2s the tree series at S_{n,k}/n, as a table of the values takes
-        # it.  rademacher is the tight law below: E m_4 = 2 - 1/n at sigma =
-        # 1, the bound itself, so the comparisons allow rounding.  Cases of
-        # at most 50000 walks, and s = 4's 390625 at n = 5 for the tight law
-        # at sigma = 1; the exp profile's values are those at each n
-        n_top = 8 if sigma == EXP_SPEC else len(sigma)
-        cases = [(n, s) for n in range(2, n_top + 1) for s in range(1, min(n, 4))
-                 if n ** (2 * s) <= 50_000]
-        if law == "rademacher" and sigma == (1.0,) * 8:
-            cases.append((5, 4))
-        for n, s in cases:
-            values = (sigma_values(parse_sigma_spec(sigma), n) if sigma == EXP_SPEC
-                      else sigma[:n])
-            exact = exact_expected_moment(n, 2 * s, values, EntryMomentModel(law, values))
-            top = max(values)
-            K = top if law == "rademacher" else math.sqrt(3.0) * top
-            main = limiting_even_moment([math.fsum(v ** k for v in values) / n
-                                         for k in range(1, s + 1)], s)
-            assert moment_lower_bound(values, s) <= exact * (1 + 1e-12), (n, s)
-            assert exact <= moment_upper_bound(n, s, K, top, min(values), main) * (1 + 1e-12), \
-                (n, s)
+    def test_below_the_exact_moment_of_every_small_case(self):
+        # lower <= E m_2s <= upper for rademacher and uniform entries, the
+        # upper bound at the law's own K (sigma_max, sqrt(3) sigma_max) and
+        # its m_2s the tree series at S_{n,k}/n: validate's deep check, on
+        # sigma = 1, (1, .9, .8, .7, .6) and the exp profile's values at n,
+        # in every case of at most 50000 walks.  rademacher is the tight law:
+        # E m_4 = 2 - 1/n at sigma = 1, the bound itself, so the comparisons
+        # allow rounding.  Then s = 4's 390625 walks at n = 5 and sigma = 1
+        passed, detail = check_finite_n_bounds(deep=True)
+        assert passed and "in 82 cases" in detail, detail
+        n, s, values = 5, 4, (1.0,) * 5
+        exact = exact_expected_moment(n, 2 * s, values)
+        main = limiting_even_moment([math.fsum(v ** k for v in values) / n
+                                     for k in range(1, s + 1)], s)
+        for law, K in (("rademacher", 1.0), ("uniform", math.sqrt(3.0))):
+            assert moment_lower_bound(values, s) <= exact[law] * (1 + 1e-12), law
+            assert exact[law] <= moment_upper_bound(n, s, K, 1.0, 1.0, main) * (1 + 1e-12), law
 
     @pytest.mark.parametrize("n", [50, 300, 2000])
     def test_below_the_rademacher_sixth_moment(self, n):
@@ -233,7 +223,7 @@ class TestUpperBound:
         kappa = (3 * (mass - 2 * c * phi) - 2 * c ** 3 * phi) / mass / second ** 2
         assert (round(c, 4), round(kappa, 4)) == (2.9545, 2.8139)
         # the closed walks' E m_4, at uniform's kappa = 9/5 on the oracle
-        assert exact_expected_moment(4, 4, (1.0,) * 4, EntryMomentModel("uniform", (1.0,) * 4)) \
+        assert exact_expected_moment(4, 4, (1.0,) * 4)["uniform"] \
             == pytest.approx(2 + (1.8 - 2) / 4, rel=1e-15)
         got = moment_upper_bound(n, 2, 3.0, 1.0, 1.0, 2.0)
         assert got == pytest.approx(bound, abs=5e-8)

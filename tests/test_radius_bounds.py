@@ -252,6 +252,13 @@ def test_report_builder_smoke():
     assert report.asymptotic_root is not None
 
 
+def test_report_builder_rejects_an_order_of_n_or_more():
+    from rank1_spectra.reports import radius_table
+
+    with pytest.raises(ValueError, match="order s=3 needs n > s, got n=3"):
+        radius_table(parse_sigma_spec("const:1"), orders=(1, 3), n=3, s_bar=2)
+
+
 @pytest.mark.parametrize("n", [50, 2000])
 def test_upper_companion_is_the_sandwich_at_the_moment_lower_bound(n):
     # (n m_low)^{1/2s} from m_low itself, not from its rounded root raised
