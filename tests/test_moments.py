@@ -140,23 +140,39 @@ class TestLowerBound:
         with pytest.raises(ValueError, match="exceeds supported range"):
             moment_lower_bound(np.ones(100), 65)
 
-    def test_below_the_exact_moment_of_every_small_case(self):
-        # lower <= E m_2s <= upper for rademacher and uniform entries, the
-        # upper bound at the law's own K (sigma_max, sqrt(3) sigma_max) and
-        # its m_2s the tree series at S_{n,k}/n: validate's deep check, on
-        # sigma = 1, (1, .9, .8, .7, .6) and the exp profile's values at n,
-        # in every case of at most 50000 walks.  rademacher is the tight law:
-        # E m_4 = 2 - 1/n at sigma = 1, the bound itself, so the comparisons
-        # allow rounding.  Then s = 4's 390625 walks at n = 5 and sigma = 1
+    @pytest.mark.parametrize("law", ["rademacher", "uniform"])
+    @pytest.mark.parametrize("sigma", [(1.0,) * 8, (1.0, 0.9, 0.8, 0.7, 0.6), EXP_SPEC],
+                             ids=["ones", "decay", "exp"])
+    def test_below_the_exact_moment_of_every_small_case(self, law, sigma):
+        # lower <= E m_2s <= upper, the upper bound at the law's own K:
+        # sigma_max for rademacher, sqrt(3) sigma_max for uniform, and its
+        # m_2s the tree series at S_{n,k}/n, as a table of the values takes
+        # it.  rademacher is the tight law below: E m_4 = 2 - 1/n at sigma =
+        # 1, the bound itself, so the comparisons allow rounding.  Cases of
+        # at most 50000 walks, and s = 4's 390625 at n = 5 at sigma = 1; the
+        # exp profile's values are those at each n
+        n_top = 8 if sigma == EXP_SPEC else len(sigma)
+        cases = [(n, s) for n in range(2, n_top + 1) for s in range(1, min(n, 4))
+                 if n ** (2 * s) <= 50_000]
+        if sigma == (1.0,) * 8:
+            cases.append((5, 4))
+        for n, s in cases:
+            values = (sigma_values(parse_sigma_spec(sigma), n) if sigma == EXP_SPEC
+                      else sigma[:n])
+            exact = exact_expected_moment(n, 2 * s, values)[law]
+            top = max(values)
+            K = top if law == "rademacher" else math.sqrt(3.0) * top
+            main = limiting_even_moment([math.fsum(v ** k for v in values) / n
+                                         for k in range(1, s + 1)], s)
+            assert moment_lower_bound(values, s) <= exact * (1 + 1e-12), (n, s)
+            assert exact <= moment_upper_bound(n, s, K, top, min(values), main) * (1 + 1e-12), \
+                (n, s)
+
+    def test_validate_deep_check_brackets_every_small_case(self):
+        # validate's finite-n check covers the same cases, both laws from
+        # one enumeration of each case's walks
         passed, detail = check_finite_n_bounds(deep=True)
         assert passed and "in 82 cases" in detail, detail
-        n, s, values = 5, 4, (1.0,) * 5
-        exact = exact_expected_moment(n, 2 * s, values)
-        main = limiting_even_moment([math.fsum(v ** k for v in values) / n
-                                     for k in range(1, s + 1)], s)
-        for law, K in (("rademacher", 1.0), ("uniform", math.sqrt(3.0))):
-            assert moment_lower_bound(values, s) <= exact[law] * (1 + 1e-12), law
-            assert exact[law] <= moment_upper_bound(n, s, K, 1.0, 1.0, main) * (1 + 1e-12), law
 
     @pytest.mark.parametrize("n", [50, 300, 2000])
     def test_below_the_rademacher_sixth_moment(self, n):
