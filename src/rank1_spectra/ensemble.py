@@ -21,17 +21,16 @@ Per-trial generators are seeded with splitmix64(splitmix64(seed) +
 trial_index), so trials are order-independent, a campaign is reproducible bit
 for bit, and campaigns at different seeds draw unrelated trials.
 
-A campaign runs in contiguous blocks of trials, each drawn into one stack
-of matrices at least large enough for numpy to solve it without the GIL,
-and larger only where that would make many small stacks (`_schedule`).  The
-calling thread and, when BLAS is pinned to one thread, plain ``threading``
-workers pull the blocks from one iterator (see ``monte_carlo``); a thread
-pool would import ``concurrent.futures`` and with it ``logging``.  Every
-trial statistic comes from the campaign: ``empirical_moments`` is the block's
-moment step, a campaign always returns its pooled spectra, and
-``_histogram`` bins them into numpy's (counts, edges) pair.  One trial on
-its own is ``eigenvalues(sample_matrix(config, t))``, bit for bit the
-campaign's trial t.
+A campaign runs in contiguous blocks of trials, each drawn into one stack of
+matrices just large enough for numpy to solve it without the GIL
+(`_schedule`).  The calling thread and, when BLAS is pinned to one thread,
+plain ``threading`` workers pull the blocks from one iterator (see
+``monte_carlo``); a thread pool would import ``concurrent.futures`` and with
+it ``logging``.  Every trial statistic comes from the campaign:
+``empirical_moments`` is the block's moment step, a campaign always returns
+its pooled spectra, and ``_histogram`` bins them into numpy's (counts,
+edges) pair.  One trial on its own is
+``eigenvalues(sample_matrix(config, t))``, bit for bit the campaign's trial t.
 """
 
 from __future__ import annotations
@@ -413,16 +412,9 @@ class MonteCarloResult:
 # Bytes that the workers may hold at once: each holds its block's stack, and
 # a draw and LAPACK's copy of one matrix.
 _POOL_BYTES = 1 << 28
-# numpy releases the GIL in a stacked eigvalsh only when stack size * n
-# exceeds this (a lone 300 x 300 solve holds it; 2 x 300 and 1 x 600 release
-# it).
+# numpy releases the GIL in a stacked eigvalsh only when stack size * n exceeds
+# this: a lone 300 x 300 solve holds it, 2 x 300 and 1 x 600 release it.
 _GIL_FREE_SIZE = 500
-# Blocks per CPU past which a block grows, up to _BLOCK_BYTES of stack: a
-# faster thread can still take more of them, and tiny matrices are not split
-# into hundreds of small stacks (`validation`'s walk-oracle campaign, 20000
-# trials at n = 3, is 12 blocks on 2 CPUs).
-_BLOCKS_PER_CPU = 6
-_BLOCK_BYTES = 1 << 20
 
 
 def _cpu_count() -> int:
@@ -435,16 +427,12 @@ def _schedule(trials: int, n: int, cpus: int) -> Tuple[List[Tuple[int, int]], in
     """Near-equal contiguous (start, stop) blocks of trial indices, and the
     number of threads to run them on.
 
-    A block is at least the smallest stack numpy solves without the GIL, b =
-    ``_GIL_FREE_SIZE // n + 1`` trials, so there are at most trials // b.
-    Past ``_BLOCKS_PER_CPU`` blocks a CPU they grow instead, while a stack
-    stays within ``_BLOCK_BYTES``.  The threads are the fewest of ``cpus``,
-    the blocks and what ``_POOL_BYTES`` allows at the largest block's
-    matrices and 2 more a thread (2 at n = 2000).
+    A block is the smallest stack numpy solves without the GIL, b =
+    ``_GIL_FREE_SIZE // n + 1`` trials, and there are max(1, trials // b) of
+    them.  The threads are the fewest of ``cpus``, the blocks and what
+    ``_POOL_BYTES`` allows at the largest block's matrices and 2 more a thread.
     """
-    per_block = _GIL_FREE_SIZE // n + 1
-    most = max(per_block, _BLOCK_BYTES // (8 * n * n))
-    count = max(1, min(trials // per_block, max(_BLOCKS_PER_CPU * cpus, -(-trials // most))))
+    count = max(1, trials // (_GIL_FREE_SIZE // n + 1))
     blocks = [(trials * i // count, trials * (i + 1) // count) for i in range(count)]
     largest = -(-trials // count)
     room = max(1, _POOL_BYTES // ((largest + 2) * 8 * n * n))

@@ -261,6 +261,10 @@ class RadiusBoundsReport(NamedTuple):
     ``asymptotic_root`` is m_{2s}^{1/2s} at the largest computed order: the
     numeric surrogate for the limiting-root upper estimate (it increases
     toward the support edge, so at finite order it is an underestimate).
+    With no row order above 2 s_bar + 1 and ``sdp.order == s_bar`` it is at
+    most ``sdp.sqrt_beta``: the s_bar + 1 Gauss nodes x_i >= 0 of the law of
+    lambda^2 (weights w_i summing to 1, largest node beta) integrate x^(2 s_bar
+    + 1) exactly, so m_{2(2 s_bar + 1)} = sum w_i x_i^(2 s_bar + 1) <= beta^(2 s_bar + 1).
     """
 
     rows: Tuple[RadiusOrderRow, ...]

@@ -154,12 +154,14 @@ def moment_table(
 
     With ``n`` given the rows of orders s < n carry the finite-n bounds of
     `_finite_n_bounds` at sigma at n, read once by `_at_n`; the upper bound
-    takes K = sigma_max, and a note says that it is not proven.  The table runs at one scale, on sigma 2^-e at n
-    and on Lambda_k 2^-ek.  The limits come from one pass of the tree
-    series in float64.  An explicit sequence's averages are its
-    S_{n,k}/n, summed by `_at_n` to s_max (all its values without ``n``); a
-    constant's S_{n,k}/n are its limits too, and only an expression's lower
-    bounds run a second series.  Each row is scaled back by 4^es.
+    takes K = sigma_max, and a note says that it is not proven, and another
+    names the rule when rows of s >= n carry none.  The table runs at one
+    scale, on sigma 2^-e at n and on Lambda_k 2^-ek.  The limits come from
+    one pass of the tree series in float64.  An explicit sequence's averages
+    are its S_{n,k}/n, summed by `_at_n` to s_max (all its values without
+    ``n``); a constant's S_{n,k}/n are its limits too, and only an
+    expression's lower bounds run a second series.  Each row is scaled back
+    by 4^es.
     """
     explicit = spec.kind == "explicit"
     n_at = len(spec.payload) if explicit and n is None else n
@@ -186,6 +188,8 @@ def moment_table(
     notes = (f"limiting averages: {source}",)
     if n is not None:
         notes += (f"finite-n rows: lower bounds E m_{{2s}}; {_UPPER_NOTE}",)
+        if s_max >= n:
+            notes += (f"orders 2s with s >= n = {n} carry no finite-n bounds",)
     return MomentReport(rows=tuple(rows), notes=notes)
 
 

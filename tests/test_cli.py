@@ -140,6 +140,22 @@ def test_finite_n_rows_say_what_they_prove(tmp_path):
     assert len(json.loads(out.read_text(encoding="utf-8"))["radius"]["notes"]) == 1
 
 
+def test_moment_rows_past_n_say_why_they_have_no_bounds(tmp_path):
+    # orders 2s with s >= n have no finite-n bounds: one note names the rule
+    out = tmp_path / "moments.json"
+    assert cli.main(["moments", "--sigma", "const:1", "--n", "3", "--max-order", "8",
+                     "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert [row["lower"] is None for row in payload["moments"]] == [False, False, True, True]
+    for row in payload["moments"][2:]:
+        assert row["upper"] is None and set(row["flags"].values()) == {None}
+    assert payload["notes"][2:] == ["orders 2s with s >= n = 3 carry no finite-n bounds"]
+    # every row below n: no such note
+    assert cli.main(["moments", "--sigma", "const:1", "--n", "3", "--max-order", "4",
+                     "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text(encoding="utf-8"))["notes"]) == 2
+
+
 # the scale sweep: c times the exp profile and times a file of 1000 seeded
 # values, ``file:<c>*``; 2^-40 is exact
 _SCALES = {"2^-40": 2.0 ** -40, "1e-12": 1e-12, "1e-5": 1e-5, "1": 1.0, "1e3": 1e3, "1e12": 1e12}
@@ -308,15 +324,33 @@ def test_process_entry_writes_what_main_writes(tmp_path):
         assert 'rank1-spectra = "rank1_spectra.cli:run"' in pyproject.read_text(encoding="utf-8")
 
 
+# the sigma files of test_bad_sigma_exit_codes, and the message each case prints
+_BAD_SIGMA_FILES = {"nan.txt": "1\nabc\n", "empty.txt": "", "blank.txt": "\n  \n"}
+_BAD_SIGMA_ERRORS = {
+    "expr:exp(": "unexpected end of expression at column 10",
+    "const:-1": "constant sigma must be finite and positive, got -1.0",
+    "file:no/such/sigma.txt": "sigma file not found: 'no/such/sigma.txt'",
+    "const:abc": "invalid constant 'abc' at column 7",
+    "file:nan.txt": "bad value 'abc' on line 2 of 'nan.txt'",
+    "file:empty.txt": "sigma file 'empty.txt' is empty",
+    "file:blank.txt": "sigma file 'blank.txt' is empty",
+}
+
+
 @pytest.mark.parametrize(
     "sigma, code",
     [("expr:exp(", cli.USAGE_EXIT), ("const:-1", cli.NUMERIC_EXIT),
-     ("file:no/such/sigma.txt", cli.NUMERIC_EXIT)],
+     ("file:no/such/sigma.txt", cli.NUMERIC_EXIT), ("const:abc", cli.USAGE_EXIT),
+     ("file:nan.txt", cli.NUMERIC_EXIT), ("file:empty.txt", cli.NUMERIC_EXIT),
+     ("file:blank.txt", cli.NUMERIC_EXIT)],
 )
-def test_bad_sigma_exit_codes(tmp_path, sigma, code):
-    argv = ["moments", "--sigma", sigma, "--n", "8", "--max-order", "4",
-            "--out", str(tmp_path / "m.json")]
+def test_bad_sigma_exit_codes(tmp_path, monkeypatch, capsys, sigma, code):
+    for name, text in _BAD_SIGMA_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    argv = ["moments", "--sigma", sigma, "--n", "8", "--max-order", "4", "--out", "m.json"]
     assert cli.main(argv) == code
+    assert capsys.readouterr().err == f"error: {_BAD_SIGMA_ERRORS[sigma]}\n"
 
 
 @pytest.mark.parametrize("argv", [["radius", "--sbar", "2", "--orders", "1,2"],

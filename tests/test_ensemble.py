@@ -554,14 +554,14 @@ class TestMonteCarlo:
         assert ensemble._schedule(24, 100, 4) == ([(0, 6), (6, 12), (12, 18), (18, 24)], 4)
         assert ensemble._schedule(5, 100, 4) == ([(0, 5)], 1)
 
-    def test_tiny_matrices_make_few_blocks(self):
-        # past 6 blocks a CPU a block grows, while its stack stays within
-        # 1 MiB: the walk oracle's 20000 trials at n = 3 are 12 blocks of 1666-1667
+    def test_tiny_matrices_take_the_one_block_rule(self):
+        # a block is the smallest GIL-free stack however many blocks that
+        # makes: the walk oracle's 20000 trials at n = 3 (b = 167) are 119
+        # blocks of 168-169
         blocks, workers = ensemble._schedule(20000, 3, 2)
-        assert (len(blocks), blocks[-1], workers) == (12, (18333, 20000), 2)
-        blocks, _ = ensemble._schedule(20000, 30, 2)
-        assert len(blocks) == 138 and max(b - a for a, b in blocks) * 8 * 30 * 30 <= 1 << 20
-        assert ensemble._schedule(1000, 2000, 2) == ([(i, i + 1) for i in range(1000)], 2)
+        assert (len(blocks), blocks[0], blocks[-1], workers) == (119, (0, 168), (19831, 20000), 2)
+        assert {b - a for a, b in blocks} == {168, 169}
+        assert ensemble._schedule(1000, 2000, 16) == ([(i, i + 1) for i in range(1000)], 2)
 
     def test_workers_hold_a_bounded_share_of_memory(self):
         blocks, workers = ensemble._schedule(16, 2000, 16)

@@ -309,6 +309,19 @@ def test_asymptotic_root_scales_with_sigma_exactly():
     assert small == one * 2.0 ** -7
 
 
+@pytest.mark.parametrize("text, s_bar", [
+    (EXP_SPEC, 14), (EXP_SPEC, 31), ("expr:2-1.8*(i/n)^0.2", 14), ("const:1", 5),
+    ("expr:1+((i/n-1/3)^2)^0.5", 14)])
+def test_asymptotic_root_never_exceeds_sqrt_beta(text, s_bar):
+    # s_bar + 1 Gauss nodes integrate x^(2 s_bar + 1) exactly under the law
+    # of lambda^2, so m_{2(2 s_bar + 1)} <= beta^(2 s_bar + 1)
+    from rank1_spectra.reports import radius_table
+
+    report = radius_table(parse_sigma_spec(text), s_bar=s_bar)
+    assert report.sdp.order == report.sdp.s_bar == s_bar
+    assert report.asymptotic_root <= report.sdp.sqrt_beta
+
+
 def mp_exp_pencil(s_bar: int, digits: int):
     """The exp profile's pencil from its closed-form Lambda, with the moments
     in Decimal at ``digits`` digits, the context a layer asked for them opens."""

@@ -129,6 +129,30 @@ class TestParsing:
         assert spec.kind == "explicit"
         np.testing.assert_array_equal(sigma_values(spec, 2), [0.5, 0.25])
 
+    def test_invalid_constant_column(self):
+        with pytest.raises(SpecSyntaxError) as err:
+            parse_sigma_spec("const:abc")
+        assert err.value.position == 7
+        assert str(err.value) == "invalid constant 'abc' at column 7"
+
+    def test_file_blank_line_is_skipped(self, tmp_path):
+        blank, plain = tmp_path / "blank.txt", tmp_path / "plain.txt"
+        blank.write_text("0.5\n\n  \n0.25\n", encoding="utf-8")
+        plain.write_text("0.5\n0.25\n", encoding="utf-8")
+        assert parse_sigma_spec(f"file:{blank}") == parse_sigma_spec(f"file:{plain}")
+
+    @pytest.mark.parametrize("text, index, message", [
+        ("0.5\nabc\n", 2, "bad value 'abc' on line 2 of"),
+        ("", None, "is empty"),
+        ("\n \n", None, "is empty"),
+    ], ids=["non-numeric", "empty", "blank-only"])
+    def test_file_bad_payload(self, tmp_path, text, index, message):
+        path = tmp_path / "sigma.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SigmaDomainError, match=message) as err:
+            parse_sigma_spec(f"file:{path}")
+        assert err.value.index == index
+
     def test_file_not_found(self):
         with pytest.raises(SigmaDomainError):
             parse_sigma_spec("file:/nonexistent/sigma.txt")

@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from rank1_spectra import validation
+from rank1_spectra.ensemble import EnsembleConfig, empirical_moments, sample_matrix
+from rank1_spectra.sigma_model import parse_sigma_spec
 from rank1_spectra.validation import CHECKS
 
 
@@ -24,3 +27,21 @@ def test_sdp_check_fails_on_a_beta_moved_by_two_half_widths(monkeypatch, sign):
     monkeypatch.setattr(validation, "sdp_lower_bound", moved)
     passed, detail = validation.check_sdp_dual_method(False)
     assert not passed and "does not bracket" in detail, detail
+
+
+def test_trace_check_fails_on_an_eigenvalue_moved_by_1e_9_of_the_norm(monkeypatch):
+    # m_1 * n == sum(lam) sums the same eigenvalues twice and cannot see the
+    # move; the trace of the sampled matrix can
+    real = validation.eigenvalues
+
+    def moved(matrix):
+        lam = real(matrix)
+        lam[..., 0] += 1e-9 * np.max(np.abs(lam))
+        return lam
+
+    monkeypatch.setattr(validation, "eigenvalues", moved)
+    passed, detail = validation.check_simulation_consistency(False)
+    assert not passed and "eigenvalue sum - trace" in detail, detail
+    cfg = EnsembleConfig(n=60, sigma=parse_sigma_spec(validation.EXP_SPEC), seed=99)
+    lam = validation.eigenvalues(sample_matrix(cfg, 0))
+    assert abs(empirical_moments(lam, 1)[0] * cfg.n - np.sum(lam)) <= 1e-9
