@@ -109,7 +109,6 @@ _MODULE_EXPORTS = {
         "limiting_even_moment",
         "moment_lower_bound",
         "moment_upper_bound",
-        "odd_moment_bound",
         "theta_factor",
     ),
     "radius_bounds": (

@@ -21,7 +21,7 @@ import operator
 from typing import NamedTuple, Optional, Sequence
 
 from . import _MAX_ORDER as MAX_ORDER  # maximum s in m_{2s}
-from .sigma_model import _context, _exact_ratio, sigma_stats
+from .sigma_model import _wide_context, sigma_stats
 
 __all__ = [
     "MomentRow",
@@ -29,7 +29,6 @@ __all__ = [
     "limiting_even_moment",
     "moment_lower_bound",
     "moment_upper_bound",
-    "odd_moment_bound",
     "theta_factor",
     "MAX_ORDER",
 ]
@@ -44,117 +43,60 @@ def _tree_series(averages: Sequence[Number], s_max: int) -> list:
     coefficient of its term prod A_j^{r_j} w^{s-1} in phi(w)^{s+1}.  Each
     power phi^j is built once, truncated after w^{s_max-1}; its low
     coefficients are the same sums, in the same order, as a truncation
-    after w^{s-1}.  Floats give floats, Decimals give Decimals at the
-    current context's digits (`_fixed_point_series`), and rationals stay
-    exact (integers of any type as ints); other reals, mixed with
-    rationals, are floats.  All terms are positive.  Each coefficient sums
-    its products left to right, on every Python: from 3.12 on, the builtin
-    ``sum`` compensates float sums.  A float series takes 2/(s+1) as the
-    float 2 / (s + 1), which is float(Fraction(2, s + 1)), so it loads
-    neither ``fractions`` nor ``decimal``.
+    after w^{s-1}.  Floats give floats, Decimals give Decimals, and
+    rationals stay exact (integers of any type as ints); other reals, mixed
+    with rationals, are floats.  All terms are positive.  Each coefficient
+    sums its products left to right, on every Python: from 3.12 on, the
+    builtin ``sum`` compensates float sums.  A float series takes 2/(s+1)
+    as the float 2 / (s + 1), which is float(Fraction(2, s + 1)), so it
+    loads neither ``fractions`` nor ``decimal``.
+
+    Decimals give the correctly rounded series at the current context's D
+    digits, but within a relative 10^-(D + 10) of a rounding boundary: the
+    same loop runs in `_wide_context`, each average rounded to its W digits
+    (exact for an average no longer), and each m_{2s} is rounded once to D
+    digits.  A term of a coefficient of phi^p takes at most
+    1 + (p - 1)(s_max + 1) roundings (of p averages, p - 1 products, and
+    the s_max - 1 additions of each power's sums), and 2/(s+1) and the
+    product with it two more: in all m = (s_max + 1)^2 + 2 at most.
     """
     phi = averages[:s_max]
     if all(isinstance(a, float) for a in phi):
-        phi, factors = [float(a) for a in phi], [2 / (s + 1) for s in range(1, s_max + 1)]
-    else:  # exact or mixed input keeps its product types
-        from decimal import Decimal
+        return _power_series([float(a) for a in phi], [2 / (s + 1) for s in range(1, s_max + 1)])
+    from decimal import Decimal, getcontext, localcontext
 
-        if all(isinstance(a, Decimal) for a in phi):
-            return _fixed_point_series(list(phi), s_max)
-        from fractions import Fraction
+    if all(isinstance(a, Decimal) for a in phi):
+        ctx = getcontext()
+        with localcontext(_wide_context(ctx.prec, (s_max + 1) ** 2 + 2)):
+            series = _power_series([+a for a in phi],
+                                   [Decimal(2) / (s + 1) for s in range(1, s_max + 1)])
+        return [ctx.plus(m) for m in series]
+    from fractions import Fraction
 
-        phi = [_exact_or_float(a) for a in phi]
-        factors = [Fraction(2, s + 1) for s in range(1, s_max + 1)]
-    power = list(phi)
-    series = []
-    for s in range(1, s_max + 1):
+    return _power_series([_exact_or_float(a) for a in phi],
+                         [Fraction(2, s + 1) for s in range(1, s_max + 1)])
+
+
+def _power_series(phi: list, factors: list) -> list:
+    """`_tree_series` of the averages ``phi`` with the factors 2/(s+1), in
+    their own arithmetic."""
+    power, series = list(phi), []
+    for s, factor in enumerate(factors, start=1):
         power = [functools.reduce(operator.add, map(operator.mul, power[:k + 1], phi[k::-1]))
-                 for k in range(s_max)]
-        series.append(power[s - 1] * factors[s - 1])
+                 for k in range(len(factors))]
+        series.append(power[s - 1] * factor)
     return series
 
 
 def _exact_or_float(a):
     """A rational ``a`` exactly (an integer of any type as an int), another
-    real as a float.  A Decimal, which is no ``numbers.Real``, raises: its
-    series is `_fixed_point_series`, never a float one."""
+    real as a float.  A Decimal, which is no ``numbers.Real``, raises: the
+    series of Decimals takes all of them in Decimal, never mixed."""
     if isinstance(a, numbers.Integral):
         return int(a)
     if not isinstance(a, numbers.Real):
         raise TypeError(f"averages must be reals or all Decimals, got {a!r}")
     return a if isinstance(a, numbers.Rational) else float(a)
-
-
-def _fixed_point_series(phi: list, s_max: int) -> list:
-    """The tree series of positive Decimal averages phi in Python ints,
-    each m_{2s} within 2^-(prec + 3) of itself of the exact series at phi
-    before its one rounding to the current decimal context's D digits,
-    prec = bits(10^D): within 10^(1-D) (1/2 + 1/80) in all.
-
-    Scaling: A_k = 2^(a + b k) l_k with integer a, b, so the coefficient of
-    w^j in phi^p is 2^(a p + b (j + p)) times that of the l's: every
-    product in it has p factors whose indices sum to j + p.  b follows the
-    slope of log2 A_k and a puts l_1 in [1, 2).  This is no scale of sigma
-    (the tables have one, in `reports`, and this series is exact under it):
-    it keeps the l_k near 1, and so F short, where the A_k themselves would
-    cost F another (p - 1) log2(1/A_1) bits.  With mu <= min l_k, every
-    coefficient c of a power of the l's is at least mu: it holds the term
-    l_1^(p-1) l_(j+1).
-
-    The l_k are held as L_k = floor(l_k 2^F), from the exact ratio of each
-    Decimal, and each coefficient of the next power is the exact sum of its
-    products, shifted down by F bits.  Every step errs downwards: L_k falls
-    short of l_k 2^F by under 1, a relative 2^-F/mu, and the shift of a sum
-    of positive terms adds under 1 unit to the relative errors of its
-    terms, so the coefficients of phi^p fall short by at most
-    (2p - 1) 2^-F/mu.  The floor division by s + 1, of the coefficient
-    shifted up by bits(s + 1), adds another 2^-F/mu at most, so m_{2s}
-    falls short by at most (2 s_max + 2) 2^-F/mu before its one rounding,
-    which F = prec + 3 + bits(2 s_max + 2) + log2(1/mu) makes at most
-    2^-(prec+3).
-    """
-    from decimal import getcontext
-
-    ctx = _context(getcontext().prec)
-    prec = (10 ** ctx.prec).bit_length()
-    ratios = [_exact_ratio(a) for a in phi]
-    # A_k = p_k / q_k 2^t_k with 2^(e_k - 1) <= A_k < 2^e_k
-    e = []
-    for p, q, t in ratios:
-        ek = p.bit_length() - q.bit_length()
-        e.append(ek + t + (_floor_ldexp(p, q, -ek) >= 1))
-    b = round((e[-1] - e[0]) / (s_max - 1)) if s_max > 1 else 0
-    a = e[0] - 1 - b
-    # l_k = A_k 2^-(a + b k) lies in [2^(x_k - 1), 2^x_k), with l_1 in [1, 2)
-    x = [ek - a - b * k for k, ek in enumerate(e, start=1)]
-    low = min(x) - 1  # mu = 2^low
-    F = prec + 3 + (2 * s_max + 2).bit_length() + max(0, -low)
-    L = [_floor_ldexp(p, q, F - a - b * k + t) for k, (p, q, t) in enumerate(ratios, start=1)]
-    reverse = L[::-1]
-    power, series = L, []
-    for s in range(1, s_max + 1):
-        power = [sum(map(operator.mul, power[:k + 1], reverse[s_max - 1 - k:])) >> F
-                 for k in range(s_max)]
-        # m_2s = 2/(s+1) [w^(s-1)] phi^(s+1), and 2^(a (s+1) + 2 b s - F) times the l's;
-        # the shift by t bits before the division keeps its floor within 1/(2 power)
-        t = (s + 1).bit_length()
-        series.append(_from_binary((power[s - 1] << t + 1) // (s + 1),
-                                   a * (s + 1) + 2 * b * s - F - t, ctx))
-    return series
-
-
-def _from_binary(man: int, exp: int, ctx):
-    """man 2^exp as a Decimal of the context ``ctx``: formed at 20 more
-    digits, then rounded to its D digits, so it is the correctly rounded
-    value but where that lies within about 10^-(D + 18) of a rounding
-    boundary.  Exactly, 2^exp would be an integer as long as |exp| bits."""
-    wide = _context(ctx.prec + 20)
-    return ctx.plus(wide.multiply(man, wide.power(2, exp)))
-
-
-def _floor_ldexp(p: int, q: int, shift: int) -> int:
-    """floor(p 2^shift / q) for positive ints p, q."""
-    return (p << shift) // q if shift >= 0 else p // (q << -shift)
 
 
 def _check_order(s: int) -> None:
@@ -279,42 +221,6 @@ def moment_upper_bound(
     if math.isinf(th):
         return math.inf
     return (1.0 + th * s) * m_limit
-
-
-def odd_moment_bound(n: int, s: int, K: float, sigma_max: float) -> float:
-    """Decay bound on the magnitude of the odd expected moment of order 2s+1.
-
-    Evaluates
-        n^{-s-1/2} * binom(2s+1, s) * (s+1)^{2(2s+3)} * 2^{2s} * K^{2s+1}
-        * sum_{p=1..s+1} (n sigma_max^2 / K^2)^{p-1}
-    with the combinatorial prefactor exact and the geometric sum closed-form.
-    Computed in log space; returns +inf on overflow.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
-    if K <= 0 or sigma_max <= 0:
-        raise ValueError("K and sigma_max must be positive")
-    prefactor = math.comb(2 * s + 1, s) * (s + 1) ** (2 * (2 * s + 3)) * 2 ** (2 * s)
-    q = n * sigma_max * sigma_max / (K * K)
-    if q == 1.0:
-        log_geom = math.log(s + 1)
-    elif q > 1.0:
-        # (q^{s+1} - 1) / (q - 1), stable for large q^{s+1}
-        log_geom = (s + 1) * math.log(q) + math.log1p(-q ** (-(s + 1))) - math.log(q - 1.0)
-    else:
-        log_geom = math.log((1.0 - q ** (s + 1)) / (1.0 - q))
-    log_value = (
-        math.log(prefactor)
-        + (2 * s + 1) * math.log(K)
-        + log_geom
-        - (s + 0.5) * math.log(n)
-    )
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        return math.inf
 
 
 def _scaled(x: float, e: int) -> float:

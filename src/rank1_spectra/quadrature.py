@@ -32,7 +32,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional
 
 from .sigma_model import (DEFAULT_DIGITS, LimitingAverages, SigmaDomainError, SigmaSpec,
-                          _GUARD_DIGITS, _check_length, _context, _power_sums)
+                          _GUARD_DIGITS, _check_length, _context, _power_sums, _wide_context)
 
 if TYPE_CHECKING:
     from .expression import Node
@@ -298,16 +298,15 @@ def _weighted_power_sums(weights: list, values: list, k_max: int) -> list:
     (ints, floats or Decimals), each the exact sum rounded once to the
     current context's D digits, except within a relative 10^-(D + 10) of a
     rounding boundary.  Each w and v is converted once, and each running
-    product w v^k and each sum formed, at W = D + len(str(m)) + 11 digits,
-    m = n + 2 k_max: a sum takes at most m roundings of relative
-    u = 10^(1 - W)/2 (w, v to the k-th power, k products, n - 1 additions
-    of positive terms), which leave it within m u (1 + m u) < 10^-(D + 10)
-    of the exact sum.  The context spans Decimal's whole exponent range, so
-    v^k of a steep profile stays in its exponent; a power or a sum beyond
-    even that raises ArithmeticError naming k.
+    product w v^k and each sum formed, in `_wide_context`: a term of a sum
+    takes at most m = n + 2 k_max roundings (w, v to the k-th power, k
+    products, n - 1 additions of positive terms).  The context spans
+    Decimal's whole exponent range, so v^k of a steep profile stays in its
+    exponent; a power or a sum beyond even that raises ArithmeticError
+    naming k.
     """
     ctx = getcontext()
-    with localcontext(_context(ctx.prec + len(str(len(values) + 2 * k_max)) + 11)) as wide:
+    with localcontext(_wide_context(ctx.prec, len(values) + 2 * k_max)) as wide:
         terms, values = ([wide.create_decimal(x) for x in xs] for xs in (weights, values))
         sums = []
         for k in range(1, k_max + 1):

@@ -265,6 +265,17 @@ def _context(digits: int):
                                   decimal.InvalidOperation, decimal.DivisionByZero])
 
 
+def _wide_context(digits: int, roundings: int):
+    """The `_context` in which a kernel forms, in plain Decimal products and
+    sums of positive terms, a result it then rounds once to ``digits``
+    digits: W = digits + len(str(m)) + 11 digits, m bounding the roundings
+    that reach any one term of the result.  m roundings of relative
+    u = 10^(1 - W)/2 leave it within m u (1 + m u) < 10^-(digits + 10) of
+    the exact value, so the one rounding gives the correctly rounded value
+    but within a relative 10^-(digits + 10) of a rounding boundary."""
+    return _context(digits + len(str(roundings)) + 11)
+
+
 def _exact_ratio(x) -> tuple:
     """(p, q, t) with the positive Decimal x = p / q 2^t exactly, from its
     coefficient c and exponent t: x = c 10^t = c 5^t 2^t, so q is 1 or

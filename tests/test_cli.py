@@ -523,7 +523,7 @@ PUBLIC_NAMES = [
     "enumerate_plane_trees", "exact_expected_moment", "lambda_vector",
     "limiting_averages", "limiting_even_moment", "moment_lower_bound",
     "moment_table", "moment_upper_bound", "moments", "monte_carlo", "multinomial",
-    "odd_moment_bound", "parse_sigma_spec", "quadrature", "radius_bounds",
+    "parse_sigma_spec", "quadrature", "radius_bounds",
     "radius_table", "reports", "sample_matrix", "sdp_lower_bound",
     "sigma_model", "sigma_stats", "sigma_values", "theta_factor",
     "tree_count", "walk_oracle",

@@ -14,7 +14,6 @@ from rank1_spectra.moments import (
     limiting_even_moment,
     moment_lower_bound,
     moment_upper_bound,
-    odd_moment_bound,
     theta_factor,
 )
 from rank1_spectra.sigma_model import (_GUARD_DIGITS, SigmaDomainError, _context, parse_sigma_spec,
@@ -278,26 +277,7 @@ def test_integer_ratios_round_as_fractions_do(n_of):
 
 
 class TestOddMomentBound:
-    def test_s_zero_reduction(self):
-        # prefactor collapses to K/sqrt(n)
-        for n in (10, 1000):
-            assert odd_moment_bound(n, 0, 2.0, 1.0) == pytest.approx(
-                2.0 / math.sqrt(n), rel=1e-12
-            )
-
-    @pytest.mark.parametrize("n, q", [(4, 1.0), (1, 0.25)], ids=["q=1", "q<1"])
-    def test_geometric_sum_at_and_below_ratio_one(self, n, q):
-        # q = n sigma_max^2 / K^2 at sigma_max = 1/2 and K = 1: each closed
-        # form equals the display summed term by term
-        s, K, sigma_max = 3, 1.0, 0.5
-        assert n * sigma_max ** 2 / K ** 2 == q
-        display = (n ** (-s - 0.5) * math.comb(2 * s + 1, s) * (s + 1) ** (2 * (2 * s + 3))
-                   * 2 ** (2 * s) * K ** (2 * s + 1) * sum(q ** (p - 1) for p in range(1, s + 2)))
-        assert odd_moment_bound(n, s, K, sigma_max) == pytest.approx(display, rel=1e-13)
-
-    def test_decreasing_in_n(self):
-        vals = [odd_moment_bound(n, 2, 1.0, 1.0) for n in (10, 20, 40, 80, 160)]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
+    """Every sampled law is symmetric, so odd moments are Monte Carlo noise."""
 
     def test_monte_carlo_odd_moment_is_noise(self):
         spec = parse_sigma_spec(EXP_SPEC)
@@ -478,18 +458,41 @@ def _fdot_series(averages, s_max):
     return series
 
 
+def _fraction_series(averages, s_max):
+    """The exact tree series of the Decimal ``averages`` as Fractions.  Each
+    average is an integer times 10^e, e the least of their exponents, so a
+    coefficient of phi^p is an integer times 10^(p e); each power
+    phi^(s+1) = phi^s phi is formed pair by pair, every product of a
+    coefficient of phi^s and one of phi added to the coefficient of its
+    degree."""
+    e = min(a.as_tuple().exponent for a in averages[:s_max])
+    phi = [int(Fraction(a) / Fraction(10) ** e) for a in averages[:s_max]]
+    power, series = phi, []
+    for s in range(1, s_max + 1):
+        product = [0] * s_max
+        for i, a in enumerate(power):
+            for j, b in enumerate(phi[:s_max - i]):
+                product[i + j] += a * b
+        power = product
+        series.append(Fraction(2 * power[s - 1], s + 1) * Fraction(10) ** ((s + 1) * e))
+    return series
+
+
 def _exp_lambdas(k_max, scale=1):
     """(1 - e^{-4k})/(4k) scale^k in the current decimal context."""
     return [scale ** k * (1 - Decimal(-4 * k).exp()) / (4 * k) for k in range(1, k_max + 1)]
 
 
 class TestFixedPointSeries:
-    """`moments._fixed_point_series` against ``mpmath.fdot`` at 64 more bits:
-    asked for D digits, each m_{2s} is within 2^-prec (1 + 2^-3) of the
-    exact series, prec the bits of mpmath at D digits, the bound of the mpf
-    series it replaced: its docstring proves 10^(1-P) (1/2 + 1/80) at the
-    P = D + _GUARD_DIGITS digits it carries, under 10^-(D+1) (1/2 + 1/80).
-    The oracle's own error is (2 s_max + 2) 2^-(prec+64) at most."""
+    """`moments._tree_series` of Decimal averages: Decimals give the
+    correctly rounded series at the context's P = D + _GUARD_DIGITS digits,
+    but within a relative 10^-(P + 10) of a rounding boundary.  Against
+    ``mpmath.fdot`` at 64 more bits, asked for D digits, each m_{2s} is
+    within 2^-prec (1 + 2^-3) of the exact series, prec the bits of mpmath
+    at D digits, the bound of the mpf series it replaced: one rounding at P
+    digits is under 10^-(D+1)/2.  The oracle's own error is
+    (2 s_max + 2) 2^-(prec+64) at most.  Against the exact series in
+    Fractions, each m_{2s} is its correctly rounded value."""
 
     @pytest.mark.parametrize("case, s_bar", [
         ("exp", 14), ("exp", 25), ("exp", 31), ("const:1000", 14),
@@ -522,27 +525,22 @@ class TestFixedPointSeries:
             for m, want in zip(got, exact):
                 assert abs(mpf(str(m)) - want) <= (1 + 2 ** -3 + 2 ** -40) * mpf(2) ** -prec * want
 
-    def test_tiny_and_huge_averages_scale_exactly(self, monkeypatch):
-        # sigma -> c sigma multiplies m_2s by c^2s; with c a power of 2 the
-        # scaling is exact up to the one rounding, so each m_2s of the
-        # exactly scaled averages is the base series' unrounded m_2s times
-        # c^2s, rounded once to the context's digits
-        unrounded, to_decimal = [], moments._from_binary
-
-        def capture(man, exp, ctx):
-            unrounded.append(Fraction(man) * Fraction(2) ** exp)
-            return to_decimal(man, exp, ctx)
-
+    def test_each_order_is_the_exact_series_correctly_rounded(self):
+        # sigma -> c sigma multiplies Lambda_k by c^k and m_2s by c^2s.  At
+        # c = 2^j the scaled averages are exact at 400 digits and meet their
+        # own exact series; at c = 10^j scaleb is exact, so each rounded
+        # m_2s must scale exactly
         with localcontext(_context(38 + _GUARD_DIGITS)) as ctx:
             base_averages = _exp_lambdas(29)
-            monkeypatch.setattr(moments, "_from_binary", capture)
-            base = _tree_series(base_averages, 29)
-            monkeypatch.undo()
-            assert base == [ctx.divide(m.numerator, m.denominator) for m in unrounded]
-            for log2c in (-7, 10):
+            for log2c in (0, -7, 10):
                 with localcontext(_context(400)):  # exact: under 200 digits
                     averages = [a * Decimal(2) ** (log2c * k)
                                 for k, a in enumerate(base_averages, start=1)]
-                want = [m * Fraction(2) ** (2 * s * log2c) for s, m in enumerate(unrounded, 1)]
+                exact = _fraction_series(averages, 29)
                 assert _tree_series(averages, 29) == [ctx.divide(m.numerator, m.denominator)
-                                                      for m in want]
+                                                      for m in exact]
+            base = _tree_series(base_averages, 29)
+            for log10c in (-300, 300):
+                averages = [a.scaleb(log10c * k) for k, a in enumerate(base_averages, start=1)]
+                assert _tree_series(averages, 29) == [m.scaleb(2 * s * log10c)
+                                                      for s, m in enumerate(base, start=1)]
