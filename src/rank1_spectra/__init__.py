@@ -59,7 +59,8 @@ def _pin_blas() -> None:
     BLAS then runs on one thread when every variable reads 1, which
     ``_blas_is_pinned`` reports from then on.  ``ensemble.monte_carlo`` runs
     trials on more than one thread only then, so its workers never share
-    cores with BLAS threads.
+    cores with BLAS threads; with one worker per allowed CPU it pins each to
+    its own, which changes where they run but no result.
     """
     global _blas_pinned
     if "numpy" in _sys.modules:

@@ -26,7 +26,10 @@ matrices just large enough for numpy to solve it without the GIL
 (`_schedule`).  The calling thread and, when BLAS is pinned to one thread,
 plain ``threading`` workers pull the blocks from one iterator (see
 ``monte_carlo``); a thread pool would import ``concurrent.futures`` and with
-it ``logging``.  Every trial statistic comes from the campaign:
+it ``logging``.  With one worker on each allowed CPU, worker i is pinned to
+the i-th of them: left to the OS, two workers that hand the GIL back and
+forth were kept on one CPU, and a campaign ran serially.  Results never
+depend on the pinning.  Every trial statistic comes from the campaign:
 ``empirical_moments`` is the block's moment step, a campaign always returns
 its pooled spectra, and ``_histogram`` bins them into numpy's (counts,
 edges) pair.  One trial on its own is
@@ -394,7 +397,8 @@ class MonteCarloResult:
     ``moment_means[k-1]`` estimates E{(1/n) trace(A^k)}; ``moment_stderrs``
     is None for a single trial.  ``per_trial_moments`` has shape
     (trials, k_max) and ``pooled_eigenvalues`` shape (trials * n,), both
-    ordered by trial index.
+    ordered by trial index.  ``workers`` is the campaign's thread count, and
+    ``cpus`` the CPU each worker was pinned to, or None (see ``monte_carlo``).
     """
 
     moment_means: np.ndarray
@@ -407,6 +411,7 @@ class MonteCarloResult:
     radius_max: float
     pooled_eigenvalues: np.ndarray
     workers: int = 1
+    cpus: Optional[Tuple[Optional[int], ...]] = None
 
 
 # Bytes that the workers may hold at once: each holds its block's stack, and
@@ -417,10 +422,23 @@ _POOL_BYTES = 1 << 28
 _GIL_FREE_SIZE = 500
 
 
-def _cpu_count() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _allowed_cpus() -> List[int]:
+    """The CPUs the calling thread may run on, ascending, or [] where the OS
+    offers no ``sched_getaffinity`` (and so no ``sched_setaffinity``)."""
+    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+
+def _cpu_count(allowed: List[int]) -> int:
+    return len(allowed) or os.cpu_count() or 1
+
+
+def _pin(cpu: int) -> bool:
+    """Confine the calling thread to ``cpu``; False, and no change, where the OS refuses."""
+    try:
+        os.sched_setaffinity(0, (cpu,))
+    except OSError:
+        return False
+    return True
 
 
 def _schedule(trials: int, n: int, cpus: int) -> Tuple[List[Tuple[int, int]], int]:
@@ -454,21 +472,30 @@ def monte_carlo(config: EnsembleConfig, trials: int, k_max: int) -> MonteCarloRe
     ``_schedule``), so the calling thread and, when BLAS was pinned to one
     thread before numpy loaded (``cli`` does this), one more thread per
     further CPU pull blocks from one lock-guarded iterator, and a faster
-    thread takes more of them.  No block is handed out after the first
+    thread takes more of them.  When there is one worker for each CPU the
+    calling thread may use (``os.sched_getaffinity``), worker i, the calling
+    thread being worker 0, confines itself to the i-th of those CPUs, and
+    the calling thread gets its own set back when the campaign ends, failed
+    or not: on a 2-CPU host the OS was seen to keep both workers on one CPU,
+    so that the campaign took its serial time.  With fewer workers than
+    CPUs the OS places them, as it has a choice to make (SMT siblings, busy
+    CPUs); so does a worker whose pin the OS refuses.  ``cpus`` records,
+    per worker, the CPU it was pinned to (None for a refused pin), or is
+    None when no worker was pinned.  No block is handed out after the first
     error, which is re-raised on the calling thread once all threads have
     finished.  At large n a block is one trial and each thread holds about
     three n x n arrays (its matrix, the draw and LAPACK's copy).  Results
     are written by trial index, so a campaign is reproducible bit for bit
-    whatever the thread count; ``workers`` records it.  A trial moment that
-    is not finite, or may underflow (a trial's radius^k below the smallest
-    normal float), raises ArithmeticError naming its order.  The
-    radius is one more per-trial column beside the moments.  Each column's
-    mean is ``math.fsum`` of its trials over their count, correctly rounded
-    but for the division (numpy would sum the strided column naively,
-    losing digits linearly in the trial count), and its standard error
-    comes from the fsum of the squared deviations about that mean, both
-    taken at the power of two of the column's largest magnitude, which
-    keeps them in range and, being exact, keeps their bits.  Standard
+    whatever the thread count or pinning; ``workers`` records the count.  A
+    trial moment that is not finite, or may underflow (a trial's radius^k
+    below the smallest normal float), raises ArithmeticError naming its
+    order.  The radius is one more per-trial column beside the moments.
+    Each column's mean is ``math.fsum`` of its trials over their count,
+    correctly rounded but for the division (numpy would sum the strided
+    column naively, losing digits linearly in the trial count), and its
+    standard error comes from the fsum of the squared deviations about that
+    mean, both taken at the power of two of the column's largest magnitude,
+    which keeps them in range and, being exact, keeps their bits.  Standard
     errors need trials >= 2 and are None otherwise.
     """
     if trials < 1:
@@ -478,8 +505,10 @@ def monte_carlo(config: EnsembleConfig, trials: int, k_max: int) -> MonteCarloRe
 
     n = config.n
     _plan(config)  # built, and its errors raised, here rather than in a worker
-    cpus = _cpu_count() if _blas_is_pinned() else 1
-    blocks, workers = _schedule(trials, n, cpus)
+    allowed = _allowed_cpus()
+    blocks, workers = _schedule(trials, n, _cpu_count(allowed) if _blas_is_pinned() else 1)
+    # worker i's CPU once it is pinned there; None while the OS places it
+    pins = [None] * workers if 1 < workers == len(allowed) else None
 
     # a trial's moments m_1..m_{k_max} and, in the last column, its radius
     per_trial = np.empty((trials, k_max + 1))
@@ -498,7 +527,9 @@ def monte_carlo(config: EnsembleConfig, trials: int, k_max: int) -> MonteCarloRe
         per_trial[start:stop, k_max] = _radius(lam)
         pooled[start:stop] = lam
 
-    def work() -> None:
+    def work(slot: int) -> None:
+        if pins is not None and _pin(allowed[slot]):
+            pins[slot] = allowed[slot]
         while True:
             with lock:
                 block = None if errors else next(todo, None)
@@ -509,12 +540,16 @@ def monte_carlo(config: EnsembleConfig, trials: int, k_max: int) -> MonteCarloRe
             except BaseException as exc:  # re-raised on the calling thread
                 errors.append(exc)
 
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    threads = [threading.Thread(target=work, args=(slot,)) for slot in range(1, workers)]
     for thread in threads:
         thread.start()
-    work()
-    for thread in threads:
-        thread.join()
+    try:
+        work(0)
+        for thread in threads:
+            thread.join()
+    finally:
+        if pins is not None and pins[0] is not None:
+            os.sched_setaffinity(0, allowed)
     if errors:
         raise errors[0]
 
@@ -546,4 +581,5 @@ def monte_carlo(config: EnsembleConfig, trials: int, k_max: int) -> MonteCarloRe
         radius_max=float(radii.max()),
         pooled_eigenvalues=pooled.reshape(-1),
         workers=workers,
+        cpus=None if pins is None else tuple(pins),
     )

@@ -579,7 +579,7 @@ import rank1_spectra
 before = 'numpy' in sys.modules
 import rank1_spectra.cli
 from rank1_spectra import ensemble
-ensemble._cpu_count = lambda: 2
+ensemble._cpu_count = lambda allowed: 2
 cfg = ensemble.EnsembleConfig(n=60, sigma=rank1_spectra.parse_sigma_spec('const:1'), seed=1)
 print(json.dumps([before, [os.environ.get(v) for v in rank1_spectra._BLAS_THREAD_VARS],
                   ensemble.monte_carlo(cfg, 24, 2).workers]))

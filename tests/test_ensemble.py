@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import sys
 import threading
@@ -44,10 +45,16 @@ def pinned_cpus(monkeypatch):
         for name in _BLAS_THREAD_VARS:
             monkeypatch.setenv(name, "1")
         monkeypatch.setattr(rank1_spectra, "_blas_pinned", True)
-        monkeypatch.setattr(ensemble, "_cpu_count", lambda: count)
+        monkeypatch.setattr(ensemble, "_cpu_count", lambda allowed: count)
         monkeypatch.setattr(ensemble, "_GIL_FREE_SIZE", 0)
 
     return pin
+
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="pinning needs sched_setaffinity and two allowed CPUs",
+)
 
 
 def truncated_moments(c):
@@ -607,9 +614,61 @@ class TestMonteCarlo:
         mc = monte_carlo(EnsembleConfig(n=10, sigma=ones_spec(), seed=2), trials=16, k_max=2)
         assert mc.workers == 1
 
+    @needs_two_cpus
+    def test_each_worker_runs_on_its_own_cpu(self, pinned_cpus, monkeypatch):
+        allowed = os.sched_getaffinity(0)
+        cfg = EnsembleConfig(n=20, sigma=parse_sigma_spec(EXP_SPEC), distribution="uniform", seed=3)
+        pinned_cpus(1)
+        alone = monte_carlo(cfg, 2 * len(allowed), 4)
+        pinned_cpus(len(allowed))
+        draw, masks = ensemble.sample_matrix, {}
+        met = threading.Barrier(len(allowed))
+
+        def recording(config, t, out=None):
+            # each thread records its mask at its first draw, then waits for
+            # the others, so that every worker takes a block
+            if threading.get_ident() not in masks:
+                masks[threading.get_ident()] = os.sched_getaffinity(0)
+                met.wait(10)
+            return draw(config, t, out=out)
+
+        monkeypatch.setattr(ensemble, "sample_matrix", recording)
+        mc = monte_carlo(cfg, 2 * len(allowed), 4)
+        assert os.sched_getaffinity(0) == allowed
+        assert len(masks) == mc.workers == len(allowed)
+        cpus = [cpu for mask in masks.values() for cpu in mask]
+        assert all(len(mask) == 1 for mask in masks.values())
+        assert len(set(cpus)) == len(cpus) and set(cpus) <= allowed
+        assert mc.cpus == tuple(sorted(allowed))
+        np.testing.assert_array_equal(mc.per_trial_moments, alone.per_trial_moments)
+        np.testing.assert_array_equal(mc.radii, alone.radii)
+        np.testing.assert_array_equal(mc.pooled_eigenvalues, alone.pooled_eigenvalues)
+        assert alone.cpus is None
+
+    @needs_two_cpus
+    def test_a_refused_pin_leaves_the_worker_unpinned(self, pinned_cpus, monkeypatch):
+        allowed = os.sched_getaffinity(0)
+        cfg = EnsembleConfig(n=20, sigma=parse_sigma_spec(EXP_SPEC), distribution="uniform", seed=5)
+        pinned_cpus(1)
+        alone = monte_carlo(cfg, 8, 4)
+        pinned_cpus(len(allowed))
+        raised = []
+
+        def refuse(pid, mask):
+            raise PermissionError("injected")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        mc = monte_carlo(cfg, 8, 4)
+        assert raised == [] and os.sched_getaffinity(0) == allowed
+        assert mc.cpus == (None,) * len(allowed)
+        np.testing.assert_array_equal(mc.per_trial_moments, alone.per_trial_moments)
+        np.testing.assert_array_equal(mc.pooled_eigenvalues, alone.pooled_eigenvalues)
+
     @staticmethod
     def exits_3_on_a_failure(pinned_cpus, monkeypatch, tmp_path, capsys, on_calling_thread):
         pinned_cpus(2)
+        before = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         caller, solve, failed = threading.current_thread(), ensemble.eigenvalues, threading.Event()
 
         def failing(matrix):
@@ -626,6 +685,8 @@ class TestMonteCarlo:
         assert cli.main(argv) == cli.NUMERIC_EXIT
         assert "injected" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
+        if before is not None:
+            assert os.sched_getaffinity(0) == before
 
     def test_worker_error_makes_the_cli_exit_3(self, pinned_cpus, monkeypatch, tmp_path, capsys):
         self.exits_3_on_a_failure(pinned_cpus, monkeypatch, tmp_path, capsys, False)
@@ -692,12 +753,14 @@ class TestMonteCarlo:
                     "--out", str(out)]
             assert cli.main(argv) == 0
             runs[openblas] = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        # two workers are pinned where they are one per allowed CPU
+        allowed = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
         assert runs["1"]["manifest"]["threads"] == {
-            "workers": 2, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-            "MKL_NUM_THREADS": "1",
+            "workers": 2, "cpus": allowed if len(allowed) == 2 else None,
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
         }
         assert runs["4"]["manifest"]["threads"] == {
-            "workers": 1, "OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1",
+            "workers": 1, "cpus": None, "OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1",
             "MKL_NUM_THREADS": "1",
         }
         for report in runs.values():
