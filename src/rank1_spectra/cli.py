@@ -305,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_v = sub.add_parser("validate", help="run the self-validation battery")
     p_v.add_argument("--deep", action="store_true",
-                     help="extend the enumerations to s=11 and double the walk oracle's "
-                          "Monte Carlo trials and the SDP's random measures")
+                     help="extend the enumerations to s=11, the finite-n cases to 50000 walks "
+                          "and the walk oracle's sign patterns to n=4, and double the SDP's "
+                          "random measures")
 
     return parser
 

@@ -336,19 +336,23 @@ def eigenvalues(matrix: np.ndarray) -> np.ndarray:
     shape (..., n, n), ascending along the last axis.
 
     A stack is solved by one call, which gives the same bits as a solve per
-    matrix.  The residual contract (||A v - lambda v|| <= n * 1e-9 * ||A|| for
-    each returned eigenvalue) is spot-checked by the test suite, not per call.
+    matrix.  A matrix is rejected as asymmetric when some |a_ij - a_ji| is
+    not finite or exceeds 1e-12 of the matrix's own largest |entry|, so the
+    test does not depend on its scale.  The residual contract (||A v -
+    lambda v|| <= n * 1e-9 * ||A|| for each returned eigenvalue) is
+    spot-checked by the test suite, not per call.
     """
     A = np.asarray(matrix, dtype=np.float64)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {A.shape}")
     At = A.swapaxes(-1, -2)
     # sample_matrix mirrors its triangles exactly; only other matrices pay
-    # for the two temporaries of the asymmetry
+    # for the asymmetry and the scale
     if not np.array_equal(A, At):
-        asym = float(np.max(np.abs(A - At)))
-        if asym > 1e-12:
-            raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+        asym = np.abs(A - At).max(axis=(-2, -1))
+        bad = ~np.isfinite(asym) | (asym > 1e-12 * np.abs(A).max(axis=(-2, -1)))
+        if bad.any():
+            raise ValueError(f"matrix is not symmetric (max asymmetry {asym[bad].max():.3e})")
     try:
         return np.linalg.eigvalsh(A)
     except np.linalg.LinAlgError as exc:

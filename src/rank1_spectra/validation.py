@@ -5,15 +5,13 @@ check(deep) returns (passed, detail).  The CLI's ``validate`` command prints
 one line per check from `run_all` and exits non-zero if any fails; the tests
 run each at deep=False.  Each fact has one check, and each enumeration runs
 once per order: the three plane-tree checks read one cached count of trees
-per profile.  The walk oracle's Monte Carlo campaign likewise runs once per
-trial count, and the tests read the same cached result.  `certifies`
-checks the SDP's claim for its beta rather than solving for beta again.
-The battery is deliberately cheap: ``validate`` takes 1.1-1.3 s on a
-2-CPU machine, process start included, most of it the walk oracle's Monte
-Carlo.  ``deep=True`` extends the enumerations to s = 11 and the finite-n
-cases to 50000 walks, doubles the walk oracle's Monte Carlo trials and the
-SDP's random measures, and takes 2.5-2.9 s there, most of it that Monte
-Carlo and the plane trees of s = 9..11.
+per profile.  `certifies` checks the SDP's claim for its beta rather than
+solving for beta again, and no check gates on a sampled standard error.
+The battery is deliberately cheap: ``validate`` takes 0.38-0.55 s on a
+2-CPU machine, process start included.  ``deep=True`` extends the
+enumerations to s = 11, the finite-n cases to 50000 walks and the walk
+oracle's sign patterns to n = 4, doubles the SDP's random measures, and
+takes 1.1-1.5 s there, most of it the plane trees of s = 9..11.
 """
 
 from __future__ import annotations
@@ -36,12 +34,12 @@ from .combinatorics import (
     multinomial,
     tree_count,
 )
-from .ensemble import (EnsembleConfig, MonteCarloResult, _histogram, eigenvalues, monte_carlo,
+from .ensemble import (EnsembleConfig, _histogram, eigenvalues, empirical_moments, monte_carlo,
                        sample_matrix)
 from .moments import _limits, limiting_even_moment, moment_lower_bound, moment_upper_bound
 from .radius_bounds import HankelPencil, _digits, build_pencil, sdp_lower_bound
 from .reports import radius_table
-from .sigma_model import _GUARD_DIGITS, _context, parse_sigma_spec, sigma_values
+from .sigma_model import _GUARD_DIGITS, SigmaSpec, _context, parse_sigma_spec, sigma_values
 from .walk_oracle import exact_expected_moment
 
 Check = Tuple[bool, str]
@@ -122,49 +120,50 @@ def check_series_vs_profile_sum(deep: bool) -> Check:
 WALK_SIGMA = (1.0, 0.5, 0.25, 0.8)
 
 
-@lru_cache(maxsize=None)
-def _walk_campaign(trials: int) -> MonteCarloResult:
-    """The walk-oracle check's Monte Carlo campaign, run once per trial count:
-    rademacher entries, n = 3, sigma = WALK_SIGMA[:3], seed 20240917,
-    moments to k = 4.  Callers share the result and must not modify it."""
-    n = 3
-    cfg = EnsembleConfig(n=n, sigma=_explicit_spec(WALK_SIGMA[:n]), distribution="rademacher",
-                         seed=20240917)
-    return monte_carlo(cfg, trials=trials, k_max=4)
-
-
 def check_walk_oracle(deep: bool) -> Check:
-    """Odd orders vanish exactly; Monte Carlo matches m_2 to rounding and m_4
-    within 4 stderr."""
-    n = 3
-    for k in (3, 5):
-        v = exact_expected_moment(n, k, WALK_SIGMA)["rademacher"]
-        if v != 0.0:
-            return False, f"odd k={k} gave {v}, expected exact 0"
-    trials = 40_000 if deep else 20_000
-    mc = _walk_campaign(trials)
-    for k in (2, 4):
-        exact = exact_expected_moment(n, k, WALK_SIGMA)["rademacher"]
-        mean = float(mc.moment_means[k - 1])
-        if k == 2:
-            # rademacher m_2 = (sum sigma / n)^2 on every draw, so the gate is
-            # rounding: each trial's is within 2 n eps of it (the eigensolver's
-            # backward error, p(n) = n), the fsum mean adds one rounding and
-            # the oracle's sum and division one more
-            band, gate = (2 * n + 2) * np.finfo(np.float64).eps * exact, "(2n+2) eps m_2"
-        else:
-            # false alarm per seed: |t| > 4 on 19999 (deep 39999) degrees of freedom, 6.4e-5
-            band, gate = 4.0 * mc.moment_stderrs[k - 1], "4*stderr"
-        if abs(mean - exact) > band:
-            return False, f"k={k}: |{mean!r} - {exact!r}| > {gate} ({band:.2g})"
-    return True, (f"odd orders exact 0; n={n}: MC({trials}) m_2 within (2n+2) eps, "
-                  "m_4 within 4 stderr")
+    """Production's m_1..m_8, averaged over every rademacher draw, equal the
+    walk sums of `exact_expected_moment` within rounding; odd walk sums are 0.0.
 
-
-def _explicit_spec(values):
-    from .sigma_model import SigmaSpec
-
-    return SigmaSpec("explicit", tuple(values))
+    At n = 3 on WALK_SIGMA[:3] (deep: also n = 4 on WALK_SIGMA) the 2^m sign
+    patterns of the m = n(n+1)/2 entries +-sqrt(sigma_i sigma_j)/sqrt(n), as
+    `sample_matrix` forms them (its draws must have these magnitudes), are
+    the whole law.  Their stack goes through the block step of `monte_carlo`
+    (`eigenvalues`, `empirical_moments`), and each order's fsum over 2^m
+    rounds once.  No pattern's norm exceeds rho = sum sigma / sqrt(n).  To
+    first order in eps, the entries' four roundings move an eigenvalue by
+    2 eps rho and the backward-stable solver by n eps rho (as in
+    `check_simulation_consistency`), so its k-th power by k (n + 2) eps
+    rho^k; the k - 1 products, the mean of n powers and the fsum add
+    (k + n)/2 eps rho^k; and the oracle's k/2 edge factors of three roundings,
+    its fsum, power and division add (3k/4 + 2) eps E m_k <= that of rho^k.
+    The bound is (k (n + 4) + n + 2) eps rho^k, 61 eps rho^8 at n = 3, where
+    the largest gap seen is 0.24 eps rho^8.
+    """
+    eps, worst = np.finfo(np.float64).eps, 0.0
+    for n in (3, 4) if deep else (3,):
+        sigma, mask = WALK_SIGMA[:n], np.triu(np.ones((n, n), dtype=bool))
+        magnitudes = np.sqrt(np.outer(sigma, sigma)[mask]) / math.sqrt(n)
+        bits = (np.arange(1 << magnitudes.size)[:, None] >> np.arange(magnitudes.size)) & 1
+        stack = np.zeros((len(bits), n, n))
+        stack[:, mask] = (2.0 * bits - 1.0) * magnitudes
+        stack += np.triu(stack, 1).swapaxes(1, 2)
+        cfg = EnsembleConfig(n=n, sigma=SigmaSpec("explicit", sigma), seed=20240917)
+        if any(not np.array_equal(abs(sample_matrix(cfg, t)), abs(stack[0])) for t in range(16)):
+            return False, f"n={n}: a draw has an |entry| other than sqrt(sigma_i sigma_j)/sqrt(n)"
+        moments = empirical_moments(eigenvalues(stack), 8)
+        rho = math.fsum(sigma) / math.sqrt(n)
+        for k in range(1, 9):
+            exact = exact_expected_moment(n, k, sigma)["rademacher"]
+            if k % 2 and exact != 0.0:
+                return False, f"n={n}: odd k={k} gave {exact!r}, expected exact 0"
+            mean = math.fsum(moments[:, k - 1]) / len(stack)
+            gap, bound = abs(mean - exact) / (eps * rho ** k), k * (n + 4) + n + 2
+            if not gap <= bound:
+                return False, f"n={n}, k={k}: |{mean!r}-{exact!r}| = {gap:.3g} > {bound} eps rho^k"
+            worst = max(worst, gap)
+    return True, (f"k=1..8, n={'3, 4' if deep else 3}: mean over every sign pattern within "
+                  f"(k(n+4)+n+2) eps rho^k of the walk sums (largest {worst:.2g}); odd orders "
+                  "exact 0; draws have the patterns' |entries|")
 
 
 def check_finite_n_bounds(deep: bool) -> Check:

@@ -378,12 +378,36 @@ class TestEigenvalues:
             eigenvalues(stack), [np.linalg.eigvalsh(A) for A in stack]
         )
 
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_rejects_a_non_finite_asymmetry(self, entry):
+        # the tolerance at an infinite scale is infinite, and NaN compares false
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            eigenvalues(np.array([[1.0, entry], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("scale", [1e-20, 1e20])
+    def test_asymmetry_threshold_scales_with_the_matrix(self, scale):
+        # the tolerance is 1e-12 of the matrix's own largest |entry|: at 1e20
+        # a mirrored entry 1 ulp off (8192) is rounding, and at 1e-20 a gap
+        # of 1e-11 of the scale, or a one-sided entry, is not
+        M = scale * np.array([[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 1.0]])
+        near = M.copy()
+        near[2, 0] = np.nextafter(near[2, 0], np.inf)
+        np.testing.assert_array_equal(eigenvalues(near), np.linalg.eigvalsh(near))
+        far = M.copy()
+        far[2, 0] += 1e-11 * scale
+        for bad in (far, scale * np.array([[0.0, 1.0], [0.0, 0.0]])):
+            with pytest.raises(ValueError, match="matrix is not symmetric"):
+                eigenvalues(bad)
+
     def test_stack_rejects_an_asymmetric_member(self):
         M = np.array([[2.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 1.0]])
         bad = M.copy()
         bad[2, 0] += 1e-11
         with pytest.raises(ValueError, match=r"not symmetric \(max asymmetry 1\.000e-11\)"):
             eigenvalues(np.stack([M, np.eye(3), bad]))
+        # each member against its own scale, not the stack's
+        with pytest.raises(ValueError, match="not symmetric"):
+            eigenvalues(np.stack([1e20 * M, 1e-20 * bad]))
         with pytest.raises(ValueError, match="square"):
             eigenvalues(np.zeros((2, 3, 4)))
 
@@ -494,16 +518,18 @@ class TestMonteCarlo:
         assert abs(mc.moment_means[1] - 1.0) <= 2 * n * np.finfo(np.float64).eps
 
     def test_rademacher_mean_keeps_its_digits_at_many_trials(self):
-        # the walk_oracle check's campaign: every trial's m_2 is (sum sigma /
-        # n)^2 to within 2 n eps (as in test_semicircle_second_moment), so
-        # their mean is too, but for the one rounding of the division.  A
-        # column mean summed naively drifts linearly in the trial count
-        # (1784 eps off at 20000 trials).
-        from rank1_spectra.validation import WALK_SIGMA, _walk_campaign
+        # a campaign of 20000 rademacher trials at n = 3: every trial's m_2
+        # is (sum sigma / n)^2 to within 2 n eps (as in
+        # test_semicircle_second_moment), so their mean is too, but for the
+        # one rounding of the division.  A column mean summed naively drifts
+        # linearly in the trial count (1784 eps off at 20000 trials).
+        from rank1_spectra.validation import WALK_SIGMA
 
         n = 3
         sigma = WALK_SIGMA[:n]
-        mc = _walk_campaign(20_000)
+        cfg = EnsembleConfig(n=n, sigma=explicit_spec(sigma), distribution="rademacher",
+                             seed=20240917)
+        mc = monte_carlo(cfg, trials=20_000, k_max=4)
         identity = (sum(sigma) / n) ** 2
         assert abs(mc.moment_means[1] - identity) <= (2 * n + 1) * np.finfo(float).eps * identity
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,3 +46,33 @@ def test_trace_check_fails_on_an_eigenvalue_moved_by_1e_9_of_the_norm(monkeypatc
     cfg = EnsembleConfig(n=60, sigma=parse_sigma_spec(validation.EXP_SPEC), seed=99)
     lam = validation.eigenvalues(sample_matrix(cfg, 0))
     assert abs(empirical_moments(lam, 1)[0] * cfg.n - np.sum(lam)) <= 1e-9
+
+
+def test_walk_check_fails_on_an_eigenvalue_moved_by_1e_9_of_the_norm(monkeypatch):
+    # one eigenvalue of one of the 64 sign patterns
+    real = validation.eigenvalues
+
+    def moved(matrix):
+        lam = real(matrix)
+        lam[0, 0] += 1e-9 * np.max(np.abs(lam))
+        return lam
+
+    monkeypatch.setattr(validation, "eigenvalues", moved)
+    passed, detail = validation.check_walk_oracle(False)
+    assert not passed and "k=1:" in detail, detail
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_walk_check_fails_on_an_oracle_order_moved_by_a_relative_1e_9(monkeypatch, k):
+    # an odd order, exactly 0, moves to the smallest subnormal instead
+    real = validation.exact_expected_moment
+
+    def moved(n, order, values):
+        exact = real(n, order, values)
+        if order != k:
+            return exact
+        return {law: value * (1 + 1e-9) or 5e-324 for law, value in exact.items()}
+
+    monkeypatch.setattr(validation, "exact_expected_moment", moved)
+    passed, detail = validation.check_walk_oracle(False)
+    assert not passed and re.search(rf"\bk={k}\b", detail), detail
