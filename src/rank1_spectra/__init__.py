@@ -11,8 +11,9 @@ simulation and two brute-force enumeration oracles.
 Names load on first use: ``import rank1_spectra`` imports no submodule, and
 reading a public name imports the one submodule that defines it (PEP 562), so
 a caller pays only for the layers it touches; the stdlib's ``decimal``,
-for one, loads with ``radius_bounds`` or for limiting averages, and mpmath
-only with ``validation``, the oracle of the Decimal layers.
+for one, loads with ``radius_bounds`` or for limiting averages.  No layer
+loads mpmath: ``validation``, the oracle of the Decimal layers, checks them
+in the stdlib's ``decimal`` and ``fractions`` by other algorithms.
 ``limiting_averages`` is read from ``quadrature``, the module that defines
 it, and the sigma expression language (``expression``) exports no public
 name, so reading a name of ``sigma_model`` compiles neither.

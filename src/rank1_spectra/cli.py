@@ -18,11 +18,11 @@ averages.  numpy loads only with the Monte Carlo layer, for ``simulate``
 and ``validate``.  ``moments`` and ``radius`` run on Python floats, exact
 ints and the stdlib's C ``decimal``, sigma at n points and its partial
 sums included, and never load numpy, which saves its import, most of
-their start-up.  No command but ``validate``, whose oracles check the
-Decimal layers, loads mpmath.  Nor do ``moments`` and ``radius`` load
-``dataclasses`` (with ``inspect``, ``ast``, ``dis`` and ``tokenize``),
-``datetime`` or ``fractions``: the records of their layers are
-NamedTuples, the manifest's timestamp is formatted from
+their start-up.  No command loads mpmath: ``validate``'s oracles check
+the Decimal layers in Decimal, by other algorithms.  Nor do ``moments``
+and ``radius`` load ``dataclasses`` (with ``inspect``, ``ast``, ``dis``
+and ``tokenize``), ``datetime`` or ``fractions``: the records of their
+layers are NamedTuples, the manifest's timestamp is formatted from
 ``time.time_ns()``, and a float or Decimal tree series takes no Fraction.
 
 A process that enters through ``run`` (``python -m rank1_spectra.cli`` and
@@ -299,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_r.add_argument("--n", type=int, default=None)
     p_r.add_argument("--sbar", type=int, default=_DEFAULT_SBAR,
                      help=f"SDP truncation s_bar (at most {_MAX_SBAR})")
-    p_r.add_argument("--tol", type=float, default=_DEFAULT_TOL, help="certified half-width of beta")
+    p_r.add_argument("--tol", type=float, default=_DEFAULT_TOL,
+                     help="certified half-width of beta, absolute: beta scales as sigma^2")
     p_r.add_argument("--out", required=True)
     p_r.add_argument("--lambda-tol", type=float, default=_DEFAULT_LAMBDA_TOL, help=_LAMBDA_TOL_HELP)
 

@@ -28,15 +28,15 @@ recurrence (a_k, b_k) Gautschi's Chebyshev algorithm gives in O(s_bar^2)
 operations.  J - xI is congruent to H1 - x H0, so the Sturm count of J at x
 counts the pencil's eigenvalues below x.  One bisection on that count, in
 Decimal at the recurrence's digits, finds beta, and the counts at beta -/+ tol
-certify it (`validation.certifies` checks that claim with mp.cholesky of
-H0 x - H1).  cond(H0) grows about 10^1.8 per order, so the recurrence and
-the counts run at max(60, 2 s_bar + 10) digits on moments that carry
-2 s_bar + 10 (`reports.radius_table`), each with
+certify it (`validation.certifies` checks that claim with an LDL^T of the
+dense H0 x - H1).  cond(H0) grows about 10^1.8 per order, so the
+recurrence and the counts run at max(60, 2 s_bar + 10) digits on moments
+that carry 2 s_bar + 10 (`reports.radius_table`), each with
 `sigma_model._GUARD_DIGITS` more.  Nothing regularises them: a b_k that
 vanishes to their precision ends the recurrence (finite support, or spent
 digits), and a clearly negative one means they are no moment sequence.
 All of it runs on the stdlib's C ``decimal`` in `sigma_model._context`;
-mpmath is only the oracle of `validation` and the tests.
+mpmath is only an oracle of the tests.
 """
 
 from __future__ import annotations
@@ -92,7 +92,9 @@ class HankelPencil(NamedTuple):
 
 
 class SdpResult(NamedTuple):
-    """``beta`` is certified within ``tol`` of the pencil's minimum, and
+    """``beta`` is certified within ``tol`` of the pencil's minimum, an
+    absolute half-width: beta scales as sigma^2, so at sigma = 1e-5, where
+    beta is 3.96e-10, the default tol of 1e-10 pins it to about 25%.
     ``method_agreement`` is that half-width (= tol).  ``condition_estimate``
     is the pencil's ``condition`` and ``ridge_scale`` is 0: no
     regularisation is added.  ``order`` is the truncation beta belongs to,

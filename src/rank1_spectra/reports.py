@@ -7,7 +7,7 @@ sequence takes S_{n,k}/n in float64 from `sigma_stats` and loads neither
 `limiting_averages` as a Decimal, which `lambda_vector` imports from
 ``quadrature`` when called.  The arbitrary-precision steps here, the
 table's scale and the Decimal moments' floats and root, run on the
-stdlib's C ``decimal``; no command but ``validate`` loads mpmath.  A
+stdlib's C ``decimal``; no command loads mpmath.  A
 table reads sigma at n once, by `_at_n`; a constant is its one value,
 never n copies.  The finite-n bounds on E m_{2s}
 have one builder, `_finite_n_bounds`: the moment table's rows report them

@@ -243,9 +243,9 @@ def _power_sums(values: Sequence[float], k_max: int) -> list:
 
 
 # The digits a layer's decimal context carries over the ``digits`` asked of
-# it: a context of D digits has a unit of up to 10^(1 - D), where mpmath at
-# D digits holds round((D + 1) log2 10) bits, a unit near 10^-(D + 1); D + 2
-# digits keep the unit at most 10^-(D + 1).
+# it: a context of D digits has a relative unit of up to 10^(1 - D), as
+# coarse as the last digit asked for, and D + 2 digits keep it at most
+# 10^-(D + 1), so that each rounding is a tenth of that digit's unit or less.
 _GUARD_DIGITS = 2
 
 

@@ -7,11 +7,13 @@ run each at deep=False.  Each fact has one check, and each enumeration runs
 once per order: the three plane-tree checks read one cached count of trees
 per profile.  `certifies` checks the SDP's claim for its beta rather than
 solving for beta again, and no check gates on a sampled standard error.
-The battery is deliberately cheap: ``validate`` takes 0.38-0.55 s on a
+The battery is deliberately cheap: ``validate`` takes 0.40-0.56 s on a
 2-CPU machine, process start included.  ``deep=True`` extends the
 enumerations to s = 11, the finite-n cases to 50000 walks and the walk
 oracle's sign patterns to n = 4, doubles the SDP's random measures, and
-takes 1.1-1.5 s there, most of it the plane trees of s = 9..11.
+takes 1.2-1.7 s there, most of it the plane trees of s = 9..11.  It runs on
+numpy and the stdlib alone: the oracles of the Decimal layers are Decimal
+and Fraction arithmetic by other algorithms, and no check loads mpmath.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .combinatorics import (
     catalan,
@@ -203,15 +204,16 @@ def check_finite_n_bounds(deep: bool) -> Check:
 
 def check_lambda_quadrature(deep: bool) -> Check:
     """The quadrature's Lambda_1..Lambda_29 for the exp profile match the
-    closed form (1 - e^{-4k})/(4k) to 1e-40 relative at 50 digits."""
+    closed form (1 - e^{-4k})/(4k), by `Decimal.exp` at 60 digits, to 1e-40
+    relative at 50 digits."""
     from .quadrature import limiting_averages
 
     la = limiting_averages(parse_sigma_spec(EXP_SPEC), 29, 1e-8, digits=50)
-    with mp.workdps(60):
-        worst = max(abs(_mpf(v) * 4 * k / (1 - mp.exp(-4 * k)) - 1)
+    with localcontext(_context(60)):
+        worst = max(abs(v * 4 * k / (1 - Decimal(-4 * k).exp()) - 1)
                     for k, v in enumerate(la.values, 1))
-    passed = all(la.converged) and worst <= mpf(10) ** -40
-    return passed, (f"k=1..29: worst relative error {mp.nstr(worst, 2)}, {la.levels} levels, "
+    passed = all(la.converged) and worst <= Decimal("1e-40")
+    return passed, (f"k=1..29: worst relative error {worst:.2g}, {la.levels} levels, "
                     f"{la.nodes} nodes, {la.digits} digits")
 
 
@@ -240,54 +242,63 @@ def check_moment_scaling(deep: bool) -> Check:
     return True, "m_{2s} and lower bounds covariant under sigma -> 2*sigma, beta under sigma -> 3*sigma"
 
 
-def _mpf(x):
-    """A float, int or Decimal of production as an mpf of the oracle, to the
-    current mp precision."""
-    return mpf(str(x)) if isinstance(x, Decimal) else mpf(x)
-
-
-def _factors(M) -> bool:
-    try:
-        mp.cholesky(M)
-    except ValueError:
-        return False
+def _positive_definite(M) -> bool:
+    """Whether the symmetric Decimal matrix M is positive definite: every
+    pivot of its LDL^T, in the current decimal context, is > 0.  A test of
+    sign alone, so it holds at any scale of M."""
+    A = [list(row) for row in M]
+    for k, row in enumerate(A):
+        pivot = row[k]
+        if not pivot > 0:
+            return False
+        for i in range(k + 1, len(A)):
+            ratio = A[i][k] / pivot
+            for j in range(k + 1, i + 1):
+                A[i][j] -= ratio * A[j][k]
     return True
+
+
+def _shifted(pencil: HankelPencil, x) -> list:
+    """H0 x - H1 in the current decimal context, for H0 = (nu_{i+j}) and
+    H1 = (nu_{i+j+1}) of the order the pencil's recurrence reached,
+    len(pencil.a) rows."""
+    nu, m, x = pencil.nu, len(pencil.a), Decimal(x)
+    return [[nu[i + j] * x - nu[i + j + 1] for j in range(m)] for i in range(m)]
 
 
 def brackets_beta(pencil: HankelPencil, lo, hi) -> bool:
     """The oracle's certificate that min{x : H0 x - H1 >= 0} lies in (lo, hi]:
-    mp.cholesky factors H0 hi - H1 and not H0 lo - H1, for H0 = (nu_{i+j})
-    and H1 = (nu_{i+j+1}) of the order the pencil's recurrence reached,
-    len(pencil.a) rows.  Where it ended early, on a finite support or spent
-    digits, H0's larger blocks are singular but for rounding."""
-    nu, m = pencil.nu, len(pencil.a)
-    with mp.workdps(_digits(pencil.s_bar)):
-        H0, H1 = (mp.matrix([[_mpf(nu[i + j + k]) for j in range(m)] for i in range(m)])
-                  for k in (0, 1))
-        return _factors(H0 * _mpf(hi) - H1) and not _factors(H0 * _mpf(lo) - H1)
+    the LDL^T of the dense Hankel pencil H0 x - H1 (`_shifted`) has only
+    positive pivots at x = hi and not at x = lo, in Decimal at the
+    recurrence's digits and `_GUARD_DIGITS` more.  Where the recurrence
+    ended early, on a finite support or spent digits, H0's larger blocks
+    are singular but for rounding.  Production reaches beta another way,
+    by Sturm counts on the tridiagonal Jacobi matrix."""
+    with localcontext(_context(_digits(pencil.s_bar) + _GUARD_DIGITS)):
+        return (_positive_definite(_shifted(pencil, hi))
+                and not _positive_definite(_shifted(pencil, lo)))
 
 
 def certifies(pencil: HankelPencil, beta: float, tol: float) -> bool:
     """Whether `brackets_beta` confirms production's claim for ``beta``, a
-    float `sdp_lower_bound` certified to ``tol``: its Decimal beta lies
-    within tol of the pencil's minimum and its rounding to a float adds half
-    an ulp, so the minimum lies in (beta - h, beta + h] with h = tol +
-    2 ulp(beta), the ends taken at the oracle's digits."""
-    with mp.workdps(_digits(pencil.s_bar)):
-        h = mpf(tol) + 2 * mpf(math.ulp(beta))
-        return brackets_beta(pencil, mpf(beta) - h, mpf(beta) + h)
+    float `sdp_lower_bound` certified to the absolute half-width ``tol``:
+    its Decimal beta lies within tol of the pencil's minimum and its
+    rounding to a float adds half an ulp, so the minimum lies in
+    (beta - h, beta + h] with h = tol + 2 ulp(beta), the ends taken at the
+    oracle's digits."""
+    with localcontext(_context(_digits(pencil.s_bar) + _GUARD_DIGITS)):
+        h = Decimal(tol) + 2 * Decimal(math.ulp(beta))
+        return brackets_beta(pencil, Decimal(beta) - h, Decimal(beta) + h)
 
 
-def check_sdp_dual_method(deep: bool) -> Check:
-    """mp.cholesky of H0 x - H1 certifies the production beta to tol + 2 ulp
-    (`certifies`) on random atomic measures and on the named profiles, and
-    the exp profile's beta at s_bar = 14, from 38-digit moments, is
-    0.6010092398."""
+def _sdp_battery(deep: bool) -> List[Tuple[str, HankelPencil]]:
+    """The pencils of `check_sdp_dual_method`: random atomic measures at
+    s_bar <= 5 (12 deep, else 6), the constant and exp profiles at s_bar = 6
+    from float moments, and last the exp profile at s_bar = 14 from
+    38-digit moments."""
     rng = np.random.default_rng(7)
-    tol = 1e-10
-    cases = 12 if deep else 6
     pencils = []
-    for case in range(cases):
+    for case in range(12 if deep else 6):
         s_bar = int(rng.integers(1, 6))
         atoms = rng.uniform(0.2, 2.0, size=s_bar + 2)
         weights = rng.dirichlet(np.ones(s_bar + 2))
@@ -299,14 +310,25 @@ def check_sdp_dual_method(deep: bool) -> Check:
     with localcontext(_context(38 + _GUARD_DIGITS)):
         lams = [(1 - Decimal(-4 * k).exp()) / (4 * k) for k in range(1, 30)]
         pencils.append(("exp-profile at s_bar=14", build_pencil(_limits(lams, 29), 14)))
+    return pencils
+
+
+def check_sdp_dual_method(deep: bool) -> Check:
+    """The LDL^T of the dense pencil H0 x - H1 certifies the production beta
+    to tol + 2 ulp (`certifies`) on random atomic measures and on the named
+    profiles (`_sdp_battery`), and the exp profile's beta at s_bar = 14,
+    from 38-digit moments, is 0.6010092398."""
+    tol = 1e-10
+    pencils = _sdp_battery(deep)
     for label, pencil in pencils:
         beta = sdp_lower_bound(pencil, tol).beta
         if not certifies(pencil, beta, tol):
-            return False, f"{label}: mp.cholesky does not bracket beta = {beta!r} to tol + 2 ulp"
+            return False, (f"{label}: the pencil's LDL^T does not bracket beta = {beta!r} "
+                           "to tol + 2 ulp")
     if abs(beta - 0.6010092398) > 1e-9:
         return False, f"exp profile beta(14) = {beta!r} != 0.6010092398"
-    return True, (f"{cases} random measures + 3 named profiles certified to tol + 2 ulp; "
-                  f"exp profile beta(14) = {beta:.10f}")
+    return True, (f"{len(pencils) - 3} random measures + 3 named profiles certified to "
+                  f"tol + 2 ulp; exp profile beta(14) = {beta:.10f}")
 
 
 def check_simulation_consistency(deep: bool) -> Check:

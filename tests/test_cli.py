@@ -480,9 +480,9 @@ def test_tolerance_must_be_finite_and_positive(capsys, command, flag, value):
 # records the modules loaded and the BLAS variables once the CLI is imported
 # and its parser built, which modules are loaded after each call, and last,
 # as the detector's control, which are loaded once it imports the oracles,
-# scipy and ``concurrent.futures``.  numpy and the oracles' dataclasses load
-# ``dataclasses``, ``inspect`` and ``datetime``, and ``validation`` loads
-# ``fractions`` and with it ``decimal``.
+# scipy, ``concurrent.futures`` and mpmath.  numpy and the oracles'
+# dataclasses load ``dataclasses``, ``inspect`` and ``datetime``, and
+# ``validation`` loads ``fractions`` and with it ``decimal``.
 _IMPORT_SCRIPT = """
 import json, os, sys
 import rank1_spectra
@@ -507,7 +507,7 @@ report["start"] = [loaded(), [os.environ.get(v) for v in rank1_spectra._BLAS_THR
 argvs = json.loads(sys.argv[1])
 report["commands"] = [argv[0] for argv in argvs]
 report["runs"] = [[cli.main(argv), loaded()] for argv in argvs]
-import rank1_spectra.validation, scipy.special, concurrent.futures
+import rank1_spectra.validation, scipy.special, concurrent.futures, mpmath
 report["control"] = loaded()
 print(json.dumps(report))
 """
@@ -532,8 +532,8 @@ PUBLIC_NAMES = [
 
 @pytest.fixture(scope="module")
 def import_runs(tmp_path_factory):
-    """Two fresh interpreters: the simulate laws and then moments of a limit,
-    and every moments and radius run that loads no numpy."""
+    """Two fresh interpreters: the simulate laws, moments of a limit and
+    validate, and every moments and radius run that loads no numpy."""
     out = tmp_path_factory.mktemp("imports")
     sigma = out / "sigma.txt"
     sigma.write_text("\n".join(repr(v) for v in SIGMA) + "\n", encoding="utf-8")
@@ -544,6 +544,7 @@ def import_runs(tmp_path_factory):
     ] + [
         ["moments", "--sigma", "expr:exp(-4*i/n)", "--max-order", "8",
          "--out", str(out / "m_expr.json")],
+        ["validate"],
     ]
     numpy_free = [
         ["moments", "--sigma", f"file:{sigma}", "--n", "6", "--max-order", "8",
@@ -619,8 +620,11 @@ def test_each_command_loads_only_its_own_layers(import_runs):
     moment_layers = {"rank1_spectra.moments", "rank1_spectra.reports"}
     unused = moment_layers | {"fractions", "decimal", "concurrent.futures", "logging"}
     # the three simulate laws, then moments (expr sigma), whose limiting
-    # averages are the first thing here to need decimal; none loads mpmath
-    for index, (_, mods) in enumerate(monte_carlo["runs"]):
+    # averages are the first thing here to need decimal, then validate, the
+    # one command to load the oracles; no command loads mpmath
+    *runs, (_, validate) = monte_carlo["runs"]
+    assert oracles <= set(validate) and "mpmath" not in validate
+    for index, (_, mods) in enumerate(runs):
         assert ("decimal" in mods) == (index == 3)
         assert "mpmath" not in mods
         assert "rank1_spectra.ensemble" in mods
@@ -632,14 +636,13 @@ def test_each_command_loads_only_its_own_layers(import_runs):
     # moments (file sigma), whose S_{n,k}/n sum in float64 and which loads
     # neither decimal nor mpmath, then radius (file, constant and expression
     # sigma) and moments of a constant or an expression, which need decimal
-    # and no mpmath: mpmath is the oracle of validate alone
     for index, (_, mods) in enumerate(numpy_free["runs"]):
         assert ("decimal" in mods) == (index >= 1)
         assert "mpmath" not in mods
         assert "rank1_spectra.ensemble" not in mods
         assert not oracles & set(mods)
     for report in import_runs:
-        # the detector sees mpmath once the oracles are imported
+        # the detector sees mpmath once the control imports it
         assert oracles | unused | {"mpmath"} <= set(report["control"])
         assert report["parser"] == ["rank1_spectra.cli"]  # the parser loads no other layer
 

@@ -330,7 +330,7 @@ def mp_exp_pencil(s_bar: int, digits: int):
         return build_pencil(_limits(lams, 2 * s_bar + 1), s_bar)
 
 
-# --- the Sturm solve against mp.cholesky of the matrix pencil ---------------
+# --- the Sturm solve against the LDL^T of the matrix pencil -----------------
 
 def _battery():
     """80 pencils: the exp profile at eight s_bar from Decimal moments, Catalan
@@ -351,18 +351,19 @@ def _battery():
 
 
 def test_beta_matches_the_matrix_oracle():
-    """mp.cholesky of the matrix pencil H0 x - H1 certifies every battery
+    """The LDL^T of the matrix pencil H0 x - H1 certifies every battery
     pencil's beta to h = tol + 2 ulp(beta), the claim of the Sturm counts of
-    `sdp_lower_bound` (J - xI is congruent to H1 - x H0): it factors at
-    beta + h and not at beta - h, so it rejects every bracket moved by 2h."""
+    `sdp_lower_bound` (J - xI is congruent to H1 - x H0): its pivots are all
+    positive at beta + h and not at beta - h, so it rejects every bracket
+    moved by 2h."""
     for label, pencil, tol in _battery():
         assert certifies(pencil, sdp_lower_bound(pencil, tol).beta, tol), label
 
 
 @pytest.mark.parametrize("s_bar", [3, 14])
-def test_sturm_count_matches_mp_cholesky_on_the_shifted_pencil(s_bar):
+def test_sturm_count_matches_the_ldlt_of_the_shifted_pencil(s_bar):
     # J - xI is congruent to H1 - x H0: all s_bar + 1 Jacobi eigenvalues lie
-    # below x exactly when H0 x - H1 factors
+    # below x exactly when H0 x - H1 is positive definite
     pencil = mp_exp_pencil(s_bar, 2 * s_bar + 10)
     beta = sdp_lower_bound(pencil, 1e-10).beta
     with localcontext(_context(_digits(s_bar))):
@@ -373,6 +374,30 @@ def test_sturm_count_matches_mp_cholesky_on_the_shifted_pencil(s_bar):
             assert brackets_beta(pencil, lo, hi)
             assert not brackets_beta(pencil, lo - half, lo)
             assert not brackets_beta(pencil, hi, hi + half)
+
+
+@pytest.mark.parametrize("s_bar", [14, 25])
+@pytest.mark.parametrize("text", [EXP_SPEC, "expr:1e-2*exp(-4*i/n)", "const:1e-5", "const:1000"])
+def test_certificate_holds_at_any_sigma_scale(monkeypatch, text, s_bar):
+    """beta scales as sigma^2, and the oracle's test is one of sign: on the
+    pencil `radius_table` builds, it certifies production's beta to h = tol
+    + 2 ulp(beta) at beta 4e-10 as at 4e6, and finds H0 x - H1 positive
+    definite on (beta + 2h, beta + 3h]."""
+    from rank1_spectra import radius_bounds
+    from rank1_spectra.reports import radius_table
+
+    seen, real = [], radius_bounds.sdp_lower_bound
+
+    def recording(pencil, tol):
+        seen.append((pencil, real(pencil, tol)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(radius_bounds, "sdp_lower_bound", recording)
+    radius_table(parse_sigma_spec(text), s_bar=s_bar)
+    (pencil, sdp), = seen
+    assert certifies(pencil, sdp.beta, 1e-10)
+    h = Decimal(1e-10) + 2 * Decimal(math.ulp(sdp.beta))
+    assert not brackets_beta(pencil, Decimal(sdp.beta) + 2 * h, Decimal(sdp.beta) + 3 * h)
 
 
 def test_condition_bounds_the_digits_lost():

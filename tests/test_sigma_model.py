@@ -24,9 +24,15 @@ from rank1_spectra.sigma_model import (
     sigma_stats,
     sigma_values,
 )
-from rank1_spectra.validation import _mpf
 
 EXP_SPEC = "expr:exp(-4*i/n)"
+
+
+def _mpf(x):
+    """A float, int or Decimal of production as an mpf, to the current mp
+    precision: mpmath is these tests' oracle, independent of the Decimal
+    arithmetic under test."""
+    return mp.mpf(str(x)) if isinstance(x, Decimal) else mp.mpf(x)
 
 
 def _rounded(x: Fraction, digits: int) -> Decimal:
